@@ -17,7 +17,7 @@ producer-side contention — bounds both backends.
 
 import time
 
-from transport_fixture import BATCH_SIZE, make_batch
+from transport_fixture import BATCH_SIZE, drain_samples, make_batch
 
 from repro.launcher.launcher import _fork_mp
 from repro.parallel.mp_transport import MultiprocessTransport
@@ -54,14 +54,12 @@ def _pump(transport) -> float:
         began = time.perf_counter()
         for process in processes:
             process.start()
-        drained = 0
-        while drained < MESSAGES_TOTAL:
-            chunk = transport.poll_many(0, max_messages=256, timeout=5.0)
-            assert chunk, "transport stalled while draining"
-            drained += len(chunk)
+        per_client = drain_samples(transport, MESSAGES_TOTAL)
         elapsed = time.perf_counter() - began
         for process in processes:
             process.join(10)
+        # Every producer's whole stream arrived, attributed to its client id.
+        assert per_client == dict.fromkeys(range(PRODUCERS), BATCHES_PER_PRODUCER * BATCH_SIZE)
         best = min(best, elapsed)
     return MESSAGES_TOTAL / best
 

@@ -32,10 +32,11 @@ def _simulate_distribution(num_ranks: int, num_clients: int, steps: int, round_r
     for rank in range(num_ranks):
         seen = set()
         while True:
-            message = router.poll(rank, timeout=None)
-            if message is None:
+            chunks = router.poll_batches(rank, max_messages=4096, timeout=None)
+            if not chunks:
                 break
-            seen.add(message.time_step)
+            for chunk in chunks:
+                seen.update(chunk.time_steps.tolist())
         per_rank_steps.append(len(seen))
     return per_rank_counts, per_rank_steps
 

@@ -23,7 +23,7 @@ Two measurements, honestly separated:
 
 import time
 
-from transport_fixture import BATCH_SIZE, make_batch
+from transport_fixture import BATCH_SIZE, drain_samples, make_batch
 
 from repro.cluster.resources import jean_zay_like
 from repro.launcher.launcher import _fork_mp
@@ -90,14 +90,11 @@ def _pump(router) -> float:
         began = time.perf_counter()
         for process in processes:
             process.start()
-        drained = 0
-        while drained < MESSAGES_TOTAL:
-            chunk = router.poll_many(0, max_messages=256, timeout=5.0)
-            assert chunk, "sharded transport stalled while draining"
-            drained += len(chunk)
+        per_client = drain_samples(router, MESSAGES_TOTAL)
         elapsed = time.perf_counter() - began
         for process in processes:
             process.join(10)
+        assert per_client == dict.fromkeys(CLIENT_IDS, BATCHES_PER_PRODUCER * BATCH_SIZE)
         best = min(best, elapsed)
     return MESSAGES_TOTAL / best
 

@@ -13,7 +13,7 @@ batching through a live :class:`MultiprocessTransport`.
 import pickle
 import time
 
-from transport_fixture import BATCH_SIZE, BATCHES, NUM_BATCHES, REPEATS
+from transport_fixture import BATCH_SIZE, BATCHES, NUM_BATCHES, REPEATS, drain_samples
 
 from repro.parallel.messages import pack_many, unpack_many
 from repro.parallel.mp_transport import MultiprocessTransport
@@ -91,11 +91,7 @@ def test_mp_transport_batched_push_throughput():
             for message in messages:
                 connection.send_round_robin(message)
             connection.flush()
-            drained = 0
-            while drained < len(messages):
-                chunk = transport.poll_many(0, max_messages=256, timeout=1.0)
-                assert chunk, "mp transport stalled while draining"
-                drained += len(chunk)
+            assert drain_samples(transport, len(messages), timeout=1.0) == {0: len(messages)}
             elapsed = time.perf_counter() - began
             assert transport.stats.messages_routed == len(messages)
             return len(messages) / elapsed
@@ -137,11 +133,7 @@ def test_tcp_loopback_throughput():
             for message in messages:
                 connection.send_round_robin(message)
             connection.flush()
-            drained = 0
-            while drained < len(messages):
-                chunk = transport.poll_many(0, max_messages=256, timeout=1.0)
-                assert chunk, "tcp transport stalled while draining"
-                drained += len(chunk)
+            assert drain_samples(transport, len(messages), timeout=1.0) == {0: len(messages)}
             elapsed = time.perf_counter() - began
             assert transport.stats.messages_routed == len(messages)
             assert transport.stats.dropped_messages == 0

@@ -6,6 +6,8 @@ their cross-backend speedups stop being comparable; the batch shape lives
 here once.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from repro.parallel.messages import TimeStepMessage
@@ -31,3 +33,20 @@ def make_batch(start_step: int, client_id: int = 0):
 
 
 BATCHES = [make_batch(batch * BATCH_SIZE) for batch in range(NUM_BATCHES)]
+
+
+def drain_samples(transport, total: int, timeout: float = 5.0) -> Counter:
+    """Drain ``total`` samples from rank 0 the way the server does.
+
+    Returns the number of rows drained per client id, read off the chunks'
+    ``source_ids`` column, so callers assert delivery per stream.
+    """
+    per_client: Counter = Counter()
+    drained = 0
+    while drained < total:
+        chunks = transport.poll_batches(0, max_messages=256, timeout=timeout)
+        assert chunks, "transport stalled while draining"
+        for chunk in chunks:
+            per_client.update(chunk.source_ids.tolist())
+            drained += len(chunk)
+    return per_client

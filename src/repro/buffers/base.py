@@ -25,41 +25,7 @@ __all__ = [
     "ColumnBatch",
     "TrainingBuffer",
     "BufferClosedError",
-    "contiguous_rows",
 ]
-
-
-def contiguous_rows(arrays: List[Array]) -> Optional[Array]:
-    """Zero-copy ``(n, ...)`` view over rows that are physically consecutive.
-
-    The columnar path hands every record of a gathered batch a view into one
-    shared block (the batch's inputs/targets matrices).  When such records
-    are kept in order their rows still sit back to back in memory, and
-    stacking them for the nn forward pass needs no copy at all: this helper
-    detects that case and returns a strided view over the underlying block.
-    Returns ``None`` whenever the rows are not provably consecutive
-    same-layout views of one base buffer (the caller then falls back to a
-    gathering copy).
-    """
-    first = arrays[0]
-    base = first.base
-    if base is None or not first.flags.c_contiguous:
-        return None
-    row_nbytes = first.nbytes
-    shape = first.shape
-    dtype = first.dtype
-    ptr = first.__array_interface__["data"][0]
-    for row in arrays[1:]:
-        if (row.base is not base or row.dtype != dtype
-                or row.shape != shape or not row.flags.c_contiguous):
-            return None
-        next_ptr = row.__array_interface__["data"][0]
-        if next_ptr != ptr + row_nbytes:
-            return None
-        ptr = next_ptr
-    return np.lib.stride_tricks.as_strided(
-        first, shape=(len(arrays),) + shape, strides=(row_nbytes,) + first.strides
-    )
 
 
 class TrainingBuffer:
@@ -86,9 +52,9 @@ class TrainingBuffer:
     * :meth:`_draw_slots_locked` — pick a batch of slots with one vectorized
       RNG call, matching the per-sample path draw for draw.
 
-    The base class turns slots into data: :meth:`put_many` accepts either a
-    record list or a :class:`ColumnBatch` (whose columns are written with
-    one fancy-indexed write per column), and :meth:`get_batch_columns`
+    The base class turns slots into data: :meth:`put_many` writes a
+    :class:`ColumnBatch` with one fancy-indexed write per column (a record
+    list is columnised once at the door), and :meth:`get_batch_columns`
     returns the drained rows as a ``ColumnBatch`` gathered under the lock —
     crucially *before* the slots can be rewritten, so the batch owns its
     rows.  :meth:`get_batch` is the same draw delivered as the
@@ -181,6 +147,7 @@ class TrainingBuffer:
                 raise TimeoutError("timed out waiting for buffer space")
             if self._closed:
                 raise BufferClosedError("buffer closed while waiting to put")
+            self._store.ensure_columns(np.shape(record.inputs), np.shape(record.target))
             slots = self._take_slots_locked(1)
             self._store.write_record(int(slots[0]), record)
             self.total_put += 1
@@ -193,6 +160,7 @@ class TrainingBuffer:
                 raise BufferClosedError("cannot put into a closed buffer")
             if not self._can_put_locked():
                 return False
+            self._store.ensure_columns(np.shape(record.inputs), np.shape(record.target))
             slots = self._take_slots_locked(1)
             self._store.write_record(int(slots[0]), record)
             self.total_put += 1
@@ -206,9 +174,9 @@ class TrainingBuffer:
     ) -> int:
         """Insert many samples under a single lock acquisition.
 
-        Accepts a list of records or, on the hot path, a
-        :class:`ColumnBatch` whose rows are written into the column store
-        with one fancy-indexed write per column — no per-sample loop.
+        Takes a :class:`ColumnBatch`, whose rows are written into the column
+        store with one fancy-indexed write per column — no per-sample loop;
+        a list of records is columnised once on entry.
 
         Blocks while the buffer cannot accept more data, inserting in bulk
         whenever space frees up.  Returns the number of samples inserted:
@@ -217,34 +185,23 @@ class TrainingBuffer:
         waiting for space — the caller can retry with the remaining suffix,
         which is what lets the aggregator's shutdown path stay responsive.
 
-        Ownership contract: the dense store *copies* each inserted row into
-        its preallocated columns — for an adopted wire chunk this is the one
-        and only copy on the put side — so the caller's chunk is dead the
-        moment ``put_many`` returns and pins no memory.  (The ragged
-        object-rows fallback adopts row references instead; callers hand in
-        rows that stay immutable, as before.)
+        Ownership contract: the store *copies* each inserted row into its
+        preallocated columns — for an adopted wire chunk this is the one and
+        only copy on the put side — so the caller's chunk is dead the moment
+        ``put_many`` returns and pins no memory.
 
         Raises :class:`BufferClosedError` when the buffer is (or becomes)
-        closed, mirroring :meth:`put`.
+        closed, mirroring :meth:`put`, and :class:`ValueError` (before
+        anything is inserted) when the sample widths do not match the
+        widths the buffer already holds.
         """
-        if isinstance(records, ColumnBatch):
-            batch = records
-            total = len(batch)
-
-            def write(slots: Array, offset: int) -> None:
-                self._store.write_batch(slots, batch, offset)
-
-        else:
-            items = list(records)
-            total = len(items)
-
-            def write(slots: Array, offset: int) -> None:
-                self._store.write_records(slots, items, offset)
-
+        batch = records if isinstance(records, ColumnBatch) else ColumnBatch.from_records(records)
+        total = len(batch)
         inserted = 0
         with self._lock:
             if self._closed:
                 raise BufferClosedError("cannot put into a closed buffer")
+            self._store.ensure_columns(batch.inputs.shape[1:], batch.targets.shape[1:])
             while inserted < total:
                 if not self._lock.wait_for(
                     lambda: self._can_put_locked() or self._closed, timeout=timeout
@@ -256,7 +213,7 @@ class TrainingBuffer:
                 count = len(slots)
                 if count <= 0:  # defensive: a policy must accept >= 1 here
                     break
-                write(slots, inserted)
+                self._store.write_batch(slots, batch, inserted)
                 inserted += count
                 self.total_put += count
                 self._lock.notify_all()

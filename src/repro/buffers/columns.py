@@ -64,10 +64,9 @@ class ColumnBatch:
     """An arrival-ordered run of samples as parallel columns.
 
     ``inputs`` is ``(n, d_in)`` float64 and ``targets`` ``(n, d_out)``
-    float32 for the dense hot path; ragged ensembles (mixed parameter or
-    field lengths) degrade to 1-D object arrays holding one row array per
-    sample.  ``sequence_numbers`` is optional — the buffers do not store it,
-    so batches gathered from a store carry ``None``.
+    float32; every row of a batch has the same widths.
+    ``sequence_numbers`` is optional — the buffers do not store it, so
+    batches gathered from a store carry ``None``.
 
     A batch owns its columns (or shares them with sibling slices); nothing
     downstream mutates them, which is what lets slices and row views be
@@ -106,17 +105,10 @@ class ColumnBatch:
             None if seq is None else seq[index],
         )
 
-    @property
-    def is_dense(self) -> bool:
-        """False for the ragged (object-rows) fallback representation."""
-        return self.inputs.dtype.kind != "O"
-
     def compatible_with(self, other: "ColumnBatch") -> bool:
         """True when ``other``'s rows could be rows of this batch (concat-safe)."""
         return (
-            self.inputs.dtype == other.inputs.dtype
-            and self.targets.dtype == other.targets.dtype
-            and self.inputs.shape[1:] == other.inputs.shape[1:]
+            self.inputs.shape[1:] == other.inputs.shape[1:]
             and self.targets.shape[1:] == other.targets.shape[1:]
         )
 
@@ -138,10 +130,8 @@ class ColumnBatch:
     def records(self) -> List[SampleRecord]:
         """The per-sample compatibility view: one record per row.
 
-        Dense batches hand out row views sharing this batch's blocks, so a
-        batch of ``n`` records costs ``n`` small objects but zero copies —
-        and arrival-ordered record lists remain stackable back into the
-        underlying matrices without a copy (``contiguous_rows``).
+        Records hold row views sharing this batch's blocks, so a batch of
+        ``n`` records costs ``n`` small objects but zero copies.
         """
         ids = self.source_ids.tolist()
         steps = self.time_steps.tolist()
@@ -168,31 +158,31 @@ class ColumnBatch:
 
     @classmethod
     def from_records(cls, records: Sequence[SampleRecord]) -> "ColumnBatch":
-        """Columnise a record list (tests and benchmarks; not the hot path)."""
+        """Columnise a record list (``put_many``'s record door; tests).
+
+        Raises :class:`ValueError` when a record's shapes disagree with the
+        first record's.
+        """
         count = len(records)
-        source_ids = np.fromiter((r.source_id for r in records), np.int64, count)
-        time_steps = np.fromiter((r.time_step for r in records), np.int64, count)
-        rows = [(np.asarray(r.inputs), np.asarray(r.target)) for r in records]
-        dense = count > 0 and all(
-            inp.ndim == 1
-            and tgt.ndim == 1
-            and inp.shape == rows[0][0].shape
-            and tgt.shape == rows[0][1].shape
-            for inp, tgt in rows
+        input_shape = np.shape(records[0].inputs) if count else (0,)
+        target_shape = np.shape(records[0].target) if count else (0,)
+        inputs = np.empty((count,) + input_shape, dtype=np.float64)
+        targets = np.empty((count,) + target_shape, dtype=np.float32)
+        for row, record in enumerate(records):
+            shapes = (np.shape(record.inputs), np.shape(record.target))
+            if shapes != (input_shape, target_shape):
+                raise ValueError(
+                    f"record {row} has inputs {shapes[0]} and target {shapes[1]}, "
+                    f"the batch started with {input_shape} and {target_shape}"
+                )
+            inputs[row] = record.inputs
+            targets[row] = record.target
+        return cls(
+            inputs,
+            targets,
+            np.fromiter((r.source_id for r in records), np.int64, count),
+            np.fromiter((r.time_step for r in records), np.int64, count),
         )
-        if dense:
-            inputs = np.empty((count, rows[0][0].shape[0]), dtype=np.float64)
-            targets = np.empty((count, rows[0][1].shape[0]), dtype=np.float32)
-            for row, (inp, tgt) in enumerate(rows):
-                inputs[row] = inp
-                targets[row] = tgt
-        else:
-            inputs = np.empty(count, dtype=object)
-            targets = np.empty(count, dtype=object)
-            for row, (inp, tgt) in enumerate(rows):
-                inputs[row] = inp
-                targets[row] = tgt
-        return cls(inputs, targets, source_ids, time_steps)
 
 
 class ColumnStore:
@@ -205,12 +195,12 @@ class ColumnStore:
     lock acquisition, so a freed slot can never be overwritten before its
     row has been copied out.
 
-    The dense blocks are allocated lazily on the first write (row widths are
-    only known then).  Writes into the dense store copy the row data (cast
-    to the column dtypes); that is the single adoption copy of the put path.
-    Ragged ensembles — a row whose shape does not match the allocated
-    columns — migrate the store to 1-D object arrays holding one array per
-    row, which adopt row references instead (the pre-columnar behaviour).
+    The column blocks are allocated lazily on the first write (row widths
+    are only known then).  Writes copy the row data (cast to the column
+    dtypes); that is the single adoption copy of the put path.  A row whose
+    widths do not match the allocated columns is rejected with
+    :class:`ValueError` — one study trains one model, so every sample has
+    the same shape.
     """
 
     __slots__ = ("capacity", "inputs", "targets", "source_ids", "time_steps")
@@ -222,94 +212,41 @@ class ColumnStore:
         self.source_ids = np.full(self.capacity, -1, dtype=np.int64)
         self.time_steps = np.full(self.capacity, -1, dtype=np.int64)
 
-    @property
-    def object_rows(self) -> bool:
-        """True once the store fell back to per-row object storage."""
-        return self.inputs is not None and self.inputs.dtype.kind == "O"
+    def ensure_columns(self, input_shape: Tuple[int, ...], target_shape: Tuple[int, ...]) -> None:
+        """Allocate the columns for the first sample; reject other widths after.
 
-    # ------------------------------------------------------------- allocation
-    def _allocate(self, input_shape: Tuple[int, ...], target_shape: Tuple[int, ...]) -> None:
-        if len(input_shape) == 1 and len(target_shape) == 1:
-            self.inputs = np.empty((self.capacity, input_shape[0]), dtype=np.float64)
-            self.targets = np.empty((self.capacity, target_shape[0]), dtype=np.float32)
-        else:
-            self._to_object_rows()
-
-    def _to_object_rows(self) -> None:
-        """Degrade to one arbitrary array per row (mixed-shape ensembles)."""
-        inputs = np.empty(self.capacity, dtype=object)
-        targets = np.empty(self.capacity, dtype=object)
-        if self.inputs is not None and self.inputs.dtype.kind != "O":
-            # Live rows become views into the old dense blocks, which are
-            # never written again once replaced.
-            for slot in range(self.capacity):
-                inputs[slot] = self.inputs[slot]
-                targets[slot] = self.targets[slot]
-        elif self.inputs is not None:
-            inputs[:] = self.inputs
-            targets[:] = self.targets
-        self.inputs = inputs
-        self.targets = targets
-
-    def _fits(self, input_row: Array, target_row: Array) -> bool:
-        return (
-            input_row.ndim == 1
-            and target_row.ndim == 1
-            and input_row.shape[0] == self.inputs.shape[1]
-            and target_row.shape[0] == self.targets.shape[1]
-        )
+        The owning buffer calls this before it takes slots for a write, so a
+        rejected sample leaves the policy state untouched.
+        """
+        if self.inputs is None:
+            if len(input_shape) != 1 or len(target_shape) != 1:
+                raise ValueError(
+                    f"samples must be flat vectors, got inputs {input_shape} "
+                    f"and target {target_shape}"
+                )
+            self.inputs = np.empty((self.capacity,) + input_shape, dtype=np.float64)
+            self.targets = np.empty((self.capacity,) + target_shape, dtype=np.float32)
+        elif input_shape != self.inputs.shape[1:] or target_shape != self.targets.shape[1:]:
+            raise ValueError(
+                f"sample widths (inputs {input_shape}, target {target_shape}) do not "
+                f"match the buffer's columns (inputs {self.inputs.shape[1:]}, "
+                f"target {self.targets.shape[1:]})"
+            )
 
     # ----------------------------------------------------------------- writes
-    def _write_row(self, slot: int, input_row: Array, target_row: Array) -> None:
-        if self.inputs is None:
-            self._allocate(np.shape(input_row), np.shape(target_row))
-        if not self.object_rows:
-            inp = np.asarray(input_row)
-            tgt = np.asarray(target_row)
-            if self._fits(inp, tgt):
-                self.inputs[slot] = inp
-                self.targets[slot] = tgt
-                return
-            self._to_object_rows()
-        self.inputs[slot] = input_row
-        self.targets[slot] = target_row
-
     def write_record(self, slot: int, record: SampleRecord) -> None:
         """Insert one record at ``slot`` (the per-sample compatibility path)."""
-        self._write_row(slot, record.inputs, record.target)
+        self.inputs[slot] = record.inputs
+        self.targets[slot] = record.target
         self.source_ids[slot] = record.source_id
         self.time_steps[slot] = record.time_step
 
-    def write_records(self, slots: Array, records: Sequence[SampleRecord], offset: int = 0) -> None:
-        """Insert ``records[offset:offset + len(slots)]`` at ``slots``."""
-        for position, slot in enumerate(slots.tolist()):
-            self.write_record(slot, records[offset + position])
-
     def write_batch(self, slots: Array, batch: ColumnBatch, offset: int = 0) -> None:
-        """Insert ``batch[offset:offset + len(slots)]`` at ``slots``.
-
-        Matching dense shapes take the vectorized path: one fancy-indexed
-        write per column.  Anything else falls back to per-row writes (and
-        possibly an object-rows migration).
-        """
-        count = len(slots)
-        rows = slice(offset, offset + count)
-        inputs = batch.inputs
-        targets = batch.targets
-        if self.inputs is None and inputs.dtype.kind != "O":
-            self._allocate(inputs.shape[1:], targets.shape[1:])
-        if (
-            inputs.dtype.kind != "O"
-            and not self.object_rows
-            and inputs.shape[1] == self.inputs.shape[1]
-            and targets.shape[1] == self.targets.shape[1]
-        ):
-            self.inputs[slots] = inputs[rows]
-            self.targets[slots] = targets[rows]
-        else:
-            for position, slot in enumerate(slots.tolist()):
-                row = offset + position
-                self._write_row(slot, inputs[row], targets[row])
+        """Insert ``batch[offset:offset + len(slots)]`` at ``slots``: one
+        fancy-indexed write per column."""
+        rows = slice(offset, offset + len(slots))
+        self.inputs[slots] = batch.inputs[rows]
+        self.targets[slots] = batch.targets[rows]
         self.source_ids[slots] = batch.source_ids[rows]
         self.time_steps[slots] = batch.time_steps[rows]
 
@@ -318,8 +255,7 @@ class ColumnStore:
         """Rows at ``slots`` as a fresh :class:`ColumnBatch`.
 
         Fancy indexing copies, so the returned batch owns its columns and
-        stays valid after the slots are recycled.  (Object-rows stores hand
-        out row references instead; those rows are rebound, never mutated.)
+        stays valid after the slots are recycled.
         """
         ids = self.source_ids[slots]
         steps = self.time_steps[slots]
@@ -333,13 +269,10 @@ class ColumnStore:
         return ColumnBatch(self.inputs[slots], self.targets[slots], ids, steps)
 
     def record_at(self, slot: int) -> SampleRecord:
-        """One row as a standalone record (dense rows are copied out)."""
-        if self.object_rows:
-            inputs = self.inputs[slot]
-            target = self.targets[slot]
-        else:
-            inputs = self.inputs[slot].copy()
-            target = self.targets[slot].copy()
+        """One row as a standalone record (the row is copied out)."""
         return SampleRecord(
-            inputs, target, int(self.source_ids[slot]), int(self.time_steps[slot])
+            self.inputs[slot].copy(),
+            self.targets[slot].copy(),
+            int(self.source_ids[slot]),
+            int(self.time_steps[slot]),
         )

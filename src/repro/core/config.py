@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
@@ -49,19 +48,6 @@ class OnlineStudyConfig:
     #: address/compression).  After construction this is always the backend
     #: *name*; the normalised object lives in :attr:`transport_config`.
     transport: Union[str, TransportConfig] = "inproc"
-    #: Deprecated flat transport knobs, kept as aliases of the corresponding
-    #: ``TransportConfig`` fields (``batch_size``, ``queue_size``,
-    #: ``shm.ring_slots``, ``shm.ring_slot_bytes``, ``process_timeout``,
-    #: ``heartbeat_timeout``).  ``None`` means "inherit from
-    #: :attr:`transport`"; an explicit value overrides it and emits a
-    #: ``DeprecationWarning``.  After construction each holds its resolved
-    #: value, so existing readers keep working.
-    transport_batch_size: Optional[int] = None
-    transport_queue_size: Optional[int] = None
-    ring_slots: Optional[int] = None
-    ring_slot_bytes: Optional[int] = None
-    client_process_timeout: Optional[float] = None
-    client_heartbeat_timeout: Optional[float] = None
     #: Sharded serving tier: run this many independent server shards with
     #: clients routed by consistent hashing on client id (see
     #: ``docs/scaling.md``).  A convenience alias of
@@ -71,7 +57,7 @@ class OnlineStudyConfig:
     num_shards: Optional[int] = None
     #: The normalised transport configuration — the single object the study
     #: driver hands to ``make_transport`` and the launcher.  Derived in
-    #: ``__post_init__`` from :attr:`transport` plus any flat overrides.
+    #: ``__post_init__`` from :attr:`transport` and :attr:`num_shards`.
     transport_config: TransportConfig = field(init=False, repr=False, compare=False)
 
     # Misc.
@@ -97,41 +83,16 @@ class OnlineStudyConfig:
         self._normalize_transport()
 
     def _normalize_transport(self) -> None:
-        """Fold the flat legacy knobs and :attr:`transport` into one config.
+        """Fold :attr:`transport` and :attr:`num_shards` into one config.
 
         ``TransportConfig.resolve`` is the single normalization point (it
-        also validates every transport field); the resolved values are
-        written back to the flat aliases so legacy readers see the effective
-        configuration, and :attr:`transport` is collapsed to the backend
-        name for summaries and backend dispatch.
+        also validates every transport field); :attr:`transport` is
+        collapsed to the backend name for summaries and backend dispatch.
         """
-        flat = {
-            "transport_batch_size": self.transport_batch_size,
-            "transport_queue_size": self.transport_queue_size,
-            "ring_slots": self.ring_slots,
-            "ring_slot_bytes": self.ring_slot_bytes,
-            "client_process_timeout": self.client_process_timeout,
-            "client_heartbeat_timeout": self.client_heartbeat_timeout,
-        }
-        used = sorted(name for name, value in flat.items() if value is not None)
-        if used:
-            warnings.warn(
-                f"flat transport field(s) {', '.join(used)} are deprecated; "
-                "pass transport=TransportConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        resolved = TransportConfig.resolve(self.transport, num_shards=self.num_shards,
-                                           **flat)
+        resolved = TransportConfig.resolve(self.transport, num_shards=self.num_shards)
         self.transport_config = resolved
         self.transport = resolved.backend
         self.num_shards = resolved.shard.num_shards
-        self.transport_batch_size = resolved.batch_size
-        self.transport_queue_size = resolved.queue_size
-        self.ring_slots = resolved.shm.ring_slots
-        self.ring_slot_bytes = resolved.shm.ring_slot_bytes
-        self.client_process_timeout = resolved.process_timeout
-        self.client_heartbeat_timeout = resolved.heartbeat_timeout
 
     @property
     def lr_step_batches(self) -> int:

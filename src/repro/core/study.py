@@ -109,7 +109,7 @@ class OnlineStudy:
                 router=router,
                 num_time_steps=solver_steps,
                 step_delay=cfg.client_step_delay,
-                send_batch_size=cfg.transport_batch_size,
+                send_batch_size=cfg.transport_config.batch_size,
             )
 
         launcher_config = LauncherConfig(
@@ -117,8 +117,8 @@ class OnlineStudy:
             max_concurrent_clients=cfg.max_concurrent_clients,
             inter_series_delay=cfg.inter_series_delay,
             client_mode=cfg.transport_config.client_mode,
-            process_join_timeout=cfg.client_process_timeout,
-            heartbeat_timeout=cfg.client_heartbeat_timeout,
+            process_join_timeout=cfg.transport_config.process_timeout,
+            heartbeat_timeout=cfg.transport_config.heartbeat_timeout,
         )
         # The server's aggregators feed the heartbeat monitor; handing it to
         # the launcher closes the paper's loop: the server watches for
@@ -134,9 +134,8 @@ class OnlineStudy:
     def run(self) -> OnlineStudyResult:
         """Run the full online study (blocking) and return its result."""
         cfg = self.config
-        # ``transport_config`` is the already-normalised TransportConfig (the
-        # flat legacy knobs were folded in at construction).  Only the
-        # launcher concurrency bound travels separately: the shm ring grid is
+        # ``transport_config`` is the already-normalised TransportConfig.  Only
+        # the launcher concurrency bound travels separately: the shm ring grid is
         # a slot table sized by it, not by the ensemble size — clients lease
         # a ring at connect and release it once their finished marker lands.
         num_shards = cfg.transport_config.shard.num_shards

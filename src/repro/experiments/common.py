@@ -86,29 +86,15 @@ def online_config(
     use_series: bool = True,
     max_batches: Optional[int] = None,
     transport: Union[str, TransportConfig] = "inproc",
-    transport_batch_size: Optional[int] = None,
-    ring_slots: Optional[int] = None,
-    ring_slot_bytes: Optional[int] = None,
-    client_heartbeat_timeout: Optional[float] = None,
     num_shards: Optional[int] = None,
 ) -> OnlineStudyConfig:
     """Online study configuration for one buffer policy and GPU count.
 
     ``transport`` takes a backend name or a full
-    :class:`~repro.parallel.transport.TransportConfig`; the remaining flat
-    transport keywords are legacy conveniences folded into it here (through
-    ``TransportConfig.resolve``, the same normalization the study config
-    applies), so the returned config never trips the deprecation path.
-    ``num_shards`` switches the study onto the sharded serving tier.
+    :class:`~repro.parallel.transport.TransportConfig` (batching, ring
+    geometry, watchdog timeouts); ``num_shards`` switches the study onto the
+    sharded serving tier.
     """
-    transport = TransportConfig.resolve(
-        transport,
-        transport_batch_size=transport_batch_size,
-        ring_slots=ring_slots,
-        ring_slot_bytes=ring_slot_bytes,
-        client_heartbeat_timeout=client_heartbeat_timeout,
-        num_shards=num_shards,
-    )
     return OnlineStudyConfig(
         num_simulations=scale.num_simulations,
         series_sizes=list(scale.series_sizes) if use_series else None,
@@ -126,6 +112,7 @@ def online_config(
         batch_compute_delay=scale.batch_compute_delay,
         seed=scale.seed,
         transport=transport,
+        num_shards=num_shards,
     )
 
 
@@ -139,20 +126,13 @@ def run_online_with_buffer(
     max_batches: Optional[int] = None,
     num_simulations: Optional[int] = None,
     transport: Union[str, TransportConfig] = "inproc",
-    transport_batch_size: Optional[int] = None,
-    ring_slots: Optional[int] = None,
-    ring_slot_bytes: Optional[int] = None,
-    client_heartbeat_timeout: Optional[float] = None,
     num_shards: Optional[int] = None,
 ) -> OnlineStudyResult:
     """Run one online study with the given buffer policy and rank count."""
     scale = scale or default_scale()
     case = case or build_case(scale)
     config = online_config(scale, buffer_kind, num_ranks, use_series, max_batches,
-        transport=transport, transport_batch_size=transport_batch_size,
-        ring_slots=ring_slots, ring_slot_bytes=ring_slot_bytes,
-        client_heartbeat_timeout=client_heartbeat_timeout,
-        num_shards=num_shards)
+        transport=transport, num_shards=num_shards)
     if num_simulations is not None:
         config.num_simulations = num_simulations
         config.series_sizes = None

@@ -22,7 +22,7 @@ concatenated into two contiguous numeric blocks at the end of the buffer.
 ``unpack_many`` reads both blocks with a single zero-copy ``np.frombuffer``
 each and hands out array *views* into the batch buffer (or, with
 ``copy_payloads=True``, views into a single privately owned copy of the
-payload block that downstream consumers may adopt without copying again).
+payload block, so the batch buffer can be recycled at once).
 
 Packing is zero-copy on the write side as well: :func:`plan_many` computes
 the exact packed size without producing bytes, and :func:`pack_many_into`
@@ -38,10 +38,12 @@ homogeneous packed batch into a single
 :class:`~repro.buffers.columns.ColumnBatch` — a structured ``np.frombuffer``
 parses every header at once and the payload block is copied exactly once
 into the targets matrix the batch owns — without materialising any
-per-message Python object.  :func:`columnize` provides the same chunk shape
-for transports that carry message objects by reference, and
-:func:`column_batch_to_messages` converts back on the rare non-columnar
-leftover path.
+per-message Python object.  :func:`columnize` produces the same chunk shape
+from message objects: for transports that carry them by reference and for
+the rare mixed wire batch (control + steps) that :func:`unpack_many`
+decoded.  A ``ColumnBatch`` is the only form in which samples leave a
+transport; a step run whose widths disagree is rejected with
+:class:`WireFormatError`.
 """
 
 from __future__ import annotations
@@ -373,8 +375,8 @@ def unpack_many(buffer, copy_payloads: bool = False) -> List[Message]:
     soon as the read cursor advances).  With ``copy_payloads=True`` the
     payload block is copied **once** into a freshly allocated array the
     returned messages collectively own; the buffer can then be released or
-    overwritten immediately, and downstream consumers (the aggregator, the
-    training buffers) may adopt the payload views without copying again.
+    overwritten immediately (what the transports do before
+    :func:`columnize` regroups a mixed batch).
     """
     if len(buffer) < _BATCH_HEADER.size:
         raise WireFormatError(f"buffer too short for batch header ({len(buffer)} bytes)")
@@ -407,31 +409,6 @@ def unpack_many(buffer, copy_payloads: bool = False) -> List[Message]:
     step_size = _STEP_HEADER.size
     params_cursor = 0
     payload_cursor = 0
-
-    # Fast path: a homogeneous run of time-step headers (every hot-path ring
-    # batch) parses with one ``iter_unpack`` sweep instead of per-message
-    # ``unpack_from`` calls.  Verification is sequential, so the first
-    # non-step message in a size-colliding mixed batch lands its true type
-    # byte on a tuple boundary and is caught by the type check below.
-    if count and header_nbytes == (count * step_size + 7) // 8 * 8:
-        region = memoryview(buffer)[_BATCH_HEADER.size:
-                                    _BATCH_HEADER.size + count * step_size]
-        for tup in _STEP_HEADER.iter_unpack(region):
-            if tup[0] != _T_STEP:
-                break  # mixed batch after all: redo with the generic loop
-            (_, client_id, time_step, time_value, sequence_number, n_params, payload_len) = tup
-            parameters = tuple(params_list[params_cursor:params_cursor + n_params])
-            params_cursor += n_params
-            payload = payload_block[payload_cursor:payload_cursor + payload_len]
-            payload_cursor += payload_len
-            append(make_step(client_id, time_step, time_value, parameters,
-                    payload, sequence_number))
-        else:
-            return messages
-        messages.clear()
-        params_cursor = 0
-        payload_cursor = 0
-
     offset = _BATCH_HEADER.size
     step_unpack = _STEP_HEADER.unpack_from
     for _ in range(count):
@@ -525,9 +502,10 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
     of ``unpack_many(copy_payloads=True)``: the caller's buffer (a ring
     slot about to be recycled) can be released the moment this returns.
 
-    Returns ``None`` for mixed or ragged batches — callers fall back to
-    :func:`unpack_many`.  Raises :class:`WireFormatError` for buffers that
-    do not parse as a packed batch at all, exactly like :func:`unpack_many`.
+    Returns ``None`` for mixed or ragged batches — callers regroup those
+    with ``columnize(unpack_many(buffer))``, which rejects the ragged ones.
+    Raises :class:`WireFormatError` for buffers that do not parse as a
+    packed batch at all, exactly like :func:`unpack_many`.
     """
     if len(buffer) < _BATCH_HEADER.size:
         raise WireFormatError(f"buffer too short for batch header ({len(buffer)} bytes)")
@@ -562,7 +540,7 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
         field_len = payload_len_list[0]
         if (n_params_list.count(width) != count
                 or payload_len_list.count(field_len) != count):
-            return None  # ragged run: per-message fallback handles it
+            return None  # ragged run: columnize rejects it
     else:
         if not (headers["type"] == _T_STEP).all():
             return None  # mixed batch whose header region size merely collides
@@ -571,7 +549,7 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
         payload_len = headers["payload_len"]
         field_len = int(payload_len[0])
         if not ((n_params == width).all() and (payload_len == field_len).all()):
-            return None  # ragged run: per-message fallback handles it
+            return None  # ragged run: columnize rejects it
     if total_params != count * width or total_payload != count * field_len:
         return None
     inputs = np.empty((count, width + 1), dtype=np.float64)
@@ -595,20 +573,22 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
     )
 
 
-def _columnize_run(run: List[TimeStepMessage]) -> list:
-    """One consecutive step run -> ``[ColumnBatch]``, or the run itself if ragged."""
+def _columnize_run(run: List[TimeStepMessage]) -> ColumnBatch:
+    """One consecutive step run as a :class:`ColumnBatch`.
+
+    Raises :class:`WireFormatError` for a ragged run: every step must carry
+    as many parameters and as long a flat payload as the first one.
+    """
     first = run[0]
     width = len(first.parameters)
     field_len = first.payload.size
     for message in run:
-        payload = message.payload
-        if (
-            len(message.parameters) != width
-            or payload.dtype != np.float32
-            or payload.ndim != 1
-            or payload.size != field_len
-        ):
-            return run
+        if len(message.parameters) != width or message.payload.shape != (field_len,):
+            raise WireFormatError(
+                f"ragged step run: client {message.client_id} step {message.time_step} "
+                f"has {len(message.parameters)} parameters and payload shape "
+                f"{message.payload.shape}, the run started with {width} and ({field_len},)"
+            )
     count = len(run)
     inputs = np.empty((count, width + 1), dtype=np.float64)
     if width:
@@ -617,28 +597,25 @@ def _columnize_run(run: List[TimeStepMessage]) -> list:
     targets = np.empty((count, field_len), dtype=np.float32)
     for index, message in enumerate(run):
         targets[index] = message.payload
-    return [
-        ColumnBatch(
-            inputs=inputs,
-            targets=targets,
-            source_ids=np.fromiter((m.client_id for m in run), np.int64, count),
-            time_steps=np.fromiter((m.time_step for m in run), np.int64, count),
-            sequence_numbers=np.fromiter(
-                (m.sequence_number for m in run), np.int64, count
-            ),
-        )
-    ]
+    return ColumnBatch(
+        inputs=inputs,
+        targets=targets,
+        source_ids=np.fromiter((m.client_id for m in run), np.int64, count),
+        time_steps=np.fromiter((m.time_step for m in run), np.int64, count),
+        sequence_numbers=np.fromiter((m.sequence_number for m in run), np.int64, count),
+    )
 
 
 def columnize(messages: Sequence[Message]) -> list:
     """Group consecutive time-step runs into :class:`ColumnBatch` chunks.
 
-    The object-transport counterpart of :func:`unpack_columns`: backends
-    that carry message objects by reference (the in-process router) deliver
-    drained chunks in the same columnar shape as the wire transports, so the
-    aggregator has a single hot-path representation.  Control messages pass
-    through unchanged, in order; ragged runs (mixed parameter or payload
-    lengths, non-float32 payloads) stay as plain messages.
+    The message-object counterpart of :func:`unpack_columns`: the
+    in-process router and mixed wire batches deliver their step runs in the
+    same columnar shape as the homogeneous wire batches, so the aggregator
+    has a single sample representation.  Control messages pass through
+    unchanged, in order; payloads are cast to float32 on the way into the
+    targets matrix.  A ragged run (mixed parameter or payload lengths)
+    raises :class:`WireFormatError`.
     """
     out: list = []
     run: List[TimeStepMessage] = []
@@ -647,38 +624,10 @@ def columnize(messages: Sequence[Message]) -> list:
             run.append(message)
             continue
         if run:
-            out.extend(_columnize_run(run))
+            out.append(_columnize_run(run))
             run = []
         out.append(message)
     if run:
-        out.extend(_columnize_run(run))
+        out.append(_columnize_run(run))
     return out
 
-
-def column_batch_to_messages(batch: ColumnBatch) -> List[TimeStepMessage]:
-    """Explode a :class:`ColumnBatch` back into per-message objects.
-
-    Only used off the hot path — a columnar leftover re-queued for a caller
-    that polls plain messages.  Row views keep the batch's blocks alive; the
-    inputs matrix carries ``[X..., t]`` per row, so the parameter tuple is
-    everything but the last column.
-    """
-    ids = batch.source_ids.tolist()
-    steps = batch.time_steps.tolist()
-    if batch.sequence_numbers is not None:
-        seqs = batch.sequence_numbers.tolist()
-    else:
-        seqs = [0] * len(ids)
-    inputs = batch.inputs
-    targets = batch.targets
-    return [
-        TimeStepMessage(
-            ids[row],
-            steps[row],
-            float(inputs[row][-1]),
-            tuple(inputs[row][:-1].tolist()),
-            np.asarray(targets[row], dtype=np.float32),
-            seqs[row],
-        )
-        for row in range(len(ids))
-    ]

@@ -5,8 +5,8 @@ between threads by reference, this backend crosses real OS-process
 boundaries: clients forked by the launcher serialise their messages with
 :func:`repro.parallel.messages.pack_many` and put **one buffer per batch**
 on a bounded ``multiprocessing.Queue`` per server rank; the server-side
-aggregator drains buffers and deserialises whole batches in
-:meth:`MultiprocessTransport.poll_many`.
+aggregator drains buffers and decodes whole batches into columnar chunks in
+:meth:`MultiprocessTransport.poll_batches`.
 
 Statistics live in shared memory (``multiprocessing.RawValue``/``RawArray``
 under one shared lock) so pushes performed inside client processes are
@@ -110,16 +110,10 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
 
     Notes
     -----
-    Only the server process may poll.  Deserialised messages that exceed a
-    ``poll_many`` budget are held in a per-rank leftover deque (each rank has
-    exactly one aggregator thread, so the deque needs no lock).
+    Only the server process may poll.  Decoded items that exceed a
+    ``poll_batches`` budget are held in a per-rank leftover deque (each rank
+    has exactly one aggregator thread, so the deque needs no lock).
     """
-
-    #: Messages returned by :meth:`poll_many` own their payload memory: the
-    #: payload block of every packed batch is adopted with one copy at
-    #: deserialisation time, so downstream consumers may retain payload views
-    #: without pinning transport internals (see ``unpack_many``).
-    payloads_owned = True
 
     def __init__(self, num_server_ranks: int, max_queue_size: int = 10_000) -> None:
         if num_server_ranks <= 0:
@@ -127,8 +121,8 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
         self.num_server_ranks = int(num_server_ranks)
         self.max_queue_size = int(max_queue_size)
         self._queues = [mp.Queue(maxsize=max_queue_size) for _ in range(num_server_ranks)]
-        # Per-rank overflow of deserialised items: plain messages and/or
-        # columnar chunks, whichever shape the producing poll used.
+        # Per-rank overflow of decoded items: control messages and/or
+        # columnar chunks.
         self._init_leftovers(num_server_ranks)
         self._closed = _SharedFlag()
         self._shared = _SharedStats(num_server_ranks)
@@ -178,10 +172,9 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
         self._shared.record_unresponsive_kill()
 
     # ----------------------------------------------------------------- server
-    # The budgeted drain (poll_many/poll_batches, leftover bookkeeping) comes
-    # from PackedDrainMixin; only the channel pop is queue-specific.
-    def _get_batch(self, rank: int, timeout: float | None,
-                   columnar: bool = False) -> Optional[list]:
+    # The budgeted drain (poll_batches, leftover bookkeeping) comes from
+    # PackedDrainMixin; only the channel pop is queue-specific.
+    def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         """Pop and deserialise one packed batch; ``None`` when nothing queued.
 
         A client process killed mid-put can tear the queue's byte stream
@@ -200,7 +193,7 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
             logger.warning("rank %d: discarding corrupt transport buffer", rank, exc_info=True)
             self._shared.record_dropped(1)
             return []
-        return self._decode_packed(buffer, rank, columnar)
+        return self._decode_packed(buffer, rank)
 
     def pending(self, rank: int) -> int:
         """Deserialised leftovers plus queued batches (packed batches count

@@ -29,10 +29,10 @@ one process — and carries the packed wire format of
   odd sequence it is about to write), counted in the ring's
   ``torn_batches`` counter and surfaced through :class:`TransportStats`.
 * The reader *borrows* a committed slot as a memoryview
-  (:meth:`ShmRing.try_read_view`), deserialises it in place with
-  ``unpack_many(view, copy_payloads=True)`` — one block copy adopts every
-  payload — and only then advances the read cursor, so the slot is never
-  recycled under a live view.
+  (:meth:`ShmRing.try_read_view`), decodes it in place with
+  ``unpack_columns(view)`` — one block copy adopts every payload into the
+  chunk's targets matrix — and only then advances the read cursor, so the
+  slot is never recycled under a live view.
 * Readers use a **busy-wait-then-park hybrid wakeup**: a short spin (the
   common case — data arrives within microseconds under load), then a parked
   wait on a per-rank ``multiprocessing.Semaphore`` gated by a
@@ -83,7 +83,6 @@ import time
 from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import (
     BatchPlan,
     ClientFinished,
@@ -91,8 +90,6 @@ from repro.parallel.messages import (
     TimeStepMessage,
     WireFormatError,
     plan_many,
-    unpack_columns,
-    unpack_many,
 )
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.transport import Connection, RouterClosed, TransportStats
@@ -729,7 +726,7 @@ class ShmRingTransport(MultiprocessTransport):
             raise WireFormatError(
                 f"one packed message of {plan.nbytes} bytes exceeds the "
                 f"{ring.slot_bytes}-byte ring slot; raise "
-                "OnlineStudyConfig.ring_slot_bytes"
+                "TransportConfig.shm.ring_slot_bytes"
             )
         middle = len(run) // 2
         return self._ring_chunks(ring, run[:middle]) + self._ring_chunks(ring, run[middle:])
@@ -771,28 +768,19 @@ class ShmRingTransport(MultiprocessTransport):
             self._wakeups[rank].release()
 
     # ----------------------------------------------------------------- server
-    def poll_many(self, rank: int, max_messages: int = 64,
-        timeout: float | None = 0.05) -> List[Message]:
-        return self._poll_items(rank, max_messages, timeout, columnar=False)
-
     def poll_batches(self, rank: int, max_messages: int = 64,
         timeout: float | None = 0.05) -> list:
-        """Columnar drain: ring batches decode in place straight into
-        :class:`ColumnBatch` chunks — one structured header parse plus the
-        payload-block adoption copy per batch, no per-message objects — with
-        control messages interleaved in order, exactly like
-        :meth:`poll_many`.
+        """Ring batches decode in place straight into :class:`ColumnBatch`
+        chunks — one structured header parse plus the payload-block adoption
+        copy per batch, no per-message objects — with the control queue's
+        messages interleaved in order.
         """
-        return self._poll_items(rank, max_messages, timeout, columnar=True)
-
-    def _poll_items(self, rank: int, max_messages: int, timeout: float | None,
-                    columnar: bool) -> list:
         if max_messages <= 0:
             raise ValueError("max_messages must be positive")
         self._check_rank(rank)
         items: list = []
-        count = self._take_leftover(rank, items, max_messages, columnar)
-        self._drain(rank, items, count, max_messages, columnar)
+        count = self._take_leftover(rank, items, max_messages)
+        self._drain(rank, items, count, max_messages)
         if items or timeout is None:
             return items
         deadline = time.monotonic() + timeout
@@ -834,7 +822,7 @@ class ShmRingTransport(MultiprocessTransport):
                                 wakeup.acquire(True, min(remaining, 0.05))
                         finally:
                             waiting.value = 0
-            self._drain(rank, items, 0, max_messages, columnar)
+            self._drain(rank, items, 0, max_messages)
             if items:
                 return items
 
@@ -846,23 +834,22 @@ class ShmRingTransport(MultiprocessTransport):
                     return True
             except (NotImplementedError, OSError):  # pragma: no cover - macOS
                 # No queue probe on this platform: rely on the bounded park
-                # in poll_many to pick control messages up within 50 ms.
+                # in poll_batches to pick control messages up within 50 ms.
                 self._qsize_broken = True
         return any(ring.depth for ring in self._rings[rank])
 
-    def _drain(self, rank: int, out: list, count: int, max_messages: int,
-               columnar: bool) -> int:
+    def _drain(self, rank: int, out: list, count: int, max_messages: int) -> int:
         """One non-blocking sweep: control queue, rings, deferred finished.
 
         ``count`` is the running message tally of ``out`` (columnar chunks
         count their sample length); the updated tally is returned.
         """
-        count = self._drain_control(rank, out, count, max_messages, columnar)
-        count = self._drain_rings(rank, out, count, max_messages, columnar)
+        count = self._drain_control(rank, out, count, max_messages)
+        count = self._drain_rings(rank, out, count, max_messages)
         return self._release_finished(rank, out, count, max_messages)
 
     def _drain_control(self, rank: int, out: list, count: int,
-                       max_messages: int, columnar: bool) -> int:
+                       max_messages: int) -> int:
         if not self._qsize_broken:
             # Cheap emptiness probe: the common no-control-traffic sweep
             # costs one sem_getvalue instead of a queue.Empty exception.
@@ -872,7 +859,7 @@ class ShmRingTransport(MultiprocessTransport):
             except (NotImplementedError, OSError):  # pragma: no cover - macOS
                 self._qsize_broken = True
         while count < max_messages:
-            batch = self._get_batch(rank, None, columnar)
+            batch = self._get_batch(rank, None)
             if batch is None:
                 return count
             for message in batch:
@@ -889,7 +876,7 @@ class ShmRingTransport(MultiprocessTransport):
         return count
 
     def _drain_rings(self, rank: int, out: list, count: int,
-                     max_messages: int, columnar: bool) -> int:
+                     max_messages: int) -> int:
         rings = self._rings[rank]
         progressed = True
         while progressed and count < max_messages:
@@ -901,25 +888,15 @@ class ShmRingTransport(MultiprocessTransport):
                 if view is None:
                     continue
                 progressed = True
-                batch: Optional[list] = None
                 try:
-                    # In-place deserialisation of the borrowed slot; the one
-                    # payload-block copy transfers ownership to the chunk (or
-                    # messages), so the slot can be recycled immediately.
-                    if columnar:
-                        chunk = unpack_columns(view)
-                        if chunk is not None:
-                            batch = [chunk]
-                    if batch is None:
-                        batch = unpack_many(view, copy_payloads=True)
-                except (WireFormatError, struct.error):
-                    logger.warning("rank %d: discarding unparsable ring batch", rank, exc_info=True)
-                    self._shared.record_dropped(1)
+                    # In-place decode of the borrowed slot; the one
+                    # payload-block copy transfers ownership to the chunk, so
+                    # the slot can be recycled immediately.
+                    batch = self._decode_packed(view, rank)
                 finally:
                     view.release()
                     ring.finish_read()
-                if batch is not None:
-                    count = self._absorb(rank, out, batch, max_messages, count)
+                count = self._absorb(rank, out, batch, max_messages, count)
         return count
 
     def _release_finished(self, rank: int, out: list, count: int,
@@ -952,11 +929,7 @@ class ShmRingTransport(MultiprocessTransport):
         except (NotImplementedError, OSError):  # pragma: no cover - macOS
             queued = 0
         depth = sum(ring.depth for ring in self._rings[rank])
-        leftover = sum(
-            len(item) if isinstance(item, ColumnBatch) else 1
-            for item in self._leftover[rank]
-        )
-        return (leftover + queued
+        return (self._leftover_count(rank) + queued
                 + depth + len(self._deferred_finished[rank]))
 
     # --------------------------------------------------------------- lifecycle

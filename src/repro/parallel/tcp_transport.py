@@ -21,8 +21,8 @@ compression (zlib/lz4) kicks in only when it shrinks the payload.
 Server side: the front door enqueues received frames on per-rank
 ``queue.Queue`` channels; the aggregator threads drain them through the
 shared :class:`repro.parallel.transport.PackedDrainMixin` machinery, where
-the frame body is inflated and decoded (columnar chunk first, per-message
-fallback).  Traffic statistics are recorded at decode time in the server
+the frame body is inflated and decoded into columnar chunks and control
+messages.  Traffic statistics are recorded at decode time in the server
 process; drops that happen inside a forked client process (send timeout,
 connection loss) are counted in that process's copy of the stats and
 surface server-side as torn or missing frames instead.
@@ -148,11 +148,6 @@ class TcpTransport(PackedDrainMixin, Transport):
     connect_timeout:
         Client-side bound on establishing a connection.
     """
-
-    #: Frame bodies are decoded with one adoption copy per batch
-    #: (``unpack_many(copy_payloads=True)`` / ``unpack_columns``), so polled
-    #: messages own their payload memory outright.
-    payloads_owned = True
 
     def __init__(
         self,
@@ -306,8 +301,7 @@ class TcpTransport(PackedDrainMixin, Transport):
         self._record_dropped(1)
 
     # ----------------------------------------------------------------- server
-    def _get_batch(self, rank: int, timeout: float | None,
-                   columnar: bool = False) -> Optional[list]:
+    def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         """Pop one received frame, inflate and decode it.
 
         Traffic is recorded here — at decode, in the server process — since
@@ -329,7 +323,7 @@ class TcpTransport(PackedDrainMixin, Transport):
             logger.warning("rank %d: discarding undecodable tcp frame", rank, exc_info=True)
             self._record_dropped(1)
             return []
-        batch = self._decode_packed(buffer, rank, columnar)
+        batch = self._decode_packed(buffer, rank)
         delivered = sum(
             len(item) if isinstance(item, ColumnBatch) else 1 for item in batch
         )

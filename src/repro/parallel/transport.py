@@ -2,8 +2,10 @@
 
 This is the ZeroMQ substitute.  A :class:`Transport` owns one bounded channel
 per server rank; clients obtain a :class:`Connection` and push messages to a
-chosen server rank, while each server data-aggregator thread polls its own
-channel.  Two backends implement the interface:
+chosen server rank, while each server data-aggregator thread drains its own
+channel with :meth:`Transport.poll_batches` — samples leave every backend as
+:class:`~repro.buffers.columns.ColumnBatch` chunks, control messages as
+plain objects.  Four backends implement the interface:
 
 * :class:`MessageRouter` — the in-process backend: one ``queue.Queue`` per
   rank, messages handed over by reference (no serialisation).
@@ -30,6 +32,7 @@ by the throughput experiments.
 from __future__ import annotations
 
 import queue
+import struct
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -38,8 +41,8 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import (
     Message,
+    TimeStepMessage,
     WireFormatError,
-    column_batch_to_messages,
     columnize,
     unpack_columns,
     unpack_many,
@@ -98,25 +101,13 @@ class Transport:
 
     A transport exposes ``num_server_ranks`` bounded channels.  Clients call
     :meth:`connect` and push through the returned :class:`Connection`; the
-    per-rank server aggregators drain with :meth:`poll_many`.  Push calls
+    per-rank server aggregators drain with :meth:`poll_batches`.  Push calls
     raise ``queue.Full`` when the rank channel stays full past the timeout
     (ZMQ's high-water-mark back-pressure) and :class:`RouterClosed` after
     :meth:`close`; both paths count the message in ``stats.dropped_messages``.
     """
 
     num_server_ranks: int
-
-    #: Ownership contract of polled messages: when True, every payload array
-    #: handed out by :meth:`poll_many` is owned by the message (retaining it
-    #: does not pin a transport buffer that will be reused or that holds
-    #: unrelated data), so consumers may adopt the views without copying.
-    #: Backends that hand out borrowed views must leave this False.  Columnar
-    #: chunks are stricter still: a ``ColumnBatch`` returned by
-    #: :meth:`poll_batches` always owns its column arrays outright — wire
-    #: backends copy the payload block exactly once while decoding (the
-    #: adoption copy), and the flag only tells consumers whether *plain
-    #: message* payloads need a defensive copy.
-    payloads_owned = False
 
     # ----------------------------------------------------------------- client
     def connect(self, client_id: int, batch_size: int = 1) -> "Connection":
@@ -151,37 +142,34 @@ class Transport:
         """Count one launcher-side kill of an unresponsive client (optional)."""
 
     # ----------------------------------------------------------------- server
-    def poll(self, rank: int, timeout: float | None = 0.05) -> Optional[Message]:
-        """Pop the next message for server rank ``rank`` or ``None`` on timeout."""
-        messages = self.poll_many(rank, max_messages=1, timeout=timeout)
-        return messages[0] if messages else None
+    def poll_batches(self, rank: int, max_messages: int = 64,
+        timeout: float | None = 0.05) -> list:
+        """Drain up to ``max_messages`` messages queued for server rank ``rank``.
 
-    def poll_many(self, rank: int, max_messages: int = 64,
-        timeout: float | None = 0.05) -> List[Message]:
-        """Pop up to ``max_messages`` messages for ``rank`` in one call.
-
-        Blocks up to ``timeout`` for the first message only, then drains
-        whatever else is already queued without blocking — the chunked
-        consumption pattern of the data aggregator.  Returns an empty list on
-        timeout.
+        The one server-side drain.  Blocks up to ``timeout`` for the first
+        batch only, then takes whatever else is already queued without
+        blocking; returns an empty list on timeout.  Time steps arrive as
+        :class:`repro.buffers.columns.ColumnBatch` chunks that own their
+        columns (a chunk of ``n`` samples counts ``n`` messages toward
+        ``max_messages``), control messages as plain :class:`Message`
+        objects, all in arrival order — never a ``TimeStepMessage``.
         """
         raise NotImplementedError
 
-    def poll_batches(self, rank: int, max_messages: int = 64,
-        timeout: float | None = 0.05) -> list:
-        """Drain like :meth:`poll_many`, delivering step runs as columnar chunks.
+    def _columnize(self, rank: int, messages: List[Message]) -> list:
+        """Regroup decoded ``messages`` into chunks and control messages.
 
-        Returns a mixed list of control :class:`Message` objects and
-        :class:`repro.buffers.columns.ColumnBatch` chunks in arrival order;
-        a chunk of ``n`` samples counts ``n`` messages toward
-        ``max_messages``.  Every returned chunk owns its columns (see
-        :attr:`payloads_owned`).  The default implementation groups the
-        object-polled messages with
-        :func:`repro.parallel.messages.columnize`; wire backends override
-        the decode to build the chunks straight from the packed batch,
-        without materialising per-message objects at all.
+        A ragged step run is rejected here, at the boundary, like a corrupt
+        buffer: logged, counted as one dropped batch, and the time steps of
+        ``messages`` are discarded (control messages are still delivered, so
+        a client's finished marker is never lost with them).
         """
-        return columnize(self.poll_many(rank, max_messages=max_messages, timeout=timeout))
+        try:
+            return columnize(messages)
+        except WireFormatError:
+            logger.warning("rank %d: discarding ragged time-step run", rank, exc_info=True)
+            self._record_dropped(1)
+            return [m for m in messages if not isinstance(m, TimeStepMessage)]
 
     def pending(self, rank: int) -> int:
         """Number of messages currently queued for server rank ``rank``."""
@@ -221,8 +209,8 @@ class PackedDrainMixin:
     budget therefore rarely lines up with batch boundaries.  This mixin
     implements the budgeted drain — block for the first batch only, then
     drain without blocking, park the overshoot in a per-rank leftover deque —
-    plus the shared packed-buffer decode (columnar chunk first, per-message
-    fallback, corrupt buffers dropped and counted).
+    plus the shared packed-buffer decode (columnar chunk straight from the
+    buffer, mixed batches regrouped, corrupt buffers dropped and counted).
 
     A concrete backend provides:
 
@@ -238,76 +226,38 @@ class PackedDrainMixin:
     def _init_leftovers(self, num_server_ranks: int) -> None:
         self._leftover = [deque() for _ in range(num_server_ranks)]
 
-    def poll_many(self, rank: int, max_messages: int = 64,
-        timeout: float | None = 0.05) -> List[Message]:
-        return self._poll_items(rank, max_messages, timeout, columnar=False)
-
     def poll_batches(self, rank: int, max_messages: int = 64,
         timeout: float | None = 0.05) -> list:
-        """Columnar drain: homogeneous packed batches decode straight into
-        :class:`ColumnBatch` chunks (no per-message objects); control
-        messages and ragged batches arrive as plain messages, in order.
-        """
-        return self._poll_items(rank, max_messages, timeout, columnar=True)
-
-    def _poll_items(self, rank: int, max_messages: int, timeout: float | None,
-                    columnar: bool) -> list:
         if max_messages <= 0:
             raise ValueError("max_messages must be positive")
         self._check_rank(rank)
         items: list = []
-        count = self._take_leftover(rank, items, max_messages, columnar)
+        count = self._take_leftover(rank, items, max_messages)
         if not items:
             # Block up to ``timeout`` for the first batch only.
-            batch = self._get_batch(rank, timeout, columnar)
+            batch = self._get_batch(rank, timeout)
             if batch is None:
                 return []
             count = self._absorb(rank, items, batch, max_messages, count)
         # Drain whatever else is already queued without blocking.
         while count < max_messages:
-            batch = self._get_batch(rank, None, columnar)
+            batch = self._get_batch(rank, None)
             if batch is None:
                 break
             count = self._absorb(rank, items, batch, max_messages, count)
         return items
 
-    def _take_leftover(self, rank: int, out: list, max_messages: int,
-                       columnar: bool) -> int:
-        """Move queued leftovers into ``out``; returns the message count taken.
-
-        Leftovers may be plain messages or columnar chunks, whichever shape a
-        previous poll produced; a chunk is sliced to fit the budget in
-        columnar mode and exploded into messages otherwise (the rare path of
-        a consumer switching drain styles mid-stream).
-        """
+    def _take_leftover(self, rank: int, out: list, max_messages: int) -> int:
+        """Move parked leftovers into ``out`` within the budget; returns the
+        message count taken (what still does not fit is parked again)."""
         leftover = self._leftover[rank]
-        count = 0
-        while leftover and count < max_messages:
-            item = leftover[0]
-            if not isinstance(item, ColumnBatch):
-                out.append(leftover.popleft())
-                count += 1
-                continue
-            room = max_messages - count
-            if not columnar:
-                item = leftover.popleft()
-                messages = column_batch_to_messages(item)
-                out.extend(messages[:room])
-                count += min(room, len(messages))
-                for message in reversed(messages[room:]):
-                    leftover.appendleft(message)
-                continue
-            if len(item) <= room:
-                out.append(leftover.popleft())
-                count += len(item)
-            else:
-                out.append(item[:room])
-                leftover[0] = item[room:]
-                count = max_messages
-        return count
+        if not leftover:
+            return 0
+        parked = list(leftover)
+        leftover.clear()
+        return self._absorb(rank, out, parked, max_messages)
 
-    def _get_batch(self, rank: int, timeout: float | None,
-                   columnar: bool = False) -> Optional[list]:
+    def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         """Pop and decode one batch from the rank channel.
 
         Returns ``None`` when nothing is queued within ``timeout`` and ``[]``
@@ -315,32 +265,34 @@ class PackedDrainMixin:
         """
         raise NotImplementedError
 
-    def _decode_packed(self, buffer, rank: int, columnar: bool) -> list:
-        """Decode one packed batch buffer into messages or a columnar chunk.
+    def _decode_packed(self, buffer, rank: int) -> list:
+        """Decode one packed batch buffer into chunks and control messages.
 
-        An unparsable buffer (a client killed mid-write can tear the byte
-        stream) is counted as one dropped batch and skipped instead of
-        killing the aggregator thread that polls here.
+        A homogeneous step batch becomes one :class:`ColumnBatch` straight
+        from the buffer; anything else (control messages, a mixed batch) is
+        decoded per message and regrouped.  An unparsable buffer (a client
+        killed mid-write can tear the byte stream) is counted as one dropped
+        batch and skipped instead of killing the aggregator thread that
+        polls here.
         """
         try:
-            if columnar:
-                chunk = unpack_columns(buffer)
-                if chunk is not None:
-                    return [chunk]
+            chunk = unpack_columns(buffer)
+            if chunk is not None:
+                return [chunk]
             # copy_payloads: one block copy lets the channel buffer be freed
-            # immediately instead of being pinned by every retained payload
-            # view (the messages collectively own the copied block).
-            return unpack_many(buffer, copy_payloads=True)
-        except WireFormatError:
+            # immediately instead of being pinned by the payload views.
+            messages = unpack_many(buffer, copy_payloads=True)
+        except (WireFormatError, struct.error):
             logger.warning("rank %d: discarding unparsable transport batch", rank, exc_info=True)
             self._record_dropped(1)
             return []
+        return self._columnize(rank, messages)
 
     def _absorb(self, rank: int, out: list, batch: list,
                 max_messages: int, count: int = 0) -> int:
         """Append ``batch`` items to ``out`` within the message budget.
 
-        ``batch`` holds messages and/or columnar chunks; a chunk counts
+        ``batch`` holds control messages and/or columnar chunks; a chunk counts
         ``len(chunk)`` messages.  Whatever exceeds the budget goes to the
         rank's leftover deque (chunks are split by slicing, which makes
         column views, not copies).  Returns the updated message count.
@@ -386,10 +338,6 @@ class MessageRouter(Transport):
         the queue is full, mimicking ZMQ's high-water-mark back-pressure.
     """
 
-    #: In-process messages are handed over by reference: the payload array a
-    #: client created belongs to the message object itself.
-    payloads_owned = True
-
     def __init__(self, num_server_ranks: int, max_queue_size: int = 10_000) -> None:
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
@@ -427,32 +375,24 @@ class MessageRouter(Transport):
                 self._stats.dropped_messages += count
 
     # ----------------------------------------------------------------- server
-    def poll(self, rank: int, timeout: float | None = 0.05) -> Optional[Message]:
-        """Pop the next message for server rank ``rank`` or ``None`` on timeout."""
-        self._check_rank(rank)
-        try:
-            if timeout is None:
-                return self._queues[rank].get_nowait()
-            return self._queues[rank].get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def poll_many(
-        self, rank: int, max_messages: int = 64, timeout: float | None = 0.05
-    ) -> List[Message]:
+    def poll_batches(self, rank: int, max_messages: int = 64,
+        timeout: float | None = 0.05) -> list:
+        """Drain the rank queue; step runs are regrouped into chunks here (the
+        by-reference counterpart of the wire backends' packed decode)."""
         if max_messages <= 0:
             raise ValueError("max_messages must be positive")
-        first = self.poll(rank, timeout=timeout)
-        if first is None:
-            return []
-        messages = [first]
+        self._check_rank(rank)
         q = self._queues[rank]
+        try:
+            messages = [q.get_nowait() if timeout is None else q.get(timeout=timeout)]
+        except queue.Empty:
+            return []
         while len(messages) < max_messages:
             try:
                 messages.append(q.get_nowait())
             except queue.Empty:
                 break
-        return messages
+        return self._columnize(rank, messages)
 
     def pending(self, rank: int) -> int:
         return self._queues[rank].qsize()
@@ -497,11 +437,6 @@ class Connection:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self._next_rank = self.client_id % self.transport.num_server_ranks
-
-    @property
-    def router(self) -> Transport:
-        """Backwards-compatible alias for :attr:`transport`."""
-        return self.transport
 
     def send_round_robin(self, message: Message, timeout: float | None = None) -> int:
         """Send to the next rank in round-robin order; returns the rank used."""
@@ -659,12 +594,9 @@ class ShardOptions:
 class TransportConfig:
     """Typed transport configuration: one backend plus its per-backend options.
 
-    This replaces the flat ``transport_*``/``ring_*`` knob sprawl of
-    :class:`repro.core.config.OnlineStudyConfig` — the study config still
-    accepts the old flat fields as deprecation aliases and funnels both
-    spellings through :meth:`resolve`, the single normalization point, so a
-    flat spelling and its typed equivalent always produce identical resolved
-    configs.
+    The one place a study's transport knobs live:
+    :class:`repro.core.config.OnlineStudyConfig` takes a backend name or an
+    instance of this class and normalises either through :meth:`resolve`.
     """
 
     backend: str = "inproc"
@@ -713,49 +645,27 @@ class TransportConfig:
         cls,
         transport: Union[str, "TransportConfig"] = "inproc",
         *,
-        transport_batch_size: Optional[int] = None,
-        transport_queue_size: Optional[int] = None,
-        ring_slots: Optional[int] = None,
-        ring_slot_bytes: Optional[int] = None,
-        client_process_timeout: Optional[float] = None,
-        client_heartbeat_timeout: Optional[float] = None,
         num_shards: Optional[int] = None,
         shard_endpoints: Optional[Sequence[str]] = None,
         hash_replicas: Optional[int] = None,
     ) -> "TransportConfig":
-        """Normalize a backend string or config plus legacy flat overrides.
+        """Normalize a backend string or config plus the sharding overrides.
 
-        The single normalization point of the transport API: every flat
-        legacy knob maps onto exactly one typed field, a ``None`` override
-        keeps the base value, and validation runs once on the result.
+        The single normalization point of the transport API: a ``None``
+        override keeps the base value, and validation runs once on the
+        result.
         """
         base = transport if isinstance(transport, TransportConfig) else cls(backend=transport)
-        updates: dict = {}
-        if transport_batch_size is not None:
-            updates["batch_size"] = int(transport_batch_size)
-        if transport_queue_size is not None:
-            updates["queue_size"] = int(transport_queue_size)
-        if client_process_timeout is not None:
-            updates["process_timeout"] = float(client_process_timeout)
-        if client_heartbeat_timeout is not None:
-            updates["heartbeat_timeout"] = float(client_heartbeat_timeout)
-        if ring_slots is not None or ring_slot_bytes is not None:
-            shm_updates: dict = {}
-            if ring_slots is not None:
-                shm_updates["ring_slots"] = int(ring_slots)
-            if ring_slot_bytes is not None:
-                shm_updates["ring_slot_bytes"] = int(ring_slot_bytes)
-            updates["shm"] = replace(base.shm, **shm_updates)
-        if num_shards is not None or shard_endpoints is not None or hash_replicas is not None:
-            shard_updates: dict = {}
-            if num_shards is not None:
-                shard_updates["num_shards"] = int(num_shards)
-            if shard_endpoints is not None:
-                shard_updates["endpoints"] = tuple(shard_endpoints)
-            if hash_replicas is not None:
-                shard_updates["hash_replicas"] = int(hash_replicas)
-            updates["shard"] = replace(base.shard, **shard_updates)
-        return replace(base, **updates) if updates else base
+        shard_updates: dict = {}
+        if num_shards is not None:
+            shard_updates["num_shards"] = int(num_shards)
+        if shard_endpoints is not None:
+            shard_updates["endpoints"] = tuple(shard_endpoints)
+        if hash_replicas is not None:
+            shard_updates["hash_replicas"] = int(hash_replicas)
+        if not shard_updates:
+            return base
+        return replace(base, shard=replace(base.shard, **shard_updates))
 
     def for_shard(self, index: int) -> "TransportConfig":
         """The single-shard transport config of shard ``index``.
@@ -861,31 +771,18 @@ register_backend("tcp", _make_tcp, client_mode="process")
 def make_transport(
     kind: Union[str, TransportConfig],
     num_server_ranks: int,
-    max_queue_size: Optional[int] = None,
     max_concurrent_clients: int = 8,
-    ring_slots: Optional[int] = None,
-    ring_slot_bytes: Optional[int] = None,
 ) -> Transport:
     """Build a transport backend from a config string or :class:`TransportConfig`.
 
     ``"inproc"`` is the thread-based :class:`MessageRouter`; ``"mp"`` carries
     packed batches over ``multiprocessing`` queues; ``"shm"`` moves the hot
     time-step channels onto shared-memory SPSC rings; ``"tcp"`` frames the
-    packed batches over sockets into the asyncio front door.  The legacy
-    keyword overrides (``max_queue_size``, ``ring_slots``,
-    ``ring_slot_bytes``) stay accepted and fold into the resolved
-    :class:`TransportConfig`; ``max_concurrent_clients`` sizes the shm
-    slot-lease table (the grid scales with the *concurrency*, not the
-    ensemble size).  Backends registered via :func:`register_backend` are
-    constructed the same way.
+    packed batches over sockets into the asyncio front door.
+    ``max_concurrent_clients`` sizes the shm slot-lease table (the grid
+    scales with the *concurrency*, not the ensemble size).  Backends
+    registered via :func:`register_backend` are constructed the same way.
     """
-    config = TransportConfig.resolve(
-        kind,
-        transport_queue_size=max_queue_size,
-        ring_slots=ring_slots,
-        ring_slot_bytes=ring_slot_bytes,
-    )
-    entry = _BACKENDS.get(config.backend)
-    if entry is None:  # only reachable if a backend was unregistered since
-        raise ConfigurationError(f"unknown transport backend {config.backend!r}")
-    return entry.factory(config, int(num_server_ranks), int(max_concurrent_clients))
+    config = TransportConfig.resolve(kind)
+    factory = _BACKENDS[config.backend].factory
+    return factory(config, int(num_server_ranks), int(max_concurrent_clients))

@@ -1,9 +1,9 @@
 """Data-aggregator thread of a server rank.
 
-The aggregator polls the transport queue of its rank, converts the incoming
-:class:`TimeStepMessage` payloads into :class:`SampleRecord` training samples,
-discards duplicates caused by client restarts, feeds the rank-local training
-buffer and signals the buffer when every expected client has finished.
+The aggregator drains the transport channel of its rank — time steps arrive
+as :class:`ColumnBatch` chunks, never as per-message objects — discards
+duplicates caused by client restarts, feeds the rank-local training buffer
+and signals the buffer when every expected client has finished.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.buffers.base import SampleRecord, TrainingBuffer
+from repro.buffers.base import TrainingBuffer
 from repro.buffers.columns import ColumnBatch
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, Message, TimeStepMessage
+from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, Message
 from repro.parallel.transport import Transport
 from repro.server.fault import HeartbeatMonitor, MessageLog
 from repro.utils.exceptions import BufferClosedError
@@ -62,7 +62,7 @@ class DataAggregator:
         Optional liveness tracker shared with the fault-handling logic.
     max_drain:
         Maximum number of transport messages drained per loop iteration; the
-        time-step messages of one chunk are inserted into the buffer with a
+        compatible chunks of one drain are inserted into the buffer with a
         single :meth:`TrainingBuffer.put_many` call.
     put_retry_timeout:
         Bound on each wait for buffer space, so a full buffer never keeps the
@@ -91,15 +91,11 @@ class DataAggregator:
         self.max_drain = int(max_drain)
         self.put_retry_timeout = float(put_retry_timeout)
         self.stats = AggregatorStats()
+        #: The exception that ended the receive loop, if any; the buffer is
+        #: closed with it so the training thread stops instead of waiting.
+        self.error: Optional[BaseException] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        # Ownership contract with the transport: when the backend guarantees
-        # that polled payloads are message-owned (see
-        # ``Transport.payloads_owned``), records adopt the payload views
-        # directly — the one batched copy already happened at
-        # deserialisation time.  Otherwise payload views are copied out
-        # defensively before they enter the buffer.
-        self._adopt_payloads = bool(getattr(router, "payloads_owned", False))
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -132,155 +128,62 @@ class DataAggregator:
 
     # ------------------------------------------------------------------ logic
     def _run(self) -> None:
-        while not self._stop.is_set():
-            items = self.router.poll_batches(
-                self.rank, max_messages=self.max_drain, timeout=self.poll_timeout
-            )
-            if not items:
-                if self.reception_complete:
+        try:
+            while not self._stop.is_set():
+                items = self.router.poll_batches(
+                    self.rank, max_messages=self.max_drain, timeout=self.poll_timeout
+                )
+                if items:
+                    self._handle_items(items)
+                elif self.reception_complete:
                     break
-                continue
-            try:
-                self._handle_items(items)
-            except BufferClosedError:
-                break
+        except BufferClosedError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - thread boundary: report, never die silently
+            logger.exception("rank %d aggregator failed", self.rank)
+            self.error = exc
+            self.buffer.close()
         # Whatever the exit reason, make sure the training thread is unblocked.
         if self.reception_complete:
             self.buffer.signal_reception_over()
 
     def _handle_items(self, items: List[object]) -> None:
-        """Process one columnar drain: samples arrive as :class:`ColumnBatch`
-        chunks (the common case) and/or plain messages, in arrival order.
+        """Process one drain: :class:`ColumnBatch` chunks and control messages,
+        in arrival order.
 
-        At most one kind of sample run is pending at a time — a kind switch
-        flushes the other kind first, so arrival order is preserved in the
-        buffer.  Consecutive chunks with matching column shapes are merged
-        into one :meth:`_ingest_columns` call (one dedup pass, one
-        ``put_many``); pending samples of either kind are flushed before a
-        ``ClientFinished`` for the same reason as in :meth:`_handle_many`.
+        Consecutive chunks with matching column shapes are merged into one
+        :meth:`_ingest_columns` call (one dedup pass, one ``put_many``).
+        Pending chunks are ingested before a ``ClientFinished`` so that the
+        message which may flip the buffer into drain mode always observes
+        every sample received before it; other control messages (hello,
+        heartbeat) never touch the buffer and are dispatched without
+        fragmenting the bulk insert.
         """
-        steps: List[TimeStepMessage] = []
         chunks: List[ColumnBatch] = []
 
-        def flush_pending() -> None:
-            nonlocal steps, chunks
-            if steps:
-                self._flush(*self._records_from_steps(steps))
-                steps = []
+        def ingest_pending() -> None:
             if chunks:
-                merged = chunks[0] if len(chunks) == 1 else ColumnBatch.concat(chunks)
-                chunks = []
-                self._ingest_columns(merged)
+                self._ingest_columns(ColumnBatch.concat(chunks))
+                chunks.clear()
 
         for item in items:
             if isinstance(item, ColumnBatch):
-                if steps or (chunks and not chunks[-1].compatible_with(item)):
-                    flush_pending()
+                if chunks and not chunks[-1].compatible_with(item):
+                    ingest_pending()
                 chunks.append(item)
-            elif isinstance(item, TimeStepMessage):
-                if chunks:
-                    flush_pending()
-                steps.append(item)
             else:
                 if isinstance(item, ClientFinished):
-                    flush_pending()
+                    ingest_pending()
                 self._handle_control(item)
-        flush_pending()
-
-    def _handle_many(self, messages: List[Message]) -> None:
-        """Process one drained chunk: bulk-insert samples, dispatch control.
-
-        Consecutive time-step messages are converted **as one batch** (one
-        vectorized inputs matrix, payload views adopted without per-message
-        copies — see :meth:`_records_from_steps`) and inserted with a single
-        ``put_many``.  Pending samples are flushed before a
-        ``ClientFinished`` so that the message which may flip the buffer into
-        drain mode always observes every sample received before it; other
-        control messages (hello, heartbeat) never touch the buffer and are
-        dispatched without fragmenting the bulk insert.
-        """
-        steps: List[TimeStepMessage] = []
-        for message in messages:
-            if isinstance(message, TimeStepMessage):
-                steps.append(message)
-            else:
-                if steps and isinstance(message, ClientFinished):
-                    self._flush(*self._records_from_steps(steps))
-                    steps = []
-                self._handle_control(message)
-        if steps:
-            self._flush(*self._records_from_steps(steps))
-
-    def _records_from_steps(
-        self, steps: List[TimeStepMessage]
-    ) -> tuple[List[SampleRecord], List[int]]:
-        """Convert a run of time-step messages into records, batch-wise.
-
-        Deduplication and liveness bookkeeping stay per message; the
-        allocations do not: all ``(X, t)`` input vectors of the run land in
-        one float32 matrix built with a single ``np.asarray`` call (records
-        hold row views), and payloads are **adopted** — the transport already
-        copied the chunk's payload block once at deserialisation, so the
-        views go straight into the records with no further copying.  With a
-        transport that hands out borrowed or foreign views instead, each
-        payload is copied out defensively, as before.
-        """
-        monitor = self.heartbeat_monitor
-        register = self.message_log.register
-        seen = self.stats.clients_seen
-        fresh: List[TimeStepMessage] = []
-        for message in steps:
-            seen.add(message.client_id)
-            if monitor is not None:
-                monitor.touch(message.client_id, progress=float(message.time_step))
-            if register(message.client_id, message.time_step):
-                fresh.append(message)
-            else:
-                self.stats.duplicates_discarded += 1
-        if not fresh:
-            return [], []
-
-        n_params = len(fresh[0].parameters)
-        if all(len(m.parameters) == n_params for m in fresh):
-            flat: List[float] = []
-            for message in fresh:
-                flat.extend(message.parameters)
-                flat.append(message.time_value)
-            inputs = np.asarray(flat, dtype=np.float32)
-            input_rows: List[Array] = list(inputs.reshape(len(fresh), n_params + 1))
-        else:  # mixed ensembles: fall back to per-message input vectors
-            input_rows = [message.sample_input() for message in fresh]
-
-        adopt = self._adopt_payloads
-        records: List[SampleRecord] = []
-        sizes: List[int] = []
-        for row, message in zip(input_rows, fresh, strict=True):
-            target = message.payload
-            if target.dtype != np.float32:
-                target = np.asarray(target, dtype=np.float32)
-            if not adopt and target.base is not None:
-                # Borrowed view (e.g. into a shared transport buffer): a
-                # buffer-resident record must not pin or alias it.
-                target = target.copy()
-            records.append(
-                SampleRecord(
-                    inputs=row,
-                    target=target,
-                    source_id=message.client_id,
-                    time_step=message.time_step,
-                )
-            )
-            sizes.append(message.nbytes())
-        return records, sizes
+        ingest_pending()
 
     def _ingest_columns(self, batch: ColumnBatch) -> None:
         """Dedup, liveness-track and buffer one columnar chunk, vectorised.
 
-        The per-message bookkeeping loop of :meth:`_records_from_steps`
-        becomes column arithmetic: client discovery is one ``np.unique`` over
-        the id vector, liveness is one ``touch`` per distinct client with the
-        maximum observed step, and deduplication is one
-        :meth:`MessageLog.register_many` call whose keep-mask (if any)
+        The per-sample bookkeeping is column arithmetic: client discovery is
+        one ``np.unique`` over the id vector, liveness is one ``touch`` per
+        distinct client with the maximum observed step, and deduplication is
+        one :meth:`MessageLog.register_many` call whose keep-mask (if any)
         compresses the batch before it enters the buffer.
         """
         if not len(batch):
@@ -307,10 +210,16 @@ class DataAggregator:
         # Wire-equivalent size of one row, mirroring TimeStepMessage.nbytes():
         # f32 payload + f64 parameters (inputs minus the time column) + header.
         row_nbytes = 4 * batch.targets.shape[1] + 8 * (batch.inputs.shape[1] - 1) + 32
-        self._flush_columns(batch, row_nbytes)
+        self._flush(batch, row_nbytes)
 
-    def _flush_columns(self, batch: ColumnBatch, row_nbytes: int) -> None:
-        """Columnar twin of :meth:`_flush`: bounded waits, drop on stop."""
+    def _flush(self, batch: ColumnBatch, row_nbytes: int) -> None:
+        """Insert ``batch`` into the buffer, staying responsive to stop().
+
+        Each wait for buffer space is bounded by ``put_retry_timeout``; when a
+        stop is requested while the buffer is full, the remaining samples are
+        dropped (counted in ``stats.samples_dropped``) instead of blocking
+        shutdown forever.
+        """
         offset = 0
         total = len(batch)
         while offset < total:
@@ -322,41 +231,13 @@ class DataAggregator:
                     batch[offset:], timeout=self.put_retry_timeout
                 )
             except BufferClosedError:
+                # Abort path: the remainder can never be inserted — account
+                # for it before the error unwinds the receive loop.
                 self.stats.samples_dropped += total - offset
                 raise
             self.stats.samples_received += inserted
             self.stats.bytes_received += row_nbytes * inserted
             offset += inserted
-
-    def _flush(self, records: List[SampleRecord], sizes: List[int]) -> None:
-        """Insert ``records`` into the buffer, staying responsive to stop().
-
-        Each wait for buffer space is bounded by ``put_retry_timeout``; when a
-        stop is requested while the buffer is full, the remaining samples are
-        dropped (counted in ``stats.samples_dropped``) instead of blocking
-        shutdown forever.
-        """
-        offset = 0
-        while offset < len(records):
-            if self._stop.is_set():
-                self.stats.samples_dropped += len(records) - offset
-                return
-            try:
-                inserted = self.buffer.put_many(
-                    records[offset:], timeout=self.put_retry_timeout
-                )
-            except BufferClosedError:
-                # Abort path: the remainder can never be inserted — account
-                # for it before the error unwinds the receive loop.
-                self.stats.samples_dropped += len(records) - offset
-                raise
-            self.stats.samples_received += inserted
-            self.stats.bytes_received += sum(sizes[offset : offset + inserted])
-            offset += inserted
-
-    def _handle(self, message: Message) -> None:
-        """Process a single message (kept for tests and external callers)."""
-        self._handle_many([message])
 
     def _handle_control(self, message: Message) -> None:
         if isinstance(message, ClientHello):

@@ -227,6 +227,13 @@ class TrainingServer:
                 buffer.close()
             for aggregator in self.aggregators:
                 aggregator.stop()
+        for aggregator in self.aggregators:
+            if aggregator.error is not None:
+                # The failed aggregator closed its buffer, which ended the
+                # training loop early: report the cause, not a partial result.
+                raise RuntimeError(
+                    f"data aggregator of server rank {aggregator.rank} failed"
+                ) from aggregator.error
 
         rank0_worker = workers[0]
         assert rank0_worker is not None

@@ -147,8 +147,8 @@ class ShardedTransport(Transport):
     :class:`~repro.parallel.transport.Connection` bound to that shard's own
     transport, so every subsequent push lands on the shard's channels
     without further routing.  Server-side draining happens *inside* each
-    shard (its aggregators hold the shard transport directly); the poll
-    methods here sweep the shards for tooling and tests.
+    shard (its aggregators hold the shard transport directly);
+    :meth:`poll_batches` here sweeps the shards for tooling and tests.
     """
 
     def __init__(self, shards: Sequence[Transport], ring: HashRing) -> None:
@@ -210,14 +210,14 @@ class ShardedTransport(Transport):
             return self._unresponsive_kills
 
     # ------------------------------------------------------------------ server
-    def poll_many(self, rank: int, max_messages: int = 64,
-                  timeout: float | None = 0.05) -> List[Message]:
+    def poll_batches(self, rank: int, max_messages: int = 64,
+                     timeout: float | None = 0.05) -> list:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             for transport in self.shards:
-                messages = transport.poll_many(rank, max_messages=max_messages, timeout=0)
-                if messages:
-                    return messages
+                items = transport.poll_batches(rank, max_messages=max_messages, timeout=0)
+                if items:
+                    return items
             if deadline is not None and time.monotonic() >= deadline:
                 return []
             time.sleep(0.001)

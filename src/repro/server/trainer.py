@@ -12,11 +12,11 @@ paper's termination condition applied to the data-parallel case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.buffers.base import TrainingBuffer, contiguous_rows
+from repro.buffers.base import TrainingBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.buffers.stats import OccurrenceTracker
 from repro.core.metrics import TrainingMetrics
@@ -88,61 +88,15 @@ class TrainingWorker:
         self.metrics.throughput.window = config.throughput_window
         self.occurrences = OccurrenceTracker()
         self._clock = WallClock()
-        # Preallocated float32 staging arrays reused by every _stack_batch
-        # call (allocated lazily once the sample shapes are known).
-        self._batch_inputs: Optional[Array] = None
-        self._batch_targets: Optional[Array] = None
 
     # ------------------------------------------------------------------ batch
-    def _stack_batch(self, batch) -> tuple[Array, Array]:
-        """Stack a batch for the forward pass, without copying when possible.
-
-        A dense :class:`ColumnBatch` drawn from the buffer **is** the stacked
+    def _stack_batch(self, batch: ColumnBatch) -> tuple[Array, Array]:
+        """A :class:`ColumnBatch` drawn from the buffer **is** the stacked
         batch: its inputs matrix and targets block go to the nn forward pass
-        as-is, with no per-record objects and no copy at all.  (An
-        object-mode batch — ragged sample shapes — degrades to its record
-        views and takes the paths below.)
+        as-is, with no per-record objects and no copy at all."""
+        return batch.inputs, batch.targets
 
-        Records produced by the batched ingestion path hold row views into
-        shared per-chunk blocks; a batch drawn in arrival order (FIFO, or
-        any draw preserving adjacency) is therefore already contiguous in
-        memory and is handed to the nn forward pass as a **zero-copy**
-        strided view.  Other batches are gathered into the preallocated
-        float32 staging arrays, which are overwritten by the next call —
-        safe because forward/backward of one batch complete before the next
-        batch is stacked (the same lifetime the zero-copy views rely on).
-        """
-        if isinstance(batch, ColumnBatch):
-            if batch.is_dense:
-                return batch.inputs, batch.targets
-            batch = batch.records()
-        count = len(batch)
-        first = batch[0]
-        if first.inputs.dtype in (np.float32, np.float64) and first.target.dtype == np.float32:
-            inputs = contiguous_rows([record.inputs for record in batch])
-            if inputs is not None:
-                targets = contiguous_rows([record.target for record in batch])
-                if targets is not None:
-                    return inputs, targets
-        input_shape = np.shape(first.inputs)
-        target_shape = np.shape(first.target)
-        if (
-            self._batch_inputs is None
-            or self._batch_inputs.shape[0] < count
-            or self._batch_inputs.shape[1:] != input_shape
-            or self._batch_targets.shape[1:] != target_shape
-        ):
-            rows = max(self.config.batch_size, count)
-            self._batch_inputs = np.empty((rows,) + input_shape, dtype=np.float32)
-            self._batch_targets = np.empty((rows,) + target_shape, dtype=np.float32)
-        inputs = self._batch_inputs[:count]
-        targets = self._batch_targets[:count]
-        for row, record in enumerate(batch):
-            inputs[row] = record.inputs
-            targets[row] = record.target
-        return inputs, targets
-
-    def _train_batch(self, batch, sync: bool = True) -> float:
+    def _train_batch(self, batch: ColumnBatch, sync: bool = True) -> float:
         inputs, targets = self._stack_batch(batch)
         self.model.zero_grad()
         predictions = self.model.forward(inputs)

@@ -5,18 +5,28 @@ import pytest
 
 from repro.client.api import ClientAPI
 from repro.client.simulation_client import ClientRunResult, SimulationClient, SimulationFailure
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, TimeStepMessage
+from repro.buffers.columns import ColumnBatch
+from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat
 from repro.parallel.transport import MessageRouter
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 
 
 def drain(router: MessageRouter, rank: int):
-    messages = []
+    """Everything queued for ``rank``: control messages and step chunks."""
+    items = []
     while True:
-        message = router.poll(rank, timeout=0.01)
-        if message is None:
-            return messages
-        messages.append(message)
+        polled = router.poll_batches(rank, timeout=0.01)
+        if not polled:
+            return items
+        items.extend(polled)
+
+
+def chunks_of(items):
+    return [item for item in items if isinstance(item, ColumnBatch)]
+
+
+def time_steps_of(items):
+    return [step for chunk in chunks_of(items) for step in chunk.time_steps.tolist()]
 
 
 def test_client_api_lifecycle_and_messages():
@@ -35,9 +45,11 @@ def test_client_api_lifecycle_and_messages():
     assert sum(isinstance(m, ClientHello) for m in all_messages) == 2  # broadcast
     assert sum(isinstance(m, ClientFinished) for m in all_messages) == 2
     assert sum(isinstance(m, Heartbeat) for m in all_messages) == 1
-    time_steps = [m for m in all_messages if isinstance(m, TimeStepMessage)]
-    assert len(time_steps) == 3
-    assert all(m.payload.dtype == np.float32 for m in time_steps)
+    assert sorted(time_steps_of(all_messages)) == [1, 2, 3]
+    for chunk in chunks_of(all_messages):
+        assert chunk.source_ids.tolist() == [3] * len(chunk)
+        assert chunk.targets.dtype == np.float32 and chunk.targets.shape[1] == 16
+        np.testing.assert_array_equal(chunk.targets[:, 0], chunk.time_steps)
     assert api.messages_sent == 3
 
 
@@ -53,7 +65,7 @@ def test_client_api_round_robin_starts_at_client_id():
     api.send(1, 0.01, (0.0,), np.zeros(2))
     for candidate in range(4):
         pending = drain(router, candidate)
-        if any(isinstance(m, TimeStepMessage) for m in pending):
+        if chunks_of(pending):
             rank = candidate
     assert rank == 2
 
@@ -92,8 +104,7 @@ def test_simulation_client_streams_every_step():
     assert isinstance(result, ClientRunResult)
     assert result.completed and result.steps_sent == 5
     messages = drain(router, 0) + drain(router, 1)
-    steps = sorted(m.time_step for m in messages if isinstance(m, TimeStepMessage))
-    assert steps == [1, 2, 3, 4, 5]
+    assert sorted(time_steps_of(messages)) == [1, 2, 3, 4, 5]
     finished = [m for m in messages if isinstance(m, ClientFinished)]
     assert len(finished) == 2
 
@@ -109,8 +120,7 @@ def test_simulation_client_fault_injection_and_checkpointed_restart():
     assert result.completed
     assert result.restarted_from_step == 3
     assert result.steps_sent == 3  # only steps 4..6 are re-sent
-    messages = [m for m in drain(router, 0) if isinstance(m, TimeStepMessage)]
-    assert sorted(m.time_step for m in messages) == [1, 2, 3, 4, 5, 6]
+    assert sorted(time_steps_of(drain(router, 0))) == [1, 2, 3, 4, 5, 6]
     assert client.restart_count == 1
 
 
@@ -122,6 +132,4 @@ def test_simulation_client_restart_without_checkpoint_resends_everything():
     client.prepare_restart()
     result = client.run(solver_params=params)
     assert result.steps_sent == 4  # everything re-sent; the server deduplicates
-    messages = [m for m in drain(router, 0) if isinstance(m, TimeStepMessage)]
-    steps = [m.time_step for m in messages]
-    assert sorted(steps) == [1, 1, 2, 2, 3, 4]
+    assert sorted(time_steps_of(drain(router, 0))) == [1, 1, 2, 2, 3, 4]

@@ -2,10 +2,9 @@
 
 The SoA data plane replaces per-message objects with :class:`ColumnBatch`
 chunks from the wire to the forward pass.  These tests pin its two
-contracts: an adopted chunk is copied **exactly once** into the column store
-(``Transport.payloads_owned`` semantics carried over), and
-:class:`SampleRecord` remains available everywhere as a thin view over the
-columns — same fields, same ``key()``, zero extra copies for dense data.
+contracts: an adopted chunk is copied **exactly once** into the column
+store, and :class:`SampleRecord` remains available everywhere as a thin view
+over the columns — same fields, same ``key()``, zero extra copies.
 """
 
 import numpy as np
@@ -17,7 +16,7 @@ from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
     TimeStepMessage,
-    column_batch_to_messages,
+    WireFormatError,
     columnize,
     pack_many,
     unpack_columns,
@@ -75,14 +74,28 @@ def test_unpack_columns_declines_control_and_ragged_batches():
     assert unpack_columns(pack_many(ragged)) is None
 
 
-def test_columnize_and_back_round_trips_message_runs():
+def test_columnize_matches_the_wire_decode_of_the_same_run():
     steps = make_steps(5, client_id=2)
     mixed = [ClientHello(client_id=2), *steps, ClientFinished(client_id=2)]
     items = columnize(mixed)
     assert isinstance(items[0], ClientHello)
     assert isinstance(items[1], ColumnBatch) and len(items[1]) == 5
     assert isinstance(items[2], ClientFinished)
-    assert column_batch_to_messages(items[1]) == steps
+    wire = unpack_columns(pack_many(steps))
+    for column in ("inputs", "targets", "source_ids", "time_steps", "sequence_numbers"):
+        grouped, decoded = getattr(items[1], column), getattr(wire, column)
+        assert grouped.dtype == decoded.dtype
+        np.testing.assert_array_equal(grouped, decoded)
+
+
+def test_columnize_rejects_a_ragged_run():
+    ragged = make_steps(3) + make_steps(1, start=3, field_len=FIELD_LEN + 2)
+    with pytest.raises(WireFormatError, match=r"\(8,\).*\(6,\)"):
+        columnize(ragged)
+    wide = make_steps(2)
+    wide[1].parameters = (1.5, -2.0, 3.0)
+    with pytest.raises(WireFormatError, match="3 parameters"):
+        columnize(wide)
 
 
 # ---------------------------------------------------------------- ColumnBatch
@@ -173,23 +186,9 @@ def test_column_insert_equals_record_insert(kind):
     np.testing.assert_array_equal(a.time_steps, b.time_steps)
 
 
-def test_store_migrates_to_object_rows_for_ragged_samples():
-    store = ColumnStore(4)
-    store.write_record(0, SampleRecord(np.ones(3), np.ones(2, np.float32), 0, 0))
-    assert not store.object_rows
-    # A row of a different width forces the object-rows migration; the dense
-    # row written before must survive it.
-    store.write_record(1, SampleRecord(np.ones(5), np.ones(2, np.float32), 0, 1))
-    assert store.object_rows
-    np.testing.assert_array_equal(store.record_at(0).inputs, np.ones(3))
-    np.testing.assert_array_equal(store.record_at(1).inputs, np.ones(5))
-    batch = store.gather(np.array([0, 1]))
-    assert not batch.is_dense
-    assert [row.shape for row in batch.inputs] == [(3,), (5,)]
-
-
-def test_record_at_copies_dense_rows_out():
+def test_record_at_copies_rows_out():
     store = ColumnStore(2)
+    store.ensure_columns((3,), (2,))
     store.write_record(0, SampleRecord(np.ones(3), np.ones(2, np.float32), 5, 9))
     record = store.record_at(0)
     assert record.key() == (5, 9)

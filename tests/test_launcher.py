@@ -8,7 +8,8 @@ import pytest
 
 from repro.client.simulation_client import SimulationClient
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
-from repro.parallel.messages import ClientFinished, TimeStepMessage
+from repro.buffers.columns import ColumnBatch
+from repro.parallel.messages import ClientFinished
 from repro.parallel.transport import MessageRouter
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 
@@ -46,12 +47,13 @@ def make_factory(router, num_steps=4, step_delay=0.0):
 
 
 def drain_time_steps(router, rank=0):
-    messages = []
+    """Everything queued for ``rank``: control messages and step chunks."""
+    items = []
     while True:
-        message = router.poll(rank, timeout=0.01)
-        if message is None:
-            return messages
-        messages.append(message)
+        polled = router.poll_batches(rank, timeout=0.01)
+        if not polled:
+            return items
+        items.extend(polled)
 
 
 def test_launcher_config_validation():
@@ -132,9 +134,13 @@ def test_launcher_restarts_failed_clients_and_server_side_dedup_possible():
     assert report.clients_completed == 3
     assert report.restarts == 1
     messages = drain_time_steps(router)
-    steps = [m for m in messages if isinstance(m, TimeStepMessage) and m.client_id == 1]
+    steps = [
+        step
+        for chunk in messages if isinstance(chunk, ColumnBatch)
+        for step in chunk.time_steps[chunk.source_ids == 1].tolist()
+    ]
     # With checkpointing, the restart resumes after the failure point: 4 unique steps.
-    assert sorted(m.time_step for m in steps) == [1, 2, 3, 4]
+    assert sorted(steps) == [1, 2, 3, 4]
 
 
 def test_launcher_gives_up_after_max_restarts():

@@ -45,7 +45,9 @@ def test_router_validation():
     with pytest.raises(ValueError):
         router.push(5, make_message())
     with pytest.raises(ValueError):
-        router.poll(-1)
+        router.poll_batches(-1)
+    with pytest.raises(ValueError):
+        router.poll_batches(0, max_messages=0)
 
 
 def test_round_robin_distribution_across_ranks():
@@ -71,9 +73,11 @@ def test_poll_returns_messages_in_order():
     connection = router.connect(0)
     for step in range(4):
         connection.send_to(1, make_message(step=step))
-    steps = [router.poll(1, timeout=None).time_step for _ in range(4)]
-    assert steps == [0, 1, 2, 3]
-    assert router.poll(1, timeout=0.01) is None
+    first, second = (router.poll_batches(1, max_messages=2, timeout=None) for _ in range(2))
+    assert [chunk.time_steps.tolist() for chunk in first + second] == [[0, 1], [2, 3]]
+    assert first[0].source_ids.tolist() == [0, 0]
+    np.testing.assert_array_equal(first[0].targets[1], np.arange(4, dtype=np.float32))
+    assert router.poll_batches(1, timeout=0.01) == []
 
 
 def test_broadcast_reaches_every_rank():
@@ -81,7 +85,7 @@ def test_broadcast_reaches_every_rank():
     connection = router.connect(5)
     connection.broadcast(ClientFinished(client_id=5, total_sent=10))
     for rank in range(3):
-        message = router.poll(rank, timeout=None)
+        (message,) = router.poll_batches(rank, timeout=None)
         assert isinstance(message, ClientFinished)
         assert message.client_id == 5
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.buffers import FIFOBuffer
+from repro.buffers.columns import ColumnBatch
 from repro.client.api import ClientAPI
 from repro.launcher.launcher import _fork_mp
 from repro.parallel.messages import ClientFinished, TimeStepMessage, WireFormatError
@@ -209,10 +210,12 @@ def test_finished_never_overtakes_ring_data(transport):
 
     received = []
     deadline = time.monotonic() + DEADLINE
-    while len(received) < 7 and time.monotonic() < deadline:
-        received.extend(transport.poll_many(0, max_messages=2, timeout=0.1))
-    assert [m.time_step for m in received[:6]] == list(range(6))
-    assert isinstance(received[-1], ClientFinished)
+    while not (received and isinstance(received[-1], ClientFinished)):
+        assert time.monotonic() < deadline, "finished marker never arrived"
+        received.extend(transport.poll_batches(0, max_messages=2, timeout=0.1))
+    chunks = received[:-1]  # the budget of 2 split the 6-step batch into 3 chunks
+    assert [len(chunk) for chunk in chunks] == [2, 2, 2]
+    assert np.concatenate([chunk.time_steps for chunk in chunks]).tolist() == list(range(6))
 
 
 def test_oversized_batches_split_and_oversized_message_raises():
@@ -223,11 +226,15 @@ def test_oversized_batches_split_and_oversized_message_raises():
         batch = [TimeStepMessage(client_id=0, time_step=step, payload=big) for step in range(4)]
         transport.push_many(0, batch)
         received = []
-        while len(received) < 4:
-            chunk = transport.poll_many(0, max_messages=8, timeout=1.0)
-            assert chunk, "split batch never arrived"
-            received.extend(chunk)
-        assert received == batch  # order and bytes survive the split
+        while sum(len(chunk) for chunk in received) < 4:
+            chunks = transport.poll_batches(0, max_messages=8, timeout=1.0)
+            assert chunks, "split batch never arrived"
+            received.extend(chunks)
+        # Order and bytes survive the split.
+        polled = ColumnBatch.concat(received)
+        assert polled.time_steps.tolist() == [0, 1, 2, 3]
+        assert polled.source_ids.tolist() == [0] * 4
+        np.testing.assert_array_equal(polled.targets, np.tile(big, (4, 1)))
 
         huge = TimeStepMessage(client_id=0, time_step=9, payload=np.arange(512, dtype=np.float32))
         with pytest.raises(WireFormatError, match="ring_slot_bytes"):
@@ -255,7 +262,8 @@ def test_slot_lease_connect_finish_recycles():
             transport.push(0, ClientFinished(client_id=client_id, total_sent=1))
             received = []
             while len(received) < 2:
-                received.extend(transport.poll_many(0, max_messages=8, timeout=1.0))
+                received.extend(transport.poll_batches(0, max_messages=8, timeout=1.0))
+            assert received[0].source_ids.tolist() == [client_id]
             assert isinstance(received[-1], ClientFinished)
             # Finished delivered on the only rank: the lease is recycled.
             assert transport._slot_of(client_id) is None
@@ -306,7 +314,7 @@ def test_slot_lease_killed_client_restart_reuses_its_lease(transport):
     drained: list = []
     deadline = time.monotonic() + DEADLINE
     while time.monotonic() < deadline:
-        chunk = transport.poll_many(0, max_messages=64, timeout=0.1)
+        chunk = transport.poll_batches(0, max_messages=64, timeout=0.1)
         drained.extend(chunk)
         if any(isinstance(m, ClientFinished) for m in chunk):
             break
@@ -329,8 +337,9 @@ def test_slot_lease_force_release_recycles_a_dead_clients_slot():
         transport.connect(8)  # no TimeoutError: the slot is free again
         # The dead client's undrained batch is still delivered (attribution
         # travels in the message, not the lease).
-        received = transport.poll_many(0, max_messages=8, timeout=1.0)
-        assert any(isinstance(m, TimeStepMessage) and m.client_id == 7 for m in received)
+        (chunk,) = transport.poll_batches(0, max_messages=8, timeout=1.0)
+        assert chunk.source_ids.tolist() == [7] and chunk.time_steps.tolist() == [0]
+        np.testing.assert_array_equal(chunk.targets[0], FIELD)
     finally:
         transport.shutdown()
 

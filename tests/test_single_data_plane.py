@@ -1,0 +1,162 @@
+"""One data plane: samples leave every transport as ``ColumnBatch`` chunks.
+
+``Transport.poll_batches`` is the one server-side drain.  On every backend —
+by reference (inproc), over a queue (mp), a ring (shm), a socket (tcp) and
+through the sharded front — it yields column chunks and control messages in
+arrival order and never a ``TimeStepMessage``; input whose widths disagree is
+rejected at the boundary (dropped and counted by the transport, refused with
+``ValueError`` by the buffer) instead of travelling further.  The aggregator
+thread reports a failure instead of dying silently.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.buffers import make_buffer
+from repro.buffers.columns import ColumnBatch, SampleRecord
+from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
+from repro.parallel.transport import TransportConfig, make_transport
+from repro.server.server import ServerConfig, TrainingServer
+from repro.server.sharding import HashRing, ShardedTransport
+
+FIELD_LEN = 6
+BACKENDS = ["inproc", "mp", "shm", "tcp", "sharded"]
+
+
+def make_steps(count, client_id=0, start=0, field_len=FIELD_LEN, parameters=(1.5, -2.0)):
+    return [
+        TimeStepMessage(
+            client_id=client_id,
+            time_step=start + index,
+            time_value=(start + index) * 0.5,
+            parameters=parameters,
+            payload=np.full(field_len, start + index, dtype=np.float32),
+            sequence_number=start + index,
+        )
+        for index in range(count)
+    ]
+
+
+@pytest.fixture(params=BACKENDS)
+def transport(request):
+    if request.param == "sharded":
+        shards = [make_transport("shm", 1, max_concurrent_clients=2) for _ in range(2)]
+        transport = ShardedTransport(shards, HashRing(2))
+    else:
+        transport = make_transport(request.param, 1, max_concurrent_clients=2)
+    yield transport
+    transport.shutdown()
+
+
+def endpoint_of(transport, client_id=0):
+    """The transport a client's batches enter: the owning shard behind the
+    sharded front, the transport itself otherwise."""
+    return transport.connect(client_id).transport
+
+
+def drain(transport, expected, max_messages=64):
+    """Poll until ``expected`` messages (a chunk counts its rows) arrived."""
+    items = []
+    deadline = time.monotonic() + 10.0
+    while sum(len(i) if isinstance(i, ColumnBatch) else 1 for i in items) < expected:
+        assert time.monotonic() < deadline, f"only got {items}"
+        polled = transport.poll_batches(0, max_messages=max_messages, timeout=0.1)
+        assert sum(len(i) if isinstance(i, ColumnBatch) else 1 for i in polled) <= max_messages
+        items.extend(polled)
+    return items
+
+
+def test_poll_batches_yields_only_chunks_and_control_messages(transport):
+    """Homogeneous runs, one mixed batch and a budget that splits a chunk."""
+    endpoint = endpoint_of(transport)
+    endpoint.push_many(0, make_steps(5))
+    endpoint.push_many(0, make_steps(4, start=5))
+    items = drain(transport, 9, max_messages=7)  # 7 < 9: some chunk is split
+    assert all(isinstance(item, ColumnBatch) for item in items)
+    assert max(len(item) for item in items) <= 7
+    polled = ColumnBatch.concat(items)
+    assert polled.time_steps.tolist() == list(range(9))
+    assert polled.source_ids.tolist() == [0] * 9
+    np.testing.assert_array_equal(polled.targets[:, 0], np.arange(9, dtype=np.float32))
+    np.testing.assert_array_equal(polled.inputs[3], [1.5, -2.0, 1.5])
+
+    # One mixed batch: the steps between two control messages still arrive
+    # as a chunk, in order (at the parent commit they came back per message).
+    mixed = [ClientHello(client_id=0), *make_steps(3, start=20), ClientFinished(client_id=0)]
+    endpoint.push_many(0, mixed)
+    items = drain(transport, 5)
+    assert not any(isinstance(item, TimeStepMessage) for item in items)
+    # The finished marker never overtakes the data; the hello rides shm's
+    # separate control queue, so only its presence is common to all backends.
+    assert sorted(type(item).__name__ for item in items) == [
+        "ClientFinished", "ClientHello", "ColumnBatch"]
+    assert isinstance(items[-1], ClientFinished)
+    (chunk,) = (item for item in items if isinstance(item, ColumnBatch))
+    assert chunk.time_steps.tolist() == [20, 21, 22]
+    assert transport.stats.dropped_messages == 0
+
+
+def test_ragged_run_is_dropped_and_counted_once(transport):
+    endpoint = endpoint_of(transport)
+    endpoint.push_many(0, make_steps(3) + make_steps(1, start=3, field_len=FIELD_LEN + 2))
+    deadline = time.monotonic() + 10.0
+    while transport.stats.dropped_messages == 0:
+        assert time.monotonic() < deadline, "the ragged run was never rejected"
+        assert transport.poll_batches(0, timeout=0.05) == []
+    # The well-formed batch behind the ragged one is delivered as usual.
+    endpoint.push_many(0, make_steps(2, start=10))
+    items = drain(transport, 2)
+    assert [type(item) for item in items] == [ColumnBatch]
+    assert items[0].time_steps.tolist() == [10, 11]
+    assert transport.stats.dropped_messages == 1
+    assert transport.poll_batches(0, timeout=0.05) == []
+
+
+@pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
+def test_width_mismatched_put_is_refused_before_anything_is_inserted(kind):
+    buffer = make_buffer(kind, capacity=16, threshold=0, seed=0)
+    narrow = ColumnBatch.from_records(
+        [SampleRecord(np.ones(3), np.ones(4, np.float32), 0, step) for step in range(2)]
+    )
+    wide = ColumnBatch.from_records(
+        [SampleRecord(np.ones(3), np.ones(6, np.float32), 1, step) for step in range(2)]
+    )
+    assert buffer.put_many(narrow) == 2
+    with pytest.raises(ValueError, match=r"\(6,\).*\(4,\)"):
+        buffer.put_many(wide)
+    with pytest.raises(ValueError, match=r"\(6,\).*\(4,\)"):
+        buffer.put(SampleRecord(np.ones(3), np.ones(6, np.float32), 1, 0))
+    assert len(buffer) == buffer.total_put == 2  # the policy state is untouched
+    buffer.signal_reception_over()
+    assert buffer.get_batch_columns(4, timeout=1.0).targets.shape == (2, 4)
+
+
+def test_aggregator_failure_ends_the_server_run_with_its_cause(tiny_surrogate_case):
+    """A chunk the buffer refuses kills the aggregator; ``run`` must raise
+    the original error promptly instead of timing out on an empty buffer."""
+    case = tiny_surrogate_case
+    transport = make_transport(TransportConfig(), 1)
+    server = TrainingServer(
+        ServerConfig(buffer_kind="fifo", buffer_capacity=64, buffer_threshold=0,
+                     expected_clients=1),
+        model_factory=case.model_factory,
+        router=transport,
+    )
+    parameters = (300.0,) * (case.input_size - 1)
+    # The hello separates the two runs, so each is a well-formed chunk and
+    # the second one reaches the buffer with the wrong target width.
+    transport.push_many(0, [
+        *make_steps(4, field_len=case.field_size, parameters=parameters),
+        ClientHello(client_id=1),
+        *make_steps(2, client_id=1, field_len=case.field_size + 1, parameters=parameters),
+    ])
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="aggregator of server rank 0") as failure:
+        server.run()
+    assert time.monotonic() - began < 5.0
+    assert isinstance(failure.value.__cause__, ValueError)
+    assert "do not match the buffer's columns" in str(failure.value.__cause__)
+    assert server.aggregators[0].error is failure.value.__cause__
+

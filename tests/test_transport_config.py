@@ -1,13 +1,10 @@
-"""The consolidated TransportConfig API and its legacy flat-field aliases.
+"""The consolidated TransportConfig API.
 
-Pins the ISSUE's compatibility contract: the deprecated flat knobs of
-``OnlineStudyConfig`` and the typed ``TransportConfig`` spelling must
-produce *identical* resolved configurations, the backend registry must
-drive ``make_transport``, and the ring geometry defaults must come from one
-place (``repro.utils.constants``).
+Pins the configuration contract: ``OnlineStudyConfig`` carries exactly one
+typed ``TransportConfig`` (the flat ``transport_*``/``ring_*`` aliases are
+gone), the backend registry drives ``make_transport``, and the ring geometry
+defaults come from one place (``repro.utils.constants``).
 """
-
-import warnings
 
 import pytest
 
@@ -26,61 +23,48 @@ from repro.utils.constants import DEFAULT_RING_SLOT_BYTES, DEFAULT_RING_SLOTS
 from repro.utils.exceptions import ConfigurationError
 
 
-# ------------------------------------------------------------- equivalence
-def test_flat_fields_and_transport_config_resolve_identically():
-    typed = OnlineStudyConfig(
-        transport=TransportConfig(
-            backend="shm",
-            batch_size=6,
-            queue_size=512,
-            process_timeout=30.0,
-            heartbeat_timeout=5.0,
-            shm=ShmOptions(ring_slots=8, ring_slot_bytes=4096),
-        )
+# ----------------------------------------------------------- normalisation
+def test_study_config_carries_one_typed_transport_config():
+    typed = TransportConfig(
+        backend="shm",
+        batch_size=6,
+        queue_size=512,
+        process_timeout=30.0,
+        heartbeat_timeout=5.0,
+        shm=ShmOptions(ring_slots=8, ring_slot_bytes=4096),
     )
-    with pytest.warns(DeprecationWarning, match="flat transport field"):
-        flat = OnlineStudyConfig(
-            transport="shm",
-            transport_batch_size=6,
-            transport_queue_size=512,
-            client_process_timeout=30.0,
-            client_heartbeat_timeout=5.0,
-            ring_slots=8,
-            ring_slot_bytes=4096,
-        )
-    assert flat.transport_config == typed.transport_config
-    # Both spellings collapse ``transport`` to the backend name and write the
-    # resolved values back to the flat aliases for legacy readers.
-    for cfg in (flat, typed):
-        assert cfg.transport == "shm"
-        assert cfg.transport_batch_size == 6
-        assert cfg.transport_queue_size == 512
-        assert cfg.ring_slots == 8
-        assert cfg.ring_slot_bytes == 4096
-        assert cfg.client_process_timeout == 30.0
-        assert cfg.client_heartbeat_timeout == 5.0
+    cfg = OnlineStudyConfig(transport=typed)
+    # ``transport`` collapses to the backend name; the knobs live on the
+    # typed object only.
+    assert cfg.transport == "shm"
+    assert cfg.transport_config == typed
+    for flat in ("transport_batch_size", "transport_queue_size", "ring_slots",
+                 "ring_slot_bytes", "client_process_timeout", "client_heartbeat_timeout"):
+        assert not hasattr(cfg, flat)
+        with pytest.raises(TypeError):
+            OnlineStudyConfig(transport="shm", **{flat: 4})
 
 
-def test_plain_backend_string_stays_silent_and_uses_defaults():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        cfg = OnlineStudyConfig(transport="inproc")
+def test_plain_backend_string_uses_defaults():
+    cfg = OnlineStudyConfig(transport="inproc")
     assert cfg.transport == "inproc"
     assert cfg.transport_config == TransportConfig()
-    assert cfg.transport_batch_size == 1
-    assert cfg.transport_queue_size == 100_000
-    assert cfg.client_heartbeat_timeout is None
+    assert cfg.transport_config.batch_size == 1
+    assert cfg.transport_config.queue_size == 100_000
+    assert cfg.transport_config.heartbeat_timeout is None
 
 
-def test_flat_overrides_on_top_of_typed_config():
-    cfg = TransportConfig(backend="tcp", tcp=TcpOptions(compression="zlib"))
-    resolved = TransportConfig.resolve(cfg, transport_batch_size=16, ring_slots=4)
+def test_shard_overrides_on_top_of_typed_config():
+    cfg = TransportConfig(backend="tcp", batch_size=16, tcp=TcpOptions(compression="zlib"))
+    resolved = TransportConfig.resolve(cfg, num_shards=2, hash_replicas=8)
     assert resolved.backend == "tcp"
+    assert resolved.shard.num_shards == 2 and resolved.shard.hash_replicas == 8
     assert resolved.batch_size == 16
-    assert resolved.shm.ring_slots == 4
     assert resolved.tcp.compression == "zlib"  # untouched nested options survive
     # No overrides: resolve returns the config unchanged.
     assert TransportConfig.resolve(cfg) is cfg
+    study = OnlineStudyConfig(transport=cfg, num_shards=2)
+    assert study.num_shards == study.transport_config.shard.num_shards == 2
 
 
 def test_client_mode_follows_backend():
@@ -168,5 +152,4 @@ def test_ring_geometry_defaults_have_one_source():
     assert options.ring_slots == DEFAULT_RING_SLOTS
     assert options.ring_slot_bytes == DEFAULT_RING_SLOT_BYTES
     cfg = OnlineStudyConfig()
-    assert cfg.ring_slots == DEFAULT_RING_SLOTS
-    assert cfg.ring_slot_bytes == DEFAULT_RING_SLOT_BYTES
+    assert cfg.transport_config.shm == options

@@ -18,8 +18,9 @@ import pytest
 from repro.buffers import FIFOBuffer
 from repro.client.api import ClientAPI
 from repro.launcher.launcher import _fork_mp
+from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
-from repro.parallel.messages import TimeStepMessage
+from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage, columnize
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import MessageRouter, RouterClosed
@@ -42,6 +43,18 @@ def stream_steps(transport, client_id, num_steps, step_delay=0.0, batch_size=1):
         if step_delay:
             time.sleep(step_delay)
     api.finalize_communication()
+
+
+def assert_chunks_carry(chunks, messages):
+    """The polled chunks, concatenated, hold exactly ``messages``: every
+    column matches the by-reference regrouping, dtype and bytes."""
+    assert all(isinstance(chunk, ColumnBatch) for chunk in chunks)
+    polled = ColumnBatch.concat(chunks)
+    (expected,) = columnize(messages)
+    for column in ("source_ids", "time_steps", "sequence_numbers", "inputs", "targets"):
+        got, want = getattr(polled, column), getattr(expected, column)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def wait_until(predicate, timeout=DEADLINE, interval=0.01):
@@ -169,7 +182,7 @@ def test_push_after_close_counts_dropped(backend):
         if backend == "tcp":
             # tcp accounts traffic at decode time in the server process, so
             # drain the delivered frame before sampling the counters.
-            assert wait_until(lambda: bool(transport.poll_many(0, timeout=0.1)), timeout=5.0)
+            assert wait_until(lambda: bool(transport.poll_batches(0, timeout=0.1)), timeout=5.0)
         transport.close()
         with pytest.raises(RouterClosed):
             connection.send_to(0, message)
@@ -291,48 +304,44 @@ def test_corrupt_batch_buffer_is_dropped_not_fatal(transport):
     received = []
     deadline = time.monotonic() + 5.0
     while len(received) < 1 and time.monotonic() < deadline:
-        received.extend(transport.poll_many(0, timeout=0.1))
-    assert received == [message]
+        received.extend(transport.poll_batches(0, timeout=0.1))
+    assert_chunks_carry(received, [message])
     assert transport.stats.dropped_messages == 1
 
 
 def test_buffered_records_do_not_pin_the_packed_batch(transport):
     """Aggregated samples never alias the wire buffer.
 
-    The transport's deserialisation copies the payload block **once**
-    (``unpack_many(..., copy_payloads=True)``); the aggregator then adopts
-    the resulting views without further copies, so every record of the chunk
-    shares one privately owned block — and none of them reference the packed
-    transport buffer, which can be released immediately.
+    The transport's decode copies the payload block **once** into the
+    chunk's targets matrix and the buffer copies the rows into its columns,
+    so a drawn batch is one privately owned block — and nothing references
+    the packed transport buffer, which can be released immediately.
     """
-    import numpy as np
-
-    from repro.parallel.messages import pack_many, unpack_many
+    from repro.parallel.messages import pack_many
 
     aggregator, buffer = make_aggregator(transport)
     wire_buffer = pack_many(
         [TimeStepMessage(client_id=0, time_step=step, payload=FIELD)
             for step in range(4)]
     )
-    batch = unpack_many(wire_buffer, copy_payloads=True)
-    aggregator._handle_many(batch)
+    aggregator._handle_items(transport._decode_packed(wire_buffer, 0))
     records = buffer.get_batch(4, timeout=1.0)
     assert len(records) == 4
     wire = np.frombuffer(wire_buffer, dtype=np.uint8)
     for record in records:
         assert not np.shares_memory(record.target, wire)
-    # One batched copy, not four: the records share a single adopted block.
+    # One gathered block, not four: the records are row views of it.
     block = records[0].target.base
     assert block is not None
     assert all(record.target.base is block for record in records)
 
 
-# ------------------------------------------------- columnar counter parity
-def test_columnar_drain_keeps_dedup_and_drop_counters_identical(transport):
-    """The vectorised dedup/liveness bookkeeping of the columnar path must
-    count exactly like the per-message loop: same duplicates_discarded, same
-    samples_received, same MessageLog totals, for the same resent stream."""
-    from repro.parallel.messages import pack_many, unpack_columns, unpack_many
+# ------------------------------------------------------ columnar dedup counters
+def test_columnar_drain_counts_a_resent_prefix(transport):
+    """The vectorised dedup/liveness bookkeeping counts one duplicate per
+    resent key: duplicates_discarded, samples_received and the MessageLog
+    totals for a stream whose prefix a restarted client resends."""
+    from repro.parallel.messages import pack_many, unpack_columns
 
     steps = [
         TimeStepMessage(client_id=0, time_step=step, time_value=step * 0.1,
@@ -340,25 +349,19 @@ def test_columnar_drain_keeps_dedup_and_drop_counters_identical(transport):
         for step in range(20)
     ]
     resent = steps[:12]  # a restarted client resends a prefix
-    per_record, _ = make_aggregator(transport)
-    columnar, _ = make_aggregator(transport)
+    aggregator, buffer = make_aggregator(transport)
+    aggregator._handle_items([unpack_columns(pack_many(steps))])
+    aggregator._handle_items([unpack_columns(pack_many(resent))])
 
-    per_record._handle_many(list(unpack_many(pack_many(steps), copy_payloads=True)))
-    per_record._handle_many(list(unpack_many(pack_many(resent), copy_payloads=True)))
-    columnar._handle_items([unpack_columns(pack_many(steps))])
-    columnar._handle_items([unpack_columns(pack_many(resent))])
-
-    assert columnar.stats.samples_received == per_record.stats.samples_received == 20
-    assert columnar.stats.duplicates_discarded == per_record.stats.duplicates_discarded == 12
-    assert columnar.stats.clients_seen == per_record.stats.clients_seen
-    assert (columnar.message_log.duplicates_discarded
-            == per_record.message_log.duplicates_discarded == 12)
-    assert columnar.message_log.state() == per_record.message_log.state()
+    assert aggregator.stats.samples_received == buffer.total_put == 20
+    assert aggregator.stats.duplicates_discarded == 12
+    assert aggregator.stats.clients_seen == {0}
+    assert aggregator.message_log.duplicates_discarded == 12
 
 
 def test_columnar_drain_counts_partial_duplicates_per_key(transport):
-    """A chunk mixing new and duplicate keys splits exactly like the loop
-    (one duplicate counted per rejected key, the rest inserted)."""
+    """A chunk mixing new and duplicate keys is split per key (one duplicate
+    counted per rejected key, the rest inserted)."""
     from repro.parallel.messages import pack_many, unpack_columns
 
     aggregator, buffer = make_aggregator(transport)
@@ -383,15 +386,18 @@ def test_mp_round_trip_preserves_order_and_batches(transport):
 
     received = []
     while True:
-        chunk = transport.poll_many(0, max_messages=3, timeout=0.5)
-        if not chunk:
+        items = transport.poll_batches(0, max_messages=3, timeout=0.5)
+        if not items:
             break
-        assert len(chunk) <= 3  # poll budget respected across packed batches
-        received.extend(chunk)
-    # hello + 10 steps + finished, with time steps in send order.
-    assert len(received) == 12
-    steps = [m.time_step for m in received if isinstance(m, TimeStepMessage)]
-    assert steps == list(range(10))
+        # Poll budget respected across packed batches: a chunk counts its rows.
+        assert sum(len(i) if isinstance(i, ColumnBatch) else 1 for i in items) <= 3
+        received.extend(items)
+    # hello, 10 steps in send order (as chunks split by the budget), finished.
+    assert isinstance(received[0], ClientHello) and isinstance(received[-1], ClientFinished)
+    chunks = received[1:-1]
+    assert all(isinstance(chunk, ColumnBatch) for chunk in chunks)
+    assert np.concatenate([chunk.time_steps for chunk in chunks]).tolist() == list(range(10))
+    assert np.concatenate([chunk.source_ids for chunk in chunks]).tolist() == [3] * 10
     assert transport.stats.messages_routed == 12
     # Client-side batching moved 10 steps in ceil(10/4) packed buffers, so the
     # channel saw fewer puts than messages (control messages travel alone).
@@ -475,10 +481,10 @@ def test_tcp_torn_frame_counted_not_fatal(tcp_transport):
     connection.send_to(0, message)
     received = []
     assert wait_until(
-        lambda: bool(received) or bool(received.extend(transport.poll_many(0, timeout=0.1))),
+        lambda: bool(received) or bool(received.extend(transport.poll_batches(0, timeout=0.1))),
         timeout=5.0,
     )
-    assert received == [message]
+    assert_chunks_carry(received, [message])
     assert transport.stats.torn_batches == 1
     assert transport.stats.dropped_messages == 0
 
@@ -500,7 +506,7 @@ def test_tcp_protocol_violation_drops_connection(tcp_transport):
 @pytest.mark.parametrize("compression", [None, "zlib"])
 def test_tcp_round_trip_is_byte_identical(compression):
     """Messages survive the socket + optional compression byte-identically
-    (``TimeStepMessage.__eq__`` compares payload dtype and exact bytes)."""
+    (every polled column compared by dtype and exact values)."""
     transport = TcpTransport(1, compression=compression)
     try:
         connection = transport.connect(client_id=2, batch_size=8)
@@ -518,11 +524,11 @@ def test_tcp_round_trip_is_byte_identical(compression):
 
         received = []
         assert wait_until(
-            lambda: len(received) >= len(sent)
-            or bool(received.extend(transport.poll_many(0, max_messages=64, timeout=0.1))),
+            lambda: sum(len(chunk) for chunk in received) >= len(sent)
+            or bool(received.extend(transport.poll_batches(0, max_messages=64, timeout=0.1))),
             timeout=5.0,
         ), "messages never arrived"
-        assert received == sent
+        assert_chunks_carry(received, sent)
         if compression == "zlib":
             # The wire accounting reflects the compressed frame sizes.
             payload_bytes = sum(m.payload.nbytes for m in sent)

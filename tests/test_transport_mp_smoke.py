@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
+from repro.parallel.transport import TransportConfig
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def test_mp_study_trains_and_matches_inproc_sample_counts(smoke_scale):
 
     mp_result = run_online_with_buffer(
         "fifo", scale=smoke_scale, case=case, use_series=False,
-        transport="mp", transport_batch_size=4,
+        transport=TransportConfig(backend="mp", batch_size=4),
     )
     inproc_result = run_online_with_buffer(
         "fifo", scale=smoke_scale, case=case, use_series=False,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
+from repro.parallel.transport import ShmOptions, TransportConfig
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,10 @@ def test_shm_study_trains_and_matches_inproc_sample_counts(smoke_scale):
 
     shm_result = run_online_with_buffer(
         "fifo", scale=smoke_scale, case=case, use_series=False,
-        transport="shm", transport_batch_size=4,
-        ring_slots=8, ring_slot_bytes=16_384,
+        transport=TransportConfig(
+            backend="shm", batch_size=4,
+            shm=ShmOptions(ring_slots=8, ring_slot_bytes=16_384),
+        ),
     )
     inproc_result = run_online_with_buffer(
         "fifo", scale=smoke_scale, case=case, use_series=False,
@@ -82,8 +85,10 @@ def test_shm_study_with_more_simulations_than_ring_slots(smoke_scale):
 
     shm_result = run_online_with_buffer(
         "fifo", scale=scale, case=case, use_series=False,
-        transport="shm", transport_batch_size=4,
-        ring_slots=8, ring_slot_bytes=16_384,
+        transport=TransportConfig(
+            backend="shm", batch_size=4,
+            shm=ShmOptions(ring_slots=8, ring_slot_bytes=16_384),
+        ),
     )
     inproc_result = run_online_with_buffer(
         "fifo", scale=scale, case=case, use_series=False,

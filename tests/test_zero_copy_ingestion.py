@@ -5,18 +5,16 @@ Pins the copy-ownership contract end to end for the columnar data plane:
 aggregator hands the chunk to the buffer whose column store copies it exactly
 once more (the insert), and ``TrainingWorker._stack_batch`` passes a drawn
 :class:`ColumnBatch` to the forward pass **as-is** — its two matrices, no
-per-record objects, no copy at all.  The legacy per-record path (in-process
-object transports, ragged ensembles) keeps its original guarantees: shared
-per-chunk blocks, defensive copies for non-owning transports, and the
-``contiguous_rows`` zero-copy stacking fallback.
+per-record objects, no copy at all.
 """
 
 import numpy as np
+import pytest
 
 from repro.buffers import FIFOBuffer, FIROBuffer
-from repro.buffers.base import SampleRecord, contiguous_rows
+from repro.buffers.base import SampleRecord
 from repro.buffers.columns import ColumnBatch
-from repro.parallel.messages import TimeStepMessage, pack_many, unpack_columns, unpack_many
+from repro.parallel.messages import TimeStepMessage, pack_many, unpack_columns
 from repro.parallel.transport import MessageRouter
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import MessageLog
@@ -98,19 +96,6 @@ def test_record_views_share_the_batch_columns():
         np.testing.assert_array_equal(record.inputs, [1.0, 2.0, 3.0, index * 0.1])
 
 
-def test_aggregator_copies_defensively_when_transport_does_not_own_payloads():
-    buffer = FIFOBuffer(capacity=64)
-    aggregator = make_aggregator(buffer)
-    aggregator._adopt_payloads = False  # a backend handing out borrowed views
-    wire = pack_many(make_steps(4))
-    steps = unpack_many(wire)  # borrowed: views into ``wire``
-    aggregator._handle_many(list(steps))
-    records = buffer.get_batch(4, timeout=1.0)
-    wire_bytes = np.frombuffer(wire, dtype=np.uint8)
-    for record in records:
-        assert not np.shares_memory(record.target, wire_bytes)
-
-
 def test_dedup_and_control_bookkeeping_survive_the_columnar_path():
     buffer = FIFOBuffer(capacity=64)
     aggregator = make_aggregator(buffer)
@@ -122,78 +107,16 @@ def test_dedup_and_control_bookkeeping_survive_the_columnar_path():
     assert buffer.total_put == 6
 
 
-def test_mixed_parameter_lengths_fall_back_per_message():
-    buffer = FIFOBuffer(capacity=64)
-    aggregator = make_aggregator(buffer)
-    uneven = [
-        TimeStepMessage(
-            client_id=0,
-            time_step=0,
-            time_value=0.0,
-            parameters=(1.0,),
-            payload=np.ones(4, np.float32),
-        ),
-        TimeStepMessage(
-            client_id=1,
-            time_step=0,
-            time_value=1.0,
-            parameters=(1.0, 2.0),
-            payload=np.ones(4, np.float32),
-        ),
-    ]
-    assert unpack_columns(pack_many(uneven)) is None  # ragged: no dense chunk
-    aggregator._handle_many(uneven)
-    records = buffer.get_batch(2, timeout=1.0)
-    assert [record.inputs.shape for record in records] == [(2,), (3,)]
-
-
-# ---------------------------------------------------------- contiguous rows
-def test_contiguous_rows_detects_adjacent_views():
-    block = np.arange(40, dtype=np.float32)
-    rows = [block[index * 8 : (index + 1) * 8] for index in range(5)]
-    stacked = contiguous_rows(rows)
-    assert stacked is not None and stacked.shape == (5, 8)
-    assert np.shares_memory(stacked, block)
-
-
-def test_contiguous_rows_rejects_gaps_reorders_and_foreign_bases():
-    block = np.arange(64, dtype=np.float32)
-    assert contiguous_rows([block[0:8], block[8:16], block[24:32]]) is None  # gap
-    assert contiguous_rows([block[8:16], block[0:8]]) is None  # reordered
-    other = np.arange(8, dtype=np.float32)
-    assert contiguous_rows([block[0:8], other]) is None  # owns its data
-    assert contiguous_rows([np.arange(8, dtype=np.float32)]) is None  # no base
-
-
-def test_contiguous_rows_accepts_equal_but_not_identical_dtypes():
-    """Regression: the dtype guard must compare by equality, not identity.
-
-    Numpy dtypes are not interned — a view carrying a metadata-annotated
-    (but equal) float32 dtype fails an ``is`` comparison while describing
-    the exact same memory layout.  Such rows are adjacent and stackable.
-    """
-    block = np.arange(16, dtype=np.float32)
-    annotated = np.dtype("f4", metadata={"note": "same layout"})
-    rows = [block[0:8], block[8:16].view(annotated)]
-    assert rows[1].dtype is not rows[0].dtype  # identity differs ...
-    assert rows[1].dtype == rows[0].dtype  # ... equality does not
-    stacked = contiguous_rows(rows)
-    assert stacked is not None and stacked.shape == (2, 8)
-    assert np.shares_memory(stacked, block)
-
-
 # -------------------------------------------------------------- stack batch
 def _worker_stub():
     from repro.server.trainer import TrainerConfig, TrainingWorker
 
     worker = TrainingWorker.__new__(TrainingWorker)
     worker.config = TrainerConfig(batch_size=4)
-    worker._batch_inputs = None
-    worker._batch_targets = None
     return worker
 
 
-def test_stack_batch_passes_dense_columns_through_untouched():
+def test_stack_batch_passes_columns_through_untouched():
     """A drawn ColumnBatch IS the stacked batch: identity, not just aliasing."""
     buffer = FIROBuffer(capacity=64, threshold=0, seed=3)
     aggregator = make_aggregator(buffer)
@@ -207,79 +130,23 @@ def test_stack_batch_passes_dense_columns_through_untouched():
     assert inputs.shape == (4, 4) and targets.shape == (4, FIELD_LEN)
 
 
-def test_stack_batch_is_zero_copy_for_arrival_ordered_records():
-    buffer = FIFOBuffer(capacity=64)
-    aggregator = make_aggregator(buffer)
-    aggregator._handle_items([unpack_columns(pack_many(make_steps(8)))])
-    batch = buffer.get_batch(4, timeout=1.0)  # records: row views, in order
-
-    worker = _worker_stub()
-    inputs, targets = worker._stack_batch(batch)
-    assert np.shares_memory(targets, batch[0].target)  # no copy happened
-    assert np.shares_memory(inputs, batch[0].inputs)
-    assert inputs.shape == (4, 4) and targets.shape == (4, FIELD_LEN)
-
-
-def test_stack_batch_falls_back_to_staging_copy_for_foreign_records():
-    steps = make_steps(8)
-    records = [
-        SampleRecord(
-            inputs=np.asarray([*m.parameters, m.time_value], dtype=np.float32),
-            target=np.array(m.payload),  # owns its data: staging path
-            source_id=m.client_id,
-            time_step=m.time_step,
-        )
-        for m in steps
-    ][:4]
-    worker = _worker_stub()
-    inputs, targets = worker._stack_batch(records)
-    assert inputs.base is worker._batch_inputs  # staged, not viewed
-    assert inputs.shape == (4, 4) and targets.shape == (4, FIELD_LEN)
-    for row, record in zip(range(4), records, strict=True):
-        np.testing.assert_array_equal(targets[row], record.target)
-        np.testing.assert_array_equal(inputs[row], record.inputs)
-
-
-def test_stack_batch_results_identical_between_columnar_and_staging_paths():
-    steps = make_steps(6)
-    records = [
-        SampleRecord(
-            inputs=np.asarray([*m.parameters, m.time_value], dtype=np.float32),
-            target=np.array(m.payload),
-            source_id=m.client_id,
-            time_step=m.time_step,
-        )
-        for m in steps
-    ]
-    staged_inputs, staged_targets = _worker_stub()._stack_batch(records)
-
-    buffer = FIFOBuffer(capacity=64)
-    aggregator = make_aggregator(buffer)
-    aggregator._handle_items([unpack_columns(pack_many(steps))])
-    columns = buffer.get_batch_columns(6, timeout=1.0)
-    fast_inputs, fast_targets = _worker_stub()._stack_batch(columns)
-
-    np.testing.assert_array_equal(staged_inputs, fast_inputs.astype(np.float32))
-    np.testing.assert_array_equal(staged_targets, fast_targets)
-
-
-def test_stack_batch_degrades_object_mode_columns_to_records():
-    ragged = ColumnBatch.from_records(
-        [
-            SampleRecord(np.ones(2, np.float32), np.ones(3, np.float32), 0, 0),
-            SampleRecord(np.ones(4, np.float32), np.ones(3, np.float32), 0, 1),
-        ]
-    )
-    assert not ragged.is_dense
-    worker = _worker_stub()
-    # Ragged inputs cannot stack into one matrix; targets still stage fine
-    # when shapes agree — exercised through the record fallback.
-    dense_targets = ColumnBatch.from_records(
+def test_record_lists_columnise_once_or_are_rejected():
+    """A record list enters the data plane through ``from_records``: matching
+    shapes become the two matrices, a ragged list is refused up front."""
+    batch = ColumnBatch.from_records(
         [
             SampleRecord(np.full(2, 5.0, np.float32), np.full(3, 7.0, np.float32), 0, 0),
             SampleRecord(np.full(2, 6.0, np.float32), np.full(3, 8.0, np.float32), 0, 1),
         ]
     )
-    inputs, targets = worker._stack_batch(dense_targets)
+    inputs, targets = _worker_stub()._stack_batch(batch)
     assert inputs.shape == (2, 2) and targets.shape == (2, 3)
+    assert inputs.dtype == np.float64 and targets.dtype == np.float32
     np.testing.assert_array_equal(inputs[1], [6.0, 6.0])
+    with pytest.raises(ValueError, match=r"\(4,\).*\(2,\)"):
+        ColumnBatch.from_records(
+            [
+                SampleRecord(np.ones(2, np.float32), np.ones(3, np.float32), 0, 0),
+                SampleRecord(np.ones(4, np.float32), np.ones(3, np.float32), 0, 1),
+            ]
+        )
