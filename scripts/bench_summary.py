@@ -7,7 +7,7 @@ and fails the benchmark job when any speedup regresses by more than the
 tolerance against the committed trajectory baseline:
 
     python scripts/bench_summary.py bench_report.json \\
-        --baseline BENCH_PR8.json >> "$GITHUB_STEP_SUMMARY"
+        --baseline BENCH_PR13.json >> "$GITHUB_STEP_SUMMARY"
 
 The gate compares *speedups* (ratios of two timings from the same run), not
 absolute rates: ratios stay comparable across runner generations where
@@ -134,7 +134,7 @@ def main(argv: list) -> int:
         "--baseline",
         type=Path,
         default=None,
-        help="committed trajectory JSON to gate against (e.g. BENCH_PR8.json)",
+        help="committed trajectory JSON to gate against (e.g. BENCH_PR13.json)",
     )
     parser.add_argument(
         "--tolerance",

@@ -21,6 +21,7 @@ class Sequential(Module):
     def append(self, module: Module) -> "Sequential":
         """Append a module and return self (builder style)."""
         self.layers.append(module)
+        self._span = None  # the cached flat span predates the new layer's parameters
         return self
 
     def __len__(self) -> int:

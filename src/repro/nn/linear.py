@@ -65,10 +65,17 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected input of size {self.in_features}, got {inputs.shape[-1]}"
             )
+        weight = self.weight.data
+        if inputs.dtype != weight.dtype and inputs.dtype.kind == "f":
+            # The model boundary: float64 wire parameters enter a float32 model
+            # here, once, as a (batch, in_features) array.  Without the cast the
+            # GEMM would promote, re-casting the whole weight matrix on every
+            # forward and backward call and making every later layer float64.
+            inputs = inputs.astype(weight.dtype)
         self._cached_input = inputs
-        output = inputs @ self.weight.data
+        output = inputs @ weight
         if self.has_bias:
-            output = output + self.bias.data
+            output += self.bias.data
         return output
 
     def backward(self, grad_output: Array) -> Array:
@@ -82,6 +89,9 @@ class Linear(Module):
         if self.has_bias:
             self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data.T
+
+    def clear_cache(self) -> None:
+        self._cached_input = None
 
     def extra_repr(self) -> str:
         return f"in={self.in_features}, out={self.out_features}, bias={self.has_bias}"

@@ -24,6 +24,10 @@ class Loss:
     def __call__(self, predictions: Array, targets: Array) -> float:
         return self.forward(predictions, targets)
 
+    def clear_cache(self) -> None:
+        """Forget the residual of the last ``forward`` (nothing to back-propagate)."""
+        self._diff = None
+
     @staticmethod
     def _validate(predictions: Array, targets: Array) -> tuple[Array, Array]:
         predictions = np.asarray(predictions)
@@ -44,13 +48,22 @@ class MSELoss(Loss):
 
     def forward(self, predictions: Array, targets: Array) -> float:
         predictions, targets = self._validate(predictions, targets)
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
+        diff = self._diff = predictions - targets
+        flat = diff.reshape(-1)
+        # A dot product of the residual with itself: no squared temporary.
+        return float(np.dot(flat, flat) / flat.size)
 
     def backward(self) -> Array:
+        """Gradient with respect to the predictions of the last ``forward``.
+
+        The residual the loss owns is scaled in place and handed to the caller,
+        so each ``forward`` supports one ``backward``.
+        """
         if self._diff is None:
             raise RuntimeError("backward called before forward on MSELoss")
-        return 2.0 * self._diff / self._diff.size
+        grad, self._diff = self._diff, None
+        grad *= 2.0 / grad.size
+        return grad
 
 
 class L1Loss(Loss):

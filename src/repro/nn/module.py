@@ -9,9 +9,11 @@ with respect to the module input.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.nn.arena import ParameterArena
 
 Array = np.ndarray
 
@@ -27,14 +29,20 @@ class Parameter:
         via :meth:`Module.astype`.
     name:
         Optional human-readable name, filled by :meth:`Module.named_parameters`.
+
+    Once an optimizer or a flat-vector operation of :class:`Module` has placed
+    the parameter in a :class:`~repro.nn.arena.ParameterArena`, ``data`` and
+    ``grad`` are views into the arena's flat buffers and must only be written
+    in place (``param.data[...] = value``), never rebound.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad", "name", "arena")
 
     def __init__(self, data: Array, name: str = "") -> None:
         self.data = np.asarray(data)
         self.grad = np.zeros_like(self.data)
         self.name = name
+        self.arena: Optional[ParameterArena] = None
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -53,9 +61,17 @@ class Parameter:
         self.grad[...] = 0.0
 
     def astype(self, dtype: np.dtype) -> None:
-        """Convert data and gradient to ``dtype`` in place."""
+        """Convert data and gradient to ``dtype``.
+
+        A real conversion moves the parameter out of its arena (the arena's
+        buffers keep the old dtype), so an optimizer built before the
+        conversion detects it at its next ``step`` and must be rebuilt.
+        """
+        if self.data.dtype == dtype:
+            return
         self.data = self.data.astype(dtype)
         self.grad = self.grad.astype(dtype)
+        self.arena = None
 
     def copy_(self, other: "Parameter") -> None:
         """Copy the values of ``other`` into this parameter."""
@@ -76,6 +92,12 @@ class Module:
     and sub-modules as attributes of type :class:`Module`; both are discovered
     automatically by :meth:`parameters` and :meth:`named_parameters`.
     """
+
+    #: ``(arena, start, stop)`` of this tree's parameters, resolved on first use
+    #: by :meth:`_flat_span` so that the per-batch flat operations never walk
+    #: the module tree.  A class-level default keeps sub-classes that skip
+    #: ``super().__init__()`` working.
+    _span: Optional[Tuple[ParameterArena, int, int]] = None
 
     def __init__(self) -> None:
         self.training = True
@@ -153,40 +175,66 @@ class Module:
         """Switch to evaluation mode recursively."""
         return self.train(False)
 
+    def clear_cache(self) -> None:
+        """Forget what the last ``forward`` cached for ``backward``, recursively.
+
+        Layers that pin a batch-sized array override this; call it after a
+        forward pass that will not be followed by a backward pass.
+        """
+        for _, child in self.named_children():
+            child.clear_cache()
+
     def zero_grad(self) -> None:
-        """Zero every parameter gradient of the module tree."""
-        for param in self.parameters():
-            param.zero_grad()
+        """Zero every parameter gradient of the module tree (one fill)."""
+        self.flat_gradients().fill(0.0)
 
     def astype(self, dtype: np.dtype) -> "Module":
-        """Convert every parameter to ``dtype`` in place and return self."""
+        """Convert every parameter to ``dtype`` and return self.
+
+        Converted parameters leave their arena (see :meth:`Parameter.astype`):
+        build optimizers after the conversion, not before.
+        """
         for param in self.parameters():
             param.astype(dtype)
         return self
 
-    # -------------------------------------------------------------- gradients
+    # ------------------------------------------------------------ flat views
+    def _flat_span(self) -> Tuple[ParameterArena, int, int]:
+        """Arena and bounds of this tree's parameters, cached while the arena is intact.
+
+        The module tree is walked only when the cache is empty or its arena was
+        detached (``astype``, or an arena built over another parameter list);
+        the parameters that were found then stay the tree's parameters, the
+        same contract an optimizer has with the list it was given.
+        """
+        span = self._span
+        if span is None or span[0].detached() is not None:
+            span = self._span = ParameterArena.span_of(self.parameters())
+        return span
+
+    def flat_parameters(self) -> Array:
+        """Every parameter value as one 1-D vector: a writable view, not a copy."""
+        arena, start, stop = self._flat_span()
+        return arena.data[start:stop]
+
     def gradients(self) -> List[Array]:
         """List of gradient arrays, aligned with :meth:`parameters`."""
         return [param.grad for param in self.parameters()]
 
     def flat_gradients(self) -> Array:
-        """All gradients concatenated into a single 1-D vector."""
-        grads = self.gradients()
-        if not grads:
-            return np.zeros(0)
-        return np.concatenate([g.ravel() for g in grads])
+        """Every gradient as one 1-D vector: a writable view, not a copy."""
+        arena, start, stop = self._flat_span()
+        return arena.grad[start:stop]
 
     def set_flat_gradients(self, flat: Array) -> None:
-        """Scatter a flat gradient vector back into per-parameter buffers."""
-        offset = 0
-        for param in self.parameters():
-            count = param.size
-            param.grad[...] = flat[offset : offset + count].reshape(param.shape)
-            offset += count
-        if offset != flat.size:
+        """Overwrite every gradient from a flat vector (one copy into the view)."""
+        flat = np.asarray(flat)
+        own = self.flat_gradients()
+        if flat.shape != own.shape:
             raise ValueError(
-                f"flat gradient has {flat.size} entries but model needs {offset}"
+                f"flat gradient has {flat.size} entries but model needs {own.size}"
             )
+        own[...] = flat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         children = ", ".join(name for name, _ in self.named_children())

@@ -1,25 +1,50 @@
 """Gradient-descent optimizers.
 
 The paper trains with Adam (initial learning rate 1e-3); SGD with momentum,
-RMSProp and AdamW are provided for the baselines and ablations.  Optimizers
-operate in place on :class:`repro.nn.module.Parameter` objects and expose a
-``state_dict``/``load_state_dict`` pair so that server checkpointing
-(:mod:`repro.server.checkpointing`) can capture the full training state.
+RMSProp and AdamW are provided for the baselines and ablations.
+
+Every optimizer works on the flat vectors of a
+:class:`repro.nn.arena.ParameterArena`: constructing one places its parameters
+in an arena (sharing the model's when there is one), the per-slot state
+(moments, velocity) is flat too, and ``step`` is a fixed sequence of in-place
+ufuncs over those vectors — no per-parameter loop and no parameter-sized
+temporary.  ``state_dict``/``load_state_dict`` keep the per-parameter list
+format so that server checkpointing (:mod:`repro.server.checkpointing`) and
+checkpoints written before the arena existed load unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.nn.arena import ParameterArena
 from repro.nn.module import Parameter
 
 Array = np.ndarray
 
 
+#: Elements updated per pass of ``step``.  The update is a dozen element-wise
+#: passes over five vectors; in blocks this size every pass after the first
+#: hits cache instead of streaming the whole model from memory each time.
+_BLOCK = 65_536
+
+
+def _l2_decayed(grad: Array, data: Array, decay: float, out: Array) -> Array:
+    """Classic (L2) weight decay folded into the gradient: ``grad + decay * data`` in ``out``."""
+    np.multiply(data, decay, out=out)
+    out += grad
+    return out
+
+
 class Optimizer:
-    """Base optimizer over a list of parameters."""
+    """Base optimizer over a list of parameters.
+
+    Sub-classes allocate their flat state with :meth:`_state_vector`, call
+    :meth:`_bind_blocks` once with it, and write ``step`` as a loop over the
+    bound blocks.
+    """
 
     def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
         if lr <= 0:
@@ -29,17 +54,86 @@ class Optimizer:
             raise ValueError("optimizer received no parameters")
         self.lr = float(lr)
         self.step_count = 0
+        self._state: Tuple[Array, ...] = ()
+        self._blocks: List[Tuple[Array, ...]] = []
+        self._attach(ParameterArena.span_of(self.parameters))
+
+    # ----------------------------------------------------------------- arena
+    def _attach(self, span: Tuple[ParameterArena, int, int]) -> None:
+        self._arena, start, stop = span
+        self._data = self._arena.data[start:stop]
+        self._grad = self._arena.grad[start:stop]
+
+    def _state_vector(self) -> Array:
+        """A zeroed flat buffer aligned with the managed parameters."""
+        return np.zeros_like(self._data)
+
+    def _bind_blocks(self, *state: Array) -> None:
+        """Precompute, per block, views of ``(data, grad, *state, scratch, scratch)``."""
+        self._state = state
+        size = self._data.size
+        scratch = np.empty((2, min(size, _BLOCK)), dtype=self._data.dtype)
+        self._blocks = []
+        for start in range(0, size, _BLOCK):
+            block = slice(start, min(start + _BLOCK, size))
+            width = block.stop - block.start
+            self._blocks.append(
+                (self._data[block], self._grad[block])
+                + tuple(vector[block] for vector in state)
+                + (scratch[0, :width], scratch[1, :width])
+            )
+
+    def _follow_parameters(self) -> None:
+        """Make sure ``_data`` / ``_grad`` still are the buffers the layers read.
+
+        When the parameters were moved, as a block, into another arena of the
+        same dtype (the model's first flat operation re-homes parameters an
+        optimizer over a sub-list had placed), the optimizer follows them.
+        Anything else — ``astype``, a differently ordered list, a rebound
+        ``data`` — would train detached copies, so it is an error.
+        """
+        stray = self._arena.detached()
+        if stray is not None:
+            span = ParameterArena.find_span(self.parameters)
+            if span is None or span[0].data.dtype != self._data.dtype:
+                raise RuntimeError(
+                    f"parameter {stray.name!r} no longer lives in this optimizer's arena: it "
+                    "was converted with astype(), rebound, or re-homed by an arena built over "
+                    "a differently ordered parameter list after the optimizer was created; "
+                    "build the optimizer last"
+                )
+            self._attach(span)
+            self._bind_blocks(*self._state)
+
+    def _begin_step(self) -> None:
+        self._follow_parameters()
+        self.step_count += 1
 
     def step(self) -> None:
         """Apply one update using the gradients currently stored in the parameters."""
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        """Zero the gradients of every managed parameter."""
-        for param in self.parameters:
-            param.zero_grad()
+        """Zero the gradients of every managed parameter (one fill)."""
+        self._follow_parameters()
+        self._grad.fill(0.0)
 
     # ------------------------------------------------------------------ state
+    def _split(self, vector: Array) -> List[Array]:
+        """Copy a flat state vector out as one array per parameter (checkpoint format)."""
+        arrays, start = [], 0
+        for param in self.parameters:
+            arrays.append(vector[start : start + param.size].reshape(param.shape).copy())
+            start += param.size
+        return arrays
+
+    def _join(self, vector: Array, saved: Sequence[Array]) -> None:
+        """Load a per-parameter list written by :meth:`_split` into a flat state vector."""
+        start = 0
+        for param, array in zip(self.parameters, saved, strict=True):
+            vector[start : start + param.size].reshape(param.shape)[...] = array
+            start += param.size
+
     def state_dict(self) -> Dict[str, object]:
         """Serializable optimizer state (hyper-parameters + per-slot buffers)."""
         return {"lr": self.lr, "step_count": self.step_count}
@@ -69,21 +163,27 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
         self.nesterov = bool(nesterov)
         self.weight_decay = float(weight_decay)
-        self._velocity: List[Array] = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = self._state_vector()
+        self._bind_blocks(self._velocity)
 
     def step(self) -> None:
-        self.step_count += 1
-        for param, velocity in zip(self.parameters, self._velocity, strict=True):
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
+        self._begin_step()
+        lr, momentum, decay = self.lr, self.momentum, self.weight_decay
+        for data, grad, velocity, update, decayed in self._blocks:
+            if decay:
+                grad = _l2_decayed(grad, data, decay, out=decayed)
+            if momentum:
+                velocity *= momentum
                 velocity += grad
-                update = grad + self.momentum * velocity if self.nesterov else velocity
+                if self.nesterov:
+                    np.multiply(velocity, momentum, out=update)
+                    update += grad
+                    update *= lr
+                else:
+                    np.multiply(velocity, lr, out=update)
             else:
-                update = grad
-            param.data -= self.lr * update
+                np.multiply(grad, lr, out=update)
+            data -= update
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()
@@ -91,7 +191,7 @@ class SGD(Optimizer):
             momentum=self.momentum,
             nesterov=self.nesterov,
             weight_decay=self.weight_decay,
-            velocity=[v.copy() for v in self._velocity],
+            velocity=self._split(self._velocity),
         )
         return state
 
@@ -100,9 +200,7 @@ class SGD(Optimizer):
         self.momentum = float(state["momentum"])
         self.nesterov = bool(state["nesterov"])
         self.weight_decay = float(state["weight_decay"])
-        velocity = state["velocity"]
-        for buf, saved in zip(self._velocity, velocity, strict=True):
-            buf[...] = saved
+        self._join(self._velocity, state["velocity"])
 
 
 class RMSProp(Optimizer):
@@ -122,17 +220,24 @@ class RMSProp(Optimizer):
         self.alpha = float(alpha)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self._square_avg: List[Array] = [np.zeros_like(p.data) for p in self.parameters]
+        self._square_avg = self._state_vector()
+        self._bind_blocks(self._square_avg)
 
     def step(self) -> None:
-        self.step_count += 1
-        for param, square_avg in zip(self.parameters, self._square_avg, strict=True):
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            square_avg *= self.alpha
-            square_avg += (1.0 - self.alpha) * grad**2
-            param.data -= self.lr * grad / (np.sqrt(square_avg) + self.eps)
+        self._begin_step()
+        lr, alpha, eps, decay = self.lr, self.alpha, self.eps, self.weight_decay
+        for data, grad, square_avg, update, decayed in self._blocks:
+            if decay:
+                grad = _l2_decayed(grad, data, decay, out=decayed)
+            square_avg *= alpha
+            np.multiply(grad, grad, out=update)
+            update *= 1.0 - alpha
+            square_avg += update
+            np.sqrt(square_avg, out=update)
+            update += eps
+            np.divide(grad, update, out=update)
+            update *= lr
+            data -= update
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()
@@ -140,7 +245,7 @@ class RMSProp(Optimizer):
             alpha=self.alpha,
             eps=self.eps,
             weight_decay=self.weight_decay,
-            square_avg=[s.copy() for s in self._square_avg],
+            square_avg=self._split(self._square_avg),
         )
         return state
 
@@ -149,12 +254,15 @@ class RMSProp(Optimizer):
         self.alpha = float(state["alpha"])
         self.eps = float(state["eps"])
         self.weight_decay = float(state["weight_decay"])
-        for buf, saved in zip(self._square_avg, state["square_avg"], strict=True):
-            buf[...] = saved
+        self._join(self._square_avg, state["square_avg"])
 
 
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba) with bias-corrected moment estimates."""
+
+    #: Classic (L2) weight decay is folded into the gradient; :class:`AdamW`
+    #: decouples it and shrinks the weights directly.
+    _decoupled_decay = False
 
     def __init__(
         self,
@@ -172,31 +280,36 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self._m: List[Array] = [np.zeros_like(p.data) for p in self.parameters]
-        self._v: List[Array] = [np.zeros_like(p.data) for p in self.parameters]
-
-    def _apply_weight_decay(self, param: Parameter, grad: Array) -> Array:
-        # Classic (L2) weight decay folded into the gradient.
-        if self.weight_decay:
-            return grad + self.weight_decay * param.data
-        return grad
+        self._m = self._state_vector()
+        self._v = self._state_vector()
+        self._bind_blocks(self._m, self._v)
 
     def step(self) -> None:
-        self.step_count += 1
-        bias1 = 1.0 - self.beta1**self.step_count
-        bias2 = 1.0 - self.beta2**self.step_count
-        for param, m, v in zip(self.parameters, self._m, self._v, strict=True):
-            grad = self._apply_weight_decay(param, param.grad)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            self._update(param, m_hat, v_hat)
-
-    def _update(self, param: Parameter, m_hat: Array, v_hat: Array) -> None:
-        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._begin_step()
+        beta1, beta2, decay = self.beta1, self.beta2, self.weight_decay
+        # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with both bias
+        # corrections folded into two scalars so the block needs no m_hat/v_hat.
+        root_bias2 = (1.0 - beta2**self.step_count) ** 0.5
+        step_size = self.lr * root_bias2 / (1.0 - beta1**self.step_count)
+        eps = self.eps * root_bias2
+        for data, grad, m, v, update, decayed in self._blocks:
+            if decay:
+                if self._decoupled_decay:
+                    data *= 1.0 - self.lr * decay
+                else:
+                    grad = _l2_decayed(grad, data, decay, out=decayed)
+            m *= beta1
+            np.multiply(grad, 1.0 - beta1, out=update)
+            m += update
+            v *= beta2
+            np.multiply(grad, grad, out=update)
+            update *= 1.0 - beta2
+            v += update
+            np.sqrt(v, out=update)
+            update += eps
+            np.divide(m, update, out=update)
+            update *= step_size
+            data -= update
 
     def state_dict(self) -> Dict[str, object]:
         state = super().state_dict()
@@ -205,8 +318,8 @@ class Adam(Optimizer):
             beta2=self.beta2,
             eps=self.eps,
             weight_decay=self.weight_decay,
-            m=[m.copy() for m in self._m],
-            v=[v.copy() for v in self._v],
+            m=self._split(self._m),
+            v=self._split(self._v),
         )
         return state
 
@@ -216,23 +329,14 @@ class Adam(Optimizer):
         self.beta2 = float(state["beta2"])
         self.eps = float(state["eps"])
         self.weight_decay = float(state["weight_decay"])
-        for buf, saved in zip(self._m, state["m"], strict=True):
-            buf[...] = saved
-        for buf, saved in zip(self._v, state["v"], strict=True):
-            buf[...] = saved
+        self._join(self._m, state["m"])
+        self._join(self._v, state["v"])
 
 
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter)."""
 
-    def _apply_weight_decay(self, param: Parameter, grad: Array) -> Array:
-        # Decoupled: decay applied directly to the weights in _update.
-        return grad
-
-    def _update(self, param: Parameter, m_hat: Array, v_hat: Array) -> None:
-        if self.weight_decay:
-            param.data -= self.lr * self.weight_decay * param.data
-        super()._update(param, m_hat, v_hat)
+    _decoupled_decay = True
 
 
 _OPTIMIZERS = {

@@ -20,26 +20,29 @@ Array = np.ndarray
 
 
 def broadcast_parameters(model: Module, comm: ThreadCommunicator, root: int = 0) -> None:
-    """Copy the parameters of rank ``root``'s replica into every other replica."""
+    """Copy the parameters of rank ``root``'s replica into every other replica.
+
+    One broadcast of the model's flat parameter vector, not one per parameter.
+    """
     if comm.size == 1:
         return
-    for _, param in model.named_parameters():
-        value = tree_broadcast(comm, param.data if comm.rank == root else None, root=root)
-        if comm.rank != root:
-            param.data[...] = np.asarray(value, dtype=param.data.dtype)
+    flat = model.flat_parameters()
+    value = tree_broadcast(comm, flat if comm.rank == root else None, root=root)
+    if comm.rank != root:
+        flat[...] = value
 
 
 def sync_gradients(model: Module, comm: ThreadCommunicator, average: bool = True) -> None:
     """All-reduce (average) the gradients of every parameter across ranks.
 
-    Gradients are flattened into a single vector so one ring all-reduce per
-    batch suffices, which is also how production frameworks bucket gradients.
+    The model's gradients already are one flat vector (its arena's), so one
+    ring all-reduce per batch suffices — how production frameworks bucket
+    gradients — and the result is written straight back into that vector.
     """
     if comm.size == 1:
         return
     flat = model.flat_gradients()
-    reduced = ring_allreduce(comm, flat, average=average)
-    model.set_flat_gradients(reduced.astype(flat.dtype, copy=False))
+    flat[...] = ring_allreduce(comm, flat, average=average)
 
 
 def parameters_in_sync(model: Module, comm: ThreadCommunicator, atol: float = 1e-6) -> bool:
@@ -49,6 +52,6 @@ def parameters_in_sync(model: Module, comm: ThreadCommunicator, atol: float = 1e
     """
     if comm.size == 1:
         return True
-    flat = np.concatenate([p.data.ravel() for p in model.parameters()])
+    flat = model.flat_parameters()
     mean = ring_allreduce(comm, flat, average=True)
     return bool(np.allclose(flat, mean, atol=atol))

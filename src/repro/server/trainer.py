@@ -11,6 +11,7 @@ paper's termination condition applied to the data-parallel case.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -108,9 +109,7 @@ class TrainingWorker:
         if self.scheduler is not None:
             self.scheduler.step()
         if self.config.batch_compute_delay > 0:
-            import time as _time
-
-            _time.sleep(self.config.batch_compute_delay)
+            time.sleep(self.config.batch_compute_delay)
         return float(loss_value)
 
     def _collective_continue(self, have_data: bool) -> bool:

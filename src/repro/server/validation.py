@@ -87,6 +87,9 @@ class Validator:
             batch_loss = self.loss.forward(predictions, targets[start:stop])
             total += batch_loss * (stop - start)
             count += stop - start
+        # Evaluation never runs backward: do not keep its last batch alive.
+        model.clear_cache()
+        self.loss.clear_cache()
         if was_training:
             model.train()
         return total / count

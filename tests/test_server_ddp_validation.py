@@ -90,6 +90,38 @@ def test_ddp_training_equals_large_batch_training():
         assert np.allclose(ddp_states[1][key], value, atol=1e-8)
 
 
+def test_replicas_stay_bit_identical_over_20_synced_steps():
+    """Different start weights, different data per rank: after one flat broadcast
+    and 20 steps of in-place gradient all-reduce the replicas are the same bits."""
+    rng = np.random.default_rng(2)
+    inputs = rng.random((2, 20, 5, 4))
+    targets = rng.random((2, 20, 5, 2))
+
+    def main(comm):
+        model = make_model(seed=comm.rank).astype(np.float32)
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        loss = MSELoss()
+        broadcast_parameters(model, comm, root=0)
+        for step in range(20):
+            model.zero_grad()
+            loss.forward(
+                model.forward(inputs[comm.rank, step]),
+                targets[comm.rank, step].astype(np.float32),
+            )
+            model.backward(loss.backward())
+            gradients = model.flat_gradients()
+            sync_gradients(model, comm, average=True)
+            # reduced in place: still the arena's vector, still what the layers wrote into
+            assert np.shares_memory(gradients, model.parameters()[0].grad)
+            optimizer.step()
+        return model.flat_parameters().copy(), parameters_in_sync(model, comm, atol=0.0)
+
+    (flat0, sync0), (flat1, sync1) = run_spmd(2, main)
+    assert sync0 and sync1
+    assert flat0.dtype == np.float32 and flat0.tobytes() == flat1.tobytes()
+    assert not np.array_equal(flat0, make_model(seed=0).flat_parameters())  # it trained
+
+
 def test_parameters_in_sync_detects_divergence():
     def main(comm):
         model = make_model(seed=0)
