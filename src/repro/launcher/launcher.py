@@ -152,8 +152,8 @@ class LauncherConfig:
         How many times a failing client is restarted before giving up.
     client_mode:
         ``"thread"`` runs clients on the pool threads; ``"process"`` forks one
-        OS process per client attempt (required for real transport isolation,
-        selected automatically by studies using the ``"mp"`` transport).
+        OS process per client attempt (real transport isolation; a study takes
+        the mode from its backend's ``TransportConfig.client_mode``).
     process_join_timeout:
         In process mode, how long to wait for a client process before killing
         it and treating it as failed (``None`` waits forever).  This caps a

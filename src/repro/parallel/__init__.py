@@ -12,8 +12,8 @@ network) this package provides:
 * the :class:`Transport` layer — the ZeroMQ substitute carrying time steps
   from clients to the server's data-aggregator threads, with an in-process
   backend (:class:`MessageRouter`), a multi-process backend streaming packed
-  message batches (:class:`MultiprocessTransport`), a shared-memory
-  ring-buffer backend for the hot rank channels (:class:`ShmRingTransport`),
+  message batches (:class:`MultiprocessTransport`), a shared-memory backend
+  with one ordered ring per client and rank (:class:`ShmRingTransport`),
   a TCP backend streaming length-prefixed frames to the server's asyncio
   front door (:class:`TcpTransport`), and the packed batch wire format
   (:func:`pack_many` / :func:`unpack_many`).  Backends are selected through

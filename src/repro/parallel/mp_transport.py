@@ -12,6 +12,12 @@ Statistics live in shared memory (``multiprocessing.RawValue``/``RawArray``
 under one shared lock) so pushes performed inside client processes are
 visible to the server process that reports them.  The closed flag is a
 lock-free shared byte for the same reason.
+
+Both the queue's writer lock and the statistics lock are cross-process: a
+client SIGKILLed while holding either wedges every other pusher to that rank.
+That is this backend's known limitation; the ``shm`` backend
+(:mod:`repro.parallel.shm_ring`) shares nothing with it but
+:class:`_SharedFlag` and takes no lock on its push path.
 """
 
 from __future__ import annotations
@@ -134,9 +140,6 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
         self._scratch = threading.local()
 
     # ----------------------------------------------------------------- client
-    def push(self, rank: int, message: Message, timeout: float | None = None) -> None:
-        self.push_many(rank, [message], timeout=timeout)
-
     def _pack_batch(self, messages: List[Message]) -> bytes:
         """Pack ``messages`` through the thread's reusable scratch buffer."""
         plan = plan_many(messages)

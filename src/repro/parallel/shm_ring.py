@@ -1,18 +1,21 @@
-"""Shared-memory ring-buffer transport for the hot rank channels.
+"""Shared-memory ring-buffer transport: one ordered channel per client.
 
-PR 2's multi-process backend funnels every hot-path packed batch through
+PR 2's multi-process backend funnels every packed batch through a
 ``multiprocessing.Queue``: one pickle per buffer, a feeder thread per queue,
 two pipe syscalls per batch, and — the documented limitation — a
 cross-process writer *lock* that a client SIGKILLed exactly mid-``put`` can
 leave held forever, wedging every other pusher to that rank.
 
-This module replaces the hot channel with a fixed-capacity
+This module replaces that channel with a fixed-capacity
 **single-producer/single-consumer ring buffer** over
 ``multiprocessing.shared_memory``.  One ring exists per (ring slot,
 server-rank) pair — SPSC by construction, because a slot is leased by
 exactly one client at a time and a client streams to each rank from exactly
-one process — and carries the packed wire format of
-:mod:`repro.parallel.messages` written **in place**:
+one process — and carries **everything** that client sends to that rank, in
+send order, in the packed wire format of :mod:`repro.parallel.messages`
+written **in place**: hello, time steps, heartbeats, finished.  As in the
+paper's one-ZMQ-connection-per-rank design there is no side channel, so a
+control message can neither overtake nor be overtaken by the data around it.
 
 * Every ring slot holds one packed batch behind a 16-byte header: a
   **sequence word** doubling as the commit flag, and the batch length.
@@ -23,7 +26,8 @@ one process — and carries the packed wire format of
   shared ``writer_cursor``.  A SIGKILL at *any* point before the cursor
   store leaves the cursor unchanged, so the reader simply never observes
   the torn slot: **one batch is lost, nothing wedges**.  There are no
-  cross-process locks on the data path at all.
+  cross-process locks on the push path at all — traffic counters included:
+  they are writer-owned words of the ring header, summed at snapshot time.
 * The stale write-begin marker left behind by a killed writer is detected
   by the restarted writer when it reuses the slot (the marker equals the
   odd sequence it is about to write), counted in the ring's
@@ -43,20 +47,14 @@ one process — and carries the packed wire format of
 
 **Slot-table multiplexing**: the ring grid is sized by
 ``max_concurrent_clients`` — the launcher's concurrency bound — not by the
-ensemble size.  A client leases a ring slot at :meth:`connect` (or lazily on
-its first push) and the slot is recycled once every rank has delivered the
-client's ``ClientFinished``; a paper-scale ensemble of hundreds of
+ensemble size.  A client leases a ring slot at :meth:`connect` (or on its
+first push, by the same blocking path) and the slot is recycled once every
+rank's reader has decoded the client's ``ClientFinished`` out of the ring —
+the last thing the client wrote there; a paper-scale ensemble of hundreds of
 simulations therefore needs only as many rings as run concurrently.  The
 lease table lives in shared memory (owner and refcount words under one
-``mp.Lock``); leasing is a rare control-path operation, and the per-process
-slot cache keeps it off the hot push path.
-
-Control messages (hello/heartbeat/finished) stay on the bounded per-rank
-``mp.Queue`` of the parent class: they are rare, they are not on the
-throughput path, and the queue gives them multi-producer ordering for free.
-``ClientFinished`` is *deferred* server-side until the client's ring for that
-rank has drained, so the message that flips a buffer into drain mode can
-never overtake the data sent before it.
+``mp.Lock``); leasing is a rare operation, and the per-process slot cache
+keeps it off the push path.
 
 Cursors and slot headers are aligned 8-byte words written via ``memcpy``;
 CPython performs each store as a single aligned copy, which is atomic on
@@ -79,30 +77,37 @@ import multiprocessing as mp
 import os
 import queue
 import struct
+import threading
 import time
+from itertools import groupby
 from multiprocessing import shared_memory
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.parallel.messages import (
     BatchPlan,
     ClientFinished,
     Message,
-    TimeStepMessage,
     WireFormatError,
     plan_many,
 )
-from repro.parallel.mp_transport import MultiprocessTransport
-from repro.parallel.transport import Connection, RouterClosed, TransportStats
-from repro.utils.constants import DEFAULT_RING_SLOT_BYTES as _DEFAULT_RING_SLOT_BYTES
-from repro.utils.constants import DEFAULT_RING_SLOTS as _DEFAULT_RING_SLOTS
+from repro.parallel.mp_transport import _SharedFlag
+from repro.parallel.transport import (
+    Connection,
+    PackedDrainMixin,
+    RouterClosed,
+    Transport,
+    TransportStats,
+)
+from repro.utils.constants import DEFAULT_RING_SLOT_BYTES, DEFAULT_RING_SLOTS
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.shm_ring")
 
 RING_MAGIC = 0x52425546  # "RBUF"
-RING_VERSION = 1
+RING_VERSION = 2
 
-#: Ring header layout (64 bytes, one cache line).  All fields are 8-byte
+#: Ring header layout (128 bytes, two cache lines).  All fields are 8-byte
 #: aligned little-endian u64 words except the magic/version pair.
 _HDR_MAGIC = 0  # u32 magic, u16 version, u16 pad
 _HDR_NUM_SLOTS = 8
@@ -112,7 +117,12 @@ _HDR_READER_CURSOR = 32  # batches consumed (reader-owned)
 _HDR_WRITER_TORN = 40  # stale write-begin markers found by a restarted writer
 _HDR_READER_TORN = 48  # corrupt slot headers skipped by the reader
 _HDR_HIGH_WATER = 56  # max ring depth observed by the writer
-RING_HEADER_BYTES = 64
+# Traffic counters of the slot's successive lessees (writer-owned: exactly one
+# process writes a ring at a time, so a plain load+store needs no lock).
+_HDR_WRITER_MESSAGES = 64  # messages committed
+_HDR_WRITER_NBYTES = 72  # packed bytes committed
+_HDR_WRITER_DROPPED = 80  # messages a push gave up on (full ring, closed, oversized)
+RING_HEADER_BYTES = 128
 
 #: Slot header: sequence/commit word, then payload length.
 _SLOT_SEQ = 0
@@ -145,15 +155,9 @@ _SINGLE_CORE_PARK = 5e-4
 #: cheap).
 _FULL_RING_BACKOFF = 5e-4 if (os.cpu_count() or 1) > 1 else 1e-4
 
-# Ring geometry defaults live in ``repro.utils.constants`` (single source of
-# truth shared with the study config); the names stay re-exported here for
-# existing importers.
-DEFAULT_RING_SLOTS = _DEFAULT_RING_SLOTS
-DEFAULT_RING_SLOT_BYTES = _DEFAULT_RING_SLOT_BYTES
-
 #: How long a connecting client waits for a free ring-slot lease before
 #: giving up with an actionable error.  Leases free as soon as every rank
-#: has delivered the previous owner's ``ClientFinished``, so under a
+#: has decoded the previous owner's ``ClientFinished``, so under a
 #: correctly sized ``max_concurrent_clients`` the wait is milliseconds.
 DEFAULT_LEASE_TIMEOUT = 30.0
 
@@ -264,18 +268,25 @@ class ShmRing:
         payload_at = offset + SLOT_HEADER_BYTES
         return buf[payload_at : payload_at + length]
 
-    def commit_write(self, length: int) -> None:
-        """Publish the reserved slot: length, commit word, writer cursor."""
+    def commit_write(self, length: int, messages: int = 1) -> None:
+        """Publish the reserved slot: length, commit word, writer cursor.
+
+        The published batch of ``messages`` messages is then counted in the
+        writer-owned header words — plain load+store, no lock: a writer
+        killed in between leaves a counter one batch behind, never a held lock.
+        """
         writer, offset, reader = self._reserved
         self._reserved = None
         buf = self._buf
-        store = _U64.pack_into
+        load, store = _U64.unpack_from, _U64.pack_into
         store(buf, offset + _SLOT_LENGTH, length)
         store(buf, offset + _SLOT_SEQ, 2 * writer + 2)  # commit flag
         store(buf, _HDR_WRITER_CURSOR, writer + 1)
         depth = writer + 1 - reader
-        if depth > _U64.unpack_from(buf, _HDR_HIGH_WATER)[0]:
+        if depth > load(buf, _HDR_HIGH_WATER)[0]:
             store(buf, _HDR_HIGH_WATER, depth)
+        store(buf, _HDR_WRITER_MESSAGES, load(buf, _HDR_WRITER_MESSAGES)[0] + messages)
+        store(buf, _HDR_WRITER_NBYTES, load(buf, _HDR_WRITER_NBYTES)[0] + length)
 
     def abort_write(self) -> None:
         """Back out of a reservation (clears the write-begin marker)."""
@@ -283,6 +294,10 @@ class ShmRing:
             _writer, offset, _reader = self._reserved
             self._reserved = None
             self._store(offset + _SLOT_SEQ, 0)
+
+    def record_dropped(self, count: int) -> None:
+        """Count messages the writer gave up on (full ring, closed, oversized)."""
+        self._store(_HDR_WRITER_DROPPED, self._load(_HDR_WRITER_DROPPED) + count)
 
     def reserve(
         self,
@@ -419,21 +434,29 @@ class ShmRing:
         """Batches lost to a writer killed mid-write (plus defensive skips)."""
         return self._load(_HDR_WRITER_TORN) + self._load(_HDR_READER_TORN)
 
+    @property
+    def traffic(self) -> tuple:
+        """Writer-side ``(messages, bytes, dropped messages)`` counters."""
+        return (self._load(_HDR_WRITER_MESSAGES), self._load(_HDR_WRITER_NBYTES),
+                self._load(_HDR_WRITER_DROPPED))
+
     def release(self) -> None:
         """Drop the memoryview so the owning shared block can be closed."""
         self._buf.release()
 
 
-class ShmRingTransport(MultiprocessTransport):
-    """Multi-process transport whose hot rank channels are shared-memory rings.
+_by_client = attrgetter("client_id")
 
-    One :class:`ShmRing` per (ring slot, server-rank) pair carries the
-    packed time-step batches; the bounded per-rank ``mp.Queue`` of the
-    parent class is kept for control messages only (register/heartbeat/
-    finished), which are rare and need multi-producer ordering.  All rings
-    live in **one** shared-memory segment created by the server process and
-    inherited by the forked clients, so there is nothing to name, attach or
-    clean up per client.
+
+class ShmRingTransport(PackedDrainMixin, Transport):
+    """Multi-process transport: one shared-memory ring per client and rank.
+
+    One :class:`ShmRing` per (ring slot, server-rank) pair carries every
+    message its lessee sends to that rank — hello, time steps, heartbeats,
+    finished — as packed batches in send order; there is no other channel.
+    All rings live in **one** shared-memory segment created by the server
+    process and inherited by the forked clients, so there is nothing to
+    name, attach or clean up per client.
 
     Parameters
     ----------
@@ -441,14 +464,11 @@ class ShmRingTransport(MultiprocessTransport):
         Number of server ranks (one aggregator thread each).
     max_concurrent_clients:
         Size of the ring-slot table: how many clients can hold a ring lease
-        simultaneously.  A client leases a slot at :meth:`connect` (blocking
-        up to ``lease_timeout`` for one to free) or lazily on its first
-        push (non-blocking); the slot is recycled once every rank has
-        delivered the client's ``ClientFinished``.  Size it to the
-        launcher's concurrency bound — the ensemble size is irrelevant.
-        Messages from clients that hold no lease (and find no free slot)
-        fall back to the control queue, so the transport stays functional
-        for ad-hoc callers.
+        simultaneously.  A client leases a slot at :meth:`connect` or on its
+        first push, blocking up to ``lease_timeout`` for one to free; the
+        slot is recycled once every rank has decoded the client's
+        ``ClientFinished``.  Size it to the launcher's concurrency bound —
+        the ensemble size is irrelevant.
     ring_slots / ring_slot_bytes:
         Geometry of every ring: ``ring_slots`` batches of at most
         ``ring_slot_bytes`` packed bytes.  A batch that outgrows a slot is
@@ -460,19 +480,20 @@ class ShmRingTransport(MultiprocessTransport):
         self,
         num_server_ranks: int,
         max_concurrent_clients: int = 8,
-        max_queue_size: int = 10_000,
         ring_slots: int = DEFAULT_RING_SLOTS,
         ring_slot_bytes: int = DEFAULT_RING_SLOT_BYTES,
         spin_wait: float = DEFAULT_SPIN_WAIT,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     ) -> None:
-        super().__init__(num_server_ranks, max_queue_size=max_queue_size)
+        if num_server_ranks <= 0:
+            raise ValueError("num_server_ranks must be positive")
         if max_concurrent_clients <= 0:
             raise ValueError("max_concurrent_clients must be positive")
         if ring_slots <= 0:
             raise ValueError("ring_slots must be positive")
         if ring_slot_bytes <= 0:
             raise ValueError("ring_slot_bytes must be positive")
+        self.num_server_ranks = int(num_server_ranks)
         self.max_concurrent_clients = int(max_concurrent_clients)
         self.ring_slots = int(ring_slots)
         self.ring_slot_bytes = int(-(-ring_slot_bytes // 8) * 8)  # 8-byte aligned slots
@@ -498,7 +519,9 @@ class ShmRingTransport(MultiprocessTransport):
                 "(check /dev/shm capacity, or shrink ring_slots/ring_slot_bytes)"
             ) from exc
         self._creator_pid = os.getpid()
-        self._released = False
+        #: Last snapshot, frozen by :meth:`shutdown` (the ring counters go
+        #: with the segment); ``None`` while the segment is mapped.
+        self._final_stats: Optional[TransportStats] = None
         self._rings: List[List[ShmRing]] = []
         for rank in range(self.num_server_ranks):
             row = []
@@ -507,9 +530,11 @@ class ShmRingTransport(MultiprocessTransport):
                 view = self._shm.buf[begin : begin + ring_bytes]
                 row.append(ShmRing(view, self.ring_slots, self.ring_slot_bytes, create=True))
             self._rings.append(row)
+        self._init_leftovers(self.num_server_ranks)
+        self._closed = _SharedFlag()
         # Ring-slot lease table: one owner word and one release refcount per
         # slot, shared by every forked client, guarded by one lock.  Leasing
-        # happens at connect (rare), so the lock is never on the data path;
+        # happens once per client, so the lock is never on the push path;
         # the per-process ``_slot_cache`` keeps lookups off it entirely.
         self._table_lock = mp.Lock()
         self._slot_owner = mp.RawArray("q", [-1] * self.max_concurrent_clients)
@@ -530,9 +555,6 @@ class ShmRingTransport(MultiprocessTransport):
         self._wakeups = [mp.Semaphore(0) for _ in range(self.num_server_ranks)]
         self._reader_waiting = [mp.Value("b", 0, lock=False)
                                 for _ in range(self.num_server_ranks)]
-        self._deferred_finished: List[List[ClientFinished]] = [
-            [] for _ in range(self.num_server_ranks)
-        ]
         # (server-side, per rank) (client, lease-generation) pairs whose
         # finished already released a lease reference — guards the refcount
         # against duplicate finished messages resent within one lease by a
@@ -540,52 +562,51 @@ class ShmRingTransport(MultiprocessTransport):
         self._released_finished: List[Set[tuple]] = [
             set() for _ in range(self.num_server_ranks)
         ]
-        self._qsize_broken = False  # macOS: mp.Queue.qsize is unimplemented
+        # Server-process counters: drops found while decoding and launcher
+        # kills are recorded by server threads only, so a thread lock (never
+        # taken by a client process) guards them.  Everything a client counts
+        # lives in its ring's header instead.
+        self._server_lock = threading.Lock()
+        self._reader_dropped = 0
+        self._unresponsive_kills = 0
 
     # ------------------------------------------------------------ slot leases
     def connect(self, client_id: int, batch_size: int = 1) -> Connection:
         """Lease a ring slot for ``client_id``, then connect as usual.
 
         Blocks up to ``lease_timeout`` for a slot to free (slots recycle as
-        soon as every rank delivered the previous owner's finished marker);
+        soon as every rank decoded the previous owner's finished marker);
         a client restarted after a crash finds and reuses its own live
         lease.  Raises :class:`RouterClosed` if the transport closes while
         waiting and ``TimeoutError`` when the table stays full — which means
         more clients run concurrently than ``max_concurrent_clients``.
         """
-        self._lease_slot(int(client_id), block=True)
+        self._lease_slot(int(client_id))
         return super().connect(client_id, batch_size=batch_size)
 
-    def _lease_slot(self, client_id: int, block: bool) -> Optional[int]:
+    def _lease_slot(self, client_id: int) -> int:
         if client_id < 0:
             # Negative ids would alias the free-slot sentinel (-1) in the
-            # owner table; such callers stay on the control queue.
-            if block:
-                raise ValueError("client_id must be non-negative to lease a ring slot")
-            return None
+            # owner table.
+            raise ValueError("client_id must be non-negative to lease a ring slot")
         deadline = time.monotonic() + self.lease_timeout
         while True:
             with self._table_lock:
-                owner = self._slot_owner
-                for slot in range(self.max_concurrent_clients):
-                    if owner[slot] == client_id:
-                        # Reuse path (restart mid-lease).  A client killed in
-                        # the window between finalize and exit leaves its
-                        # finished markers in flight; when they deliver, the
-                        # lease frees mid-restream and the client simply
-                        # re-leases a free slot on its next push — a benign
-                        # re-route, never a wedge or a leak.
-                        self._slot_cache[client_id] = slot
-                        return slot
-                for slot in range(self.max_concurrent_clients):
-                    if owner[slot] == -1:
-                        owner[slot] = client_id
+                # Reuse path first (restart mid-lease).  A client killed in
+                # the window between finalize and exit leaves its finished
+                # markers in flight; when they deliver, the lease frees
+                # mid-restream and the client simply re-leases a free slot on
+                # its next push — a benign re-route, never a wedge or a leak.
+                slot = self._slot_owned_by(client_id)
+                if slot is None:
+                    slot = self._slot_owned_by(-1)  # a free one
+                    if slot is not None:
+                        self._slot_owner[slot] = client_id
                         self._slot_refs[slot] = self.num_server_ranks
                         self._slot_gen[slot] += 1
-                        self._slot_cache[client_id] = slot
-                        return slot
-            if not block:
-                return None
+                if slot is not None:
+                    self._slot_cache[client_id] = slot
+                    return slot
             if self._closed.is_set():
                 raise RouterClosed("transport closed while waiting for a ring slot")
             if time.monotonic() >= deadline:
@@ -599,45 +620,37 @@ class ShmRingTransport(MultiprocessTransport):
                 )
             time.sleep(0.002)
 
-    def _slot_for_push(self, client_id: int) -> Optional[int]:
-        """The client's leased ring slot, validating the per-process cache."""
+    def _slot_owned_by(self, owner_id: int) -> Optional[int]:
+        """First slot whose owner word is ``owner_id`` (``-1``: free); the
+        caller holds the table lock."""
+        for slot, owner in enumerate(self._slot_owner):
+            if owner == owner_id:
+                return slot
+        return None
+
+    def _slot_for_push(self, client_id: int) -> int:
+        """The client's leased ring slot: the per-process cache when it still
+        names the owner, else the lease path :meth:`connect` takes."""
         slot = self._slot_cache.get(client_id)
         if slot is not None and self._slot_owner[slot] == client_id:
             return slot
-        if slot is not None:
-            # Stale entry (the lease was recycled): drop it under the table
-            # lock — thread-mode launchers push from concurrent pool threads,
-            # and every other _slot_cache write happens under this lock.
-            with self._table_lock:
-                self._slot_cache.pop(client_id, None)
-        return self._lease_slot(client_id, block=False)
-
-    def _slot_of(self, client_id: int) -> Optional[int]:
-        with self._table_lock:
-            owner = self._slot_owner
-            for slot in range(self.max_concurrent_clients):
-                if owner[slot] == client_id:
-                    return slot
-        return None
+        return self._lease_slot(client_id)
 
     def _release_lease_ref(self, rank: int, client_id: int) -> None:
-        """One rank delivered ``client_id``'s finished marker; maybe recycle."""
+        """``rank`` decoded ``client_id``'s finished marker; maybe recycle."""
         released = self._released_finished[rank]
         with self._table_lock:
-            owner = self._slot_owner
-            for slot in range(self.max_concurrent_clients):
-                if owner[slot] == client_id:
-                    key = (client_id, self._slot_gen[slot])
-                    if key in released:
-                        return  # duplicate finished within this lease
-                    released.add(key)
-                    refs = self._slot_refs[slot] - 1
-                    if refs <= 0:
-                        owner[slot] = -1
-                        self._slot_refs[slot] = 0
-                    else:
-                        self._slot_refs[slot] = refs
-                    return
+            slot = self._slot_owned_by(client_id)
+            if slot is None:
+                return  # force-released by the launcher
+            key = (client_id, self._slot_gen[slot])
+            if key in released:
+                return  # duplicate finished within this lease
+            released.add(key)
+            self._slot_refs[slot] -= 1
+            if self._slot_refs[slot] <= 0:
+                self._slot_owner[slot] = -1
+                self._slot_refs[slot] = 0
 
     def release_client(self, client_id: int) -> None:
         """Force-free a dead client's lease (launcher gave up on restarts).
@@ -648,69 +661,36 @@ class ShmRingTransport(MultiprocessTransport):
         immediately.
         """
         with self._table_lock:
-            owner = self._slot_owner
-            for slot in range(self.max_concurrent_clients):
-                if owner[slot] == client_id:
-                    owner[slot] = -1
-                    self._slot_refs[slot] = 0
+            slot = self._slot_owned_by(client_id)
+            if slot is not None:
+                self._slot_owner[slot] = -1
+                self._slot_refs[slot] = 0
             self._slot_cache.pop(client_id, None)
 
     # ----------------------------------------------------------------- client
     def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
-        """Route a batch: time steps to their client's leased ring, rest queued.
+        """Pack ``messages`` into their client's leased ring for ``rank``.
 
-        A client's data batch is homogeneous (one client, all time steps) —
-        that fast path is a single in-place packed ring write.  Mixed batches
-        are split into maximal ring-eligible runs to preserve order.
+        A client's batch names one client — a single in-place packed ring
+        write, whatever message types it mixes.  A batch naming several
+        clients is written as consecutive same-client runs, each to its own
+        ring (order holds per client, which is all any backend promises).
+        A failed push drops everything it had not committed yet.
         """
         self._check_rank(rank)
-        if not messages:
-            return
-        if self._closed.is_set():
-            self._shared.record_dropped(len(messages))
-            raise RouterClosed("transport is closed")
-        first = messages[0]
-        if type(first) is TimeStepMessage:
-            client_id = first.client_id
-            for message in messages:
-                if type(message) is not TimeStepMessage or message.client_id != client_id:
-                    break
-            else:
-                slot = self._slot_for_push(client_id)
-                if slot is None:
-                    super().push_many(rank, messages, timeout=timeout)
-                    self._notify(rank)
-                else:
-                    self._write_ring(rank, self._rings[rank][slot], messages, timeout)
-                return
-        self._push_runs(rank, messages, timeout)
-
-    def _push_runs(self, rank: int, messages: List[Message], timeout: float | None) -> None:
-        runs: List[tuple[Optional[ShmRing], List[Message]]] = []
         rings = self._rings[rank]
-        for message in messages:
-            ring: Optional[ShmRing] = None
-            if type(message) is TimeStepMessage:
-                slot = self._slot_for_push(message.client_id)
-                if slot is not None:
-                    ring = rings[slot]
-            if runs and runs[-1][0] is ring:
-                runs[-1][1].append(message)
-            else:
-                runs.append((ring, [message]))
-        for index, (ring, run) in enumerate(runs):
-            try:
-                if ring is None:
-                    super().push_many(rank, run, timeout=timeout)
+        ring, committed = None, 0
+        try:
+            for client_id, run in groupby(messages, key=_by_client):
+                ring = rings[self._slot_for_push(client_id)]
+                for chunk, plan in self._ring_chunks(ring, list(run)):
+                    self._write_chunk(ring, plan, len(chunk), timeout)
+                    committed += len(chunk)
                     self._notify(rank)
-                else:
-                    self._write_ring(rank, ring, run, timeout)
-            except (queue.Full, RouterClosed, WireFormatError):
-                # The failing run was counted where it failed; the runs after
-                # it are never attempted and die with the batch.
-                remainder = sum(len(r) for _, r in runs[index + 1 :])
-                self._shared.record_dropped(remainder)
-                raise
+        except (queue.Full, RouterClosed, WireFormatError):
+            if ring is not None:  # else: closed while waiting for the first lease
+                ring.record_dropped(len(messages) - committed)
+            raise
 
     def _ring_chunks(self, ring: ShmRing,
         run: List[Message]) -> List[tuple[List[Message], BatchPlan]]:
@@ -731,31 +711,24 @@ class ShmRingTransport(MultiprocessTransport):
         middle = len(run) // 2
         return self._ring_chunks(ring, run[:middle]) + self._ring_chunks(ring, run[middle:])
 
-    def _write_ring(self, rank: int, ring: ShmRing, run: List[Message],
-                    timeout: float | None) -> None:
+    def _write_chunk(self, ring: ShmRing, plan: BatchPlan, messages: int,
+                     timeout: float | None) -> None:
+        """Pack one planned batch straight into the next free slot of ``ring``."""
+        closed = self._closed.is_set
+        view = None if closed() else ring.reserve(plan.nbytes, timeout=timeout,
+                                                  should_abort=closed)
+        if view is None:
+            if closed():
+                raise RouterClosed("transport is closed")
+            raise queue.Full
         try:
-            chunks = self._ring_chunks(ring, run)
-        except WireFormatError:
-            self._shared.record_dropped(len(run))
+            plan.write_into(view, 0)
+        except BaseException:
+            ring.abort_write()
             raise
-        for index, (chunk, plan) in enumerate(chunks):
-            view = ring.reserve(plan.nbytes, timeout=timeout,
-                                should_abort=self._closed.is_set)
-            if view is None:
-                self._shared.record_dropped(sum(len(c) for c, _ in chunks[index:]))
-                if self._closed.is_set():
-                    raise RouterClosed("transport is closed")
-                raise queue.Full
-            try:
-                plan.write_into(view, 0)  # pack straight into the ring slot
-            except BaseException:
-                ring.abort_write()
-                raise
-            finally:
-                view.release()
-            ring.commit_write(plan.nbytes)
-            self._shared.record_batch(rank, len(chunk), plan.nbytes)
-            self._notify(rank)
+        finally:
+            view.release()
+        ring.commit_write(plan.nbytes, messages)
 
     def _notify(self, rank: int) -> None:
         """Wake the rank's reader, but only when it is actually parked.
@@ -767,20 +740,30 @@ class ShmRingTransport(MultiprocessTransport):
         if self._reader_waiting[rank].value:
             self._wakeups[rank].release()
 
+    def _record_dropped(self, count: int) -> None:
+        if count:
+            with self._server_lock:
+                self._reader_dropped += count
+
+    def record_unresponsive_kill(self) -> None:
+        """Count one launcher-side kill of an unresponsive client process."""
+        with self._server_lock:
+            self._unresponsive_kills += 1
+
     # ----------------------------------------------------------------- server
     def poll_batches(self, rank: int, max_messages: int = 64,
         timeout: float | None = 0.05) -> list:
-        """Ring batches decode in place straight into :class:`ColumnBatch`
-        chunks — one structured header parse plus the payload-block adoption
-        copy per batch, no per-message objects — with the control queue's
-        messages interleaved in order.
+        """Ring batches decode in place: a step batch straight into one
+        :class:`ColumnBatch` chunk (one structured header parse plus the
+        payload-block adoption copy, no per-message objects), control
+        messages as objects, each client's stream in its send order.
         """
         if max_messages <= 0:
             raise ValueError("max_messages must be positive")
         self._check_rank(rank)
         items: list = []
         count = self._take_leftover(rank, items, max_messages)
-        self._drain(rank, items, count, max_messages)
+        self._drain_rings(rank, items, count, max_messages)
         if items or timeout is None:
             return items
         deadline = time.monotonic() + timeout
@@ -790,93 +773,47 @@ class ShmRingTransport(MultiprocessTransport):
             now = time.monotonic()
             if now >= deadline:
                 return items
-            if self._ready(rank):
-                # A control put may still be in flight through the queue's
-                # feeder pipe (qsize leads the readable bytes); yield briefly
-                # and re-drain instead of giving up on a non-empty channel.
-                time.sleep(min(5e-5, deadline - now))
-            else:
-                parked = True
-                if _MULTI_CORE:
-                    spin_until = min(deadline, now + self.spin_wait)
-                    while time.monotonic() < spin_until:  # busy-wait: data is near
-                        if self._ready(rank):
-                            parked = False
-                            break
-                if parked:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return items
-                    if not _MULTI_CORE:
-                        # Timed nap (no semaphore, no writer-side posts): the
-                        # writer keeps its timeslice and batches accumulate.
-                        time.sleep(min(remaining, _SINGLE_CORE_PARK))
-                    else:
-                        waiting.value = 1
-                        try:
-                            while wakeup.acquire(False):
-                                pass  # drop stale posts before parking
-                            if not self._ready(rank):
-                                # Bounded so control messages are still seen on
-                                # platforms where _ready cannot probe the queue.
-                                wakeup.acquire(True, min(remaining, 0.05))
-                        finally:
-                            waiting.value = 0
-            self._drain(rank, items, 0, max_messages)
+            parked = True
+            if _MULTI_CORE:
+                spin_until = min(deadline, now + self.spin_wait)
+                while time.monotonic() < spin_until:  # busy-wait: data is near
+                    if self._ready(rank):
+                        parked = False
+                        break
+            if parked:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return items
+                if not _MULTI_CORE:
+                    # Timed nap (no semaphore, no writer-side posts): the
+                    # writer keeps its timeslice and batches accumulate.
+                    time.sleep(min(remaining, _SINGLE_CORE_PARK))
+                else:
+                    waiting.value = 1
+                    try:
+                        while wakeup.acquire(False):
+                            pass  # drop stale posts before parking
+                        if not self._ready(rank):
+                            # Bounded: the waiting-flag/cursor handshake has no
+                            # fence, so a post can be missed; cap its cost.
+                            wakeup.acquire(True, min(remaining, 0.05))
+                    finally:
+                        waiting.value = 0
+            self._drain_rings(rank, items, 0, max_messages)
             if items:
                 return items
 
     def _ready(self, rank: int) -> bool:
-        """Anything deliverable right now? (cheap, lock-free probes)"""
-        if not self._qsize_broken:
-            try:
-                if self._queues[rank].qsize() > 0:
-                    return True
-            except (NotImplementedError, OSError):  # pragma: no cover - macOS
-                # No queue probe on this platform: rely on the bounded park
-                # in poll_batches to pick control messages up within 50 ms.
-                self._qsize_broken = True
+        """Anything deliverable right now? (cheap, lock-free probe)"""
         return any(ring.depth for ring in self._rings[rank])
 
-    def _drain(self, rank: int, out: list, count: int, max_messages: int) -> int:
-        """One non-blocking sweep: control queue, rings, deferred finished.
+    def _drain_rings(self, rank: int, out: list, count: int,
+                     max_messages: int) -> int:
+        """One non-blocking round-robin sweep over the rank's rings.
 
         ``count`` is the running message tally of ``out`` (columnar chunks
         count their sample length); the updated tally is returned.
         """
-        count = self._drain_control(rank, out, count, max_messages)
-        count = self._drain_rings(rank, out, count, max_messages)
-        return self._release_finished(rank, out, count, max_messages)
-
-    def _drain_control(self, rank: int, out: list, count: int,
-                       max_messages: int) -> int:
-        if not self._qsize_broken:
-            # Cheap emptiness probe: the common no-control-traffic sweep
-            # costs one sem_getvalue instead of a queue.Empty exception.
-            try:
-                if self._queues[rank].qsize() == 0:
-                    return count
-            except (NotImplementedError, OSError):  # pragma: no cover - macOS
-                self._qsize_broken = True
-        while count < max_messages:
-            batch = self._get_batch(rank, None)
-            if batch is None:
-                return count
-            for message in batch:
-                if isinstance(message, ClientFinished) and not self._client_drained(
-                    rank, message.client_id
-                ):
-                    # Hold the finished marker until the client's ring for
-                    # this rank is empty: it must not overtake the data.
-                    self._deferred_finished[rank].append(message)
-                else:
-                    if isinstance(message, ClientFinished):
-                        self._release_lease_ref(rank, message.client_id)
-                    count = self._absorb(rank, out, [message], max_messages, count)
-        return count
-
-    def _drain_rings(self, rank: int, out: list, count: int,
-                     max_messages: int) -> int:
         rings = self._rings[rank]
         progressed = True
         while progressed and count < max_messages:
@@ -896,45 +833,29 @@ class ShmRingTransport(MultiprocessTransport):
                 finally:
                     view.release()
                     ring.finish_read()
+                for item in batch:
+                    if isinstance(item, ClientFinished):
+                        # The last thing its client wrote to this ring.
+                        self._release_lease_ref(rank, item.client_id)
                 count = self._absorb(rank, out, batch, max_messages, count)
         return count
 
-    def _release_finished(self, rank: int, out: list, count: int,
-                          max_messages: int) -> int:
-        deferred = self._deferred_finished[rank]
-        if not deferred:
-            return count
-        still_waiting: List[ClientFinished] = []
-        for message in deferred:
-            if count < max_messages and self._client_drained(rank, message.client_id):
-                self._release_lease_ref(rank, message.client_id)
-                count = self._absorb(rank, out, [message], max_messages, count)
-            else:
-                still_waiting.append(message)
-        self._deferred_finished[rank] = still_waiting
-        return count
-
-    def _client_drained(self, rank: int, client_id: int) -> bool:
-        slot = self._slot_of(client_id)
-        if slot is None:
-            return True
-        return self._rings[rank][slot].depth == 0
-
     def pending(self, rank: int) -> int:
-        """Leftovers plus queued control batches plus ring batches (leftover
-        columnar chunks count by their sample length)."""
+        """Leftovers plus ring batches (a packed batch counts once, leftover
+        columnar chunks by their sample length)."""
         self._check_rank(rank)
-        try:
-            queued = self._queues[rank].qsize()
-        except (NotImplementedError, OSError):  # pragma: no cover - macOS
-            queued = 0
-        depth = sum(ring.depth for ring in self._rings[rank])
-        return (self._leftover_count(rank) + queued
-                + depth + len(self._deferred_finished[rank]))
+        return self._leftover_count(rank) + sum(ring.depth for ring in self._rings[rank])
 
     # --------------------------------------------------------------- lifecycle
+    def close(self) -> None:
+        self._closed.set()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed.is_set()
+
     def shutdown(self) -> None:
-        """Close, wake parked readers/writers, drain queues, free the segment.
+        """Close, wake parked readers, freeze the stats, free the segment.
 
         Only the creating process unlinks the shared segment; forked clients
         merely drop their inherited mapping when they exit.
@@ -942,10 +863,11 @@ class ShmRingTransport(MultiprocessTransport):
         self.close()
         for wakeup in self._wakeups:
             wakeup.release()  # at most one parked reader per rank
-        super().shutdown()
-        if self._released:
+        if self._final_stats is not None:
             return
-        self._released = True
+        self._final_stats = self.stats
+        for leftover in self._leftover:
+            leftover.clear()
         for row in self._rings:
             for ring in row:
                 ring.release()
@@ -963,14 +885,24 @@ class ShmRingTransport(MultiprocessTransport):
 
     @property
     def stats(self) -> TransportStats:
-        snapshot = self._shared.snapshot()
-        high_water: Dict[int, int] = {}
-        torn = 0
+        """Snapshot: every ring's writer-owned counters plus the server's own."""
+        if self._final_stats is not None:
+            return self._final_stats
+        with self._server_lock:
+            snapshot = TransportStats(dropped_messages=self._reader_dropped,
+                                      unresponsive_kills=self._unresponsive_kills)
         for rank, row in enumerate(self._rings):
-            torn += sum(ring.torn_batches for ring in row)
-            deepest = max((ring.high_water for ring in row), default=0)
+            routed = deepest = 0
+            for ring in row:
+                messages, nbytes, dropped = ring.traffic
+                routed += messages
+                snapshot.bytes_routed += nbytes
+                snapshot.dropped_messages += dropped
+                snapshot.torn_batches += ring.torn_batches
+                deepest = max(deepest, ring.high_water)
+            snapshot.messages_routed += routed
+            if routed:
+                snapshot.per_rank_messages[rank] = routed
             if deepest:
-                high_water[rank] = int(deepest)
-        snapshot.torn_batches = torn
-        snapshot.ring_depth_high_water = high_water
+                snapshot.ring_depth_high_water[rank] = deepest
         return snapshot

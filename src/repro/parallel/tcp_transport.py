@@ -223,9 +223,6 @@ class TcpTransport(PackedDrainMixin, Transport):
             local.writer = writer
         return writer
 
-    def push(self, rank: int, message: Message, timeout: float | None = None) -> None:
-        self.push_many(rank, [message], timeout=timeout)
-
     def push_many(self, rank: int, messages: List[Message],
                   timeout: float | None = None) -> None:
         """Serialise ``messages`` into one frame and send it to the front door."""

@@ -14,9 +14,9 @@ plain objects.  Four backends implement the interface:
   (:func:`repro.parallel.messages.pack_many`), with shared-memory statistics
   counters visible from every client process.
 * :class:`repro.parallel.shm_ring.ShmRingTransport` — the same process
-  isolation, but the hot time-step channels are lock-free shared-memory SPSC
-  ring buffers (one per client and rank); only rare control messages ride
-  the ``mp.Queue``.
+  isolation over lock-free shared-memory SPSC ring buffers, one per client
+  and rank, each carrying everything that client sends to that rank (hello,
+  time steps, heartbeats, finished) in send order.
 * :class:`repro.parallel.tcp_transport.TcpTransport` — the first backend
   where client and server share no memory: length-prefixed frames carrying
   the same packed batches over TCP sockets into an asyncio front door
@@ -117,22 +117,20 @@ class Transport:
         return Connection(transport=self, client_id=int(client_id), batch_size=int(batch_size))
 
     def push(self, rank: int, message: Message, timeout: float | None = None) -> None:
-        """Push one message to ``rank`` (blocking while the channel is full)."""
-        raise NotImplementedError
+        """Push one message to ``rank`` (blocking while the channel is full).
+
+        Defined once, here: a single message is a batch of one, so every
+        backend has exactly one client entry, :meth:`push_many`.
+        """
+        self.push_many(rank, [message], timeout=timeout)
 
     def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
-        """Push a batch to ``rank``; backends may serialise it as one buffer.
+        """Push a batch to ``rank``; wire backends serialise it as one buffer.
 
-        A failed push drops the whole remaining batch (the failing message is
-        counted by :meth:`push` itself) so both backends account a rejected
-        batch identically in ``stats.dropped_messages``.
+        A failed push drops the whole remaining batch, so every backend
+        accounts a rejected batch identically in ``stats.dropped_messages``.
         """
-        for index, message in enumerate(messages):
-            try:
-                self.push(rank, message, timeout=timeout)
-            except (queue.Full, RouterClosed):
-                self._record_dropped(len(messages) - index - 1)
-                raise
+        raise NotImplementedError
 
     def _record_dropped(self, count: int) -> None:
         """Add ``count`` messages to the drop counter (backend-specific store)."""
@@ -355,19 +353,20 @@ class MessageRouter(Transport):
             self._stats.unresponsive_kills += 1
 
     # ----------------------------------------------------------------- client
-    def push(self, rank: int, message: Message, timeout: float | None = None) -> None:
-        """Push ``message`` to server rank ``rank`` (blocking when the queue is full)."""
+    def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
+        """Hand ``messages`` over by reference, each blocking while the queue is full."""
         self._check_rank(rank)
-        if self._closed.is_set():
-            self._record_dropped(1)
-            raise RouterClosed("router is closed")
-        try:
-            self._queues[rank].put(message, timeout=timeout)
-        except queue.Full:
-            self._record_dropped(1)
-            raise
-        with self._stats_lock:
-            self._stats.record(rank, message.nbytes())
+        for index, message in enumerate(messages):
+            if self._closed.is_set():
+                self._record_dropped(len(messages) - index)
+                raise RouterClosed("router is closed")
+            try:
+                self._queues[rank].put(message, timeout=timeout)
+            except queue.Full:
+                self._record_dropped(len(messages) - index)
+                raise
+            with self._stats_lock:
+                self._stats.record(rank, message.nbytes())
 
     def _record_dropped(self, count: int) -> None:
         if count:
@@ -418,10 +417,10 @@ class Connection:
     time steps round-robin, with the starting rank offset by the client id so
     that all clients do not hit the same rank with the same time step.
 
-    With ``batch_size > 1`` the connection accumulates per-rank batches and
-    pushes each rank's batch with a single :meth:`Transport.push_many` call
-    once full — on the multi-process backend that serialises the whole batch
-    into one packed buffer.  :meth:`broadcast` (hello/finished markers)
+    The connection accumulates per-rank batches and pushes each rank's batch
+    with a single :meth:`Transport.push_many` call once it holds
+    ``batch_size`` messages — on the wire backends that serialises the whole
+    batch into one packed buffer.  :meth:`broadcast` (hello/finished markers)
     flushes every pending batch first so control messages never overtake the
     data sent before them.
     """
@@ -442,14 +441,10 @@ class Connection:
         """Send to the next rank in round-robin order; returns the rank used."""
         rank = self._next_rank
         self._next_rank = (rank + 1) % self.transport.num_server_ranks
-        if self.batch_size == 1:
-            self.transport.push(rank, message, timeout=timeout)
-            self.sent_messages += 1
-        else:
-            batch = self._pending.setdefault(rank, [])
-            batch.append(message)
-            if len(batch) >= self.batch_size:
-                self._flush_rank(rank, timeout=timeout)
+        batch = self._pending.setdefault(rank, [])
+        batch.append(message)
+        if len(batch) >= self.batch_size:
+            self._flush_rank(rank, timeout=timeout)
         return rank
 
     def send_to(self, rank: int, message: Message, timeout: float | None = None) -> None:
@@ -602,8 +597,9 @@ class TransportConfig:
     backend: str = "inproc"
     #: Client-side batching width (messages per packed buffer / frame).
     batch_size: int = 1
-    #: Bound of each per-rank channel (messages on ``inproc``, batches on
-    #: the wire backends).
+    #: Bound of each per-rank channel of the ``inproc`` (messages), ``mp``
+    #: (batches) and ``tcp`` (frames) backends; ``shm`` has no rank channel —
+    #: each client's ring is bounded by ``shm.ring_slots``.
     queue_size: int = 100_000
     #: Kill a client process that has not finished after this many seconds
     #: and restart it (``None`` waits forever); process client mode only.
@@ -741,7 +737,6 @@ def _make_shm(config: TransportConfig, num_server_ranks: int,
     return ShmRingTransport(
         num_server_ranks,
         max_concurrent_clients=max_concurrent_clients,
-        max_queue_size=config.queue_size,
         ring_slots=config.shm.ring_slots,
         ring_slot_bytes=config.shm.ring_slot_bytes,
     )
@@ -776,9 +771,9 @@ def make_transport(
     """Build a transport backend from a config string or :class:`TransportConfig`.
 
     ``"inproc"`` is the thread-based :class:`MessageRouter`; ``"mp"`` carries
-    packed batches over ``multiprocessing`` queues; ``"shm"`` moves the hot
-    time-step channels onto shared-memory SPSC rings; ``"tcp"`` frames the
-    packed batches over sockets into the asyncio front door.
+    packed batches over ``multiprocessing`` queues; ``"shm"`` gives every
+    client one shared-memory SPSC ring per rank; ``"tcp"`` frames the packed
+    batches over sockets into the asyncio front door.
     ``max_concurrent_clients`` sizes the shm slot-lease table (the grid
     scales with the *concurrency*, not the ensemble size).  Backends
     registered via :func:`register_backend` are constructed the same way.

@@ -183,16 +183,13 @@ class ShardedTransport(Transport):
     def connect(self, client_id: int, batch_size: int = 1) -> Connection:
         return self.transport_for(client_id).connect(client_id, batch_size=batch_size)
 
-    def push(self, rank: int, message: Message, timeout: float | None = None) -> None:
-        self.transport_for(message.client_id).push(rank, message, timeout=timeout)
-
     def push_many(self, rank: int, messages: List[Message],
                   timeout: float | None = None) -> None:
         # Routed message by message: a mixed-client batch may span shards.
         # Study traffic never takes this path (clients push through the
         # connection returned by ``connect``, already bound to one shard).
         for message in messages:
-            self.push(rank, message, timeout=timeout)
+            self.transport_for(message.client_id).push_many(rank, [message], timeout=timeout)
 
     def release_client(self, client_id: int) -> None:
         """Recycle a permanently failed client's lease on its owning shard."""

@@ -3,11 +3,12 @@
 The ring closes the documented ``mp.Queue`` limitation: a client SIGKILLed
 mid-write must cost at most the one batch it was writing — never a wedged
 reader or a stalled lock.  These tests pin that contract, the slow-reader
-drop accounting, wraparound integrity, and the control-message ordering
-(``ClientFinished`` never overtakes ring data).
+drop accounting, wraparound integrity, and that a client's control messages
+ride its ring in send order (one ordered channel per client, no side queue).
 """
 
 import queue
+import random
 import time
 
 import numpy as np
@@ -17,7 +18,14 @@ from repro.buffers import FIFOBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.client.api import ClientAPI
 from repro.launcher.launcher import _fork_mp
-from repro.parallel.messages import ClientFinished, TimeStepMessage, WireFormatError
+from repro.parallel.messages import (
+    ClientFinished,
+    ClientHello,
+    Heartbeat,
+    TimeStepMessage,
+    WireFormatError,
+)
+from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import (
     _HDR_WRITER_CURSOR,
     RING_HEADER_BYTES,
@@ -41,6 +49,12 @@ def wait_until(predicate, timeout=DEADLINE, interval=0.01):
             return True
         time.sleep(interval)
     return False
+
+
+def slot_of(transport, client_id):
+    """The ring slot ``client_id`` currently leases, or ``None``."""
+    owners = list(transport._slot_owner)
+    return owners.index(client_id) if client_id in owners else None
 
 
 def stream_steps(transport, client_id, num_steps, step_delay=0.0, batch_size=1):
@@ -202,8 +216,8 @@ def test_slow_reader_drop_accounting_matches_transport_stats():
 
 # --------------------------------------------------------- message routing
 def test_finished_never_overtakes_ring_data(transport):
-    """``ClientFinished`` rides the control queue but must be delivered only
-    once the client's ring for that rank has drained."""
+    """``ClientFinished`` rides the client's ring behind the steps sent before
+    it, so a poll budget that splits the step batch still delivers it last."""
     steps = [TimeStepMessage(client_id=0, time_step=step, payload=FIELD) for step in range(6)]
     transport.push_many(0, steps)
     transport.push(0, ClientFinished(client_id=0, total_sent=6))
@@ -216,6 +230,88 @@ def test_finished_never_overtakes_ring_data(transport):
     chunks = received[:-1]  # the budget of 2 split the 6-step batch into 3 chunks
     assert [len(chunk) for chunk in chunks] == [2, 2, 2]
     assert np.concatenate([chunk.time_steps for chunk in chunks]).tolist() == list(range(6))
+
+
+def test_one_clients_stream_leaves_the_ring_in_send_order(transport):
+    """Hello, steps, heartbeat and finished of one client share its ring: they
+    come out in send order whatever the poll budget (on the old control queue
+    the heartbeat overtook the steps), and decoding the finished frees the lease."""
+    api = ClientAPI(transport, 0, send_batch_size=4)
+    api.init_communication(parameters=(1.0, 2.0), num_time_steps=6, field_shape=FIELD.shape)
+    for step in range(6):
+        api.send(step, step * 0.1, (1.0, 2.0), FIELD)
+        if step == 2:
+            api.send_heartbeat(timestamp=1.0, progress=0.5)
+    assert slot_of(transport, 0) is not None
+    api.finalize_communication()
+
+    received = []
+    deadline = time.monotonic() + DEADLINE
+    while not (received and isinstance(received[-1], ClientFinished)):
+        assert time.monotonic() < deadline, "finished marker never arrived"
+        # The lease is held until the finished itself is decoded.
+        assert slot_of(transport, 0) is not None
+        polled = transport.poll_batches(0, max_messages=2, timeout=0.1)
+        assert sum(len(i) if isinstance(i, ColumnBatch) else 1 for i in polled) <= 2
+        received.extend(polled)
+    assert slot_of(transport, 0) is None
+    order = []
+    for item in received:
+        if isinstance(item, ColumnBatch):
+            order.extend(item.time_steps.tolist())
+        else:
+            order.append(type(item))
+    assert order == [ClientHello, 0, 1, 2, Heartbeat, 3, 4, 5, ClientFinished]
+    assert transport.pending(0) == 0
+
+
+def _hammer_control_messages(transport, client_id):
+    """Victim body: hello broadcasts and heartbeats until killed."""
+    api = ClientAPI(transport, client_id)
+    api.init_communication(parameters=(1.0, 2.0), num_time_steps=1, field_shape=FIELD.shape)
+    hello = ClientHello(client_id=client_id, parameters=(1.0, 2.0), num_time_steps=1,
+                        field_shape=FIELD.shape)
+    while True:
+        api._connection.broadcast(hello)
+        api.send_heartbeat(timestamp=time.time(), progress=0.0)
+
+
+def test_kill_during_control_pushes_never_wedges_another_client(transport):
+    """A client SIGKILLed at a random point of its hello/heartbeat pushes costs
+    at most the batch it was writing; a second client's init + finalize always
+    completes.  (On the old shared control queue such a kill could orphan the
+    queue's writer lock and wedge every other client's hello/finished.)"""
+    kills = 20
+    rng = random.Random(14)
+    for _ in range(kills):
+        routed_before = transport.stats.messages_routed
+        victim = _fork_mp().Process(target=_hammer_control_messages,
+                                    args=(transport, 0), daemon=True)
+        victim.start()
+        # The kill must land in the push loop, past connect(): the lease-table
+        # lock taken there is documented as outside the kill-safe path.
+        assert wait_until(lambda: transport.stats.messages_routed > routed_before,
+                          interval=0.001), "victim never pushed"
+        kill_at = time.monotonic() + rng.uniform(0.0, 0.004)
+        while time.monotonic() < kill_at:  # keep draining so the victim keeps writing
+            transport.poll_batches(0, max_messages=64, timeout=0)
+        victim.kill()
+        victim.join(DEADLINE)
+        assert not victim.is_alive()
+
+        bystander = _fork_mp().Process(target=stream_steps, args=(transport, 1, 0),
+                                       daemon=True)
+        bystander.start()
+        finished = False
+        deadline = time.monotonic() + DEADLINE
+        while not finished:
+            assert time.monotonic() < deadline, "second client's finished never arrived"
+            for item in transport.poll_batches(0, max_messages=64, timeout=0.05):
+                finished |= isinstance(item, ClientFinished) and item.client_id == 1
+        bystander.join(DEADLINE)
+        assert bystander.exitcode == 0
+    assert transport.stats.torn_batches <= kills
+    assert transport.stats.dropped_messages == 0
 
 
 def test_oversized_batches_split_and_oversized_message_raises():
@@ -254,7 +350,7 @@ def test_slot_lease_connect_finish_recycles():
     try:
         for client_id in range(4):
             connection = transport.connect(client_id)
-            slot = transport._slot_of(client_id)
+            slot = slot_of(transport, client_id)
             assert slot is not None
             connection.send_round_robin(
                 TimeStepMessage(client_id=client_id, time_step=0, payload=FIELD)
@@ -266,7 +362,7 @@ def test_slot_lease_connect_finish_recycles():
             assert received[0].source_ids.tolist() == [client_id]
             assert isinstance(received[-1], ClientFinished)
             # Finished delivered on the only rank: the lease is recycled.
-            assert transport._slot_of(client_id) is None
+            assert slot_of(transport, client_id) is None
         # Four clients fit through two slots; no torn/dropped traffic.
         assert transport.stats.dropped_messages == 0
         assert transport.stats.torn_batches == 0
@@ -288,6 +384,36 @@ def test_slot_lease_exhaustion_raises_actionable_error():
         transport.shutdown()
 
 
+def test_lease_less_push_takes_the_connect_path():
+    """A push without a lease leases like ``connect`` does — there is no other
+    channel to fall back to: a full table times out naming the knob, and a
+    negative id (the free-slot sentinel) is refused."""
+    transport = ShmRingTransport(num_server_ranks=1, max_concurrent_clients=1,
+        ring_slots=4, ring_slot_bytes=4096,
+        lease_timeout=0.2)
+    try:
+        transport.push(0, TimeStepMessage(client_id=0, time_step=0, payload=FIELD))
+        assert slot_of(transport, 0) == 0  # leased on the first push
+        with pytest.raises(TimeoutError, match="max_concurrent_clients"):
+            transport.push(0, TimeStepMessage(client_id=1, time_step=0, payload=FIELD))
+        with pytest.raises(TimeoutError, match="max_concurrent_clients"):
+            transport.push(0, ClientHello(client_id=1))
+        with pytest.raises(ValueError, match="non-negative"):
+            transport.push(0, Heartbeat(client_id=-1))
+        (chunk,) = transport.poll_batches(0, max_messages=8, timeout=1.0)
+        assert chunk.source_ids.tolist() == [0]  # nothing else got in
+        assert transport.pending(0) == 0
+    finally:
+        transport.shutdown()
+
+
+def test_shm_is_not_a_queue_transport(transport):
+    """Structural pin: the ring backend has no queue to fall back to."""
+    assert not issubclass(ShmRingTransport, MultiprocessTransport)
+    assert not hasattr(transport, "_queues")
+    assert not hasattr(transport, "_shared")  # no cross-process stats lock either
+
+
 def test_slot_lease_killed_client_restart_reuses_its_lease(transport):
     """A client killed mid-lease still owns its slot; the restarted
     incarnation (same client id) finds and reuses it instead of leaking it."""
@@ -296,20 +422,20 @@ def test_slot_lease_killed_client_restart_reuses_its_lease(transport):
         kwargs={"step_delay": 0.01, "batch_size": 4}, daemon=True,
     )
     process.start()
-    assert wait_until(lambda: transport._slot_of(0) is not None), \
+    assert wait_until(lambda: slot_of(transport, 0) is not None), \
         "client never leased a slot"
-    slot_before = transport._slot_of(0)
+    slot_before = slot_of(transport, 0)
     process.kill()
     process.join(DEADLINE)
 
-    assert transport._slot_of(0) == slot_before  # lease survives the kill
+    assert slot_of(transport, 0) == slot_before  # lease survives the kill
     restarted = _fork_mp().Process(target=stream_steps,
         args=(transport, 0, NUM_STEPS),
         kwargs={"batch_size": 4}, daemon=True)
     restarted.start()
     restarted.join(DEADLINE)
     assert restarted.exitcode == 0
-    assert transport._slot_of(0) == slot_before or transport._slot_of(0) is None
+    assert slot_of(transport, 0) == slot_before or slot_of(transport, 0) is None
 
     drained: list = []
     deadline = time.monotonic() + DEADLINE
@@ -320,7 +446,7 @@ def test_slot_lease_killed_client_restart_reuses_its_lease(transport):
             break
     assert any(isinstance(m, ClientFinished) for m in drained)
     # Finished delivered on the single rank: the lease is recycled for good.
-    assert transport._slot_of(0) is None
+    assert slot_of(transport, 0) is None
 
 
 def test_slot_lease_force_release_recycles_a_dead_clients_slot():
@@ -333,7 +459,7 @@ def test_slot_lease_force_release_recycles_a_dead_clients_slot():
         transport.connect(7)
         transport.push(0, TimeStepMessage(client_id=7, time_step=0, payload=FIELD))
         transport.release_client(7)
-        assert transport._slot_of(7) is None
+        assert slot_of(transport, 7) is None
         transport.connect(8)  # no TimeoutError: the slot is free again
         # The dead client's undrained batch is still delivered (attribution
         # travels in the message, not the lease).

@@ -6,10 +6,12 @@ gone), the backend registry drives ``make_transport``, and the ring geometry
 defaults come from one place (``repro.utils.constants``).
 """
 
+import inspect
+
 import pytest
 
 from repro.core.config import OnlineStudyConfig
-from repro.parallel import shm_ring
+from repro.parallel.shm_ring import ShmRingTransport
 from repro.parallel.transport import (
     MessageRouter,
     ShmOptions,
@@ -146,8 +148,9 @@ def test_register_backend_rejects_bad_client_mode():
 
 # ------------------------------------------------------ ring single source
 def test_ring_geometry_defaults_have_one_source():
-    assert shm_ring.DEFAULT_RING_SLOTS == DEFAULT_RING_SLOTS
-    assert shm_ring.DEFAULT_RING_SLOT_BYTES == DEFAULT_RING_SLOT_BYTES
+    ring_defaults = inspect.signature(ShmRingTransport).parameters
+    assert ring_defaults["ring_slots"].default == DEFAULT_RING_SLOTS
+    assert ring_defaults["ring_slot_bytes"].default == DEFAULT_RING_SLOT_BYTES
     options = ShmOptions()
     assert options.ring_slots == DEFAULT_RING_SLOTS
     assert options.ring_slot_bytes == DEFAULT_RING_SLOT_BYTES
