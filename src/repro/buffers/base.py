@@ -43,14 +43,16 @@ class TrainingBuffer:
 
     Storage is columnar: a :class:`ColumnStore` holds the samples as
     ``(capacity, d_in)`` float64 inputs, ``(capacity, d_out)`` float32
-    targets and int64 id/step vectors.  Policies implement three slot hooks:
+    targets and int64 id/step vectors.  Policies implement two slot hooks:
 
     * :meth:`_take_slots_locked` — allocate row slots for a put (evicting
       per policy when full);
-    * :meth:`_draw_slot_locked` — pick one slot for a per-sample get,
-      consuming it per policy (the scalar-RNG reference path);
     * :meth:`_draw_slots_locked` — pick a batch of slots with one vectorized
-      RNG call, matching the per-sample path draw for draw.
+      RNG call, consuming them per policy.
+
+    The per-sample :meth:`put`/:meth:`get` are the one-row case of the same
+    hooks, so there is one bookkeeping path, pinned by the *distribution* of
+    Algorithm 1 rather than by a particular RNG stream.
 
     The base class turns slots into data: :meth:`put_many` writes a
     :class:`ColumnBatch` with one fancy-indexed write per column (a record
@@ -71,7 +73,14 @@ class TrainingBuffer:
         self.capacity = int(capacity)
         self.threshold = int(threshold)
         self._store = ColumnStore(self.capacity)
-        self._lock = threading.Condition()
+        # One lock, two wait queues on it: a put can only ever unblock a
+        # getter and a get a putter, so each side wakes the other's queue, and
+        # only once that queue's predicate holds — a trainer parked below the
+        # threshold is not woken by every put of the ingest phase.  Entering
+        # either condition acquires ``_lock``.
+        self._lock = threading.RLock()
+        self._putters = threading.Condition(self._lock)
+        self._getters = threading.Condition(self._lock)
         self._reception_over = False
         self._closed = False
         # Counters shared by all policies.
@@ -92,34 +101,34 @@ class TrainingBuffer:
         """Allocate up to ``want`` row slots for a put; lock held,
         ``_can_put_locked()`` True — at least one slot must be returned.
 
-        The policy records the slots as live (in arrival order) and performs
-        any eviction its semantics call for; evicted slots may be reused
-        within the same call.
-        """
-        raise NotImplementedError
-
-    def _draw_slot_locked(self) -> int:
-        """Consume and return one slot; lock held, ``_can_get_locked()`` True.
-
-        The scalar reference path: one RNG call per sample, kept draw-for-
-        draw identical to the pre-columnar per-sample semantics.
+        The policy records the slots as live and performs any eviction its
+        semantics call for; evicted slots may be reused within the same call.
+        The result may be a view of the policy's slot array: it is consumed
+        before the lock is released.
         """
         raise NotImplementedError
 
     def _draw_slots_locked(self, max_count: int) -> Array:
         """Draw up to ``max_count`` slots; lock held, ``_can_get_locked()`` True.
 
-        The default repeats the per-sample hook and therefore matches it
-        exactly; concrete buffers override it with a vectorized draw (one
-        RNG call for the whole batch).  Implementations must stop as soon as
-        another draw would violate the policy's threshold/drain invariants,
-        i.e. exactly when ``_can_get_locked()`` turns False.  Policies that
-        sample with replacement may return duplicate slots.
+        Implementations stop as soon as another draw would violate the
+        policy's threshold/drain invariants, i.e. exactly when
+        ``_can_get_locked()`` turns False.  Policies that sample with
+        replacement may return duplicate slots.  The result must own its
+        memory (the caller gathers from it after the policy state moved on).
         """
-        slots: List[int] = []
-        while len(slots) < max_count and self._can_get_locked():
-            slots.append(self._draw_slot_locked())
-        return np.asarray(slots, dtype=np.intp)
+        raise NotImplementedError
+
+    def _snapshot_locked(self) -> dict:
+        """Policy-specific :meth:`snapshot` fields; lock held."""
+        return {}
+
+    def _put_ready_locked(self) -> bool:
+        return self._can_put_locked() or self._closed
+
+    def _get_ready_locked(self) -> bool:
+        # ``_can_get_locked() or _exhausted_locked() or closed``, simplified.
+        return self._can_get_locked() or self._reception_over or self._closed
 
     # ------------------------------------------------------------------- api
     def __len__(self) -> int:
@@ -138,20 +147,14 @@ class TrainingBuffer:
 
     def put(self, record: SampleRecord, timeout: Optional[float] = None) -> None:
         """Insert a new sample, blocking while the buffer cannot accept it."""
-        with self._lock:
+        with self._putters:
             if self._closed:
                 raise BufferClosedError("cannot put into a closed buffer")
-            if not self._lock.wait_for(
-                lambda: self._can_put_locked() or self._closed, timeout=timeout
-            ):
+            if not self._putters.wait_for(self._put_ready_locked, timeout=timeout):
                 raise TimeoutError("timed out waiting for buffer space")
             if self._closed:
                 raise BufferClosedError("buffer closed while waiting to put")
-            self._store.ensure_columns(np.shape(record.inputs), np.shape(record.target))
-            slots = self._take_slots_locked(1)
-            self._store.write_record(int(slots[0]), record)
-            self.total_put += 1
-            self._lock.notify_all()
+            self._put_record_locked(record)
 
     def try_put(self, record: SampleRecord) -> bool:
         """Non-blocking put; returns False when the buffer cannot accept data now."""
@@ -160,12 +163,16 @@ class TrainingBuffer:
                 raise BufferClosedError("cannot put into a closed buffer")
             if not self._can_put_locked():
                 return False
-            self._store.ensure_columns(np.shape(record.inputs), np.shape(record.target))
-            slots = self._take_slots_locked(1)
-            self._store.write_record(int(slots[0]), record)
-            self.total_put += 1
-            self._lock.notify_all()
+            self._put_record_locked(record)
             return True
+
+    def _put_record_locked(self, record: SampleRecord) -> None:
+        self._store.ensure_columns(np.shape(record.inputs), np.shape(record.target))
+        slots = self._take_slots_locked(1)
+        self._store.write_record(int(slots[0]), record)
+        self.total_put += 1
+        if self._can_get_locked():
+            self._getters.notify_all()
 
     def put_many(
         self,
@@ -198,14 +205,12 @@ class TrainingBuffer:
         batch = records if isinstance(records, ColumnBatch) else ColumnBatch.from_records(records)
         total = len(batch)
         inserted = 0
-        with self._lock:
+        with self._putters:
             if self._closed:
                 raise BufferClosedError("cannot put into a closed buffer")
             self._store.ensure_columns(batch.inputs.shape[1:], batch.targets.shape[1:])
             while inserted < total:
-                if not self._lock.wait_for(
-                    lambda: self._can_put_locked() or self._closed, timeout=timeout
-                ):
+                if not self._putters.wait_for(self._put_ready_locked, timeout=timeout):
                     return inserted
                 if self._closed:
                     raise BufferClosedError("buffer closed while waiting to put")
@@ -216,7 +221,8 @@ class TrainingBuffer:
                 self._store.write_batch(slots, batch, inserted)
                 inserted += count
                 self.total_put += count
-                self._lock.notify_all()
+                if self._can_get_locked():
+                    self._getters.notify_all()
         return inserted
 
     def get(self, timeout: Optional[float] = None) -> Optional[SampleRecord]:
@@ -226,22 +232,26 @@ class TrainingBuffer:
         sample can ever be produced again (this is the training-loop
         termination condition described in the paper).
         """
-        with self._lock:
-            def ready() -> bool:
-                return self._can_get_locked() or self._exhausted_locked() or self._closed
-
-            if not self._lock.wait_for(ready, timeout=timeout):
+        with self._getters:
+            if not self._getters.wait_for(self._get_ready_locked, timeout=timeout):
                 raise TimeoutError("timed out waiting for a sample")
             if self._closed or self._exhausted_locked():
                 return None
-            slot = self._draw_slot_locked()
-            record = self._store.record_at(slot)
+            record = self._store.record_at(int(self._draw_slots_locked(1)[0]))
             self.total_got += 1
-            self._lock.notify_all()
+            if self._can_put_locked():
+                self._putters.notify_all()
             return record
 
-    def _collect_columns(self, batch_size: int, timeout: Optional[float]) -> ColumnBatch:
-        """Shared draw loop of :meth:`get_batch`/:meth:`get_batch_columns`.
+    def get_batch_columns(
+        self, batch_size: int, timeout: Optional[float] = None
+    ) -> ColumnBatch:
+        """Draw ``batch_size`` samples as one :class:`ColumnBatch`.
+
+        The columnar form of :meth:`get_batch` — same blocking, threshold,
+        partial-batch-on-timeout and exhaustion contract, but the batch
+        reaches the caller as two matrices plus id/step vectors instead of a
+        record list (an empty batch, ``len() == 0``, when exhausted).
 
         Each piece is gathered from the store *under the lock*, before any
         producer can recycle the freed slots, so the returned batch owns its
@@ -251,12 +261,9 @@ class TrainingBuffer:
             raise ValueError("batch_size must be positive")
         pieces: List[ColumnBatch] = []
         drawn = 0
-        with self._lock:
-            def ready() -> bool:
-                return self._can_get_locked() or self._exhausted_locked() or self._closed
-
+        with self._getters:
             while drawn < batch_size:
-                if not self._lock.wait_for(ready, timeout=timeout):
+                if not self._getters.wait_for(self._get_ready_locked, timeout=timeout):
                     if drawn:
                         break
                     raise TimeoutError("timed out waiting for a sample")
@@ -269,24 +276,13 @@ class TrainingBuffer:
                 pieces.append(self._store.gather(slots))
                 drawn += count
                 self.total_got += count
-                self._lock.notify_all()
+                if self._can_put_locked():
+                    self._putters.notify_all()
         if not pieces:
             return self._store.gather(np.empty(0, dtype=np.intp))
         if len(pieces) == 1:
             return pieces[0]
         return ColumnBatch.concat(pieces)
-
-    def get_batch_columns(
-        self, batch_size: int, timeout: Optional[float] = None
-    ) -> ColumnBatch:
-        """Draw ``batch_size`` samples as one :class:`ColumnBatch`.
-
-        The columnar twin of :meth:`get_batch` — same blocking, threshold,
-        partial-batch-on-timeout and exhaustion contract, but the batch
-        reaches the caller as two matrices plus id/step vectors instead of a
-        record list (an empty batch, ``len() == 0``, when exhausted).
-        """
-        return self._collect_columns(batch_size, timeout)
 
     def get_batch(self, batch_size: int, timeout: Optional[float] = None) -> List[SampleRecord]:
         """Draw ``batch_size`` samples (shorter batch only when exhausted).
@@ -303,16 +299,16 @@ class TrainingBuffer:
         sample drawn; a timeout mid-batch returns the partial batch instead,
         so samples already extracted from the buffer are never discarded.
         """
-        return self._collect_columns(batch_size, timeout).records()
+        return self.get_batch_columns(batch_size, timeout).records()
 
     def get_batch_per_sample(
         self, batch_size: int, timeout: Optional[float] = None
     ) -> List[SampleRecord]:
         """Reference batch extraction through repeated :meth:`get` calls.
 
-        Semantically equivalent to :meth:`get_batch` (one lock acquisition and
-        one RNG call per sample); kept as the baseline for the property tests
-        and the batched-path benchmark.
+        Same contract and distribution as :meth:`get_batch` with one lock
+        acquisition and one one-row draw per sample; kept as the baseline for
+        the property tests and the batched-path benchmark.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -342,13 +338,15 @@ class TrainingBuffer:
         """Notify the buffer that no new data will ever arrive."""
         with self._lock:
             self._reception_over = True
-            self._lock.notify_all()
+            self._putters.notify_all()
+            self._getters.notify_all()
 
     def close(self) -> None:
         """Abort: wake every waiter; subsequent puts raise, gets return None."""
         with self._lock:
             self._closed = True
-            self._lock.notify_all()
+            self._putters.notify_all()
+            self._getters.notify_all()
 
     # -------------------------------------------------------------- inspection
     def snapshot(self) -> dict:
@@ -361,4 +359,5 @@ class TrainingBuffer:
                 "total_put": self.total_put,
                 "total_got": self.total_got,
                 "reception_over": self._reception_over,
+                **self._snapshot_locked(),
             }

@@ -44,12 +44,6 @@ class FIFOBuffer(TrainingBuffer):
         self._count += take
         return slots
 
-    def _draw_slot_locked(self) -> int:
-        slot = self._head
-        self._head = (self._head + 1) % self.capacity
-        self._count -= 1
-        return slot
-
     def _draw_slots_locked(self, max_count: int) -> Array:
         take = min(max_count, self._count)
         slots = np.arange(self._head, self._head + take, dtype=np.intp) % self.capacity

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.buffers.base import TrainingBuffer
-from repro.buffers.sampling import sample_without_replacement
+from repro.buffers.sampling import distinct_positions, move_to_edge
 from repro.utils.seeding import derive_rng
 
 Array = np.ndarray
@@ -29,70 +27,48 @@ class FIROBuffer(TrainingBuffer):
     exceed the production rate in steady state — the limitation the Reservoir
     removes.
 
-    Columnar layout: ``_slots`` is the position-addressed list of live row
-    slots (the old record list, with integers in place of records) and
-    ``_free`` the stack of unused slots; random eviction is the same
-    swap-with-tail on ``_slots``, so the RNG consumption — and hence the
-    drawn sequence — is unchanged from the per-record implementation.
+    Columnar layout: ``_perm`` is a permutation of the store's row slots whose
+    first ``_count`` entries are live and whose remainder is free.  A put
+    hands out the free slots next to the boundary; a draw picks distinct live
+    positions, moves their slots to the end of the live region and pulls the
+    boundary back over them (order within the live region is irrelevant
+    because reads pick uniformly random positions anyway).
     """
 
     def __init__(self, capacity: int, threshold: int = 0, seed: int = 0) -> None:
         super().__init__(capacity=capacity, threshold=threshold)
-        self._slots: List[int] = []
-        self._free: List[int] = list(range(capacity - 1, -1, -1))  # pop() -> 0, 1, ...
+        self._perm = np.arange(capacity, dtype=np.intp)
+        self._count = 0
         self._rng = derive_rng("firo-buffer", seed)
 
     def _size_locked(self) -> int:
-        return len(self._slots)
+        return self._count
 
     def _can_put_locked(self) -> bool:
-        return len(self._slots) < self.capacity
+        return self._count < self.capacity
 
     def _can_get_locked(self) -> bool:
-        if not self._slots:
-            return False
         if self._reception_over:
             # Threshold released at end of reception: drain whatever remains.
-            return True
-        return len(self._slots) > self.threshold
+            return self._count > 0
+        return self._count > self.threshold
 
     def _take_slots_locked(self, want: int) -> Array:
-        take = min(want, self.capacity - len(self._slots))
-        free = self._free
-        # Slice instead of ``take`` repeated pop() calls: same slots in the
-        # same (reversed-tail) order, without a Python-level loop.
-        taken = free[-take:][::-1] if take else []
-        del free[len(free) - take :]
-        self._slots.extend(taken)
-        return np.asarray(taken, dtype=np.intp)
-
-    def _draw_slot_locked(self) -> int:
-        slots = self._slots
-        index = int(self._rng.integers(len(slots)))
-        # Swap-remove keeps eviction O(1); order within the list is irrelevant
-        # because reads pick uniformly random positions anyway.
-        slot = slots[index]
-        slots[index] = slots[-1]
-        slots.pop()
-        self._free.append(slot)
-        return slot
+        start = self._count
+        self._count = min(start + want, self.capacity)
+        return self._perm[start : self._count]
 
     def _draw_slots_locked(self, max_count: int) -> Array:
         # Sequential uniform draws from the shrinking population are exactly a
         # uniform without-replacement sample, so the whole batch needs one
         # vectorized RNG call.  While reception is ongoing the population may
         # only be drawn down to the threshold.
-        available = len(self._slots)
-        if not self._reception_over:
-            available -= self.threshold
+        available = self._count if self._reception_over else self._count - self.threshold
         take = min(max_count, available)
         if take <= 0:
             return np.empty(0, dtype=np.intp)
-        chosen = sample_without_replacement(self._rng, len(self._slots), take)
-        slots = self._slots
-        drawn = [slots[index] for index in chosen]
-        for index in sorted(chosen, reverse=True):
-            slots[index] = slots[-1]
-            slots.pop()
-        self._free.extend(drawn)
-        return np.asarray(drawn, dtype=np.intp)
+        chosen = distinct_positions(self._rng, self._count, take)
+        drawn = self._perm[chosen]
+        move_to_edge(self._perm, chosen, self._count - take, self._count)
+        self._count -= take
+        return drawn

@@ -15,11 +15,17 @@ The Reservoir distinguishes *unseen* samples (never selected in a batch) from
   lifts the blocking once data reception is over, after which samples are
   removed as they are drawn until the buffer empties out and training stops.
 
-Columnar layout: the seen/unseen lists hold row-slot integers instead of
-records (plus a free-slot stack); every list operation — swap-with-tail
-eviction, unseen→seen migration — is performed on the same positions as the
-per-record implementation, so RNG consumption and the drawn sequences are
-unchanged.
+Columnar layout: ``_perm`` is one permutation of the store's row slots split
+by two integers into ``seen | unseen | free`` (positions ``[0, _seen)``,
+``[_seen, _seen + _unseen)`` and the rest).  A put hands out the free slots
+next to the unseen region; an eviction moves uniformly chosen seen slots to the
+end of the seen region and pulls the boundary back over them, which makes them
+the first unseen slots — the ones the put then writes; a first selection moves
+the slot the other way across the same boundary; a drain-mode draw moves its
+slots to the end of the unseen region, next to the free ones.  All of it is
+:func:`~repro.buffers.sampling.move_to_edge` on positions drawn with one
+vectorized RNG call, so the draw stream differs from a per-sample
+implementation's while the distribution (Algorithm 1) is the same.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.buffers.base import SampleRecord, TrainingBuffer
-from repro.buffers.sampling import sample_with_replacement, sample_without_replacement
+from repro.buffers.sampling import distinct_positions, move_to_edge, uniform_positions
 from repro.utils.seeding import derive_rng
 
 Array = np.ndarray
@@ -40,9 +46,9 @@ class ReservoirBuffer(TrainingBuffer):
 
     def __init__(self, capacity: int, threshold: int = 0, seed: int = 0) -> None:
         super().__init__(capacity=capacity, threshold=threshold)
-        self._seen: List[int] = []
-        self._not_seen: List[int] = []
-        self._free: List[int] = list(range(capacity - 1, -1, -1))  # pop() -> 0, 1, ...
+        self._perm = np.arange(capacity, dtype=np.intp)
+        self._seen = 0
+        self._unseen = 0
         self._rng = derive_rng("reservoir-buffer", seed)
         # Counters used by the experiments.
         self.evicted_seen = 0
@@ -52,144 +58,108 @@ class ReservoirBuffer(TrainingBuffer):
     @property
     def num_seen(self) -> int:
         with self._lock:
-            return len(self._seen)
+            return self._seen
 
     @property
     def num_unseen(self) -> int:
         with self._lock:
-            return len(self._not_seen)
+            return self._unseen
 
     def _size_locked(self) -> int:
-        return len(self._seen) + len(self._not_seen)
+        return self._seen + self._unseen
 
-    def snapshot(self) -> dict:
-        snap = super().snapshot()
-        with self._lock:
-            snap.update(
-                num_seen=len(self._seen),
-                num_unseen=len(self._not_seen),
-                evicted_seen=self.evicted_seen,
-                repeated_reads=self.repeated_reads,
-            )
-        return snap
+    def _snapshot_locked(self) -> dict:
+        return {
+            "num_seen": self._seen,
+            "num_unseen": self._unseen,
+            "evicted_seen": self.evicted_seen,
+            "repeated_reads": self.repeated_reads,
+        }
 
     # ------------------------------------------------------------------- put
     def _can_put_locked(self) -> bool:
         # Block only when the buffer is full of *unseen* samples: evicting one
         # of them would discard data never used for training (Algorithm 1,
         # lines 21-22).
-        return len(self._not_seen) < self.capacity
+        return self._unseen < self.capacity
 
     def _take_slots_locked(self, want: int) -> Array:
         # Per-sample semantics: each insert beyond a full buffer evicts one
         # uniformly random *seen* sample; sequential uniform evictions from the
-        # shrinking seen list are a uniform without-replacement set, so all
+        # shrinking seen region are a uniform without-replacement set, so all
         # victims are picked with one vectorized RNG call (lines 24-26).
-        count = min(want, self.capacity - len(self._not_seen))
-        total = len(self._seen) + len(self._not_seen)
-        free = max(0, self.capacity - total)
-        evictions = count - free
-        if evictions > 0:
-            victims = sample_without_replacement(self._rng, len(self._seen), evictions)
-            seen = self._seen
-            for index in sorted(victims, reverse=True):
-                self._free.append(seen[index])
-                seen[index] = seen[-1]
-                seen.pop()
-            self.evicted_seen += evictions
-        free_slots = self._free
-        # Slice instead of ``count`` repeated pop() calls: same slots in the
-        # same (reversed-tail) order, without a Python-level loop.
-        taken = free_slots[-count:][::-1] if count else []
-        del free_slots[len(free_slots) - count :]
-        self._not_seen.extend(taken)
-        return np.asarray(taken, dtype=np.intp)
+        count = min(want, self.capacity - self._unseen)
+        end = self._seen + self._unseen
+        evictions = count - (self.capacity - end)
+        if evictions <= 0:
+            self._unseen += count
+            return self._perm[end : end + count]
+        victims = distinct_positions(self._rng, self._seen, evictions)
+        self._seen -= evictions
+        move_to_edge(self._perm, victims, self._seen, self._seen + evictions)
+        self._unseen += count
+        self.evicted_seen += evictions
+        if evictions == count:
+            return self._perm[self._seen : self._seen + count]
+        # The put that fills the buffer: the last free slots plus the victims.
+        return np.concatenate((self._perm[end:], self._perm[self._seen : self._seen + evictions]))
 
     # ------------------------------------------------------------------- get
     def _can_get_locked(self) -> bool:
-        total = len(self._seen) + len(self._not_seen)
-        if total == 0:
-            return False
+        total = self._seen + self._unseen
         if self._reception_over:
             # Threshold lifted once reception is over (Section 3.2.3).
-            return True
+            return total > 0
         return total > self.threshold
 
-    def _draw_slot_locked(self) -> int:
-        total = len(self._seen) + len(self._not_seen)
-        index = int(self._rng.integers(total))
-        if index < len(self._not_seen):
-            # Selected an unseen sample: remove it from the unseen list and,
-            # while reception is ongoing, keep it around in the seen list.
-            slot = self._not_seen[index]
-            self._not_seen[index] = self._not_seen[-1]
-            self._not_seen.pop()
-            if not self._reception_over:
-                self._seen.append(slot)
-            else:
-                self._free.append(slot)
-        else:
-            seen_index = index - len(self._not_seen)
-            slot = self._seen[seen_index]
-            self.repeated_reads += 1
-            if self._reception_over:
-                # Drain mode: empty the buffer as samples are consumed.
-                self._seen[seen_index] = self._seen[-1]
-                self._seen.pop()
-                self._free.append(slot)
-        return slot
-
-    def _slot_at_locked(self, index: int) -> int:
-        """Slot at ``index`` in the unseen-then-seen population ordering."""
-        num_unseen = len(self._not_seen)
-        if index < num_unseen:
-            return self._not_seen[index]
-        return self._seen[index - num_unseen]
-
     def _draw_slots_locked(self, max_count: int) -> Array:
-        total = len(self._seen) + len(self._not_seen)
-        if total == 0:
-            return np.empty(0, dtype=np.intp)
-        num_unseen = len(self._not_seen)
+        total = self._seen + self._unseen
         if self._reception_over:
             # Drain mode: every draw removes its sample, so sequential uniform
             # draws are a uniform without-replacement sample of the snapshot.
-            take = min(max_count, total)
-            chosen = sample_without_replacement(self._rng, total, take)
-            drawn = [self._slot_at_locked(index) for index in chosen]
-            unseen_idx = [i for i in chosen if i < num_unseen]
-            seen_idx = [i - num_unseen for i in chosen if i >= num_unseen]
-            self.repeated_reads += len(seen_idx)
-            for index in sorted(unseen_idx, reverse=True):
-                self._free.append(self._not_seen[index])
-                self._not_seen[index] = self._not_seen[-1]
-                self._not_seen.pop()
-            for index in sorted(seen_idx, reverse=True):
-                self._free.append(self._seen[index])
-                self._seen[index] = self._seen[-1]
-                self._seen.pop()
-            return np.asarray(drawn, dtype=np.intp)
+            chosen = distinct_positions(self._rng, total, min(max_count, total))
+            return self._remove_locked(chosen)
         # Reception ongoing: draws never shrink the population (unseen samples
-        # merely move to the seen list), so the batch is iid uniform *with*
+        # merely move to the seen region), so the batch is iid uniform *with*
         # replacement over a fixed snapshot — one vectorized RNG call.  A
         # repeat of an unseen sample counts as a repeated read from its second
-        # occurrence on, matching the per-sample bookkeeping.  The returned
-        # slot array may therefore contain duplicates.
-        chosen = sample_with_replacement(self._rng, total, max_count)
-        drawn = []
-        newly_seen = set()
-        for index in chosen:
-            if index < num_unseen:
-                drawn.append(self._not_seen[index])
-                newly_seen.add(index)
-            else:
-                drawn.append(self._seen[index - num_unseen])
-        self.repeated_reads += max_count - len(newly_seen)
-        for index in sorted(newly_seen, reverse=True):
-            self._seen.append(self._not_seen[index])
-            self._not_seen[index] = self._not_seen[-1]
-            self._not_seen.pop()
-        return np.asarray(drawn, dtype=np.intp)
+        # occurrence on.  The returned slot array may therefore contain
+        # duplicates.
+        chosen = uniform_positions(self._rng, total, max_count)
+        drawn = self._perm[chosen]
+        self.repeated_reads += max_count - self._mark_seen_locked(chosen)
+        return drawn
+
+    def _mark_seen_locked(self, chosen: Array) -> int:
+        """Move the unseen slots among the ascending positions ``chosen``
+        (repeats allowed) into the seen region; returns how many there were."""
+        if not self._unseen or chosen[-1] < self._seen:
+            return 0
+        fresh = chosen[chosen.searchsorted(self._seen) :]
+        if len(fresh) > 1 and np.count_nonzero(fresh[1:] == fresh[:-1]):
+            fresh = np.unique(fresh)
+        count = len(fresh)
+        move_to_edge(self._perm, fresh, self._seen, self._seen + count)
+        self._seen += count
+        self._unseen -= count
+        return count
+
+    def _remove_locked(self, chosen: Array) -> Array:
+        """Free the slots at the distinct ascending positions ``chosen`` (a
+        scratch array, overwritten) and return them."""
+        drawn = self._perm[chosen]
+        end = self._seen + self._unseen
+        if self._seen and chosen[0] < self._seen:
+            # As for an eviction: the chosen seen slots become the first
+            # unseen ones, then leave together with the chosen unseen slots.
+            count = int(chosen.searchsorted(self._seen))
+            self._seen -= count
+            move_to_edge(self._perm, chosen[:count], self._seen, self._seen + count)
+            self.repeated_reads += count
+            chosen[:count] = np.arange(self._seen, self._seen + count)
+        move_to_edge(self._perm, chosen, end - len(chosen), end)
+        self._unseen = end - len(chosen) - self._seen
+        return drawn
 
     # -------------------------------------------------------------- sampling
     def sample_without_replacement(self, batch_size: int) -> Optional[List[SampleRecord]]:
@@ -203,30 +173,17 @@ class ReservoirBuffer(TrainingBuffer):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         with self._lock:
-            total = len(self._seen) + len(self._not_seen)
+            total = self._seen + self._unseen
             if total < batch_size or (not self._reception_over and total <= self.threshold):
                 return None
-            chosen = self._rng.choice(total, size=batch_size, replace=False)
-            slots: List[int] = []
-            # Process indices in decreasing order so removals do not shift the
-            # positions of indices still to be processed.
-            for index in sorted((int(i) for i in chosen), reverse=True):
-                if index < len(self._not_seen):
-                    slot = self._not_seen[index]
-                    self._not_seen[index] = self._not_seen[-1]
-                    self._not_seen.pop()
-                    if not self._reception_over:
-                        self._seen.append(slot)
-                else:
-                    seen_index = index - len(self._not_seen)
-                    slot = self._seen[seen_index]
-                    self.repeated_reads += 1
-                    if self._reception_over:
-                        self._seen[seen_index] = self._seen[-1]
-                        self._seen.pop()
-                        self._free.append(slot)
-                slots.append(slot)
-                self.total_got += 1
-            batch = self._store.gather(np.asarray(slots, dtype=np.intp)).records()
-            self._lock.notify_all()
+            chosen = distinct_positions(self._rng, total, batch_size)
+            if self._reception_over:
+                slots = self._remove_locked(chosen)
+            else:
+                slots = self._perm[chosen]
+                self.repeated_reads += batch_size - self._mark_seen_locked(chosen)
+            self.total_got += batch_size
+            batch = self._store.gather(slots).records()
+            if self._can_put_locked():
+                self._putters.notify_all()
             return batch

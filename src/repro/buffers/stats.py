@@ -11,9 +11,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -21,58 +20,106 @@ from repro.utils.seeding import derive_rng
 
 
 class OccurrenceTracker:
-    """Counts how many times each sample key appears in training batches."""
+    """Counts how many times each ``(source_id, time_step)`` key appears in
+    training batches.
+
+    Columnar like the batches it is fed: :meth:`record_columns` appends the
+    id and step columns to a growing int64 block, and the block is folded
+    into sorted unique keys with their counts — one ``lexsort`` and one
+    run-length pass, exact for any int64 pair — when a statistic is read or
+    the pending rows outnumber both :data:`_FOLD_AT` and the keys already
+    folded.  Recording therefore costs two slice copies per batch, and the
+    pending block stays within 16 bytes per row of that bound.
+    """
+
+    _FOLD_AT = 1 << 18
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self._keys = np.empty((2, 0), dtype=np.int64)  # lexicographically sorted, unique
+        self._counts = np.empty(0, dtype=np.int64)
+        self._pending = np.empty((2, 1024), dtype=np.int64)
+        self._num_pending = 0
+        self._total = 0
 
-    def record(self, key: Hashable) -> None:
+    def record(self, key: Tuple[int, int]) -> None:
         """Record one occurrence of ``key`` in a batch."""
-        self._counts[key] += 1
+        self.record_batch([key])
 
-    def record_batch(self, keys: Iterable[Hashable]) -> None:
+    def record_batch(self, keys: Iterable[Tuple[int, int]]) -> None:
         """Record every key of a batch."""
-        for key in keys:
-            self._counts[key] += 1
+        columns = np.array(list(keys), dtype=np.int64).reshape(-1, 2)
+        self.record_columns(columns[:, 0], columns[:, 1])
 
     def record_columns(self, source_ids: np.ndarray, time_steps: np.ndarray) -> None:
-        """Record every ``(source_id, time_step)`` key of a columnar batch.
+        """Record every ``(source_id, time_step)`` key of a columnar batch."""
+        start = self._num_pending
+        stop = start + len(source_ids)
+        if stop > self._pending.shape[1]:
+            grown = np.empty((2, max(stop, 2 * self._pending.shape[1])), dtype=np.int64)
+            grown[:, :start] = self._pending[:, :start]
+            self._pending = grown
+        self._pending[0, start:stop] = source_ids
+        self._pending[1, start:stop] = time_steps
+        self._num_pending = stop
+        self._total += stop - start
+        if stop >= max(self._FOLD_AT, self._counts.size):
+            self._fold()
 
-        The vectorised twin of :meth:`record_batch`: one ``Counter.update``
-        over the zipped id/step vectors, no per-sample Python call.
-        """
-        self._counts.update(zip(source_ids.tolist(), time_steps.tolist()))
+    def _fold(self) -> None:
+        """Merge the pending rows into the sorted unique keys and counts."""
+        if not self._num_pending:
+            return
+        pending = self._pending[:, : self._num_pending]
+        keys = np.concatenate((self._keys, pending), axis=1)
+        counts = np.concatenate((self._counts, np.ones(self._num_pending, dtype=np.int64)))
+        order = np.lexsort((keys[1], keys[0]))
+        keys = keys[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        self._keys = keys[:, first]
+        self._counts = np.add.reduceat(counts[order], np.flatnonzero(first))
+        self._num_pending = 0
 
     @property
     def num_unique(self) -> int:
         """Number of distinct samples ever selected."""
-        return len(self._counts)
+        self._fold()
+        return int(self._counts.size)
 
     @property
     def total_occurrences(self) -> int:
         """Total number of selections (batch slots filled)."""
-        return int(sum(self._counts.values()))
+        return self._total
 
-    def count(self, key: Hashable) -> int:
-        return self._counts.get(key, 0)
+    def count(self, key: Tuple[int, int]) -> int:
+        self._fold()
+        source_id, time_step = key
+        ids, steps = self._keys
+        begin = np.searchsorted(ids, source_id, "left")
+        end = np.searchsorted(ids, source_id, "right")
+        index = begin + np.searchsorted(steps[begin:end], time_step)
+        if index < end and steps[index] == time_step:
+            return int(self._counts[index])
+        return 0
 
     def histogram(self) -> Dict[int, int]:
         """Mapping occurrence-count -> number of samples seen that many times.
 
         This is exactly the data plotted in the paper's Figure 3.
         """
-        histogram: Counter = Counter(self._counts.values())
-        return dict(sorted(histogram.items()))
+        self._fold()
+        values, samples = np.unique(self._counts, return_counts=True)
+        return dict(zip(values.tolist(), samples.tolist()))
 
     def max_occurrences(self) -> int:
         """Largest number of times any single sample was selected."""
-        return max(self._counts.values(), default=0)
+        self._fold()
+        return int(self._counts.max(initial=0))
 
     def mean_occurrences(self) -> float:
         """Average selections per distinct selected sample."""
-        if not self._counts:
-            return 0.0
-        return self.total_occurrences / self.num_unique
+        unique = self.num_unique
+        return self._total / unique if unique else 0.0
 
 
 @dataclass

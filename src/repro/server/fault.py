@@ -40,31 +40,45 @@ class MessageLog:
         """Record a columnar batch of ``(client_id, time_step)`` keys at once.
 
         Returns ``None`` when every key is new (the caller keeps the whole
-        batch, no mask allocation), else a boolean keep-mask aligned with the
-        input vectors.  Duplicate accounting matches per-key
+        batch: no mask allocation, no copy), else a boolean keep-mask aligned
+        with the input vectors.  Duplicate accounting matches per-key
         :meth:`register` exactly: each rejected key counts once.
+
+        The check is made per *client*: the aggregator merges the chunks of
+        one drain before dedup, so concurrent clients interleave in a batch,
+        and each client's rows are split off with one comparison and decided
+        by one set-disjointness probe.
         """
-        ids = client_ids.tolist()
-        steps = time_steps.tolist()
         with self._lock:
-            if ids and len(set(ids)) == 1:
-                # Single-client chunk (the overwhelmingly common shape of a
-                # transport batch): one set-disjointness probe decides the
-                # whole batch instead of a per-key membership loop.
-                known = self._received.setdefault(int(ids[0]), set())
-                if len(set(steps)) == len(steps) and known.isdisjoint(steps):
-                    known.update(steps)
-                    return None
-            keep = np.empty(len(ids), dtype=bool)
-            for index, (cid, step) in enumerate(zip(ids, steps)):
-                known = self._received.setdefault(int(cid), set())
-                if step in known:
-                    self._duplicates += 1
-                    keep[index] = False
-                else:
-                    known.add(int(step))
-                    keep[index] = True
+            clients = set(client_ids.tolist())
+            if len(clients) == 1:
+                return self._register_steps_locked(clients.pop(), time_steps)
+            keep = None
+            for client_id in clients:
+                rows = client_ids == client_id
+                mask = self._register_steps_locked(client_id, time_steps[rows])
+                if mask is not None:
+                    if keep is None:
+                        keep = np.ones(len(client_ids), dtype=bool)
+                    keep[rows] = mask
             return keep
+
+    def _register_steps_locked(self, client_id: int,
+                               time_steps: np.ndarray) -> Optional[np.ndarray]:
+        """Log one client's steps; ``None`` when all are new, else its keep-mask."""
+        steps = time_steps.tolist()
+        known = self._received.setdefault(client_id, set())
+        if len(set(steps)) == len(steps) and known.isdisjoint(steps):
+            known.update(steps)
+            return None
+        # A restarted client replaying (or a step repeated inside the chunk):
+        # the rare path decides key by key, first occurrence wins.
+        keep = np.empty(len(steps), dtype=bool)
+        for index, step in enumerate(steps):
+            keep[index] = step not in known
+            known.add(step)
+        self._duplicates += len(steps) - int(keep.sum())
+        return keep
 
     def received_steps(self, client_id: int) -> Set[int]:
         """Time steps already received from ``client_id`` (copy)."""

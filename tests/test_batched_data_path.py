@@ -1,12 +1,13 @@
 """Property tests for the vectorized batched buffer path.
 
 ``get_batch`` extracts a whole batch under a single lock acquisition with one
-vectorized RNG call per chunk; ``get_batch_per_sample`` is the reference path
-built from repeated ``get`` calls.  These tests assert that the two paths are
-semantically identical for all three buffer kinds: same bookkeeping counters
-(seen/unseen, evictions, repeated reads), same threshold blocking, same
-drain-mode emptying and exhaustion contract, and the same selection
-distribution.
+vectorized RNG call per chunk; ``get_batch_per_sample`` loops over the one-row
+``get``.  Both go through the same policy hooks, so they consume the RNG
+differently but must agree on everything Algorithm 1 fixes, for all three
+buffer kinds: bookkeeping counters (seen/unseen, evictions, repeated reads),
+threshold blocking, drain-mode emptying and the exhaustion contract, and the
+selection distribution (the per-sample textbook reference lives in
+``tests/test_buffers_bookkeeping.py``).
 """
 
 import threading
@@ -168,7 +169,7 @@ def test_reservoir_put_many_evicts_only_seen_samples():
         fill(buffer, 20)
         while buffer.num_seen < 10:  # repeats permitting, mark 10 as seen
             buffer.get(timeout=1.0)
-    assert batched.num_seen == per_sample.num_seen  # identical seeds
+    assert batched.num_seen == per_sample.num_seen == 10  # one-row gets add one at most
 
     fresh = [record(100 + i) for i in range(8)]
     for item in fresh:

@@ -50,11 +50,12 @@ def test_reservoir_never_evicts_unseen_samples():
     # Buffer full of unseen data: a further put must block (try via timeout).
     with pytest.raises(TimeoutError):
         buffer.put(record(99), timeout=0.05)
-    # Read two samples (they become seen), then new puts evict seen ones only.
-    buffer.get()
-    buffer.get()
-    buffer.put(record(5))
-    buffer.put(record(6))
+    # Read until two samples are seen (draws repeat), then new puts evict
+    # seen ones only.
+    while buffer.num_seen < 2:
+        assert buffer.get(timeout=1.0) is not None
+    buffer.put(record(5), timeout=1.0)
+    buffer.put(record(6), timeout=1.0)
     assert buffer.evicted_seen >= 1
     assert len(buffer) <= 5
     # All unseen keys must still be retrievable eventually.
@@ -182,6 +183,42 @@ def test_reservoir_snapshot_fields():
     assert snap["num_unseen"] == 3
     assert snap["size"] == 4
     assert "evicted_seen" in snap and "repeated_reads" in snap
+
+
+def test_reservoir_snapshot_is_one_consistent_view():
+    """``snapshot()`` reads the base and the policy fields under one lock
+    acquisition: a put landing right after the lock is first released (where a
+    second acquisition used to follow) cannot split ``size`` from
+    ``num_seen + num_unseen``."""
+    buffer = ReservoirBuffer(capacity=16, threshold=0, seed=0)
+    for i in range(4):
+        buffer.put(record(i))
+    buffer.get(timeout=1.0)
+
+    class PutAfterFirstRelease:
+        """The buffer's lock, plus one ``put_many`` the first time it is released."""
+
+        def __init__(self, lock):
+            self.lock = lock
+            self.armed = True
+
+        def __getattr__(self, name):
+            return getattr(self.lock, name)
+
+        def __enter__(self):
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc_info):
+            self.lock.__exit__(*exc_info)
+            if self.armed:
+                self.armed = False
+                buffer.put_many([record(10), record(11), record(12)], timeout=1.0)
+
+    buffer._lock = PutAfterFirstRelease(buffer._lock)
+    snap = buffer.snapshot()
+    assert len(buffer) == 7  # the interleaved put did land
+    assert snap["size"] == snap["num_seen"] + snap["num_unseen"]
+    assert snap["total_put"] == snap["size"]
 
 
 def test_reservoir_deterministic_given_seed():

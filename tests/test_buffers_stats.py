@@ -1,5 +1,7 @@
 """Tests for occurrence tracking and residency-time analysis."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,12 @@ from repro.buffers.stats import (
 
 def test_occurrence_tracker_counts():
     tracker = OccurrenceTracker()
-    tracker.record(("a", 1))
-    tracker.record(("a", 1))
-    tracker.record(("b", 2))
-    assert tracker.count(("a", 1)) == 2
-    assert tracker.count(("missing", 0)) == 0
+    tracker.record((7, 1))
+    tracker.record((7, 1))
+    tracker.record((8, 2))
+    assert tracker.count((7, 1)) == 2
+    assert tracker.count((9, 0)) == 0
+    assert tracker.count((7, 2)) == 0  # known id, unknown step
     assert tracker.num_unique == 2
     assert tracker.total_occurrences == 3
     assert tracker.max_occurrences() == 2
@@ -26,10 +29,47 @@ def test_occurrence_tracker_counts():
 
 def test_occurrence_tracker_histogram():
     tracker = OccurrenceTracker()
-    tracker.record_batch([("a", 0), ("b", 0), ("a", 0), ("c", 0), ("a", 0)])
+    tracker.record_batch([(1, 0), (2, 0), (1, 0), (3, 0), (1, 0)])
     histogram = tracker.histogram()
-    # a seen 3 times, b and c once each -> {1: 2, 3: 1}
+    # (1, 0) seen 3 times, (2, 0) and (3, 0) once each -> {1: 2, 3: 1}
     assert histogram == {1: 2, 3: 1}
+
+
+def test_occurrence_tracker_columns_match_a_counter_across_folds(monkeypatch):
+    """The columnar fold is exact: same counts as hashing every key, whatever
+    the interleaving of records, reads and size-triggered folds, and for int64
+    values no float could tell apart."""
+    monkeypatch.setattr(OccurrenceTracker, "_FOLD_AT", 64)  # fold many times
+    rng = np.random.default_rng(0)
+    big = 2**62
+    tracker = OccurrenceTracker()
+    reference = Counter()
+    for batch in range(200):
+        ids = rng.integers(-2, 3, size=10) + np.where(rng.random(10) < 0.3, big, 0)
+        steps = rng.integers(0, 6, size=10) + np.where(rng.random(10) < 0.3, big, 0)
+        tracker.record_columns(ids, steps)
+        reference.update(zip(ids.tolist(), steps.tolist()))
+        if batch % 37 == 0:  # reads fold too, and recording continues after
+            assert tracker.num_unique == len(reference)
+    assert tracker.total_occurrences == 2000
+    assert tracker.num_unique == len(reference)
+    assert tracker.max_occurrences() == max(reference.values())
+    assert tracker.histogram() == dict(sorted(Counter(reference.values()).items()))
+    for key, count in reference.items():
+        assert tracker.count(key) == count
+    assert tracker.count((big, big + 7)) == 0
+
+
+def test_occurrence_tracker_pending_block_is_bounded(monkeypatch):
+    """Recording the same few keys forever does not grow the tracker."""
+    monkeypatch.setattr(OccurrenceTracker, "_FOLD_AT", 256)
+    tracker = OccurrenceTracker()
+    ids = np.zeros(100, dtype=np.int64)
+    steps = np.arange(100, dtype=np.int64)
+    for _ in range(50):
+        tracker.record_columns(ids, steps)
+    assert tracker._pending.shape[1] <= 1024
+    assert tracker.histogram() == {50: 100}
 
 
 def test_occurrence_tracker_empty():

@@ -75,8 +75,10 @@ def test_scatter_wrong_length_raises():
         values = [1] if comm.rank == 0 else None
         return comm.scatter(values, root=0)
 
+    # Rank 1 waits for a value that never comes: bound that wait (the default
+    # 120 s is also pytest's faulthandler_timeout, which would dump every run).
     with pytest.raises(SPMDFailure):
-        run_spmd(2, main)
+        run_spmd(2, main, timeout=1.0)
 
 
 def test_allgather():

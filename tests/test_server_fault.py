@@ -1,5 +1,6 @@
 """Tests for the fault-tolerance primitives (message log, heartbeats, checkpointer)."""
 
+import numpy as np
 import pytest
 
 from repro.nn import Adam, MLPConfig, build_mlp, state_dict_equal
@@ -102,3 +103,59 @@ def test_server_checkpointer_per_rank_namespacing(tmp_path):
     meta1 = ServerCheckpointer(directory=tmp_path, rank=1).restore(_model())
     assert meta0["batches_trained"] == 1
     assert meta1["batches_trained"] == 2
+
+
+# ------------------------------------------------------- columnar dedup
+def test_register_many_interleaved_clients_all_new_returns_none():
+    """Two concurrent clients interleave inside one merged drain: every key
+    is new, so there is no mask — whatever the interleaving."""
+    log = MessageLog()
+    ids = np.array([3, 5, 3, 3, 5, 5, 3, 5], dtype=np.int64)
+    steps = np.array([0, 0, 1, 2, 1, 2, 3, 3], dtype=np.int64)
+    assert log.register_many(ids, steps) is None
+    assert log.duplicates_discarded == 0
+    assert log.received_steps(3) == log.received_steps(5) == {0, 1, 2, 3}
+    assert log.register_many(np.empty(0, np.int64), np.empty(0, np.int64)) is None
+
+
+def test_register_many_mixed_chunk_masks_only_the_replayed_client():
+    """A restarted client's replay inside a mixed chunk: its already-logged
+    steps are masked and counted once each, the other client's rows kept."""
+    log = MessageLog()
+    assert log.register_many(np.full(4, 1, np.int64), np.arange(4, dtype=np.int64)) is None
+    ids = np.array([2, 1, 1, 2, 1, 2, 1], dtype=np.int64)  # client 1 replays 2,3 then 4,5
+    steps = np.array([0, 2, 3, 1, 4, 2, 5], dtype=np.int64)
+    keep = log.register_many(ids, steps)
+    assert keep.tolist() == [True, False, False, True, True, True, True]
+    assert log.duplicates_discarded == 2
+    assert log.count(1) == 6 and log.count(2) == 3
+    assert log.state() == {1: [0, 1, 2, 3, 4, 5], 2: [0, 1, 2]}
+
+
+def test_register_many_in_chunk_duplicates_count_once_each():
+    """A key repeated inside one chunk is new at its first row only, on the
+    single-client path and on the mixed one."""
+    log = MessageLog()
+    keep = log.register_many(np.full(5, 9, np.int64), np.array([4, 7, 4, 4, 8], np.int64))
+    assert keep.tolist() == [True, True, False, False, True]
+    assert log.duplicates_discarded == 2
+    ids = np.array([1, 2, 1, 2, 1], dtype=np.int64)
+    steps = np.array([0, 0, 0, 1, 1], dtype=np.int64)
+    assert log.register_many(ids, steps).tolist() == [True, True, False, True, True]
+    assert log.duplicates_discarded == 3
+    # Per-key register reads and writes the same log.
+    assert not log.register(9, 7) and log.register(9, 5000) and not log.register(9, 4)
+    assert log.duplicates_discarded == 5
+    assert log.received_steps(9) == {4, 7, 8, 5000}
+
+
+def test_message_log_checkpoint_format_is_sorted_step_lists():
+    log = MessageLog()
+    log.register_many(np.array([4, 2, 4], np.int64), np.array([9, 1, 3], np.int64))
+    assert log.state() == {4: [3, 9], 2: [1]}
+    restored = MessageLog()
+    restored.restore({4: [3, 9], 2: []})
+    assert restored.state() == {4: [3, 9], 2: []}
+    assert restored.duplicates_discarded == 0
+    keep = restored.register_many(np.array([4, 4], np.int64), np.array([9, 10], np.int64))
+    assert keep.tolist() == [False, True]

@@ -150,3 +150,30 @@ def test_record_lists_columnise_once_or_are_rejected():
                 SampleRecord(np.ones(4, np.float32), np.ones(3, np.float32), 0, 1),
             ]
         )
+
+
+def test_interleaved_two_client_chunk_reaches_put_many_uncopied():
+    """Two concurrent clients' chunks are merged per drain before dedup; when
+    nothing is a duplicate the merged chunk must reach ``put_many`` as it is
+    — no keep-mask, no ``compress`` copy of a chunk that lost no row."""
+    buffer = FIFOBuffer(capacity=64)
+    aggregator = make_aggregator(buffer)
+    merged = ColumnBatch.concat([
+        unpack_columns(pack_many(make_steps(4, client_id=0))),
+        unpack_columns(pack_many(make_steps(4, client_id=1))),
+        unpack_columns(pack_many(make_steps(4, client_id=0, start=4))),
+    ])
+    handed_over = []
+    put_many = buffer.put_many
+
+    def spy(batch, timeout=None):
+        handed_over.append(batch)
+        return put_many(batch, timeout)
+
+    buffer.put_many = spy
+    aggregator._handle_items([merged])
+    assert aggregator.stats.samples_received == 12
+    assert aggregator.stats.duplicates_discarded == 0
+    assert len(handed_over) == 1 and len(handed_over[0]) == 12
+    assert np.shares_memory(handed_over[0].targets, merged.targets)
+    assert np.shares_memory(handed_over[0].inputs, merged.inputs)
