@@ -2,47 +2,45 @@
 
 * eviction-on-write (Reservoir) vs eviction-on-read (FIRO) under a production
   stall — isolates the mechanism behind the Figure 2 gap;
-* buffer capacity / threshold sensitivity;
-* batch selection with vs without replacement.
+* buffer capacity / threshold sensitivity.
 
 These are pure-buffer micro-benchmarks (no solver, no network training) so the
-numbers reflect the data structures themselves.
+numbers reflect the data structures themselves.  Samples are put and drawn one
+row at a time, as a per-time-step producer and consumer would.
 """
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.buffers import FIROBuffer, ReservoirBuffer
-from repro.buffers.base import SampleRecord
+from repro.buffers.columns import ColumnBatch
 from repro.experiments.reporting import format_rows
 
 
-def _record(index: int) -> SampleRecord:
-    return SampleRecord(
-        inputs=np.array([index], dtype=np.float32),
-        target=np.zeros(16, dtype=np.float32),
-        source_id=index // 100,
-        time_step=index % 100,
+def _sample(index: int) -> ColumnBatch:
+    """Sample ``index`` as a one-row batch."""
+    return ColumnBatch(
+        np.array([[float(index)]]),
+        np.zeros((1, 16), dtype=np.float32),
+        np.array([index // 100]),
+        np.array([index % 100]),
     )
 
 
 def _stall_scenario(buffer, produce_first: int, stall_reads: int, batch_size: int = 10):
     """Produce a burst, then stop production and count batches still deliverable."""
     for index in range(produce_first):
-        if not buffer.try_put(_record(index)):
+        if not buffer.put_many(_sample(index), timeout=0):
             break
     delivered = 0
     for _ in range(stall_reads):
-        batch = []
+        drawn = 0
         for _ in range(batch_size):
             try:
-                item = buffer.get(timeout=0.001)
+                drawn += len(buffer.get_batch_columns(1, timeout=0.001))
             except TimeoutError:
-                item = None
-            if item is None:
                 break
-            batch.append(item)
-        if len(batch) == batch_size:
+        if drawn == batch_size:
             delivered += 1
     return delivered
 
@@ -79,13 +77,15 @@ def test_ablation_threshold_sensitivity(benchmark):
             first_batch_at = None
             delivered = 0
             for index in range(400):
-                buffer.try_put(_record(index))
+                buffer.put_many(_sample(index), timeout=0)
                 produced += 1
-                batch = buffer.sample_without_replacement(10)
-                if batch is not None:
-                    delivered += 1
-                    if first_batch_at is None:
-                        first_batch_at = produced
+                try:
+                    buffer.get_batch_columns(10, timeout=0)
+                except TimeoutError:  # the population is not above the threshold yet
+                    continue
+                delivered += 1
+                if first_batch_at is None:
+                    first_batch_at = produced
             results.append({
                 "threshold": threshold,
                 "first_batch_after_samples": first_batch_at,
@@ -100,41 +100,3 @@ def test_ablation_threshold_sensitivity(benchmark):
     assert first[0] <= first[50] <= first[150]
     delivered = {row["threshold"]: row["batches_delivered"] for row in rows}
     assert delivered[150] > 0
-
-
-def test_ablation_with_vs_without_replacement(benchmark):
-    """Without-replacement batches contain no duplicates but cost more per draw."""
-
-    def run():
-        buffer = ReservoirBuffer(capacity=500, threshold=0, seed=0)
-        for index in range(500):
-            buffer.put(_record(index))
-        import time
-
-        start = time.perf_counter()
-        with_replacement = [buffer.get_batch(50) for _ in range(100)]
-        with_time = time.perf_counter() - start
-
-        start = time.perf_counter()
-        without_replacement = [buffer.sample_without_replacement(50) for _ in range(100)]
-        without_time = time.perf_counter() - start
-        return with_replacement, without_replacement, with_time, without_time
-
-    with_rep, without_rep, with_time, without_time = run_once(benchmark, run)
-    duplicate_batches_with = sum(
-        1 for batch in with_rep if len({r.key() for r in batch}) < len(batch)
-    )
-    duplicate_batches_without = sum(
-        1 for batch in without_rep if batch and len({r.key() for r in batch}) < len(batch)
-    )
-    print()
-    print(format_rows(
-        [
-            {"mode": "with replacement", "batches_with_duplicates": duplicate_batches_with,
-                    "seconds_per_100_batches": with_time},
-            {"mode": "without replacement", "batches_with_duplicates": duplicate_batches_without,
-                    "seconds_per_100_batches": without_time},
-        ],
-        title="Ablation — batch selection with vs without replacement",
-    ))
-    assert duplicate_batches_without == 0

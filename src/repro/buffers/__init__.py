@@ -18,16 +18,15 @@ path moves :class:`~repro.buffers.columns.ColumnBatch` chunks — see
 ``docs/data_path.md`` for the layout and ownership rules.
 """
 
-from repro.buffers.base import BufferClosedError, SampleRecord, TrainingBuffer
+from repro.buffers.base import BufferClosedError, TrainingBuffer
 from repro.buffers.columns import ColumnBatch, ColumnStore
 from repro.buffers.fifo import FIFOBuffer
 from repro.buffers.firo import FIROBuffer
 from repro.buffers.reservoir import ReservoirBuffer
-from repro.buffers.stats import BufferStatistics, OccurrenceTracker, expected_residency_time
+from repro.buffers.stats import OccurrenceTracker, expected_residency_time
 
 __all__ = [
     "TrainingBuffer",
-    "SampleRecord",
     "ColumnBatch",
     "ColumnStore",
     "BufferClosedError",
@@ -35,7 +34,6 @@ __all__ = [
     "FIROBuffer",
     "ReservoirBuffer",
     "OccurrenceTracker",
-    "BufferStatistics",
     "expected_residency_time",
     "make_buffer",
 ]

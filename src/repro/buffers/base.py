@@ -4,24 +4,24 @@ Since the columnar rebuild, every concrete buffer is a *policy over row
 slots*: samples live in the preallocated column blocks of a
 :class:`~repro.buffers.columns.ColumnStore`, and the policy hooks only
 decide which slot indices a put writes and a get drains.  The blocking /
-threshold / exhaustion contract is unchanged from the per-record era and is
-implemented once, here.
+threshold / exhaustion contract is implemented once, here, around the two
+doors every caller uses: :meth:`TrainingBuffer.put_many` and
+:meth:`TrainingBuffer.get_batch_columns`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
-from repro.buffers.columns import ColumnBatch, ColumnStore, SampleRecord
+from repro.buffers.columns import ColumnBatch, ColumnStore
 from repro.utils.exceptions import BufferClosedError
 
 Array = np.ndarray
 
 __all__ = [
-    "SampleRecord",
     "ColumnBatch",
     "TrainingBuffer",
     "BufferClosedError",
@@ -31,15 +31,21 @@ __all__ = [
 class TrainingBuffer:
     """Thread-safe bounded sample container shared by producer and consumer.
 
-    The API follows Algorithm 1 of the paper:
+    The API follows Algorithm 1 of the paper, with a :class:`ColumnBatch` as
+    the unit of both doors:
 
-    * :meth:`put` — called by the data-aggregator thread for each received
-      time step; may block when the buffer cannot accept new data.
-    * :meth:`get` — called by the training thread to draw one sample; may
-      block until the population passes the threshold.
+    * :meth:`put_many` — called by the data-aggregator thread with each
+      drained chunk; may block while the buffer cannot accept new data.
+    * :meth:`get_batch_columns` — called by the training thread to draw one
+      batch; may block until the population passes the threshold.
     * :meth:`signal_reception_over` — called once all clients have finished;
       lifts the threshold and (for policies that retain data) switches the
       buffer into draining mode.
+
+    ``timeout=0`` makes either door non-blocking: ``put_many`` returns 0
+    when nothing fits now, and ``get_batch_columns`` raises
+    :class:`TimeoutError` below the threshold and returns an empty batch
+    once the buffer is exhausted.
 
     Storage is columnar: a :class:`ColumnStore` holds the samples as
     ``(capacity, d_in)`` float64 inputs, ``(capacity, d_out)`` float32
@@ -50,17 +56,14 @@ class TrainingBuffer:
     * :meth:`_draw_slots_locked` — pick a batch of slots with one vectorized
       RNG call, consuming them per policy.
 
-    The per-sample :meth:`put`/:meth:`get` are the one-row case of the same
-    hooks, so there is one bookkeeping path, pinned by the *distribution* of
+    A one-row put or draw is the ``want == 1`` case of the same hooks, so
+    there is one bookkeeping path, pinned by the *distribution* of
     Algorithm 1 rather than by a particular RNG stream.
 
-    The base class turns slots into data: :meth:`put_many` writes a
-    :class:`ColumnBatch` with one fancy-indexed write per column (a record
-    list is columnised once at the door), and :meth:`get_batch_columns`
-    returns the drained rows as a ``ColumnBatch`` gathered under the lock —
-    crucially *before* the slots can be rewritten, so the batch owns its
-    rows.  :meth:`get_batch` is the same draw delivered as the
-    :class:`SampleRecord` compatibility view.
+    The base class turns slots into data: :meth:`put_many` writes a batch
+    with one fancy-indexed write per column, and :meth:`get_batch_columns`
+    returns the drained rows gathered under the lock — crucially *before*
+    the slots can be rewritten, so the batch owns its rows.
     """
 
     def __init__(self, capacity: int, threshold: int = 0) -> None:
@@ -145,45 +148,11 @@ class TrainingBuffer:
         with self._lock:
             return self._closed
 
-    def put(self, record: SampleRecord, timeout: Optional[float] = None) -> None:
-        """Insert a new sample, blocking while the buffer cannot accept it."""
-        with self._putters:
-            if self._closed:
-                raise BufferClosedError("cannot put into a closed buffer")
-            if not self._putters.wait_for(self._put_ready_locked, timeout=timeout):
-                raise TimeoutError("timed out waiting for buffer space")
-            if self._closed:
-                raise BufferClosedError("buffer closed while waiting to put")
-            self._put_record_locked(record)
+    def put_many(self, batch: ColumnBatch, timeout: Optional[float] = None) -> int:
+        """Insert the rows of ``batch`` under a single lock acquisition.
 
-    def try_put(self, record: SampleRecord) -> bool:
-        """Non-blocking put; returns False when the buffer cannot accept data now."""
-        with self._lock:
-            if self._closed:
-                raise BufferClosedError("cannot put into a closed buffer")
-            if not self._can_put_locked():
-                return False
-            self._put_record_locked(record)
-            return True
-
-    def _put_record_locked(self, record: SampleRecord) -> None:
-        self._store.ensure_columns(np.shape(record.inputs), np.shape(record.target))
-        slots = self._take_slots_locked(1)
-        self._store.write_record(int(slots[0]), record)
-        self.total_put += 1
-        if self._can_get_locked():
-            self._getters.notify_all()
-
-    def put_many(
-        self,
-        records: Union[Sequence[SampleRecord], ColumnBatch],
-        timeout: Optional[float] = None,
-    ) -> int:
-        """Insert many samples under a single lock acquisition.
-
-        Takes a :class:`ColumnBatch`, whose rows are written into the column
-        store with one fancy-indexed write per column — no per-sample loop;
-        a list of records is columnised once on entry.
+        The rows are written into the column store with one fancy-indexed
+        write per column — no per-sample loop.
 
         Blocks while the buffer cannot accept more data, inserting in bulk
         whenever space frees up.  Returns the number of samples inserted:
@@ -191,18 +160,21 @@ class TrainingBuffer:
         possibly fewer when a ``timeout`` is given and it expires while
         waiting for space — the caller can retry with the remaining suffix,
         which is what lets the aggregator's shutdown path stay responsive.
+        With ``timeout=0`` it inserts what fits right now and never waits.
 
         Ownership contract: the store *copies* each inserted row into its
         preallocated columns — for an adopted wire chunk this is the one and
         only copy on the put side — so the caller's chunk is dead the moment
         ``put_many`` returns and pins no memory.
 
-        Raises :class:`BufferClosedError` when the buffer is (or becomes)
-        closed, mirroring :meth:`put`, and :class:`ValueError` (before
-        anything is inserted) when the sample widths do not match the
-        widths the buffer already holds.
+        Raises, before anything is inserted, :class:`TypeError` when
+        ``batch`` is not a :class:`ColumnBatch` and :class:`ValueError` when
+        the sample widths do not match the widths the buffer already holds;
+        raises :class:`BufferClosedError` when the buffer is (or becomes)
+        closed.
         """
-        batch = records if isinstance(records, ColumnBatch) else ColumnBatch.from_records(records)
+        if not isinstance(batch, ColumnBatch):
+            raise TypeError(f"put_many takes a ColumnBatch, not {type(batch).__name__}")
         total = len(batch)
         inserted = 0
         with self._putters:
@@ -225,33 +197,19 @@ class TrainingBuffer:
                     self._getters.notify_all()
         return inserted
 
-    def get(self, timeout: Optional[float] = None) -> Optional[SampleRecord]:
-        """Draw one sample, blocking until one is available.
-
-        Returns ``None`` when the buffer is exhausted: reception is over and no
-        sample can ever be produced again (this is the training-loop
-        termination condition described in the paper).
-        """
-        with self._getters:
-            if not self._getters.wait_for(self._get_ready_locked, timeout=timeout):
-                raise TimeoutError("timed out waiting for a sample")
-            if self._closed or self._exhausted_locked():
-                return None
-            record = self._store.record_at(int(self._draw_slots_locked(1)[0]))
-            self.total_got += 1
-            if self._can_put_locked():
-                self._putters.notify_all()
-            return record
-
     def get_batch_columns(
         self, batch_size: int, timeout: Optional[float] = None
     ) -> ColumnBatch:
         """Draw ``batch_size`` samples as one :class:`ColumnBatch`.
 
-        The columnar form of :meth:`get_batch` — same blocking, threshold,
-        partial-batch-on-timeout and exhaustion contract, but the batch
-        reaches the caller as two matrices plus id/step vectors instead of a
-        record list (an empty batch, ``len() == 0``, when exhausted).
+        Blocks until the policy can supply samples; when it cannot supply the
+        whole batch yet (population at the threshold) it waits again, with
+        ``timeout`` bounding each wait.  Returns a shorter batch when the
+        buffer is exhausted (an empty one, ``len() == 0``, once nothing is
+        left) or when a timeout expires mid-batch, so samples already drawn
+        are never discarded; :class:`TimeoutError` is raised only when the
+        timeout expires with nothing drawn.  ``timeout=0`` therefore never
+        waits.
 
         Each piece is gathered from the store *under the lock*, before any
         producer can recycle the freed slots, so the returned batch owns its
@@ -284,47 +242,6 @@ class TrainingBuffer:
             return pieces[0]
         return ColumnBatch.concat(pieces)
 
-    def get_batch(self, batch_size: int, timeout: Optional[float] = None) -> List[SampleRecord]:
-        """Draw ``batch_size`` samples (shorter batch only when exhausted).
-
-        The whole batch is extracted under a single lock acquisition via the
-        vectorized :meth:`_draw_slots_locked` hook; when the policy cannot
-        supply the full batch yet (population at the threshold) the call
-        waits, exactly like repeated :meth:`get` calls would, with
-        ``timeout`` bounding each wait.  The result is the
-        :class:`SampleRecord` view of the same columnar draw: records hold
-        row views into the gathered batch's blocks.
-
-        ``TimeoutError`` is raised only when the timeout expires with *no*
-        sample drawn; a timeout mid-batch returns the partial batch instead,
-        so samples already extracted from the buffer are never discarded.
-        """
-        return self.get_batch_columns(batch_size, timeout).records()
-
-    def get_batch_per_sample(
-        self, batch_size: int, timeout: Optional[float] = None
-    ) -> List[SampleRecord]:
-        """Reference batch extraction through repeated :meth:`get` calls.
-
-        Same contract and distribution as :meth:`get_batch` with one lock
-        acquisition and one one-row draw per sample; kept as the baseline for
-        the property tests and the batched-path benchmark.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        batch: List[SampleRecord] = []
-        for _ in range(batch_size):
-            try:
-                record = self.get(timeout=timeout)
-            except TimeoutError:
-                if batch:  # same contract as get_batch: keep drawn samples
-                    break
-                raise
-            if record is None:
-                break
-            batch.append(record)
-        return batch
-
     def _exhausted_locked(self) -> bool:
         """True when reception is over and no further sample can be produced."""
         return self._reception_over and not self._can_get_locked()
@@ -342,7 +259,8 @@ class TrainingBuffer:
             self._getters.notify_all()
 
     def close(self) -> None:
-        """Abort: wake every waiter; subsequent puts raise, gets return None."""
+        """Abort: wake every waiter; subsequent puts raise, draws return an
+        empty batch."""
         with self._lock:
             self._closed = True
             self._putters.notify_all()

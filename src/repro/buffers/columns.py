@@ -16,48 +16,18 @@ between the two was the buffer API.  This module removes that reason:
   logical order (FIFO ring, FIRO list, Reservoir seen/unseen) to slot
   indices; the store only reads and writes rows.
 
-:class:`SampleRecord` lives here too, as the thin per-sample compatibility
-view: ``records()``/``record_at`` materialise row views over the column
-blocks so every pre-columnar consumer (``buffer.get()``, occurrence
-tracking, tests) keeps working unchanged.
+There is no per-sample object: a single sample is a one-row batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 Array = np.ndarray
 
-__all__ = ["SampleRecord", "ColumnBatch", "ColumnStore"]
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One training sample held by a buffer.
-
-    Attributes
-    ----------
-    inputs:
-        The surrogate input vector ``(X, t)``.
-    target:
-        The flattened field ``u_t_X`` (float32).
-    source_id:
-        Identifier of the producing simulation (ensemble member).
-    time_step:
-        Time-step index within that simulation.
-    """
-
-    inputs: Array
-    target: Array
-    source_id: int = -1
-    time_step: int = -1
-
-    def key(self) -> Tuple[int, int]:
-        """Unique identity of the sample within a study."""
-        return (self.source_id, self.time_step)
+__all__ = ["ColumnBatch", "ColumnStore"]
 
 
 class ColumnBatch:
@@ -123,25 +93,6 @@ class ColumnBatch:
             None if seq is None else seq[keep],
         )
 
-    def keys(self) -> List[Tuple[int, int]]:
-        """Per-row ``(source_id, time_step)`` identities, in order."""
-        return list(zip(self.source_ids.tolist(), self.time_steps.tolist()))
-
-    def records(self) -> List[SampleRecord]:
-        """The per-sample compatibility view: one record per row.
-
-        Records hold row views sharing this batch's blocks, so a batch of
-        ``n`` records costs ``n`` small objects but zero copies.
-        """
-        ids = self.source_ids.tolist()
-        steps = self.time_steps.tolist()
-        inputs = self.inputs
-        targets = self.targets
-        return [
-            SampleRecord(inputs[row], targets[row], ids[row], steps[row])
-            for row in range(len(ids))
-        ]
-
     @classmethod
     def concat(cls, chunks: Sequence["ColumnBatch"]) -> "ColumnBatch":
         """Concatenate compatible chunks (see :meth:`compatible_with`)."""
@@ -154,34 +105,6 @@ class ColumnBatch:
             np.concatenate([chunk.source_ids for chunk in chunks]),
             np.concatenate([chunk.time_steps for chunk in chunks]),
             None if any(seq is None for seq in seqs) else np.concatenate(seqs),
-        )
-
-    @classmethod
-    def from_records(cls, records: Sequence[SampleRecord]) -> "ColumnBatch":
-        """Columnise a record list (``put_many``'s record door; tests).
-
-        Raises :class:`ValueError` when a record's shapes disagree with the
-        first record's.
-        """
-        count = len(records)
-        input_shape = np.shape(records[0].inputs) if count else (0,)
-        target_shape = np.shape(records[0].target) if count else (0,)
-        inputs = np.empty((count,) + input_shape, dtype=np.float64)
-        targets = np.empty((count,) + target_shape, dtype=np.float32)
-        for row, record in enumerate(records):
-            shapes = (np.shape(record.inputs), np.shape(record.target))
-            if shapes != (input_shape, target_shape):
-                raise ValueError(
-                    f"record {row} has inputs {shapes[0]} and target {shapes[1]}, "
-                    f"the batch started with {input_shape} and {target_shape}"
-                )
-            inputs[row] = record.inputs
-            targets[row] = record.target
-        return cls(
-            inputs,
-            targets,
-            np.fromiter((r.source_id for r in records), np.int64, count),
-            np.fromiter((r.time_step for r in records), np.int64, count),
         )
 
 
@@ -234,13 +157,6 @@ class ColumnStore:
             )
 
     # ----------------------------------------------------------------- writes
-    def write_record(self, slot: int, record: SampleRecord) -> None:
-        """Insert one record at ``slot`` (the per-sample compatibility path)."""
-        self.inputs[slot] = record.inputs
-        self.targets[slot] = record.target
-        self.source_ids[slot] = record.source_id
-        self.time_steps[slot] = record.time_step
-
     def write_batch(self, slots: Array, batch: ColumnBatch, offset: int = 0) -> None:
         """Insert ``batch[offset:offset + len(slots)]`` at ``slots``: one
         fancy-indexed write per column."""
@@ -267,12 +183,3 @@ class ColumnStore:
                 steps,
             )
         return ColumnBatch(self.inputs[slots], self.targets[slots], ids, steps)
-
-    def record_at(self, slot: int) -> SampleRecord:
-        """One row as a standalone record (the row is copied out)."""
-        return SampleRecord(
-            self.inputs[slot].copy(),
-            self.targets[slot].copy(),
-            int(self.source_ids[slot]),
-            int(self.time_steps[slot]),
-        )

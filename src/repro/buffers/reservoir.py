@@ -30,11 +30,9 @@ implementation's while the distribution (Algorithm 1) is the same.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
-from repro.buffers.base import SampleRecord, TrainingBuffer
+from repro.buffers.base import TrainingBuffer
 from repro.buffers.sampling import distinct_positions, move_to_edge, uniform_positions
 from repro.utils.seeding import derive_rng
 
@@ -160,30 +158,3 @@ class ReservoirBuffer(TrainingBuffer):
         move_to_edge(self._perm, chosen, end - len(chosen), end)
         self._unseen = end - len(chosen) - self._seen
         return drawn
-
-    # -------------------------------------------------------------- sampling
-    def sample_without_replacement(self, batch_size: int) -> Optional[List[SampleRecord]]:
-        """Variant mentioned by the paper: draw a batch without replacement.
-
-        Returns ``None`` when fewer than ``batch_size`` samples are currently
-        available (no blocking).  Provided for the ablation benchmark; the
-        default :meth:`get`/:meth:`get_batch` path samples with replacement as
-        in Algorithm 1.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        with self._lock:
-            total = self._seen + self._unseen
-            if total < batch_size or (not self._reception_over and total <= self.threshold):
-                return None
-            chosen = distinct_positions(self._rng, total, batch_size)
-            if self._reception_over:
-                slots = self._remove_locked(chosen)
-            else:
-                slots = self._perm[chosen]
-                self.repeated_reads += batch_size - self._mark_seen_locked(chosen)
-            self.total_got += batch_size
-            batch = self._store.gather(slots).records()
-            if self._can_put_locked():
-                self._putters.notify_all()
-            return batch

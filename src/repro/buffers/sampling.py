@@ -55,7 +55,7 @@ def distinct_positions(rng: np.random.Generator, population: int, size: int) -> 
         chosen.sort()
         return chosen
     chosen = uniform_positions(rng, population, size)
-    # (A single draw cannot collide: the one-row put/get skip the comparison.)
+    # (A single draw cannot collide: one-row puts and draws skip the comparison.)
     while size > 1 and np.count_nonzero(chosen[1:] == chosen[:-1]):
         distinct = np.unique(chosen)
         more = uniform_positions(rng, population, size - len(distinct))

@@ -11,8 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -40,15 +39,6 @@ class OccurrenceTracker:
         self._pending = np.empty((2, 1024), dtype=np.int64)
         self._num_pending = 0
         self._total = 0
-
-    def record(self, key: Tuple[int, int]) -> None:
-        """Record one occurrence of ``key`` in a batch."""
-        self.record_batch([key])
-
-    def record_batch(self, keys: Iterable[Tuple[int, int]]) -> None:
-        """Record every key of a batch."""
-        columns = np.array(list(keys), dtype=np.int64).reshape(-1, 2)
-        self.record_columns(columns[:, 0], columns[:, 1])
 
     def record_columns(self, source_ids: np.ndarray, time_steps: np.ndarray) -> None:
         """Record every ``(source_id, time_step)`` key of a columnar batch."""
@@ -120,39 +110,6 @@ class OccurrenceTracker:
         """Average selections per distinct selected sample."""
         unique = self.num_unique
         return self._total / unique if unique else 0.0
-
-
-@dataclass
-class BufferStatistics:
-    """Time series of buffer population and throughput, sampled during a run."""
-
-    times: List[float] = field(default_factory=list)
-    sizes: List[int] = field(default_factory=list)
-    unseen_sizes: List[int] = field(default_factory=list)
-    throughputs: List[float] = field(default_factory=list)
-
-    def record(self, time: float, size: int, unseen: int | None = None,
-        throughput: float | None = None) -> None:
-        self.times.append(float(time))
-        self.sizes.append(int(size))
-        self.unseen_sizes.append(int(unseen) if unseen is not None else int(size))
-        self.throughputs.append(float(throughput) if throughput is not None else float("nan"))
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(times, sizes, unseen_sizes, throughputs) as numpy arrays."""
-        return (
-            np.asarray(self.times),
-            np.asarray(self.sizes),
-            np.asarray(self.unseen_sizes),
-            np.asarray(self.throughputs),
-        )
-
-    def mean_population(self) -> float:
-        return float(np.mean(self.sizes)) if self.sizes else 0.0
-
-    def mean_throughput(self) -> float:
-        values = [t for t in self.throughputs if np.isfinite(t)]
-        return float(np.mean(values)) if values else 0.0
 
 
 def expected_residency_time(capacity: int) -> float:

@@ -11,7 +11,6 @@ resources, elasticity) can be reproduced deterministically on one node.
 from repro.cluster.resources import ClusterSpec, NodeSpec, Partition
 from repro.cluster.job import Job, JobState
 from repro.cluster.scheduler import AllocationPolicy, BatchScheduler
-from repro.cluster.groups import JobGroup, SeriesSubmitter
 
 __all__ = [
     "NodeSpec",
@@ -21,6 +20,4 @@ __all__ = [
     "JobState",
     "BatchScheduler",
     "AllocationPolicy",
-    "JobGroup",
-    "SeriesSubmitter",
 ]

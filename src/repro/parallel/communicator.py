@@ -10,7 +10,6 @@ and ``sendrecv`` for halo exchanges.
 
 from __future__ import annotations
 
-import queue
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 

@@ -129,14 +129,6 @@ class TimeStepMessage(Message):
             and np.array_equal(self.payload, other.payload)
         )
 
-    def sample_input(self) -> Array:
-        """Training input vector ``(X, t)`` as float32."""
-        return np.asarray([*self.parameters, self.time_value], dtype=np.float32)
-
-    def key(self) -> Tuple[int, int]:
-        """Deduplication key ``(client_id, time_step)``."""
-        return (self.client_id, self.time_step)
-
 
 @dataclass
 class ClientFinished(Message):
@@ -157,15 +149,6 @@ class Heartbeat(Message):
 
     def nbytes(self) -> int:
         return 24
-
-
-@dataclass
-class ServerCommand:
-    """Server→launcher command (e.g. request to start or kill a client)."""
-
-    action: str
-    client_id: Optional[int] = None
-    reason: str = ""
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.buffers.columns import ColumnBatch
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.core.config import SurrogateArchitecture
 from repro.experiments.common import ExperimentScale, build_case
@@ -65,3 +66,25 @@ def tiny_surrogate_case() -> HeatSurrogateCase:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def _rows(indices) -> ColumnBatch:
+    steps = np.fromiter(indices, dtype=np.int64)
+    return ColumnBatch(
+        steps[:, None].astype(np.float64),
+        steps[:, None].astype(np.float32),
+        np.zeros(len(steps), dtype=np.int64),
+        steps,
+    )
+
+
+@pytest.fixture(scope="session")
+def rows():
+    """``rows(indices)``: the samples ``indices`` as one :class:`ColumnBatch`.
+
+    Sample ``i`` is source 0, time step ``i``, with input and target ``[i]``,
+    so the ``time_steps`` of a drawn batch name the samples it holds.  A
+    one-row put is ``buffer.put_many(rows([i]))``; ``batch[k:k + 1]`` is row
+    ``k`` of a batch as a one-row batch.
+    """
+    return _rows

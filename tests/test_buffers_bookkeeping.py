@@ -5,63 +5,47 @@ regions by integer boundaries and draw with vectorized RNG calls, so their
 draw *stream* is their own; what is pinned here is Algorithm 1's
 *distribution* and invariants, against the textbook per-sample
 implementations below (Python lists, one scalar draw per sample).  Every
-property is checked through both doors: ``put_many``/``get_batch_columns``
-and the one-row ``put``/``get`` wrappers.
+property is checked through both ways of calling the one API: whole batches
+(``put_many`` of a chunk, ``get_batch_columns(n)``) and one row at a time
+(``put_many`` of one-row slices, ``get_batch_columns(1)``), which exercise
+the policies' ``want == 1`` hook case.  A sample is named by its time step
+(see the ``rows`` fixture).
 """
 
 import numpy as np
 import pytest
 
 from repro.buffers import ReservoirBuffer, make_buffer
-from repro.buffers.base import SampleRecord
-
-
-def record(index: int) -> SampleRecord:
-    return SampleRecord(
-        inputs=np.array([float(index)]),
-        target=np.array([float(index)], dtype=np.float32),
-        source_id=index // 1000,
-        time_step=index % 1000,
-    )
-
-
-def key(index: int):
-    return (index // 1000, index % 1000)
 
 
 # ------------------------------------------------------------------ the doors
-def put_batched(buffer, indices):
+def put_batched(buffer, batch):
     """Insert what fits right now (never blocks); returns how many went in."""
-    return buffer.put_many([record(i) for i in indices], timeout=0.0)
+    return buffer.put_many(batch, timeout=0.0)
 
 
-def put_one_row(buffer, indices):
+def put_one_row(buffer, batch):
     inserted = 0
-    for index in indices:
-        if not buffer.try_put(record(index)):
-            break
+    while inserted < len(batch) and buffer.put_many(batch[inserted : inserted + 1], timeout=0.0):
         inserted += 1
     return inserted
 
 
 def get_batched(buffer, count):
     try:
-        return buffer.get_batch_columns(count, timeout=0.0).keys()
+        return buffer.get_batch_columns(count, timeout=0.0).time_steps.tolist()
     except TimeoutError:
         return []
 
 
 def get_one_row(buffer, count):
-    keys = []
+    steps = []
     for _ in range(count):
-        try:
-            item = buffer.get(timeout=0.0)
-        except TimeoutError:
+        drawn = get_batched(buffer, 1)
+        if not drawn:
             break
-        if item is None:
-            break
-        keys.append(item.key())
-    return keys
+        steps.extend(drawn)
+    return steps
 
 
 DOORS = {"batched": (put_batched, get_batched), "one_row": (put_one_row, get_one_row)}
@@ -158,16 +142,14 @@ def live_slots(buffer):
 
 
 def assert_consistent(buffer, expected_live_keys):
-    slots = live_slots(buffer)
-    keys = list(zip(buffer._store.source_ids[slots].tolist(),
-                    buffer._store.time_steps[slots].tolist()))
+    keys = buffer._store.time_steps[live_slots(buffer)].tolist()
     assert len(set(keys)) == len(keys)  # every live slot holds a distinct key
     assert set(keys) == expected_live_keys
 
 
 @pytest.mark.parametrize("door", sorted(DOORS))
 @pytest.mark.parametrize("kind", ["firo", "reservoir"])
-def test_slot_arrays_stay_a_permutation_with_distinct_live_keys(kind, door):
+def test_slot_arrays_stay_a_permutation_with_distinct_live_keys(kind, door, rows):
     """A random schedule of puts and gets of random sizes, checked after every
     operation against a model of which keys must be live."""
     put, get = DOORS[door]
@@ -180,14 +162,12 @@ def test_slot_arrays_stay_a_permutation_with_distinct_live_keys(kind, door):
         if rng.random() < 0.55:
             want = int(rng.integers(1, 9))
             evicted_before = getattr(buffer, "evicted_seen", 0)
-            inserted = put(buffer, range(next_index, next_index + want))
-            live.update(key(i) for i in range(next_index, next_index + inserted))
+            inserted = put(buffer, rows(range(next_index, next_index + want)))
+            live.update(range(next_index, next_index + inserted))
             next_index += inserted
             if getattr(buffer, "evicted_seen", 0) > evicted_before:
                 # Evictions are the policy's choice: learn them from the store.
-                slots = live_slots(buffer)
-                live = set(zip(buffer._store.source_ids[slots].tolist(),
-                               buffer._store.time_steps[slots].tolist()))
+                live = set(buffer._store.time_steps[live_slots(buffer)].tolist())
         else:
             drawn = get(buffer, int(rng.integers(1, 9)))
             if kind == "firo" or buffer.reception_over:
@@ -202,7 +182,7 @@ def test_slot_arrays_stay_a_permutation_with_distinct_live_keys(kind, door):
 
 # ------------------------------------------------- Algorithm 1's guarantees
 @pytest.mark.parametrize("door", sorted(DOORS))
-def test_small_reservoir_trains_every_sample_and_never_evicts_unseen(door):
+def test_small_reservoir_trains_every_sample_and_never_evicts_unseen(door, rows):
     """Producer faster than a small Reservoir can hold: puts are refused while
     it is full of unseen samples, only seen ones are ever evicted, so every
     sample that went in comes out in some batch."""
@@ -212,7 +192,7 @@ def test_small_reservoir_trains_every_sample_and_never_evicts_unseen(door):
     trained, next_index, refused = set(), 0, 0
     for _ in range(600):
         want = int(rng.integers(1, 7))
-        inserted = put(buffer, range(next_index, next_index + want))
+        inserted = put(buffer, rows(range(next_index, next_index + want)))
         refused += inserted < want
         next_index += inserted
         evicted = buffer.evicted_seen
@@ -231,19 +211,19 @@ def test_small_reservoir_trains_every_sample_and_never_evicts_unseen(door):
     assert len(remaining) == len(set(remaining)) == buffer.capacity
     assert len(buffer) == 0 and buffer.exhausted
     # ... and with it every sample ever put has been trained at least once.
-    assert trained | set(remaining) == {key(i) for i in range(next_index)}
+    assert trained | set(remaining) == set(range(next_index))
     assert buffer.total_put == next_index
 
 
 @pytest.mark.parametrize("door", sorted(DOORS))
 @pytest.mark.parametrize("kind", ["firo", "reservoir"])
-def test_drain_mode_yields_each_remaining_sample_exactly_once(kind, door):
+def test_drain_mode_yields_each_remaining_sample_exactly_once(kind, door, rows):
     put, get = DOORS[door]
     buffer = make_buffer(kind, capacity=64, threshold=10, seed=2)
-    assert put(buffer, range(50)) == 50
+    assert put(buffer, rows(range(50))) == 50
     first = get(buffer, 15)  # reservoir: a mix of seen and unseen remains
     buffer.signal_reception_over()
-    expected = {key(i) for i in range(50)}
+    expected = set(range(50))
     if kind == "firo":
         expected -= set(first)
     drained = []
@@ -262,14 +242,15 @@ POPULATION = 16
 FIRST, OVERFILL, SECOND = 12, 3, 6
 
 
-def run_scenario(make, put, get, trial):
+def run_scenario(make, put, get, trial, batches):
     """Fill, select a batch, overfill, select again.  Twelve draws over sixteen
     samples leave fewer than three seen ones about once in 1e9 trials, so the
     overfill always finds its three victims and the counters are fixed."""
+    fill, overfill = batches
     buffer = make(trial)
-    assert put(buffer, range(POPULATION)) == POPULATION
+    assert put(buffer, fill) == POPULATION
     first = get(buffer, FIRST)
-    assert put(buffer, range(100, 100 + OVERFILL)) == OVERFILL
+    assert put(buffer, overfill) == OVERFILL
     second = get(buffer, SECOND)
     assert len(first) == FIRST and len(second) == SECOND
     return buffer, first, second
@@ -281,8 +262,8 @@ def buffer_doors(kind, door):
 
 
 def reference_doors(kind):
-    def put(reference, indices):
-        return sum(reference.put(key(i)) for i in indices)
+    def put(reference, batch):
+        return sum(reference.put(step) for step in batch.time_steps.tolist())
 
     def get(reference, count):
         drawn = (reference.get() for _ in range(count))
@@ -291,12 +272,13 @@ def reference_doors(kind):
     return (lambda trial: make_reference(kind, POPULATION, 0, seed=9000 + trial)), put, get
 
 
-def scenario_statistics(kind, doors):
-    first_counts = {key(i): 0 for i in range(POPULATION)}
-    evicted_counts = {key(i): 0 for i in range(POPULATION)}
+def scenario_statistics(kind, doors, rows):
+    batches = (rows(range(POPULATION)), rows(range(100, 100 + OVERFILL)))
+    first_counts = np.zeros(POPULATION)
+    evicted_counts = np.zeros(POPULATION)
     fresh_selected = repeated = evicted_seen = 0
     for trial in range(TRIALS):
-        buffer, first, second = run_scenario(*doors, trial)
+        buffer, first, second = run_scenario(*doors, trial, batches)
         for item in first:
             first_counts[item] += 1
         assert buffer.total_put == POPULATION + OVERFILL
@@ -311,19 +293,19 @@ def scenario_statistics(kind, doors):
             buffer.signal_reception_over()
             survivors = set(doors[2](buffer, 64))
             for index in range(POPULATION):
-                if key(index) not in survivors:
-                    evicted_counts[key(index)] += 1
+                if index not in survivors:
+                    evicted_counts[index] += 1
                     # Only a sample selected before the overfill can be evicted.
-                    assert key(index) in first
+                    assert index in first
             for index in range(100, 100 + OVERFILL):
-                assert key(index) in survivors  # unseen when the eviction happened
+                assert index in survivors  # unseen when the eviction happened
         else:
             assert len(set(second)) == SECOND
             assert not set(first) & set(second)  # evicted on reading
-        fresh_selected += sum(1 for item in set(second) if item[1] >= 100)
+        fresh_selected += sum(1 for item in set(second) if item >= 100)
     return {
-        "first": np.array(list(first_counts.values())) / (FIRST * TRIALS),
-        "evicted": np.array(list(evicted_counts.values())) / (OVERFILL * TRIALS),
+        "first": first_counts / (FIRST * TRIALS),
+        "evicted": evicted_counts / (OVERFILL * TRIALS),
         "fresh_per_trial": fresh_selected / TRIALS,
         "repeated_per_trial": repeated / TRIALS,
         "evicted_seen": evicted_seen,
@@ -332,7 +314,7 @@ def scenario_statistics(kind, doors):
 
 @pytest.mark.parametrize("door", sorted(DOORS))
 @pytest.mark.parametrize("kind", ["firo", "reservoir"])
-def test_selection_and_eviction_frequencies_match_algorithm_1(kind, door):
+def test_selection_and_eviction_frequencies_match_algorithm_1(kind, door, rows):
     """Over 600 seeded trials the buffer and the per-sample reference agree on
     who gets selected and who gets evicted.
 
@@ -342,8 +324,8 @@ def test_selection_and_eviction_frequencies_match_algorithm_1(kind, door):
     per-trial means of bounded counts (sd < 2 per trial, 0.08 over 600) must
     agree within 0.4.
     """
-    ours = scenario_statistics(kind, buffer_doors(kind, door))
-    reference = scenario_statistics(kind, reference_doors(kind))
+    ours = scenario_statistics(kind, buffer_doors(kind, door), rows)
+    reference = scenario_statistics(kind, reference_doors(kind), rows)
     uniform = 1.0 / POPULATION
     assert np.abs(ours["first"] - uniform).max() < 0.5 * uniform
     assert np.abs(ours["first"] - reference["first"]).max() < 0.5 * uniform
@@ -358,20 +340,19 @@ def test_selection_and_eviction_frequencies_match_algorithm_1(kind, door):
 
 
 @pytest.mark.parametrize("door", sorted(DOORS))
-def test_reservoir_drain_draws_are_uniform_over_seen_and_unseen(door):
+def test_reservoir_drain_draws_are_uniform_over_seen_and_unseen(door, rows):
     """Drain mode draws without replacement, uniformly over seen ∪ unseen:
     the first drained batch of 4 out of 16 (8 seen, 8 unseen) picks every
     sample with share 1/16 and counts its seen members as repeated reads."""
     put, get = DOORS[door]
     counts = np.zeros(POPULATION)
+    population = rows(range(POPULATION))
     for trial in range(TRIALS):
         buffer = ReservoirBuffer(capacity=POPULATION, threshold=0, seed=7000 + trial)
-        put(buffer, range(POPULATION))
+        put(buffer, population)
         while buffer.num_seen < 8:
             get(buffer, 1)
-        seen_keys = set()
-        for slot in buffer._perm[: buffer._seen].tolist():
-            seen_keys.add((0, int(buffer._store.time_steps[slot])))
+        seen_keys = set(buffer._store.time_steps[buffer._perm[: buffer._seen]].tolist())
         repeated = buffer.repeated_reads
         buffer.signal_reception_over()
         drawn = get(buffer, 4)
@@ -380,7 +361,7 @@ def test_reservoir_drain_draws_are_uniform_over_seen_and_unseen(door):
         assert buffer.num_seen == 8 - len(seen_keys & set(drawn))
         assert buffer.num_unseen == 8 - len(set(drawn) - seen_keys)
         for item in drawn:
-            counts[item[1]] += 1
+            counts[item] += 1
     shares = counts / (4 * TRIALS)
     assert np.abs(shares - 1.0 / POPULATION).max() < 0.5 / POPULATION
 

@@ -6,178 +6,146 @@ import numpy as np
 import pytest
 
 from repro.buffers import ReservoirBuffer
-from repro.buffers.base import SampleRecord
 
 
-def record(index: int) -> SampleRecord:
-    return SampleRecord(
-        inputs=np.array([float(index)], dtype=np.float32),
-        target=np.array([float(index)], dtype=np.float32),
-        source_id=index // 100,
-        time_step=index % 100,
-    )
+def draw_one(buffer, timeout=None):
+    """Time step of a one-row draw, or None once the buffer is exhausted."""
+    batch = buffer.get_batch_columns(1, timeout=timeout)
+    return int(batch.time_steps[0]) if len(batch) else None
 
 
-def test_reservoir_counts_seen_and_unseen():
+def drain_one_by_one(buffer):
+    steps = []
+    while (step := draw_one(buffer, timeout=0.5)) is not None:
+        steps.append(step)
+    return steps
+
+
+def test_reservoir_counts_seen_and_unseen(rows):
     buffer = ReservoirBuffer(capacity=10, threshold=0, seed=0)
     for i in range(4):
-        buffer.put(record(i))
+        buffer.put_many(rows([i]))
     assert buffer.num_unseen == 4
     assert buffer.num_seen == 0
-    buffer.get()
+    draw_one(buffer)
     assert buffer.num_unseen == 3
     assert buffer.num_seen == 1  # freshly read samples move to the seen list
     assert len(buffer) == 4      # nothing leaves while reception is ongoing
 
 
-def test_reservoir_can_repeat_samples():
+def test_reservoir_can_repeat_samples(rows):
     """Unlike FIFO/FIRO, consumption can exceed production (sample repetition)."""
     buffer = ReservoirBuffer(capacity=10, threshold=0, seed=0)
     for i in range(3):
-        buffer.put(record(i))
-    reads = [buffer.get() for _ in range(20)]
-    assert all(item is not None for item in reads)
+        buffer.put_many(rows([i]))
+    reads = [draw_one(buffer) for _ in range(20)]
     assert buffer.repeated_reads > 0
-    keys = {item.key() for item in reads}
-    assert keys == {record(i).key() for i in range(3)}
+    assert set(reads) == {0, 1, 2}
 
 
-def test_reservoir_never_evicts_unseen_samples():
+def test_reservoir_never_evicts_unseen_samples(rows):
     """Eviction on write only removes *seen* samples (no unseen data is lost)."""
     buffer = ReservoirBuffer(capacity=5, threshold=0, seed=0)
     for i in range(5):
-        buffer.put(record(i))
-    # Buffer full of unseen data: a further put must block (try via timeout).
-    with pytest.raises(TimeoutError):
-        buffer.put(record(99), timeout=0.05)
+        buffer.put_many(rows([i]))
+    # Buffer full of unseen data: a further put must wait, and inserts nothing.
+    assert buffer.put_many(rows([99]), timeout=0.05) == 0
     # Read until two samples are seen (draws repeat), then new puts evict
     # seen ones only.
     while buffer.num_seen < 2:
-        assert buffer.get(timeout=1.0) is not None
-    buffer.put(record(5), timeout=1.0)
-    buffer.put(record(6), timeout=1.0)
+        assert draw_one(buffer, timeout=1.0) is not None
+    assert buffer.put_many(rows([5]), timeout=1.0) == 1
+    assert buffer.put_many(rows([6]), timeout=1.0) == 1
     assert buffer.evicted_seen >= 1
     assert len(buffer) <= 5
-    # All unseen keys must still be retrievable eventually.
+    # All unseen samples must still be retrievable eventually.
     buffer.signal_reception_over()
-    remaining_keys = set()
-    while True:
-        item = buffer.get(timeout=0.5)
-        if item is None:
-            break
-        remaining_keys.add(item.key())
-    for fresh in (5, 6):
-        assert record(fresh).key() in remaining_keys
+    remaining = set(drain_one_by_one(buffer))
+    assert {5, 6} <= remaining
 
 
-def test_reservoir_threshold_blocks_until_population():
+def test_reservoir_threshold_blocks_until_population(rows):
     buffer = ReservoirBuffer(capacity=20, threshold=4, seed=0)
     for i in range(4):
-        buffer.put(record(i))
+        buffer.put_many(rows([i]))
     with pytest.raises(TimeoutError):
-        buffer.get(timeout=0.05)
-    buffer.put(record(4))
-    assert buffer.get(timeout=1.0) is not None
+        buffer.get_batch_columns(1, timeout=0.05)
+    buffer.put_many(rows([4]))
+    assert draw_one(buffer, timeout=1.0) is not None
 
 
-def test_reservoir_threshold_lifted_after_reception_over():
+def test_reservoir_threshold_lifted_after_reception_over(rows):
     buffer = ReservoirBuffer(capacity=20, threshold=10, seed=0)
-    buffer.put(record(0))
+    buffer.put_many(rows([0]))
     buffer.signal_reception_over()
-    assert buffer.get(timeout=1.0) is not None
-    assert buffer.get(timeout=0.5) is None  # drained
+    assert draw_one(buffer, timeout=1.0) == 0
+    assert draw_one(buffer, timeout=0.5) is None  # drained
     assert buffer.exhausted
 
 
-def test_reservoir_drains_after_reception_over():
+def test_reservoir_drains_after_reception_over(rows):
     """Once reception is over, reads remove samples until the buffer empties."""
     buffer = ReservoirBuffer(capacity=50, threshold=0, seed=3)
     for i in range(30):
-        buffer.put(record(i))
+        buffer.put_many(rows([i]))
     # Interleave some reads so both seen and unseen items exist at drain time.
     for _ in range(10):
-        buffer.get()
+        draw_one(buffer)
     buffer.signal_reception_over()
-    drained = 0
-    while True:
-        item = buffer.get(timeout=0.5)
-        if item is None:
-            break
-        drained += 1
-    assert drained == 30  # 30 samples were still stored (reads kept them around)
+    drained = drain_one_by_one(buffer)
+    assert len(drained) == 30  # 30 samples were still stored (reads kept them around)
     assert len(buffer) == 0
 
 
-def test_reservoir_every_unique_sample_is_seen_at_least_once_when_slow_producer():
+def test_reservoir_every_unique_sample_is_seen_at_least_once_when_slow_producer(rows):
     """With capacity >= unique samples, every sample appears in some batch."""
     buffer = ReservoirBuffer(capacity=100, threshold=0, seed=0)
-    expected = set()
     for i in range(50):
-        buffer.put(record(i))
-        expected.add(record(i).key())
-    seen_keys = set()
-    for _ in range(400):
-        seen_keys.add(buffer.get().key())
+        buffer.put_many(rows([i]))
+    seen = {draw_one(buffer) for _ in range(400)}
     buffer.signal_reception_over()
-    while True:
-        item = buffer.get(timeout=0.2)
-        if item is None:
-            break
-        seen_keys.add(item.key())
-    assert expected.issubset(seen_keys)
+    seen.update(drain_one_by_one(buffer))
+    assert set(range(50)) <= seen
 
 
-def test_reservoir_uniformity_of_selection():
+def test_reservoir_uniformity_of_selection(rows):
     """Selections are roughly uniform over the stored population."""
     buffer = ReservoirBuffer(capacity=64, threshold=0, seed=7)
     n = 32
     for i in range(n):
-        buffer.put(record(i))
-    counts = {record(i).key(): 0 for i in range(n)}
+        buffer.put_many(rows([i]))
+    counts = np.zeros(n)
     draws = 6400
     for _ in range(draws):
-        counts[buffer.get().key()] += 1
-    frequencies = np.array(list(counts.values())) / draws
+        counts[draw_one(buffer)] += 1
+    frequencies = counts / draws
     assert frequencies.min() > 0.5 / n
     assert frequencies.max() < 2.0 / n
 
 
-def test_reservoir_sample_without_replacement():
-    buffer = ReservoirBuffer(capacity=20, threshold=0, seed=0)
-    assert buffer.sample_without_replacement(4) is None  # not enough samples yet
-    for i in range(10):
-        buffer.put(record(i))
-    batch = buffer.sample_without_replacement(6)
-    assert batch is not None
-    keys = [item.key() for item in batch]
-    assert len(keys) == len(set(keys)) == 6
-    with pytest.raises(ValueError):
-        buffer.sample_without_replacement(0)
-
-
-def test_reservoir_put_unblocks_when_reader_consumes():
+def test_reservoir_put_unblocks_when_reader_consumes(rows):
     buffer = ReservoirBuffer(capacity=3, threshold=0, seed=0)
     for i in range(3):
-        buffer.put(record(i))
+        buffer.put_many(rows([i]))
     unblocked = threading.Event()
 
     def producer():
-        buffer.put(record(3), timeout=5.0)
+        assert buffer.put_many(rows([3]), timeout=5.0) == 1
         unblocked.set()
 
     thread = threading.Thread(target=producer, daemon=True)
     thread.start()
     assert not unblocked.wait(0.1)
-    buffer.get()  # moves one sample to 'seen', making room for the new one
+    draw_one(buffer)  # moves one sample to 'seen', making room for the new one
     assert unblocked.wait(2.0)
     thread.join()
 
 
-def test_reservoir_snapshot_fields():
+def test_reservoir_snapshot_fields(rows):
     buffer = ReservoirBuffer(capacity=8, threshold=2, seed=0)
     for i in range(4):
-        buffer.put(record(i))
-    buffer.get()
+        buffer.put_many(rows([i]))
+    draw_one(buffer)
     snap = buffer.snapshot()
     assert snap["num_seen"] == 1
     assert snap["num_unseen"] == 3
@@ -185,15 +153,14 @@ def test_reservoir_snapshot_fields():
     assert "evicted_seen" in snap and "repeated_reads" in snap
 
 
-def test_reservoir_snapshot_is_one_consistent_view():
+def test_reservoir_snapshot_is_one_consistent_view(rows):
     """``snapshot()`` reads the base and the policy fields under one lock
     acquisition: a put landing right after the lock is first released (where a
     second acquisition used to follow) cannot split ``size`` from
     ``num_seen + num_unseen``."""
     buffer = ReservoirBuffer(capacity=16, threshold=0, seed=0)
-    for i in range(4):
-        buffer.put(record(i))
-    buffer.get(timeout=1.0)
+    buffer.put_many(rows(range(4)))
+    draw_one(buffer, timeout=1.0)
 
     class PutAfterFirstRelease:
         """The buffer's lock, plus one ``put_many`` the first time it is released."""
@@ -212,7 +179,7 @@ def test_reservoir_snapshot_is_one_consistent_view():
             self.lock.__exit__(*exc_info)
             if self.armed:
                 self.armed = False
-                buffer.put_many([record(10), record(11), record(12)], timeout=1.0)
+                buffer.put_many(rows([10, 11, 12]), timeout=1.0)
 
     buffer._lock = PutAfterFirstRelease(buffer._lock)
     snap = buffer.snapshot()
@@ -221,12 +188,12 @@ def test_reservoir_snapshot_is_one_consistent_view():
     assert snap["total_put"] == snap["size"]
 
 
-def test_reservoir_deterministic_given_seed():
+def test_reservoir_deterministic_given_seed(rows):
     def run(seed):
         buffer = ReservoirBuffer(capacity=16, threshold=0, seed=seed)
         for i in range(10):
-            buffer.put(record(i))
-        return [buffer.get().key() for _ in range(20)]
+            buffer.put_many(rows([i]))
+        return [draw_one(buffer) for _ in range(20)]
 
     assert run(5) == run(5)
     assert run(5) != run(6)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.buffers.stats import (
-    BufferStatistics,
     OccurrenceTracker,
     expected_residency_time,
     measure_residency_times,
@@ -15,9 +14,8 @@ from repro.buffers.stats import (
 
 def test_occurrence_tracker_counts():
     tracker = OccurrenceTracker()
-    tracker.record((7, 1))
-    tracker.record((7, 1))
-    tracker.record((8, 2))
+    tracker.record_columns(np.array([7, 7]), np.array([1, 1]))
+    tracker.record_columns(np.array([8]), np.array([2]))
     assert tracker.count((7, 1)) == 2
     assert tracker.count((9, 0)) == 0
     assert tracker.count((7, 2)) == 0  # known id, unknown step
@@ -29,7 +27,7 @@ def test_occurrence_tracker_counts():
 
 def test_occurrence_tracker_histogram():
     tracker = OccurrenceTracker()
-    tracker.record_batch([(1, 0), (2, 0), (1, 0), (3, 0), (1, 0)])
+    tracker.record_columns(np.array([1, 2, 1, 3, 1]), np.zeros(5, dtype=np.int64))
     histogram = tracker.histogram()
     # (1, 0) seen 3 times, (2, 0) and (3, 0) once each -> {1: 2, 3: 1}
     assert histogram == {1: 2, 3: 1}
@@ -77,19 +75,6 @@ def test_occurrence_tracker_empty():
     assert tracker.histogram() == {}
     assert tracker.max_occurrences() == 0
     assert tracker.mean_occurrences() == 0.0
-
-
-def test_buffer_statistics_series():
-    stats = BufferStatistics()
-    stats.record(0.0, 10, unseen=5, throughput=100.0)
-    stats.record(1.0, 20, unseen=8, throughput=200.0)
-    stats.record(2.0, 30)
-    times, sizes, unseen_sizes, throughputs = stats.as_arrays()
-    assert times.tolist() == [0.0, 1.0, 2.0]
-    assert sizes.tolist() == [10, 20, 30]
-    assert unseen_sizes.tolist() == [5, 8, 30]  # unseen defaults to size
-    assert stats.mean_population() == pytest.approx(20.0)
-    assert stats.mean_throughput() == pytest.approx(150.0)  # NaN entries excluded
 
 
 def test_expected_residency_time_formula():

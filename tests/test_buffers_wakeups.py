@@ -13,20 +13,9 @@ import numpy as np
 import pytest
 
 from repro.buffers import FIFOBuffer, FIROBuffer, ReservoirBuffer, make_buffer
-from repro.buffers.columns import ColumnBatch
 from repro.utils.exceptions import BufferClosedError
 
 WAIT = 5.0  # upper bound of every blocking call; success takes milliseconds
-
-
-def chunk(start: int, count: int) -> ColumnBatch:
-    steps = np.arange(start, start + count, dtype=np.int64)
-    return ColumnBatch(
-        steps[:, None].astype(np.float64),
-        steps[:, None].astype(np.float32),
-        np.zeros(count, dtype=np.int64),
-        steps,
-    )
 
 
 def parked(buffer, queue, count=1):
@@ -62,7 +51,7 @@ def finish(thread, outcome):
 
 
 @pytest.mark.parametrize("kind", ["firo", "reservoir"])
-def test_getter_below_threshold_is_not_woken_by_every_put(kind):
+def test_getter_below_threshold_is_not_woken_by_every_put(kind, rows):
     """200 ``put_many`` calls that stay below the threshold leave the parked
     getter asleep (its predicate runs O(1) times, not once per put); the put
     that crosses the threshold releases it promptly."""
@@ -78,18 +67,19 @@ def test_getter_below_threshold_is_not_woken_by_every_put(kind):
     thread, outcome = run_in_thread(lambda: buffer.get_batch_columns(1, timeout=WAIT))
     assert parked(buffer, buffer._getters)
     for index in range(200):
-        assert buffer.put_many(chunk(2 * index, 2), timeout=WAIT) == 2  # 400: not above
+        pair = rows([2 * index, 2 * index + 1])
+        assert buffer.put_many(pair, timeout=WAIT) == 2  # 400 in all: not above
     assert thread.is_alive()
     by_getter = getter_evaluations.count(thread.ident)
     assert by_getter <= 3, f"getter predicate ran {by_getter} times during 200 puts"
-    assert buffer.put_many(chunk(400, 1), timeout=WAIT) == 1  # crosses the threshold
+    assert buffer.put_many(rows([400]), timeout=WAIT) == 1  # crosses the threshold
     assert len(finish(thread, outcome)) == 1
 
 
-def test_putter_on_reservoir_full_of_unseen_is_released_by_first_get():
+def test_putter_on_reservoir_full_of_unseen_is_released_by_first_get(rows):
     buffer = ReservoirBuffer(capacity=8, threshold=0, seed=0)
-    assert buffer.put_many(chunk(0, 8), timeout=WAIT) == 8
-    thread, outcome = run_in_thread(lambda: buffer.put_many(chunk(8, 2), timeout=WAIT))
+    assert buffer.put_many(rows(range(8)), timeout=WAIT) == 8
+    thread, outcome = run_in_thread(lambda: buffer.put_many(rows(range(8, 10)), timeout=WAIT))
     assert parked(buffer, buffer._putters)
     assert len(buffer.get_batch_columns(4, timeout=WAIT)) == 4  # some become seen
     assert finish(thread, outcome) == 2
@@ -97,10 +87,10 @@ def test_putter_on_reservoir_full_of_unseen_is_released_by_first_get():
 
 
 @pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
-def test_close_releases_a_parked_putter_and_a_parked_getter(kind):
+def test_close_releases_a_parked_putter_and_a_parked_getter(kind, rows):
     full = make_buffer(kind, capacity=4, threshold=0, seed=0)
-    assert full.put_many(chunk(0, 4), timeout=WAIT) == 4
-    putter, put_outcome = run_in_thread(lambda: full.put_many(chunk(4, 1), timeout=WAIT))
+    assert full.put_many(rows(range(4)), timeout=WAIT) == 4
+    putter, put_outcome = run_in_thread(lambda: full.put_many(rows([4]), timeout=WAIT))
     empty = make_buffer(kind, capacity=4, threshold=0, seed=0)
     getter, get_outcome = run_in_thread(lambda: empty.get_batch_columns(1, timeout=WAIT))
     assert parked(full, full._putters) and parked(empty, empty._getters)
@@ -111,13 +101,13 @@ def test_close_releases_a_parked_putter_and_a_parked_getter(kind):
 
 
 @pytest.mark.parametrize("kind", ["firo", "reservoir"])
-def test_signal_reception_over_releases_getter_and_drain_releases_putter(kind):
+def test_signal_reception_over_releases_getter_and_drain_releases_putter(kind, rows):
     """End of reception lifts the threshold, which frees the parked getter; a
     parked putter stays parked (nothing made room) until the drain does."""
     buffer = make_buffer(kind, capacity=6, threshold=6, seed=0)
-    assert buffer.put_many(chunk(0, 6), timeout=WAIT) == 6  # full, at the threshold
+    assert buffer.put_many(rows(range(6)), timeout=WAIT) == 6  # full, at the threshold
     getter, get_outcome = run_in_thread(lambda: buffer.get_batch_columns(2, timeout=WAIT))
-    putter, put_outcome = run_in_thread(lambda: buffer.put_many(chunk(6, 1), timeout=WAIT))
+    putter, put_outcome = run_in_thread(lambda: buffer.put_many(rows([6]), timeout=WAIT))
     assert parked(buffer, buffer._getters) and parked(buffer, buffer._putters)
     buffer.signal_reception_over()
     assert len(finish(getter, get_outcome)) == 2  # the drain frees two slots ...
@@ -127,18 +117,18 @@ def test_signal_reception_over_releases_getter_and_drain_releases_putter(kind):
 
 def test_two_getters_on_one_buffer_both_wake_on_close():
     buffer = FIROBuffer(capacity=4, threshold=2, seed=0)
-    first, first_outcome = run_in_thread(lambda: buffer.get(timeout=WAIT))
+    first, first_outcome = run_in_thread(lambda: buffer.get_batch_columns(1, timeout=WAIT))
     second, second_outcome = run_in_thread(lambda: buffer.get_batch_columns(3, timeout=WAIT))
     assert parked(buffer, buffer._getters, count=2)
     buffer.close()
-    assert finish(first, first_outcome) is None
+    assert len(finish(first, first_outcome)) == 0
     assert len(finish(second, second_outcome)) == 0
 
 
-def test_fifo_each_get_that_frees_a_slot_wakes_the_parked_putter():
+def test_fifo_each_get_that_frees_a_slot_wakes_the_parked_putter(rows):
     buffer = FIFOBuffer(capacity=2)
-    assert buffer.put_many(chunk(0, 2), timeout=WAIT) == 2
-    thread, outcome = run_in_thread(lambda: buffer.put_many(chunk(2, 2), timeout=WAIT))
+    assert buffer.put_many(rows(range(2)), timeout=WAIT) == 2
+    thread, outcome = run_in_thread(lambda: buffer.put_many(rows(range(2, 4)), timeout=WAIT))
     assert parked(buffer, buffer._putters)
     assert buffer.get_batch_columns(1, timeout=WAIT).time_steps.tolist() == [0]
     assert buffer.get_batch_columns(1, timeout=WAIT).time_steps.tolist() == [1]
@@ -147,7 +137,7 @@ def test_fifo_each_get_that_frees_a_slot_wakes_the_parked_putter():
 
 
 @pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
-def test_many_putters_and_getters_on_a_tiny_buffer_lose_no_wake_up(kind):
+def test_many_putters_and_getters_on_a_tiny_buffer_lose_no_wake_up(kind, rows):
     """Three producers and three consumers (more threads than cores, switching
     every 10 us) hammer a buffer of 8 slots, so nearly every call parks.  All
     waits are bounded: one lost wake-up shows as a timeout, one lost update as
@@ -159,7 +149,7 @@ def test_many_putters_and_getters_on_a_tiny_buffer_lose_no_wake_up(kind):
     def produce(index):
         start = index * per_producer
         for offset in range(0, per_producer, 5):
-            if buffer.put_many(chunk(start + offset, 5), timeout=WAIT) != 5:
+            if buffer.put_many(rows(range(start + offset, start + offset + 5)), timeout=WAIT) != 5:
                 failures.append(f"producer {index} timed out at {offset}")
                 return
 

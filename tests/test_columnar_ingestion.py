@@ -1,17 +1,16 @@
-"""Columnar ingestion: adoption semantics and the record compatibility view.
+"""Columnar ingestion: wire decoding and adoption semantics.
 
-The SoA data plane replaces per-message objects with :class:`ColumnBatch`
-chunks from the wire to the forward pass.  These tests pin its two
-contracts: an adopted chunk is copied **exactly once** into the column
-store, and :class:`SampleRecord` remains available everywhere as a thin view
-over the columns — same fields, same ``key()``, zero extra copies.
+The SoA data plane carries :class:`ColumnBatch` chunks from the wire to the
+forward pass, with no per-sample object anywhere.  These tests pin how a
+chunk is decoded (from a packed batch or from message objects) and that an
+adopted chunk is copied **exactly once** into the column store.
 """
 
 import numpy as np
 import pytest
 
-from repro.buffers import FIFOBuffer, make_buffer
-from repro.buffers.columns import ColumnBatch, ColumnStore, SampleRecord
+from repro.buffers import FIFOBuffer
+from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
@@ -119,25 +118,6 @@ def test_column_batch_compress_and_concat():
     assert chunk.compatible_with(kept)
 
 
-def test_column_batch_records_view_is_zero_copy_and_key_compatible():
-    chunk = unpack_columns(pack_many(make_steps(5, client_id=7)))
-    records = chunk.records()
-    assert [record.key() for record in records] == chunk.keys()
-    for row, record in enumerate(records):
-        assert isinstance(record, SampleRecord)
-        assert record.inputs.base is chunk.inputs
-        assert record.target.base is chunk.targets
-        assert record.source_id == 7 and record.time_step == row
-
-
-def test_from_records_round_trip():
-    original = unpack_columns(pack_many(make_steps(4)))
-    rebuilt = ColumnBatch.from_records(original.records())
-    np.testing.assert_array_equal(rebuilt.inputs, original.inputs)
-    np.testing.assert_array_equal(rebuilt.targets, original.targets)
-    np.testing.assert_array_equal(rebuilt.source_ids, original.source_ids)
-
-
 # ----------------------------------------------------------------- ColumnStore
 def test_store_insert_copies_the_chunk_exactly_once():
     """put_many(ColumnBatch) adopts by one vectorized copy into the columns;
@@ -165,32 +145,3 @@ def test_gathered_batches_survive_slot_recycling():
     buffer.put_many(unpack_columns(pack_many(make_steps(4, start=50))))
     buffer.get_batch_columns(4, timeout=1.0)
     np.testing.assert_array_equal(first.targets, snapshot)
-
-
-@pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
-def test_column_insert_equals_record_insert(kind):
-    """Inserting a chunk and inserting its record view are indistinguishable."""
-    chunk = unpack_columns(pack_many(make_steps(12)))
-    by_columns = make_buffer(kind, capacity=32, threshold=0, seed=11)
-    by_records = make_buffer(kind, capacity=32, threshold=0, seed=11)
-    assert by_columns.put_many(chunk) == 12
-    assert by_records.put_many(chunk.records()) == 12
-    assert by_columns.snapshot() == by_records.snapshot()
-    for buffer in (by_columns, by_records):
-        buffer.signal_reception_over()
-    a = by_columns.get_batch_columns(12, timeout=1.0)
-    b = by_records.get_batch_columns(12, timeout=1.0)
-    np.testing.assert_array_equal(a.inputs, b.inputs)
-    np.testing.assert_array_equal(a.targets, b.targets)
-    np.testing.assert_array_equal(a.source_ids, b.source_ids)
-    np.testing.assert_array_equal(a.time_steps, b.time_steps)
-
-
-def test_record_at_copies_rows_out():
-    store = ColumnStore(2)
-    store.ensure_columns((3,), (2,))
-    store.write_record(0, SampleRecord(np.ones(3), np.ones(2, np.float32), 5, 9))
-    record = store.record_at(0)
-    assert record.key() == (5, 9)
-    store.inputs[0] = -1.0
-    np.testing.assert_array_equal(record.inputs, np.ones(3))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.buffers import FIFOBuffer
+from repro.buffers.columns import ColumnBatch
 from repro.core.metrics import ThroughputMeter, TrainingMetrics, merge_worker_metrics
 from repro.nn import Adam, MLPConfig, build_mlp
 from repro.parallel.messages import TimeStepMessage
@@ -26,16 +27,16 @@ from repro.server.trainer import TrainerConfig, TrainingWorker
 from repro.utils.timing import VirtualClock
 
 
-def make_records(count, input_size=3, target_size=5, seed=0):
-    rng = np.random.default_rng(seed)
-    records = []
-    from repro.buffers.base import SampleRecord
-
-    for index in range(count):
-        inputs = rng.random(input_size).astype(np.float32)
-        target = (inputs.sum() * np.ones(target_size)).astype(np.float32)
-        records.append(SampleRecord(inputs=inputs, target=target, source_id=0, time_step=index))
-    return records
+def make_samples(count, input_size=3, target_size=5, seed=0):
+    """A learnable batch: every target entry is the sum of the inputs."""
+    inputs = np.random.default_rng(seed).random((count, input_size)).astype(np.float32)
+    targets = np.repeat(inputs.sum(axis=1, keepdims=True), target_size, axis=1)
+    return ColumnBatch(
+        inputs.astype(np.float64),
+        targets,
+        np.zeros(count, dtype=np.int64),
+        np.arange(count, dtype=np.int64),
+    )
 
 
 def time_step(client_id, step, size=6):
@@ -62,8 +63,7 @@ def test_ddp_rank_trains_final_partial_batch_instead_of_discarding():
 
     def main(comm):
         buffer = FIFOBuffer(capacity=50)
-        for record in make_records(per_rank_counts[comm.rank], seed=comm.rank):
-            buffer.put(record)
+        buffer.put_many(make_samples(per_rank_counts[comm.rank], seed=comm.rank))
         buffer.signal_reception_over()
         model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=5, seed=0))
         worker = TrainingWorker(
@@ -86,8 +86,7 @@ def test_ddp_rank_trains_final_partial_batch_instead_of_discarding():
 
 def test_single_rank_trains_partial_final_batch():
     buffer = FIFOBuffer(capacity=50)
-    for record in make_records(7):
-        buffer.put(record)
+    buffer.put_many(make_samples(7))
     buffer.signal_reception_over()
     model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=5, seed=0))
     worker = TrainingWorker(
@@ -140,8 +139,7 @@ def test_throughput_first_window_bias_without_start_is_documented_fallback():
 
 def test_training_worker_starts_throughput_meter_before_first_batch():
     buffer = FIFOBuffer(capacity=50)
-    for record in make_records(8):
-        buffer.put(record)
+    buffer.put_many(make_samples(8))
     buffer.signal_reception_over()
     model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=5, seed=0))
     worker = TrainingWorker(

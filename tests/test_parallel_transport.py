@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, TimeStepMessage
+from repro.parallel.messages import (
+    ClientFinished,
+    ClientHello,
+    Heartbeat,
+    TimeStepMessage,
+    columnize,
+)
 from repro.parallel.transport import MessageRouter, RouterClosed
 
 
@@ -19,16 +25,19 @@ def make_message(client_id=0, step=1, seq=0, size=4):
 
 
 def test_time_step_message_sample_input_appends_time():
-    message = make_message(step=3)
-    inputs = message.sample_input()
-    assert inputs.shape == (6,)
-    assert inputs[-1] == pytest.approx(0.03)
-    assert inputs.dtype == np.float32
+    """The training input of a step is ``(X, t)`` in float64, as the data
+    plane builds it."""
+    (sample,) = columnize([make_message(step=3)])
+    assert sample.inputs.shape == (1, 6)
+    assert sample.inputs.dtype == np.float64
+    np.testing.assert_array_equal(sample.inputs[0, :5], [100.0, 200.0, 300.0, 400.0, 500.0])
+    assert sample.inputs[0, -1] == pytest.approx(0.03)
 
 
 def test_time_step_message_key_and_nbytes():
     message = make_message(client_id=7, step=12, size=100)
-    assert message.key() == (7, 12)
+    (sample,) = columnize([message])
+    assert (sample.source_ids.tolist(), sample.time_steps.tolist()) == ([7], [12])
     assert message.nbytes() >= 400
 
 

@@ -5,21 +5,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.buffers import FIFOBuffer, FIROBuffer, ReservoirBuffer
-from repro.buffers.base import SampleRecord
 from repro.nn import Linear, MSELoss, ReLU, Sequential, Tanh, gradient_check
 from repro.parallel.partition import BlockPartition2D, best_process_grid, partition_extent
 from repro.sampling import HaltonSampler, LatinHypercubeSampler, MonteCarloSampler, ParameterSpace
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 from repro.utils.seeding import derive_rng
-
-
-def record(index: int) -> SampleRecord:
-    return SampleRecord(
-        inputs=np.array([index], dtype=np.float32),
-        target=np.array([index], dtype=np.float32),
-        source_id=0,
-        time_step=index,
-    )
 
 
 # --------------------------------------------------------------------- buffers
@@ -29,17 +19,16 @@ def record(index: int) -> SampleRecord:
     num_samples=st.integers(min_value=0, max_value=120),
     seed=st.integers(min_value=0, max_value=1000),
 )
-def test_reservoir_population_never_exceeds_capacity(capacity, num_samples, seed):
+def test_reservoir_population_never_exceeds_capacity(capacity, num_samples, seed, rows):
     buffer = ReservoirBuffer(capacity=capacity, threshold=0, seed=seed)
     rng = derive_rng("property-reservoir", seed)
     produced = 0
     for index in range(num_samples):
-        if buffer.try_put(record(index)):
-            produced += 1
+        produced += buffer.put_many(rows([index]), timeout=0)
         assert len(buffer) <= capacity
         # Interleave reads at random so both seen and unseen lists get exercised.
         if produced and rng.random() < 0.5:
-            assert buffer.get(timeout=1.0) is not None
+            assert len(buffer.get_batch_columns(1, timeout=1.0)) == 1
             assert len(buffer) <= capacity
 
 
@@ -50,17 +39,17 @@ def test_reservoir_population_never_exceeds_capacity(capacity, num_samples, seed
     reads_per_put=st.integers(min_value=0, max_value=3),
     seed=st.integers(min_value=0, max_value=1000),
 )
-def test_reservoir_drains_every_remaining_sample(capacity, num_samples, reads_per_put, seed):
+def test_reservoir_drains_every_remaining_sample(capacity, num_samples, reads_per_put, seed, rows):
     """After reception ends, draining returns exactly the stored population."""
     buffer = ReservoirBuffer(capacity=capacity, threshold=0, seed=seed)
     for index in range(num_samples):
-        buffer.try_put(record(index))
+        buffer.put_many(rows([index]), timeout=0)
         for _ in range(reads_per_put):
-            buffer.get(timeout=1.0)
+            buffer.get_batch_columns(1, timeout=1.0)
     population = len(buffer)
     buffer.signal_reception_over()
     drained = 0
-    while buffer.get(timeout=0.5) is not None:
+    while len(buffer.get_batch_columns(1, timeout=0.5)):
         drained += 1
     assert drained == population
     assert len(buffer) == 0
@@ -74,7 +63,7 @@ def test_reservoir_drains_every_remaining_sample(capacity, num_samples, reads_pe
     kind=st.sampled_from(["fifo", "firo"]),
     seed=st.integers(min_value=0, max_value=100),
 )
-def test_single_read_buffers_conserve_samples(capacity, num_samples, kind, seed):
+def test_single_read_buffers_conserve_samples(capacity, num_samples, kind, seed, rows):
     """FIFO/FIRO: what comes out is exactly what went in (no loss, no duplication)."""
     if kind == "fifo":
         buffer = FIFOBuffer(capacity=capacity)
@@ -82,15 +71,12 @@ def test_single_read_buffers_conserve_samples(capacity, num_samples, kind, seed)
         buffer = FIROBuffer(capacity=capacity, threshold=0, seed=seed)
     accepted = []
     for index in range(num_samples):
-        if buffer.try_put(record(index)):
+        if buffer.put_many(rows([index]), timeout=0):
             accepted.append(index)
     buffer.signal_reception_over()
     out = []
-    while True:
-        item = buffer.get(timeout=0.5)
-        if item is None:
-            break
-        out.append(item.time_step)
+    while len(batch := buffer.get_batch_columns(1, timeout=0.5)):
+        out.extend(batch.time_steps.tolist())
     assert sorted(out) == accepted
 
 

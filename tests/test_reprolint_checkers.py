@@ -133,6 +133,33 @@ class TestWireLayout:
         assert report.clean, [f.render() for f in report.findings]
 
 
+# ---------------------------------------------------------------- unused imports
+class TestUnusedImport:
+    def test_bad_fixture_flags_every_unread_binding(self):
+        report = lint("bad_unused_import.py")
+        findings = [f for f in report.findings if f.rule == "unused-import"]
+        assert [f.line for f in findings] == [5, 6, 8, 9, 17]
+        messages = " ".join(f.message for f in findings)
+        assert "'os.path'" in messages
+        assert "'List'" in messages and "'Dict'" not in messages
+        assert "'queue as channels'" in messages
+
+    def test_good_fixture_exemptions_hold(self):
+        # __all__ exports, __future__, dotted imports, string annotations and
+        # function-local imports read in their function must all pass.
+        assert lint("good_unused_import.py").clean
+
+    def test_src_package_init_files_are_reexport_hubs(self, tmp_path):
+        hub = tmp_path / "src" / "repro" / "pkg" / "__init__.py"
+        hub.parent.mkdir(parents=True)
+        hub.write_text("from repro.pkg.impl import Thing\n", encoding="utf-8")
+        plain = tmp_path / "tools" / "__init__.py"
+        plain.parent.mkdir()
+        plain.write_text("from tools.impl import Thing\n", encoding="utf-8")
+        report = run(load_project([hub, plain], root=tmp_path), CHECKERS)
+        assert [f.path for f in report.findings] == ["tools/__init__.py"]
+
+
 # --------------------------------------------------------------- pragma protocol
 class TestPragmas:
     def test_justified_pragmas_suppress_inline_and_own_line(self):

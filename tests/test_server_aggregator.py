@@ -52,9 +52,9 @@ def test_aggregator_fills_buffer_and_signals_end():
     assert aggregator.reception_complete
     assert len(buffer) == 6
     # Samples carry the (X, t) input and the float32 field.
-    record = buffer.get()
-    assert record.inputs.shape == (6,)
-    assert record.target.dtype == np.float32
+    sample = buffer.get_batch_columns(1)
+    assert sample.inputs.shape == (1, 6)
+    assert sample.targets.dtype == np.float32
 
 
 def test_aggregator_deduplicates_restarted_client_messages():

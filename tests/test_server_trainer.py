@@ -3,20 +3,22 @@
 import numpy as np
 
 from repro.buffers import FIFOBuffer, ReservoirBuffer
-from repro.buffers.base import SampleRecord
+from repro.buffers.columns import ColumnBatch
 from repro.nn import Adam, MLPConfig, StepLR, build_mlp
 from repro.server.trainer import TrainerConfig, TrainingWorker
 from repro.server.validation import ValidationSet, Validator
 
 
-def make_records(count, input_size=3, target_size=5, seed=0):
-    rng = np.random.default_rng(seed)
-    records = []
-    for index in range(count):
-        inputs = rng.random(input_size).astype(np.float32)
-        target = (inputs.sum() * np.ones(target_size)).astype(np.float32)
-        records.append(SampleRecord(inputs=inputs, target=target, source_id=0, time_step=index))
-    return records
+def make_samples(count, input_size=3, target_size=5, seed=0):
+    """A learnable batch: every target entry is the sum of the inputs."""
+    inputs = np.random.default_rng(seed).random((count, input_size)).astype(np.float32)
+    targets = np.repeat(inputs.sum(axis=1, keepdims=True), target_size, axis=1)
+    return ColumnBatch(
+        inputs.astype(np.float64),
+        targets,
+        np.zeros(count, dtype=np.int64),
+        np.arange(count, dtype=np.int64),
+    )
 
 
 def make_worker(buffer, max_batches=None, validator=None, batch_size=4,
@@ -45,8 +47,7 @@ def make_worker(buffer, max_batches=None, validator=None, batch_size=4,
 
 def test_worker_trains_until_buffer_exhausted():
     buffer = FIFOBuffer(capacity=200)
-    for record in make_records(40):
-        buffer.put(record)
+    buffer.put_many(make_samples(40))
     buffer.signal_reception_over()
     worker = make_worker(buffer, batch_size=8)
     metrics = worker.run()
@@ -58,8 +59,7 @@ def test_worker_trains_until_buffer_exhausted():
 
 def test_worker_respects_max_batches():
     buffer = ReservoirBuffer(capacity=50, threshold=0)
-    for record in make_records(20):
-        buffer.put(record)
+    buffer.put_many(make_samples(20))
     worker = make_worker(buffer, max_batches=7)
     metrics = worker.run()
     assert metrics.batches_trained == 7
@@ -67,8 +67,7 @@ def test_worker_respects_max_batches():
 
 def test_worker_loss_decreases_on_learnable_problem():
     buffer = ReservoirBuffer(capacity=200, threshold=0, seed=0)
-    for record in make_records(100, seed=1):
-        buffer.put(record)
+    buffer.put_many(make_samples(100, seed=1))
     worker = make_worker(buffer, max_batches=150, batch_size=10)
     metrics = worker.run()
     early = np.mean(metrics.losses.train_losses[:10])
@@ -77,14 +76,11 @@ def test_worker_loss_decreases_on_learnable_problem():
 
 
 def test_worker_runs_validation_and_records_best():
-    records = make_records(60, seed=2)
+    samples = make_samples(60, seed=2)
     buffer = FIFOBuffer(capacity=200)
-    for record in records:
-        buffer.put(record)
+    buffer.put_many(samples)
     buffer.signal_reception_over()
-    inputs = np.stack([r.inputs for r in records[:10]])
-    targets = np.stack([r.target for r in records[:10]])
-    validator = Validator(ValidationSet(inputs, targets))
+    validator = Validator(ValidationSet(samples.inputs[:10], samples.targets[:10]))
     worker = make_worker(buffer, validator=validator, batch_size=6, validation_interval=3)
     metrics = worker.run()
     assert len(metrics.losses.val_losses) >= 2
@@ -94,8 +90,7 @@ def test_worker_runs_validation_and_records_best():
 
 def test_worker_tracks_occurrences_and_population():
     buffer = ReservoirBuffer(capacity=30, threshold=0, seed=0)
-    for record in make_records(10):
-        buffer.put(record)
+    buffer.put_many(make_samples(10))
     worker = make_worker(buffer, max_batches=20, batch_size=5)
     metrics = worker.run()
     histogram = metrics.occurrence_histogram
@@ -106,8 +101,7 @@ def test_worker_tracks_occurrences_and_population():
 
 def test_worker_scheduler_decays_learning_rate():
     buffer = FIFOBuffer(capacity=200)
-    for record in make_records(80):
-        buffer.put(record)
+    buffer.put_many(make_samples(80))
     buffer.signal_reception_over()
     worker = make_worker(buffer, batch_size=4, scheduler_steps=10)
     initial_lr = worker.optimizer.lr
@@ -117,8 +111,7 @@ def test_worker_scheduler_decays_learning_rate():
 
 def test_worker_throughput_meter_records_windows():
     buffer = FIFOBuffer(capacity=300)
-    for record in make_records(120):
-        buffer.put(record)
+    buffer.put_many(make_samples(120))
     buffer.signal_reception_over()
     worker = make_worker(buffer, batch_size=4)
     metrics = worker.run()

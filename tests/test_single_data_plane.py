@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.buffers import make_buffer
-from repro.buffers.columns import ColumnBatch, SampleRecord
+from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
 from repro.parallel.transport import TransportConfig, make_transport
 from repro.server.server import ServerConfig, TrainingServer
@@ -111,21 +111,30 @@ def test_ragged_run_is_dropped_and_counted_once(transport):
     assert transport.poll_batches(0, timeout=0.05) == []
 
 
+def column_batch(count, target_width, source_id):
+    return ColumnBatch(
+        np.ones((count, 3)),
+        np.ones((count, target_width), np.float32),
+        np.full(count, source_id, np.int64),
+        np.arange(count, dtype=np.int64),
+    )
+
+
 @pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
 def test_width_mismatched_put_is_refused_before_anything_is_inserted(kind):
+    """A batch of other widths, or anything that is not a ``ColumnBatch``, is
+    refused before the policy takes a slot."""
     buffer = make_buffer(kind, capacity=16, threshold=0, seed=0)
-    narrow = ColumnBatch.from_records(
-        [SampleRecord(np.ones(3), np.ones(4, np.float32), 0, step) for step in range(2)]
-    )
-    wide = ColumnBatch.from_records(
-        [SampleRecord(np.ones(3), np.ones(6, np.float32), 1, step) for step in range(2)]
-    )
-    assert buffer.put_many(narrow) == 2
+    assert buffer.put_many(column_batch(2, 4, source_id=0)) == 2
+    before = buffer.snapshot()
     with pytest.raises(ValueError, match=r"\(6,\).*\(4,\)"):
-        buffer.put_many(wide)
+        buffer.put_many(column_batch(2, 6, source_id=1))
     with pytest.raises(ValueError, match=r"\(6,\).*\(4,\)"):
-        buffer.put(SampleRecord(np.ones(3), np.ones(6, np.float32), 1, 0))
-    assert len(buffer) == buffer.total_put == 2  # the policy state is untouched
+        buffer.put_many(column_batch(1, 6, source_id=1))
+    with pytest.raises(TypeError, match="ColumnBatch"):
+        buffer.put_many([column_batch(1, 4, source_id=1)])
+    assert buffer.snapshot() == before  # the policy state is untouched
+    assert len(buffer) == buffer.total_put == 2
     buffer.signal_reception_over()
     assert buffer.get_batch_columns(4, timeout=1.0).targets.shape == (2, 4)
 

@@ -325,15 +325,11 @@ def test_buffered_records_do_not_pin_the_packed_batch(transport):
             for step in range(4)]
     )
     aggregator._handle_items(transport._decode_packed(wire_buffer, 0))
-    records = buffer.get_batch(4, timeout=1.0)
-    assert len(records) == 4
+    batch = buffer.get_batch_columns(4, timeout=1.0)
+    assert len(batch) == 4
     wire = np.frombuffer(wire_buffer, dtype=np.uint8)
-    for record in records:
-        assert not np.shares_memory(record.target, wire)
-    # One gathered block, not four: the records are row views of it.
-    block = records[0].target.base
-    assert block is not None
-    assert all(record.target.base is block for record in records)
+    assert not np.shares_memory(batch.targets, wire)
+    assert not np.shares_memory(batch.inputs, wire)
 
 
 # ------------------------------------------------------ columnar dedup counters

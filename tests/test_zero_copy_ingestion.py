@@ -9,10 +9,8 @@ per-record objects, no copy at all.
 """
 
 import numpy as np
-import pytest
 
 from repro.buffers import FIFOBuffer, FIROBuffer
-from repro.buffers.base import SampleRecord
 from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import TimeStepMessage, pack_many, unpack_columns
 from repro.parallel.transport import MessageRouter
@@ -74,28 +72,6 @@ def test_adopted_chunk_flows_to_the_store_with_one_copy():
         np.testing.assert_array_equal(batch.inputs[index], [1.0, 2.0, 3.0, index * 0.1])
 
 
-def test_record_views_share_the_batch_columns():
-    """The per-sample compatibility view costs objects, never copies."""
-    buffer = FIFOBuffer(capacity=64)
-    aggregator = make_aggregator(buffer)
-    aggregator._handle_items([unpack_columns(pack_many(make_steps(10)))])
-    records = buffer.get_batch(10, timeout=1.0)
-    assert len(records) == 10
-
-    target_base = records[0].target.base
-    inputs_base = records[0].inputs.base
-    assert target_base is not None and inputs_base is not None
-    for record in records:
-        assert record.target.base is target_base  # one gathered targets block
-        assert record.inputs.base is inputs_base  # one gathered inputs matrix
-        assert record.inputs.dtype == np.float64
-        assert record.target.dtype == np.float32
-    for index, record in enumerate(records):
-        expected_target = np.arange(FIELD_LEN, dtype=np.float32) + index
-        np.testing.assert_array_equal(record.target, expected_target)
-        np.testing.assert_array_equal(record.inputs, [1.0, 2.0, 3.0, index * 0.1])
-
-
 def test_dedup_and_control_bookkeeping_survive_the_columnar_path():
     buffer = FIFOBuffer(capacity=64)
     aggregator = make_aggregator(buffer)
@@ -128,28 +104,6 @@ def test_stack_batch_passes_columns_through_untouched():
     assert inputs is batch.inputs
     assert targets is batch.targets
     assert inputs.shape == (4, 4) and targets.shape == (4, FIELD_LEN)
-
-
-def test_record_lists_columnise_once_or_are_rejected():
-    """A record list enters the data plane through ``from_records``: matching
-    shapes become the two matrices, a ragged list is refused up front."""
-    batch = ColumnBatch.from_records(
-        [
-            SampleRecord(np.full(2, 5.0, np.float32), np.full(3, 7.0, np.float32), 0, 0),
-            SampleRecord(np.full(2, 6.0, np.float32), np.full(3, 8.0, np.float32), 0, 1),
-        ]
-    )
-    inputs, targets = _worker_stub()._stack_batch(batch)
-    assert inputs.shape == (2, 2) and targets.shape == (2, 3)
-    assert inputs.dtype == np.float64 and targets.dtype == np.float32
-    np.testing.assert_array_equal(inputs[1], [6.0, 6.0])
-    with pytest.raises(ValueError, match=r"\(4,\).*\(2,\)"):
-        ColumnBatch.from_records(
-            [
-                SampleRecord(np.ones(2, np.float32), np.ones(3, np.float32), 0, 0),
-                SampleRecord(np.ones(4, np.float32), np.ones(3, np.float32), 0, 1),
-            ]
-        )
 
 
 def test_interleaved_two_client_chunk_reaches_put_many_uncopied():

@@ -1,7 +1,8 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
 Five checkers encode the concurrency and wire-format invariants the code
-review process kept re-discovering by hand (see ``docs/static_analysis.md``):
+review process kept re-discovering by hand, and a sixth the ``ruff`` rule
+that would otherwise run only in CI (see ``docs/static_analysis.md``):
 
 - ``lock-discipline``   : attributes mutated under a lock anywhere must never
                           be mutated outside one.
@@ -14,6 +15,8 @@ review process kept re-discovering by hand (see ``docs/static_analysis.md``):
 - ``wire-layout``       : ``struct.Struct`` formats, declared ``*_BYTES`` size
                           constants and packed-header offset families must
                           agree.
+- ``unused-import``     : every import binds a name its module reads (ruff's
+                          ``F401``, with the same exemptions).
 
 Run with ``python -m tools.reprolint src/``.
 """
@@ -25,6 +28,7 @@ from tools.reprolint import (
     check_fork_safety,
     check_lock_discipline,
     check_lock_order,
+    check_unused_imports,
     check_wire_layout,
 )
 from tools.reprolint.core import Finding, Project, Report, load_project, run
@@ -37,6 +41,7 @@ CHECKERS = (
     check_blocking,
     check_fork_safety,
     check_wire_layout,
+    check_unused_imports,
 )
 
 ALL_RULES = tuple(checker.RULE for checker in CHECKERS)

@@ -12,7 +12,6 @@ locks participate within their function only.
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, List, Set, Tuple
 
 from tools.reprolint.core import Finding, Project
