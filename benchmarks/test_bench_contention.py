@@ -45,6 +45,8 @@ def _producer(transport, client_id):
 
 def _pump(transport) -> float:
     """Drain rate with all N producers live (best of 3 runs)."""
+    for client_id in range(PRODUCERS):
+        transport.lease_client(client_id)  # the server leases before forking
     best = float("inf")
     for _ in range(3):
         processes = [

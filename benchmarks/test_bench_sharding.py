@@ -81,6 +81,8 @@ def _build_router(num_shards: int) -> ShardedTransport:
 
 def _pump(router) -> float:
     """Aggregate drain rate with all producers live (best of REPEATS runs)."""
+    for client_id in CLIENT_IDS:
+        router.lease_client(client_id)  # on the owning shard, before forking
     best = float("inf")
     for _ in range(REPEATS):
         processes = [

@@ -114,6 +114,7 @@ def test_shm_transport_end_to_end_forked_producer():
         # Collect before each rep so a generational GC pass triggered by the
         # previous rep's message churn does not land inside the timed window
         # (applied identically to both backends).
+        transport.lease_client(0)  # the server leases before forking
         best = float("inf")
         for _ in range(5):
             gc.collect()

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, TimeStepMessage
+from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
 from repro.parallel.transport import Connection, Transport
 
 Array = np.ndarray
@@ -106,17 +106,6 @@ class ClientAPI:
         )
         self._sequence += 1
         return connection.send_round_robin(message)
-
-    def send_heartbeat(self, timestamp: float, progress: float) -> None:
-        """Send a liveness signal to server rank 0 (fault-detection channel).
-
-        Pending batches are flushed first so the reported progress never
-        overstates what the server has actually received.
-        """
-        connection = self._require_connection()
-        connection.flush()
-        connection.send_to(0, Heartbeat(client_id=self.client_id, timestamp=timestamp,
-                                        progress=progress))
 
     def undelivered_steps(self) -> list[int]:
         """Time steps buffered client-side (batching) and not yet pushed.

@@ -123,11 +123,10 @@ class OnlineStudy:
         # The server's aggregators feed the heartbeat monitor; handing it to
         # the launcher closes the paper's loop: the server watches for
         # unresponsive clients, the launcher kills and restarts them.  In a
-        # sharded study the monitor and the transport both route by the hash
-        # ring, so the same protocol spans every shard.
+        # sharded study the monitor and the clients' transport both route by
+        # the hash ring, so the same protocol spans every shard.
         return Launcher(client_factory, specs, launcher_config,
                         heartbeat_monitor=heartbeat_monitor,
-                        transport=router,
                         shard_ring=shard_ring)
 
     # -------------------------------------------------------------------- run
@@ -136,8 +135,9 @@ class OnlineStudy:
         cfg = self.config
         # ``transport_config`` is the already-normalised TransportConfig.  Only
         # the launcher concurrency bound travels separately: the shm ring grid is
-        # a slot table sized by it, not by the ensemble size — clients lease
-        # a ring at connect and release it once their finished marker lands.
+        # a slot table sized by it, not by the ensemble size — the launcher
+        # leases a client's ring before forking it and releases it after the
+        # client's last process was joined.
         num_shards = cfg.transport_config.shard.num_shards
         specs = self._build_specs()
         shard_ring = None

@@ -25,6 +25,14 @@ to: the ``tcp`` backend's forked clients inherit only the front door's
 ``(host, port)`` and dial their own connection (handshake included) at the
 first push, so the same launcher drives shared-memory and socket backends
 (the study picks the mode via ``TransportConfig.client_mode``).
+
+The launcher holds each client's channel lease: it calls
+``Transport.lease_client`` on the client's own transport before the first
+attempt starts, keeps the lease across restarts and calls
+``release_client`` only after the last attempt's process was joined.  The
+pool is ``max_concurrent_clients`` wide, the same bound that sizes the
+``shm`` slot table, so a lease never waits; a forked client finds its ring
+slot in the table it inherited and shares nothing it could die holding.
 """
 
 from __future__ import annotations
@@ -160,7 +168,7 @@ class LauncherConfig:
         client's *total runtime*; liveness is the heartbeat deadline below.
     heartbeat_timeout:
         In process mode, kill a client process whose last server-observed
-        activity (hello/time step/heartbeat, tracked by the study's
+        activity (a hello or time step, stamped on arrival by the study's
         :class:`~repro.server.fault.HeartbeatMonitor`) is older than this
         many seconds — the paper's "watch for unresponsive clients, ask the
         launcher to properly kill and restart" protocol.  The killed client
@@ -218,7 +226,6 @@ class Launcher:
         specs: Sequence[ClientSpec],
         config: LauncherConfig | None = None,
         heartbeat_monitor: object | None = None,
-        transport: object | None = None,
         shard_ring: object | None = None,
     ) -> None:
         self.client_factory = client_factory
@@ -227,10 +234,6 @@ class Launcher:
         #: Liveness tracker shared with the server (fed by its aggregators);
         #: required for the heartbeat watchdog in process client mode.
         self.heartbeat_monitor = heartbeat_monitor
-        #: Transport backend, for kill accounting
-        #: (``record_unresponsive_kill``) and for recycling a dead client's
-        #: ring-slot lease (``release_client``) when restarts are exhausted.
-        self.transport = transport
         #: Hash ring of a sharded study (``shard_for(client_id)``); when
         #: present, the report also aggregates per-shard totals so the
         #: cluster-level breakdown ships with the ensemble outcome.
@@ -261,12 +264,26 @@ class Launcher:
 
     # ------------------------------------------------------------------- run
     def _run_client(self, spec: ClientSpec) -> int:
-        """Run one client with restart-on-failure; returns steps sent."""
-        if self.config.client_mode == "process":
-            return self._run_client_in_process(spec)
+        """Run one client with restart-on-failure; returns steps sent.
+
+        The client's lease on its transport spans every attempt: taken
+        before the first one starts, released once the last one has ended
+        (in process mode: once its process was joined).
+        """
         client = self.client_factory(spec)
         if spec.fail_at_step is not None:
             client.fail_at_step = spec.fail_at_step
+        router = client.router
+        router.lease_client(spec.client_id)
+        try:
+            if self.config.client_mode == "process":
+                return self._run_client_in_process(spec, client)
+            return self._run_client_in_thread(spec, client)
+        finally:
+            router.release_client(spec.client_id)
+
+    def _run_client_in_thread(self, spec: ClientSpec, client: SimulationClient) -> int:
+        """Run ``client`` on this pool thread, restarting it on failure."""
         attempts = 0
         total_steps = 0
         while True:
@@ -283,7 +300,7 @@ class Launcher:
                     raise
                 client.prepare_restart()
 
-    def _run_client_in_process(self, spec: ClientSpec) -> int:
+    def _run_client_in_process(self, spec: ClientSpec, client: SimulationClient) -> int:
         """Fork one OS process per attempt; restart on failure or death.
 
         The parent keeps its own copy of the client object: a restart
@@ -294,9 +311,6 @@ class Launcher:
         """
         context = _fork_mp()
         _install_after_fork_noise_filter()
-        client = self.client_factory(spec)
-        if spec.fail_at_step is not None:
-            client.fail_at_step = spec.fail_at_step
         if spec.hang_at_step is not None:
             client.hang_at_step = spec.hang_at_step
         attempts = 0
@@ -310,7 +324,7 @@ class Launcher:
             )
             process.start()
             send_conn.close()
-            self._watch_client_process(spec, process)
+            self._watch_client_process(spec, process, client.router)
             status, steps = "killed", 0
             if recv_conn.poll(0):
                 try:
@@ -339,7 +353,7 @@ class Launcher:
                 )
             client.prepare_restart()
 
-    def _watch_client_process(self, spec: ClientSpec, process) -> None:
+    def _watch_client_process(self, spec: ClientSpec, process, router) -> None:
         """Join a client process under the runtime cap and heartbeat deadline.
 
         Blocks until the process exits or is killed.  Two guards run while
@@ -348,7 +362,7 @@ class Launcher:
         activity (queried from the shared :class:`HeartbeatMonitor`) is too
         old — a client that was never observed is judged by its runtime
         instead, so a hang before the hello message is caught too.  A
-        heartbeat kill is counted in the report and in
+        heartbeat kill is counted in the report and in ``router``'s
         ``TransportStats.unresponsive_kills``; the caller then restarts the
         client like any failed one and the server deduplicates the resend.
         """
@@ -379,9 +393,9 @@ class Launcher:
                 silence = self.heartbeat_monitor.silence(spec.client_id, now=now)
                 if silence is None:
                     # Never seen: judge by this attempt's runtime, with a 2x
-                    # grace — the client may legitimately be waiting for a
-                    # ring-slot lease or a slow solver warm-up before its
-                    # first message reaches the server.
+                    # grace — process start-up, imports and a slow solver
+                    # warm-up all come before its first message reaches
+                    # the server.
                     silence = (now - started) / 2
                 else:
                     # A restarted attempt inherits the monitor record of its
@@ -394,9 +408,7 @@ class Launcher:
                     )
                     with self._report_lock:
                         self.report.unresponsive_kills += 1
-                    recorder = getattr(self.transport, "record_unresponsive_kill", None)
-                    if recorder is not None:
-                        recorder()
+                    router.record_unresponsive_kill()
                     break
         process.kill()
         process.join()
@@ -423,11 +435,6 @@ class Launcher:
                         with self._report_lock:
                             self.report.clients_failed += 1
                         logger.error("client %d permanently failed", spec.client_id)
-                        # Recycle the dead client's ring-slot lease so a
-                        # later ensemble member is not starved by it.
-                        release = getattr(self.transport, "release_client", None)
-                        if release is not None:
-                            release(spec.client_id)
                     else:
                         with self._report_lock:
                             self.report.clients_completed += 1

@@ -25,7 +25,6 @@ from repro.parallel.communicator import CommunicatorGroup, ThreadCommunicator
 from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
-    Heartbeat,
     Message,
     TimeStepMessage,
     WireFormatError,
@@ -70,7 +69,6 @@ __all__ = [
     "Message",
     "ClientHello",
     "ClientFinished",
-    "Heartbeat",
     "TimeStepMessage",
     "MessageRouter",
     "MultiprocessTransport",

@@ -67,7 +67,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Bodies below this size skip the compression attempt outright: the codec
 #: call costs more than the handful of bytes it could save, and control
-#: messages (hello, finished, heartbeat) all land here.
+#: messages (hello, finished) all land here.
 MIN_COMPRESS_BYTES = 512
 
 

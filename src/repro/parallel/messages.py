@@ -140,17 +140,6 @@ class ClientFinished(Message):
         return 16
 
 
-@dataclass
-class Heartbeat(Message):
-    """Periodic liveness signal used by the server's fault detector."""
-
-    timestamp: float = 0.0
-    progress: float = 0.0
-
-    def nbytes(self) -> int:
-        return 24
-
-
 # --------------------------------------------------------------------------
 # Packed batch wire format.
 # --------------------------------------------------------------------------
@@ -169,7 +158,8 @@ _BATCH_HEADER = struct.Struct("<4sHHIIQQ")
 _T_HELLO = 0
 _T_STEP = 1
 _T_FINISHED = 2
-_T_HEARTBEAT = 3
+# Type code 3 is retired (a client-clocked heartbeat): a buffer carrying it
+# fails to decode like any other unknown type.
 
 #: type, client_id, n_params, num_time_steps, restart_count, ndim
 #: (followed by ``ndim`` little-endian int64 shape extents).
@@ -179,8 +169,6 @@ _SHAPE_DIM = struct.Struct("<q")
 _STEP_HEADER = struct.Struct("<BqqdqIQ")
 #: type, client_id, total_sent
 _FINISHED_HEADER = struct.Struct("<Bqq")
-#: type, client_id, timestamp, progress
-_HEARTBEAT_HEADER = struct.Struct("<Bqdd")
 
 # Declared wire sizes of the packed headers above.  These are the numbers a
 # reader on the other side of the ring hard-codes its offsets against;
@@ -191,7 +179,6 @@ BATCH_HEADER_BYTES = 32
 HELLO_HEADER_BYTES = 30
 STEP_HEADER_BYTES = 45
 FINISHED_HEADER_BYTES = 17
-HEARTBEAT_HEADER_BYTES = 25
 
 
 class BatchPlan:
@@ -294,9 +281,6 @@ def plan_many(messages: Sequence[Message]) -> BatchPlan:
         elif kind is ClientFinished:
             headers.append(_FINISHED_HEADER.pack(_T_FINISHED, message.client_id,
                     message.total_sent))
-        elif kind is Heartbeat:
-            headers.append(_HEARTBEAT_HEADER.pack(_T_HEARTBEAT, message.client_id,
-                    message.timestamp, message.progress))
         else:
             raise WireFormatError(f"cannot pack message of type {kind.__name__}")
 
@@ -435,10 +419,6 @@ def unpack_many(buffer, copy_payloads: bool = False) -> List[Message]:
             _, client_id, total_sent = _FINISHED_HEADER.unpack_from(buffer, offset)
             offset += _FINISHED_HEADER.size
             messages.append(ClientFinished(client_id=client_id, total_sent=total_sent))
-        elif kind == _T_HEARTBEAT:
-            _, client_id, timestamp, progress = _HEARTBEAT_HEADER.unpack_from(buffer, offset)
-            offset += _HEARTBEAT_HEADER.size
-            messages.append(Heartbeat(client_id=client_id, timestamp=timestamp, progress=progress))
         else:
             raise WireFormatError(f"unknown message type code {kind} at offset {offset}")
     return messages

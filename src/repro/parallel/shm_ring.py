@@ -13,7 +13,7 @@ server-rank) pair — SPSC by construction, because a slot is leased by
 exactly one client at a time and a client streams to each rank from exactly
 one process — and carries **everything** that client sends to that rank, in
 send order, in the packed wire format of :mod:`repro.parallel.messages`
-written **in place**: hello, time steps, heartbeats, finished.  As in the
+written **in place**: hello, time steps, finished.  As in the
 paper's one-ZMQ-connection-per-rank design there is no side channel, so a
 control message can neither overtake nor be overtaken by the data around it.
 
@@ -47,14 +47,18 @@ control message can neither overtake nor be overtaken by the data around it.
 
 **Slot-table multiplexing**: the ring grid is sized by
 ``max_concurrent_clients`` — the launcher's concurrency bound — not by the
-ensemble size.  A client leases a ring slot at :meth:`connect` (or on its
-first push, by the same blocking path) and the slot is recycled once every
-rank's reader has decoded the client's ``ClientFinished`` out of the ring —
-the last thing the client wrote there; a paper-scale ensemble of hundreds of
-simulations therefore needs only as many rings as run concurrently.  The
-lease table lives in shared memory (owner and refcount words under one
-``mp.Lock``); leasing is a rare operation, and the per-process slot cache
-keeps it off the push path.
+ensemble size, so a paper-scale ensemble of hundreds of simulations needs
+only as many rings as run concurrently.  The lease table belongs to the
+server process alone: a ``client_id → slot`` dict and a free list behind a
+``threading.Lock``.  The launcher calls :meth:`ShmRingTransport.lease_client`
+before it forks a client, keeps the lease across the client's restarts and
+calls :meth:`~ShmRingTransport.release_client` only after the client's last
+process was joined.  A forked client finds its slot in the dict it inherited;
+it takes no lock and writes no shared table, so a client killed anywhere —
+inside :meth:`connect` included — leaves nothing held.  A recycled slot's
+next holder appends behind whatever the dead holder left undrained (the
+cursors live in the ring), and a begin marker the dead writer left behind
+is counted as torn, as on a restart.
 
 Cursors and slot headers are aligned 8-byte words written via ``memcpy``;
 CPython performs each store as a single aligned copy, which is atomic on
@@ -82,15 +86,9 @@ import time
 from itertools import groupby
 from multiprocessing import shared_memory
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
-from repro.parallel.messages import (
-    BatchPlan,
-    ClientFinished,
-    Message,
-    WireFormatError,
-    plan_many,
-)
+from repro.parallel.messages import BatchPlan, Message, WireFormatError, plan_many
 from repro.parallel.mp_transport import _SharedFlag
 from repro.parallel.transport import (
     Connection,
@@ -154,12 +152,6 @@ _SINGLE_CORE_PARK = 5e-4
 #: dead time for both sides (a retry probe costs ~1 µs, so waking often is
 #: cheap).
 _FULL_RING_BACKOFF = 5e-4 if (os.cpu_count() or 1) > 1 else 1e-4
-
-#: How long a connecting client waits for a free ring-slot lease before
-#: giving up with an actionable error.  Leases free as soon as every rank
-#: has decoded the previous owner's ``ClientFinished``, so under a
-#: correctly sized ``max_concurrent_clients`` the wait is milliseconds.
-DEFAULT_LEASE_TIMEOUT = 30.0
 
 #: Upper bound on one transport's ring segment.  The slot table allocates
 #: ranks x max_concurrent_clients rings upfront; with the grid scaling by
@@ -452,8 +444,8 @@ class ShmRingTransport(PackedDrainMixin, Transport):
     """Multi-process transport: one shared-memory ring per client and rank.
 
     One :class:`ShmRing` per (ring slot, server-rank) pair carries every
-    message its lessee sends to that rank — hello, time steps, heartbeats,
-    finished — as packed batches in send order; there is no other channel.
+    message its lessee sends to that rank — hello, time steps, finished —
+    as packed batches in send order; there is no other channel.
     All rings live in **one** shared-memory segment created by the server
     process and inherited by the forked clients, so there is nothing to
     name, attach or clean up per client.
@@ -464,11 +456,8 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         Number of server ranks (one aggregator thread each).
     max_concurrent_clients:
         Size of the ring-slot table: how many clients can hold a ring lease
-        simultaneously.  A client leases a slot at :meth:`connect` or on its
-        first push, blocking up to ``lease_timeout`` for one to free; the
-        slot is recycled once every rank has decoded the client's
-        ``ClientFinished``.  Size it to the launcher's concurrency bound —
-        the ensemble size is irrelevant.
+        simultaneously.  The launcher's pool has the same width, so a lease
+        never waits; the ensemble size is irrelevant.
     ring_slots / ring_slot_bytes:
         Geometry of every ring: ``ring_slots`` batches of at most
         ``ring_slot_bytes`` packed bytes.  A batch that outgrows a slot is
@@ -483,7 +472,6 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         ring_slots: int = DEFAULT_RING_SLOTS,
         ring_slot_bytes: int = DEFAULT_RING_SLOT_BYTES,
         spin_wait: float = DEFAULT_SPIN_WAIT,
-        lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     ) -> None:
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
@@ -498,7 +486,6 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         self.ring_slots = int(ring_slots)
         self.ring_slot_bytes = int(-(-ring_slot_bytes // 8) * 8)  # 8-byte aligned slots
         self.spin_wait = float(spin_wait)
-        self.lease_timeout = float(lease_timeout)
 
         ring_bytes = ShmRing.layout_bytes(self.ring_slots, self.ring_slot_bytes)
         total = self.num_server_ranks * self.max_concurrent_clients * ring_bytes
@@ -532,20 +519,12 @@ class ShmRingTransport(PackedDrainMixin, Transport):
             self._rings.append(row)
         self._init_leftovers(self.num_server_ranks)
         self._closed = _SharedFlag()
-        # Ring-slot lease table: one owner word and one release refcount per
-        # slot, shared by every forked client, guarded by one lock.  Leasing
-        # happens once per client, so the lock is never on the push path;
-        # the per-process ``_slot_cache`` keeps lookups off it entirely.
-        self._table_lock = mp.Lock()
-        self._slot_owner = mp.RawArray("q", [-1] * self.max_concurrent_clients)
-        self._slot_refs = mp.RawArray("q", self.max_concurrent_clients)
-        #: Lease generation counter per slot, bumped on every fresh claim:
-        #: the server's duplicate-finished guard is keyed by (client, gen),
-        #: so a client re-leasing after a fully delivered finished (killed
-        #: post-finalize, restarted, resent) gets a fresh dedup key and its
-        #: new lease can still be released.
-        self._slot_gen = mp.RawArray("q", self.max_concurrent_clients)
-        self._slot_cache: Dict[int, int] = {}
+        # Ring-slot lease table, server-process state: a forked client reads
+        # the copy it inherited and never writes it, so a thread lock (never
+        # taken in a client process) is all it needs.
+        self._lease_lock = threading.Lock()
+        self._slots: Dict[int, int] = {}
+        self._free: List[int] = list(reversed(range(self.max_concurrent_clients)))
         # Reader wakeup: one semaphore per rank, posted by writers only when
         # the rank's reader advertises that it is parked.  A semaphore (one
         # atomic post, no critical section) is kill-safe where a Condition is
@@ -555,13 +534,6 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         self._wakeups = [mp.Semaphore(0) for _ in range(self.num_server_ranks)]
         self._reader_waiting = [mp.Value("b", 0, lock=False)
                                 for _ in range(self.num_server_ranks)]
-        # (server-side, per rank) (client, lease-generation) pairs whose
-        # finished already released a lease reference — guards the refcount
-        # against duplicate finished messages resent within one lease by a
-        # client restarted after its finalize.
-        self._released_finished: List[Set[tuple]] = [
-            set() for _ in range(self.num_server_ranks)
-        ]
         # Server-process counters: drops found while decoding and launcher
         # kills are recorded by server threads only, so a thread lock (never
         # taken by a client process) guards them.  Everything a client counts
@@ -571,101 +543,58 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         self._unresponsive_kills = 0
 
     # ------------------------------------------------------------ slot leases
-    def connect(self, client_id: int, batch_size: int = 1) -> Connection:
-        """Lease a ring slot for ``client_id``, then connect as usual.
+    def lease_client(self, client_id: int) -> int:
+        """Lease a ring slot to ``client_id`` and return it (idempotent).
 
-        Blocks up to ``lease_timeout`` for a slot to free (slots recycle as
-        soon as every rank decoded the previous owner's finished marker);
-        a client restarted after a crash finds and reuses its own live
-        lease.  Raises :class:`RouterClosed` if the transport closes while
-        waiting and ``TimeoutError`` when the table stays full — which means
-        more clients run concurrently than ``max_concurrent_clients``.
+        Server process only: the launcher calls it before forking the
+        client, so the child inherits the lease with the table.  A forked
+        process that finds no lease for its client raises at once — leasing
+        there would write a table no one else reads.  A full table raises
+        too: the launcher runs at most ``max_concurrent_clients`` clients,
+        the bound that sized the table, so a lease never has to wait.
         """
-        self._lease_slot(int(client_id))
-        return super().connect(client_id, batch_size=batch_size)
-
-    def _lease_slot(self, client_id: int) -> int:
-        if client_id < 0:
-            # Negative ids would alias the free-slot sentinel (-1) in the
-            # owner table.
-            raise ValueError("client_id must be non-negative to lease a ring slot")
-        deadline = time.monotonic() + self.lease_timeout
-        while True:
-            with self._table_lock:
-                # Reuse path first (restart mid-lease).  A client killed in
-                # the window between finalize and exit leaves its finished
-                # markers in flight; when they deliver, the lease frees
-                # mid-restream and the client simply re-leases a free slot on
-                # its next push — a benign re-route, never a wedge or a leak.
-                slot = self._slot_owned_by(client_id)
-                if slot is None:
-                    slot = self._slot_owned_by(-1)  # a free one
-                    if slot is not None:
-                        self._slot_owner[slot] = client_id
-                        self._slot_refs[slot] = self.num_server_ranks
-                        self._slot_gen[slot] += 1
-                if slot is not None:
-                    self._slot_cache[client_id] = slot
-                    return slot
-            if self._closed.is_set():
-                raise RouterClosed("transport closed while waiting for a ring slot")
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"client {client_id} found no free ring slot within "
-                    f"{self.lease_timeout:.0f}s: more than "
-                    f"max_concurrent_clients={self.max_concurrent_clients} clients "
-                    "are connected at once; raise "
-                    "OnlineStudyConfig.max_concurrent_clients (the ring grid "
-                    "scales with it) or finish/release clients faster"
-                )
-            time.sleep(0.002)
-
-    def _slot_owned_by(self, owner_id: int) -> Optional[int]:
-        """First slot whose owner word is ``owner_id`` (``-1``: free); the
-        caller holds the table lock."""
-        for slot, owner in enumerate(self._slot_owner):
-            if owner == owner_id:
-                return slot
-        return None
-
-    def _slot_for_push(self, client_id: int) -> int:
-        """The client's leased ring slot: the per-process cache when it still
-        names the owner, else the lease path :meth:`connect` takes."""
-        slot = self._slot_cache.get(client_id)
-        if slot is not None and self._slot_owner[slot] == client_id:
-            return slot
-        return self._lease_slot(client_id)
-
-    def _release_lease_ref(self, rank: int, client_id: int) -> None:
-        """``rank`` decoded ``client_id``'s finished marker; maybe recycle."""
-        released = self._released_finished[rank]
-        with self._table_lock:
-            slot = self._slot_owned_by(client_id)
+        client_id = int(client_id)
+        if os.getpid() != self._creator_pid:
+            raise RuntimeError(
+                f"client {client_id} has no ring-slot lease in this forked "
+                f"process: the server process must call lease_client({client_id}) "
+                "before it starts the client"
+            )
+        with self._lease_lock:
+            slot = self._slots.get(client_id)
             if slot is None:
-                return  # force-released by the launcher
-            key = (client_id, self._slot_gen[slot])
-            if key in released:
-                return  # duplicate finished within this lease
-            released.add(key)
-            self._slot_refs[slot] -= 1
-            if self._slot_refs[slot] <= 0:
-                self._slot_owner[slot] = -1
-                self._slot_refs[slot] = 0
+                if not self._free:
+                    raise RuntimeError(
+                        f"no free ring slot for client {client_id}: all "
+                        f"max_concurrent_clients={self.max_concurrent_clients} slots "
+                        f"are leased (to clients {sorted(self._slots)}); the launcher "
+                        "must run no more clients at once than the table holds"
+                    )
+                slot = self._slots[client_id] = self._free.pop()
+            return slot
 
     def release_client(self, client_id: int) -> None:
-        """Force-free a dead client's lease (launcher gave up on restarts).
+        """Return ``client_id``'s slot to the free list (its processes are gone).
 
-        Undrained batches still in the client's rings stay readable — every
-        message carries its client id, so attribution does not depend on the
-        lease — but the slot becomes available to the next client
-        immediately.
+        Undrained batches stay readable — every message carries its client
+        id — and the slot's next holder appends behind them.
         """
-        with self._table_lock:
-            slot = self._slot_owned_by(client_id)
+        with self._lease_lock:
+            slot = self._slots.pop(int(client_id), None)
             if slot is not None:
-                self._slot_owner[slot] = -1
-                self._slot_refs[slot] = 0
-            self._slot_cache.pop(client_id, None)
+                self._free.append(slot)
+
+    def connect(self, client_id: int, batch_size: int = 1) -> Connection:
+        """Connect ``client_id`` through its leased ring slot (see :meth:`lease_client`)."""
+        connection = super().connect(client_id, batch_size=batch_size)
+        self._slot_for(connection.client_id)
+        return connection
+
+    def _slot_for(self, client_id: int) -> int:
+        """``client_id``'s slot: a lock-free read of the inherited table, or
+        :meth:`lease_client` when it has none."""
+        slot = self._slots.get(client_id)
+        return self.lease_client(client_id) if slot is None else slot
 
     # ----------------------------------------------------------------- client
     def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
@@ -679,17 +608,16 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         """
         self._check_rank(rank)
         rings = self._rings[rank]
-        ring, committed = None, 0
+        committed = 0
         try:
             for client_id, run in groupby(messages, key=_by_client):
-                ring = rings[self._slot_for_push(client_id)]
+                ring = rings[self._slot_for(client_id)]
                 for chunk, plan in self._ring_chunks(ring, list(run)):
                     self._write_chunk(ring, plan, len(chunk), timeout)
                     committed += len(chunk)
                     self._notify(rank)
         except (queue.Full, RouterClosed, WireFormatError):
-            if ring is not None:  # else: closed while waiting for the first lease
-                ring.record_dropped(len(messages) - committed)
+            ring.record_dropped(len(messages) - committed)
             raise
 
     def _ring_chunks(self, ring: ShmRing,
@@ -833,10 +761,6 @@ class ShmRingTransport(PackedDrainMixin, Transport):
                 finally:
                     view.release()
                     ring.finish_read()
-                for item in batch:
-                    if isinstance(item, ClientFinished):
-                        # The last thing its client wrote to this ring.
-                        self._release_lease_ref(rank, item.client_id)
                 count = self._absorb(rank, out, batch, max_messages, count)
         return count
 

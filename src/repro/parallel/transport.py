@@ -16,7 +16,7 @@ plain objects.  Four backends implement the interface:
 * :class:`repro.parallel.shm_ring.ShmRingTransport` — the same process
   isolation over lock-free shared-memory SPSC ring buffers, one per client
   and rank, each carrying everything that client sends to that rank (hello,
-  time steps, heartbeats, finished) in send order.
+  time steps, finished) in send order.
 * :class:`repro.parallel.tcp_transport.TcpTransport` — the first backend
   where client and server share no memory: length-prefixed frames carrying
   the same packed batches over TCP sockets into an asyncio front door
@@ -138,6 +138,18 @@ class Transport:
 
     def record_unresponsive_kill(self) -> None:
         """Count one launcher-side kill of an unresponsive client (optional)."""
+
+    def lease_client(self, client_id: int) -> int:
+        """Reserve ``client_id``'s channel before its first process starts.
+
+        Called by the launcher in the server process; the lease lasts until
+        :meth:`release_client`.  Backends without per-client channels lease
+        nothing and return ``-1``.
+        """
+        return -1
+
+    def release_client(self, client_id: int) -> None:
+        """Free ``client_id``'s lease once its last process has exited."""
 
     # ----------------------------------------------------------------- server
     def poll_batches(self, rank: int, max_messages: int = 64,

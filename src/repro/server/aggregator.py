@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.buffers.base import TrainingBuffer
 from repro.buffers.columns import ColumnBatch
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, Message
+from repro.parallel.messages import ClientFinished, ClientHello, Message
 from repro.parallel.transport import Transport
 from repro.server.fault import HeartbeatMonitor, MessageLog
 from repro.utils.exceptions import BufferClosedError
@@ -59,7 +59,8 @@ class DataAggregator:
     poll_timeout:
         Polling timeout of the transport queue in seconds.
     heartbeat_monitor:
-        Optional liveness tracker shared with the fault-handling logic.
+        Optional liveness tracker shared with the launcher's watchdog: every
+        hello and every chunk stamps its clients' arrival on the server's clock.
     max_drain:
         Maximum number of transport messages drained per loop iteration; the
         compatible chunks of one drain are inserted into the buffer with a
@@ -155,9 +156,8 @@ class DataAggregator:
         :meth:`_ingest_columns` call (one dedup pass, one ``put_many``).
         Pending chunks are ingested before a ``ClientFinished`` so that the
         message which may flip the buffer into drain mode always observes
-        every sample received before it; other control messages (hello,
-        heartbeat) never touch the buffer and are dispatched without
-        fragmenting the bulk insert.
+        every sample received before it; a hello never touches the buffer
+        and is dispatched without fragmenting the bulk insert.
         """
         chunks: List[ColumnBatch] = []
 
@@ -182,25 +182,19 @@ class DataAggregator:
 
         The per-sample bookkeeping is column arithmetic: client discovery is
         one ``np.unique`` over the id vector, liveness is one ``touch`` per
-        distinct client with the maximum observed step, and deduplication is
-        one :meth:`MessageLog.register_many` call whose keep-mask (if any)
+        distinct client, and deduplication is one
+        :meth:`MessageLog.register_many` call whose keep-mask (if any)
         compresses the batch before it enters the buffer.
         """
         if not len(batch):
             return
         ids = batch.source_ids
-        steps = batch.time_steps
-        unique = np.unique(ids)
-        self.stats.clients_seen.update(unique.tolist())
+        clients = np.unique(ids).tolist()
+        self.stats.clients_seen.update(clients)
         if self.heartbeat_monitor is not None:
-            if len(unique) == 1:
-                self.heartbeat_monitor.touch(int(unique[0]), progress=float(steps.max()))
-            else:
-                for cid in unique.tolist():
-                    self.heartbeat_monitor.touch(
-                        cid, progress=float(steps[ids == cid].max())
-                    )
-        keep = self.message_log.register_many(ids, steps)
+            for cid in clients:
+                self.heartbeat_monitor.touch(cid)
+        keep = self.message_log.register_many(ids, batch.time_steps)
         if keep is not None:
             kept = int(keep.sum())
             self.stats.duplicates_discarded += len(batch) - kept
@@ -250,10 +244,5 @@ class DataAggregator:
                 self.heartbeat_monitor.mark_finished(message.client_id)
             if self.reception_complete:
                 self.buffer.signal_reception_over()
-        elif isinstance(message, Heartbeat):
-            if self.heartbeat_monitor is not None:
-                self.heartbeat_monitor.touch(
-                    message.client_id, progress=message.progress, timestamp=message.timestamp
-                )
         else:  # pragma: no cover - defensive
             logger.warning("rank %d aggregator ignoring unknown message %r", self.rank, message)

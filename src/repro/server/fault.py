@@ -4,15 +4,17 @@ The paper's protocol: "The server maintains a log of received messages per
 client, so in case of client restart, already received messages are discarded"
 and "the server watches for unresponsive clients and asks the launcher to
 properly kill and restart faulty ones".  :class:`MessageLog` implements the
-former, :class:`HeartbeatMonitor` the latter.
+former, :class:`HeartbeatMonitor` the latter.  Liveness is judged on the
+server's clock alone: the monitor stamps each client's latest arrival with
+its own ``time.monotonic()`` and no client sends a time of its own.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -25,24 +27,14 @@ class MessageLog:
         self._duplicates = 0
         self._lock = threading.Lock()
 
-    def register(self, client_id: int, time_step: int) -> bool:
-        """Record a message; returns True if it is new, False if duplicate."""
-        with self._lock:
-            steps = self._received.setdefault(int(client_id), set())
-            if time_step in steps:
-                self._duplicates += 1
-                return False
-            steps.add(int(time_step))
-            return True
-
     def register_many(self, client_ids: np.ndarray,
                       time_steps: np.ndarray) -> Optional[np.ndarray]:
         """Record a columnar batch of ``(client_id, time_step)`` keys at once.
 
         Returns ``None`` when every key is new (the caller keeps the whole
         batch: no mask allocation, no copy), else a boolean keep-mask aligned
-        with the input vectors.  Duplicate accounting matches per-key
-        :meth:`register` exactly: each rejected key counts once.
+        with the input vectors.  Each rejected key counts once as a
+        duplicate.
 
         The check is made per *client*: the aggregator merges the chunks of
         one drain before dedup, so concurrent clients interleave in a batch,
@@ -80,15 +72,6 @@ class MessageLog:
         self._duplicates += len(steps) - int(keep.sum())
         return keep
 
-    def received_steps(self, client_id: int) -> Set[int]:
-        """Time steps already received from ``client_id`` (copy)."""
-        with self._lock:
-            return set(self._received.get(int(client_id), set()))
-
-    def count(self, client_id: int) -> int:
-        with self._lock:
-            return len(self._received.get(int(client_id), set()))
-
     @property
     def duplicates_discarded(self) -> int:
         with self._lock:
@@ -111,34 +94,31 @@ class ClientLiveness:
 
     client_id: int
     last_seen: float
-    progress: float = 0.0
     finished: bool = False
 
 
-@dataclass
 class HeartbeatMonitor:
-    """Detects unresponsive clients from the timestamps of their last messages.
+    """Tracks when the server last heard from each client.
 
-    Any message (hello, time step, heartbeat) refreshes the client's
-    ``last_seen``; clients silent for more than ``timeout`` seconds and not
-    finished are reported by :meth:`unresponsive_clients` so the server can ask
-    the launcher to kill and restart them.
+    Any hello or time step refreshes the client's ``last_seen``, stamped
+    with the server's own monotonic clock on arrival; the launcher's
+    watchdog reads :meth:`silence` and kills and restarts a client silent
+    for longer than ``TransportConfig.heartbeat_timeout``.
     """
 
-    timeout: float = 30.0
-    _clients: Dict[int, ClientLiveness] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(self) -> None:
+        self._clients: Dict[int, ClientLiveness] = {}
+        self._lock = threading.Lock()
 
-    def touch(self, client_id: int, progress: float = 0.0, timestamp: float | None = None) -> None:
-        """Record activity from a client."""
-        now = time.monotonic() if timestamp is None else timestamp
+    def touch(self, client_id: int) -> None:
+        """Record that a message from ``client_id`` arrived just now."""
+        now = time.monotonic()
         with self._lock:
             record = self._clients.get(client_id)
             if record is None:
-                self._clients[client_id] = ClientLiveness(client_id, now, progress)
+                self._clients[client_id] = ClientLiveness(client_id, now)
             else:
                 record.last_seen = now
-                record.progress = max(record.progress, progress)
 
     def mark_finished(self, client_id: int) -> None:
         with self._lock:
@@ -166,17 +146,3 @@ class HeartbeatMonitor:
         with self._lock:
             record = self._clients.get(client_id)
             return record is not None and record.finished
-
-    def unresponsive_clients(self, now: float | None = None) -> List[Tuple[int, float]]:
-        """(client_id, silence duration) of clients exceeding the timeout."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            return [
-                (cid, now - rec.last_seen)
-                for cid, rec in self._clients.items()
-                if not rec.finished and (now - rec.last_seen) > self.timeout
-            ]
-
-    def tracked_clients(self) -> List[int]:
-        with self._lock:
-            return sorted(self._clients)

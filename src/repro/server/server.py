@@ -22,7 +22,7 @@ from repro.nn.optim import Adam, Optimizer
 from repro.nn.schedulers import LRScheduler, StepLR
 from repro.parallel.communicator import ThreadCommunicator
 from repro.parallel.spmd import SPMDExecutor
-from repro.parallel.transport import Transport
+from repro.parallel.transport import Transport, TransportStats
 from repro.server.aggregator import DataAggregator
 from repro.server.checkpointing import ServerCheckpointer
 from repro.server.fault import HeartbeatMonitor, MessageLog
@@ -73,7 +73,6 @@ class ServerConfig:
     lr_min: float = 2.5e-4
     seed: int = 0
     poll_timeout: float = 0.02
-    heartbeat_timeout: float = 30.0
     checkpoint_dir: Optional[Path] = None
     checkpoint_interval: int = 0
 
@@ -92,7 +91,7 @@ class ServerResult:
     per_rank_metrics: List[TrainingMetrics]
     aggregator_stats: List[object]
     buffer_snapshots: List[dict]
-    transport_stats: object
+    transport_stats: TransportStats
     summary: Dict[str, float]
     duplicates_discarded: int = 0
 
@@ -113,7 +112,7 @@ class ServerResult:
     @property
     def unresponsive_kills(self) -> int:
         """Clients the launcher killed for missing their heartbeat deadline."""
-        return int(getattr(self.transport_stats, "unresponsive_kills", 0))
+        return self.transport_stats.unresponsive_kills
 
 
 class TrainingServer:
@@ -137,7 +136,7 @@ class TrainingServer:
         self.optimizer_factory = optimizer_factory
         self.scheduler_factory = scheduler_factory
 
-        self.heartbeat_monitor = HeartbeatMonitor(timeout=config.heartbeat_timeout)
+        self.heartbeat_monitor = HeartbeatMonitor()
         self.buffers: List[TrainingBuffer] = [
             make_buffer(
                 config.buffer_kind,

@@ -191,11 +191,11 @@ class ShardedTransport(Transport):
         for message in messages:
             self.transport_for(message.client_id).push_many(rank, [message], timeout=timeout)
 
+    def lease_client(self, client_id: int) -> int:
+        return self.transport_for(client_id).lease_client(client_id)
+
     def release_client(self, client_id: int) -> None:
-        """Recycle a permanently failed client's lease on its owning shard."""
-        release = getattr(self.transport_for(client_id), "release_client", None)
-        if release is not None:
-            release(client_id)
+        self.transport_for(client_id).release_client(client_id)
 
     def record_unresponsive_kill(self) -> None:
         with self._kill_lock:
@@ -276,7 +276,7 @@ def aggregate_transport_stats(
 
 # ---------------------------------------------------------- heartbeat routing
 class ShardedHeartbeatMonitor:
-    """Routes liveness queries to the owning shard's heartbeat monitor.
+    """Routes the launcher's liveness queries to the owning shard's monitor.
 
     Each shard's aggregators feed their own
     :class:`~repro.server.fault.HeartbeatMonitor`; the launcher's watchdog
@@ -295,30 +295,11 @@ class ShardedHeartbeatMonitor:
     def _monitor(self, client_id: int):
         return self._monitors[self._ring.shard_for(client_id)]
 
-    def touch(self, client_id: int, progress: float = 0.0,
-              timestamp: float | None = None) -> None:
-        self._monitor(client_id).touch(client_id, progress, timestamp)
-
-    def mark_finished(self, client_id: int) -> None:
-        self._monitor(client_id).mark_finished(client_id)
-
     def silence(self, client_id: int, now: float | None = None) -> float | None:
         return self._monitor(client_id).silence(client_id, now=now)
 
     def is_finished(self, client_id: int) -> bool:
         return self._monitor(client_id).is_finished(client_id)
-
-    def unresponsive_clients(self, now: float | None = None) -> List[Tuple[int, float]]:
-        merged: List[Tuple[int, float]] = []
-        for monitor in self._monitors:
-            merged.extend(monitor.unresponsive_clients(now=now))
-        return sorted(merged)
-
-    def tracked_clients(self) -> List[int]:
-        tracked: set = set()
-        for monitor in self._monitors:
-            tracked.update(monitor.tracked_clients())
-        return sorted(tracked)
 
 
 # --------------------------------------------------------------- shard manager

@@ -6,7 +6,7 @@ import pytest
 from repro.client.api import ClientAPI
 from repro.client.simulation_client import ClientRunResult, SimulationClient, SimulationFailure
 from repro.buffers.columns import ColumnBatch
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat
+from repro.parallel.messages import ClientFinished, ClientHello
 from repro.parallel.transport import MessageRouter
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 
@@ -36,7 +36,6 @@ def test_client_api_lifecycle_and_messages():
         field_shape=(4, 4))
     for step in range(1, 4):
         api.send(step, step * 0.01, (1.0, 2.0, 3.0, 4.0, 5.0), np.ones((4, 4)) * step)
-    api.send_heartbeat(timestamp=1.0, progress=0.5)
     api.finalize_communication()
 
     rank0 = drain(router, 0)
@@ -44,7 +43,6 @@ def test_client_api_lifecycle_and_messages():
     all_messages = rank0 + rank1
     assert sum(isinstance(m, ClientHello) for m in all_messages) == 2  # broadcast
     assert sum(isinstance(m, ClientFinished) for m in all_messages) == 2
-    assert sum(isinstance(m, Heartbeat) for m in all_messages) == 1
     assert sorted(time_steps_of(all_messages)) == [1, 2, 3]
     for chunk in chunks_of(all_messages):
         assert chunk.source_ids.tolist() == [3] * len(chunk)

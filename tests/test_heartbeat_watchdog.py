@@ -3,7 +3,7 @@
 The paper's protocol: the server watches for unresponsive clients and asks
 the launcher to properly kill and restart them.  Here the server side is the
 :class:`HeartbeatMonitor` fed by the aggregator (any received message counts
-as liveness) and the launcher side is the ``heartbeat_timeout`` watchdog in
+as liveness, stamped on the server's clock) and the launcher side is the ``heartbeat_timeout`` watchdog in
 process client mode: a client that stops making progress *without dying* —
 the failure mode a runtime cap cannot catch promptly and process liveness
 cannot catch at all — is killed, counted in
@@ -46,7 +46,7 @@ def make_harness(heartbeat_timeout, solver_delay=0.01, hang_at_step=None, max_re
         num_server_ranks=1, max_concurrent_clients=2, ring_slots=16, ring_slot_bytes=8192
     )
     buffer = FIFOBuffer(capacity=10 * NUM_STEPS)
-    monitor = HeartbeatMonitor(timeout=heartbeat_timeout)
+    monitor = HeartbeatMonitor()
     aggregator = DataAggregator(
         rank=0,
         router=transport,
@@ -76,7 +76,6 @@ def make_harness(heartbeat_timeout, solver_delay=0.01, hang_at_step=None, max_re
             max_restarts=max_restarts,
         ),
         heartbeat_monitor=monitor,
-        transport=transport,
     )
     return transport, aggregator, launcher
 

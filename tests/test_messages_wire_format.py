@@ -13,15 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.messages import (
+    BATCH_HEADER_BYTES,
     ClientFinished,
     ClientHello,
-    Heartbeat,
     Message,
     TimeStepMessage,
     WireFormatError,
     pack_many,
     pack_many_into,
     plan_many,
+    unpack_columns,
     unpack_many,
 )
 
@@ -73,15 +74,8 @@ def finished_messages(draw):
     return ClientFinished(client_id=draw(client_ids), total_sent=draw(st.integers(0, 2**31)))
 
 
-@st.composite
-def heartbeat_messages(draw):
-    return Heartbeat(client_id=draw(client_ids), timestamp=draw(finite_floats),
-        progress=draw(finite_floats))
-
-
 def any_message():
-    return st.one_of(hello_messages(), time_step_messages(), finished_messages(),
-        heartbeat_messages())
+    return st.one_of(hello_messages(), time_step_messages(), finished_messages())
 
 
 # ------------------------------------------------------------- per-subclass
@@ -106,10 +100,14 @@ def test_finished_round_trip(message):
     assert unpack_many(pack_many([message])) == [message]
 
 
-@settings(max_examples=60, deadline=None)
-@given(message=heartbeat_messages())
-def test_heartbeat_round_trip(message):
-    assert unpack_many(pack_many([message])) == [message]
+def test_retired_heartbeat_type_code_is_rejected():
+    """Type code 3 (the retired client-clocked heartbeat) no longer decodes:
+    a buffer carrying it fails like any unknown type, columnar path included."""
+    buffer = bytearray(pack_many([ClientFinished(client_id=7)]))
+    buffer[BATCH_HEADER_BYTES] = 3  # the first message's type byte
+    with pytest.raises(WireFormatError, match="unknown message type code 3"):
+        unpack_many(buffer)
+    assert unpack_columns(buffer) is None  # not a step batch: no fast path either
 
 
 # ------------------------------------------------------------ mixed batches

@@ -6,7 +6,6 @@ import pytest
 from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
-    Heartbeat,
     TimeStepMessage,
     columnize,
 )
@@ -44,7 +43,6 @@ def test_time_step_message_key_and_nbytes():
 def test_control_message_sizes():
     assert ClientHello(client_id=0, parameters=(1.0, 2.0)).nbytes() > 0
     assert ClientFinished(client_id=0).nbytes() > 0
-    assert Heartbeat(client_id=0).nbytes() > 0
 
 
 def test_router_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.buffers import FIFOBuffer, ReservoirBuffer
-from repro.parallel.messages import ClientFinished, ClientHello, Heartbeat, TimeStepMessage
+from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
 from repro.parallel.transport import MessageRouter
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import HeartbeatMonitor, MessageLog
@@ -83,18 +83,23 @@ def test_aggregator_deduplicates_restarted_client_messages():
 def test_aggregator_updates_heartbeat_monitor():
     router = MessageRouter(1)
     buffer = ReservoirBuffer(capacity=10, threshold=0)
-    monitor = HeartbeatMonitor(timeout=60.0)
-    aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=1,
+    monitor = HeartbeatMonitor()
+    aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=2,
                                 heartbeat_monitor=monitor, poll_timeout=0.01)
     aggregator.start()
-    router.push(0, ClientHello(client_id=4, parameters=(1.0,) * 5))
-    router.push(0, Heartbeat(client_id=4, timestamp=1.0, progress=0.3))
-    router.push(0, time_step(4, 1))
-    router.push(0, ClientFinished(client_id=4, total_sent=1))
-    assert wait_until(lambda: buffer.reception_over)
-    aggregator.join(timeout=5.0)
-    assert monitor.tracked_clients() == [4]
-    assert monitor.unresponsive_clients(now=time.monotonic() + 1.0) == []  # finished
+    try:
+        before = time.monotonic()
+        router.push(0, ClientHello(client_id=4, parameters=(1.0,) * 5))
+        router.push(0, time_step(4, 1))
+        router.push(0, ClientFinished(client_id=4, total_sent=1))
+        router.push(0, time_step(5, 1))  # a client seen through its data alone
+        assert wait_until(lambda: monitor.silence(5) is not None)
+        assert monitor.is_finished(4) and monitor.silence(4) is None  # finished: not watched
+        assert not monitor.is_finished(5)
+        # Arrival is stamped on the server's clock.
+        assert 0.0 <= monitor.silence(5) <= time.monotonic() - before
+    finally:
+        aggregator.stop()
 
 
 def test_aggregator_stop_terminates_thread():

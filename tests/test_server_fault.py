@@ -1,4 +1,6 @@
-"""Tests for the fault-tolerance primitives (message log, heartbeats, checkpointer)."""
+"""Tests for the fault-tolerance primitives (message log, liveness monitor, checkpointer)."""
+
+import time
 
 import numpy as np
 import pytest
@@ -9,51 +11,59 @@ from repro.server.fault import HeartbeatMonitor, MessageLog
 from repro.utils.exceptions import CheckpointError
 
 
+def is_new(log, client_id, time_step):
+    """Register one key through the one way in: a 1-row ``register_many``."""
+    return log.register_many(np.array([client_id], np.int64),
+                             np.array([time_step], np.int64)) is None
+
+
 def test_message_log_deduplicates():
     log = MessageLog()
-    assert log.register(1, 1)
-    assert log.register(1, 2)
-    assert not log.register(1, 1)  # duplicate after client restart
-    assert log.register(2, 1)      # other client, same step index: not a duplicate
+    assert is_new(log, 1, 1)
+    assert is_new(log, 1, 2)
+    assert not is_new(log, 1, 1)  # duplicate after client restart
+    assert is_new(log, 2, 1)      # other client, same step index: not a duplicate
     assert log.duplicates_discarded == 1
-    assert log.count(1) == 2
-    assert log.received_steps(1) == {1, 2}
+    assert log.state() == {1: [1, 2], 2: [1]}
 
 
 def test_message_log_state_roundtrip():
     log = MessageLog()
     for step in range(5):
-        log.register(7, step)
+        assert is_new(log, 7, step)
     state = log.state()
     restored = MessageLog()
     restored.restore(state)
-    assert restored.received_steps(7) == set(range(5))
-    assert not restored.register(7, 3)
+    assert restored.state() == {7: [0, 1, 2, 3, 4]}
+    assert not is_new(restored, 7, 3)
 
 
 def test_heartbeat_monitor_detects_silent_clients():
-    monitor = HeartbeatMonitor(timeout=10.0)
-    monitor.touch(1, timestamp=0.0)
-    monitor.touch(2, timestamp=5.0)
-    unresponsive = monitor.unresponsive_clients(now=12.0)
-    assert [cid for cid, _ in unresponsive] == [1]
-    silence = dict(unresponsive)[1]
-    assert silence == pytest.approx(12.0)
+    monitor = HeartbeatMonitor()
+    monitor.touch(1)
+    touched = time.monotonic()
+    assert monitor.silence(1, now=touched + 12.0) == pytest.approx(12.0, abs=0.5)
+    assert monitor.silence(2) is None  # never seen: not judged by silence
 
 
 def test_heartbeat_monitor_ignores_finished_clients():
-    monitor = HeartbeatMonitor(timeout=1.0)
-    monitor.touch(1, timestamp=0.0)
-    monitor.mark_finished(1)
-    assert monitor.unresponsive_clients(now=100.0) == []
-    assert monitor.tracked_clients() == [1]
-
-
-def test_heartbeat_monitor_progress_monotone():
     monitor = HeartbeatMonitor()
-    monitor.touch(3, progress=5.0, timestamp=0.0)
-    monitor.touch(3, progress=2.0, timestamp=1.0)
-    assert monitor._clients[3].progress == 5.0
+    monitor.touch(1)
+    monitor.mark_finished(1)
+    assert monitor.is_finished(1)
+    assert monitor.silence(1, now=time.monotonic() + 100.0) is None
+
+
+def test_heartbeat_monitor_stamps_arrival_with_the_server_clock():
+    """``touch`` takes no time from the client: every arrival is stamped
+    with the server's own monotonic clock, so silence restarts at zero."""
+    monitor = HeartbeatMonitor()
+    before = time.monotonic()
+    monitor.touch(3)
+    first = monitor.silence(3, now=before + 60.0)
+    monitor.touch(3)
+    assert 0.0 <= monitor.silence(3) <= time.monotonic() - before
+    assert monitor.silence(3, now=before + 60.0) <= first
 
 
 def _model():
@@ -64,7 +74,7 @@ def test_server_checkpointer_save_restore(tmp_path):
     model = _model()
     optimizer = Adam(model.parameters(), lr=1e-3)
     log = MessageLog()
-    log.register(0, 1)
+    assert is_new(log, 0, 1)
     checkpointer = ServerCheckpointer(directory=tmp_path, interval_batches=10, rank=0)
     assert not checkpointer.should_checkpoint(5)
     assert checkpointer.should_checkpoint(10)
@@ -78,7 +88,8 @@ def test_server_checkpointer_save_restore(tmp_path):
     )
     assert metadata["batches_trained"] == 10
     assert state_dict_equal(model.state_dict(), fresh_model.state_dict())
-    assert not fresh_log.register(0, 1)  # dedup state survived the restart
+    assert fresh_log.state() == {0: [1]}
+    assert not is_new(fresh_log, 0, 1)  # dedup state survived the restart
 
 
 def test_server_checkpointer_prunes_old_generations(tmp_path):
@@ -114,7 +125,7 @@ def test_register_many_interleaved_clients_all_new_returns_none():
     steps = np.array([0, 0, 1, 2, 1, 2, 3, 3], dtype=np.int64)
     assert log.register_many(ids, steps) is None
     assert log.duplicates_discarded == 0
-    assert log.received_steps(3) == log.received_steps(5) == {0, 1, 2, 3}
+    assert log.state() == {3: [0, 1, 2, 3], 5: [0, 1, 2, 3]}
     assert log.register_many(np.empty(0, np.int64), np.empty(0, np.int64)) is None
 
 
@@ -128,7 +139,6 @@ def test_register_many_mixed_chunk_masks_only_the_replayed_client():
     keep = log.register_many(ids, steps)
     assert keep.tolist() == [True, False, False, True, True, True, True]
     assert log.duplicates_discarded == 2
-    assert log.count(1) == 6 and log.count(2) == 3
     assert log.state() == {1: [0, 1, 2, 3, 4, 5], 2: [0, 1, 2]}
 
 
@@ -143,10 +153,10 @@ def test_register_many_in_chunk_duplicates_count_once_each():
     steps = np.array([0, 0, 0, 1, 1], dtype=np.int64)
     assert log.register_many(ids, steps).tolist() == [True, True, False, True, True]
     assert log.duplicates_discarded == 3
-    # Per-key register reads and writes the same log.
-    assert not log.register(9, 7) and log.register(9, 5000) and not log.register(9, 4)
+    # A 1-row chunk reads and writes the same log.
+    assert not is_new(log, 9, 7) and is_new(log, 9, 5000) and not is_new(log, 9, 4)
     assert log.duplicates_discarded == 5
-    assert log.received_steps(9) == {4, 7, 8, 5000}
+    assert log.state()[9] == [4, 7, 8, 5000]
 
 
 def test_message_log_checkpoint_format_is_sorted_step_lists():

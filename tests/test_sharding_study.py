@@ -82,22 +82,23 @@ def test_sharded_transport_rejects_mismatched_geometry():
 
 def test_sharded_heartbeat_monitor_routes_to_the_owning_shard():
     ring = HashRing(2)
-    monitors = [HeartbeatMonitor(timeout=10.0), HeartbeatMonitor(timeout=10.0)]
+    monitors = [HeartbeatMonitor(), HeartbeatMonitor()]
     sharded = ShardedHeartbeatMonitor(ring, monitors)
 
-    # Ids 0 and 7 live on different shards of the default ring.
+    # Ids 0 and 7 live on different shards of the default ring; each shard's
+    # aggregators feed its own monitor.
     assert ring.shard_for(0) != ring.shard_for(7)
-    sharded.touch(0, progress=1.0)
-    sharded.touch(7, progress=2.0)
-    sharded.mark_finished(7)
+    monitors[ring.shard_for(0)].touch(0)
+    monitors[ring.shard_for(7)].touch(7)
+    monitors[ring.shard_for(7)].mark_finished(7)
 
-    assert monitors[ring.shard_for(0)].tracked_clients() == [0]
-    assert monitors[ring.shard_for(7)].tracked_clients() == [7]
     assert not sharded.is_finished(0)
     assert sharded.is_finished(7)
     assert sharded.silence(0) is not None
     assert sharded.silence(7) is None  # finished clients are no longer watched
-    assert sharded.tracked_clients() == [0, 7]
+    # The launcher's two queries reach the owning shard only.
+    assert monitors[ring.shard_for(7)].silence(0) is None  # never seen there
+    assert not monitors[ring.shard_for(0)].is_finished(7)
 
 
 # --------------------------------------------------------- cluster placement
@@ -241,7 +242,7 @@ def test_killed_client_reconnects_to_its_own_shard_and_is_deduplicated():
         for _ in range(2)
     ]
     router = ShardedTransport(transports, ring)
-    monitors = [HeartbeatMonitor(timeout=0.5) for _ in range(2)]
+    monitors = [HeartbeatMonitor() for _ in range(2)]
     aggregators = []
     for shard, transport in enumerate(transports):
         aggregators.append(
@@ -279,7 +280,6 @@ def test_killed_client_reconnects_to_its_own_shard_and_is_deduplicated():
         specs,
         LauncherConfig(client_mode="process", heartbeat_timeout=0.5, max_restarts=2),
         heartbeat_monitor=sharded_monitor,
-        transport=router,
         shard_ring=ring,
     )
 

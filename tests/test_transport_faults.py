@@ -309,6 +309,29 @@ def test_corrupt_batch_buffer_is_dropped_not_fatal(transport):
     assert transport.stats.dropped_messages == 1
 
 
+def test_retired_heartbeat_type_code_is_dropped_and_the_aggregator_survives(transport):
+    """A packed buffer carrying the retired type code 3 (the client-clocked
+    heartbeat) is dropped and counted like any corrupt buffer; the
+    aggregator keeps running and ingests what follows it."""
+    from repro.parallel.messages import BATCH_HEADER_BYTES, pack_many
+
+    retired = bytearray(pack_many([ClientFinished(client_id=0)]))
+    retired[BATCH_HEADER_BYTES] = 3  # the first message's type byte
+    aggregator, _buffer = make_aggregator(transport)
+    aggregator.start()
+    try:
+        transport._queues[0].put(bytes(retired))
+        transport.push(0, TimeStepMessage(client_id=0, time_step=1, payload=FIELD))
+        transport.push(0, ClientFinished(client_id=0, total_sent=1))
+        assert wait_until(lambda: aggregator.reception_complete), \
+            "the aggregator stopped ingesting after the retired type code"
+    finally:
+        aggregator.stop()
+    assert aggregator.error is None
+    assert aggregator.stats.samples_received == 1
+    assert transport.stats.dropped_messages == 1
+
+
 def test_buffered_records_do_not_pin_the_packed_batch(transport):
     """Aggregated samples never alias the wire buffer.
 
