@@ -25,7 +25,7 @@ def _simulate_distribution(num_ranks: int, num_clients: int, steps: int, round_r
             if round_robin:
                 connection.send_round_robin(message)
             else:
-                connection.send_to(cid % num_ranks, message)
+                router.push(cid % num_ranks, message)
     per_rank_counts = [router.pending(rank) for rank in range(num_ranks)]
     # Mixing metric: how many distinct time-step indices each rank received.
     per_rank_steps = []

@@ -20,8 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.nn import Adam, MSELoss, build_surrogate_mlp
-from repro.nn.linear import Linear
+from repro.nn import Adam, Linear, MLPConfig, MSELoss, build_mlp
 from repro.utils.constants import bench_min_speedup, record_bench_result
 
 # (workload whose shapes these are, batch size, hidden sizes, output size)
@@ -101,7 +100,7 @@ class LibraryStep:
 
 
 def build_pair(hidden, out):
-    model = build_surrogate_mlp(out, hidden_sizes=hidden, seed=0)
+    model = build_mlp(MLPConfig(hidden_sizes=hidden, out_features=out, dtype=np.float32))
     layers = [layer for layer in model.layers if isinstance(layer, Linear)]
     reference = TextbookStep(
         [layer.weight.data for layer in layers], [layer.bias.data for layer in layers]

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class OccurrenceTracker:
     Columnar like the batches it is fed: :meth:`record_columns` appends the
     id and step columns to a growing int64 block, and the block is folded
     into sorted unique keys with their counts — one ``lexsort`` and one
-    run-length pass, exact for any int64 pair — when a statistic is read or
+    run-length pass, exact for any int64 pair — when the histogram is read or
     the pending rows outnumber both :data:`_FOLD_AT` and the keys already
     folded.  Recording therefore costs two slice copies per batch, and the
     pending block stays within 16 bytes per row of that bound.
@@ -38,7 +38,6 @@ class OccurrenceTracker:
         self._counts = np.empty(0, dtype=np.int64)
         self._pending = np.empty((2, 1024), dtype=np.int64)
         self._num_pending = 0
-        self._total = 0
 
     def record_columns(self, source_ids: np.ndarray, time_steps: np.ndarray) -> None:
         """Record every ``(source_id, time_step)`` key of a columnar batch."""
@@ -51,7 +50,6 @@ class OccurrenceTracker:
         self._pending[0, start:stop] = source_ids
         self._pending[1, start:stop] = time_steps
         self._num_pending = stop
-        self._total += stop - start
         if stop >= max(self._FOLD_AT, self._counts.size):
             self._fold()
 
@@ -70,28 +68,6 @@ class OccurrenceTracker:
         self._counts = np.add.reduceat(counts[order], np.flatnonzero(first))
         self._num_pending = 0
 
-    @property
-    def num_unique(self) -> int:
-        """Number of distinct samples ever selected."""
-        self._fold()
-        return int(self._counts.size)
-
-    @property
-    def total_occurrences(self) -> int:
-        """Total number of selections (batch slots filled)."""
-        return self._total
-
-    def count(self, key: Tuple[int, int]) -> int:
-        self._fold()
-        source_id, time_step = key
-        ids, steps = self._keys
-        begin = np.searchsorted(ids, source_id, "left")
-        end = np.searchsorted(ids, source_id, "right")
-        index = begin + np.searchsorted(steps[begin:end], time_step)
-        if index < end and steps[index] == time_step:
-            return int(self._counts[index])
-        return 0
-
     def histogram(self) -> Dict[int, int]:
         """Mapping occurrence-count -> number of samples seen that many times.
 
@@ -100,16 +76,6 @@ class OccurrenceTracker:
         self._fold()
         values, samples = np.unique(self._counts, return_counts=True)
         return dict(zip(values.tolist(), samples.tolist()))
-
-    def max_occurrences(self) -> int:
-        """Largest number of times any single sample was selected."""
-        self._fold()
-        return int(self._counts.max(initial=0))
-
-    def mean_occurrences(self) -> float:
-        """Average selections per distinct selected sample."""
-        unique = self.num_unique
-        return self._total / unique if unique else 0.0
 
 
 def expected_residency_time(capacity: int) -> float:

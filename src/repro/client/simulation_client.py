@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Protocol, Tuple
+from typing import Iterator, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -169,23 +169,3 @@ class SimulationClient:
         if not self.checkpoint_enabled:
             self._checkpoint_step = 0
 
-
-def make_heat_client_factory(
-    solver_factory: Callable[[], SupportsIterSteps],
-    router: Transport,
-    num_time_steps: int,
-    step_delay: float = 0.0,
-) -> Callable[[int, Array], SimulationClient]:
-    """Convenience factory used by the launcher to build heat-equation clients."""
-
-    def factory(client_id: int, parameters: Array) -> SimulationClient:
-        return SimulationClient(
-            client_id=client_id,
-            parameters=tuple(float(p) for p in np.asarray(parameters).ravel()),
-            solver=solver_factory(),
-            router=router,
-            num_time_steps=num_time_steps,
-            step_delay=step_delay,
-        )
-
-    return factory

@@ -157,7 +157,6 @@ class SurrogateArchitecture:
     """Architecture of the surrogate MLP (paper: two hidden layers of 256)."""
 
     hidden_sizes: Tuple[int, ...] = (256, 256)
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         if not self.hidden_sizes:

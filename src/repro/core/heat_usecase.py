@@ -79,7 +79,6 @@ class HeatSurrogateCase:
             in_features=self.input_size,
             hidden_sizes=tuple(self.spec.architecture.hidden_sizes),
             out_features=self.field_size,
-            activation=self.spec.architecture.activation,
             seed=self.spec.seed,
             dtype=np.float32,
         )

@@ -1,79 +1,38 @@
 """A small NumPy neural-network library used as the training substrate.
 
 The paper trains its surrogates with PyTorch/TensorFlow; this package provides
-the subset actually exercised by the paper's experiments — fully connected
-networks trained with Adam on an MSE objective, with step learning-rate
-schedules, data-parallel gradient averaging and checkpointing — implemented
-from scratch on NumPy with explicit backpropagation.
+exactly what the paper's experiments train — one fully connected ReLU network
+(:func:`build_mlp`) fitted with Adam on an MSE objective under a step
+learning-rate schedule — plus the flat parameter arena that data-parallel
+gradient averaging works on, checkpointing, and a finite-difference gradient
+check, all implemented from scratch on NumPy with explicit backpropagation.
 """
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softplus, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.containers import Sequential
-from repro.nn.dropout import Dropout
 from repro.nn.gradcheck import gradient_check
-from repro.nn.init import (
-    he_normal,
-    he_uniform,
-    lecun_normal,
-    xavier_normal,
-    xavier_uniform,
-    zeros_init,
-)
 from repro.nn.linear import Linear
-from repro.nn.losses import HuberLoss, L1Loss, Loss, MSELoss, RelativeL2Loss
-from repro.nn.mlp import MLPConfig, build_mlp, build_surrogate_mlp
+from repro.nn.losses import Loss, MSELoss
+from repro.nn.mlp import MLPConfig, build_mlp
 from repro.nn.module import Module, Parameter
-from repro.nn.normalization import LayerNorm
-from repro.nn.optim import SGD, Adam, AdamW, Optimizer, RMSProp
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    MultiStepLR,
-    ReduceLROnPlateau,
-    StepLR,
-)
+from repro.nn.optim import Adam, Optimizer
+from repro.nn.schedulers import LRScheduler, StepLR
 from repro.nn.serialization import load_checkpoint, save_checkpoint, state_dict_equal
 
 __all__ = [
     "Parameter",
     "Module",
     "Linear",
-    "Sequential",
-    "Dropout",
-    "LayerNorm",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
+    "Sequential",
     "Loss",
     "MSELoss",
-    "L1Loss",
-    "HuberLoss",
-    "RelativeL2Loss",
     "Optimizer",
-    "SGD",
-    "RMSProp",
     "Adam",
-    "AdamW",
     "LRScheduler",
-    "ConstantLR",
     "StepLR",
-    "MultiStepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "ReduceLROnPlateau",
     "MLPConfig",
     "build_mlp",
-    "build_surrogate_mlp",
-    "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
-    "he_normal",
-    "lecun_normal",
-    "zeros_init",
     "save_checkpoint",
     "load_checkpoint",
     "state_dict_equal",

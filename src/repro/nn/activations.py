@@ -1,4 +1,4 @@
-"""Element-wise activation layers with explicit backward passes."""
+"""The surrogate's hidden activation, with an explicit backward pass."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ class ReLU(Module):
     """Rectified linear unit: ``max(x, 0)``."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._mask: Array | None = None
 
     def forward(self, inputs: Array) -> Array:
@@ -25,109 +24,3 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward on ReLU")
         return np.where(self._mask, grad_output, 0.0)
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = float(negative_slope)
-        self._mask: Array | None = None
-
-    def forward(self, inputs: Array) -> Array:
-        inputs = np.asarray(inputs)
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.negative_slope * inputs)
-
-    def backward(self, grad_output: Array) -> Array:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward on LeakyReLU")
-        return np.where(self._mask, grad_output, self.negative_slope * grad_output)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Array | None = None
-
-    def forward(self, inputs: Array) -> Array:
-        self._output = np.tanh(np.asarray(inputs))
-        return self._output
-
-    def backward(self, grad_output: Array) -> Array:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Tanh")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: Array | None = None
-
-    def forward(self, inputs: Array) -> Array:
-        inputs = np.asarray(inputs)
-        # Numerically stable piecewise evaluation.
-        out = np.empty_like(inputs, dtype=np.result_type(inputs.dtype, np.float64)
-                            if inputs.dtype.kind != "f" else inputs.dtype)
-        positive = inputs >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-inputs[positive]))
-        exp_x = np.exp(inputs[~positive])
-        out[~positive] = exp_x / (1.0 + exp_x)
-        self._output = out
-        return out
-
-    def backward(self, grad_output: Array) -> Array:
-        if self._output is None:
-            raise RuntimeError("backward called before forward on Sigmoid")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Softplus(Module):
-    """Softplus activation ``log(1 + exp(x))`` (smooth ReLU)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._input: Array | None = None
-
-    def forward(self, inputs: Array) -> Array:
-        inputs = np.asarray(inputs)
-        self._input = inputs
-        # log1p(exp(-|x|)) + max(x, 0) is stable for large |x|.
-        return np.log1p(np.exp(-np.abs(inputs))) + np.maximum(inputs, 0.0)
-
-    def backward(self, grad_output: Array) -> Array:
-        if self._input is None:
-            raise RuntimeError("backward called before forward on Softplus")
-        x = self._input
-        sig = np.empty_like(x, dtype=np.result_type(x.dtype, np.float64)
-                            if x.dtype.kind != "f" else x.dtype)
-        positive = x >= 0
-        sig[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        sig[~positive] = exp_x / (1.0 + exp_x)
-        return grad_output * sig
-
-
-_ACTIVATIONS = {
-    "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-    "tanh": Tanh,
-    "sigmoid": Sigmoid,
-    "softplus": Softplus,
-}
-
-
-def get_activation(name: str) -> Module:
-    """Instantiate an activation layer by name."""
-    try:
-        return _ACTIVATIONS[name.lower()]()
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown activation {name!r}; available: {sorted(_ACTIVATIONS)}"
-        ) from exc

@@ -15,7 +15,6 @@ class Sequential(Module):
     """Chain of modules applied in order; backward runs in reverse order."""
 
     def __init__(self, *modules: Module) -> None:
-        super().__init__()
         self.layers: List[Module] = list(modules)
 
     def append(self, module: Module) -> "Sequential":

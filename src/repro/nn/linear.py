@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.nn.init import get_initializer
 from repro.nn.module import Module, Parameter
 from repro.utils.seeding import derive_rng
 
@@ -14,14 +15,14 @@ Array = np.ndarray
 class Linear(Module):
     """Affine transform ``y = x @ W + b``.
 
+    The weights are drawn He-normal, N(0, 2 / in_features) — the gain for the
+    ReLU that follows every hidden layer of the surrogate — and the bias
+    starts at zero.
+
     Parameters
     ----------
     in_features, out_features:
         Input / output dimensions.
-    bias:
-        Whether to include the additive bias term.
-    weight_init:
-        Name of the weight initialiser (see :mod:`repro.nn.init`).
     rng:
         Random generator used to draw the initial weights.  When ``None`` a
         generator derived from the layer shape is used, which keeps layer
@@ -35,25 +36,20 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
-        weight_init: str = "he_normal",
         rng: np.random.Generator | None = None,
         dtype: np.dtype = np.float64,
     ) -> None:
-        super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear layer dimensions must be positive")
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.has_bias = bool(bias)
 
         if rng is None:
             rng = derive_rng("linear-init", in_features, out_features)
-        init = get_initializer(weight_init)
-        weight = init((self.in_features, self.out_features), rng).astype(dtype)
-        self.weight = Parameter(weight)
-        if self.has_bias:
-            self.bias = Parameter(np.zeros(self.out_features, dtype=dtype))
+        std = math.sqrt(2.0 / self.in_features)
+        weight = rng.normal(0.0, std, size=(self.in_features, self.out_features))
+        self.weight = Parameter(weight.astype(dtype))
+        self.bias = Parameter(np.zeros(self.out_features, dtype=dtype))
 
         self._cached_input: Array | None = None
 
@@ -74,8 +70,7 @@ class Linear(Module):
             inputs = inputs.astype(weight.dtype)
         self._cached_input = inputs
         output = inputs @ weight
-        if self.has_bias:
-            output += self.bias.data
+        output += self.bias.data
         return output
 
     def backward(self, grad_output: Array) -> Array:
@@ -86,15 +81,11 @@ class Linear(Module):
         # Accumulate (do not overwrite) so gradient accumulation across
         # micro-batches works; optimizers call zero_grad between steps.
         self.weight.grad += inputs.T @ grad_output
-        if self.has_bias:
-            self.bias.grad += grad_output.sum(axis=0)
+        self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data.T
 
     def clear_cache(self) -> None:
         self._cached_input = None
 
-    def extra_repr(self) -> str:
-        return f"in={self.in_features}, out={self.out_features}, bias={self.has_bias}"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Linear({self.extra_repr()})"
+        return f"Linear(in={self.in_features}, out={self.out_features})"

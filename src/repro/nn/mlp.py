@@ -1,4 +1,4 @@
-"""Multilayer-perceptron factories, including the paper's surrogate architecture.
+"""The paper's surrogate architecture: a ReLU multilayer perceptron.
 
 The paper's deep surrogate is a direct model: input ``(X, t)`` with
 ``X = (T_IC, T_x1, T_y1, T_x2, T_y2)`` (6 scalars total), two hidden layers of
@@ -13,9 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.activations import get_activation
+from repro.nn.activations import ReLU
 from repro.nn.containers import Sequential
-from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.utils.seeding import derive_rng
 
@@ -32,12 +31,6 @@ class MLPConfig:
         Width of each hidden layer (the paper uses ``(256, 256)``).
     out_features:
         Output dimension (number of grid points of the temperature field).
-    activation:
-        Name of the hidden activation ("relu" in the paper).
-    dropout:
-        Optional dropout probability applied after each hidden activation.
-    weight_init:
-        Weight initialiser name.
     seed:
         Seed controlling the weight initialisation (the paper seeds it).
     dtype:
@@ -47,9 +40,6 @@ class MLPConfig:
     in_features: int = 6
     hidden_sizes: Sequence[int] = field(default_factory=lambda: (256, 256))
     out_features: int = 1_000_000
-    activation: str = "relu"
-    dropout: float = 0.0
-    weight_init: str = "he_normal"
     seed: int = 0
     dtype: np.dtype = np.float64
 
@@ -58,57 +48,19 @@ class MLPConfig:
             raise ValueError("in_features and out_features must be positive")
         if any(h <= 0 for h in self.hidden_sizes):
             raise ValueError("hidden layer sizes must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
 
 
 def build_mlp(config: MLPConfig) -> Sequential:
-    """Build an MLP from an :class:`MLPConfig`."""
+    """Build the MLP ``Linear, ReLU, ..., Linear`` an :class:`MLPConfig` describes.
+
+    Every layer draws its weights, in layer order, from one generator derived
+    from ``config.seed``: replicas built from the same config are identical.
+    """
     rng = derive_rng("mlp-init", config.seed)
     layers = []
     previous = config.in_features
     for width in config.hidden_sizes:
-        layers.append(
-            Linear(previous, width, weight_init=config.weight_init, rng=rng, dtype=config.dtype)
-        )
-        layers.append(get_activation(config.activation))
-        if config.dropout > 0.0:
-            layers.append(Dropout(config.dropout, rng=derive_rng("mlp-dropout", config.seed)))
+        layers += [Linear(previous, width, rng=rng, dtype=config.dtype), ReLU()]
         previous = width
-    layers.append(
-        Linear(previous, config.out_features, weight_init=config.weight_init, rng=rng,
-            dtype=config.dtype)
-    )
+    layers.append(Linear(previous, config.out_features, rng=rng, dtype=config.dtype))
     return Sequential(*layers)
-
-
-def build_surrogate_mlp(
-    grid_points: int,
-    hidden_sizes: Sequence[int] = (256, 256),
-    seed: int = 0,
-    dtype: np.dtype = np.float32,
-) -> Sequential:
-    """Build the paper's heat-equation surrogate for a given output grid size.
-
-    Parameters
-    ----------
-    grid_points:
-        Number of points of the (flattened) temperature field; the paper uses
-        ``1000 * 1000``, experiments here use smaller grids.
-    hidden_sizes:
-        Hidden-layer widths, default to the paper's (256, 256).
-    seed:
-        Weight-initialisation seed.
-    dtype:
-        float32 by default, matching the precision the data is converted to
-        before being streamed to the server.
-    """
-    config = MLPConfig(
-        in_features=6,
-        hidden_sizes=tuple(hidden_sizes),
-        out_features=int(grid_points),
-        activation="relu",
-        seed=seed,
-        dtype=dtype,
-    )
-    return build_mlp(config)

@@ -95,12 +95,8 @@ class Module:
 
     #: ``(arena, start, stop)`` of this tree's parameters, resolved on first use
     #: by :meth:`_flat_span` so that the per-batch flat operations never walk
-    #: the module tree.  A class-level default keeps sub-classes that skip
-    #: ``super().__init__()`` working.
+    #: the module tree.
     _span: Optional[Tuple[ParameterArena, int, int]] = None
-
-    def __init__(self) -> None:
-        self.training = True
 
     # ------------------------------------------------------------------ api
     def forward(self, inputs: Array) -> Array:
@@ -163,18 +159,7 @@ class Module:
                 )
             param.data[...] = value.astype(param.data.dtype, copy=False)
 
-    # ------------------------------------------------------------------ modes
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects e.g. dropout)."""
-        self.training = mode
-        for _, child in self.named_children():
-            child.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Switch to evaluation mode recursively."""
-        return self.train(False)
-
+    # ------------------------------------------------------------------ cache
     def clear_cache(self) -> None:
         """Forget what the last ``forward`` cached for ``backward``, recursively.
 
@@ -216,10 +201,6 @@ class Module:
         """Every parameter value as one 1-D vector: a writable view, not a copy."""
         arena, start, stop = self._flat_span()
         return arena.data[start:stop]
-
-    def gradients(self) -> List[Array]:
-        """List of gradient arrays, aligned with :meth:`parameters`."""
-        return [param.grad for param in self.parameters()]
 
     def flat_gradients(self) -> Array:
         """Every gradient as one 1-D vector: a writable view, not a copy."""

@@ -1,12 +1,9 @@
-"""Gradient-descent optimizers.
+"""The optimizer: Adam, as in the paper (initial learning rate 1e-3).
 
-The paper trains with Adam (initial learning rate 1e-3); SGD with momentum,
-RMSProp and AdamW are provided for the baselines and ablations.
-
-Every optimizer works on the flat vectors of a
+An optimizer works on the flat vectors of a
 :class:`repro.nn.arena.ParameterArena`: constructing one places its parameters
 in an arena (sharing the model's when there is one), the per-slot state
-(moments, velocity) is flat too, and ``step`` is a fixed sequence of in-place
+(the two moments) is flat too, and ``step`` is a fixed sequence of in-place
 ufuncs over those vectors — no per-parameter loop and no parameter-sized
 temporary.  ``state_dict``/``load_state_dict`` keep the per-parameter list
 format so that server checkpointing (:mod:`repro.server.checkpointing`) and
@@ -29,13 +26,6 @@ Array = np.ndarray
 #: passes over five vectors; in blocks this size every pass after the first
 #: hits cache instead of streaming the whole model from memory each time.
 _BLOCK = 65_536
-
-
-def _l2_decayed(grad: Array, data: Array, decay: float, out: Array) -> Array:
-    """Classic (L2) weight decay folded into the gradient: ``grad + decay * data`` in ``out``."""
-    np.multiply(data, decay, out=out)
-    out += grad
-    return out
 
 
 class Optimizer:
@@ -69,10 +59,10 @@ class Optimizer:
         return np.zeros_like(self._data)
 
     def _bind_blocks(self, *state: Array) -> None:
-        """Precompute, per block, views of ``(data, grad, *state, scratch, scratch)``."""
+        """Precompute, per block, views of ``(data, grad, *state, scratch)``."""
         self._state = state
         size = self._data.size
-        scratch = np.empty((2, min(size, _BLOCK)), dtype=self._data.dtype)
+        scratch = np.empty(min(size, _BLOCK), dtype=self._data.dtype)
         self._blocks = []
         for start in range(0, size, _BLOCK):
             block = slice(start, min(start + _BLOCK, size))
@@ -80,7 +70,7 @@ class Optimizer:
             self._blocks.append(
                 (self._data[block], self._grad[block])
                 + tuple(vector[block] for vector in state)
-                + (scratch[0, :width], scratch[1, :width])
+                + (scratch[:width],)
             )
 
     def _follow_parameters(self) -> None:
@@ -144,125 +134,8 @@ class Optimizer:
         self.step_count = int(state["step_count"])
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and Nesterov update."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if momentum < 0:
-            raise ValueError("momentum must be non-negative")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
-        self.weight_decay = float(weight_decay)
-        self._velocity = self._state_vector()
-        self._bind_blocks(self._velocity)
-
-    def step(self) -> None:
-        self._begin_step()
-        lr, momentum, decay = self.lr, self.momentum, self.weight_decay
-        for data, grad, velocity, update, decayed in self._blocks:
-            if decay:
-                grad = _l2_decayed(grad, data, decay, out=decayed)
-            if momentum:
-                velocity *= momentum
-                velocity += grad
-                if self.nesterov:
-                    np.multiply(velocity, momentum, out=update)
-                    update += grad
-                    update *= lr
-                else:
-                    np.multiply(velocity, lr, out=update)
-            else:
-                np.multiply(grad, lr, out=update)
-            data -= update
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state.update(
-            momentum=self.momentum,
-            nesterov=self.nesterov,
-            weight_decay=self.weight_decay,
-            velocity=self._split(self._velocity),
-        )
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state["momentum"])
-        self.nesterov = bool(state["nesterov"])
-        self.weight_decay = float(state["weight_decay"])
-        self._join(self._velocity, state["velocity"])
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decaying second-moment estimate."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        self.alpha = float(alpha)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._square_avg = self._state_vector()
-        self._bind_blocks(self._square_avg)
-
-    def step(self) -> None:
-        self._begin_step()
-        lr, alpha, eps, decay = self.lr, self.alpha, self.eps, self.weight_decay
-        for data, grad, square_avg, update, decayed in self._blocks:
-            if decay:
-                grad = _l2_decayed(grad, data, decay, out=decayed)
-            square_avg *= alpha
-            np.multiply(grad, grad, out=update)
-            update *= 1.0 - alpha
-            square_avg += update
-            np.sqrt(square_avg, out=update)
-            update += eps
-            np.divide(grad, update, out=update)
-            update *= lr
-            data -= update
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state.update(
-            alpha=self.alpha,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-            square_avg=self._split(self._square_avg),
-        )
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        self.alpha = float(state["alpha"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
-        self._join(self._square_avg, state["square_avg"])
-
-
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba) with bias-corrected moment estimates."""
-
-    #: Classic (L2) weight decay is folded into the gradient; :class:`AdamW`
-    #: decouples it and shrinks the weights directly.
-    _decoupled_decay = False
 
     def __init__(
         self,
@@ -270,7 +143,6 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
         beta1, beta2 = betas
@@ -279,25 +151,19 @@ class Adam(Optimizer):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self._m = self._state_vector()
         self._v = self._state_vector()
         self._bind_blocks(self._m, self._v)
 
     def step(self) -> None:
         self._begin_step()
-        beta1, beta2, decay = self.beta1, self.beta2, self.weight_decay
+        beta1, beta2 = self.beta1, self.beta2
         # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with both bias
         # corrections folded into two scalars so the block needs no m_hat/v_hat.
         root_bias2 = (1.0 - beta2**self.step_count) ** 0.5
         step_size = self.lr * root_bias2 / (1.0 - beta1**self.step_count)
         eps = self.eps * root_bias2
-        for data, grad, m, v, update, decayed in self._blocks:
-            if decay:
-                if self._decoupled_decay:
-                    data *= 1.0 - self.lr * decay
-                else:
-                    grad = _l2_decayed(grad, data, decay, out=decayed)
+        for data, grad, m, v, update in self._blocks:
             m *= beta1
             np.multiply(grad, 1.0 - beta1, out=update)
             m += update
@@ -317,7 +183,6 @@ class Adam(Optimizer):
             beta1=self.beta1,
             beta2=self.beta2,
             eps=self.eps,
-            weight_decay=self.weight_decay,
             m=self._split(self._m),
             v=self._split(self._v),
         )
@@ -328,31 +193,5 @@ class Adam(Optimizer):
         self.beta1 = float(state["beta1"])
         self.beta2 = float(state["beta2"])
         self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
         self._join(self._m, state["m"])
         self._join(self._v, state["v"])
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-
-    _decoupled_decay = True
-
-
-_OPTIMIZERS = {
-    "sgd": SGD,
-    "rmsprop": RMSProp,
-    "adam": Adam,
-    "adamw": AdamW,
-}
-
-
-def get_optimizer(name: str, parameters: Sequence[Parameter], **kwargs: object) -> Optimizer:
-    """Instantiate an optimizer by name."""
-    try:
-        cls = _OPTIMIZERS[name.lower()]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown optimizer {name!r}; available: {sorted(_OPTIMIZERS)}"
-        ) from exc
-    return cls(parameters, **kwargs)  # type: ignore[arg-type]

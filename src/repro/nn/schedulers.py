@@ -1,15 +1,13 @@
-"""Learning-rate schedulers.
+"""The learning-rate schedule.
 
 The paper halves the learning rate every 1 000 batches (scaled to the number
 of GPUs so that the schedule tracks the number of *samples* seen) down to a
-floor of 2.5e-4.  :class:`StepLR` with ``min_lr`` reproduces exactly that;
-other standard schedules are included for completeness.
+floor of 2.5e-4.  :class:`StepLR` with ``min_lr`` reproduces exactly that.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.nn.optim import Optimizer
 
@@ -26,15 +24,10 @@ class LRScheduler:
         """Learning rate that should be active after ``last_step`` steps."""
         raise NotImplementedError
 
-    def step(self, metric: float | None = None) -> float:
+    def step(self) -> float:
         """Advance the schedule by one step and update the optimizer."""
-        del metric
         self.last_step += 1
         self.optimizer.lr = self.get_lr()
-        return self.optimizer.lr
-
-    @property
-    def current_lr(self) -> float:
         return self.optimizer.lr
 
     def state_dict(self) -> Dict[str, object]:
@@ -44,13 +37,6 @@ class LRScheduler:
         self.base_lr = float(state["base_lr"])
         self.last_step = int(state["last_step"])
         self.optimizer.lr = self.get_lr() if self.last_step > 0 else self.base_lr
-
-
-class ConstantLR(LRScheduler):
-    """No-op schedule keeping the base learning rate."""
-
-    def get_lr(self) -> float:
-        return self.base_lr
 
 
 class StepLR(LRScheduler):
@@ -90,90 +76,3 @@ class StepLR(LRScheduler):
         self.gamma = float(state["gamma"])
         self.min_lr = float(state["min_lr"])
         super().load_state_dict(state)
-
-
-class MultiStepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` at each milestone step."""
-
-    def __init__(
-        self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1
-    ) -> None:
-        super().__init__(optimizer)
-        self.milestones = sorted(int(m) for m in milestones)
-        if any(m <= 0 for m in self.milestones):
-            raise ValueError("milestones must be positive")
-        self.gamma = float(gamma)
-
-    def get_lr(self) -> float:
-        passed = sum(1 for m in self.milestones if m <= self.last_step)
-        return self.base_lr * self.gamma**passed
-
-
-class ExponentialLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every step."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.999) -> None:
-        super().__init__(optimizer)
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        self.gamma = float(gamma)
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma**self.last_step
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine annealing from the base learning rate down to ``min_lr``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int, min_lr: float = 0.0) -> None:
-        super().__init__(optimizer)
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.total_steps = int(total_steps)
-        self.min_lr = float(min_lr)
-
-    def get_lr(self) -> float:
-        progress = min(self.last_step, self.total_steps) / self.total_steps
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-
-class ReduceLROnPlateau(LRScheduler):
-    """Halve the learning rate when the monitored metric stops improving."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        factor: float = 0.5,
-        patience: int = 10,
-        min_lr: float = 0.0,
-        threshold: float = 1e-4,
-    ) -> None:
-        super().__init__(optimizer)
-        if not 0.0 < factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
-        self.factor = float(factor)
-        self.patience = int(patience)
-        self.min_lr = float(min_lr)
-        self.threshold = float(threshold)
-        self.best = math.inf
-        self.num_bad_steps = 0
-        self._lr = self.base_lr
-
-    def get_lr(self) -> float:
-        return self._lr
-
-    def step(self, metric: float | None = None) -> float:
-        if metric is None:
-            raise ValueError("ReduceLROnPlateau.step requires the monitored metric")
-        self.last_step += 1
-        if metric < self.best * (1.0 - self.threshold):
-            self.best = metric
-            self.num_bad_steps = 0
-        else:
-            self.num_bad_steps += 1
-            if self.num_bad_steps > self.patience:
-                self._lr = max(self._lr * self.factor, self.min_lr)
-                self.num_bad_steps = 0
-        self.optimizer.lr = self._lr
-        return self._lr

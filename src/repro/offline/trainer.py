@@ -14,10 +14,10 @@ from typing import Callable, List, Optional
 
 
 from repro.core.metrics import LossHistory, ThroughputMeter, TrainingMetrics, merge_worker_metrics
-from repro.nn.losses import Loss, MSELoss
+from repro.nn.losses import MSELoss
 from repro.nn.module import Module
-from repro.nn.optim import Adam, Optimizer
-from repro.nn.schedulers import LRScheduler, StepLR
+from repro.nn.optim import Adam
+from repro.nn.schedulers import StepLR
 from repro.offline.dataloader import DataLoader
 from repro.offline.dataset import SimulationDataset
 from repro.parallel.communicator import ThreadCommunicator
@@ -81,43 +81,22 @@ class OfflineTrainer:
         config: OfflineTrainingConfig,
         model_factory: Callable[[], Module],
         validation: Optional[ValidationSet] = None,
-        loss_factory: Callable[[], Loss] = MSELoss,
-        optimizer_factory: Optional[Callable[[Module], Optimizer]] = None,
-        scheduler_factory: Optional[Callable[[Optimizer], LRScheduler]] = None,
     ) -> None:
         self.dataset = dataset
         self.config = config
         self.model_factory = model_factory
         self.validation = validation
-        self.loss_factory = loss_factory
-        self.optimizer_factory = optimizer_factory
-        self.scheduler_factory = scheduler_factory
-
-    # -------------------------------------------------------------- factories
-    def _build_optimizer(self, model: Module) -> Optimizer:
-        if self.optimizer_factory is not None:
-            return self.optimizer_factory(model)
-        return Adam(model.parameters(), lr=self.config.learning_rate)
-
-    def _build_scheduler(self, optimizer: Optimizer) -> Optional[LRScheduler]:
-        if self.scheduler_factory is not None:
-            return self.scheduler_factory(optimizer)
-        if self.config.lr_step_batches <= 0:
-            return None
-        return StepLR(
-            optimizer,
-            step_size=self.config.lr_step_batches,
-            gamma=self.config.lr_gamma,
-            min_lr=self.config.lr_min,
-        )
 
     # ------------------------------------------------------------------- run
     def _rank_main(self, comm: ThreadCommunicator, shared_models: List[Optional[Module]]) -> TrainingMetrics:
         cfg = self.config
         model = self.model_factory()
-        optimizer = self._build_optimizer(model)
-        scheduler = self._build_scheduler(optimizer)
-        loss = self.loss_factory()
+        optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
+        scheduler = None
+        if cfg.lr_step_batches > 0:
+            scheduler = StepLR(optimizer, step_size=cfg.lr_step_batches,
+                               gamma=cfg.lr_gamma, min_lr=cfg.lr_min)
+        loss = MSELoss()
         validator = Validator(self.validation) if self.validation is not None else None
         metrics = TrainingMetrics(rank=comm.rank)
         metrics.throughput = ThroughputMeter(window=cfg.throughput_window)

@@ -185,10 +185,6 @@ class Transport:
         """Number of messages currently queued for server rank ``rank``."""
         raise NotImplementedError
 
-    def total_pending(self) -> int:
-        """Messages queued across all ranks."""
-        return sum(self.pending(rank) for rank in range(self.num_server_ranks))
-
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Close the transport; subsequent pushes raise :class:`RouterClosed`."""
@@ -459,11 +455,6 @@ class Connection:
             self._flush_rank(rank, timeout=timeout)
         return rank
 
-    def send_to(self, rank: int, message: Message, timeout: float | None = None) -> None:
-        """Send to an explicit server rank (used for control messages)."""
-        self.transport.push(rank, message, timeout=timeout)
-        self.sent_messages += 1
-
     def broadcast(self, message: Message, timeout: float | None = None) -> None:
         """Send the same message to every server rank (hello/finished markers)."""
         self.flush(timeout=timeout)
@@ -481,11 +472,6 @@ class Connection:
         if batch:
             self.transport.push_many(rank, batch, timeout=timeout)
             self.sent_messages += len(batch)
-
-    @property
-    def pending_messages(self) -> int:
-        """Messages buffered client-side, not yet pushed to the transport."""
-        return sum(len(batch) for batch in self._pending.values())
 
     def pending(self) -> List[Message]:
         """The buffered messages themselves (send order within each rank)."""

@@ -16,10 +16,9 @@ from typing import Callable, Dict, List, Optional
 from repro.buffers import make_buffer
 from repro.buffers.base import TrainingBuffer
 from repro.core.metrics import TrainingMetrics, merge_worker_metrics, throughput_from_summary
-from repro.nn.losses import Loss, MSELoss
 from repro.nn.module import Module
-from repro.nn.optim import Adam, Optimizer
-from repro.nn.schedulers import LRScheduler, StepLR
+from repro.nn.optim import Adam
+from repro.nn.schedulers import StepLR
 from repro.parallel.communicator import ThreadCommunicator
 from repro.parallel.spmd import SPMDExecutor
 from repro.parallel.transport import Transport, TransportStats
@@ -124,17 +123,11 @@ class TrainingServer:
         model_factory: Callable[[], Module],
         router: Transport,
         validation: Optional[ValidationSet] = None,
-        loss_factory: Callable[[], Loss] = MSELoss,
-        optimizer_factory: Optional[Callable[[Module], Optimizer]] = None,
-        scheduler_factory: Optional[Callable[[Optimizer], LRScheduler]] = None,
     ) -> None:
         self.config = config
         self.model_factory = model_factory
         self.router = router
         self.validation = validation
-        self.loss_factory = loss_factory
-        self.optimizer_factory = optimizer_factory
-        self.scheduler_factory = scheduler_factory
 
         self.heartbeat_monitor = HeartbeatMonitor()
         self.buffers: List[TrainingBuffer] = [
@@ -160,45 +153,29 @@ class TrainingServer:
             for rank in range(config.num_ranks)
         ]
 
-    # -------------------------------------------------------------- factories
-    def _build_optimizer(self, model: Module) -> Optimizer:
-        if self.optimizer_factory is not None:
-            return self.optimizer_factory(model)
-        return Adam(model.parameters(), lr=self.config.learning_rate)
-
-    def _build_scheduler(self, optimizer: Optimizer) -> Optional[LRScheduler]:
-        if self.scheduler_factory is not None:
-            return self.scheduler_factory(optimizer)
-        if self.config.lr_step_batches <= 0:
-            return None
-        return StepLR(
-            optimizer,
-            step_size=self.config.lr_step_batches,
-            gamma=self.config.lr_gamma,
-            min_lr=self.config.lr_min,
-        )
-
     def _build_worker(self, comm: ThreadCommunicator) -> TrainingWorker:
         rank = comm.rank
+        config = self.config
         model = self.model_factory()
-        optimizer = self._build_optimizer(model)
-        scheduler = self._build_scheduler(optimizer)
+        optimizer = Adam(model.parameters(), lr=config.learning_rate)
+        scheduler = None
+        if config.lr_step_batches > 0:
+            scheduler = StepLR(optimizer, step_size=config.lr_step_batches,
+                               gamma=config.lr_gamma, min_lr=config.lr_min)
         validator = Validator(self.validation) if self.validation is not None else None
         checkpointer = None
-        if self.config.checkpoint_dir is not None and self.config.checkpoint_interval > 0:
+        if config.checkpoint_dir is not None and config.checkpoint_interval > 0:
             checkpointer = ServerCheckpointer(
-                directory=Path(self.config.checkpoint_dir),
-                interval_batches=self.config.checkpoint_interval,
+                directory=Path(config.checkpoint_dir),
+                interval_batches=config.checkpoint_interval,
                 rank=rank,
             )
-        trainer_config = self.config.trainer
         return TrainingWorker(
             rank=rank,
             model=model,
             optimizer=optimizer,
             buffer=self.buffers[rank],
-            config=trainer_config,
-            loss=self.loss_factory(),
+            config=config.trainer,
             scheduler=scheduler,
             validator=validator,
             comm=comm if comm.size > 1 else None,

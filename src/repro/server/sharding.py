@@ -22,13 +22,6 @@ transport endpoint, aggregator threads, buffer and training workers, and a
   cluster totals keyed by global rank, and
   :func:`~repro.core.metrics.merge_worker_metrics` grows a shard dimension,
   so :class:`~repro.server.server.ServerResult` keeps its shape.
-
-For simulated-cluster experiments, :func:`place_shards` submits one job per
-shard to the :class:`~repro.cluster.scheduler.BatchScheduler`, and
-:func:`estimate_sharded_throughput` evaluates the saturation model of the
-tier (each shard serves ``min(offered load, per-shard rate)``) over the real
-ring assignment — the model behind the scaling trajectory in
-``benchmarks/test_bench_sharding.py``.
 """
 
 from __future__ import annotations
@@ -37,17 +30,12 @@ import bisect
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.resources import ClusterSpec
-from repro.cluster.scheduler import BatchScheduler
 from repro.core.metrics import merge_worker_metrics
-from repro.nn.losses import Loss, MSELoss
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
-from repro.nn.schedulers import LRScheduler
 from repro.parallel.transport import (
     Connection,
     Message,
@@ -124,18 +112,6 @@ class HashRing:
         for client_id in client_ids:
             assignment[self.shard_for(client_id)].append(int(client_id))
         return assignment
-
-    def with_shard(self, shard: int) -> "HashRing":
-        """A new ring with ``shard`` joined (the bounded-remap property)."""
-        return HashRing((*self.shards, int(shard)), replicas=self.replicas)
-
-    def without_shard(self, shard: int) -> "HashRing":
-        """A new ring with ``shard`` departed."""
-        if int(shard) not in self.shards:
-            raise ConfigurationError(f"shard {shard} is not on the ring")
-        return HashRing(
-            (s for s in self.shards if s != int(shard)), replicas=self.replicas
-        )
 
 
 # ----------------------------------------------------------- sharded transport
@@ -327,9 +303,6 @@ class ShardManager:
         client_ids: Sequence[int],
         validation: Optional[ValidationSet] = None,
         max_concurrent_clients: int = 8,
-        loss_factory: Callable[[], Loss] = MSELoss,
-        optimizer_factory: Optional[Callable[[Module], Optimizer]] = None,
-        scheduler_factory: Optional[Callable[[Optimizer], LRScheduler]] = None,
     ) -> None:
         self.num_shards = transport_config.shard.num_shards
         self.server_config = server_config
@@ -350,9 +323,6 @@ class ShardManager:
                 model_factory=model_factory,
                 router=self.transports[index],
                 validation=validation,
-                loss_factory=loss_factory,
-                optimizer_factory=optimizer_factory,
-                scheduler_factory=scheduler_factory,
             )
             for index in range(self.num_shards)
         ]
@@ -451,119 +421,3 @@ class ShardManager:
             duplicates_discarded=sum(result.duplicates_discarded for result in results),
         )
 
-
-# ----------------------------------------------------------- cluster placement
-@dataclass(frozen=True)
-class ShardPlacement:
-    """Where one shard landed on the simulated cluster."""
-
-    shard: int
-    partition: str
-    cores: int
-    gpus: int
-    job_id: int
-    started: bool
-
-
-@dataclass(frozen=True)
-class ShardPlacementPlan:
-    """Outcome of placing every shard on the simulated cluster."""
-
-    placements: Tuple[ShardPlacement, ...]
-
-    @property
-    def concurrent_shards(self) -> int:
-        """Shards the cluster can actually run at once (started jobs)."""
-        return sum(1 for placement in self.placements if placement.started)
-
-
-def place_shards(
-    cluster: ClusterSpec,
-    num_shards: int,
-    partition: Optional[str] = None,
-    cores_per_shard: int = 1,
-    gpus_per_shard: int = 1,
-    scheduler: Optional[BatchScheduler] = None,
-) -> ShardPlacementPlan:
-    """Place one server job per shard on the simulated cluster.
-
-    Reuses the batch-scheduler machinery of the Table 2 experiments: each
-    shard submits a job requesting ``cores_per_shard``/``gpus_per_shard``
-    on ``partition`` (default: the first partition with GPUs, else the
-    first partition).  Jobs that start immediately are the shards the
-    cluster can serve concurrently; the rest queue — the saturation model
-    caps aggregate throughput at the concurrent count.
-    """
-    from repro.cluster.job import Job
-
-    if num_shards <= 0:
-        raise ConfigurationError("num_shards must be positive")
-    if partition is None:
-        gpu_partitions = [
-            name for name, part in cluster.partitions.items() if part.total_gpus > 0
-        ]
-        candidates = gpu_partitions or list(cluster.partitions)
-        if not candidates:
-            raise ConfigurationError("the cluster has no partitions to place shards on")
-        partition = candidates[0]
-    scheduler = scheduler or BatchScheduler(cluster)
-    placements = []
-    for shard in range(num_shards):
-        job = scheduler.submit(
-            Job(
-                name=f"server-shard-{shard}",
-                partition=partition,
-                cores=cores_per_shard,
-                gpus=gpus_per_shard,
-                runtime=1.0,
-                payload={"shard": shard},
-            )
-        )
-        placements.append(
-            ShardPlacement(
-                shard=shard,
-                partition=partition,
-                cores=cores_per_shard,
-                gpus=gpus_per_shard,
-                job_id=job.job_id,
-                started=job.start_time is not None,
-            )
-        )
-    return ShardPlacementPlan(placements=tuple(placements))
-
-
-# ------------------------------------------------------------ saturation model
-@dataclass(frozen=True)
-class ShardedThroughputEstimate:
-    """Saturation-model output of :func:`estimate_sharded_throughput`."""
-
-    offered: Dict[int, float]
-    served: Dict[int, float]
-    aggregate: float
-
-
-def estimate_sharded_throughput(
-    ring: HashRing,
-    client_rates: Mapping[int, float],
-    per_shard_rate: float,
-    concurrent_shards: Optional[int] = None,
-) -> ShardedThroughputEstimate:
-    """Aggregate msg/s of the sharded tier under a saturation model.
-
-    Every client offers its rate to the shard the *real* ring assigns it
-    to; a shard serves ``min(offered, per_shard_rate)`` (one aggregator
-    pipeline saturates at the measured single-shard drain rate, the
-    calibration input).  ``concurrent_shards`` — typically
-    :attr:`ShardPlacementPlan.concurrent_shards` — caps the whole tier when
-    the cluster cannot host every shard at once.
-    """
-    if per_shard_rate <= 0:
-        raise ConfigurationError("per_shard_rate must be positive")
-    offered: Dict[int, float] = {shard: 0.0 for shard in ring.shards}
-    for client_id, rate in client_rates.items():
-        offered[ring.shard_for(client_id)] += float(rate)
-    served = {shard: min(load, float(per_shard_rate)) for shard, load in offered.items()}
-    aggregate = sum(served.values())
-    if concurrent_shards is not None and concurrent_shards < ring.num_shards:
-        aggregate = min(aggregate, float(per_shard_rate) * max(0, int(concurrent_shards)))
-    return ShardedThroughputEstimate(offered=offered, served=served, aggregate=aggregate)

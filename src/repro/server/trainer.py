@@ -21,7 +21,7 @@ from repro.buffers.base import TrainingBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.buffers.stats import OccurrenceTracker
 from repro.core.metrics import TrainingMetrics
-from repro.nn.losses import Loss, MSELoss
+from repro.nn.losses import MSELoss
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
 from repro.nn.schedulers import LRScheduler
@@ -67,7 +67,6 @@ class TrainingWorker:
         optimizer: Optimizer,
         buffer: TrainingBuffer,
         config: TrainerConfig,
-        loss: Optional[Loss] = None,
         scheduler: Optional[LRScheduler] = None,
         validator: Optional[Validator] = None,
         comm: Optional[ThreadCommunicator] = None,
@@ -79,7 +78,7 @@ class TrainingWorker:
         self.optimizer = optimizer
         self.buffer = buffer
         self.config = config
-        self.loss = loss or MSELoss()
+        self.loss = MSELoss()
         self.scheduler = scheduler
         self.validator = validator
         self.comm = comm

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.losses import Loss, MSELoss
+from repro.nn.losses import MSELoss
 from repro.nn.module import Module
 
 Array = np.ndarray
@@ -67,17 +67,15 @@ class ValidationSet:
 class Validator:
     """Evaluate a model on a validation set in mini-batches."""
 
-    def __init__(self, dataset: ValidationSet, loss: Loss | None = None, batch_size: int = 64) -> None:
+    def __init__(self, dataset: ValidationSet, batch_size: int = 64) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
-        self.loss = loss or MSELoss()
+        self.loss = MSELoss()
         self.batch_size = int(batch_size)
 
     def evaluate(self, model: Module) -> float:
-        """Mean loss of ``model`` over the validation set (eval mode, no grads)."""
-        was_training = model.training
-        model.eval()
+        """Mean MSE of ``model`` over the validation set (forward passes only)."""
         total = 0.0
         count = 0
         inputs, targets = self.dataset.inputs, self.dataset.targets
@@ -90,6 +88,4 @@ class Validator:
         # Evaluation never runs backward: do not keep its last batch alive.
         model.clear_cache()
         self.loss.clear_cache()
-        if was_training:
-            model.train()
         return total / count

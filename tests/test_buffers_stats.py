@@ -15,14 +15,9 @@ from repro.buffers.stats import (
 def test_occurrence_tracker_counts():
     tracker = OccurrenceTracker()
     tracker.record_columns(np.array([7, 7]), np.array([1, 1]))
-    tracker.record_columns(np.array([8]), np.array([2]))
-    assert tracker.count((7, 1)) == 2
-    assert tracker.count((9, 0)) == 0
-    assert tracker.count((7, 2)) == 0  # known id, unknown step
-    assert tracker.num_unique == 2
-    assert tracker.total_occurrences == 3
-    assert tracker.max_occurrences() == 2
-    assert tracker.mean_occurrences() == pytest.approx(1.5)
+    tracker.record_columns(np.array([8, 7]), np.array([2, 2]))  # (7, 2): known id, new step
+    # (7, 1) seen twice, (8, 2) and (7, 2) once each
+    assert tracker.histogram() == {1: 2, 2: 1}
 
 
 def test_occurrence_tracker_histogram():
@@ -34,28 +29,29 @@ def test_occurrence_tracker_histogram():
 
 
 def test_occurrence_tracker_columns_match_a_counter_across_folds(monkeypatch):
-    """The columnar fold is exact: same counts as hashing every key, whatever
-    the interleaving of records, reads and size-triggered folds, and for int64
-    values no float could tell apart."""
+    """The columnar fold is exact: the same histogram as hashing every key,
+    whatever the interleaving of records, reads and size-triggered folds, and
+    for int64 values no float could tell apart."""
     monkeypatch.setattr(OccurrenceTracker, "_FOLD_AT", 64)  # fold many times
     rng = np.random.default_rng(0)
     big = 2**62
     tracker = OccurrenceTracker()
     reference = Counter()
+
+    def expected_histogram():
+        return dict(Counter(reference.values()))
+
     for batch in range(200):
         ids = rng.integers(-2, 3, size=10) + np.where(rng.random(10) < 0.3, big, 0)
         steps = rng.integers(0, 6, size=10) + np.where(rng.random(10) < 0.3, big, 0)
         tracker.record_columns(ids, steps)
         reference.update(zip(ids.tolist(), steps.tolist()))
         if batch % 37 == 0:  # reads fold too, and recording continues after
-            assert tracker.num_unique == len(reference)
-    assert tracker.total_occurrences == 2000
-    assert tracker.num_unique == len(reference)
-    assert tracker.max_occurrences() == max(reference.values())
-    assert tracker.histogram() == dict(sorted(Counter(reference.values()).items()))
-    for key, count in reference.items():
-        assert tracker.count(key) == count
-    assert tracker.count((big, big + 7)) == 0
+            assert tracker.histogram() == expected_histogram()
+    assert sum(reference.values()) == 2000
+    assert tracker.histogram() == expected_histogram()
+    # Keys that differ only far above float precision stay apart.
+    assert len(reference) > len({(float(i), float(s)) for i, s in reference})
 
 
 def test_occurrence_tracker_pending_block_is_bounded(monkeypatch):
@@ -73,8 +69,6 @@ def test_occurrence_tracker_pending_block_is_bounded(monkeypatch):
 def test_occurrence_tracker_empty():
     tracker = OccurrenceTracker()
     assert tracker.histogram() == {}
-    assert tracker.max_occurrences() == 0
-    assert tracker.mean_occurrences() == 0.0
 
 
 def test_expected_residency_time_formula():

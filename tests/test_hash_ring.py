@@ -79,7 +79,7 @@ def test_more_replicas_keep_the_spread_bounded():
 @given(num_shards=st.integers(min_value=1, max_value=7))
 def test_shard_join_only_pulls_keys_onto_the_new_shard(num_shards):
     before = HashRing(num_shards)
-    after = before.with_shard(num_shards)
+    after = HashRing(range(num_shards + 1))
     moved = 0
     for client_id in CLIENT_IDS:
         old, new = before.shard_for(client_id), after.shard_for(client_id)
@@ -99,7 +99,7 @@ def test_shard_join_only_pulls_keys_onto_the_new_shard(num_shards):
 def test_shard_leave_only_moves_the_departed_shards_keys(num_shards, departing):
     departing = departing % num_shards
     before = HashRing(num_shards)
-    after = before.without_shard(departing)
+    after = HashRing(shard for shard in range(num_shards) if shard != departing)
     assert departing not in after.shards
     for client_id in CLIENT_IDS:
         old = before.shard_for(client_id)
@@ -113,7 +113,8 @@ def test_shard_leave_only_moves_the_departed_shards_keys(num_shards, departing):
 
 def test_join_then_leave_round_trips_every_placement():
     ring = HashRing(4)
-    round_tripped = ring.with_shard(4).without_shard(4)
+    joined = HashRing(range(5))
+    round_tripped = HashRing(shard for shard in joined.shards if shard != 4)
     for client_id in CLIENT_IDS:
         assert ring.shard_for(client_id) == round_tripped.shard_for(client_id)
 
@@ -127,4 +128,4 @@ def test_ring_rejects_bad_geometry():
     with pytest.raises(ConfigurationError):
         HashRing([1, 1])
     with pytest.raises(ConfigurationError):
-        HashRing(2).without_shard(7)
+        HashRing([])

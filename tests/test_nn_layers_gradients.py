@@ -1,25 +1,9 @@
-"""Gradient checks for layers, activations and losses."""
+"""Gradient checks for the layers, the activation and the loss."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Dropout,
-    HuberLoss,
-    L1Loss,
-    LayerNorm,
-    LeakyReLU,
-    Linear,
-    MSELoss,
-    RelativeL2Loss,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Softplus,
-    Tanh,
-    gradient_check,
-)
-from repro.nn.activations import get_activation
+from repro.nn import Linear, MSELoss, ReLU, Sequential, gradient_check
 from repro.nn.gradcheck import numerical_gradient
 
 
@@ -67,22 +51,7 @@ def test_mlp_gradcheck_relu(rng):
     gradient_check(model, MSELoss(), x, y)
 
 
-@pytest.mark.parametrize("activation_cls", [Tanh, Sigmoid, Softplus, LeakyReLU])
-def test_mlp_gradcheck_smooth_activations(rng, activation_cls):
-    model = Sequential(Linear(3, 5, rng=rng), activation_cls(), Linear(5, 2, rng=rng))
-    x = rng.standard_normal((4, 3))
-    y = rng.standard_normal((4, 2))
-    gradient_check(model, MSELoss(), x, y)
-
-
-def test_layernorm_gradcheck(rng):
-    model = Sequential(Linear(4, 6, rng=rng), LayerNorm(6), Linear(6, 2, rng=rng))
-    x = rng.standard_normal((3, 4))
-    y = rng.standard_normal((3, 2))
-    gradient_check(model, MSELoss(), x, y, atol=1e-4, rtol=1e-3)
-
-
-@pytest.mark.parametrize("loss_cls", [MSELoss, L1Loss, HuberLoss, RelativeL2Loss])
+@pytest.mark.parametrize("loss_cls", [MSELoss])
 def test_loss_gradients_match_numerical(rng, loss_cls):
     loss = loss_cls()
     pred = rng.standard_normal((5, 4)) * 2.0
@@ -108,14 +77,6 @@ def test_mse_loss_value():
     assert value == pytest.approx(2.5)
 
 
-def test_huber_behaves_quadratic_then_linear():
-    loss = HuberLoss(delta=1.0)
-    small = loss.forward(np.array([[0.5]]), np.array([[0.0]]))
-    assert small == pytest.approx(0.125)
-    large = loss.forward(np.array([[10.0]]), np.array([[0.0]]))
-    assert large == pytest.approx(0.5 + 9.0)
-
-
 def test_relu_masks_negative_values():
     relu = ReLU()
     out = relu.forward(np.array([[-1.0, 2.0]]))
@@ -123,36 +84,3 @@ def test_relu_masks_negative_values():
     grad = relu.backward(np.array([[5.0, 5.0]]))
     assert np.array_equal(grad, np.array([[0.0, 5.0]]))
 
-
-def test_sigmoid_stable_for_large_inputs():
-    sig = Sigmoid()
-    out = sig.forward(np.array([[-1000.0, 1000.0]]))
-    assert np.all(np.isfinite(out))
-    assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert out[0, 1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_get_activation_lookup_and_error():
-    assert isinstance(get_activation("relu"), ReLU)
-    with pytest.raises(KeyError):
-        get_activation("does-not-exist")
-
-
-def test_dropout_identity_in_eval_mode(rng):
-    dropout = Dropout(0.5, rng=rng)
-    dropout.eval()
-    x = rng.random((4, 4))
-    assert np.array_equal(dropout.forward(x), x)
-
-
-def test_dropout_preserves_expectation(rng):
-    dropout = Dropout(0.5, rng=rng)
-    x = np.ones((200, 200))
-    out = dropout.forward(x)
-    # Inverted dropout: E[out] == x.
-    assert out.mean() == pytest.approx(1.0, rel=0.05)
-
-
-def test_dropout_invalid_probability():
-    with pytest.raises(ValueError):
-        Dropout(1.0)

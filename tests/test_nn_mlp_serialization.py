@@ -1,19 +1,24 @@
-"""Tests for the MLP factories and checkpoint serialization."""
+"""Tests for the MLP builder, its initialisation and checkpoint serialization."""
 
 import numpy as np
 import pytest
 
+from repro.core.config import SurrogateArchitecture
+from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.nn import (
     Adam,
+    Linear,
     MLPConfig,
     MSELoss,
+    ReLU,
     build_mlp,
-    build_surrogate_mlp,
     load_checkpoint,
     save_checkpoint,
     state_dict_equal,
 )
+from repro.solvers.heat2d import HeatEquationConfig
 from repro.utils.exceptions import CheckpointError
+from repro.utils.seeding import derive_rng
 
 
 def test_mlp_config_validation():
@@ -21,8 +26,6 @@ def test_mlp_config_validation():
         MLPConfig(in_features=0)
     with pytest.raises(ValueError):
         MLPConfig(hidden_sizes=(0,))
-    with pytest.raises(ValueError):
-        MLPConfig(dropout=1.5)
 
 
 def test_build_mlp_shapes():
@@ -42,12 +45,35 @@ def test_build_mlp_reproducible_by_seed():
 
 def test_surrogate_mlp_matches_paper_architecture():
     """Paper: input 6, two hidden layers of 256 ReLU, output = grid points."""
-    model = build_surrogate_mlp(grid_points=1000, hidden_sizes=(256, 256), seed=0)
+    model = build_mlp(MLPConfig(out_features=1000, dtype=np.float32))
+    assert [type(layer) for layer in model.layers] == [Linear, ReLU, Linear, ReLU, Linear]
     sizes = [layer.in_features for layer in model.layers if hasattr(layer, "in_features")]
     outs = [layer.out_features for layer in model.layers if hasattr(layer, "out_features")]
     assert sizes == [6, 256, 256]
     assert outs == [256, 256, 1000]
     assert all(p.dtype == np.float32 for p in model.parameters())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_surrogate_initialisation_is_the_textbook_he_normal_draw(seed):
+    """The surrogate the studies train (6 -> 256 -> 256 -> 1024 here) starts
+    from one seeded generator: every Linear, in layer order, draws its weights
+    N(0, 2 / fan_in) and casts them to float32; every bias starts at zero."""
+    spec = HeatSurrogateSpec(
+        solver=HeatEquationConfig(nx=32, ny=32, num_steps=2),
+        architecture=SurrogateArchitecture(hidden_sizes=(256, 256)),
+        seed=seed,
+    )
+    model = HeatSurrogateCase(spec).model_factory()
+    rng = derive_rng("mlp-init", seed)
+    expected = []
+    for fan_in, fan_out in ((6, 256), (256, 256), (256, 1024)):
+        weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        expected += [weight.astype(np.float32), np.zeros(fan_out, dtype=np.float32)]
+    actual = [param.data for param in model.parameters()]
+    assert [a.dtype for a in actual] == [np.float32] * 6
+    for got, want in zip(actual, expected, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_paper_scale_parameter_count():

@@ -59,14 +59,6 @@ def test_load_state_dict_rejects_bad_shape():
         net.load_state_dict(state)
 
 
-def test_train_eval_propagates():
-    net = build_net()
-    net.eval()
-    assert all(not layer.training for layer in net.layers)
-    net.train()
-    assert all(layer.training for layer in net.layers)
-
-
 def test_flat_gradients_roundtrip():
     net = build_net()
     x = np.random.default_rng(0).random((5, 4))

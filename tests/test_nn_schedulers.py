@@ -1,30 +1,15 @@
-"""Tests for the learning-rate schedulers."""
+"""Tests for the learning-rate schedule."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Adam,
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    MultiStepLR,
-    ReduceLROnPlateau,
-    StepLR,
-)
+from repro.nn import Adam, StepLR
 from repro.nn.module import Parameter
 
 
 @pytest.fixture
 def optimizer():
     return Adam([Parameter(np.zeros(3))], lr=1e-3)
-
-
-def test_constant_lr(optimizer):
-    scheduler = ConstantLR(optimizer)
-    for _ in range(10):
-        scheduler.step()
-    assert optimizer.lr == pytest.approx(1e-3)
 
 
 def test_step_lr_halves_every_period(optimizer):
@@ -52,55 +37,6 @@ def test_step_lr_validation(optimizer):
         StepLR(optimizer, step_size=0)
     with pytest.raises(ValueError):
         StepLR(optimizer, step_size=10, gamma=1.5)
-
-
-def test_multistep_lr(optimizer):
-    scheduler = MultiStepLR(optimizer, milestones=[3, 6], gamma=0.1)
-    lrs = [scheduler.step() for _ in range(7)]
-    assert lrs[1] == pytest.approx(1e-3)
-    assert lrs[3] == pytest.approx(1e-4)
-    assert lrs[6] == pytest.approx(1e-5)
-
-
-def test_exponential_lr(optimizer):
-    scheduler = ExponentialLR(optimizer, gamma=0.9)
-    scheduler.step()
-    scheduler.step()
-    assert optimizer.lr == pytest.approx(1e-3 * 0.81)
-
-
-def test_cosine_annealing_reaches_min(optimizer):
-    scheduler = CosineAnnealingLR(optimizer, total_steps=50, min_lr=1e-5)
-    for _ in range(50):
-        scheduler.step()
-    assert optimizer.lr == pytest.approx(1e-5)
-    # Stays at the floor beyond total_steps.
-    scheduler.step()
-    assert optimizer.lr == pytest.approx(1e-5)
-
-
-def test_cosine_annealing_monotone_decrease(optimizer):
-    scheduler = CosineAnnealingLR(optimizer, total_steps=20)
-    values = [scheduler.step() for _ in range(20)]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:], strict=False))
-
-
-def test_reduce_on_plateau(optimizer):
-    scheduler = ReduceLROnPlateau(optimizer, factor=0.5, patience=2)
-    # Improvement keeps the lr.
-    for metric in (1.0, 0.9, 0.8):
-        scheduler.step(metric)
-    assert optimizer.lr == pytest.approx(1e-3)
-    # Stagnation beyond patience halves it.
-    for metric in (0.8, 0.8, 0.8, 0.8):
-        scheduler.step(metric)
-    assert optimizer.lr == pytest.approx(5e-4)
-
-
-def test_reduce_on_plateau_requires_metric(optimizer):
-    scheduler = ReduceLROnPlateau(optimizer)
-    with pytest.raises(ValueError):
-        scheduler.step()
 
 
 def test_scheduler_state_dict_roundtrip(optimizer):

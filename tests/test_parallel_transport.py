@@ -77,9 +77,8 @@ def test_round_robin_start_offset_by_client_id():
 
 def test_poll_returns_messages_in_order():
     router = MessageRouter(2)
-    connection = router.connect(0)
     for step in range(4):
-        connection.send_to(1, make_message(step=step))
+        router.push(1, make_message(step=step))
     first, second = (router.poll_batches(1, max_messages=2, timeout=None) for _ in range(2))
     assert [chunk.time_steps.tolist() for chunk in first + second] == [[0, 1], [2, 3]]
     assert first[0].source_ids.tolist() == [0, 0]
@@ -105,7 +104,7 @@ def test_router_stats_accumulate():
     assert router.stats.messages_routed == 6
     assert router.stats.bytes_routed > 0
     assert router.stats.per_rank_messages == {0: 3, 1: 3}
-    assert router.total_pending() == 6
+    assert [router.pending(rank) for rank in range(2)] == [3, 3]
 
 
 def test_closed_router_rejects_pushes():
@@ -121,9 +120,8 @@ def test_closed_router_rejects_pushes():
 
 def test_bounded_queue_blocks_then_raises_on_timeout():
     router = MessageRouter(1, max_queue_size=2)
-    connection = router.connect(0)
-    connection.send_to(0, make_message(step=0))
-    connection.send_to(0, make_message(step=1))
+    router.push(0, make_message(step=0))
+    router.push(0, make_message(step=1))
     import queue as _queue
 
     with pytest.raises(_queue.Full):

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.buffers import FIFOBuffer, FIROBuffer, ReservoirBuffer
-from repro.nn import Linear, MSELoss, ReLU, Sequential, Tanh, gradient_check
+from repro.nn import Linear, MSELoss, ReLU, Sequential, gradient_check
 from repro.parallel.partition import BlockPartition2D, best_process_grid, partition_extent
 from repro.sampling import HaltonSampler, LatinHypercubeSampler, MonteCarloSampler, ParameterSpace
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
@@ -158,16 +158,15 @@ def test_heat_solution_respects_maximum_principle(temps, n):
     out_features=st.integers(min_value=1, max_value=5),
     batch=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=100),
-    activation=st.sampled_from(["tanh", "relu"]),
 )
-def test_random_mlp_gradients_are_correct(in_features, hidden, out_features, batch, seed, activation):
+def test_random_mlp_gradients_are_correct(in_features, hidden, out_features, batch, seed):
     rng = np.random.default_rng(seed)
-    act = Tanh() if activation == "tanh" else ReLU()
     model = Sequential(
         Linear(in_features, hidden, rng=rng),
-        act,
+        ReLU(),
         Linear(hidden, out_features, rng=rng),
     )
-    x = rng.standard_normal((batch, in_features)) + (0.5 if activation == "relu" else 0.0)
+    # Shifted off the ReLU kink so finite differences are clean.
+    x = rng.standard_normal((batch, in_features)) + 0.5
     y = rng.standard_normal((batch, out_features))
     gradient_check(model, MSELoss(), x, y, atol=1e-4, rtol=1e-3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Linear, MLPConfig, MSELoss, Sequential, build_mlp
+from repro.nn import Adam, MLPConfig, MSELoss, Sequential, build_mlp
 from repro.parallel.spmd import run_spmd
 from repro.server.ddp import broadcast_parameters, parameters_in_sync, sync_gradients
 from repro.server.validation import ValidationSet, Validator
@@ -161,12 +161,3 @@ def test_validation_set_validation_errors():
         ValidationSet(inputs=np.zeros((0, 3)), targets=np.zeros((0, 4)))
     with pytest.raises(ValueError):
         Validator(ValidationSet(np.zeros((2, 3)), np.zeros((2, 4))), batch_size=0)
-
-
-def test_validator_restores_training_mode():
-    dataset = ValidationSet(np.zeros((4, 4), dtype=np.float32), np.zeros((4, 2), dtype=np.float32))
-    rng = np.random.default_rng(0)
-    model = Sequential(Linear(4, 2, rng=rng))
-    model.train()
-    Validator(dataset).evaluate(model)
-    assert model.training

@@ -1,4 +1,4 @@
-"""Sharded serving tier: routing units, cluster placement, and end-to-end parity.
+"""Sharded serving tier: routing units and end-to-end parity.
 
 The acceptance bar of the scale-out work: a sharded study must be *invisible*
 to the data contract.  Per-client sample counts match the single-server
@@ -16,7 +16,6 @@ import pytest
 
 from repro.buffers import FIFOBuffer
 from repro.client.simulation_client import SimulationClient
-from repro.cluster.resources import jean_zay_like
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
 from repro.parallel.shm_ring import ShmRingTransport
@@ -28,8 +27,6 @@ from repro.server.sharding import (
     ShardedHeartbeatMonitor,
     ShardedTransport,
     aggregate_transport_stats,
-    estimate_sharded_throughput,
-    place_shards,
 )
 from repro.utils.exceptions import ConfigurationError
 
@@ -99,39 +96,6 @@ def test_sharded_heartbeat_monitor_routes_to_the_owning_shard():
     # The launcher's two queries reach the owning shard only.
     assert monitors[ring.shard_for(7)].silence(0) is None  # never seen there
     assert not monitors[ring.shard_for(0)].is_finished(7)
-
-
-# --------------------------------------------------------- cluster placement
-def test_place_shards_fills_the_gpu_partition_then_queues():
-    cluster = jean_zay_like(gpu_nodes=1)  # one node, 4 V100s
-
-    plan = place_shards(cluster, num_shards=4)
-    assert all(p.partition == "gpu" for p in plan.placements)
-    assert plan.concurrent_shards == 4
-
-    # Six single-GPU shards on four GPUs: two queue behind the others.
-    overfull = place_shards(jean_zay_like(gpu_nodes=1), num_shards=6)
-    assert overfull.concurrent_shards == 4
-    assert sum(1 for p in overfull.placements if not p.started) == 2
-
-
-def test_estimate_sharded_throughput_saturates_each_shard():
-    ring = HashRing(2)
-    rates = {client_id: 10.0 for client_id in range(200)}
-    offered_total = sum(rates.values())
-
-    # Far below saturation: everything offered is served.
-    low = estimate_sharded_throughput(ring, rates, per_shard_rate=5000.0)
-    assert low.aggregate == pytest.approx(offered_total)
-
-    # Deep saturation: each shard caps at the calibrated single-shard rate.
-    high = estimate_sharded_throughput(ring, rates, per_shard_rate=100.0)
-    assert high.aggregate == pytest.approx(200.0)
-
-    # A cluster that can only host one shard caps the whole tier.
-    capped = estimate_sharded_throughput(ring, rates, per_shard_rate=100.0,
-                                         concurrent_shards=1)
-    assert capped.aggregate == pytest.approx(100.0)
 
 
 # ----------------------------------------------- end-to-end study parity (shm)

@@ -142,10 +142,10 @@ def test_full_queue_push_timeout_counts_dropped(backend):
     else:
         transport = MultiprocessTransport(1, max_queue_size=2)
     try:
-        connection = transport.connect(client_id=0)
+        transport.connect(client_id=0)
         message = TimeStepMessage(client_id=0, time_step=0, payload=FIELD)
-        connection.send_to(0, message)
-        connection.send_to(0, message)
+        transport.push(0, message)
+        transport.push(0, message)
         if backend == "mp":
             # multiprocessing queues report Full only once the feeder thread
             # has moved both buffers into the bounded pipe machinery.
@@ -176,16 +176,16 @@ def test_push_after_close_counts_dropped(backend):
     else:
         transport = MultiprocessTransport(1)
     try:
-        connection = transport.connect(client_id=0)
+        transport.connect(client_id=0)
         message = TimeStepMessage(client_id=0, time_step=0, payload=FIELD)
-        connection.send_to(0, message)
+        transport.push(0, message)
         if backend == "tcp":
             # tcp accounts traffic at decode time in the server process, so
             # drain the delivered frame before sampling the counters.
             assert wait_until(lambda: bool(transport.poll_batches(0, timeout=0.1)), timeout=5.0)
         transport.close()
         with pytest.raises(RouterClosed):
-            connection.send_to(0, message)
+            transport.push(0, message)
         assert transport.stats.dropped_messages == 1
         assert transport.stats.messages_routed == 1
     finally:
@@ -495,9 +495,9 @@ def test_tcp_torn_frame_counted_not_fatal(tcp_transport):
         "torn frame was never counted"
 
     # The front door is still alive: a healthy client streams normally.
-    connection = transport.connect(client_id=1)
+    transport.connect(client_id=1)
     message = TimeStepMessage(client_id=1, time_step=0, payload=FIELD)
-    connection.send_to(0, message)
+    transport.push(0, message)
     received = []
     assert wait_until(
         lambda: bool(received) or bool(received.extend(transport.poll_batches(0, timeout=0.1))),
