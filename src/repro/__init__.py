@@ -7,11 +7,11 @@ substrate the paper depends on:
 
 * :mod:`repro.nn` — a NumPy neural-network library (modules, optimizers,
   schedulers) used in place of PyTorch/TensorFlow.
-* :mod:`repro.parallel` — a thread-based SPMD/MPI-like communication substrate
-  and the client/server transport layer.
+* :mod:`repro.parallel` — the thread-based SPMD substrate of the data-parallel
+  training ranks and the client/server transport layer.
 * :mod:`repro.cluster` — a simulated batch scheduler and cluster resources.
-* :mod:`repro.solvers` — the 2D heat-equation solver (sequential and
-  domain-decomposed parallel versions).
+* :mod:`repro.solvers` — the 2D heat-equation solver (implicit Euler with a
+  direct or CG linear solve, plus an explicit reference).
 * :mod:`repro.sampling` — experimental-design samplers (Monte Carlo, Latin
   hypercube, Halton).
 * :mod:`repro.buffers` — the FIFO, FIRO and Reservoir training buffers.

@@ -27,7 +27,6 @@ class OnlineStudyConfig:
     max_concurrent_clients: int = 8
     inter_series_delay: float = 0.0
     client_step_delay: float = 0.0
-    sampler: str = "monte_carlo"
 
     # Server.
     num_ranks: int = 1
@@ -45,7 +44,7 @@ class OnlineStudyConfig:
     #: Transport: a backend name (``"inproc"``, ``"mp"``, ``"shm"``,
     #: ``"tcp"``) or a full :class:`repro.parallel.transport.TransportConfig`
     #: carrying the backend-specific options (shm ring geometry, tcp
-    #: address/compression).  After construction this is always the backend
+    #: address).  After construction this is always the backend
     #: *name*; the normalised object lives in :attr:`transport_config`.
     transport: Union[str, TransportConfig] = "inproc"
     #: Sharded serving tier: run this many independent server shards with
@@ -131,7 +130,6 @@ class OfflineStudyConfig:
     lr_min: float = 2.5e-4
     validation_interval: int = 100
     max_batches: Optional[int] = None
-    sampler: str = "monte_carlo"
     generation_workers: int = 4
     io_delay_per_sample: float = 0.0
     batch_compute_delay: float = 0.0

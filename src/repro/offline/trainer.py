@@ -167,15 +167,9 @@ class OfflineTrainer:
         cfg = self.config
         shared_models: List[Optional[Module]] = [None] * cfg.num_ranks
         start = time.monotonic()
-        if cfg.num_ranks == 1:
-            # Avoid the SPMD machinery for the common single-rank case.
-            from repro.parallel.communicator import CommunicatorGroup
-
-            comm = CommunicatorGroup(1).rank_communicators()[0]
-            per_rank = [self._rank_main(comm, shared_models)]
-        else:
-            executor = SPMDExecutor(cfg.num_ranks, timeout=None)
-            per_rank = executor.run(self._rank_main, shared_models).values
+        per_rank = SPMDExecutor(cfg.num_ranks, timeout=None).run(
+            self._rank_main, shared_models
+        ).values
         wall_time = time.monotonic() - start
         model = shared_models[0]
         assert model is not None

@@ -5,10 +5,12 @@ training server connected through ZeroMQ.  On a single node (no MPI, no
 network) this package provides:
 
 * :class:`ThreadCommunicator` — per-rank communicator objects with
-  point-to-point and collective operations over in-process queues.
+  point-to-point operations and a barrier over in-process queues.
+* :func:`ring_allreduce` / :func:`tree_broadcast` — the collectives the
+  data-parallel training ranks use (gradient averaging, the stop vote and
+  the initial weights).
 * :class:`SPMDExecutor` — runs one Python callable per rank in a thread pool,
   exactly like ``mpiexec -n`` runs one process per rank.
-* block domain partitioning helpers used by the parallel heat solver.
 * the :class:`Transport` layer — the ZeroMQ substitute carrying time steps
   from clients to the server's data-aggregator threads, with an in-process
   backend (:class:`MessageRouter`), a multi-process backend streaming packed
@@ -33,12 +35,6 @@ from repro.parallel.messages import (
 )
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import ShmRing, ShmRingTransport
-from repro.parallel.partition import (
-    BlockPartition1D,
-    BlockPartition2D,
-    partition_extent,
-    split_grid_2d,
-)
 from repro.parallel.spmd import SPMDExecutor, SPMDFailure
 from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import (
@@ -62,10 +58,6 @@ __all__ = [
     "tree_broadcast",
     "SPMDExecutor",
     "SPMDFailure",
-    "BlockPartition1D",
-    "BlockPartition2D",
-    "partition_extent",
-    "split_grid_2d",
     "Message",
     "ClientHello",
     "ClientFinished",

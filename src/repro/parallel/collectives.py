@@ -1,10 +1,10 @@
-"""Explicit collective algorithms (ring all-reduce, tree broadcast).
+"""The collectives of data-parallel training: ring all-reduce, tree broadcast.
 
-The communicator's built-in ``allreduce`` gathers everything on rank 0; the
-ring algorithm implemented here is the bandwidth-optimal variant used by real
-data-parallel training frameworks and is what :mod:`repro.server.ddp` uses for
-gradient averaging, so the reproduction exercises the same communication
-pattern as PyTorch DDP / NCCL.
+:func:`ring_allreduce` is the bandwidth-optimal all-reduce of real
+data-parallel frameworks (PyTorch DDP / NCCL); :mod:`repro.server.ddp` uses
+it to average gradients and to take the ranks' stop vote.
+:func:`tree_broadcast` ships the initial weights.  Both are built on the
+communicator's point-to-point ``sendrecv``/``send``/``recv``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ from repro.parallel.communicator import ThreadCommunicator
 
 Array = np.ndarray
 
-_RING_TAG_BASE = 10_000
+#: A ring all-reduce over ``size`` ranks uses tags ``[base, base + 2 * size)``.
+#: Gradient averaging and the stop vote run on disjoint ranges, so a rank
+#: that votes while a peer is inside a gradient all-reduce waits and times
+#: out instead of summing a vote into a gradient chunk.
+GRADIENT_TAGS = 10_000
+VOTE_TAGS = 15_000
 _TREE_TAG = 20_000
 
 
@@ -34,13 +39,19 @@ def _ring_chunks(vector: Array, size: int) -> List[slice]:
     return slices
 
 
-def ring_allreduce(comm: ThreadCommunicator, vector: Array, average: bool = False) -> Array:
+def ring_allreduce(
+    comm: ThreadCommunicator,
+    vector: Array,
+    average: bool = False,
+    tags: int = GRADIENT_TAGS,
+) -> Array:
     """Ring all-reduce of a flat numpy vector.
 
     The algorithm runs ``size - 1`` scatter-reduce steps followed by
     ``size - 1`` all-gather steps, sending one chunk per step to the next rank
     in the ring.  Returns a new array with the element-wise sum (or mean when
-    ``average`` is true) across ranks.
+    ``average`` is true) across ranks.  ``tags`` is the base of the tag range
+    the ring uses (see :data:`GRADIENT_TAGS`).
     """
     vector = np.asarray(vector)
     if vector.ndim != 1:
@@ -48,7 +59,7 @@ def ring_allreduce(comm: ThreadCommunicator, vector: Array, average: bool = Fals
     size = comm.size
     result = vector.astype(np.float64, copy=True)
     if size == 1:
-        return result / 1.0 if not average else result
+        return result
 
     chunks = _ring_chunks(result, size)
     rank = comm.rank
@@ -64,8 +75,8 @@ def ring_allreduce(comm: ThreadCommunicator, vector: Array, average: bool = Fals
             result[chunks[send_idx]],
             dest=next_rank,
             source=prev_rank,
-            send_tag=_RING_TAG_BASE + step,
-            recv_tag=_RING_TAG_BASE + step,
+            send_tag=tags + step,
+            recv_tag=tags + step,
         )
         result[chunks[recv_idx]] += incoming
 
@@ -77,8 +88,8 @@ def ring_allreduce(comm: ThreadCommunicator, vector: Array, average: bool = Fals
             result[chunks[send_idx]],
             dest=next_rank,
             source=prev_rank,
-            send_tag=_RING_TAG_BASE + size + step,
-            recv_tag=_RING_TAG_BASE + size + step,
+            send_tag=tags + size + step,
+            recv_tag=tags + size + step,
         )
         result[chunks[recv_idx]] = incoming
 
@@ -90,9 +101,10 @@ def ring_allreduce(comm: ThreadCommunicator, vector: Array, average: bool = Fals
 def tree_broadcast(comm: ThreadCommunicator, payload: Any, root: int = 0) -> Any:
     """Binomial-tree broadcast (log2(size) rounds).
 
-    Functionally equivalent to ``comm.bcast`` but with the communication
-    pattern of production MPI implementations; used to broadcast the initial
-    model weights to every data-parallel worker.
+    The communication pattern of production MPI implementations: in round
+    ``k`` every rank that already holds the value sends it to the rank
+    ``2**k`` further on.  Used to broadcast the initial model weights to
+    every data-parallel worker.
     """
     size = comm.size
     rank = comm.rank

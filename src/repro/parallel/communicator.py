@@ -2,32 +2,23 @@
 
 A :class:`CommunicatorGroup` owns ``size`` ranks.  Each rank gets its own
 :class:`ThreadCommunicator` handle, typically used from a dedicated thread via
-:class:`repro.parallel.spmd.SPMDExecutor`.  The interface mirrors the subset
-of mpi4py used by the paper's framework: ``send``/``recv``, ``barrier``,
-``bcast``, ``gather``, ``scatter``, ``allgather``, ``reduce``, ``allreduce``
-and ``sendrecv`` for halo exchanges.
+:class:`repro.parallel.spmd.SPMDExecutor`.  It offers the point-to-point
+subset of mpi4py — ``send``/``recv``, ``sendrecv`` and ``barrier`` — and the
+collectives data-parallel training needs are built on it in
+:mod:`repro.parallel.collectives` (one ring all-reduce, one tree broadcast).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.exceptions import CommunicatorError
 
-Array = np.ndarray
-
 #: Tag used when the caller does not specify one.
 DEFAULT_TAG = 0
-
-_REDUCTIONS: Dict[str, Callable[[Array, Array], Array]] = {
-    "sum": np.add,
-    "prod": np.multiply,
-    "max": np.maximum,
-    "min": np.minimum,
-}
 
 
 class _Mailbox:
@@ -112,11 +103,11 @@ class ThreadCommunicator:
             payload = payload.copy()
         self.group._mailboxes[dest].put(self.rank, tag, payload)
 
-    def recv(self, source: int, tag: int = DEFAULT_TAG, timeout: float | None = None) -> Any:
-        """Blocking receive of the next message from ``source`` with ``tag``."""
+    def recv(self, source: int, tag: int = DEFAULT_TAG) -> Any:
+        """Blocking receive of the next message from ``source`` with ``tag``,
+        bounded by the group's timeout."""
         self._check_rank(source, "source")
-        timeout = self.group.timeout if timeout is None else timeout
-        return self.group._mailboxes[self.rank].get(source, tag, timeout)
+        return self.group._mailboxes[self.rank].get(source, tag, self.group.timeout)
 
     def sendrecv(
         self,
@@ -126,90 +117,14 @@ class ThreadCommunicator:
         send_tag: int = DEFAULT_TAG,
         recv_tag: int = DEFAULT_TAG,
     ) -> Any:
-        """Combined send+recv used for halo exchanges (deadlock-free)."""
+        """Combined send+recv, one step of a ring collective (deadlock-free)."""
         self.send(payload, dest, tag=send_tag)
         return self.recv(source, tag=recv_tag)
 
-    # ------------------------------------------------------------ collectives
+    # -------------------------------------------------------- synchronisation
     def barrier(self) -> None:
         """Synchronise all ranks of the group."""
         self.group._barrier.wait(timeout=self.group.timeout)
-
-    def bcast(self, payload: Any, root: int = 0) -> Any:
-        """Broadcast ``payload`` from ``root`` to every rank."""
-        self._check_rank(root, "root")
-        if self.rank == root:
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(payload, dest, tag=-1)
-            result = payload
-        else:
-            result = self.recv(root, tag=-1)
-        self.barrier()
-        return result
-
-    def gather(self, payload: Any, root: int = 0) -> Optional[List[Any]]:
-        """Gather one value per rank on ``root`` (ordered by rank)."""
-        self._check_rank(root, "root")
-        if self.rank == root:
-            values: List[Any] = [None] * self.size
-            values[root] = payload
-            for source in range(self.size):
-                if source != root:
-                    values[source] = self.recv(source, tag=-2)
-            self.barrier()
-            return values
-        self.send(payload, root, tag=-2)
-        self.barrier()
-        return None
-
-    def scatter(self, payloads: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Scatter one value per rank from ``root``."""
-        self._check_rank(root, "root")
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise CommunicatorError(
-                    f"scatter on root expects {self.size} values, got "
-                    f"{None if payloads is None else len(payloads)}"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(payloads[dest], dest, tag=-3)
-            result = payloads[root]
-        else:
-            result = self.recv(root, tag=-3)
-        self.barrier()
-        return result
-
-    def allgather(self, payload: Any) -> List[Any]:
-        """Gather one value per rank on every rank."""
-        gathered = self.gather(payload, root=0)
-        return self.bcast(gathered, root=0)
-
-    def reduce(self, payload: Array, op: str = "sum", root: int = 0) -> Optional[Array]:
-        """Element-wise reduction of arrays onto ``root``."""
-        if op not in _REDUCTIONS:
-            raise CommunicatorError(f"unknown reduction {op!r}; available: {sorted(_REDUCTIONS)}")
-        gathered = self.gather(np.asarray(payload), root=root)
-        if gathered is None:
-            return None
-        result = np.array(gathered[0], copy=True)
-        for value in gathered[1:]:
-            result = _REDUCTIONS[op](result, np.asarray(value))
-        return result
-
-    def allreduce(self, payload: Array, op: str = "sum") -> Array:
-        """Element-wise reduction whose result is available on every rank."""
-        reduced = self.reduce(payload, op=op, root=0)
-        return np.asarray(self.bcast(reduced, root=0))
-
-    # --------------------------------------------------------------- utility
-    def split_workload(self, total: int) -> range:
-        """Contiguous share of ``range(total)`` owned by this rank (block split)."""
-        base, remainder = divmod(total, self.size)
-        start = self.rank * base + min(self.rank, remainder)
-        count = base + (1 if self.rank < remainder else 0)
-        return range(start, start + count)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ThreadCommunicator(rank={self.rank}, size={self.size})"

@@ -14,16 +14,15 @@ opened at the first push **after** any fork — the launcher's forked client
 processes inherit only the address, never a live socket — and opens with a
 handshake frame carrying the client id and its dedup epoch (the hello's
 restart count).  Batches are packed with ``plan_many``/``write_into``
-straight into the scratch behind a reserved frame header, so the
-uncompressed hot path sends without any intermediate copy; per-batch
-compression (zlib/lz4) kicks in only when it shrinks the payload.
+straight into the scratch behind a reserved frame header, and the whole
+frame leaves with one ``sendall`` — no intermediate copy.
 
 Server side: the front door enqueues received frames on per-rank
 ``queue.Queue`` channels; the aggregator threads drain them through the
 shared :class:`repro.parallel.transport.PackedDrainMixin` machinery, where
-the frame body is inflated and decoded into columnar chunks and control
-messages.  Traffic statistics are recorded at decode time in the server
-process; drops that happen inside a forked client process (send timeout,
+the frame body is decoded into columnar chunks and control messages.
+Traffic statistics are recorded at decode time in the server process;
+drops that happen inside a forked client process (send timeout,
 connection loss) are counted in that process's copy of the stats and
 surface server-side as torn or missing frames instead.
 """
@@ -46,7 +45,6 @@ from repro.parallel.transport import (
     Transport,
     TransportStats,
 )
-from repro.utils.exceptions import ConfigurationError
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.tcp_transport")
@@ -62,14 +60,13 @@ class _ClientWriter:
     connection (and sends its own handshake) at its first push.
     """
 
-    __slots__ = ("host", "port", "compression", "connect_timeout",
+    __slots__ = ("host", "port", "connect_timeout",
                  "client_id", "epoch", "pid", "_sock", "_scratch")
 
-    def __init__(self, host: str, port: int, compression: Optional[str],
-                 connect_timeout: float, client_id: int) -> None:
+    def __init__(self, host: str, port: int, connect_timeout: float,
+                 client_id: int) -> None:
         self.host = host
         self.port = port
-        self.compression = compression
         self.connect_timeout = connect_timeout
         self.client_id = int(client_id)
         self.epoch = 0
@@ -91,29 +88,22 @@ class _ClientWriter:
 
     def send_batch(self, rank: int, messages: List[Message],
                    timeout: Optional[float]) -> int:
-        """Pack, frame and send one batch; returns the frame's wire bytes."""
+        """Pack, frame and send one batch; returns the frame's wire bytes.
+
+        The batch is packed behind the scratch's reserved header prefix, the
+        header is written into that prefix, and the contiguous frame leaves
+        with one ``sendall`` — zero extra copies."""
         plan = plan_many(messages)
         needed = framing.FRAME_HEADER_BYTES + plan.nbytes
         if len(self._scratch) < needed:
             self._scratch = bytearray(max(needed, 2 * len(self._scratch)))
         scratch = self._scratch
         plan.write_into(scratch, framing.FRAME_HEADER_BYTES)
-        payload = memoryview(scratch)[framing.FRAME_HEADER_BYTES:needed]
-        body, flags = framing.compress_body(payload, self.compression)
+        framing.pack_header_into(scratch, 0, framing.KIND_BATCH, rank, plan.nbytes)
         sock = self._ensure_connected()
         sock.settimeout(timeout)
-        if flags == 0:
-            # Uncompressed hot path: header written into the reserved scratch
-            # prefix, one sendall over the contiguous frame, zero extra copies.
-            framing.pack_header_into(scratch, 0, framing.KIND_BATCH, 0, rank,
-                                     plan.nbytes, plan.nbytes)
-            sock.sendall(memoryview(scratch)[:needed])
-            return needed
-        header = framing.pack_header(framing.KIND_BATCH, flags, rank,
-                                     len(body), plan.nbytes)
-        sock.sendall(header)
-        sock.sendall(body)
-        return framing.FRAME_HEADER_BYTES + len(body)
+        sock.sendall(memoryview(scratch)[:needed])
+        return needed
 
     def reset(self) -> None:
         """Drop the socket; a timed-out sendall leaves a part-written frame,
@@ -142,9 +132,6 @@ class TcpTransport(PackedDrainMixin, Transport):
     host, port:
         Bind address of the front door; ``port=0`` binds an ephemeral port,
         resolved in :attr:`address` before any client connects.
-    compression:
-        ``None``, ``"zlib"`` or ``"lz4"`` — applied per batch and only when
-        it shrinks the payload (the frame header flags the codec per frame).
     connect_timeout:
         Client-side bound on establishing a connection.
     """
@@ -155,23 +142,14 @@ class TcpTransport(PackedDrainMixin, Transport):
         max_queue_size: int = 10_000,
         host: str = "127.0.0.1",
         port: int = 0,
-        compression: Optional[str] = None,
         connect_timeout: float = 10.0,
     ) -> None:
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
         if num_server_ranks > 255:
             raise ValueError("tcp transport routes with a u8 rank field (max 255 ranks)")
-        if compression not in (None, "zlib", "lz4"):
-            raise ConfigurationError(f"unknown tcp compression {compression!r}")
-        if compression == "lz4" and not framing.lz4_available():
-            raise ConfigurationError(
-                "compression='lz4' requires the optional lz4 package; "
-                "use 'zlib' or None"
-            )
         self.num_server_ranks = int(num_server_ranks)
         self.max_queue_size = int(max_queue_size)
-        self.compression = compression
         self.connect_timeout = float(connect_timeout)
         self._queues: List[queue.Queue] = [
             queue.Queue(maxsize=max_queue_size) for _ in range(num_server_ranks)
@@ -217,7 +195,7 @@ class TcpTransport(PackedDrainMixin, Transport):
         writer = getattr(local, "writer", None)
         if writer is None or writer.pid != os.getpid():
             writer = _ClientWriter(
-                self.host, self.port, self.compression, self.connect_timeout,
+                self.host, self.port, self.connect_timeout,
                 client_id=int(getattr(local, "client_id", -1)),
             )
             local.writer = writer
@@ -299,12 +277,12 @@ class TcpTransport(PackedDrainMixin, Transport):
 
     # ----------------------------------------------------------------- server
     def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
-        """Pop one received frame, inflate and decode it.
+        """Pop one received frame and decode it.
 
         Traffic is recorded here — at decode, in the server process — since
         pushes happen in client processes whose stats copies are invisible.
-        An undecodable body (stream desync, codec mismatch) counts as one
-        dropped batch and is skipped, like a corrupt mp queue buffer.
+        An undecodable body counts as one dropped batch and is skipped
+        (``_decode_packed``), like a corrupt mp queue buffer.
         """
         try:
             if timeout is None:
@@ -313,14 +291,8 @@ class TcpTransport(PackedDrainMixin, Transport):
                 entry = self._queues[rank].get(timeout=timeout)
         except queue.Empty:
             return None
-        body, flags, raw_len, wire_nbytes = entry
-        try:
-            buffer = framing.decode_body(body, flags, raw_len)
-        except framing.FrameError:
-            logger.warning("rank %d: discarding undecodable tcp frame", rank, exc_info=True)
-            self._record_dropped(1)
-            return []
-        batch = self._decode_packed(buffer, rank)
+        body, wire_nbytes = entry
+        batch = self._decode_packed(body, rank)
         delivered = sum(
             len(item) if isinstance(item, ColumnBatch) else 1 for item in batch
         )

@@ -498,25 +498,16 @@ class ShmOptions:
             raise ConfigurationError("ring_slot_bytes must be positive")
 
 
-#: Payload compression codecs the tcp backend understands.  ``"zlib"`` is
-#: always available (stdlib); ``"lz4"`` needs the optional ``lz4`` package
-#: and fails with an actionable error at transport construction otherwise.
-TCP_COMPRESSIONS = (None, "zlib", "lz4")
-
-
 @dataclass(frozen=True)
 class TcpOptions:
-    """Address and framing options of the ``"tcp"`` backend.
+    """Address options of the ``"tcp"`` backend.
 
     ``port=0`` binds an ephemeral port (the study wires the resolved address
-    to its forked clients, so the default never collides).  ``compression``
-    is applied per batch and only when it actually shrinks the payload; the
-    frame header flags the codec, so mixed streams decode transparently.
+    to its forked clients, so the default never collides).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    compression: Optional[str] = None
     connect_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -524,11 +515,6 @@ class TcpOptions:
             raise ConfigurationError("tcp host must be non-empty")
         if not 0 <= self.port <= 65_535:
             raise ConfigurationError("tcp port must be in [0, 65535]")
-        if self.compression not in TCP_COMPRESSIONS:
-            raise ConfigurationError(
-                f"tcp compression must be one of {TCP_COMPRESSIONS}, "
-                f"got {self.compression!r}"
-            )
         if self.connect_timeout <= 0:
             raise ConfigurationError("tcp connect_timeout must be positive")
 
@@ -750,7 +736,6 @@ def _make_tcp(config: TransportConfig, num_server_ranks: int,
         max_queue_size=config.queue_size,
         host=options.host,
         port=options.port,
-        compression=options.compression,
         connect_timeout=options.connect_timeout,
     )
 

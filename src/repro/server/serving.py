@@ -183,9 +183,9 @@ class AsyncFrontDoor:
         frame = await self._read_frame(reader)
         if frame is None:
             return  # connected and went away without a handshake
-        kind, flags, rank, body, raw_len, wire_nbytes = frame
-        if kind != framing.KIND_HELLO or flags != 0:
-            raise framing.FrameError("first frame must be an uncompressed hello")
+        kind, rank, body, wire_nbytes = frame
+        if kind != framing.KIND_HELLO:
+            raise framing.FrameError("first frame must be a hello")
         client_id, epoch = framing.decode_hello(body)
         self._sink.register_client(client_id, epoch, peer)
         logger.debug("connection %s: client %d (epoch %d) connected", peer, client_id, epoch)
@@ -193,12 +193,12 @@ class AsyncFrontDoor:
             frame = await self._read_frame(reader)
             if frame is None:
                 return  # clean close between frames
-            kind, flags, rank, body, raw_len, wire_nbytes = frame
+            kind, rank, body, wire_nbytes = frame
             if kind != framing.KIND_BATCH:
                 raise framing.FrameError(f"unexpected frame kind {kind} after handshake")
             if not 0 <= rank < self._sink.num_server_ranks:
                 raise framing.FrameError(f"frame rank {rank} out of range")
-            await self._enqueue(rank, (body, flags, raw_len, wire_nbytes))
+            await self._enqueue(rank, (body, wire_nbytes))
 
     async def _read_frame(self, reader: asyncio.StreamReader):
         """Read one frame; ``None`` on a clean EOF at a frame boundary."""
@@ -208,13 +208,13 @@ class AsyncFrontDoor:
             if exc.partial:
                 raise  # torn: some header bytes arrived, the rest never will
             return None
-        kind, flags, rank, body_len, raw_len = framing.parse_header(header)
+        kind, rank, body_len = framing.parse_header(header)
         if body_len > self._max_frame_bytes:
             raise framing.FrameError(
                 f"frame body of {body_len} bytes exceeds this front door's cap"
             )
         body = await reader.readexactly(body_len) if body_len else b""
-        return kind, flags, rank, body, raw_len, framing.FRAME_HEADER_BYTES + body_len
+        return kind, rank, body, framing.FRAME_HEADER_BYTES + body_len
 
     async def _enqueue(self, rank: int, entry) -> None:
         """Hand one frame to the sink, applying per-connection back-pressure."""

@@ -27,7 +27,7 @@ from repro.nn.optim import Optimizer
 from repro.nn.schedulers import LRScheduler
 from repro.parallel.communicator import ThreadCommunicator
 from repro.server.checkpointing import ServerCheckpointer
-from repro.server.ddp import broadcast_parameters, sync_gradients
+from repro.server.ddp import all_ranks_have_data, broadcast_parameters, sync_gradients
 from repro.server.validation import Validator
 from repro.utils.timing import WallClock
 
@@ -113,10 +113,9 @@ class TrainingWorker:
 
     def _collective_continue(self, have_data: bool) -> bool:
         """Agree across ranks whether training continues this step."""
-        if self.comm is None or self.comm.size == 1:
+        if self.comm is None:
             return have_data
-        flag = self.comm.allreduce(np.asarray(1 if have_data else 0), op="min")
-        return bool(int(flag) == 1)
+        return all_ranks_have_data(have_data, self.comm)
 
     # ------------------------------------------------------------------- run
     def run(self) -> TrainingMetrics:

@@ -6,9 +6,6 @@ scheme on a 1000x1000 Cartesian grid.  This package reimplements it:
 
 * :class:`HeatEquationSolver` — sequential reference solver (sparse implicit
   Euler, direct factorisation or CG), plus an explicit solver for comparison.
-* :class:`ParallelHeatSolver` — domain-decomposed solver running one rank per
-  thread through the SPMD executor, with halo exchanges and a distributed
-  conjugate-gradient linear solve (the structure of the paper's MPI solver).
 * analytic/steady-state helpers used for verification.
 """
 
@@ -19,7 +16,6 @@ from repro.solvers.heat2d import (
     HeatParameters,
     explicit_step_stable_dt,
 )
-from repro.solvers.heat2d_parallel import ParallelHeatSolver
 from repro.solvers.analytic import constant_solution, steady_state
 from repro.solvers.stencil import build_laplacian, boundary_contribution
 
@@ -29,7 +25,6 @@ __all__ = [
     "HeatEquationConfig",
     "HeatParameters",
     "HeatEquationSolver",
-    "ParallelHeatSolver",
     "explicit_step_stable_dt",
     "steady_state",
     "constant_solution",

@@ -4,12 +4,11 @@ from repro.utils.exceptions import (
     BufferClosedError,
     CommunicatorError,
     ConfigurationError,
-    FaultToleranceError,
     ReproError,
     SchedulerError,
 )
-from repro.utils.seeding import SeedSequenceFactory, derive_rng, set_global_seed
-from repro.utils.timing import Stopwatch, Timer, VirtualClock, WallClock
+from repro.utils.seeding import derive_rng
+from repro.utils.timing import VirtualClock, WallClock
 
 __all__ = [
     "ReproError",
@@ -17,12 +16,7 @@ __all__ = [
     "BufferClosedError",
     "CommunicatorError",
     "SchedulerError",
-    "FaultToleranceError",
-    "SeedSequenceFactory",
     "derive_rng",
-    "set_global_seed",
-    "Timer",
-    "Stopwatch",
     "WallClock",
     "VirtualClock",
 ]

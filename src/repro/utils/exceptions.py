@@ -21,9 +21,5 @@ class SchedulerError(ReproError):
     """Raised by the simulated batch scheduler (unknown job, no resources...)."""
 
 
-class FaultToleranceError(ReproError):
-    """Raised when fault handling cannot recover a component."""
-
-
 class CheckpointError(ReproError):
     """Raised when saving or restoring a checkpoint fails."""

@@ -13,21 +13,8 @@ from typing import Iterable
 
 import numpy as np
 
-#: Global default seed used when a component does not receive an explicit one.
+#: Default seed used when a component does not receive an explicit one.
 DEFAULT_SEED = 20230916
-
-_global_seed = DEFAULT_SEED
-
-
-def set_global_seed(seed: int) -> None:
-    """Set the package-wide default seed used by :func:`derive_rng`."""
-    global _global_seed
-    _global_seed = int(seed)
-
-
-def get_global_seed() -> int:
-    """Return the package-wide default seed."""
-    return _global_seed
 
 
 def _stable_hash(tokens: Iterable[object]) -> int:
@@ -45,34 +32,6 @@ def derive_rng(*tokens: object, seed: int | None = None) -> np.random.Generator:
     Two calls with the same seed and tokens return generators producing the
     same stream; different tokens produce statistically independent streams.
     """
-    base = _global_seed if seed is None else int(seed)
+    base = DEFAULT_SEED if seed is None else int(seed)
     return np.random.default_rng(np.random.SeedSequence([base, _stable_hash(tokens)]))
 
-
-class SeedSequenceFactory:
-    """Factory handing out reproducible per-component random generators.
-
-    Parameters
-    ----------
-    seed:
-        Root seed of the study.  Every generator derived from the factory is a
-        deterministic function of this seed and the component name.
-    """
-
-    def __init__(self, seed: int = DEFAULT_SEED) -> None:
-        self.seed = int(seed)
-
-    def rng(self, *tokens: object) -> np.random.Generator:
-        """Return the generator associated with ``tokens``."""
-        return derive_rng(*tokens, seed=self.seed)
-
-    def spawn(self, *tokens: object) -> "SeedSequenceFactory":
-        """Return a child factory rooted at a seed derived from ``tokens``."""
-        return SeedSequenceFactory(_stable_hash((self.seed, *tokens)) % (2**31 - 1))
-
-    def integer_seed(self, *tokens: object) -> int:
-        """Return a reproducible 31-bit integer seed for ``tokens``."""
-        return _stable_hash((self.seed, *tokens)) % (2**31 - 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SeedSequenceFactory(seed={self.seed})"

@@ -1,4 +1,4 @@
-"""Wall-clock and virtual clocks, timers and stopwatches.
+"""Wall-clock and virtual clocks.
 
 Online-training experiments measure throughput against wall-clock time, while
 the discrete-event performance model (:mod:`repro.simulation`) advances a
@@ -9,8 +9,6 @@ does not care which one it is given.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List
 
 
 class WallClock:
@@ -52,65 +50,3 @@ class VirtualClock:
         """Virtual sleep simply advances the clock."""
         self.advance(seconds)
 
-
-@dataclass
-class Stopwatch:
-    """Accumulates elapsed time across start/stop cycles."""
-
-    clock: WallClock = field(default_factory=WallClock)
-    elapsed: float = 0.0
-    _started_at: float | None = None
-
-    def start(self) -> None:
-        if self._started_at is None:
-            self._started_at = self.clock.now()
-
-    def stop(self) -> float:
-        if self._started_at is not None:
-            self.elapsed += self.clock.now() - self._started_at
-            self._started_at = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._started_at = None
-
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-class Timer:
-    """Named timer registry used to profile the phases of a study."""
-
-    def __init__(self, clock: WallClock | None = None) -> None:
-        self._clock = clock or WallClock()
-        self._watches: Dict[str, Stopwatch] = {}
-        self._order: List[str] = []
-
-    def watch(self, name: str) -> Stopwatch:
-        """Return (creating if needed) the stopwatch called ``name``."""
-        if name not in self._watches:
-            self._watches[name] = Stopwatch(clock=self._clock)
-            self._order.append(name)
-        return self._watches[name]
-
-    def time(self, name: str) -> Stopwatch:
-        """Context manager timing a named phase: ``with timer.time("train"):``."""
-        return self.watch(name)
-
-    def elapsed(self, name: str) -> float:
-        """Total elapsed seconds recorded for ``name`` (0.0 if unknown)."""
-        watch = self._watches.get(name)
-        return watch.elapsed if watch is not None else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Mapping of phase name to elapsed seconds, in registration order."""
-        return {name: self._watches[name].elapsed for name in self._order}

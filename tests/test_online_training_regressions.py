@@ -84,6 +84,37 @@ def test_ddp_rank_trains_final_partial_batch_instead_of_discarding():
     assert sum(samples for _, samples, _ in results) == sum(per_rank_counts.values())
 
 
+@pytest.mark.parametrize("per_rank_counts", [(8, 30), (30, 8, 17, 12)], ids=["2-ranks", "4-ranks"])
+def test_ddp_ranks_with_unequal_samples_stop_at_the_same_batch(per_rank_counts):
+    """Every rank stops on the round the smallest buffer runs dry.
+
+    With batch size 4 the 8-sample rank trains two synced batches and draws
+    nothing on round 3, so the vote fails there for every rank: each other
+    rank trains the batch it already drew (without the gradient sync) and
+    stops with 12 samples out of its buffer and the rest left behind.
+    """
+
+    def main(comm):
+        buffer = FIFOBuffer(capacity=50)
+        buffer.put_many(make_samples(per_rank_counts[comm.rank], seed=comm.rank))
+        buffer.signal_reception_over()
+        model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=5, seed=0))
+        worker = TrainingWorker(
+            rank=comm.rank,
+            model=model,
+            optimizer=Adam(model.parameters(), lr=1e-3),
+            buffer=buffer,
+            config=TrainerConfig(batch_size=4, get_timeout=5.0, validation_interval=0),
+            comm=comm,
+        )
+        metrics = worker.run()
+        return metrics.batches_trained, metrics.samples_trained, len(buffer)
+
+    results = run_spmd(len(per_rank_counts), main, timeout=30.0)
+    for count, result in zip(per_rank_counts, results, strict=True):
+        assert result == ((2, 8, 0) if count == 8 else (3, 12, count - 12))
+
+
 def test_single_rank_trains_partial_final_batch():
     buffer = FIFOBuffer(capacity=50)
     buffer.put_many(make_samples(7))

@@ -45,80 +45,6 @@ def test_invalid_rank_raises():
         comm.recv(-1)
 
 
-def test_bcast_from_nonzero_root():
-    def main(comm):
-        payload = f"hello-{comm.rank}" if comm.rank == 2 else None
-        return comm.bcast(payload, root=2)
-
-    assert run_spmd(3, main) == ["hello-2"] * 3
-
-
-def test_gather_orders_by_rank():
-    def main(comm):
-        return comm.gather(comm.rank * 10, root=0)
-
-    results = run_spmd(4, main)
-    assert results[0] == [0, 10, 20, 30]
-    assert results[1] is None
-
-
-def test_scatter_distributes_values():
-    def main(comm):
-        values = [f"item-{i}" for i in range(comm.size)] if comm.rank == 1 else None
-        return comm.scatter(values, root=1)
-
-    assert run_spmd(3, main) == ["item-0", "item-1", "item-2"]
-
-
-def test_scatter_wrong_length_raises():
-    def main(comm):
-        values = [1] if comm.rank == 0 else None
-        return comm.scatter(values, root=0)
-
-    # Rank 1 waits for a value that never comes: bound that wait (the default
-    # 120 s is also pytest's faulthandler_timeout, which would dump every run).
-    with pytest.raises(SPMDFailure):
-        run_spmd(2, main, timeout=1.0)
-
-
-def test_allgather():
-    def main(comm):
-        return comm.allgather(comm.rank**2)
-
-    results = run_spmd(4, main)
-    assert all(r == [0, 1, 4, 9] for r in results)
-
-
-def test_reduce_and_allreduce_sum():
-    def main(comm):
-        local = np.full(3, float(comm.rank + 1))
-        reduced = comm.reduce(local, op="sum", root=0)
-        all_reduced = comm.allreduce(local, op="sum")
-        return reduced, all_reduced
-
-    results = run_spmd(3, main)
-    assert np.array_equal(results[0][0], np.full(3, 6.0))
-    assert results[1][0] is None
-    assert all(np.array_equal(r[1], np.full(3, 6.0)) for r in results)
-
-
-@pytest.mark.parametrize("op,expected", [("max", 2.0), ("min", 0.0), ("prod", 0.0)])
-def test_allreduce_other_ops(op, expected):
-    def main(comm):
-        return comm.allreduce(np.array(float(comm.rank)), op=op)
-
-    results = run_spmd(3, main)
-    assert all(float(r) == expected for r in results)
-
-
-def test_allreduce_unknown_op():
-    def main(comm):
-        return comm.allreduce(np.array(1.0), op="median")
-
-    with pytest.raises(SPMDFailure):
-        run_spmd(2, main)
-
-
 def test_sendrecv_ring_shift():
     def main(comm):
         right = (comm.rank + 1) % comm.size
@@ -129,14 +55,21 @@ def test_sendrecv_ring_shift():
     assert results == [3, 0, 1, 2]
 
 
-def test_split_workload_covers_range():
-    def main(comm):
-        return list(comm.split_workload(10))
+def test_barrier_holds_every_rank_until_all_arrive():
+    arrived = []
 
-    results = run_spmd(3, main)
-    flattened = [item for chunk in results for item in chunk]
-    assert flattened == list(range(10))
-    assert max(len(c) for c in results) - min(len(c) for c in results) <= 1
+    def main(comm):
+        arrived.append(comm.rank)
+        comm.barrier()
+        return len(arrived)
+
+    assert run_spmd(3, main) == [3, 3, 3]
+
+
+def test_recv_times_out_on_a_finite_timeout_group():
+    comm = CommunicatorGroup(2, timeout=0.05).rank_communicators()[0]
+    with pytest.raises(CommunicatorError, match="timed out"):
+        comm.recv(1)
 
 
 def test_spmd_failure_collects_rank_errors():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.buffers import FIFOBuffer, FIROBuffer, ReservoirBuffer
 from repro.nn import Linear, MSELoss, ReLU, Sequential, gradient_check
-from repro.parallel.partition import BlockPartition2D, best_process_grid, partition_extent
 from repro.sampling import HaltonSampler, LatinHypercubeSampler, MonteCarloSampler, ParameterSpace
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 from repro.utils.seeding import derive_rng
@@ -78,37 +77,6 @@ def test_single_read_buffers_conserve_samples(capacity, num_samples, kind, seed,
     while len(batch := buffer.get_batch_columns(1, timeout=0.5)):
         out.extend(batch.time_steps.tolist())
     assert sorted(out) == accepted
-
-
-# ----------------------------------------------------------------- partitioning
-@settings(max_examples=50, deadline=None)
-@given(total=st.integers(min_value=1, max_value=500), parts=st.integers(min_value=1, max_value=32))
-def test_partition_extent_is_a_partition(total, parts):
-    parts = min(parts, total)
-    extents = [partition_extent(total, parts, i) for i in range(parts)]
-    covered = [i for start, stop in extents for i in range(start, stop)]
-    assert covered == list(range(total))
-    sizes = [stop - start for start, stop in extents]
-    assert max(sizes) - min(sizes) <= 1
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    ny=st.integers(min_value=4, max_value=64),
-    nx=st.integers(min_value=4, max_value=64),
-    nprocs=st.integers(min_value=1, max_value=16),
-)
-def test_2d_partition_tiles_grid(ny, nx, nprocs):
-    try:
-        py, px = best_process_grid(nprocs, ny, nx)
-    except ValueError:
-        return  # too many processes for this grid: nothing to check
-    partition = BlockPartition2D(ny=ny, nx=nx, py=py, px=px)
-    count = 0
-    for rank in range(partition.nprocs):
-        rows, cols = partition.local_block(rank)
-        count += (rows.stop - rows.start) * (cols.stop - cols.start)
-    assert count == ny * nx
 
 
 # --------------------------------------------------------------------- sampling

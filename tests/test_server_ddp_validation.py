@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, MLPConfig, MSELoss, Sequential, build_mlp
-from repro.parallel.spmd import run_spmd
-from repro.server.ddp import broadcast_parameters, parameters_in_sync, sync_gradients
+from repro.parallel.spmd import SPMDExecutor, SPMDFailure, run_spmd
+from repro.server.ddp import (
+    all_ranks_have_data,
+    broadcast_parameters,
+    parameters_in_sync,
+    sync_gradients,
+)
 from repro.server.validation import ValidationSet, Validator
+from repro.utils.exceptions import CommunicatorError
 
 
 def make_model(seed):
@@ -133,6 +139,34 @@ def test_parameters_in_sync_detects_divergence():
     results = run_spmd(2, main)
     assert all(before for before, _ in results)
     assert not any(after for _, after in results)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_all_ranks_have_data_sums_the_flags(size):
+    def main(comm):
+        return all_ranks_have_data(True, comm), all_ranks_have_data(comm.rank != 1, comm)
+
+    assert run_spmd(size, main) == [(True, False)] * size
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_vote_raced_against_gradient_sync_fails_instead_of_returning(size):
+    """Rank 0 votes while its peers are inside ``sync_gradients``.  The vote
+    runs on tags of its own, so no rank sums a vote into a gradient chunk:
+    every rank waits and fails with ``CommunicatorError``."""
+
+    def main(comm):
+        if comm.rank == 0:
+            return all_ranks_have_data(True, comm)
+        model = make_model(seed=0)
+        sync_gradients(model, comm, average=True)
+        return model.flat_gradients().copy()
+
+    with pytest.raises(SPMDFailure) as excinfo:
+        SPMDExecutor(size, timeout=0.5).run(main)
+    errors = excinfo.value.errors
+    assert sorted(errors) == list(range(size))
+    assert all(isinstance(error, CommunicatorError) for error in errors.values())
 
 
 def test_validation_set_construction_and_validator():

@@ -57,12 +57,12 @@ def test_plain_backend_string_uses_defaults():
 
 
 def test_shard_overrides_on_top_of_typed_config():
-    cfg = TransportConfig(backend="tcp", batch_size=16, tcp=TcpOptions(compression="zlib"))
+    cfg = TransportConfig(backend="tcp", batch_size=16, tcp=TcpOptions(connect_timeout=3.0))
     resolved = TransportConfig.resolve(cfg, num_shards=2, hash_replicas=8)
     assert resolved.backend == "tcp"
     assert resolved.shard.num_shards == 2 and resolved.shard.hash_replicas == 8
     assert resolved.batch_size == 16
-    assert resolved.tcp.compression == "zlib"  # untouched nested options survive
+    assert resolved.tcp.connect_timeout == 3.0  # untouched nested options survive
     # No overrides: resolve returns the config unchanged.
     assert TransportConfig.resolve(cfg) is cfg
     study = OnlineStudyConfig(transport=cfg, num_shards=2)
@@ -102,8 +102,6 @@ def test_invalid_nested_options_rejected():
         ShmOptions(ring_slots=0)
     with pytest.raises(ConfigurationError, match="ring_slot_bytes"):
         ShmOptions(ring_slot_bytes=-1)
-    with pytest.raises(ConfigurationError, match="compression"):
-        TcpOptions(compression="snappy")
     with pytest.raises(ConfigurationError, match="port"):
         TcpOptions(port=70_000)
     with pytest.raises(ConfigurationError, match="host"):

@@ -4,7 +4,7 @@ Covers the paper's failure protocol on real OS processes: a client process
 killed mid-stream, duplicate time steps after its restart (deduplicated by
 the server's :class:`MessageLog`), and full-queue push timeouts — plus the
 socket equivalents (a connection torn mid-frame, reconnect-and-resend over
-the front door, compressed frame round trips).  Every wait is
+the front door, frame round trips).  Every wait is
 deadline-bounded so a regression fails fast instead of hanging the suite.
 """
 
@@ -20,7 +20,13 @@ from repro.client.api import ClientAPI
 from repro.launcher.launcher import _fork_mp
 from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
-from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage, columnize
+from repro.parallel.messages import (
+    ClientFinished,
+    ClientHello,
+    TimeStepMessage,
+    columnize,
+    pack_many,
+)
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import MessageRouter, RouterClosed
@@ -487,7 +493,7 @@ def test_tcp_torn_frame_counted_not_fatal(tcp_transport):
     try:
         raw.sendall(framing.encode_hello(client_id=9, epoch=0))
         # Declare a 100-byte batch body but send only a fragment of it.
-        header = framing.pack_header(framing.KIND_BATCH, 0, 0, 100, 100)
+        header = framing.pack_header(framing.KIND_BATCH, 0, 100)
         raw.sendall(header + b"\x00" * 10)
     finally:
         raw.close()
@@ -522,15 +528,13 @@ def test_tcp_protocol_violation_drops_connection(tcp_transport):
         "protocol violation was never counted"
 
 
-@pytest.mark.parametrize("compression", [None, "zlib"])
-def test_tcp_round_trip_is_byte_identical(compression):
-    """Messages survive the socket + optional compression byte-identically
-    (every polled column compared by dtype and exact values)."""
-    transport = TcpTransport(1, compression=compression)
+def test_tcp_round_trip_is_byte_identical():
+    """Messages survive the socket byte-identically (every polled column
+    compared by dtype and exact values), and the wire accounting counts
+    exactly one header per frame on top of the packed batch."""
+    transport = TcpTransport(1)
     try:
         connection = transport.connect(client_id=2, batch_size=8)
-        # Compressible payloads well past MIN_COMPRESS_BYTES so the zlib case
-        # actually exercises the inflate path.
         sent = [
             TimeStepMessage(client_id=2, time_step=step, time_value=step * 0.1,
                             parameters=(1.0, 2.0),
@@ -548,27 +552,28 @@ def test_tcp_round_trip_is_byte_identical(compression):
             timeout=5.0,
         ), "messages never arrived"
         assert_chunks_carry(received, sent)
-        if compression == "zlib":
-            # The wire accounting reflects the compressed frame sizes.
-            payload_bytes = sum(m.payload.nbytes for m in sent)
-            assert transport.stats.bytes_routed < payload_bytes
+        packed = len(pack_many(sent))
+        assert transport.stats.bytes_routed == framing.FRAME_HEADER_BYTES + packed
     finally:
         transport.shutdown()
 
 
 def test_tcp_frame_codec_round_trip_exact_bytes():
-    """framing.encode/decode invert each other for every codec, bit-exactly."""
-    from repro.parallel.messages import pack_many
-
+    """framing.encode/decode invert each other bit-exactly; the 16-byte
+    header keeps the body 8-aligned, and a frame of another version is
+    rejected."""
     payload = pack_many(
         [TimeStepMessage(client_id=3, time_step=step,
                          payload=np.zeros(512, dtype=np.float32))
          for step in range(4)]
     )
-    for compression in (None, "zlib"):
-        frame = framing.encode_frame(payload, rank=0, compression=compression)
-        kind, rank, decoded = framing.decode_frame(frame)
-        assert (kind, rank) == (framing.KIND_BATCH, 0)
-        assert decoded == payload
-    compressed = framing.encode_frame(payload, rank=0, compression="zlib")
-    assert len(compressed) < len(payload)  # the zero field actually shrank
+    frame = framing.encode_frame(payload, rank=2)
+    assert framing.FRAME_HEADER_BYTES == 16
+    assert len(frame) == framing.FRAME_HEADER_BYTES + len(payload)
+    kind, rank, decoded = framing.decode_frame(frame)
+    assert (kind, rank) == (framing.KIND_BATCH, 2)
+    assert decoded == payload
+    old_version = bytearray(frame)
+    old_version[4] = framing.FRAME_VERSION - 1
+    with pytest.raises(framing.FrameError, match="version"):
+        framing.decode_frame(old_version)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
-from repro.parallel.transport import TcpOptions, TransportConfig
+from repro.parallel.transport import TransportConfig
 
 
 @pytest.fixture(scope="module")
@@ -33,16 +33,13 @@ def smoke_scale() -> ExperimentScale:
     )
 
 
-@pytest.mark.parametrize("compression", [None, "zlib"])
-def test_tcp_study_trains_and_matches_inproc_sample_counts(smoke_scale, compression):
+def test_tcp_study_trains_and_matches_inproc_sample_counts(smoke_scale):
     case = build_case(smoke_scale)
     expected_unique = smoke_scale.num_simulations * smoke_scale.num_steps
 
     tcp_result = run_online_with_buffer(
         "fifo", scale=smoke_scale, case=case, use_series=False,
-        transport=TransportConfig(
-            backend="tcp", batch_size=4, tcp=TcpOptions(compression=compression)
-        ),
+        transport=TransportConfig(backend="tcp", batch_size=4),
     )
     inproc_result = run_online_with_buffer(
         "fifo", scale=smoke_scale, case=case, use_series=False,

@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from repro.utils.seeding import (
-    DEFAULT_SEED,
-    SeedSequenceFactory,
-    derive_rng,
-    get_global_seed,
-    set_global_seed,
-)
+from repro.utils.seeding import DEFAULT_SEED, derive_rng
 
 
 def test_derive_rng_reproducible():
@@ -29,31 +23,6 @@ def test_derive_rng_differs_across_seeds():
     assert not np.array_equal(a, b)
 
 
-def test_set_global_seed_changes_default_stream():
-    set_global_seed(111)
-    a = derive_rng("x").random(3)
-    set_global_seed(222)
-    b = derive_rng("x").random(3)
-    set_global_seed(DEFAULT_SEED)
-    assert not np.array_equal(a, b)
-    assert get_global_seed() == DEFAULT_SEED
-
-
-def test_factory_rng_reproducible():
-    factory = SeedSequenceFactory(7)
-    assert np.array_equal(factory.rng("a").random(4), SeedSequenceFactory(7).rng("a").random(4))
-
-
-def test_factory_spawn_independent():
-    factory = SeedSequenceFactory(7)
-    child_a = factory.spawn("client", 0)
-    child_b = factory.spawn("client", 1)
-    assert child_a.seed != child_b.seed
-    assert not np.array_equal(child_a.rng("x").random(4), child_b.rng("x").random(4))
-
-
-def test_factory_integer_seed_deterministic_and_bounded():
-    factory = SeedSequenceFactory(9)
-    value = factory.integer_seed("sampler")
-    assert value == SeedSequenceFactory(9).integer_seed("sampler")
-    assert 0 <= value < 2**31 - 1
+def test_derive_rng_without_seed_uses_default_seed():
+    """No process-global seed: an unseeded stream is the DEFAULT_SEED stream."""
+    assert np.array_equal(derive_rng("x").random(3), derive_rng("x", seed=DEFAULT_SEED).random(3))

@@ -1,8 +1,8 @@
-"""Tests for clocks, stopwatches and timers."""
+"""Tests for the wall and virtual clocks."""
 
 import pytest
 
-from repro.utils.timing import Stopwatch, Timer, VirtualClock, WallClock
+from repro.utils.timing import VirtualClock, WallClock
 
 
 def test_wall_clock_monotonic():
@@ -32,49 +32,3 @@ def test_virtual_clock_sleep_advances():
     clock = VirtualClock(10.0)
     clock.sleep(2.5)
     assert clock.now() == 12.5
-
-
-def test_stopwatch_accumulates():
-    clock = VirtualClock()
-    watch = Stopwatch(clock=clock)
-    watch.start()
-    clock.advance(2.0)
-    watch.stop()
-    watch.start()
-    clock.advance(3.0)
-    watch.stop()
-    assert watch.elapsed == pytest.approx(5.0)
-
-
-def test_stopwatch_context_manager():
-    clock = VirtualClock()
-    watch = Stopwatch(clock=clock)
-    with watch:
-        clock.advance(1.5)
-    assert watch.elapsed == pytest.approx(1.5)
-    assert not watch.running
-
-
-def test_stopwatch_reset():
-    clock = VirtualClock()
-    watch = Stopwatch(clock=clock)
-    with watch:
-        clock.advance(1.0)
-    watch.reset()
-    assert watch.elapsed == 0.0
-
-
-def test_timer_registry_and_summary():
-    clock = VirtualClock()
-    timer = Timer(clock=clock)
-    with timer.time("generation"):
-        clock.advance(4.0)
-    with timer.time("training"):
-        clock.advance(6.0)
-    with timer.time("training"):
-        clock.advance(1.0)
-    summary = timer.summary()
-    assert list(summary) == ["generation", "training"]
-    assert summary["generation"] == pytest.approx(4.0)
-    assert summary["training"] == pytest.approx(7.0)
-    assert timer.elapsed("unknown") == 0.0
