@@ -167,9 +167,7 @@ class OfflineTrainer:
         cfg = self.config
         shared_models: List[Optional[Module]] = [None] * cfg.num_ranks
         start = time.monotonic()
-        per_rank = SPMDExecutor(cfg.num_ranks, timeout=None).run(
-            self._rank_main, shared_models
-        ).values
+        per_rank = SPMDExecutor(cfg.num_ranks, timeout=None).run(self._rank_main, shared_models)
         wall_time = time.monotonic() - start
         model = shared_models[0]
         assert model is not None

@@ -10,8 +10,7 @@ rank).  Exceptions raised by any rank are collected and re-raised as a single
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.parallel.communicator import CommunicatorGroup, ThreadCommunicator
 from repro.utils.exceptions import ReproError
@@ -24,21 +23,6 @@ class SPMDFailure(ReproError):
         self.errors = errors
         summary = "; ".join(f"rank {rank}: {exc!r}" for rank, exc in sorted(errors.items()))
         super().__init__(f"SPMD execution failed on {len(errors)} rank(s): {summary}")
-
-
-@dataclass
-class SPMDResult:
-    """Results of an SPMD run: per-rank return values and wall time."""
-
-    values: List[Any]
-    elapsed: float = 0.0
-    errors: Dict[int, BaseException] = field(default_factory=dict)
-
-    def __getitem__(self, rank: int) -> Any:
-        return self.values[rank]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 class SPMDExecutor:
@@ -55,8 +39,8 @@ class SPMDExecutor:
         target: Callable[..., Any],
         *args: Any,
         **kwargs: Any,
-    ) -> SPMDResult:
-        """Execute ``target`` on every rank and return the per-rank results."""
+    ) -> List[Any]:
+        """Execute ``target`` on every rank and return the rank-ordered results."""
         group = CommunicatorGroup(self.size, timeout=self.timeout)
         communicators = group.rank_communicators()
         results: List[Any] = [None] * self.size
@@ -72,9 +56,6 @@ class SPMDExecutor:
             else:
                 results[comm.rank] = value
 
-        import time
-
-        start = time.monotonic()
         threads = [
             threading.Thread(target=runner, args=(comm,), name=f"spmd-rank-{comm.rank}", daemon=True)
             for comm in communicators
@@ -83,7 +64,6 @@ class SPMDExecutor:
             thread.start()
         for thread in threads:
             thread.join(timeout=None if self.timeout is None else self.timeout + 5.0)
-        elapsed = time.monotonic() - start
 
         alive = [t for t in threads if t.is_alive()]
         if alive:
@@ -93,15 +73,4 @@ class SPMDExecutor:
             )
         if errors:
             raise SPMDFailure(errors)
-        return SPMDResult(values=results, elapsed=elapsed)
-
-
-def run_spmd(
-    size: int,
-    target: Callable[..., Any],
-    *args: Any,
-    timeout: Optional[float] = 120.0,
-    **kwargs: Any,
-) -> List[Any]:
-    """Convenience wrapper: run ``target`` on ``size`` ranks, return rank-ordered values."""
-    return SPMDExecutor(size, timeout=timeout).run(target, *args, **kwargs).values
+        return results

@@ -59,15 +59,3 @@ def all_ranks_have_data(have_data: bool, comm: ThreadCommunicator) -> bool:
         return have_data
     votes = ring_allreduce(comm, np.array([1.0 if have_data else 0.0]), tags=VOTE_TAGS)
     return int(votes[0]) == comm.size
-
-
-def parameters_in_sync(model: Module, comm: ThreadCommunicator, atol: float = 1e-6) -> bool:
-    """Check that every rank holds (numerically) identical parameters.
-
-    Used by tests and by the fault-tolerance logic after a checkpoint restore.
-    """
-    if comm.size == 1:
-        return True
-    flat = model.flat_parameters()
-    mean = ring_allreduce(comm, flat, average=True)
-    return bool(np.allclose(flat, mean, atol=atol))

@@ -197,7 +197,7 @@ class TrainingServer:
 
         try:
             executor = SPMDExecutor(self.config.num_ranks, timeout=None)
-            per_rank = executor.run(rank_main).values
+            per_rank = executor.run(rank_main)
         finally:
             for buffer in self.buffers:
                 buffer.close()

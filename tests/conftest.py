@@ -11,6 +11,7 @@ from repro.buffers.columns import ColumnBatch
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.core.config import SurrogateArchitecture
 from repro.experiments.common import ExperimentScale, build_case
+from repro.parallel.spmd import SPMDExecutor
 from repro.solvers.heat2d import HeatEquationConfig, HeatParameters
 
 
@@ -88,3 +89,15 @@ def rows():
     ``k`` of a batch as a one-row batch.
     """
     return _rows
+
+
+def _run_spmd(size, target, *args, timeout=120.0, **kwargs):
+    return SPMDExecutor(size, timeout=timeout).run(target, *args, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def run_spmd():
+    """``run_spmd(size, target, *args, timeout=120.0, **kwargs)``: run
+    ``target(comm, *args, **kwargs)`` on ``size`` thread ranks and return the
+    rank-ordered results (raises :class:`SPMDFailure` if any rank raised)."""
+    return _run_spmd

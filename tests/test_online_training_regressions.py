@@ -20,7 +20,6 @@ from repro.buffers.columns import ColumnBatch
 from repro.core.metrics import ThroughputMeter, TrainingMetrics, merge_worker_metrics
 from repro.nn import Adam, MLPConfig, build_mlp
 from repro.parallel.messages import TimeStepMessage
-from repro.parallel.spmd import run_spmd
 from repro.parallel.transport import MessageRouter
 from repro.server.aggregator import DataAggregator
 from repro.server.trainer import TrainerConfig, TrainingWorker
@@ -51,7 +50,7 @@ def time_step(client_id, step, size=6):
 
 
 # ------------------------------------------------------- partial final batch
-def test_ddp_rank_trains_final_partial_batch_instead_of_discarding():
+def test_ddp_rank_trains_final_partial_batch_instead_of_discarding(run_spmd):
     """Samples drawn by a rank whose peers ran dry must still be trained.
 
     Rank 0 holds 6 samples and rank 1 only 4, with a batch size of 4.  On the
@@ -85,7 +84,7 @@ def test_ddp_rank_trains_final_partial_batch_instead_of_discarding():
 
 
 @pytest.mark.parametrize("per_rank_counts", [(8, 30), (30, 8, 17, 12)], ids=["2-ranks", "4-ranks"])
-def test_ddp_ranks_with_unequal_samples_stop_at_the_same_batch(per_rank_counts):
+def test_ddp_ranks_with_unequal_samples_stop_at_the_same_batch(per_rank_counts, run_spmd):
     """Every rank stops on the round the smallest buffer runs dry.
 
     With batch size 4 the 8-sample rank trains two synced batches and draws

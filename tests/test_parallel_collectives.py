@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.parallel.collectives import ring_allreduce, tree_broadcast
-from repro.parallel.spmd import SPMDFailure, run_spmd
+from repro.parallel.spmd import SPMDFailure
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
-def test_ring_allreduce_matches_sum(size):
+def test_ring_allreduce_matches_sum(size, run_spmd):
     vectors = [np.random.default_rng(i).random(23) for i in range(size)]
     expected = np.sum(vectors, axis=0)
 
@@ -21,7 +21,7 @@ def test_ring_allreduce_matches_sum(size):
 
 
 @pytest.mark.parametrize("size", [2, 4])
-def test_ring_allreduce_average(size):
+def test_ring_allreduce_average(size, run_spmd):
     vectors = [np.full(7, float(rank)) for rank in range(size)]
     expected = np.mean(vectors, axis=0)
 
@@ -32,7 +32,7 @@ def test_ring_allreduce_average(size):
         assert np.allclose(result, expected)
 
 
-def test_ring_allreduce_vector_shorter_than_ranks():
+def test_ring_allreduce_vector_shorter_than_ranks(run_spmd):
     """Vectors with fewer elements than ranks exercise empty chunks."""
     size = 4
 
@@ -43,7 +43,7 @@ def test_ring_allreduce_vector_shorter_than_ranks():
         assert np.allclose(result, np.array([6.0]))
 
 
-def test_ring_allreduce_rejects_matrices():
+def test_ring_allreduce_rejects_matrices(run_spmd):
     def main(comm):
         return ring_allreduce(comm, np.zeros((2, 2)))
 
@@ -51,7 +51,7 @@ def test_ring_allreduce_rejects_matrices():
         run_spmd(2, main)
 
 
-def test_ring_allreduce_single_rank_identity():
+def test_ring_allreduce_single_rank_identity(run_spmd):
     def main(comm):
         return ring_allreduce(comm, np.array([1.0, 2.0]))
 
@@ -59,7 +59,7 @@ def test_ring_allreduce_single_rank_identity():
 
 
 @pytest.mark.parametrize("size,root", [(2, 0), (3, 1), (4, 3), (5, 2)])
-def test_tree_broadcast_delivers_to_all(size, root):
+def test_tree_broadcast_delivers_to_all(size, root, run_spmd):
     payload = {"weights": [1.0, 2.0, 3.0]}
 
     def main(comm):
@@ -70,7 +70,7 @@ def test_tree_broadcast_delivers_to_all(size, root):
     assert all(result == payload for result in results)
 
 
-def test_tree_broadcast_numpy_payload():
+def test_tree_broadcast_numpy_payload(run_spmd):
     data = np.arange(10.0)
 
     def main(comm):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.communicator import CommunicatorGroup
-from repro.parallel.spmd import SPMDExecutor, SPMDFailure, run_spmd
+from repro.parallel.spmd import SPMDExecutor, SPMDFailure
 from repro.utils.exceptions import CommunicatorError
 
 
@@ -13,7 +13,7 @@ def test_group_size_validation():
         CommunicatorGroup(0)
 
 
-def test_send_recv_point_to_point():
+def test_send_recv_point_to_point(run_spmd):
     def main(comm):
         if comm.rank == 0:
             comm.send({"value": 42}, dest=1)
@@ -24,7 +24,7 @@ def test_send_recv_point_to_point():
     assert results[1] == {"value": 42}
 
 
-def test_send_copies_numpy_arrays():
+def test_send_copies_numpy_arrays(run_spmd):
     def main(comm):
         if comm.rank == 0:
             data = np.ones(4)
@@ -45,7 +45,7 @@ def test_invalid_rank_raises():
         comm.recv(-1)
 
 
-def test_sendrecv_ring_shift():
+def test_sendrecv_ring_shift(run_spmd):
     def main(comm):
         right = (comm.rank + 1) % comm.size
         left = (comm.rank - 1) % comm.size
@@ -55,7 +55,7 @@ def test_sendrecv_ring_shift():
     assert results == [3, 0, 1, 2]
 
 
-def test_barrier_holds_every_rank_until_all_arrive():
+def test_barrier_holds_every_rank_until_all_arrive(run_spmd):
     arrived = []
 
     def main(comm):
@@ -82,10 +82,3 @@ def test_spmd_failure_collects_rank_errors():
         SPMDExecutor(3).run(main)
     assert 1 in excinfo.value.errors
     assert isinstance(excinfo.value.errors[1], ValueError)
-
-
-def test_spmd_result_indexing():
-    result = SPMDExecutor(2).run(lambda comm: comm.rank + 100)
-    assert result[0] == 100 and result[1] == 101
-    assert len(result) == 2
-    assert result.elapsed >= 0.0

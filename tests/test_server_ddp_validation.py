@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, MLPConfig, MSELoss, Sequential, build_mlp
-from repro.parallel.spmd import SPMDExecutor, SPMDFailure, run_spmd
-from repro.server.ddp import (
-    all_ranks_have_data,
-    broadcast_parameters,
-    parameters_in_sync,
-    sync_gradients,
-)
+from repro.parallel.collectives import ring_allreduce
+from repro.parallel.spmd import SPMDExecutor, SPMDFailure
+from repro.server.ddp import all_ranks_have_data, broadcast_parameters, sync_gradients
 from repro.server.validation import ValidationSet, Validator
 from repro.utils.exceptions import CommunicatorError
 
@@ -19,7 +15,16 @@ def make_model(seed):
     return build_mlp(MLPConfig(in_features=4, hidden_sizes=(8,), out_features=2, seed=seed))
 
 
-def test_broadcast_parameters_makes_replicas_identical():
+def parameters_in_sync(model, comm, atol=1e-6):
+    """Whether every rank holds (numerically) the same parameters as the mean."""
+    if comm.size == 1:
+        return True
+    flat = model.flat_parameters()
+    mean = ring_allreduce(comm, flat, average=True)
+    return bool(np.allclose(flat, mean, atol=atol))
+
+
+def test_broadcast_parameters_makes_replicas_identical(run_spmd):
     def main(comm):
         model = make_model(seed=comm.rank)  # deliberately different weights
         broadcast_parameters(model, comm, root=0)
@@ -31,7 +36,7 @@ def test_broadcast_parameters_makes_replicas_identical():
             assert np.allclose(states[0][key], state[key])
 
 
-def test_sync_gradients_averages_across_ranks():
+def test_sync_gradients_averages_across_ranks(run_spmd):
     rng = np.random.default_rng(0)
     data = [rng.random((6, 4)) for _ in range(2)]
     targets = [rng.random((6, 2)) for _ in range(2)]
@@ -61,7 +66,7 @@ def test_sync_gradients_averages_across_ranks():
     assert np.allclose(grads[0], np.mean(reference, axis=0), atol=1e-10)
 
 
-def test_ddp_training_equals_large_batch_training():
+def test_ddp_training_equals_large_batch_training(run_spmd):
     """2-rank DDP with per-rank batch B equals single training on batch 2B."""
     rng = np.random.default_rng(1)
     inputs = rng.random((8, 4)).astype(np.float64)
@@ -96,7 +101,7 @@ def test_ddp_training_equals_large_batch_training():
         assert np.allclose(ddp_states[1][key], value, atol=1e-8)
 
 
-def test_replicas_stay_bit_identical_over_20_synced_steps():
+def test_replicas_stay_bit_identical_over_20_synced_steps(run_spmd):
     """Different start weights, different data per rank: after one flat broadcast
     and 20 steps of in-place gradient all-reduce the replicas are the same bits."""
     rng = np.random.default_rng(2)
@@ -128,7 +133,7 @@ def test_replicas_stay_bit_identical_over_20_synced_steps():
     assert not np.array_equal(flat0, make_model(seed=0).flat_parameters())  # it trained
 
 
-def test_parameters_in_sync_detects_divergence():
+def test_parameters_in_sync_detects_divergence(run_spmd):
     def main(comm):
         model = make_model(seed=0)
         in_sync_before = parameters_in_sync(model, comm)
@@ -142,7 +147,7 @@ def test_parameters_in_sync_detects_divergence():
 
 
 @pytest.mark.parametrize("size", [2, 4])
-def test_all_ranks_have_data_sums_the_flags(size):
+def test_all_ranks_have_data_sums_the_flags(size, run_spmd):
     def main(comm):
         return all_ranks_have_data(True, comm), all_ranks_have_data(comm.rank != 1, comm)
 

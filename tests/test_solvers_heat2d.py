@@ -1,8 +1,13 @@
 """Tests for the sequential heat-equation solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from repro.solvers import heat2d
 from repro.solvers.analytic import constant_solution, separable_mode_decay, steady_state
 from repro.solvers.heat2d import (
     ExplicitHeatSolver,
@@ -11,6 +16,28 @@ from repro.solvers.heat2d import (
     HeatParameters,
     explicit_step_stable_dt,
 )
+from repro.solvers.stencil import boundary_contribution, build_laplacian
+
+
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """Record every CG solve of the solver: ``x0``, iterations and solution."""
+    calls = []
+    cg = spla.cg
+
+    def recording_cg(A, b, **kwargs):
+        call = {"x0": np.array(kwargs.get("x0"), copy=True), "iterations": 0}
+
+        def count(_x):
+            call["iterations"] += 1
+
+        solution, info = cg(A, b, callback=count, **kwargs)
+        call["solution"] = solution.copy()
+        calls.append(call)
+        return solution, info
+
+    monkeypatch.setattr(heat2d.spla, "cg", recording_cg)
+    return calls
 
 
 def test_config_validation():
@@ -20,6 +47,16 @@ def test_config_validation():
         HeatEquationConfig(dt=0.0)
     with pytest.raises(ValueError):
         HeatEquationConfig(alpha=-1.0)
+    for solver in ("LU", "CG", "jacobi", ""):
+        with pytest.raises(ValueError, match="linear_solver"):
+            HeatEquationConfig(linear_solver=solver)
+    for tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="cg_tol"):
+            HeatEquationConfig(linear_solver="cg", cg_tol=tol)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="cg_max_iter"):
+            HeatEquationConfig(linear_solver="cg", cg_max_iter=max_iter)
+    assert HeatEquationConfig.paper_scale().grid_shape == (1000, 1000)
 
 
 def test_config_derived_quantities():
@@ -42,14 +79,19 @@ def test_parameters_roundtrip_and_validation():
         HeatParameters(50.0, 300.0, 300.0, 300.0, 300.0).validate_range()
 
 
-def test_constant_temperature_is_fixed_point(small_solver_config):
+@pytest.mark.parametrize("linear_solver", ["lu", "cg"])
+def test_constant_temperature_is_fixed_point(small_solver_config, linear_solver, cg_calls):
     """IC equal to all boundary temperatures must stay constant (round-off only)."""
-    solver = HeatEquationSolver(small_solver_config)
+    config = replace(small_solver_config, linear_solver=linear_solver)
+    solver = HeatEquationSolver(config)
     params = HeatParameters(321.0, 321.0, 321.0, 321.0, 321.0)
     series = solver.run(params)
-    expected = constant_solution(small_solver_config, 321.0)
+    expected = constant_solution(config, 321.0)
     for _, field in series:
         assert np.allclose(field, expected, atol=1e-9)
+    # CG starts at the fixed point itself, so no step needs an iteration.
+    assert len(cg_calls) == (config.num_steps if linear_solver == "cg" else 0)
+    assert all(call["iterations"] == 0 for call in cg_calls)
 
 
 def test_solution_bounded_by_extremes(small_solver_config, heat_params):
@@ -88,11 +130,52 @@ def test_iter_steps_streams_in_order(small_solver_config, heat_params):
 
 
 def test_cg_solver_matches_lu(heat_params):
-    lu_config = HeatEquationConfig(nx=10, ny=10, num_steps=5, linear_solver="lu")
-    cg_config = HeatEquationConfig(nx=10, ny=10, num_steps=5, linear_solver="cg")
-    lu_final = HeatEquationSolver(lu_config).run(heat_params).final()
-    cg_final = HeatEquationSolver(cg_config).run(heat_params).final()
-    assert np.allclose(lu_final, cg_final, atol=1e-6)
+    lu_config = HeatEquationConfig(nx=48, ny=48, num_steps=30, linear_solver="lu")
+    cg_config = replace(lu_config, linear_solver="cg")
+    lu_fields = HeatEquationSolver(lu_config).run(heat_params).stack()
+    cg_fields = HeatEquationSolver(cg_config).run(heat_params).stack()
+    assert np.abs(lu_fields - cg_fields).max() <= 1e-6
+
+
+def test_cg_starts_every_step_from_the_previous_step(heat_params, cg_calls):
+    config = HeatEquationConfig(nx=12, ny=14, num_steps=6, linear_solver="cg")
+    fields = [field for _, _, field in HeatEquationSolver(config).iter_steps(heat_params)]
+    assert len(cg_calls) == config.num_steps
+    assert np.array_equal(cg_calls[0]["x0"], np.full(config.num_interior, heat_params.t_ic))
+    for previous, call, field in zip(cg_calls, cg_calls[1:], fields, strict=False):
+        assert np.array_equal(call["x0"], previous["solution"])
+        assert np.array_equal(call["x0"], field[1:-1, 1:-1].ravel())
+
+
+def test_warm_started_cg_needs_at_most_half_the_cold_start_iterations(heat_params, cg_calls):
+    """The solver_bound workload's shape: 96x96, 30 CG steps."""
+    config = HeatEquationConfig(nx=96, ny=96, num_steps=30, linear_solver="cg")
+    for _ in HeatEquationSolver(config).iter_steps(heat_params):
+        pass
+    warm = sum(call["iterations"] for call in cg_calls)
+    del cg_calls[:]
+
+    # Reference: the same implicit steps, each CG started from zero (through
+    # the recording wrapper too, so both sides are counted the same way).
+    laplacian = build_laplacian(config.ny, config.nx, config.dx, config.dy)
+    system = sp.identity(config.num_interior, format="csr") - config.dt * config.alpha * laplacian
+    boundary = boundary_contribution(
+        config.ny,
+        config.nx,
+        config.dx,
+        config.dy,
+        west=heat_params.t_x1,
+        east=heat_params.t_x2,
+        south=heat_params.t_y1,
+        north=heat_params.t_y2,
+    )
+    interior = np.full(config.num_interior, heat_params.t_ic)
+    for _ in range(config.num_steps):
+        rhs = interior + config.dt * config.alpha * boundary
+        interior, info = heat2d.spla.cg(system, rhs, rtol=config.cg_tol, maxiter=config.cg_max_iter)
+        assert info == 0
+    cold = sum(call["iterations"] for call in cg_calls)
+    assert 0 < warm <= 0.5 * cold
 
 
 def test_explicit_solver_requires_stable_dt(heat_params):
