@@ -8,11 +8,10 @@ producers never touch a shared lock on the data path.
 
 N forked producers stream disjoint client streams to one server rank
 through both backends; the measured number is the end-to-end drain rate
-with all producers live.  The ratio is recorded to the benchmark report
-(``record_bench_result``) and asserted for *delivery* (every message
-arrives, nothing dropped, nothing torn); the wall-clock ratio itself is
-informational, because on a small box the single drain thread — not the
-producer-side contention — bounds both backends.
+with all producers live.  The ratio is printed; the test asserts
+*delivery* (every message arrives, nothing dropped, nothing torn), and the
+wall-clock ratio itself is informational, because on a small box the single
+drain thread — not the producer-side contention — bounds both backends.
 """
 
 import time
@@ -22,7 +21,6 @@ from transport_fixture import BATCH_SIZE, drain_samples, make_batch
 from repro.launcher.launcher import _fork_mp
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import ShmRingTransport
-from repro.utils.constants import record_bench_result
 
 PRODUCERS = 4
 BATCHES_PER_PRODUCER = 80
@@ -94,12 +92,4 @@ def test_contended_queue_vs_per_client_rings():
     print(
         f"\n[contention] {PRODUCERS} producers: mp.Queue {queue_rate:,.0f} msg/s, "
         f"shm rings {ring_rate:,.0f} msg/s ({ratio:.2f}x)"
-    )
-    record_bench_result(
-        "shm_ring.contention_vs_mp_queue",
-        ratio,
-        batch_size=BATCH_SIZE,
-        producers=PRODUCERS,
-        mp_msgs_per_s=round(queue_rate),
-        shm_msgs_per_s=round(ring_rate),
     )

@@ -5,9 +5,8 @@ PR 2's multi-process transport moves every hot-path packed batch through a
 two pipe syscalls per batch.  The shm ring carries the *same* packed buffers
 with two memcpys and no locks, threads or syscalls.  The asserted number is
 that channel round trip at the paper's batch size of 10 — the component the
-ring replaces — which must be at least ``SHM_RING_MIN_SPEEDUP`` (2x) faster
-locally (measured ~4-5x; CI lowers the floor to 1.3 via
-``REPRO_BENCH_MIN_SPEEDUP`` because shared runners are noisy).
+ring replaces — which must be at least ``MIN_SPEEDUP`` times faster
+(measured ~4-5x; the floor leaves room for noisy shared runners).
 
 The end-to-end transport comparison (pack + channel + unpack, forked
 producer) is reported as well but asserted only for delivery: ``pack_many``
@@ -29,14 +28,9 @@ from repro.launcher.launcher import _fork_mp
 from repro.parallel.messages import pack_many
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import ShmRing, ShmRingTransport
-from repro.utils.constants import (
-    SHM_RING_MIN_SPEEDUP,
-    bench_min_speedup,
-    record_bench_result,
-)
 
 RING_SLOT_BYTES = 16_384
-MIN_SPEEDUP = bench_min_speedup(SHM_RING_MIN_SPEEDUP)
+MIN_SPEEDUP = 1.5
 
 PACKED = [pack_many(batch) for batch in BATCHES]
 
@@ -81,14 +75,6 @@ def test_ring_channel_at_least_2x_mp_queue_packed_path():
     print(
         f"\n[ring] mp.Queue {per_batch_queue:.2f} us/batch, "
         f"shm ring {per_batch_ring:.2f} us/batch, speedup {speedup:.2f}x"
-    )
-    record_bench_result(
-        "shm_ring.channel_vs_mp_queue",
-        speedup,
-        floor=MIN_SPEEDUP,
-        batch_size=BATCH_SIZE,
-        us_per_batch_queue=round(per_batch_queue, 2),
-        us_per_batch_ring=round(per_batch_ring, 2),
     )
     assert speedup >= MIN_SPEEDUP, (
         f"shm ring only {speedup:.2f}x faster than the mp.Queue packed-batch path"
@@ -156,11 +142,4 @@ def test_shm_transport_end_to_end_forked_producer():
     print(
         f"\n[ring] end-to-end mp {queue_rate:,.0f} msg/s, "
         f"shm {ring_rate:,.0f} msg/s ({ratio:.2f}x)"
-    )
-    record_bench_result(
-        "shm_ring.end_to_end_vs_mp",
-        ratio,
-        batch_size=BATCH_SIZE,
-        mp_msgs_per_s=round(queue_rate),
-        shm_msgs_per_s=round(ring_rate),
     )

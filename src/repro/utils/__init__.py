@@ -5,7 +5,6 @@ from repro.utils.exceptions import (
     CommunicatorError,
     ConfigurationError,
     ReproError,
-    SchedulerError,
 )
 from repro.utils.seeding import derive_rng
 from repro.utils.timing import VirtualClock, WallClock
@@ -15,7 +14,6 @@ __all__ = [
     "ConfigurationError",
     "BufferClosedError",
     "CommunicatorError",
-    "SchedulerError",
     "derive_rng",
     "WallClock",
     "VirtualClock",

@@ -1,25 +1,9 @@
-"""Shared tuning constants and benchmark environment knobs.
+"""Shared tuning constants of the program.
 
-The transport backends, the benchmark suite and the CI workflow used to carry
-their own copies of the same magic numbers (the full-channel drop timeout,
-the ``REPRO_BENCH_MIN_SPEEDUP`` floors).  They are hoisted here so one edit
-moves every consumer, and so the CI workflow env vars are documented next to
-the defaults they override.
+Each constant here has more than one consumer — the ring geometry and the
+hash-ring replica count are each read by a backend and by its config
+default — so it lives in one place and one edit moves every consumer.
 """
-
-from __future__ import annotations
-
-import json
-import os
-from pathlib import Path
-from typing import Any, Dict, Optional
-
-#: How long a push waits on a full rank channel before the batch is dropped
-#: and ``queue.Full`` propagates to the client.  Shared by the transport
-#: fault-injection tests and the back-pressure paths of the multi-process
-#: backends; pushing with ``timeout=None`` still blocks forever (the
-#: ZMQ-high-water-mark contract of the study hot path).
-QUEUE_DROP_TIMEOUT = 0.1
 
 #: Default geometry of one shared-memory SPSC ring: ``DEFAULT_RING_SLOTS``
 #: packed batches of at most ``DEFAULT_RING_SLOT_BYTES`` bytes each.  This is
@@ -36,69 +20,3 @@ DEFAULT_RING_SLOT_BYTES = 64 * 1024
 #: ``repro.parallel.transport.ShardOptions`` and
 #: ``repro.server.sharding.HashRing``.
 DEFAULT_HASH_RING_REPLICAS = 64
-
-#: Environment variable through which CI lowers the benchmark speedup floors.
-#: Shared runners are too noisy for the strict local wall-clock bars, so the
-#: workflow runs every benchmark smoke step with a reduced floor (see
-#: ``.github/workflows/ci.yml``).
-BENCH_MIN_SPEEDUP_ENV = "REPRO_BENCH_MIN_SPEEDUP"
-
-#: Local acceptance floor of the vectorized-vs-per-sample and the
-#: packed-vs-pickle benchmarks (both measured ~4x).
-DEFAULT_BENCH_MIN_SPEEDUP = 3.0
-
-#: Local acceptance floor of the shared-memory ring vs ``mp.Queue``
-#: packed-batch benchmark (measured well above; CI smoke bar is 1.3).
-SHM_RING_MIN_SPEEDUP = 2.0
-
-#: Environment variable naming the machine-readable benchmark report file.
-#: When set, every benchmark that measures a speedup appends its result so CI
-#: can upload one JSON artifact per run and render a summary table.
-BENCH_REPORT_ENV = "REPRO_BENCH_REPORT"
-
-#: Schema version stamped into benchmark report files.
-BENCH_REPORT_SCHEMA = 1
-
-
-def bench_min_speedup(default: float = DEFAULT_BENCH_MIN_SPEEDUP) -> float:
-    """The enforced speedup floor: ``REPRO_BENCH_MIN_SPEEDUP`` or ``default``."""
-    raw = os.environ.get(BENCH_MIN_SPEEDUP_ENV)
-    if raw is None:
-        return float(default)
-    return float(raw)
-
-
-def record_bench_result(
-    name: str,
-    speedup: float,
-    floor: Optional[float] = None,
-    unit: str = "x",
-    **detail: Any,
-) -> None:
-    """Append one measured speedup to the benchmark report file, if enabled.
-
-    The report path comes from ``REPRO_BENCH_REPORT``; when the variable is
-    unset this is a no-op, so local benchmark runs stay side-effect free.
-    Results are keyed by ``name``: re-running a benchmark in the same report
-    replaces its previous entry instead of duplicating it.
-    """
-    path = os.environ.get(BENCH_REPORT_ENV)
-    if not path:
-        return
-    report_path = Path(path)
-    report: Dict[str, Any] = {"schema": BENCH_REPORT_SCHEMA, "results": []}
-    if report_path.exists():
-        try:
-            loaded = json.loads(report_path.read_text())
-            if isinstance(loaded, dict) and isinstance(loaded.get("results"), list):
-                report = loaded
-        except (OSError, ValueError):
-            pass  # start a fresh report rather than losing the new result
-    entry: Dict[str, Any] = {"name": name, "speedup": round(float(speedup), 3), "unit": unit}
-    if floor is not None:
-        entry["floor"] = float(floor)
-    if detail:
-        entry["detail"] = detail
-    report["results"] = [r for r in report["results"] if r.get("name") != name]
-    report["results"].append(entry)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")

@@ -17,9 +17,5 @@ class CommunicatorError(ReproError):
     """Raised on invalid use of the SPMD communicator (bad rank, closed, ...)."""
 
 
-class SchedulerError(ReproError):
-    """Raised by the simulated batch scheduler (unknown job, no resources...)."""
-
-
 class CheckpointError(ReproError):
     """Raised when saving or restoring a checkpoint fails."""

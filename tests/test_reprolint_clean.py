@@ -18,7 +18,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Everything lintable: product code, the linter itself, and the test suite
 #: (the fixture corpus is excluded by the loader — it is linted file-by-file
 #: from tests/test_reprolint_checkers.py instead).
-LINT_PATHS = ("src", "tools", "tests", "benchmarks", "examples", "scripts")
+LINT_PATHS = ("src", "tools", "tests", "benchmarks", "examples")
 
 MAX_SUPPRESSIONS = 5
 

@@ -2,8 +2,9 @@
 
 ``Transport.poll_batches`` is the one server-side drain.  On every backend —
 by reference (inproc), over a queue (mp), a ring (shm), a socket (tcp) and
-through the sharded front — it yields column chunks and control messages in
-arrival order and never a ``TimeStepMessage``; input whose widths disagree is
+on the shard that owns the client behind the sharded front, which its
+aggregators drain — it yields column chunks and control messages in arrival
+order and never a ``TimeStepMessage``; input whose widths disagree is
 rejected at the boundary (dropped and counted by the transport, refused with
 ``ValueError`` by the buffer) instead of travelling further.  The aggregator
 thread reports a failure instead of dying silently.
@@ -51,8 +52,8 @@ def transport(request):
 
 
 def endpoint_of(transport, client_id=0):
-    """The transport a client's batches enter: the owning shard behind the
-    sharded front, the transport itself otherwise."""
+    """The transport a client's batches enter and a server drains: the owning
+    shard behind the sharded front, the transport itself otherwise."""
     return transport.connect(client_id).transport
 
 
@@ -73,7 +74,7 @@ def test_poll_batches_yields_only_chunks_and_control_messages(transport):
     endpoint = endpoint_of(transport)
     endpoint.push_many(0, make_steps(5))
     endpoint.push_many(0, make_steps(4, start=5))
-    items = drain(transport, 9, max_messages=7)  # 7 < 9: some chunk is split
+    items = drain(endpoint, 9, max_messages=7)  # 7 < 9: some chunk is split
     assert all(isinstance(item, ColumnBatch) for item in items)
     assert max(len(item) for item in items) <= 7
     polled = ColumnBatch.concat(items)
@@ -86,7 +87,7 @@ def test_poll_batches_yields_only_chunks_and_control_messages(transport):
     # as a chunk, in order (at the parent commit they came back per message).
     mixed = [ClientHello(client_id=0), *make_steps(3, start=20), ClientFinished(client_id=0)]
     endpoint.push_many(0, mixed)
-    items = drain(transport, 5)
+    items = drain(endpoint, 5)
     assert not any(isinstance(item, TimeStepMessage) for item in items)
     # One ordered channel per client on every backend: send order survives.
     assert [type(item) for item in items] == [ClientHello, ColumnBatch, ClientFinished]
@@ -101,14 +102,14 @@ def test_ragged_run_is_dropped_and_counted_once(transport):
     deadline = time.monotonic() + 10.0
     while transport.stats.dropped_messages == 0:
         assert time.monotonic() < deadline, "the ragged run was never rejected"
-        assert transport.poll_batches(0, timeout=0.05) == []
+        assert endpoint.poll_batches(0, timeout=0.05) == []
     # The well-formed batch behind the ragged one is delivered as usual.
     endpoint.push_many(0, make_steps(2, start=10))
-    items = drain(transport, 2)
+    items = drain(endpoint, 2)
     assert [type(item) for item in items] == [ColumnBatch]
     assert items[0].time_steps.tolist() == [10, 11]
     assert transport.stats.dropped_messages == 1
-    assert transport.poll_batches(0, timeout=0.05) == []
+    assert endpoint.poll_batches(0, timeout=0.05) == []
 
 
 def column_batch(count, target_width, source_id):

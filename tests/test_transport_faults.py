@@ -32,9 +32,10 @@ from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import MessageRouter, RouterClosed
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import MessageLog
-from repro.utils.constants import QUEUE_DROP_TIMEOUT
 
 DEADLINE = 30.0  # generous cap: every blocking wait in this module fails by then
+#: How long a push waits on a full rank channel before the batch is dropped.
+QUEUE_DROP_TIMEOUT = 0.1
 
 NUM_STEPS = 40
 FIELD = np.arange(8, dtype=np.float32)
