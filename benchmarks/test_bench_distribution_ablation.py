@@ -10,6 +10,8 @@ round-robin compared with sending every message of a client to one rank.
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.buffers.columns import ColumnBatch
+from repro.client.api import ClientAPI
 from repro.experiments.reporting import format_rows
 from repro.parallel.messages import TimeStepMessage
 from repro.parallel.transport import MessageRouter
@@ -17,26 +19,31 @@ from repro.parallel.transport import MessageRouter
 
 def _simulate_distribution(num_ranks: int, num_clients: int, steps: int, round_robin: bool):
     router = MessageRouter(num_ranks, max_queue_size=1_000_000)
-    connections = [router.connect(cid) for cid in range(num_clients)]
+    field = np.zeros(1, dtype=np.float32)
+    apis = [ClientAPI(router, cid) for cid in range(num_clients)]
+    for api in apis:
+        api.init_communication((), num_time_steps=steps, field_shape=field.shape)
     for step in range(1, steps + 1):
-        for cid, connection in enumerate(connections):
-            message = TimeStepMessage(client_id=cid, time_step=step,
-                payload=np.zeros(1, dtype=np.float32))
+        for cid, api in enumerate(apis):
             if round_robin:
-                connection.send_round_robin(message)
+                api.send(step, 0.0, (), field)
             else:
-                router.push(cid % num_ranks, message)
-    per_rank_counts = [router.pending(rank) for rank in range(num_ranks)]
-    # Mixing metric: how many distinct time-step indices each rank received.
-    per_rank_steps = []
+                router.push(cid % num_ranks,
+                            TimeStepMessage(client_id=cid, time_step=step, payload=field))
+    # Balance metric: samples per rank; mixing metric: how many distinct
+    # time-step indices each rank received.
+    per_rank_counts, per_rank_steps = [], []
     for rank in range(num_ranks):
-        seen = set()
+        samples, seen = 0, set()
         while True:
-            chunks = router.poll_batches(rank, max_messages=4096, timeout=None)
-            if not chunks:
+            items = router.poll_batches(rank, max_messages=4096, timeout=None)
+            if not items:
                 break
-            for chunk in chunks:
-                seen.update(chunk.time_steps.tolist())
+            for chunk in items:
+                if isinstance(chunk, ColumnBatch):
+                    samples += len(chunk)
+                    seen.update(chunk.time_steps.tolist())
+        per_rank_counts.append(samples)
         per_rank_steps.append(len(seen))
     return per_rank_counts, per_rank_steps
 

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 
+from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import TimeStepMessage
 
 BATCH_SIZE = 10
@@ -39,14 +40,16 @@ def drain_samples(transport, total: int, timeout: float = 5.0) -> Counter:
     """Drain ``total`` samples from rank 0 the way the server does.
 
     Returns the number of rows drained per client id, read off the chunks'
-    ``source_ids`` column, so callers assert delivery per stream.
+    ``source_ids`` column, so callers assert delivery per stream; control
+    messages (a ``ClientAPI`` client's hello) are skipped.
     """
     per_client: Counter = Counter()
     drained = 0
     while drained < total:
-        chunks = transport.poll_batches(0, max_messages=256, timeout=timeout)
-        assert chunks, "transport stalled while draining"
-        for chunk in chunks:
-            per_client.update(chunk.source_ids.tolist())
-            drained += len(chunk)
+        items = transport.poll_batches(0, max_messages=256, timeout=timeout)
+        assert items, "transport stalled while draining"
+        for chunk in items:
+            if isinstance(chunk, ColumnBatch):
+                per_client.update(chunk.source_ids.tolist())
+                drained += len(chunk)
     return per_client

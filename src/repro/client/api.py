@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
+from repro.parallel.messages import ClientFinished, ClientHello
 from repro.parallel.transport import Connection, Transport
 
 Array = np.ndarray
@@ -28,10 +28,10 @@ class ClientAPI:
     """Streaming API handed to an instrumented simulation code.
 
     ``send_batch_size`` enables client-side batching: time steps accumulate
-    per server rank and each rank's batch is pushed as one transport call
-    (one packed buffer on the multi-process backend).  Control messages flush
-    pending batches first, so the server never observes a ``ClientFinished``
-    ahead of data sent before it.
+    as rows of one block per server rank and each rank's block is pushed as
+    one transport call (one packed buffer on the wire backends).  Control
+    messages flush pending blocks first, so the server never observes a
+    ``ClientFinished`` ahead of data sent before it.
     """
 
     def __init__(self, transport: Transport, client_id: int, send_batch_size: int = 1) -> None:
@@ -88,24 +88,21 @@ class ClientAPI:
 
         The field is flattened and converted to float32 on the client, which is
         the preprocessing the paper performs in situ to avoid overloading the
-        server.
+        server.  The step becomes one row of the round-robin rank's pending
+        block (see :meth:`Connection.append_step`); a row whose parameter
+        count or field length differs from that block's first row raises
+        :class:`ValueError` and sends nothing.
 
-        Ownership: the message may keep a zero-copy view of ``field`` (when
-        it is already flat float32), so the caller must not mutate the array
-        after sending it — solvers hand over a freshly built field per step.
+        Ownership: the block keeps a zero-copy view of ``field`` (when it is
+        already flat float32) and of ``parameters`` until it is pushed, so the
+        caller must not mutate either after sending — solvers hand over a
+        freshly built field per step.
         """
         connection = self._require_connection()
-        payload = np.asarray(field, dtype=np.float32).ravel()
-        message = TimeStepMessage(
-            client_id=self.client_id,
-            time_step=int(time_step),
-            time_value=float(time_value),
-            parameters=tuple(float(p) for p in parameters),
-            payload=payload,
-            sequence_number=self._sequence,
-        )
+        rank = connection.append_step(int(time_step), float(time_value), self._sequence,
+                                      parameters, np.asarray(field, dtype=np.float32).ravel())
         self._sequence += 1
-        return connection.send_round_robin(message)
+        return rank
 
     def undelivered_steps(self) -> list[int]:
         """Time steps buffered client-side (batching) and not yet pushed.
@@ -116,11 +113,7 @@ class ClientAPI:
         """
         if self._connection is None:
             return []
-        return sorted(
-            message.time_step
-            for message in self._connection.pending()
-            if isinstance(message, TimeStepMessage)
-        )
+        return sorted(step for block in self._connection.pending() for step in block.time_steps)
 
     # --------------------------------------------------------------- teardown
     def finalize_communication(self) -> None:

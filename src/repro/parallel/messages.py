@@ -2,14 +2,15 @@
 
 The real framework serialises these over ZeroMQ; here they are plain dataclass
 payloads carried by a :class:`repro.parallel.transport.Transport` backend.  The
-wire-format concerns the paper cares about are preserved: each time-step
-message carries the client (simulation) id, the time-step index, the input
-parameters and the float32 field, so the server can deduplicate after a client
-restart and build training samples without any additional lookup.
+wire-format concerns the paper cares about are preserved: each time step
+carries the client (simulation) id, the time-step index, the input parameters
+and the float32 field, so the server can deduplicate after a client restart
+and build training samples without any additional lookup.  A client's steps
+travel as a :class:`StepBlock` (one row per ``ClientAPI.send``); a
+``TimeStepMessage`` is the decoded form of one step.
 
-The module also defines the packed batch wire format used by the
-multi-process transport backend (:func:`pack_many` / :func:`unpack_many`).
-One batch serialises to **one** contiguous buffer::
+The packed batch wire format every wire backend carries serialises one batch
+to **one** contiguous buffer::
 
     +--------------+------------------+-----+------------------+------+
     | batch header | message header 0 | ... | f64 params block | f32  |
@@ -25,11 +26,9 @@ each and hands out array *views* into the batch buffer (or, with
 payload block, so the batch buffer can be recycled at once).
 
 Packing is zero-copy on the write side as well: :func:`plan_many` computes
-the exact packed size without producing bytes, and :func:`pack_many_into`
-writes the batch directly into a caller-provided buffer — the shm ring
-transport packs straight into the acquired ring slot, the mp backend into a
-reusable scratch buffer.  :func:`pack_many` is the standalone-buffer
-convenience wrapper over the same writer.
+the exact packed size without producing bytes, and
+:meth:`BatchPlan.write_into` writes the batch directly into a caller-provided
+buffer — the shm ring slot, the mp/tcp scratch buffer.
 
 The columnar drain goes one step further than :func:`unpack_many`: since the
 wire layout already *is* columnar (one f64 params block, one f32 payload
@@ -39,17 +38,17 @@ homogeneous packed batch into a single
 parses every header at once and the payload block is copied exactly once
 into the targets matrix the batch owns — without materialising any
 per-message Python object.  :func:`columnize` produces the same chunk shape
-from message objects: for transports that carry them by reference and for
-the rare mixed wire batch (control + steps) that :func:`unpack_many`
-decoded.  A ``ColumnBatch`` is the only form in which samples leave a
-transport; a step run whose widths disagree is rejected with
-:class:`WireFormatError`.
+from the blocks the in-process router hands over by reference and from a
+rare mixed wire batch (control + steps) that :func:`unpack_many` decoded.
+A ``ColumnBatch`` is the only form in which samples leave a transport; a
+step run whose widths disagree is rejected with :class:`WireFormatError`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -180,6 +179,111 @@ HELLO_HEADER_BYTES = 30
 STEP_HEADER_BYTES = 45
 FINISHED_HEADER_BYTES = 17
 
+#: Every step header of a batch as one structured array: the block encoder
+#: writes them through it and :func:`unpack_columns` parses them with it.
+#: Field offsets mirror ``_STEP_HEADER`` (``<BqqdqIQ``) byte for byte; the
+#: wire-layout lint checks each offset and format against the struct and the
+#: itemsize against ``STEP_HEADER_BYTES``.
+_STEP_HEADER_DTYPE = np.dtype(
+    {
+        "names": [
+            "type",
+            "client_id",
+            "time_step",
+            "time_value",
+            "sequence_number",
+            "n_params",
+            "payload_len",
+        ],
+        "formats": ["u1", "<i8", "<i8", "<f8", "<i8", "<u4", "<u8"],
+        "offsets": [0, 1, 9, 17, 25, 33, 37],
+        "itemsize": STEP_HEADER_BYTES,
+    }
+)
+
+
+class StepBlock:
+    """One client's time steps for one rank as columns, one row per step.
+
+    Every row has ``width`` parameters and ``field_len`` flat float32 values;
+    payloads stay views of the clients' fields until encoded or joined.
+    """
+
+    __slots__ = ("client_id", "width", "field_len", "time_steps", "time_values",
+                 "sequence_numbers", "params", "payloads")
+
+    def __init__(self, client_id: int, width: int, field_len: int) -> None:
+        self.client_id = client_id
+        self.width = width
+        self.field_len = field_len
+        self.time_steps: List[int] = []
+        self.time_values: List[float] = []
+        self.sequence_numbers: List[int] = []
+        self.params: List[float] = []  # row-major, ``width`` per row
+        self.payloads: List[Array] = []
+
+    def __len__(self) -> int:
+        return len(self.time_steps)
+
+    def append(self, time_step: int, time_value: float, sequence_number: int,
+               parameters: Sequence[float], payload: Array) -> None:
+        """Add one row; a row of another shape raises and changes nothing."""
+        if len(parameters) != self.width or payload.size != self.field_len:
+            raise ValueError(
+                f"client {self.client_id} step {time_step} has {len(parameters)} "
+                f"parameters and {payload.size} field values, but its pending block "
+                f"holds rows of {self.width} parameters and {self.field_len} field values"
+            )
+        self.time_steps.append(time_step)
+        self.time_values.append(time_value)
+        self.sequence_numbers.append(sequence_number)
+        self.params.extend(parameters)
+        self.payloads.append(payload)
+
+    def __getitem__(self, index: slice) -> "StepBlock":
+        """Rows ``index`` as a new block sharing the payload views."""
+        start, stop, _ = index.indices(len(self))
+        part = StepBlock(self.client_id, self.width, self.field_len)
+        part.time_steps = self.time_steps[start:stop]
+        part.time_values = self.time_values[start:stop]
+        part.sequence_numbers = self.sequence_numbers[start:stop]
+        part.params = self.params[start * self.width:stop * self.width]
+        part.payloads = self.payloads[start:stop]
+        return part
+
+    def nbytes(self) -> int:
+        """Traffic accounting: the sum of the rows' ``TimeStepMessage.nbytes``."""
+        return len(self) * (4 * self.field_len + 8 * self.width + 32)
+
+
+def batch_parts(batch) -> list:
+    """A block, or a sequence of messages and blocks, as a list of blocks and
+    control messages: consecutive ``TimeStepMessage`` objects of one client
+    and shape become one block (payloads made flat float32)."""
+    if type(batch) is StepBlock:
+        return [batch]
+    parts: list = []
+    block: Optional[StepBlock] = None
+    for message in batch:
+        if type(message) is not TimeStepMessage:
+            parts.append(message)
+            block = None
+            continue
+        payload = np.asarray(message.payload, dtype=np.float32).ravel()
+        width = len(message.parameters)
+        if (block is None or block.client_id != message.client_id
+                or block.width != width or block.field_len != payload.size):
+            block = StepBlock(message.client_id, width, payload.size)
+            parts.append(block)
+        block.append(message.time_step, message.time_value, message.sequence_number,
+                     message.parameters, payload)
+    return parts
+
+
+def message_count(parts: Sequence) -> int:
+    """Wire messages in ``parts`` (a block counts its rows)."""
+    return sum(len(part) if type(part) is StepBlock else 1 for part in parts)
+
 
 class BatchPlan:
     """Precomputed layout of one packed batch (see :func:`plan_many`).
@@ -188,121 +292,115 @@ class BatchPlan:
     size *before* committing an output buffer — the shm ring transport picks
     (and, if needed, splits toward) a ring slot from ``nbytes`` alone, then
     packs straight into the slot's memoryview with :meth:`write_into`.
+    ``parts`` holds step blocks and the packed ``(header, parameters)`` of
+    control messages, in batch order.
     """
 
-    __slots__ = ("count", "header_bytes", "params", "payloads", "total_payload", "nbytes")
+    __slots__ = ("count", "parts", "header_region", "total_params", "total_payload", "nbytes")
 
-    def __init__(self, count: int, header_bytes: bytes, params: List[float],
-        payloads: List[Array], total_payload: int) -> None:
+    def __init__(self, count: int, parts: list, header_bytes: int,
+                 total_params: int, total_payload: int) -> None:
         self.count = count
-        self.header_bytes = header_bytes  # per-type headers, padded to 8 B
-        self.params = params
-        self.payloads = payloads
+        self.parts = parts
+        self.header_region = -(-header_bytes // 8) * 8  # numeric blocks start 8-aligned
+        self.total_params = total_params
         self.total_payload = total_payload
-        self.nbytes = (_BATCH_HEADER.size + len(header_bytes) + 8 * len(params) + 4 * total_payload)
+        self.nbytes = (_BATCH_HEADER.size + self.header_region
+                       + 8 * total_params + 4 * total_payload)
 
     def write_into(self, buf, offset: int = 0) -> int:
         """Write the packed batch at ``buf[offset:]``; returns bytes written.
 
         ``buf`` is any writable buffer (bytearray, shared-memory memoryview).
-        The caller is responsible for bounds — :func:`pack_many_into` is the
-        checked public entry point.
+        A block's step headers are written in one pass through
+        ``_STEP_HEADER_DTYPE``; the params and payload blocks are copied once
+        each, the payloads straight from the clients' fields.  The caller is
+        responsible for bounds — :func:`pack_many_into` is the checked public
+        entry point.
         """
         _BATCH_HEADER.pack_into(
             buf, offset,
             WIRE_MAGIC, WIRE_VERSION, 0,
-            self.count, len(self.header_bytes),
-            len(self.params), self.total_payload,
+            self.count, self.header_region,
+            self.total_params, self.total_payload,
         )
         cursor = offset + _BATCH_HEADER.size
-        end = cursor + len(self.header_bytes)
-        buf[cursor:end] = self.header_bytes
-        if self.params:
-            struct.pack_into(f"<{len(self.params)}d", buf, end, *self.params)
-            end += 8 * len(self.params)
+        params_at = cursor + self.header_region
+        params: List[float] = []
+        payloads: List[Array] = []
+        for part in self.parts:
+            if type(part) is not StepBlock:
+                header, part_params = part
+                buf[cursor:cursor + len(header)] = header
+                cursor += len(header)
+                params += part_params
+                continue
+            headers = np.frombuffer(buf, _STEP_HEADER_DTYPE, len(part), cursor)
+            headers["type"] = _T_STEP
+            headers["client_id"] = part.client_id
+            headers["time_step"] = part.time_steps
+            headers["time_value"] = part.time_values
+            headers["sequence_number"] = part.sequence_numbers
+            headers["n_params"] = part.width
+            headers["payload_len"] = part.field_len
+            cursor += len(part) * STEP_HEADER_BYTES
+            params += part.params
+            payloads += part.payloads
+        buf[cursor:params_at] = bytes(params_at - cursor)  # header padding
+        if params:
+            struct.pack_into(f"<{len(params)}d", buf, params_at, *params)
         if self.total_payload:
-            payload_out = np.frombuffer(buf, dtype=np.float32,
-                                        count=self.total_payload, offset=end)
-            if len(self.payloads) == 1:
-                payload_out[:] = self.payloads[0]
-            else:
-                np.concatenate(self.payloads, out=payload_out)
+            np.concatenate(payloads, out=np.frombuffer(
+                buf, np.float32, self.total_payload, params_at + 8 * len(params)))
         return self.nbytes
 
 
-def plan_many(messages: Sequence[Message]) -> BatchPlan:
-    """Lay out a batch for packing: headers now, numeric blocks on write.
+def plan_many(batch) -> BatchPlan:
+    """Lay out a batch for packing: sizes now, every byte on write.
 
-    All parameter tuples are concatenated into a single float64 block and all
-    time-step payloads into a single float32 block, so a batch costs one
-    output buffer regardless of its length.  Payloads are converted to flat
-    float32 (the client-side preprocessing contract) if they are not already.
-
+    ``batch`` is a :class:`StepBlock` or a sequence of messages and blocks
+    (see :func:`batch_parts`).  All parameters are concatenated into one
+    float64 block and all time-step payloads into one float32 block, so a
+    batch costs one output buffer regardless of its length.
     """
-    headers: List[bytes] = []
-    params_flat: List[float] = []
-    payload_parts: List[Array] = []
-    total_payload = 0
-
-    step_pack = _STEP_HEADER.pack
-    for message in messages:
-        kind = type(message)
-        if kind is TimeStepMessage:
-            payload = message.payload
-            if payload.dtype != np.float32 or payload.ndim != 1 or not payload.flags.c_contiguous:
-                payload = np.ascontiguousarray(payload, dtype=np.float32).ravel()
-            headers.append(
-                step_pack(
-                    _T_STEP,
-                    message.client_id,
-                    message.time_step,
-                    message.time_value,
-                    message.sequence_number,
-                    len(message.parameters),
-                    payload.size,
-                )
-            )
-            params_flat.extend(message.parameters)
-            payload_parts.append(payload)
-            total_payload += payload.size
-        elif kind is ClientHello:
-            headers.append(
-                _HELLO_HEADER.pack(
-                    _T_HELLO,
-                    message.client_id,
-                    len(message.parameters),
-                    message.num_time_steps,
-                    message.restart_count,
-                    len(message.field_shape),
-                )
-                + b"".join(_SHAPE_DIM.pack(dim) for dim in message.field_shape)
-            )
-            params_flat.extend(message.parameters)
+    parts: list = []
+    count = header_bytes = total_params = total_payload = 0
+    for part in batch_parts(batch):
+        kind = type(part)
+        if kind is StepBlock:
+            rows = len(part)
+            count += rows
+            header_bytes += rows * STEP_HEADER_BYTES
+            total_params += rows * part.width
+            total_payload += rows * part.field_len
+            parts.append(part)
+            continue
+        if kind is ClientHello:
+            header = _HELLO_HEADER.pack(
+                _T_HELLO,
+                part.client_id,
+                len(part.parameters),
+                part.num_time_steps,
+                part.restart_count,
+                len(part.field_shape),
+            ) + b"".join(_SHAPE_DIM.pack(dim) for dim in part.field_shape)
+            parameters = part.parameters
         elif kind is ClientFinished:
-            headers.append(_FINISHED_HEADER.pack(_T_FINISHED, message.client_id,
-                    message.total_sent))
+            header = _FINISHED_HEADER.pack(_T_FINISHED, part.client_id, part.total_sent)
+            parameters = ()
         else:
             raise WireFormatError(f"cannot pack message of type {kind.__name__}")
-
-    header_bytes = b"".join(headers)
-    padding = (-len(header_bytes)) % 8  # align the numeric blocks for frombuffer
-    if padding:
-        header_bytes += b"\x00" * padding
-    return BatchPlan(len(messages), header_bytes, params_flat, payload_parts, total_payload)
+        count += 1
+        header_bytes += len(header)
+        total_params += len(parameters)
+        parts.append((header, parameters))
+    return BatchPlan(count, parts, header_bytes, total_params, total_payload)
 
 
 def pack_many_into(messages: Sequence[Message], buf, offset: int = 0) -> int:
-    """Serialise a batch directly into ``buf[offset:]``; returns bytes written.
+    """Bounds-checked :meth:`BatchPlan.write_into`; returns bytes written.
 
-    The zero-copy counterpart of :func:`pack_many`: the batch header, the
-    per-type message headers and both numeric blocks are written straight
-    into the caller-provided buffer (a ring-slot memoryview, a reusable
-    scratch bytearray), skipping the intermediate ``bytes`` object entirely.
-    The written region is byte-for-byte identical to ``pack_many(messages)``.
-
-    Raises :class:`ValueError` when the buffer is too small — callers size
-    buffers from :func:`plan_many` (``plan.nbytes``) to avoid the double
-    planning pass.
+    Raises :class:`ValueError` when the buffer is too small.
     """
     plan = plan_many(messages)
     room = len(buf) - offset
@@ -315,12 +413,7 @@ def pack_many_into(messages: Sequence[Message], buf, offset: int = 0) -> int:
 
 
 def pack_many(messages: Sequence[Message]) -> bytes:
-    """Serialise a batch of messages into one contiguous buffer.
-
-    Delegates to the same planner/writer as :func:`pack_many_into`; kept as
-    the convenience entry point for callers that want a standalone immutable
-    buffer (tests, the control-queue path).
-    """
+    """Serialise a batch into one standalone immutable buffer."""
     plan = plan_many(messages)
     out = bytearray(plan.nbytes)
     plan.write_into(out, 0)
@@ -428,30 +521,6 @@ def unpack_many(buffer, copy_payloads: bool = False) -> List[Message]:
 # Columnar decode: packed batch -> ColumnBatch, no per-message objects.
 # --------------------------------------------------------------------------
 
-#: Vectorized view of a homogeneous run of step headers: one structured
-#: ``np.frombuffer`` parses every header of a batch at once (the columnar
-#: drain path).  Field offsets mirror ``_STEP_HEADER`` (``<BqqdqIQ``) byte
-#: for byte, and the itemsize is pinned to ``STEP_HEADER_BYTES`` so the
-#: wire-layout lint's calcsize cross-check on the struct keeps guarding the
-#: layout this dtype shadows.
-_STEP_HEADER_DTYPE = np.dtype(
-    {
-        "names": [
-            "type",
-            "client_id",
-            "time_step",
-            "time_value",
-            "sequence_number",
-            "n_params",
-            "payload_len",
-        ],
-        "formats": ["u1", "<i8", "<i8", "<f8", "<i8", "<u4", "<u8"],
-        "offsets": [0, 1, 9, 17, 25, 33, 37],
-        "itemsize": STEP_HEADER_BYTES,
-    }
-)
-
-
 def unpack_columns(buffer) -> Optional[ColumnBatch]:
     """Deserialise a packed batch straight into one :class:`ColumnBatch`.
 
@@ -536,61 +605,55 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
     )
 
 
-def _columnize_run(run: List[TimeStepMessage]) -> ColumnBatch:
-    """One consecutive step run as a :class:`ColumnBatch`.
+def join_blocks(blocks: Sequence[StepBlock]) -> ColumnBatch:
+    """A run of step blocks as one :class:`ColumnBatch`: the by-reference
+    counterpart of :func:`unpack_columns`, one payload copy per run.
 
-    Raises :class:`WireFormatError` for a ragged run: every step must carry
+    Raises :class:`WireFormatError` for a ragged run: every block must carry
     as many parameters and as long a flat payload as the first one.
     """
-    first = run[0]
-    width = len(first.parameters)
-    field_len = first.payload.size
-    for message in run:
-        if len(message.parameters) != width or message.payload.shape != (field_len,):
+    width, field_len = blocks[0].width, blocks[0].field_len
+    for block in blocks:
+        if block.width != width or block.field_len != field_len:
             raise WireFormatError(
-                f"ragged step run: client {message.client_id} step {message.time_step} "
-                f"has {len(message.parameters)} parameters and payload shape "
-                f"{message.payload.shape}, the run started with {width} and ({field_len},)"
+                f"ragged step run: client {block.client_id} step {block.time_steps[0]} "
+                f"has {block.width} parameters and payload shape ({block.field_len},), "
+                f"the run started with {width} and ({field_len},)"
             )
-    count = len(run)
+
+    def joined(column: str) -> list:
+        return [value for block in blocks for value in getattr(block, column)]
+
+    count = sum(len(block) for block in blocks)
     inputs = np.empty((count, width + 1), dtype=np.float64)
-    if width:
-        inputs[:, :width] = [message.parameters for message in run]
-    inputs[:, width] = [message.time_value for message in run]
+    inputs[:, :width] = np.reshape(joined("params"), (count, width))
+    inputs[:, width] = joined("time_values")
     targets = np.empty((count, field_len), dtype=np.float32)
-    for index, message in enumerate(run):
-        targets[index] = message.payload
+    np.concatenate(joined("payloads"), out=targets.reshape(-1))
     return ColumnBatch(
         inputs=inputs,
         targets=targets,
-        source_ids=np.fromiter((m.client_id for m in run), np.int64, count),
-        time_steps=np.fromiter((m.time_step for m in run), np.int64, count),
-        sequence_numbers=np.fromiter((m.sequence_number for m in run), np.int64, count),
+        source_ids=np.repeat(np.array([block.client_id for block in blocks], np.int64),
+                             [len(block) for block in blocks]),
+        time_steps=np.array(joined("time_steps"), dtype=np.int64),
+        sequence_numbers=np.array(joined("sequence_numbers"), dtype=np.int64),
     )
 
 
-def columnize(messages: Sequence[Message]) -> list:
-    """Group consecutive time-step runs into :class:`ColumnBatch` chunks.
+def columnize(items: Sequence) -> list:
+    """Join consecutive step runs — blocks or messages — into :class:`ColumnBatch` chunks.
 
-    The message-object counterpart of :func:`unpack_columns`: the
-    in-process router and mixed wire batches deliver their step runs in the
-    same columnar shape as the homogeneous wire batches, so the aggregator
-    has a single sample representation.  Control messages pass through
-    unchanged, in order; payloads are cast to float32 on the way into the
-    targets matrix.  A ragged run (mixed parameter or payload lengths)
-    raises :class:`WireFormatError`.
+    What the in-process router does with the blocks it hands over by
+    reference, and what the wire backends do with a rare mixed batch that
+    :func:`unpack_many` decoded: the aggregator sees one sample
+    representation.  Control messages pass through unchanged, in order.  A
+    ragged run (mixed parameter or payload lengths) raises
+    :class:`WireFormatError`.
     """
     out: list = []
-    run: List[TimeStepMessage] = []
-    for message in messages:
-        if type(message) is TimeStepMessage:
-            run.append(message)
-            continue
-        if run:
-            out.append(_columnize_run(run))
-            run = []
-        out.append(message)
-    if run:
-        out.append(_columnize_run(run))
+    for is_block, run in groupby(batch_parts(items), key=lambda part: type(part) is StepBlock):
+        if is_block:
+            out.append(join_blocks(list(run)))
+        else:
+            out.extend(run)
     return out
-

@@ -25,9 +25,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import threading
-from typing import List, Optional
+from typing import Optional
 
-from repro.parallel.messages import Message, plan_many
+from repro.parallel.messages import BatchPlan, plan_many
 from repro.parallel.transport import (
     PackedDrainMixin,
     RouterClosed,
@@ -140,9 +140,8 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
         self._scratch = threading.local()
 
     # ----------------------------------------------------------------- client
-    def _pack_batch(self, messages: List[Message]) -> bytes:
-        """Pack ``messages`` through the thread's reusable scratch buffer."""
-        plan = plan_many(messages)
+    def _pack_batch(self, plan: BatchPlan) -> bytes:
+        """Pack ``plan`` through the thread's reusable scratch buffer."""
         scratch = getattr(self._scratch, "buf", None)
         if scratch is None or len(scratch) < plan.nbytes:
             scratch = bytearray(max(plan.nbytes, 64 * 1024))
@@ -150,21 +149,22 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
         plan.write_into(scratch, 0)
         return bytes(memoryview(scratch)[: plan.nbytes])
 
-    def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
-        """Serialise ``messages`` into one packed buffer and enqueue it."""
+    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
+        """Serialise ``batch`` into one packed buffer and enqueue it."""
         self._check_rank(rank)
-        if not messages:
+        plan = plan_many(batch)
+        if not plan.count:
             return
         if self._closed.is_set():
-            self._shared.record_dropped(len(messages))
+            self._shared.record_dropped(plan.count)
             raise RouterClosed("transport is closed")
-        buffer = self._pack_batch(messages)
+        buffer = self._pack_batch(plan)
         try:
             self._queues[rank].put(buffer, timeout=timeout)
         except queue.Full:
-            self._shared.record_dropped(len(messages))
+            self._shared.record_dropped(plan.count)
             raise
-        self._shared.record_batch(rank, len(messages), len(buffer))
+        self._shared.record_batch(rank, plan.count, len(buffer))
 
     def _record_dropped(self, count: int) -> None:
         if count:

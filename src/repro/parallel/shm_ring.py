@@ -88,7 +88,8 @@ from multiprocessing import shared_memory
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.parallel.messages import BatchPlan, Message, WireFormatError, plan_many
+from repro.parallel.messages import BatchPlan, WireFormatError, batch_parts, message_count
+from repro.parallel.messages import plan_many
 from repro.parallel.mp_transport import _SharedFlag
 from repro.parallel.transport import (
     Connection,
@@ -597,50 +598,55 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         return self.lease_client(client_id) if slot is None else slot
 
     # ----------------------------------------------------------------- client
-    def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
-        """Pack ``messages`` into their client's leased ring for ``rank``.
+    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
+        """Pack ``batch`` into its client's leased ring for ``rank``.
 
-        A client's batch names one client — a single in-place packed ring
-        write, whatever message types it mixes.  A batch naming several
-        clients is written as consecutive same-client runs, each to its own
-        ring (order holds per client, which is all any backend promises).
-        A failed push drops everything it had not committed yet.
+        A client's block (or batch) names one client — a single in-place
+        packed ring write, whatever message types it mixes.  A batch naming
+        several clients is written as consecutive same-client runs, each to
+        its own ring (order holds per client, which is all any backend
+        promises).  A failed push drops everything it had not committed yet.
         """
         self._check_rank(rank)
         rings = self._rings[rank]
+        parts = batch_parts(batch)
         committed = 0
         try:
-            for client_id, run in groupby(messages, key=_by_client):
+            for client_id, run in groupby(parts, key=_by_client):
                 ring = rings[self._slot_for(client_id)]
-                for chunk, plan in self._ring_chunks(ring, list(run)):
-                    self._write_chunk(ring, plan, len(chunk), timeout)
-                    committed += len(chunk)
+                for plan in self._ring_chunks(ring, list(run)):
+                    self._write_chunk(ring, plan, timeout)
+                    committed += plan.count
                     self._notify(rank)
         except (queue.Full, RouterClosed, WireFormatError):
-            ring.record_dropped(len(messages) - committed)
+            ring.record_dropped(message_count(parts) - committed)
             raise
 
-    def _ring_chunks(self, ring: ShmRing,
-        run: List[Message]) -> List[tuple[List[Message], BatchPlan]]:
-        """Plan ``run`` into slot-sized batches, splitting in half as needed.
+    def _ring_chunks(self, ring: ShmRing, parts: list) -> List[BatchPlan]:
+        """Plan ``parts`` into slot-sized batches, splitting in half as needed
+        (a lone step block by rows).
 
         Planning is size-only (no bytes are produced): the actual packing
         happens straight into the reserved ring slot.
         """
-        plan = plan_many(run)
+        plan = plan_many(parts)
         if plan.nbytes <= ring.slot_bytes:
-            return [(run, plan)]
-        if len(run) == 1:
+            return [plan]
+        if len(parts) == 1 and plan.count > 1:
+            middle = plan.count // 2
+            halves = [parts[0][:middle]], [parts[0][middle:]]
+        elif len(parts) > 1:
+            middle = len(parts) // 2
+            halves = parts[:middle], parts[middle:]
+        else:
             raise WireFormatError(
                 f"one packed message of {plan.nbytes} bytes exceeds the "
                 f"{ring.slot_bytes}-byte ring slot; raise "
                 "TransportConfig.shm.ring_slot_bytes"
             )
-        middle = len(run) // 2
-        return self._ring_chunks(ring, run[:middle]) + self._ring_chunks(ring, run[middle:])
+        return self._ring_chunks(ring, halves[0]) + self._ring_chunks(ring, halves[1])
 
-    def _write_chunk(self, ring: ShmRing, plan: BatchPlan, messages: int,
-                     timeout: float | None) -> None:
+    def _write_chunk(self, ring: ShmRing, plan: BatchPlan, timeout: float | None) -> None:
         """Pack one planned batch straight into the next free slot of ``ring``."""
         closed = self._closed.is_set
         view = None if closed() else ring.reserve(plan.nbytes, timeout=timeout,
@@ -656,7 +662,7 @@ class ShmRingTransport(PackedDrainMixin, Transport):
             raise
         finally:
             view.release()
-        ring.commit_write(plan.nbytes, messages)
+        ring.commit_write(plan.nbytes, plan.count)
 
     def _notify(self, rank: int) -> None:
         """Wake the rank's reader, but only when it is actually parked.

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
-from repro.parallel.messages import ClientHello, Message, plan_many
+from repro.parallel.messages import ClientHello, batch_parts, message_count, plan_many
 from repro.parallel.transport import (
     Connection,
     PackedDrainMixin,
@@ -86,14 +86,13 @@ class _ClientWriter:
         self._sock = sock
         return sock
 
-    def send_batch(self, rank: int, messages: List[Message],
-                   timeout: Optional[float]) -> int:
+    def send_batch(self, rank: int, parts: list, timeout: Optional[float]) -> int:
         """Pack, frame and send one batch; returns the frame's wire bytes.
 
         The batch is packed behind the scratch's reserved header prefix, the
         header is written into that prefix, and the contiguous frame leaves
         with one ``sendall`` — zero extra copies."""
-        plan = plan_many(messages)
+        plan = plan_many(parts)
         needed = framing.FRAME_HEADER_BYTES + plan.nbytes
         if len(self._scratch) < needed:
             self._scratch = bytearray(max(needed, 2 * len(self._scratch)))
@@ -201,31 +200,31 @@ class TcpTransport(PackedDrainMixin, Transport):
             local.writer = writer
         return writer
 
-    def push_many(self, rank: int, messages: List[Message],
-                  timeout: float | None = None) -> None:
-        """Serialise ``messages`` into one frame and send it to the front door."""
+    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
+        """Serialise ``batch`` into one frame and send it to the front door."""
         self._check_rank(rank)
-        if not messages:
+        parts = batch_parts(batch)
+        if not parts:
             return
         if self._closed.is_set():
-            self._record_dropped(len(messages))
+            self._record_dropped(message_count(parts))
             raise RouterClosed("transport is closed")
         writer = self._writer()
-        first = messages[0]
+        first = parts[0]
         if isinstance(first, ClientHello):
             # The hello's restart count is the dedup epoch the next-opened
             # connection announces in its handshake (control messages flush
             # ahead of data, so the hello is always the first push of a run).
             writer.epoch = int(first.restart_count)
         try:
-            writer.send_batch(rank, messages, timeout)
+            writer.send_batch(rank, parts, timeout)
         except TimeoutError:
             writer.reset()
-            self._record_dropped(len(messages))
+            self._record_dropped(message_count(parts))
             raise queue.Full(f"tcp send to rank {rank} timed out") from None
         except OSError as exc:
             writer.reset()
-            self._record_dropped(len(messages))
+            self._record_dropped(message_count(parts))
             raise RouterClosed(
                 f"tcp connection to {self.host}:{self.port} lost: {exc}"
             ) from exc

@@ -1,14 +1,15 @@
 """Pluggable transport layer connecting clients to server ranks.
 
 This is the ZeroMQ substitute.  A :class:`Transport` owns one bounded channel
-per server rank; clients obtain a :class:`Connection` and push messages to a
+per server rank; clients obtain a :class:`Connection`, whose time steps enter
+a transport as :class:`~repro.parallel.messages.StepBlock` rows pushed to a
 chosen server rank, while each server data-aggregator thread drains its own
 channel with :meth:`Transport.poll_batches` — samples leave every backend as
 :class:`~repro.buffers.columns.ColumnBatch` chunks, control messages as
 plain objects.  Four backends implement the interface:
 
 * :class:`MessageRouter` — the in-process backend: one ``queue.Queue`` per
-  rank, messages handed over by reference (no serialisation).
+  rank, blocks handed over by reference (no serialisation).
 * :class:`repro.parallel.mp_transport.MultiprocessTransport` — real OS-process
   isolation: one ``multiprocessing.Queue`` per rank carrying *packed batches*
   (:func:`repro.parallel.messages.pack_many`), with shared-memory statistics
@@ -41,9 +42,12 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import (
     Message,
+    StepBlock,
     TimeStepMessage,
     WireFormatError,
+    batch_parts,
     columnize,
+    message_count,
     unpack_columns,
     unpack_many,
 )
@@ -84,11 +88,6 @@ class TransportStats:
     ring_depth_high_water: Dict[int, int] = field(default_factory=dict)
     unresponsive_kills: int = 0
 
-    def record(self, rank: int, nbytes: int) -> None:
-        self.messages_routed += 1
-        self.bytes_routed += int(nbytes)
-        self.per_rank_messages[rank] = self.per_rank_messages.get(rank, 0) + 1
-
     def record_batch(self, rank: int, count: int, nbytes: int) -> None:
         """Record ``count`` messages that crossed the channel as one batch."""
         self.messages_routed += int(count)
@@ -124,11 +123,14 @@ class Transport:
         """
         self.push_many(rank, [message], timeout=timeout)
 
-    def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
+    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
         """Push a batch to ``rank``; wire backends serialise it as one buffer.
 
-        A failed push drops the whole remaining batch, so every backend
-        accounts a rejected batch identically in ``stats.dropped_messages``.
+        ``batch`` is a :class:`StepBlock` (what a :class:`Connection` flushes)
+        or a sequence of messages and blocks, grouped by
+        :func:`~repro.parallel.messages.batch_parts`.  A failed push drops the
+        whole remaining batch, so every backend accounts a rejected batch
+        identically in ``stats.dropped_messages``.
         """
         raise NotImplementedError
 
@@ -166,20 +168,21 @@ class Transport:
         """
         raise NotImplementedError
 
-    def _columnize(self, rank: int, messages: List[Message]) -> list:
-        """Regroup decoded ``messages`` into chunks and control messages.
+    def _columnize(self, rank: int, items: list) -> list:
+        """Join the step runs of ``items`` (blocks or decoded messages) into
+        chunks, control messages passing through.
 
         A ragged step run is rejected here, at the boundary, like a corrupt
         buffer: logged, counted as one dropped batch, and the time steps of
-        ``messages`` are discarded (control messages are still delivered, so
-        a client's finished marker is never lost with them).
+        ``items`` are discarded (control messages are still delivered, so a
+        client's finished marker is never lost with them).
         """
         try:
-            return columnize(messages)
+            return columnize(items)
         except WireFormatError:
             logger.warning("rank %d: discarding ragged time-step run", rank, exc_info=True)
             self._record_dropped(1)
-            return [m for m in messages if not isinstance(m, TimeStepMessage)]
+            return [m for m in items if type(m) not in (TimeStepMessage, StepBlock)]
 
     def pending(self, rank: int) -> int:
         """Number of messages currently queued for server rank ``rank``."""
@@ -209,14 +212,15 @@ class Transport:
 
 
 class PackedDrainMixin:
-    """Server-side drain machinery shared by the wire backends (mp, shm, tcp).
+    """Server-side drain machinery shared by every backend.
 
-    Wire backends deliver whole packed batches per channel slot; a poll
-    budget therefore rarely lines up with batch boundaries.  This mixin
-    implements the budgeted drain — block for the first batch only, then
-    drain without blocking, park the overshoot in a per-rank leftover deque —
-    plus the shared packed-buffer decode (columnar chunk straight from the
-    buffer, mixed batches regrouped, corrupt buffers dropped and counted).
+    A channel slot holds a whole batch — a packed buffer on the wire
+    backends (mp, shm, tcp), a step block on ``inproc`` — so a poll budget
+    rarely lines up with batch boundaries.  This mixin implements the
+    budgeted drain — block for the first batch only, then drain without
+    blocking, park the overshoot in a per-rank leftover deque — plus the
+    shared packed-buffer decode (columnar chunk straight from the buffer,
+    mixed batches regrouped, corrupt buffers dropped and counted).
 
     A concrete backend provides:
 
@@ -298,17 +302,18 @@ class PackedDrainMixin:
                 max_messages: int, count: int = 0) -> int:
         """Append ``batch`` items to ``out`` within the message budget.
 
-        ``batch`` holds control messages and/or columnar chunks; a chunk counts
-        ``len(chunk)`` messages.  Whatever exceeds the budget goes to the
-        rank's leftover deque (chunks are split by slicing, which makes
-        column views, not copies).  Returns the updated message count.
+        ``batch`` holds control messages and/or columnar chunks or step
+        blocks; a chunk or block counts its rows.  Whatever exceeds the
+        budget goes to the rank's leftover deque (chunks and blocks are split
+        by slicing, which makes views, not copies).  Returns the updated
+        message count.
         """
         leftover = self._leftover[rank]
         for index, item in enumerate(batch):
             if count >= max_messages:
                 leftover.extend(batch[index:])
                 break
-            if isinstance(item, ColumnBatch):
+            if isinstance(item, (ColumnBatch, StepBlock)):
                 room = max_messages - count
                 if len(item) <= room:
                     out.append(item)
@@ -323,25 +328,26 @@ class PackedDrainMixin:
         return count
 
     def _leftover_count(self, rank: int) -> int:
-        """Deserialised leftovers, columnar chunks counted by sample count."""
+        """Leftovers, columnar chunks and step blocks counted by sample count."""
         return sum(
-            len(item) if isinstance(item, ColumnBatch) else 1
+            len(item) if isinstance(item, (ColumnBatch, StepBlock)) else 1
             for item in self._leftover[rank]
         )
 
 
-class MessageRouter(Transport):
-    """In-process transport: routes client messages to per-server-rank queues.
+class MessageRouter(PackedDrainMixin, Transport):
+    """In-process transport: routes client blocks to per-server-rank queues.
 
     Parameters
     ----------
     num_server_ranks:
         Number of server processes (one per GPU in the paper).
     max_queue_size:
-        Bound of each per-rank queue.  The paper notes that during validation
-        "newly produced data sent by the clients still accumulate in the ZMQ
-        buffer" — the bound models that buffer's capacity; pushes block when
-        the queue is full, mimicking ZMQ's high-water-mark back-pressure.
+        Bound of each per-rank queue, in pushed parts (a step block is one).
+        The paper notes that during validation "newly produced data sent by
+        the clients still accumulate in the ZMQ buffer" — the bound models
+        that buffer's capacity; pushes block when the queue is full,
+        mimicking ZMQ's high-water-mark back-pressure.
     """
 
     def __init__(self, num_server_ranks: int, max_queue_size: int = 10_000) -> None:
@@ -352,6 +358,7 @@ class MessageRouter(Transport):
         self._queues: List[queue.Queue] = [
             queue.Queue(maxsize=max_queue_size) for _ in range(num_server_ranks)
         ]
+        self._init_leftovers(num_server_ranks)
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
         self._stats = TransportStats()
@@ -361,20 +368,22 @@ class MessageRouter(Transport):
             self._stats.unresponsive_kills += 1
 
     # ----------------------------------------------------------------- client
-    def push_many(self, rank: int, messages: List[Message], timeout: float | None = None) -> None:
-        """Hand ``messages`` over by reference, each blocking while the queue is full."""
+    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
+        """Hand each part of ``batch`` over by reference — a step block whole —
+        blocking while the queue is full."""
         self._check_rank(rank)
-        for index, message in enumerate(messages):
+        parts = batch_parts(batch)
+        for index, part in enumerate(parts):
             if self._closed.is_set():
-                self._record_dropped(len(messages) - index)
+                self._record_dropped(message_count(parts[index:]))
                 raise RouterClosed("router is closed")
             try:
-                self._queues[rank].put(message, timeout=timeout)
+                self._queues[rank].put(part, timeout=timeout)
             except queue.Full:
-                self._record_dropped(len(messages) - index)
+                self._record_dropped(message_count(parts[index:]))
                 raise
             with self._stats_lock:
-                self._stats.record(rank, message.nbytes())
+                self._stats.record_batch(rank, message_count([part]), part.nbytes())
 
     def _record_dropped(self, count: int) -> None:
         if count:
@@ -384,25 +393,21 @@ class MessageRouter(Transport):
     # ----------------------------------------------------------------- server
     def poll_batches(self, rank: int, max_messages: int = 64,
         timeout: float | None = 0.05) -> list:
-        """Drain the rank queue; step runs are regrouped into chunks here (the
-        by-reference counterpart of the wire backends' packed decode)."""
-        if max_messages <= 0:
-            raise ValueError("max_messages must be positive")
-        self._check_rank(rank)
-        q = self._queues[rank]
+        """The budgeted drain over by-reference parts; each drained run of
+        step blocks is then joined into one chunk (the by-reference
+        counterpart of the wire backends' packed decode)."""
+        return self._columnize(rank, super().poll_batches(rank, max_messages, timeout))
+
+    def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         try:
-            messages = [q.get_nowait() if timeout is None else q.get(timeout=timeout)]
+            q = self._queues[rank]
+            return [q.get_nowait() if timeout is None else q.get(timeout=timeout)]
         except queue.Empty:
-            return []
-        while len(messages) < max_messages:
-            try:
-                messages.append(q.get_nowait())
-            except queue.Empty:
-                break
-        return self._columnize(rank, messages)
+            return None
 
     def pending(self, rank: int) -> int:
-        return self._queues[rank].qsize()
+        """Leftover rows plus queued parts (a queued block counts once)."""
+        return self._leftover_count(rank) + self._queues[rank].qsize()
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -419,25 +424,25 @@ class MessageRouter(Transport):
 
 @dataclass
 class Connection:
-    """Client-side handle distributing messages over the server ranks.
+    """Client-side handle distributing time steps over the server ranks.
 
     As in the paper, each client connects to *all* server ranks and sends its
     time steps round-robin, with the starting rank offset by the client id so
     that all clients do not hit the same rank with the same time step.
 
-    The connection accumulates per-rank batches and pushes each rank's batch
-    with a single :meth:`Transport.push_many` call once it holds
-    ``batch_size`` messages — on the wire backends that serialises the whole
-    batch into one packed buffer.  :meth:`broadcast` (hello/finished markers)
-    flushes every pending batch first so control messages never overtake the
-    data sent before them.
+    Each step is one row of the next rank's pending :class:`StepBlock`; a
+    block is pushed whole with one :meth:`Transport.push_many` call once it
+    holds ``batch_size`` rows — on the wire backends that encodes it into
+    one packed buffer.  :meth:`broadcast` (hello/finished markers) flushes
+    every pending block first so control messages never overtake the data
+    sent before them.
     """
 
     transport: Transport
     client_id: int
     batch_size: int = 1
     _next_rank: int = field(init=False)
-    _pending: Dict[int, List[Message]] = field(init=False, default_factory=dict)
+    _pending: Dict[int, StepBlock] = field(init=False, default_factory=dict)
     sent_messages: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -445,14 +450,22 @@ class Connection:
             raise ValueError("batch_size must be positive")
         self._next_rank = self.client_id % self.transport.num_server_ranks
 
-    def send_round_robin(self, message: Message, timeout: float | None = None) -> int:
-        """Send to the next rank in round-robin order; returns the rank used."""
+    def append_step(self, time_step: int, time_value: float, sequence_number: int,
+                    parameters: Sequence[float], payload) -> int:
+        """Append one step to the next rank's block; returns the rank used.
+
+        ``payload`` is the flat float32 field.  A row whose parameter count or
+        field length differs from the block's first row raises
+        :class:`ValueError` and leaves the block and the rank order as they were.
+        """
         rank = self._next_rank
+        block = self._pending.get(rank)
+        if block is None:
+            block = self._pending[rank] = StepBlock(self.client_id, len(parameters), payload.size)
+        block.append(time_step, time_value, sequence_number, parameters, payload)
         self._next_rank = (rank + 1) % self.transport.num_server_ranks
-        batch = self._pending.setdefault(rank, [])
-        batch.append(message)
-        if len(batch) >= self.batch_size:
-            self._flush_rank(rank, timeout=timeout)
+        if len(block) >= self.batch_size:
+            self._flush_rank(rank, timeout=None)
         return rank
 
     def broadcast(self, message: Message, timeout: float | None = None) -> None:
@@ -463,19 +476,19 @@ class Connection:
         self.sent_messages += self.transport.num_server_ranks
 
     def flush(self, timeout: float | None = None) -> None:
-        """Push every pending per-rank batch."""
+        """Push every pending per-rank block."""
         for rank in list(self._pending):
             self._flush_rank(rank, timeout=timeout)
 
     def _flush_rank(self, rank: int, timeout: float | None) -> None:
-        batch = self._pending.pop(rank, None)
-        if batch:
-            self.transport.push_many(rank, batch, timeout=timeout)
-            self.sent_messages += len(batch)
+        block = self._pending.pop(rank, None)
+        if block is not None:
+            self.transport.push_many(rank, block, timeout=timeout)
+            self.sent_messages += len(block)
 
-    def pending(self) -> List[Message]:
-        """The buffered messages themselves (send order within each rank)."""
-        return [message for batch in self._pending.values() for message in batch]
+    def pending(self) -> List[StepBlock]:
+        """The blocks not pushed yet, at most one per rank."""
+        return list(self._pending.values())
 
 
 # --------------------------------------------------------------------- config
@@ -581,7 +594,7 @@ class TransportConfig:
     backend: str = "inproc"
     #: Client-side batching width (messages per packed buffer / frame).
     batch_size: int = 1
-    #: Bound of each per-rank channel of the ``inproc`` (messages), ``mp``
+    #: Bound of each per-rank channel of the ``inproc`` (pushes), ``mp``
     #: (batches) and ``tcp`` (frames) backends; ``shm`` has no rank channel —
     #: each client's ring is bounded by ``shm.ring_slots``.
     queue_size: int = 100_000

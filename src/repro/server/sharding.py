@@ -35,9 +35,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.core.metrics import merge_worker_metrics
 from repro.nn.module import Module
+from repro.parallel.messages import batch_parts
 from repro.parallel.transport import (
     Connection,
-    Message,
     Transport,
     TransportConfig,
     TransportStats,
@@ -157,13 +157,12 @@ class ShardedTransport(Transport):
     def connect(self, client_id: int, batch_size: int = 1) -> Connection:
         return self.transport_for(client_id).connect(client_id, batch_size=batch_size)
 
-    def push_many(self, rank: int, messages: List[Message],
-                  timeout: float | None = None) -> None:
-        # Routed message by message: a mixed-client batch may span shards.
-        # Study traffic never takes this path (clients push through the
+    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
+        # Routed part by part: a mixed-client batch may span shards.  Study
+        # traffic never takes this path (clients push through the
         # connection returned by ``connect``, already bound to one shard).
-        for message in messages:
-            self.transport_for(message.client_id).push_many(rank, [message], timeout=timeout)
+        for part in batch_parts(batch):
+            self.transport_for(part.client_id).push_many(rank, [part], timeout=timeout)
 
     def lease_client(self, client_id: int) -> int:
         return self.transport_for(client_id).lease_client(client_id)

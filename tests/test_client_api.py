@@ -81,6 +81,33 @@ def test_client_api_misuse_raises():
         api.send(1, 0.01, (0.0,), np.zeros(2))
 
 
+def test_ragged_row_is_refused_at_the_source_and_leaves_the_block():
+    """A step whose parameter count or field length differs from its pending
+    block's first row raises before anything is appended or sent."""
+    router = MessageRouter(2)
+    api = ClientAPI(router, client_id=0, send_batch_size=4)
+    api.init_communication((1.0, 2.0), 4, (4,))
+    api.send(1, 0.1, (1.0, 2.0), np.zeros(4))
+    api.send(2, 0.2, (1.0, 2.0), np.zeros(4))
+    api.send(3, 0.3, (1.0, 2.0), np.zeros(4))  # rank 0's block now holds steps 1 and 3
+    blocks = api._connection.pending()
+    before = [(b.time_steps[:], b.time_values[:], b.sequence_numbers[:], b.params[:],
+               len(b.payloads)) for b in blocks]
+    with pytest.raises(ValueError, match=r"step 4 has 3 parameters and 4 field values.*"
+                                         r"rows of 2 parameters and 4 field values"):
+        api.send(4, 0.4, (1.0, 2.0, 3.0), np.zeros(4))
+    with pytest.raises(ValueError, match=r"2 parameters and 6 field values.*"
+                                         r"2 parameters and 4 field values"):
+        api.send(4, 0.4, (1.0, 2.0), np.zeros((2, 3)))
+    after = [(b.time_steps, b.time_values, b.sequence_numbers, b.params, len(b.payloads))
+             for b in api._connection.pending()]
+    assert after == before
+    assert api.messages_sent == 3
+    # Nothing moved on: the next well-formed step takes rank 1, as it would have.
+    assert api.send(4, 0.4, (1.0, 2.0), np.zeros(4)) == 1
+    assert api.undelivered_steps() == [1, 2, 3, 4]
+
+
 def make_client(router, client_id=0, num_steps=4, fail_at_step=None, checkpoint=True):
     config = HeatEquationConfig(nx=8, ny=8, num_steps=num_steps)
     params = HeatParameters(200.0, 300.0, 250.0, 350.0, 150.0)

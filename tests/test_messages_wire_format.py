@@ -7,6 +7,8 @@ empty payload fields and 0-step clients.  Re-packing the unpacked batch must
 reproduce the exact same buffer (the format is canonical).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +19,7 @@ from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
     Message,
+    StepBlock,
     TimeStepMessage,
     WireFormatError,
     pack_many,
@@ -98,6 +101,33 @@ def test_time_step_round_trip_byte_for_byte(message):
 @given(message=finished_messages())
 def test_finished_round_trip(message):
     assert unpack_many(pack_many([message])) == [message]
+
+
+#: sha256 of ``pack_many`` of the message list equivalent to
+#: ``pinned_conversation()``, recorded with the per-message step encoder that
+#: the block encoder replaced: the wire bytes did not change.
+PINNED_DIGEST = "b1738dcc5579ad5fa6d79514706f0e75884e22d07403f67012ca86384647fa8d"
+
+
+def pinned_conversation():
+    """A hello, one 4-row step block and a finished marker."""
+    block = StepBlock(client_id=7, width=2, field_len=6)
+    for step in range(1, 5):
+        block.append(step, step * 0.25, step + 10, (300.0, 250.0),
+                     np.arange(6, dtype=np.float32) * step)
+    return [
+        ClientHello(client_id=7, parameters=(300.0, 250.0), num_time_steps=4,
+                    field_shape=(2, 3), restart_count=1),
+        block,
+        ClientFinished(client_id=7, total_sent=4),
+    ]
+
+
+def test_block_batch_bytes_are_pinned():
+    assert hashlib.sha256(pack_many(pinned_conversation())).hexdigest() == PINNED_DIGEST
+    hello, block, finished = pinned_conversation()
+    messages = [hello, *unpack_many(pack_many([block])), finished]
+    assert hashlib.sha256(pack_many(messages)).hexdigest() == PINNED_DIGEST
 
 
 def test_retired_heartbeat_type_code_is_rejected():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.client.api import ClientAPI
 from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
@@ -11,13 +12,15 @@ from repro.parallel.messages import (
 )
 from repro.parallel.transport import MessageRouter, RouterClosed
 
+PARAMETERS = (100.0, 200.0, 300.0, 400.0, 500.0)
+
 
 def make_message(client_id=0, step=1, seq=0, size=4):
     return TimeStepMessage(
         client_id=client_id,
         time_step=step,
         time_value=step * 0.01,
-        parameters=(100.0, 200.0, 300.0, 400.0, 500.0),
+        parameters=PARAMETERS,
         payload=np.arange(size, dtype=np.float32),
         sequence_number=seq,
     )
@@ -57,21 +60,29 @@ def test_router_validation():
         router.poll_batches(0, max_messages=0)
 
 
+def connected_api(router, client_id=0):
+    """A client that has announced itself (one hello per rank)."""
+    api = ClientAPI(router, client_id)
+    api.init_communication(PARAMETERS, num_time_steps=8, field_shape=(4,))
+    return api
+
+
+def send_step(api, step, size=4):
+    return api.send(step, step * 0.01, PARAMETERS, np.arange(size, dtype=np.float32))
+
+
 def test_round_robin_distribution_across_ranks():
     router = MessageRouter(num_server_ranks=4)
-    connection = router.connect(client_id=0)
-    used = [connection.send_round_robin(make_message(step=i)) for i in range(8)]
+    api = connected_api(router)
+    used = [send_step(api, i) for i in range(8)]
     assert used == [0, 1, 2, 3, 0, 1, 2, 3]
-    assert all(router.pending(rank) == 2 for rank in range(4))
+    assert all(router.pending(rank) == 3 for rank in range(4))  # the hello + 2 steps
 
 
 def test_round_robin_start_offset_by_client_id():
     """Clients start on different ranks so the same time step spreads out."""
     router = MessageRouter(num_server_ranks=4)
-    first_ranks = [
-        router.connect(client_id=cid).send_round_robin(make_message(client_id=cid))
-        for cid in range(4)
-    ]
+    first_ranks = [send_step(connected_api(router, cid), 0) for cid in range(4)]
     assert first_ranks == [0, 1, 2, 3]
 
 
@@ -98,22 +109,22 @@ def test_broadcast_reaches_every_rank():
 
 def test_router_stats_accumulate():
     router = MessageRouter(2)
-    connection = router.connect(0)
+    api = connected_api(router)
     for step in range(6):
-        connection.send_round_robin(make_message(step=step, size=10))
-    assert router.stats.messages_routed == 6
+        send_step(api, step, size=10)
+    assert router.stats.messages_routed == 8  # two hellos and six steps
     assert router.stats.bytes_routed > 0
-    assert router.stats.per_rank_messages == {0: 3, 1: 3}
-    assert [router.pending(rank) for rank in range(2)] == [3, 3]
+    assert router.stats.per_rank_messages == {0: 4, 1: 4}
+    assert [router.pending(rank) for rank in range(2)] == [4, 4]
 
 
 def test_closed_router_rejects_pushes():
     router = MessageRouter(1)
-    connection = router.connect(0)
+    api = connected_api(router)
     router.close()
     assert router.closed
     with pytest.raises(RouterClosed):
-        connection.send_round_robin(make_message())
+        send_step(api, 0)
     with pytest.raises(RouterClosed):
         router.connect(1)
 

@@ -119,6 +119,19 @@ class TestWireLayout:
     def test_good_fixture_and_alias_idioms_are_clean(self):
         assert lint("good_wire_layout.py").clean
 
+    def test_header_dtype_drift_from_its_struct_is_flagged(self):
+        report = lint("bad_header_dtype.py")
+        findings = [f for f in report.findings if f.rule == "wire-layout"]
+        assert len(findings) == 4
+        messages = " ".join(f.message for f in findings)
+        assert "format '<f4' does not match struct code 'd' ('<f8')" in messages
+        assert "offset 13 but calcsize of '<Bqd' is 17" in messages
+        assert "itemsize must name RECORD_HEADER_BYTES" in messages
+        assert "2 formats and 2 offsets for the 3 fields of _PAIR_HEADER" in messages
+
+    def test_header_dtype_mirroring_its_struct_is_clean(self):
+        assert lint("good_header_dtype.py").clean
+
     def test_repo_wire_modules_stay_consistent(self):
         # The real invariants: messages.py headers and shm_ring.py offset
         # families must keep matching their declared byte sizes.

@@ -24,7 +24,13 @@ from repro.buffers.columns import ColumnBatch
 from repro.client.api import ClientAPI
 from repro.client.simulation_client import SimulationClient
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig, _fork_mp
-from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage, WireFormatError
+from repro.parallel.messages import (
+    ClientFinished,
+    ClientHello,
+    StepBlock,
+    TimeStepMessage,
+    WireFormatError,
+)
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import (
     _HDR_WRITER_CURSOR,
@@ -410,12 +416,12 @@ def test_slot_lease_connect_finish_recycles():
         ring_slots=8, ring_slot_bytes=4096)
     try:
         for client_id in range(4):
-            connection = transport.connect(client_id)
+            transport.connect(client_id)
             slot = slot_of(transport, client_id)
             assert slot is not None
-            connection.send_round_robin(
-                TimeStepMessage(client_id=client_id, time_step=0, payload=FIELD)
-            )
+            block = StepBlock(client_id, width=0, field_len=FIELD.size)
+            block.append(0, 0.0, 0, (), FIELD)
+            transport.push_many(0, block)
             transport.push(0, ClientFinished(client_id=client_id, total_sent=1))
             received = []
             while len(received) < 2:

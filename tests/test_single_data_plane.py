@@ -17,6 +17,7 @@ import pytest
 
 from repro.buffers import make_buffer
 from repro.buffers.columns import ColumnBatch
+from repro.client.api import ClientAPI
 from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
 from repro.parallel.transport import TransportConfig, make_transport
 from repro.server.server import ServerConfig, TrainingServer
@@ -110,6 +111,49 @@ def test_ragged_run_is_dropped_and_counted_once(transport):
     assert items[0].time_steps.tolist() == [10, 11]
     assert transport.stats.dropped_messages == 1
     assert endpoint.poll_batches(0, timeout=0.05) == []
+
+
+def send_nine_steps(backend):
+    """9 steps, ``send_batch_size=4``, 2 ranks: each rank's drained columns.
+
+    Rank 0 receives steps 1, 3, 5, 7 as one pushed block and step 9 as a
+    second one flushed by the finished marker; rank 1 receives 2, 4, 6, 8.
+    """
+    transport = make_transport(backend, 2, max_concurrent_clients=1)
+    try:
+        api = ClientAPI(transport, client_id=0, send_batch_size=4)
+        api.init_communication((1.5, -2.0), num_time_steps=9, field_shape=(FIELD_LEN,))
+        for step in range(1, 10):
+            api.send(step, step * 0.5, (1.5, -2.0), np.full(FIELD_LEN, step, np.float32))
+        assert api.undelivered_steps() == [9]
+        api.finalize_communication()
+        per_rank = []
+        for rank in range(2):
+            items, deadline = [], time.monotonic() + 10.0
+            while not (items and isinstance(items[-1], ClientFinished)):
+                assert time.monotonic() < deadline, f"{backend}: rank {rank} got {items}"
+                items.extend(transport.poll_batches(rank, timeout=0.1))
+            per_rank.append(ColumnBatch.concat([i for i in items if isinstance(i, ColumnBatch)]))
+        return per_rank
+    finally:
+        transport.shutdown()
+
+
+def test_blocks_drain_to_the_same_columns_on_every_backend():
+    """A ``ClientAPI`` stream is one set of columns whichever backend carries
+    it: by reference (inproc) or encoded (shm, tcp, mp)."""
+    drained = {backend: send_nine_steps(backend) for backend in ("inproc", "shm", "tcp", "mp")}
+    reference = drained["inproc"]
+    assert reference[0].time_steps.tolist() == [1, 3, 5, 7, 9]
+    assert reference[1].time_steps.tolist() == [2, 4, 6, 8]
+    assert reference[0].sequence_numbers.tolist() == [0, 2, 4, 6, 8]
+    np.testing.assert_array_equal(reference[1].inputs[0], [1.5, -2.0, 1.0])
+    for backend, ranks in drained.items():
+        for got, want in zip(ranks, reference, strict=True):
+            for column in ("inputs", "targets", "source_ids", "time_steps", "sequence_numbers"):
+                assert getattr(got, column).dtype == getattr(want, column).dtype, backend
+                np.testing.assert_array_equal(getattr(got, column), getattr(want, column),
+                                              err_msg=f"{backend} {column}")
 
 
 def column_batch(count, target_width, source_id):

@@ -24,6 +24,7 @@ from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
     TimeStepMessage,
+    batch_parts,
     columnize,
     pack_many,
 )
@@ -535,16 +536,15 @@ def test_tcp_round_trip_is_byte_identical():
     exactly one header per frame on top of the packed batch."""
     transport = TcpTransport(1)
     try:
-        connection = transport.connect(client_id=2, batch_size=8)
+        transport.connect(client_id=2)
         sent = [
             TimeStepMessage(client_id=2, time_step=step, time_value=step * 0.1,
                             parameters=(1.0, 2.0),
                             payload=np.full(1024, step, dtype=np.float32))
             for step in range(8)
         ]
-        for message in sent:
-            connection.send_round_robin(message)
-        connection.flush()
+        (block,) = batch_parts(sent)  # one client, one shape: one block, one frame
+        transport.push_many(0, block)
 
         received = []
         assert wait_until(

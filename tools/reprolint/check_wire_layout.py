@@ -16,6 +16,11 @@ Invariants encoded (the wire contracts of ``messages.py`` / ``shm_ring.py``):
    constants sharing a ``_PREFIX_`` and starting at 0) must be unique,
    8-aligned, declared in increasing order, and fit inside the smallest
    ``*_BYTES`` budget constant, leaving room for the final 8-byte field.
+5. A structured view of a header, ``_X_HEADER_DTYPE = np.dtype({...})``,
+   must mirror its struct ``_X_HEADER``: one field per struct field, each
+   offset equal to ``calcsize`` of the format prefix before it, each format
+   the NumPy spelling of its struct code, and ``itemsize`` naming
+   ``X_HEADER_BYTES``.
 """
 
 from __future__ import annotations
@@ -282,6 +287,89 @@ def _check_offset_families(
     return findings
 
 
+_HEADER_DTYPE_NAME = re.compile(r"^_([A-Z][A-Z0-9_]*_HEADER)_DTYPE$")
+#: struct code -> NumPy field format (kind and size; multi-byte fields also
+#: carry the struct's byte order).
+_NUMPY_FORMATS = {"b": "i1", "B": "u1", "?": "b1", "h": "i2", "H": "u2", "i": "i4",
+                  "I": "u4", "l": "i4", "L": "u4", "q": "i8", "Q": "u8", "e": "f2",
+                  "f": "f4", "d": "f8"}
+_NUMPY_ORDER = {"<": "<", ">": ">", "!": ">", "=": "="}
+
+
+def _struct_codes(fmt: str) -> List[str]:
+    """One code per field of a byte-order-prefixed format (``4s`` is one field)."""
+    codes: List[str] = []
+    for count, code in re.findall(r"(\d*)([a-zA-Z?])", fmt[1:]):
+        codes.extend([count + code] if code in "sp" else [code] * int(count or 1))
+    return codes
+
+
+def _literal_dict(node: ast.expr) -> Optional[Dict[str, ast.expr]]:
+    if not isinstance(node, ast.Dict):
+        return None
+    return {
+        key.value: value
+        for key, value in zip(node.keys, node.values, strict=True)
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
+
+
+def _constant_list(node: Optional[ast.expr]) -> Optional[list]:
+    if not isinstance(node, (ast.List, ast.Tuple)):
+        return None
+    if not all(isinstance(item, ast.Constant) for item in node.elts):
+        return None
+    return [item.value for item in node.elts]
+
+
+def _check_header_dtypes(module: Module, specs: Dict[str, _StructSpec]) -> List[Finding]:
+    findings: List[Finding] = []
+    for node in module.tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call) and node.value.args):
+            continue
+        match = _HEADER_DTYPE_NAME.match(node.targets[0].id)
+        layout = _literal_dict(node.value.args[0])
+        if match is None or layout is None or call_name(node.value).split(".")[-1] != "dtype":
+            continue
+        name = node.targets[0].id
+        spec = specs.get(f"_{match.group(1)}")
+
+        def finding(message: str) -> None:
+            findings.append(Finding(RULE, module.rel, node.lineno, f"{name}: {message}"))
+
+        if spec is None or spec.size is None:
+            finding(f"no valid struct _{match.group(1)} to mirror")
+            continue
+        codes = _struct_codes(spec.fmt)
+        formats = _constant_list(layout.get("formats"))
+        offsets = _constant_list(layout.get("offsets"))
+        if formats is None or offsets is None:
+            finding("'formats' and 'offsets' must be literal lists")
+            continue
+        if not len(formats) == len(offsets) == len(codes):
+            finding(f"{len(formats)} formats and {len(offsets)} offsets for the "
+                    f"{len(codes)} fields of {spec.name} {spec.fmt!r}")
+            continue
+        order = _NUMPY_ORDER.get(spec.fmt[0], "")
+        for index, (fmt, offset, code) in enumerate(zip(formats, offsets, codes, strict=True)):
+            expected = struct.calcsize(spec.fmt[0] + "".join(codes[:index]))
+            if offset != expected:
+                finding(f"field {index} offset {offset} but calcsize of "
+                        f"{spec.fmt[0] + ''.join(codes[:index])!r} is {expected}")
+            want = _NUMPY_FORMATS.get(code, code)
+            accepted = {want, "|" + want, order + want} if want.endswith("1") else {order + want}
+            if fmt not in accepted:
+                finding(f"field {index} format {fmt!r} does not match struct code "
+                        f"{code!r} ({order + want!r})")
+        itemsize = layout.get("itemsize")
+        const_name = f"{spec.name.lstrip('_')}_BYTES"
+        if not (isinstance(itemsize, ast.Name) and itemsize.id == const_name):
+            finding(f"itemsize must name {const_name}")
+    return findings
+
+
 def check(project: Project) -> List[Finding]:
     findings: List[Finding] = []
     for module in project.modules:
@@ -292,4 +380,5 @@ def check(project: Project) -> List[Finding]:
         findings.extend(_check_size_constants(module, specs, constants))
         findings.extend(_check_call_arity(module, specs, aliases))
         findings.extend(_check_offset_families(module, constants))
+        findings.extend(_check_header_dtypes(module, specs))
     return findings
