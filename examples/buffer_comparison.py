@@ -42,7 +42,7 @@ def main() -> None:
         rows.append(
             {
                 "buffer": buffer_kind,
-                "mean_throughput_samples_s": result.mean_throughput,
+                "total_throughput_samples_s": result.total_throughput,
                 "batches": result.total_batches,
                 "max_buffer_population": metrics.buffer_population.max_population(),
                 "best_val_mse": result.best_validation_loss,

@@ -38,7 +38,7 @@ def main() -> None:
                 {
                     "buffer": buffer_kind,
                     "ranks": num_ranks,
-                    "mean_throughput_samples_s": result.mean_throughput,
+                    "total_throughput_samples_s": result.total_throughput,
                     "total_batches": result.total_batches,
                     "best_val_mse": result.best_validation_loss,
                     "wall_time_s": result.total_elapsed,
@@ -46,9 +46,9 @@ def main() -> None:
             )
 
     print(format_rows(rows, title="Multi-GPU scaling (paper Figure 5 / Table 1, scaled down)"))
-    reservoir = {row["ranks"]: row["mean_throughput_samples_s"]
+    reservoir = {row["ranks"]: row["total_throughput_samples_s"]
         for row in rows if row["buffer"] == "reservoir"}
-    fifo = {row["ranks"]: row["mean_throughput_samples_s"]
+    fifo = {row["ranks"]: row["total_throughput_samples_s"]
             for row in rows if row["buffer"] == "fifo"}
     print(f"\nReservoir throughput scaling 1 -> 4 ranks: {reservoir[4] / reservoir[1]:.2f}x")
     print(f"FIFO throughput scaling 1 -> 4 ranks:      {fifo[4] / fifo[1]:.2f}x")

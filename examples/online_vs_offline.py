@@ -57,7 +57,7 @@ def main() -> None:
             online.table_row("online (Reservoir, 4x more simulations)")]
     print(format_rows(rows, title="Online vs offline (paper Figure 6 / Table 2, scaled down)"))
     improvement = improvement_percent(offline.best_validation_loss, online.best_validation_loss)
-    ratio = online.mean_throughput / max(offline.mean_throughput, 1e-9)
+    ratio = online.total_throughput / max(offline.total_throughput, 1e-9)
     print(f"\nvalidation-MSE improvement of online over offline: {improvement:.1f}% (paper: 47%)")
     print(f"batch-throughput ratio online/offline: {ratio:.1f}x (paper: ~12.5x)")
     print(f"offline dataset written to disk: {offline.dataset_gigabytes * 1000:.1f} MB "

@@ -61,7 +61,7 @@ def main() -> None:
     print(f"simulations run           : {result.launcher.clients_completed}")
     print(f"unique samples streamed   : {result.unique_samples}")
     print(f"batches trained           : {result.total_batches}")
-    print(f"mean throughput           : {result.mean_throughput:.1f} samples/s")
+    print(f"total throughput          : {result.total_throughput:.1f} samples/s")
     print(f"best validation MSE       : {result.best_validation_loss:.4f}")
     print(f"total wall time           : {result.total_elapsed:.1f} s")
 

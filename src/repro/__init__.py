@@ -16,8 +16,8 @@ substrate the paper depends on:
 * :mod:`repro.buffers` — the FIFO, FIRO and Reservoir training buffers.
 * :mod:`repro.client`, :mod:`repro.server`, :mod:`repro.launcher` — the three
   Melissa components.
-* :mod:`repro.offline` — the file-based offline training pipeline used as the
-  paper's baseline.
+* :mod:`repro.offline` — the on-disk dataset and the dataloader of the
+  paper's offline baseline, which trains through the server's training loop.
 * :mod:`repro.core` — high-level study API tying everything together.
 * :mod:`repro.simulation` — a discrete-event performance model used to
   extrapolate to the paper's full scale.

@@ -123,7 +123,6 @@ class OfflineStudyConfig:
     num_epochs: int = 1
     num_ranks: int = 1
     batch_size: int = 10
-    num_workers: int = 0
     learning_rate: float = 1e-3
     lr_step_samples: int = 10_000
     lr_gamma: float = 0.5
@@ -143,11 +142,26 @@ class OfflineStudyConfig:
             raise ConfigurationError("num_epochs must be positive")
         if self.num_ranks <= 0:
             raise ConfigurationError("num_ranks must be positive")
+        if self.batch_size <= 0:
+            raise ConfigurationError("batch_size must be positive")
 
     @property
     def lr_step_batches(self) -> int:
         per_batch = self.batch_size * self.num_ranks
         return max(1, self.lr_step_samples // per_batch)
+
+    def trainer_config(self) -> TrainerConfig:
+        """The per-rank training-loop configuration.
+
+        The loader is not a buffer, so there is no population to record.
+        """
+        return TrainerConfig(
+            batch_size=self.batch_size,
+            validation_interval=self.validation_interval,
+            max_batches=self.max_batches,
+            record_population=False,
+            batch_compute_delay=self.batch_compute_delay,
+        )
 
 
 @dataclass

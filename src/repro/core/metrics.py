@@ -187,14 +187,8 @@ class TrainingMetrics:
 
 
 def throughput_from_summary(summary: Dict[str, float]) -> float:
-    """Study-level throughput from a summary dict, accepting the legacy key.
-
-    ``merge_worker_metrics`` writes ``total_throughput`` (plus the deprecated
-    ``mean_throughput`` alias); summaries recorded before the rename only
-    carry the old key.  Every reader goes through this helper so the
-    backward-compat rule lives in one place.
-    """
-    return float(summary.get("total_throughput", summary.get("mean_throughput", 0.0)))
+    """Study-level throughput of a :func:`merge_worker_metrics` summary (0 if empty)."""
+    return float(summary.get("total_throughput", 0.0))
 
 
 def _best_loss(values: List[float]) -> float:
@@ -208,10 +202,8 @@ def merge_worker_metrics(per_rank: List[TrainingMetrics],
     """Aggregate per-rank metrics into study-level numbers.
 
     Throughput sums across ranks (each rank feeds its own GPU), so it is
-    reported as ``total_throughput``; ``mean_throughput`` is kept as a
-    deprecated alias with the same value because earlier versions (mis)named
-    the sum that way.  Losses come from rank 0 (replicas are identical after
-    all-reduce); batch counts sum.
+    reported as ``total_throughput``.  Losses come from rank 0 (replicas are
+    identical after all-reduce); batch counts sum.
 
     With ``num_shards > 1`` the list is shard-major (all ranks of shard 0,
     then shard 1, ...): the totals still sum over every rank of every
@@ -232,8 +224,6 @@ def merge_worker_metrics(per_rank: List[TrainingMetrics],
         "total_batches": float(sum(m.batches_trained for m in per_rank)),
         "total_samples": float(sum(m.samples_trained for m in per_rank)),
         "total_throughput": total_throughput,
-        # Deprecated alias, see docstring.
-        "mean_throughput": total_throughput,
         "best_val_mse": _best_loss([m.losses.best_validation_loss for m in lead_ranks]),
         "final_val_mse": _best_loss([m.losses.final_validation_loss for m in lead_ranks]),
         "wall_time": max(m.wall_time for m in per_rank),

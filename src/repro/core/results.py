@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from repro.core.metrics import TrainingMetrics, throughput_from_summary
 if TYPE_CHECKING:  # annotation-only: a runtime import would close the
     # core ⇄ server import cycle (server.serving is importable on its own).
     from repro.launcher.launcher import LauncherReport
-    from repro.offline.trainer import OfflineTrainingResult
+    from repro.nn.module import Module
     from repro.server.server import ServerResult
 
 
@@ -38,12 +38,7 @@ class OnlineStudyResult:
     @property
     def total_throughput(self) -> float:
         """Aggregate samples/second processed across all server ranks."""
-        return throughput_from_summary(self.server.summary)
-
-    @property
-    def mean_throughput(self) -> float:
-        """Deprecated alias of :attr:`total_throughput` (it sums over ranks)."""
-        return self.total_throughput
+        return self.server.total_throughput
 
     @property
     def total_batches(self) -> int:
@@ -62,7 +57,7 @@ class OnlineStudyResult:
             "dataset_gb": self.dataset_gigabytes,
             "unique_samples": self.unique_samples,
             "min_mse": self.best_validation_loss,
-            "throughput": self.mean_throughput,
+            "throughput": self.total_throughput,
             "batches": self.total_batches,
         }
 
@@ -71,7 +66,9 @@ class OnlineStudyResult:
 class OfflineStudyResult:
     """Everything produced by one offline baseline run."""
 
-    training: OfflineTrainingResult
+    model: Module
+    per_rank_metrics: List[TrainingMetrics]
+    summary: Dict[str, float]
     generation_elapsed: float
     training_elapsed: float
     unique_samples: int
@@ -81,20 +78,21 @@ class OfflineStudyResult:
 
     @property
     def metrics(self) -> TrainingMetrics:
-        return self.training.metrics
+        """Rank-0 metrics (losses are identical across ranks after all-reduce)."""
+        return self.per_rank_metrics[0]
 
     @property
     def best_validation_loss(self) -> float:
-        return self.training.best_validation_loss
+        return self.metrics.losses.best_validation_loss
 
     @property
     def total_throughput(self) -> float:
-        return throughput_from_summary(self.training.summary)
+        """Aggregate samples/second processed across all ranks."""
+        return throughput_from_summary(self.summary)
 
     @property
-    def mean_throughput(self) -> float:
-        """Deprecated alias of :attr:`total_throughput` (it sums over ranks)."""
-        return self.total_throughput
+    def total_batches(self) -> int:
+        return int(self.summary.get("total_batches", 0))
 
     @property
     def total_elapsed(self) -> float:
@@ -112,8 +110,8 @@ class OfflineStudyResult:
             "dataset_gb": self.dataset_gigabytes,
             "unique_samples": self.unique_samples,
             "min_mse": self.best_validation_loss,
-            "throughput": self.mean_throughput,
-            "batches": int(self.training.summary.get("total_batches", 0)),
+            "throughput": self.total_throughput,
+            "batches": self.total_batches,
         }
 
 

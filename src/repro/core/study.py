@@ -5,7 +5,8 @@ the ensemble of solver clients (in series, with bounded concurrency), each
 client streams its time steps to the training server, and the server's
 aggregator/training threads train the surrogate concurrently with data
 generation.  ``OfflineStudy`` is the baseline: generate (or reuse) a file
-dataset, then train epoch by epoch from disk.
+dataset, then train epoch by epoch from disk through the same training loop,
+with a dataloader in place of the buffer.
 """
 
 from __future__ import annotations
@@ -20,14 +21,18 @@ import numpy as np
 from repro.client.simulation_client import SimulationClient
 from repro.core.config import OfflineStudyConfig, OnlineStudyConfig
 from repro.core.heat_usecase import HeatSurrogateCase
+from repro.core.metrics import TrainingMetrics, merge_worker_metrics
 from repro.core.results import OfflineStudyResult, OnlineStudyResult
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
+from repro.offline.dataloader import DataLoader
 from repro.offline.dataset import SimulationDataset
 from repro.offline.storage import SimulationStore
-from repro.offline.trainer import OfflineTrainer, OfflineTrainingConfig
+from repro.parallel.communicator import ThreadCommunicator
+from repro.parallel.spmd import SPMDExecutor
 from repro.parallel.transport import Transport, make_transport
 from repro.server.server import ServerConfig, TrainingServer
 from repro.server.sharding import HashRing, ShardManager
+from repro.server.trainer import TrainingWorker, build_worker
 from repro.server.validation import ValidationSet
 
 Array = np.ndarray
@@ -222,35 +227,50 @@ class OfflineStudy:
         return store, elapsed
 
     def run(self) -> OfflineStudyResult:
-        """Generate the dataset if needed, train, and return the result."""
+        """Generate the dataset if needed, train, and return the result.
+
+        Every rank is set up by :func:`build_worker` and runs the online
+        training loop; its data source is a :class:`DataLoader` over its shard
+        of the dataset instead of a training buffer.
+        """
         cfg = self.config
         store, generation_elapsed = self.generate()
         dataset = SimulationDataset(store)
-        trainer = OfflineTrainer(
-            dataset=dataset,
-            config=OfflineTrainingConfig(
+        trainer_config = cfg.trainer_config()
+        workers: list[Optional[TrainingWorker]] = [None] * cfg.num_ranks
+
+        def rank_main(comm: ThreadCommunicator) -> TrainingMetrics:
+            loader = DataLoader(
+                dataset,
                 num_epochs=cfg.num_epochs,
-                batch_size=cfg.batch_size,
-                num_ranks=cfg.num_ranks,
-                num_workers=cfg.num_workers,
+                seed=cfg.seed,
+                rank=comm.rank,
+                world_size=comm.size,
+                io_delay_per_sample=cfg.io_delay_per_sample,
+            )
+            worker = build_worker(
+                comm,
+                self.case.model_factory,
+                loader,
+                trainer_config,
                 learning_rate=cfg.learning_rate,
                 lr_step_batches=cfg.lr_step_batches,
                 lr_gamma=cfg.lr_gamma,
                 lr_min=cfg.lr_min,
-                validation_interval=cfg.validation_interval,
-                max_batches=cfg.max_batches,
-                seed=cfg.seed,
-                io_delay_per_sample=cfg.io_delay_per_sample,
-                batch_compute_delay=cfg.batch_compute_delay,
-            ),
-            model_factory=self.case.model_factory,
-            validation=self.validation,
-        )
+                validation=self.validation,
+            )
+            workers[comm.rank] = worker
+            return worker.run()
+
         start = time.monotonic()
-        training_result = trainer.run()
+        per_rank = SPMDExecutor(cfg.num_ranks, timeout=None).run(rank_main)
         training_elapsed = time.monotonic() - start
+        rank0_worker = workers[0]
+        assert rank0_worker is not None
         return OfflineStudyResult(
-            training=training_result,
+            model=rank0_worker.model,
+            per_rank_metrics=per_rank,
+            summary=merge_worker_metrics(per_rank),
             generation_elapsed=generation_elapsed,
             training_elapsed=training_elapsed,
             unique_samples=len(dataset),

@@ -77,7 +77,7 @@ def _series_from_result(buffer_kind: str, result: OnlineStudyResult) -> BufferRu
         throughput_values=values,
         population_times=np.asarray(population.times),
         population_values=np.asarray(population.sizes),
-        mean_throughput=result.mean_throughput,
+        mean_throughput=result.total_throughput,
         total_batches=result.total_batches,
         max_population=population.max_population(),
     )

@@ -93,7 +93,7 @@ def _curves_from_offline(result: OfflineStudyResult) -> LossCurves:
         val_losses=np.asarray(losses.val_losses),
         best_val_loss=losses.best_validation_loss,
         final_train_loss=losses.final_training_loss,
-        total_batches=int(result.training.summary.get("total_batches", 0)),
+        total_batches=result.total_batches,
         wall_time=result.total_elapsed,
     )
 

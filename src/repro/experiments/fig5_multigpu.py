@@ -99,7 +99,7 @@ def run_fig5_multigpu(
                 samples_seen=np.asarray(losses.val_samples),
                 val_losses=np.asarray(losses.val_losses),
                 best_val_loss=losses.best_validation_loss,
-                mean_throughput=result.mean_throughput,
+                mean_throughput=result.total_throughput,
                 total_batches=result.total_batches,
             )
         if include_offline:

@@ -71,8 +71,8 @@ def run_table1(
                         generation_hours=result.generation_elapsed / 3600.0,
                         total_hours=result.total_elapsed / 3600.0,
                         min_mse=result.best_validation_loss,
-                        mean_throughput=result.mean_throughput,
-                        batches=int(result.training.summary.get("total_batches", 0)),
+                        mean_throughput=result.total_throughput,
+                        batches=result.total_batches,
                     )
                 )
             else:
@@ -87,7 +87,7 @@ def run_table1(
                         generation_hours=0.0,
                         total_hours=result.total_elapsed / 3600.0,
                         min_mse=result.best_validation_loss,
-                        mean_throughput=result.mean_throughput,
+                        mean_throughput=result.total_throughput,
                         batches=result.total_batches,
                     )
                 )

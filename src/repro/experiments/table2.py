@@ -123,7 +123,7 @@ def run_table2(
         dataset_gb=offline.dataset_gigabytes,
         unique_samples=offline.unique_samples,
         mse=offline.best_validation_loss,
-        throughput=offline.mean_throughput,
+        throughput=offline.total_throughput,
     )
     online_row = Table2Row(
         setting="online-reservoir",
@@ -132,7 +132,7 @@ def run_table2(
         dataset_gb=online.dataset_gigabytes,
         unique_samples=online.unique_samples,
         mse=online.best_validation_loss,
-        throughput=online.mean_throughput,
+        throughput=online.total_throughput,
     )
     return Table2Result(offline=offline_row, online=online_row)
 

@@ -1,24 +1,21 @@
-"""Offline training pipeline (the paper's baseline).
+"""Offline data pipeline (the paper's baseline).
 
 In the offline setting the ensemble data is first generated and written to
 disk (one binary file per simulation, as in the paper's 95.5 GB compressed
-dataset), then read back epoch after epoch by a shuffling dataloader feeding
-the trainer.  This package provides the storage layer, the memory-mapped
-dataset, the dataloader (with optional prefetching workers) and the
-multi-epoch trainer used by the Figure 4/6 and Table 1/2 baselines.
+dataset), then read back epoch after epoch.  This package provides the
+storage layer, the memory-mapped dataset and the shuffling dataloader.  The
+training itself is the online loop: :class:`repro.core.study.OfflineStudy`
+runs one :class:`repro.server.trainer.TrainingWorker` per rank with the
+dataloader as its data source.
 """
 
 from repro.offline.storage import SimulationStore, StoredSimulation
 from repro.offline.dataset import SimulationDataset
 from repro.offline.dataloader import DataLoader
-from repro.offline.trainer import OfflineTrainer, OfflineTrainingConfig, OfflineTrainingResult
 
 __all__ = [
     "SimulationStore",
     "StoredSimulation",
     "SimulationDataset",
     "DataLoader",
-    "OfflineTrainer",
-    "OfflineTrainingConfig",
-    "OfflineTrainingResult",
 ]

@@ -1,84 +1,76 @@
-"""Shuffling batch loader with optional prefetching workers.
+"""Shuffling, rank-sharded batch source of the offline baseline.
 
-The paper's offline baseline uses the PyTorch ``DataLoader`` with 8 parallel
-workers per GPU; this loader provides the same roles — uniform shuffling per
-epoch, batching, and background prefetching threads that read samples from the
-memory-mapped files ahead of the training loop.
+The paper's offline baseline reads its file dataset through the PyTorch
+``DataLoader``, epoch after epoch.  Here the loader stands where the online
+training loop has its buffer: :class:`repro.server.trainer.TrainingWorker`
+draws from it with the buffer's consumer call ``get_batch_columns(n,
+timeout)``, so the online study and the baseline train through the same loop
+and differ only in where the data comes from.  The per-sample cost of reading
+the paper's full-size fields from a parallel filesystem is modelled by
+``io_delay_per_sample``, slept inside the loader.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Iterator, List, Optional, Tuple
+import time
+from typing import Optional
 
 import numpy as np
 
+from repro.buffers.columns import ColumnBatch
 from repro.offline.dataset import SimulationDataset
 from repro.utils.seeding import derive_rng
 
 Array = np.ndarray
 
-Batch = Tuple[Array, Array]
-
 
 class DataLoader:
-    """Iterate over shuffled mini-batches of a :class:`SimulationDataset`.
+    """Shuffled mini-batches of a :class:`SimulationDataset` for ``num_epochs``.
 
     Parameters
     ----------
     dataset:
         The map-style dataset.
-    batch_size:
-        Samples per batch.
-    shuffle:
-        Reshuffle the sample order at the start of every epoch.
-    drop_last:
-        Drop the final incomplete batch.
-    num_workers:
-        Number of background prefetching threads (0 = load synchronously).
-    prefetch_batches:
-        Bound of the prefetch queue per epoch when workers are used.
+    num_epochs:
+        Passes over the dataset; the sample order is reshuffled every epoch.
     seed:
-        Seed of the shuffling RNG.
+        Seed of the shuffling RNG (the same on every rank, so the ranks'
+        shards of an epoch never overlap).
     rank, world_size:
         Data-parallel sharding: the loader only yields the subset of samples
         assigned to ``rank`` (equivalent of a DistributedSampler).
+    io_delay_per_sample:
+        Seconds slept per sample read, emulating the filesystem's I/O cost.
     """
 
     def __init__(
         self,
         dataset: SimulationDataset,
-        batch_size: int = 10,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        num_workers: int = 0,
-        prefetch_batches: int = 8,
+        num_epochs: int = 1,
         seed: int = 0,
         rank: int = 0,
         world_size: int = 1,
+        io_delay_per_sample: float = 0.0,
     ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        if num_epochs <= 0:
+            raise ValueError("num_epochs must be positive")
         if world_size <= 0 or not 0 <= rank < world_size:
             raise ValueError("invalid rank/world_size combination")
         self.dataset = dataset
-        self.batch_size = int(batch_size)
-        self.shuffle = bool(shuffle)
-        self.drop_last = bool(drop_last)
-        self.num_workers = int(num_workers)
-        self.prefetch_batches = max(int(prefetch_batches), 1)
+        self.num_epochs = int(num_epochs)
         self.seed = int(seed)
         self.rank = int(rank)
         self.world_size = int(world_size)
+        self.io_delay_per_sample = float(io_delay_per_sample)
         self._epoch = 0
+        self._order: Array = np.empty(0, dtype=np.int64)
+        self._cursor = 0
 
     # ---------------------------------------------------------------- indices
-    def _epoch_indices(self) -> np.ndarray:
+    def _epoch_indices(self) -> Array:
         indices = np.arange(len(self.dataset))
-        if self.shuffle:
-            rng = derive_rng("dataloader-shuffle", self.seed, self._epoch)
-            rng.shuffle(indices)
+        rng = derive_rng("dataloader-shuffle", self.seed, self._epoch)
+        rng.shuffle(indices)
         # Shard across data-parallel ranks, truncating so every shard has the
         # same length (ranks must execute the same number of batches or the
         # gradient all-reduce would deadlock).
@@ -87,86 +79,34 @@ class DataLoader:
             indices = indices[self.rank :: self.world_size][:per_rank]
         return indices
 
-    def __len__(self) -> int:
-        """Number of batches per epoch."""
-        per_rank = len(self.dataset) // self.world_size if self.world_size > 1 else len(self.dataset)
-        if self.drop_last:
-            return per_rank // self.batch_size
-        return (per_rank + self.batch_size - 1) // self.batch_size
+    def _collate(self, indices: Array) -> ColumnBatch:
+        dataset = self.dataset
+        inputs = np.empty((len(indices), dataset.input_size), dtype=np.float64)
+        targets = np.empty((len(indices), dataset.field_size), dtype=np.float32)
+        source_ids = np.empty(len(indices), dtype=np.int64)
+        time_steps = np.empty(len(indices), dtype=np.int64)
+        for row, index in enumerate(indices.tolist()):
+            inputs[row], targets[row] = dataset[index]
+            source_ids[row], time_steps[row] = dataset.sample_identity(index)
+        return ColumnBatch(inputs, targets, source_ids, time_steps)
 
-    def _collate(self, indices: List[int]) -> Batch:
-        inputs = []
-        targets = []
-        for index in indices:
-            sample_inputs, sample_target = self.dataset[int(index)]
-            inputs.append(sample_inputs)
-            targets.append(sample_target)
-        return np.stack(inputs), np.stack(targets)
+    # ---------------------------------------------------------------- consume
+    def get_batch_columns(self, n: int, timeout: Optional[float] = None) -> ColumnBatch:
+        """The next ``n`` samples of this rank's shard, as a :class:`ColumnBatch`.
 
-    # -------------------------------------------------------------- iteration
-    def __iter__(self) -> Iterator[Batch]:
-        indices = self._epoch_indices()
-        self._epoch += 1
-        batches: List[List[int]] = []
-        for start in range(0, len(indices), self.batch_size):
-            chunk = indices[start : start + self.batch_size].tolist()
-            if len(chunk) < self.batch_size and self.drop_last:
-                continue
-            batches.append(chunk)
-        if self.num_workers <= 0:
-            for chunk in batches:
-                yield self._collate(chunk)
-            return
-        yield from self._prefetch_iter(batches)
-
-    def _prefetch_iter(self, batches: List[List[int]]) -> Iterator[Batch]:
-        """Background-thread prefetching: workers fill a bounded queue."""
-        out_queue: "queue.Queue[Optional[Tuple[int, Batch]]]" = queue.Queue(
-            maxsize=self.prefetch_batches
-        )
-        task_queue: "queue.Queue[Optional[Tuple[int, List[int]]]]" = queue.Queue()
-        for item in enumerate(batches):
-            task_queue.put(item)
-        for _ in range(self.num_workers):
-            task_queue.put(None)
-
-        def worker() -> None:
-            while True:
-                task = task_queue.get()
-                if task is None:
-                    out_queue.put(None)
-                    return
-                batch_index, chunk = task
-                out_queue.put((batch_index, self._collate(chunk)))
-
-        threads = [
-            threading.Thread(target=worker, name=f"dataloader-worker-{i}", daemon=True)
-            for i in range(self.num_workers)
-        ]
-        for thread in threads:
-            thread.start()
-
-        # Re-order batches so the training stream is deterministic regardless
-        # of worker scheduling.
-        finished_workers = 0
-        reorder: dict[int, Batch] = {}
-        next_index = 0
-        while finished_workers < self.num_workers or reorder or next_index < len(batches):
-            if next_index in reorder:
-                yield reorder.pop(next_index)
-                next_index += 1
-                continue
-            item = out_queue.get()
-            if item is None:
-                finished_workers += 1
-                if finished_workers == self.num_workers and next_index >= len(batches):
-                    break
-                continue
-            batch_index, batch = item
-            if batch_index == next_index:
-                yield batch
-                next_index += 1
-            else:
-                reorder[batch_index] = batch
-        for thread in threads:
-            thread.join(timeout=5.0)
+        An epoch's last batch holds the remainder of its shard; the next call
+        starts a freshly shuffled epoch.  Once ``num_epochs`` are read the
+        result is empty, the training loop's stop signal.  ``timeout`` is
+        accepted for the buffer's signature: reading never waits for data.
+        """
+        if n <= 0:
+            raise ValueError("batch size must be positive")
+        if self._cursor >= len(self._order) and self._epoch < self.num_epochs:
+            self._order = self._epoch_indices()
+            self._epoch += 1
+            self._cursor = 0
+        chunk = self._order[self._cursor : self._cursor + n]
+        self._cursor += len(chunk)
+        if self.io_delay_per_sample > 0 and len(chunk):
+            time.sleep(self.io_delay_per_sample * len(chunk))
+        return self._collate(chunk)

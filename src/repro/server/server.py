@@ -17,16 +17,13 @@ from repro.buffers import make_buffer
 from repro.buffers.base import TrainingBuffer
 from repro.core.metrics import TrainingMetrics, merge_worker_metrics, throughput_from_summary
 from repro.nn.module import Module
-from repro.nn.optim import Adam
-from repro.nn.schedulers import StepLR
 from repro.parallel.communicator import ThreadCommunicator
 from repro.parallel.spmd import SPMDExecutor
 from repro.parallel.transport import Transport, TransportStats
 from repro.server.aggregator import DataAggregator
-from repro.server.checkpointing import ServerCheckpointer
 from repro.server.fault import HeartbeatMonitor, MessageLog
-from repro.server.trainer import TrainerConfig, TrainingWorker
-from repro.server.validation import ValidationSet, Validator
+from repro.server.trainer import TrainerConfig, TrainingWorker, build_worker
+from repro.server.validation import ValidationSet
 
 
 @dataclass
@@ -153,45 +150,29 @@ class TrainingServer:
             for rank in range(config.num_ranks)
         ]
 
-    def _build_worker(self, comm: ThreadCommunicator) -> TrainingWorker:
-        rank = comm.rank
-        config = self.config
-        model = self.model_factory()
-        optimizer = Adam(model.parameters(), lr=config.learning_rate)
-        scheduler = None
-        if config.lr_step_batches > 0:
-            scheduler = StepLR(optimizer, step_size=config.lr_step_batches,
-                               gamma=config.lr_gamma, min_lr=config.lr_min)
-        validator = Validator(self.validation) if self.validation is not None else None
-        checkpointer = None
-        if config.checkpoint_dir is not None and config.checkpoint_interval > 0:
-            checkpointer = ServerCheckpointer(
-                directory=Path(config.checkpoint_dir),
-                interval_batches=config.checkpoint_interval,
-                rank=rank,
-            )
-        return TrainingWorker(
-            rank=rank,
-            model=model,
-            optimizer=optimizer,
-            buffer=self.buffers[rank],
-            config=config.trainer,
-            scheduler=scheduler,
-            validator=validator,
-            comm=comm if comm.size > 1 else None,
-            checkpointer=checkpointer,
-        )
-
     # -------------------------------------------------------------------- run
     def run(self) -> ServerResult:
         """Start aggregators and training workers; block until training ends."""
         for aggregator in self.aggregators:
             aggregator.start()
 
-        workers: List[Optional[TrainingWorker]] = [None] * self.config.num_ranks
+        config = self.config
+        workers: List[Optional[TrainingWorker]] = [None] * config.num_ranks
 
         def rank_main(comm: ThreadCommunicator) -> TrainingMetrics:
-            worker = self._build_worker(comm)
+            worker = build_worker(
+                comm,
+                self.model_factory,
+                self.buffers[comm.rank],
+                config.trainer,
+                learning_rate=config.learning_rate,
+                lr_step_batches=config.lr_step_batches,
+                lr_gamma=config.lr_gamma,
+                lr_min=config.lr_min,
+                validation=self.validation,
+                checkpoint_dir=config.checkpoint_dir,
+                checkpoint_interval=config.checkpoint_interval,
+            )
             workers[comm.rank] = worker
             return worker.run()
 

@@ -1,56 +1,65 @@
-"""Training thread of a server rank.
+"""Training thread of a rank, online or offline.
 
 The training thread embeds a classical supervised loop whose only difference
-with an offline loop is the data source: batches come from the training buffer
-filled concurrently by the data-aggregator thread.  With several ranks the
-workers synchronise gradients after every batch (synchronous data-parallel
-training) and agree collectively on when to stop: training terminates once any
-rank's buffer is exhausted (reception over and buffer empty), which is the
-paper's termination condition applied to the data-parallel case.
+between the online study and the offline baseline is the data source: online,
+batches come from the training buffer filled concurrently by the
+data-aggregator thread; offline, from the :class:`repro.offline.DataLoader`,
+which answers the buffer's consumer call ``get_batch_columns(n, timeout)``.
+:func:`build_worker` sets up a rank the same way for both.  With several ranks
+the workers synchronise gradients after every batch (synchronous
+data-parallel training) and agree collectively on when to stop: training
+terminates once any rank's source is exhausted (reception over and buffer
+empty, or the last epoch read), which is the paper's termination condition
+applied to the data-parallel case.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from repro.buffers.base import TrainingBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.buffers.stats import OccurrenceTracker
 from repro.core.metrics import TrainingMetrics
 from repro.nn.losses import MSELoss
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
-from repro.nn.schedulers import LRScheduler
+from repro.nn.optim import Adam, Optimizer
+from repro.nn.schedulers import LRScheduler, StepLR
 from repro.parallel.communicator import ThreadCommunicator
 from repro.server.checkpointing import ServerCheckpointer
 from repro.server.ddp import all_ranks_have_data, broadcast_parameters, sync_gradients
-from repro.server.validation import Validator
+from repro.server.validation import ValidationSet, Validator
 from repro.utils.timing import WallClock
+
+if TYPE_CHECKING:
+    from repro.buffers.base import TrainingBuffer
+    from repro.offline.dataloader import DataLoader
 
 Array = np.ndarray
 
 
 @dataclass
 class TrainerConfig:
-    """Hyper-parameters of the online training loop.
+    """Hyper-parameters of the training loop (online and offline).
 
     Attributes mirror the paper's experimental setup: batch size 10, initial
     learning rate 1e-3 halved on a fixed schedule, validation every 100
     batches, throughput measured over 10-batch windows.
+
+    ``record_population`` samples the buffer's ``snapshot()`` after every
+    batch; the offline baseline turns it off, its loader having no buffer.
     """
 
     batch_size: int = 10
     validation_interval: int = 100
-    throughput_window: int = 10
     max_batches: Optional[int] = None
     get_timeout: float = 60.0
     record_population: bool = True
     track_occurrences: bool = True
-    checkpoint_interval: int = 0
     #: Optional sleep per batch emulating the GPU compute cost of the paper's
     #: 514M-parameter surrogate (the scaled-down model trains much faster than
     #: the real one, which would distort the production/consumption balance).
@@ -58,20 +67,24 @@ class TrainerConfig:
 
 
 class TrainingWorker:
-    """One rank's training thread (model replica + optimizer + buffer)."""
+    """One rank's training thread (model replica + optimizer + data source).
+
+    ``buffer`` is the data source: a training buffer online, a
+    :class:`DataLoader` offline.  The loop only calls its
+    ``get_batch_columns``, plus ``snapshot()`` when ``record_population`` is on.
+    """
 
     def __init__(
         self,
         rank: int,
         model: Module,
         optimizer: Optimizer,
-        buffer: TrainingBuffer,
+        buffer: TrainingBuffer | DataLoader,
         config: TrainerConfig,
         scheduler: Optional[LRScheduler] = None,
         validator: Optional[Validator] = None,
         comm: Optional[ThreadCommunicator] = None,
         checkpointer: Optional[ServerCheckpointer] = None,
-        on_batch: Optional[Callable[[int, float], None]] = None,
     ) -> None:
         self.rank = int(rank)
         self.model = model
@@ -83,9 +96,7 @@ class TrainingWorker:
         self.validator = validator
         self.comm = comm
         self.checkpointer = checkpointer
-        self.on_batch = on_batch
         self.metrics = TrainingMetrics(rank=self.rank)
-        self.metrics.throughput.window = config.throughput_window
         self.occurrences = OccurrenceTracker()
         self._clock = WallClock()
 
@@ -119,7 +130,7 @@ class TrainingWorker:
 
     # ------------------------------------------------------------------- run
     def run(self) -> TrainingMetrics:
-        """Run the training loop until the buffer is exhausted (or max_batches)."""
+        """Run the training loop until the source is exhausted (or max_batches)."""
         start = self._clock.now()
         if self.comm is not None and self.comm.size > 1:
             broadcast_parameters(self.model, self.comm, root=0)
@@ -166,8 +177,6 @@ class TrainingWorker:
                     snapshot["size"],
                     snapshot.get("num_unseen"),
                 )
-            if self.on_batch is not None:
-                self.on_batch(batch_index, loss_value)
 
             if (
                 self.validator is not None
@@ -212,3 +221,50 @@ class TrainingWorker:
         """
         world = self.comm.size if self.comm is not None else 1
         return batch_index * self.config.batch_size * world
+
+
+def build_worker(
+    comm: ThreadCommunicator,
+    model_factory: Callable[[], Module],
+    buffer: TrainingBuffer | DataLoader,
+    config: TrainerConfig,
+    *,
+    learning_rate: float,
+    lr_step_batches: int,
+    lr_gamma: float,
+    lr_min: float,
+    validation: Optional[ValidationSet] = None,
+    checkpoint_dir: Optional[Path] = None,
+    checkpoint_interval: int = 0,
+) -> TrainingWorker:
+    """Set up the rank ``comm.rank`` of an online server or an offline study.
+
+    A fresh model replica (the factory's seed makes replicas identical, and
+    :meth:`TrainingWorker.run` broadcasts rank 0's weights anyway), Adam,
+    StepLR when ``lr_step_batches > 0``, a validator when a validation set is
+    given (only rank 0 evaluates) and a checkpointer when both checkpoint
+    settings are.  The gradient collective is used only with several ranks.
+    """
+    model = model_factory()
+    optimizer = Adam(model.parameters(), lr=learning_rate)
+    scheduler = None
+    if lr_step_batches > 0:
+        scheduler = StepLR(optimizer, step_size=lr_step_batches, gamma=lr_gamma, min_lr=lr_min)
+    checkpointer = None
+    if checkpoint_dir is not None and checkpoint_interval > 0:
+        checkpointer = ServerCheckpointer(
+            directory=Path(checkpoint_dir),
+            interval_batches=checkpoint_interval,
+            rank=comm.rank,
+        )
+    return TrainingWorker(
+        rank=comm.rank,
+        model=model,
+        optimizer=optimizer,
+        buffer=buffer,
+        config=config,
+        scheduler=scheduler,
+        validator=Validator(validation) if validation is not None else None,
+        comm=comm if comm.size > 1 else None,
+        checkpointer=checkpointer,
+    )

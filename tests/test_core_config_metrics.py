@@ -129,7 +129,7 @@ def test_merge_worker_metrics_sums_throughput():
     merged = merge_worker_metrics([metrics_with(0, 100, 50), metrics_with(1, 80, 50)])
     assert merged["num_ranks"] == 2
     assert merged["total_batches"] == 100
-    assert merged["mean_throughput"] == pytest.approx(180.0)
+    assert merged["total_throughput"] == pytest.approx(180.0)
     assert merged["best_val_mse"] == 1.0  # rank-0 losses
     assert merge_worker_metrics([]) == {}
 

@@ -18,7 +18,7 @@ def test_online_study_end_to_end_single_rank(tiny_scale, tiny_case, buffer_kind)
     assert received == expected_unique
     assert result.launcher.clients_completed == tiny_scale.num_simulations
     assert result.total_batches > 0
-    assert result.mean_throughput > 0
+    assert result.total_throughput > 0
     assert np.isfinite(result.metrics.losses.final_training_loss)
     # FIFO/FIRO consume each sample at most once; Reservoir may repeat samples.
     trained_samples = int(result.server.summary["total_samples"])

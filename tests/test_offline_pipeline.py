@@ -1,14 +1,20 @@
-"""Tests for the offline storage, dataset, dataloader and trainer."""
+"""Tests for the offline storage, dataset, dataloader and offline study."""
+
+import hashlib
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.config import OfflineStudyConfig, SurrogateArchitecture
+from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
+from repro.core.study import OfflineStudy
 from repro.offline.dataloader import DataLoader
 from repro.offline.dataset import SimulationDataset
 from repro.offline.storage import SimulationStore
-from repro.offline.trainer import OfflineTrainer, OfflineTrainingConfig
-from repro.nn import MLPConfig, build_mlp
 from repro.server.validation import ValidationSet
+from repro.solvers.heat2d import HeatEquationConfig
+from repro.utils.exceptions import ConfigurationError
 
 
 @pytest.fixture
@@ -74,79 +80,133 @@ def test_empty_store_rejected(tmp_path):
         SimulationDataset(SimulationStore(tmp_path / "empty"))
 
 
+def drain(loader, n):
+    """Every batch a loader yields until its empty stop batch."""
+    batches = []
+    while len(batch := loader.get_batch_columns(n, timeout=0)):
+        batches.append(batch)
+    return batches
+
+
+def identities(batches):
+    return [(int(s), int(t)) for b in batches for s, t in zip(b.source_ids, b.time_steps)]
+
+
 def test_dataloader_covers_dataset_once_per_epoch(store):
     dataset = SimulationDataset(store)
-    loader = DataLoader(dataset, batch_size=5, shuffle=True, seed=0)
-    total = 0
-    for inputs, targets in loader:
-        assert inputs.shape[1] == 6 and targets.shape[1] == 9
-        total += inputs.shape[0]
-    assert total == len(dataset)
-    assert len(loader) == 5  # ceil(24 / 5)
+    batches = drain(DataLoader(dataset, seed=0), 5)
+    assert [len(b) for b in batches] == [5, 5, 5, 5, 4]  # ceil(24 / 5), remainder last
+    for batch in batches:
+        assert batch.inputs.shape[1] == 6 and batch.targets.shape[1] == 9
+        assert batch.inputs.dtype == np.float64 and batch.targets.dtype == np.float32
+    assert sorted(identities(batches)) == [(sim, step) for sim in range(4) for step in range(6)]
 
 
-def test_dataloader_drop_last(store):
+def test_dataloader_rows_are_the_dataset_samples(store):
     dataset = SimulationDataset(store)
-    loader = DataLoader(dataset, batch_size=5, drop_last=True)
-    batches = list(loader)
-    assert len(batches) == 4
-    assert all(b[0].shape[0] == 5 for b in batches)
+    batch = DataLoader(dataset, seed=1).get_batch_columns(7)
+    for row, (sim_id, step) in enumerate(identities([batch])):
+        index = sim_id * 6 + step
+        inputs, target = dataset[index]
+        assert dataset.sample_identity(index) == (sim_id, step)
+        assert np.array_equal(batch.inputs[row], inputs)
+        assert np.array_equal(batch.targets[row], target)
 
 
 def test_dataloader_shuffles_differently_each_epoch(store):
     dataset = SimulationDataset(store)
-    loader = DataLoader(dataset, batch_size=24, shuffle=True, seed=0)
-    first_epoch = next(iter(loader))[0]
-    second_epoch = next(iter(loader))[0]
-    assert not np.allclose(first_epoch, second_epoch)
+    loader = DataLoader(dataset, num_epochs=2, seed=0)
+    first_epoch = loader.get_batch_columns(24)
+    second_epoch = loader.get_batch_columns(24)
+    assert not np.allclose(first_epoch.inputs, second_epoch.inputs)
+    assert sorted(identities([first_epoch])) == sorted(identities([second_epoch]))
+    assert len(loader.get_batch_columns(24)) == 0  # two epochs, then the stop batch
 
 
 def test_dataloader_sharding_partitions_samples(store):
     dataset = SimulationDataset(store)
     seen = []
     for rank in range(2):
-        loader = DataLoader(dataset, batch_size=4, shuffle=False, rank=rank, world_size=2)
-        for inputs, _ in loader:
-            seen.extend(inputs[:, -1].tolist())
-    assert len(seen) == 24  # equal shards, no overlap (times identify samples per sim)
+        seen.extend(identities(drain(DataLoader(dataset, rank=rank, world_size=2), 4)))
+    assert len(seen) == len(set(seen)) == 24  # equal shards, no overlap
 
 
-def test_dataloader_prefetch_workers_match_sync_loading(store):
-    dataset = SimulationDataset(store)
-    sync = DataLoader(dataset, batch_size=6, shuffle=True, seed=3, num_workers=0)
-    threaded = DataLoader(dataset, batch_size=6, shuffle=True, seed=3, num_workers=3)
-    for (a_in, a_t), (b_in, b_t) in zip(sync, threaded, strict=True):
-        assert np.allclose(a_in, b_in)
-        assert np.allclose(a_t, b_t)
+def test_dataloader_sleeps_its_io_delay_per_sample(store):
+    loader = DataLoader(SimulationDataset(store), io_delay_per_sample=0.01)
+    start = time.monotonic()
+    loader.get_batch_columns(5)
+    assert time.monotonic() - start >= 0.05
 
 
 def test_dataloader_validation(store):
     dataset = SimulationDataset(store)
     with pytest.raises(ValueError):
-        DataLoader(dataset, batch_size=0)
+        DataLoader(dataset).get_batch_columns(0)
     with pytest.raises(ValueError):
-        DataLoader(dataset, batch_size=1, rank=3, world_size=2)
+        DataLoader(dataset, rank=3, world_size=2)
+    with pytest.raises(ValueError):
+        DataLoader(dataset, num_epochs=0)
 
 
-def _model_factory_for(dataset):
-    def factory():
-        return build_mlp(
-            MLPConfig(in_features=dataset.input_size, hidden_sizes=(16,),
-                out_features=dataset.field_size, seed=0, dtype=np.float32)
-        )
+# ------------------------------------------------------------ offline study
+#: sha256 of the final weights of the offline run below, recorded from the
+#: standalone multi-epoch offline trainer that ``OfflineStudy`` replaced: the
+#: shared training loop reproduces it byte for byte.
+FINAL_WEIGHTS_SHA256 = {
+    1: "60871e930e4d9996efe39bb3c362c8c17557d583107efcbf910133c445e261e7",
+    2: "a6daa86430188ab383667942aec684cc02477e283472b71ab04457f72c5f2188",
+}
 
-    return factory
+TINY_CASE = HeatSurrogateCase(HeatSurrogateSpec(
+    solver=HeatEquationConfig(nx=3, ny=3, num_steps=6),  # the store's 9-point fields
+    architecture=SurrogateArchitecture(hidden_sizes=(16,)),
+))
+
+
+def run_offline(store, validation=None, **overrides):
+    """An offline study of the 4 x 6-sample store: batch 4, StepLR every 5 batches."""
+    num_ranks = overrides.get("num_ranks", 1)
+    settings = dict(num_simulations=4, batch_size=4, lr_step_samples=5 * 4 * num_ranks)
+    settings.update(overrides)
+    return OfflineStudy(TINY_CASE, OfflineStudyConfig(**settings),
+                        validation=validation, store=store).run()
+
+
+def weights_sha256(model):
+    digest = hashlib.sha256()
+    for param in model.parameters():
+        digest.update(np.ascontiguousarray(param.data).tobytes())
+    return digest.hexdigest()
+
+
+def validation_for(store):
+    inputs, targets = SimulationDataset(store).as_arrays()
+    return ValidationSet(inputs[:6], targets[:6])
+
+
+@pytest.mark.parametrize("num_ranks", [1, 2])
+def test_offline_final_weights_match_recorded_digest(store, num_ranks):
+    result = run_offline(store, validation_for(store), num_epochs=3, num_ranks=num_ranks,
+                         validation_interval=2)
+    assert weights_sha256(result.model) == FINAL_WEIGHTS_SHA256[num_ranks]
+
+
+def test_offline_study_reports_occurrence_histogram(store):
+    result = run_offline(store, num_epochs=3)
+    assert result.metrics.occurrence_histogram == {3: 24}  # every sample once per epoch
+
+
+def test_offline_throughput_meter_opens_before_first_batch(store):
+    # 3 batches of 4 samples, each taking >= 0.05 s: 12 samples over >= 0.15 s.
+    # A meter opened after the first batch would divide by two intervals.
+    result = run_offline(store, num_epochs=1, batch_compute_delay=0.05, max_batches=3)
+    assert result.total_batches == 3
+    assert 0 < result.total_throughput <= 12 / 0.15
 
 
 def test_offline_trainer_single_rank(store):
-    dataset = SimulationDataset(store)
-    inputs, targets = dataset.as_arrays()
-    validation = ValidationSet(inputs[:6], targets[:6])
-    config = OfflineTrainingConfig(num_epochs=3, batch_size=6, validation_interval=2,
-        lr_step_batches=50)
-    trainer = OfflineTrainer(dataset, config, _model_factory_for(dataset), validation=validation)
-    result = trainer.run()
-    assert result.epochs_completed == 3
+    result = run_offline(store, validation_for(store), num_epochs=3, batch_size=6,
+                         validation_interval=2, lr_step_samples=300)
     assert result.metrics.batches_trained == 12  # 4 batches/epoch * 3 epochs
     assert np.isfinite(result.best_validation_loss)
     losses = result.metrics.losses.train_losses
@@ -154,24 +214,22 @@ def test_offline_trainer_single_rank(store):
 
 
 def test_offline_trainer_multi_rank_matches_sample_budget(store):
-    dataset = SimulationDataset(store)
-    config = OfflineTrainingConfig(num_epochs=2, batch_size=4, num_ranks=2, lr_step_batches=50)
-    trainer = OfflineTrainer(dataset, config, _model_factory_for(dataset))
-    result = trainer.run()
+    result = run_offline(store, num_epochs=2, num_ranks=2, lr_step_samples=400)
     total_samples = sum(m.samples_trained for m in result.per_rank_metrics)
     assert total_samples == 2 * 24
     assert len(result.per_rank_metrics) == 2
+    assert result.summary["total_samples"] == 2 * 24
 
 
 def test_offline_trainer_max_batches(store):
-    dataset = SimulationDataset(store)
-    config = OfflineTrainingConfig(num_epochs=10, batch_size=4, max_batches=5, lr_step_batches=50)
-    result = OfflineTrainer(dataset, config, _model_factory_for(dataset)).run()
+    result = run_offline(store, num_epochs=10, max_batches=5, lr_step_samples=200)
     assert result.metrics.batches_trained == 5
 
 
 def test_offline_config_validation():
-    with pytest.raises(ValueError):
-        OfflineTrainingConfig(num_epochs=0)
-    with pytest.raises(ValueError):
-        OfflineTrainingConfig(num_ranks=0)
+    with pytest.raises(ConfigurationError):
+        OfflineStudyConfig(num_epochs=0)
+    with pytest.raises(ConfigurationError):
+        OfflineStudyConfig(num_ranks=0)
+    with pytest.raises(ConfigurationError):
+        OfflineStudyConfig(batch_size=0)

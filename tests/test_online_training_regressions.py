@@ -221,7 +221,7 @@ def test_aggregator_stop_returns_promptly_when_buffer_full():
 
 
 # ------------------------------------------------------------ metric naming
-def test_merge_worker_metrics_reports_total_throughput_with_alias():
+def test_merge_worker_metrics_reports_total_throughput_only():
     def metrics_with(rank, throughput):
         metrics = TrainingMetrics(rank=rank)
         metrics.throughput.start_time = 0.0
@@ -232,5 +232,5 @@ def test_merge_worker_metrics_reports_total_throughput_with_alias():
 
     merged = merge_worker_metrics([metrics_with(0, 100.0), metrics_with(1, 80.0)])
     assert merged["total_throughput"] == pytest.approx(180.0)
-    # Deprecated alias kept for older readers of the summary dict.
-    assert merged["mean_throughput"] == merged["total_throughput"]
+    # The sum over ranks has one name; "mean_throughput" is per rank only.
+    assert "mean_throughput" not in merged
