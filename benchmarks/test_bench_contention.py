@@ -14,13 +14,16 @@ wall-clock ratio itself is informational, because on a small box the single
 drain thread — not the producer-side contention — bounds both backends.
 """
 
+import multiprocessing
 import time
 
 from transport_fixture import BATCH_SIZE, drain_samples, make_batch
 
-from repro.launcher.launcher import _fork_mp
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import ShmRingTransport
+
+#: Test processes are forked, like the launcher's clients.
+FORK = multiprocessing.get_context("fork")
 
 PRODUCERS = 4
 BATCHES_PER_PRODUCER = 80
@@ -48,7 +51,7 @@ def _pump(transport) -> float:
     best = float("inf")
     for _ in range(3):
         processes = [
-            _fork_mp().Process(target=_producer, args=(transport, client_id), daemon=True)
+            FORK.Process(target=_producer, args=(transport, client_id), daemon=True)
             for client_id in range(PRODUCERS)
         ]
         began = time.perf_counter()

@@ -9,14 +9,17 @@ are printed for orientation only: every shard's drain runs in this one
 process, so their ratio says nothing about scale-out.
 """
 
+import multiprocessing
 import time
 from collections import Counter
 
 from transport_fixture import BATCH_SIZE, drain_samples, make_batch
 
-from repro.launcher.launcher import _fork_mp
 from repro.parallel.shm_ring import ShmRingTransport
 from repro.server.sharding import HashRing, ShardedTransport
+
+#: Test processes are forked, like the launcher's clients.
+FORK = multiprocessing.get_context("fork")
 
 BATCHES_PER_PRODUCER = 40
 REPEATS = 2
@@ -64,7 +67,7 @@ def _pump(router) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         processes = [
-            _fork_mp().Process(target=_producer, args=(router, client_id), daemon=True)
+            FORK.Process(target=_producer, args=(router, client_id), daemon=True)
             for client_id in CLIENT_IDS
         ]
         began = time.perf_counter()

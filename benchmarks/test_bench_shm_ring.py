@@ -24,10 +24,12 @@ import time
 from transport_fixture import BATCH_SIZE, BATCHES, NUM_BATCHES, REPEATS
 
 from repro.buffers.columns import ColumnBatch
-from repro.launcher.launcher import _fork_mp
 from repro.parallel.messages import pack_many
 from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import ShmRing, ShmRingTransport
+
+#: Test processes are forked, like the launcher's clients.
+FORK = multiprocessing.get_context("fork")
 
 RING_SLOT_BYTES = 16_384
 MIN_SPEEDUP = 1.5
@@ -104,7 +106,7 @@ def test_shm_transport_end_to_end_forked_producer():
         best = float("inf")
         for _ in range(5):
             gc.collect()
-            process = _fork_mp().Process(target=producer, args=(transport,), daemon=True)
+            process = FORK.Process(target=producer, args=(transport,), daemon=True)
             began = time.perf_counter()
             process.start()
             drained = 0

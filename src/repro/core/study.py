@@ -141,8 +141,8 @@ class OnlineStudy:
         # ``transport_config`` is the already-normalised TransportConfig.  Only
         # the launcher concurrency bound travels separately: the shm ring grid is
         # a slot table sized by it, not by the ensemble size — the launcher
-        # leases a client's ring before forking it and releases it after the
-        # client's last process was joined.
+        # leases a client's ring before the client is forked and releases it
+        # after the client's last process was reaped.
         num_shards = cfg.transport_config.shard.num_shards
         specs = self._build_specs()
         shard_ring = None

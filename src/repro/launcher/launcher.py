@@ -1,9 +1,8 @@
 """The launcher: runs the ensemble of simulation clients.
 
 The paper's launcher interacts with the batch scheduler to start client jobs,
-monitor them, kill unresponsive ones and restart failed ones.  Here client
-"jobs" are Python callables executed on a bounded thread pool; the launcher
-preserves the orchestration logic that matters for the experiments:
+monitor them, kill unresponsive ones and restart failed ones.  Here the
+launcher preserves the orchestration logic that matters for the experiments:
 
 * **series submission**: clients are started in successive series (the paper
   uses 100/100/50 concurrent simulations), the next series starting only once
@@ -11,120 +10,48 @@ preserves the orchestration logic that matters for the experiments:
   Figure 2;
 * **bounded concurrency** inside a series (the "c concurrent clients" of the
   inter-simulation bias discussion);
-* **fault tolerance**: a client raising an exception is restarted (up to a
-  configurable number of attempts); restarted clients resend data which the
-  server deduplicates through its message log.
+* **fault tolerance**: a failed client is restarted (up to a configurable
+  number of attempts); restarted clients resend data which the server
+  deduplicates through its message log.
 
-With ``client_mode="process"`` each client runs in a forked OS process (the
-paper's real deployment shape) instead of a pool thread: the process streams
-through a multi-process transport backend, reports its step count over a
-pipe, and a dead or killed process is restarted like a failed one — the
-restarted client resends from step zero and the server deduplicates.  The
-transport crosses the fork by reference but its live channels do not need
-to: the ``tcp`` backend's forked clients inherit only the front door's
-``(host, port)`` and dial their own connection (handshake included) at the
-first push, so the same launcher drives shared-memory and socket backends
-(the study picks the mode via ``TransportConfig.client_mode``).
+With ``client_mode="thread"`` clients run on a bounded thread pool.  With
+``client_mode="process"`` every client attempt is an OS process that shares
+nothing with the server, as a client job in the paper: :meth:`Launcher.start`
+(or :meth:`Launcher.run`) forks one :class:`~repro.launcher.spawner.ClientSpawner`
+before any launcher or server thread exists, and each attempt is one request
+to it, carrying the attempt state of the launcher's copy of the client and
+its lease slot.  One loop over the spawner's reports and the watchdog
+deadlines runs a series: a client past a deadline is killed by pid, a failed
+or killed one is restarted from step zero (the server deduplicates the
+resend), and if the spawner dies every unfinished client fails.
 
-The launcher holds each client's channel lease: it calls
-``Transport.lease_client`` on the client's own transport before the first
-attempt starts, keeps the lease across restarts and calls
-``release_client`` only after the last attempt's process was joined.  The
-pool is ``max_concurrent_clients`` wide, the same bound that sizes the
-``shm`` slot table, so a lease never waits; a forked client finds its ring
-slot in the table it inherited and shares nothing it could die holding.
+The launcher holds each client's channel lease: ``Transport.lease_client``
+before the first attempt, ``release_client`` once the last one was reaped.
+At most ``max_concurrent_clients`` clients run at once, the bound that sizes
+the ``shm`` slot table, so a lease never waits; a forked client finds its
+ring slot in the table it inherited and shares nothing it could die holding.
 """
 
 from __future__ import annotations
 
-import multiprocessing as _std_mp
+import contextlib
+import os
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.client.simulation_client import SimulationClient, SimulationFailure
+from repro.launcher.spawner import ClientSpawner
 from repro.utils.logging import get_logger
 
 logger = get_logger("launcher")
 
 Array = np.ndarray
-
-_fork_context = None
-
-
-def _fork_mp():
-    """The ``fork`` multiprocessing context, resolved lazily.
-
-    Clients are forked, not spawned: the client factory closes over solver
-    and transport objects that are inherited through fork without pickling.
-    Resolving lazily keeps thread-mode studies importable on platforms
-    without the fork start method (Windows); only ``client_mode="process"``
-    requires it.
-    """
-    global _fork_context
-    if _fork_context is None:
-        try:
-            _fork_context = _std_mp.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise RuntimeError(
-                "client_mode='process' requires the 'fork' multiprocessing start "
-                "method, which this platform does not provide"
-            ) from exc
-    return _fork_context
-
-
-_noise_filter_installed = False
-
-
-def _install_after_fork_noise_filter() -> None:
-    """Silence a harmless CPython 3.11.7 artifact in forked clients.
-
-    Forking a thread-heavy parent leaves a stale C-level exception in the
-    child, so the first statement of ``threading._after_fork`` reports
-    ``SystemError: ... returned a result with an exception set`` through
-    ``sys.unraisablehook`` (the lock is created and the child runs
-    correctly).  The hook is inherited through fork, so installing the
-    filter in the parent suppresses exactly that report in every client
-    process while delegating all other unraisables unchanged.
-    """
-    global _noise_filter_installed
-    if _noise_filter_installed:
-        return
-    _noise_filter_installed = True
-    import sys
-    import threading
-
-    previous = sys.unraisablehook
-
-    def hook(unraisable, /):
-        if (unraisable.exc_type is SystemError
-                and getattr(unraisable.object, "__name__", "") == "_after_fork"
-                and getattr(unraisable.object, "__module__", "") == threading.__name__):
-            return
-        previous(unraisable)
-
-    sys.unraisablehook = hook
-
-
-def _client_process_main(client: SimulationClient, solver_params: object, conn) -> None:
-    """Entry point of a forked client process: run, report the outcome."""
-    status, steps = "error", 0
-    try:
-        result = client.run(solver_params=solver_params)
-        status, steps = "ok", result.steps_sent
-    except SimulationFailure:
-        status = "failed"
-    except BaseException:  # noqa: BLE001 - report then exit, parent decides
-        logger.exception("client %d process crashed", client.client_id)
-    try:
-        conn.send((status, steps))
-        conn.close()
-    except OSError:  # pragma: no cover - parent already gone
-        pass
 
 
 @dataclass
@@ -151,17 +78,18 @@ class LauncherConfig:
         the sizes do not cover all specs) form a final series.  ``None`` runs
         everything as a single series.
     max_concurrent_clients:
-        Thread-pool width: how many clients execute simultaneously inside a
-        series (models the finite CPU partition).
+        How many clients execute simultaneously inside a series (models the
+        finite CPU partition).
     inter_series_delay:
         Seconds to wait between the end of a series and the start of the next,
         reproducing the scheduling gap observed on the real machine.
     max_restarts:
         How many times a failing client is restarted before giving up.
     client_mode:
-        ``"thread"`` runs clients on the pool threads; ``"process"`` forks one
-        OS process per client attempt (real transport isolation; a study takes
-        the mode from its backend's ``TransportConfig.client_mode``).
+        ``"thread"`` runs clients on pool threads; ``"process"`` runs each
+        client attempt as an OS process forked by the client spawner (real
+        transport isolation; a study takes the mode from its backend's
+        ``TransportConfig.client_mode``).
     process_join_timeout:
         In process mode, how long to wait for a client process before killing
         it and treating it as failed (``None`` waits forever).  This caps a
@@ -217,6 +145,24 @@ class LauncherReport:
         return int(sum(self.per_client_steps.values()))
 
 
+def _kill(pid: int) -> None:
+    """SIGKILL a client process (one that already ended is reported anyway)."""
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+
+
+@dataclass
+class _ProcessClient:
+    """The launcher's copy of one process-mode client and its current attempt."""
+
+    spec: ClientSpec
+    client: SimulationClient
+    slot: int
+    failures: int = 0
+    pid: Optional[int] = None  # the live attempt's process, until it is killed or reaped
+    started: float = 0.0
+
+
 class Launcher:
     """Run all ensemble members through a client factory, series by series."""
 
@@ -238,11 +184,9 @@ class Launcher:
         #: present, the report also aggregates per-shard totals so the
         #: cluster-level breakdown ships with the ensemble outcome.
         self.shard_ring = shard_ring
+        #: Written by the thread that runs :meth:`run` only.
         self.report = LauncherReport()
-        #: Guards every ``self.report`` mutation: restart and kill counters
-        #: are incremented from concurrent pool threads, and ``+=`` on a
-        #: shared attribute is not atomic — unguarded increments lose counts.
-        self._report_lock = threading.Lock()
+        self._spawner: Optional[ClientSpawner] = None
         self._thread: Optional[threading.Thread] = None
         self._started = False
 
@@ -262,211 +206,198 @@ class Launcher:
             series.append(self.specs[cursor:])
         return series
 
-    # ------------------------------------------------------------------- run
-    def _run_client(self, spec: ClientSpec) -> int:
-        """Run one client with restart-on-failure; returns steps sent.
-
-        The client's lease on its transport spans every attempt: taken
-        before the first one starts, released once the last one has ended
-        (in process mode: once its process was joined).
-        """
+    def _make_client(self, spec: ClientSpec) -> SimulationClient:
         client = self.client_factory(spec)
         if spec.fail_at_step is not None:
             client.fail_at_step = spec.fail_at_step
+        return client
+
+    def _finish(self, spec: ClientSpec, steps: Optional[int]) -> None:
+        """Count one client that completed (``steps`` sent) or failed for good."""
+        if steps is None:
+            self.report.clients_failed += 1
+            logger.error("client %d permanently failed", spec.client_id)
+        else:
+            self.report.clients_completed += 1
+            self.report.per_client_steps[spec.client_id] = steps
+
+    # ------------------------------------------------------------ thread mode
+    def _run_client_in_thread(self, spec: ClientSpec) -> Tuple[Optional[int], int]:
+        """Run one client on this pool thread, restarting it on failure.
+
+        Returns the steps sent (``None`` once it exhausted its restarts) and
+        the number of failed attempts.  The lease spans every attempt.
+        """
+        client = self._make_client(spec)
         router = client.router
         router.lease_client(spec.client_id)
+        failures = 0
         try:
-            if self.config.client_mode == "process":
-                return self._run_client_in_process(spec, client)
-            return self._run_client_in_thread(spec, client)
+            while True:
+                try:
+                    return client.run(solver_params=spec.solver_params).steps_sent, failures
+                except SimulationFailure as exc:
+                    failures += 1
+                    logger.warning("client %d failed (%s), restart %d",
+                                   spec.client_id, exc, failures)
+                    if failures > self.config.max_restarts:
+                        return None, failures
+                    client.prepare_restart()
         finally:
             router.release_client(spec.client_id)
 
-    def _run_client_in_thread(self, spec: ClientSpec, client: SimulationClient) -> int:
-        """Run ``client`` on this pool thread, restarting it on failure."""
-        attempts = 0
-        total_steps = 0
-        while True:
-            try:
-                result = client.run(solver_params=spec.solver_params)
-                total_steps += result.steps_sent
-                return total_steps
-            except SimulationFailure as exc:
-                attempts += 1
-                with self._report_lock:
-                    self.report.restarts += 1
-                logger.warning("client %d failed (%s), restart %d", spec.client_id, exc, attempts)
-                if attempts > self.config.max_restarts:
-                    raise
-                client.prepare_restart()
-
-    def _run_client_in_process(self, spec: ClientSpec, client: SimulationClient) -> int:
-        """Fork one OS process per attempt; restart on failure or death.
-
-        The parent keeps its own copy of the client object: a restart
-        increments ``restart_count`` and clears the injected fault, but the
-        child's in-memory checkpoint dies with the process, so the restarted
-        client resends everything and relies on the server's message log for
-        deduplication — the non-checkpointed recovery path of the paper.
-        """
-        context = _fork_mp()
-        _install_after_fork_noise_filter()
-        if spec.hang_at_step is not None:
-            client.hang_at_step = spec.hang_at_step
-        attempts = 0
-        while True:
-            recv_conn, send_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_client_process_main,
-                args=(client, spec.solver_params, send_conn),
-                name=f"client-{spec.client_id}",
-                daemon=True,
-            )
-            process.start()
-            send_conn.close()
-            self._watch_client_process(spec, process, client.router)
-            status, steps = "killed", 0
-            if recv_conn.poll(0):
+    def _run_series_in_threads(self, index: int, group: Sequence[ClientSpec]) -> None:
+        with ThreadPoolExecutor(
+            max_workers=self.config.max_concurrent_clients,
+            thread_name_prefix=f"client-series-{index}",
+        ) as pool:
+            futures = {pool.submit(self._run_client_in_thread, spec): spec for spec in group}
+            for future in as_completed(futures):
+                steps, failures = None, 0
                 try:
-                    status, steps = recv_conn.recv()
-                except EOFError:
-                    # A killed child closes the pipe without sending: poll()
-                    # reports the EOF as readable, but there is no result.
+                    steps, failures = future.result()
+                except Exception:  # noqa: BLE001 - a crashed client failed for good
                     pass
-            recv_conn.close()
-            if status == "ok":
-                return steps
-            if status == "error":
-                raise SimulationFailure(
-                    f"client {spec.client_id} process crashed (exit code {process.exitcode})"
-                )
-            attempts += 1
-            with self._report_lock:
-                self.report.restarts += 1
-            logger.warning(
-                "client %d process %s (exit code %s), restart %d",
-                spec.client_id, status, process.exitcode, attempts,
-            )
-            if attempts > self.config.max_restarts:
-                raise SimulationFailure(
-                    f"client {spec.client_id} exhausted its {self.config.max_restarts} restarts"
-                )
-            client.prepare_restart()
+                self.report.restarts += failures
+                self._finish(futures[future], steps)
 
-    def _watch_client_process(self, spec: ClientSpec, process, router) -> None:
-        """Join a client process under the runtime cap and heartbeat deadline.
-
-        Blocks until the process exits or is killed.  Two guards run while
-        waiting: ``process_join_timeout`` caps the total runtime, and
-        ``heartbeat_timeout`` kills a client whose last server-observed
-        activity (queried from the shared :class:`HeartbeatMonitor`) is too
-        old — a client that was never observed is judged by its runtime
-        instead, so a hang before the hello message is caught too.  A
-        heartbeat kill is counted in the report and in ``router``'s
-        ``TransportStats.unresponsive_kills``; the caller then restarts the
-        client like any failed one and the server deduplicates the resend.
-        """
-        heartbeat_timeout = self.config.heartbeat_timeout
-        if self.heartbeat_monitor is None:
-            heartbeat_timeout = None
-        runtime_cap = self.config.process_join_timeout
-        if heartbeat_timeout is None and runtime_cap is None:
-            process.join()
-            return
+    # ----------------------------------------------------------- process mode
+    def _run_series_in_processes(self, group: Sequence[ClientSpec]) -> None:
+        """One series through the spawner: one loop over its reports and the
+        watchdog deadlines.  However the loop ends, the clients it still runs
+        are killed and their leases released."""
+        waiting = list(reversed(group))
+        running: Dict[int, _ProcessClient] = {}
         poll = 0.25
-        if heartbeat_timeout is not None:
-            poll = min(poll, heartbeat_timeout / 4)
-        started = time.monotonic()
-        deadline = None if runtime_cap is None else started + runtime_cap
-        while True:
-            process.join(poll)
-            if not process.is_alive():
-                return
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                logger.warning("client %d exceeded its runtime cap, killing process",
-                    spec.client_id)
-                break
-            if heartbeat_timeout is not None:
-                if self.heartbeat_monitor.is_finished(spec.client_id):
-                    continue  # done, just tearing down: never heartbeat-kill
-                silence = self.heartbeat_monitor.silence(spec.client_id, now=now)
-                if silence is None:
-                    # Never seen: judge by this attempt's runtime, with a 2x
-                    # grace — process start-up, imports and a slow solver
-                    # warm-up all come before its first message reaches
-                    # the server.
-                    silence = (now - started) / 2
-                else:
-                    # A restarted attempt inherits the monitor record of its
-                    # dead predecessor; activity cannot predate this attempt.
-                    silence = min(silence, now - started)
-                if silence > heartbeat_timeout:
-                    logger.warning(
-                        "client %d missed its heartbeat deadline (silent %.1fs), "
-                        "killing process", spec.client_id, silence,
-                    )
-                    with self._report_lock:
-                        self.report.unresponsive_kills += 1
-                    router.record_unresponsive_kill()
-                    break
-        process.kill()
-        process.join()
+        if self.config.heartbeat_timeout is not None:
+            poll = min(poll, self.config.heartbeat_timeout / 4)
+        try:
+            while waiting or running:
+                while waiting and len(running) < self.config.max_concurrent_clients:
+                    spec = waiting.pop()
+                    client = self._make_client(spec)
+                    if spec.hang_at_step is not None:
+                        client.hang_at_step = spec.hang_at_step
+                    slot = client.router.lease_client(spec.client_id)
+                    running[spec.client_id] = _ProcessClient(spec, client, slot)
+                    self._spawner.spawn(client, slot)
+                report = self._spawner.receive(poll)
+                if report is not None:
+                    self._on_report(running, *report)
+                self._enforce_deadlines(running)
+        finally:
+            for tracked in running.values():
+                if tracked.pid is not None:
+                    _kill(tracked.pid)
+                tracked.client.router.release_client(tracked.spec.client_id)
 
+    def _on_report(self, running: Dict[int, _ProcessClient], client_id: int, pid: int,
+                   outcome: Optional[tuple]) -> None:
+        """Handle one spawner report: a forked client, or a reaped one."""
+        tracked = running[client_id]
+        if outcome is None:
+            tracked.pid, tracked.started = pid, time.monotonic()
+            return
+        tracked.pid = None
+        status, steps, exitcode = outcome
+        if status in ("failed", "killed"):
+            tracked.failures += 1
+            self.report.restarts += 1
+            logger.warning("client %d process %s (exit code %s), restart %d",
+                           client_id, status, exitcode, tracked.failures)
+            if tracked.failures <= self.config.max_restarts:
+                tracked.client.prepare_restart()
+                self._spawner.spawn(tracked.client, tracked.slot)
+                return
+        elif status == "error":
+            logger.error("client %d process crashed (exit code %s)", client_id, exitcode)
+        del running[client_id]
+        tracked.client.router.release_client(client_id)
+        self._finish(tracked.spec, steps if status == "ok" else None)
+
+    def _enforce_deadlines(self, running: Dict[int, _ProcessClient]) -> None:
+        """Kill every client past its runtime cap or its heartbeat deadline.
+
+        A heartbeat kill is counted in the report and in the router's
+        ``TransportStats.unresponsive_kills``; the reaped client is then
+        restarted like any failed one.
+        """
+        monitor = self.heartbeat_monitor
+        heartbeat_timeout = self.config.heartbeat_timeout if monitor is not None else None
+        runtime_cap = self.config.process_join_timeout
+        now = time.monotonic()
+        for client_id, tracked in running.items():
+            if tracked.pid is None:
+                continue
+            age = now - tracked.started
+            if runtime_cap is not None and age >= runtime_cap:
+                logger.warning("client %d exceeded its runtime cap, killing process", client_id)
+            elif heartbeat_timeout is None or monitor.is_finished(client_id):
+                continue  # a finished client is just tearing down: never heartbeat-kill
+            else:
+                silence = monitor.silence(client_id, now=now)
+                # Never seen: the runtime, with a 2x start-up grace.  Seen: the
+                # record may be a dead predecessor's; it cannot predate this one.
+                silence = age / 2 if silence is None else min(silence, age)
+                if silence <= heartbeat_timeout:
+                    continue
+                logger.warning("client %d missed its heartbeat deadline (silent %.1fs), "
+                               "killing process", client_id, silence)
+                self.report.unresponsive_kills += 1
+                tracked.client.router.record_unresponsive_kill()
+            _kill(tracked.pid)
+            tracked.pid = None
+
+    # -------------------------------------------------------------------- run
     def run(self) -> LauncherReport:
         """Execute every series and return the report (blocking)."""
         start = time.monotonic()
-        series = self._split_series()
-        for index, group in enumerate(series):
-            if index > 0 and self.config.inter_series_delay > 0:
-                time.sleep(self.config.inter_series_delay)
-            with self._report_lock:
+        if self.config.client_mode == "process" and self._spawner is None:
+            self._spawner = ClientSpawner(self.specs, self.client_factory)
+        try:
+            for index, group in enumerate(self._split_series()):
+                if index > 0 and self.config.inter_series_delay > 0:
+                    time.sleep(self.config.inter_series_delay)
                 self.report.series_boundaries.append(time.monotonic() - start)
-            with ThreadPoolExecutor(
-                max_workers=self.config.max_concurrent_clients,
-                thread_name_prefix=f"client-series-{index}",
-            ) as pool:
-                futures = {pool.submit(self._run_client, spec): spec for spec in group}
-                for future in as_completed(futures):
-                    spec = futures[future]
-                    try:
-                        steps = future.result()
-                    except Exception:  # noqa: BLE001 - client exhausted its restarts
-                        with self._report_lock:
-                            self.report.clients_failed += 1
-                        logger.error("client %d permanently failed", spec.client_id)
-                    else:
-                        with self._report_lock:
-                            self.report.clients_completed += 1
-                            self.report.per_client_steps[spec.client_id] = steps
+                if self._spawner is None:
+                    self._run_series_in_threads(index, group)
+                else:
+                    self._run_series_in_processes(group)
+        except ChildProcessError as exc:  # the spawner died
+            unfinished = (len(self.specs) - self.report.clients_completed
+                          - self.report.clients_failed)
+            logger.error("%s: %d unfinished clients failed", exc, unfinished)
+            self.report.clients_failed += unfinished
+        finally:
+            if self._spawner is not None:
+                self._spawner.close()
+                self._spawner = None
         self._aggregate_shard_totals()
-        with self._report_lock:
-            self.report.elapsed = time.monotonic() - start
+        self.report.elapsed = time.monotonic() - start
         return self.report
 
     def _aggregate_shard_totals(self) -> None:
         """Fold per-client steps into per-shard totals (sharded studies only)."""
         if self.shard_ring is None:
             return
-        shard_for = self.shard_ring.shard_for
-        with self._report_lock:
-            per_client = dict(self.report.per_client_steps)
         per_shard_steps: Dict[int, int] = {}
         per_shard_clients: Dict[int, int] = {}
-        for client_id, steps in per_client.items():
-            shard = int(shard_for(client_id))
+        for client_id, steps in self.report.per_client_steps.items():
+            shard = int(self.shard_ring.shard_for(client_id))
             per_shard_steps[shard] = per_shard_steps.get(shard, 0) + int(steps)
             per_shard_clients[shard] = per_shard_clients.get(shard, 0) + 1
-        with self._report_lock:
-            self.report.per_shard_steps = per_shard_steps
-            self.report.per_shard_clients = per_shard_clients
+        self.report.per_shard_steps = per_shard_steps
+        self.report.per_shard_clients = per_shard_clients
 
     # ---------------------------------------------------------- async control
     def start(self) -> None:
-        """Run the ensemble on a background thread (non-blocking)."""
+        """Run the ensemble on a background thread (non-blocking); in process
+        mode, first fork the client spawner from the calling thread."""
         if self._started:
             raise RuntimeError("launcher already started")
         self._started = True
+        if self.config.client_mode == "process":
+            self._spawner = ClientSpawner(self.specs, self.client_factory)
         self._thread = threading.Thread(target=self.run, name="launcher", daemon=True)
         self._thread.start()
 

@@ -2,7 +2,7 @@
 
 Where :class:`repro.parallel.transport.MessageRouter` hands message objects
 between threads by reference, this backend crosses real OS-process
-boundaries: clients forked by the launcher serialise their messages with
+boundaries: clients forked by the client spawner serialise their messages with
 :func:`repro.parallel.messages.pack_many` and put **one buffer per batch**
 on a bounded ``multiprocessing.Queue`` per server rank; the server-side
 aggregator drains buffers and decodes whole batches into columnar chunks in

@@ -51,11 +51,12 @@ ensemble size, so a paper-scale ensemble of hundreds of simulations needs
 only as many rings as run concurrently.  The lease table belongs to the
 server process alone: a ``client_id → slot`` dict and a free list behind a
 ``threading.Lock``.  The launcher calls :meth:`ShmRingTransport.lease_client`
-before it forks a client, keeps the lease across the client's restarts and
-calls :meth:`~ShmRingTransport.release_client` only after the client's last
-process was joined.  A forked client finds its slot in the dict it inherited;
-it takes no lock and writes no shared table, so a client killed anywhere —
-inside :meth:`connect` included — leaves nothing held.  A recycled slot's
+before it asks the client spawner for a client, keeps the lease across the
+client's restarts and calls :meth:`~ShmRingTransport.release_client` once
+its last process was reaped.  A forked client finds its slot in the dict it
+inherited (the spawner adopts the lease before it forks); it takes no lock
+and writes no shared table, so a client killed anywhere — inside
+:meth:`connect` included — leaves nothing held.  A recycled slot's
 next holder appends behind whatever the dead holder left undrained (the
 cursors live in the ring), and a begin marker the dead writer left behind
 is counted as torn, as on a restart.
@@ -547,8 +548,8 @@ class ShmRingTransport(PackedDrainMixin, Transport):
     def lease_client(self, client_id: int) -> int:
         """Lease a ring slot to ``client_id`` and return it (idempotent).
 
-        Server process only: the launcher calls it before forking the
-        client, so the child inherits the lease with the table.  A forked
+        Server process only: the spawner :meth:`adopt_lease`-s the slot
+        before it forks the client, which inherits it with the table.  A forked
         process that finds no lease for its client raises at once — leasing
         there would write a table no one else reads.  A full table raises
         too: the launcher runs at most ``max_concurrent_clients`` clients,
@@ -573,6 +574,11 @@ class ShmRingTransport(PackedDrainMixin, Transport):
                     )
                 slot = self._slots[client_id] = self._free.pop()
             return slot
+
+    def adopt_lease(self, client_id: int, slot: int) -> None:
+        """Install a slot leased in the server process (the spawner's copy)."""
+        with self._lease_lock:
+            self._slots[int(client_id)] = int(slot)
 
     def release_client(self, client_id: int) -> None:
         """Return ``client_id``'s slot to the free list (its processes are gone).

@@ -10,8 +10,8 @@ protocol of :mod:`repro.parallel.framing` — so the study's fault protocol
 
 Client side: each pushing thread keeps one lazily created
 :class:`_ClientWriter` (socket + reusable pack scratch).  The socket is
-opened at the first push **after** any fork — the launcher's forked client
-processes inherit only the address, never a live socket — and opens with a
+opened at the first push **after** any fork — forked client processes
+inherit only the address, never a live socket — and opens with a
 handshake frame carrying the client id and its dedup epoch (the hello's
 restart count).  Batches are packed with ``plan_many``/``write_into``
 straight into the scratch behind a reserved frame header, and the whole

@@ -150,6 +150,9 @@ class Transport:
         """
         return -1
 
+    def adopt_lease(self, client_id: int, slot: int) -> None:
+        """Install, in the client spawner's copy, a lease the server chose."""
+
     def release_client(self, client_id: int) -> None:
         """Free ``client_id``'s lease once its last process has exited."""
 

@@ -167,6 +167,9 @@ class ShardedTransport(Transport):
     def lease_client(self, client_id: int) -> int:
         return self.transport_for(client_id).lease_client(client_id)
 
+    def adopt_lease(self, client_id: int, slot: int) -> None:
+        self.transport_for(client_id).adopt_lease(client_id, slot)
+
     def release_client(self, client_id: int) -> None:
         self.transport_for(client_id).release_client(client_id)
 

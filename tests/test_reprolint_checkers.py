@@ -103,6 +103,35 @@ class TestForkSafety:
             root.unlink()
 
 
+# ------------------------------------------------------------------- fork site
+class TestForkSite:
+    def test_bad_fixture_flags_every_fork_site(self):
+        report = lint("bad_fork_site.py")
+        findings = [f for f in report.findings if f.rule == "fork-site"]
+        assert sorted(f.line for f in findings) == [12, 16, 20, 25, 34]
+        messages = " ".join(f.message for f in findings)
+        assert "os.fork() forks" in messages
+        assert "get_context('fork')" in messages
+        assert "Process(...).start() forks" in messages
+
+    def test_good_fixture_is_clean(self):
+        assert lint("good_fork_site.py").clean
+
+    def test_the_spawner_module_may_fork(self):
+        spawner = FIXTURES / "spawner.py"  # module name 'spawner' marks the allowed site
+        spawner.write_text((FIXTURES / "bad_fork_site.py").read_text(encoding="utf-8"),
+                           encoding="utf-8")
+        try:
+            assert not [f for f in lint("spawner.py").findings if f.rule == "fork-site"]
+        finally:
+            spawner.unlink()
+
+    def test_only_src_is_checked_when_the_project_has_src(self):
+        project = load_project([REPO_ROOT / "src" / "repro" / "launcher",
+                                FIXTURES / "bad_fork_site.py"], root=REPO_ROOT)
+        assert not [f for f in run(project, CHECKERS).findings if f.rule == "fork-site"]
+
+
 # ------------------------------------------------------------------ wire layout
 class TestWireLayout:
     def test_bad_fixture_flags_every_drift_shape(self):

@@ -23,7 +23,7 @@ from repro.buffers import FIFOBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.client.api import ClientAPI
 from repro.client.simulation_client import SimulationClient
-from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig, _fork_mp
+from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
 from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
@@ -41,6 +41,9 @@ from repro.parallel.shm_ring import (
 from repro.parallel.transport import MessageRouter
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import HeartbeatMonitor, MessageLog
+
+#: Test processes are forked, like the launcher's clients.
+FORK = multiprocessing.get_context("fork")
 
 DEADLINE = 30.0  # generous cap: every blocking wait in this module fails by then
 #: How long a push waits on a full rank channel before the batch is dropped.
@@ -153,7 +156,7 @@ def test_client_process_killed_mid_stream_then_restart_dedup(transport):
     transport.lease_client(0)  # the parent leases, as the launcher does
     aggregator.start()
     try:
-        process = _fork_mp().Process(
+        process = FORK.Process(
             target=stream_steps,
             args=(transport, 0, NUM_STEPS),
             kwargs={"step_delay": 0.01, "batch_size": 4},
@@ -169,7 +172,7 @@ def test_client_process_killed_mid_stream_then_restart_dedup(transport):
         received_before_restart = aggregator.stats.samples_received
         assert received_before_restart < NUM_STEPS
 
-        restarted = _fork_mp().Process(target=stream_steps,
+        restarted = FORK.Process(target=stream_steps,
             args=(transport, 0, NUM_STEPS),
             kwargs={"batch_size": 4}, daemon=True)
         restarted.start()
@@ -296,7 +299,7 @@ def _connect_and_push(transport, client_id):
 
 def assert_bystander_completes(transport, client_id):
     """A fresh client process runs init + finalize within ``DEADLINE``."""
-    bystander = _fork_mp().Process(target=stream_steps, args=(transport, client_id, 0),
+    bystander = FORK.Process(target=stream_steps, args=(transport, client_id, 0),
                                    daemon=True)
     bystander.start()
     finished = False
@@ -320,7 +323,7 @@ def test_kill_during_control_pushes_never_wedges_another_client(transport):
     transport.lease_client(1)
     for _ in range(kills):
         routed_before = transport.stats.messages_routed
-        victim = _fork_mp().Process(target=_hammer_control_messages,
+        victim = FORK.Process(target=_hammer_control_messages,
                                     args=(transport, 0), daemon=True)
         victim.start()
         # This test's kills land in the push loop; the connect() window is
@@ -349,7 +352,7 @@ def test_kill_inside_connect_never_wedges_another_client(transport):
     transport.lease_client(0)
     transport.lease_client(1)
     for _ in range(kills):
-        victim = _fork_mp().Process(target=_connect_and_push, args=(transport, 0),
+        victim = FORK.Process(target=_connect_and_push, args=(transport, 0),
                                     daemon=True)
         victim.start()
         kill_at = time.monotonic() + rng.uniform(0.0, 0.004)
@@ -373,7 +376,7 @@ def _connect_without_lease(transport, client_id):
 def test_forked_client_without_a_parent_lease_fails_at_once(transport):
     """Only the server process leases: a forked child with no inherited lease
     raises naming ``lease_client`` instead of waiting for a free slot."""
-    child = _fork_mp().Process(target=_connect_without_lease, args=(transport, 5),
+    child = FORK.Process(target=_connect_without_lease, args=(transport, 5),
                                daemon=True)
     child.start()
     child.join(DEADLINE)
@@ -536,7 +539,7 @@ def test_slot_lease_killed_client_restart_reuses_its_lease(transport):
     client id) inherits the same slot, and the slot recycles only when the
     server releases it."""
     slot = transport.lease_client(0)
-    process = _fork_mp().Process(
+    process = FORK.Process(
         target=stream_steps, args=(transport, 0, NUM_STEPS),
         kwargs={"step_delay": 0.01, "batch_size": 4}, daemon=True,
     )
@@ -546,7 +549,7 @@ def test_slot_lease_killed_client_restart_reuses_its_lease(transport):
     process.join(DEADLINE)
 
     assert slot_of(transport, 0) == slot  # lease survives the kill
-    restarted = _fork_mp().Process(target=stream_steps,
+    restarted = FORK.Process(target=stream_steps,
         args=(transport, 0, NUM_STEPS),
         kwargs={"batch_size": 4}, daemon=True)
     restarted.start()
@@ -613,16 +616,14 @@ class AlwaysFailingClient(SimulationClient):
 
 
 class RecordingLauncher(Launcher):
-    """Logs when each client process is started (forked) and joined."""
+    """Logs when the spawner reports each client process forked and reaped
+    (in process mode; the reap is logged before its lease may be released)."""
 
     events: list
 
-    def _watch_client_process(self, spec, process, router):
-        self.events.append(("fork", spec.client_id, None))
-        try:
-            super()._watch_client_process(spec, process, router)
-        finally:
-            self.events.append(("join", spec.client_id, None))
+    def _on_report(self, running, client_id, pid, outcome):
+        self.events.append(("fork" if outcome is None else "join", client_id, None))
+        super()._on_report(running, client_id, pid, outcome)
 
 
 def record_leases(transport, events):

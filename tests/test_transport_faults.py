@@ -8,6 +8,7 @@ the front door, frame round trips).  Every wait is
 deadline-bounded so a regression fails fast instead of hanging the suite.
 """
 
+import multiprocessing
 import queue
 import socket
 import time
@@ -17,7 +18,6 @@ import pytest
 
 from repro.buffers import FIFOBuffer
 from repro.client.api import ClientAPI
-from repro.launcher.launcher import _fork_mp
 from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
 from repro.parallel.messages import (
@@ -33,6 +33,9 @@ from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import MessageRouter, RouterClosed
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import MessageLog
+
+#: Test processes are forked, like the launcher's clients.
+FORK = multiprocessing.get_context("fork")
 
 DEADLINE = 30.0  # generous cap: every blocking wait in this module fails by then
 #: How long a push waits on a full rank channel before the batch is dropped.
@@ -101,7 +104,7 @@ def test_client_process_killed_mid_stream_then_restart_dedup(transport):
     aggregator, _buffer = make_aggregator(transport)
     aggregator.start()
     try:
-        process = _fork_mp().Process(
+        process = FORK.Process(
             target=stream_steps,
             args=(transport, 0, NUM_STEPS),
             kwargs={"step_delay": 0.01, "batch_size": 4},
@@ -120,7 +123,7 @@ def test_client_process_killed_mid_stream_then_restart_dedup(transport):
 
         # Restart: the dead client's checkpoint died with it, so the restarted
         # run resends every step (plus hello/finished) for the server to dedup.
-        restarted = _fork_mp().Process(target=stream_steps, args=(transport, 0, NUM_STEPS),
+        restarted = FORK.Process(target=stream_steps, args=(transport, 0, NUM_STEPS),
                                 kwargs={"batch_size": 4}, daemon=True)
         restarted.start()
         restarted.join(DEADLINE)
@@ -405,7 +408,7 @@ def test_columnar_drain_counts_partial_duplicates_per_key(transport):
 # ------------------------------------------------------------ batched sends
 def test_mp_round_trip_preserves_order_and_batches(transport):
     """A batched client conversation crosses the process boundary intact."""
-    process = _fork_mp().Process(target=stream_steps, args=(transport, 3, 10),
+    process = FORK.Process(target=stream_steps, args=(transport, 3, 10),
         kwargs={"batch_size": 4}, daemon=True)
     process.start()
     process.join(DEADLINE)
@@ -447,7 +450,7 @@ def test_tcp_client_killed_mid_stream_then_restart_dedup(tcp_transport):
     aggregator, _buffer = make_aggregator(transport)
     aggregator.start()
     try:
-        process = _fork_mp().Process(
+        process = FORK.Process(
             target=stream_steps,
             args=(transport, 0, NUM_STEPS),
             kwargs={"step_delay": 0.01, "batch_size": 4},
@@ -463,7 +466,7 @@ def test_tcp_client_killed_mid_stream_then_restart_dedup(tcp_transport):
         received_before_restart = aggregator.stats.samples_received
         assert received_before_restart < NUM_STEPS
 
-        restarted = _fork_mp().Process(target=stream_steps, args=(transport, 0, NUM_STEPS),
+        restarted = FORK.Process(target=stream_steps, args=(transport, 0, NUM_STEPS),
                                        kwargs={"batch_size": 4}, daemon=True)
         restarted.start()
         restarted.join(DEADLINE)

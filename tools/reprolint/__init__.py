@@ -1,7 +1,7 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
-Five checkers encode the concurrency and wire-format invariants the code
-review process kept re-discovering by hand, and a sixth the ``ruff`` rule
+Six checkers encode the concurrency, process and wire-format invariants the
+code review process kept re-discovering by hand, and a seventh the ``ruff`` rule
 that would otherwise run only in CI (see ``docs/static_analysis.md``):
 
 - ``lock-discipline``   : attributes mutated under a lock anywhere must never
@@ -12,6 +12,7 @@ that would otherwise run only in CI (see ``docs/static_analysis.md``):
 - ``fork-safety``       : no threading primitives, queues, threads or shm
                           handles created at import time in modules reachable
                           from forked client code.
+- ``fork-site``         : in ``src/``, only the client spawner's module forks.
 - ``wire-layout``       : ``struct.Struct`` formats, declared ``*_BYTES`` size
                           constants and packed-header offset families must
                           agree.
@@ -26,6 +27,7 @@ from __future__ import annotations
 from tools.reprolint import (
     check_blocking,
     check_fork_safety,
+    check_fork_site,
     check_lock_discipline,
     check_lock_order,
     check_unused_imports,
@@ -40,6 +42,7 @@ CHECKERS = (
     check_lock_order,
     check_blocking,
     check_fork_safety,
+    check_fork_site,
     check_wire_layout,
     check_unused_imports,
 )

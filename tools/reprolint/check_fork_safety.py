@@ -1,6 +1,6 @@
 """Checker: no synchronisation state created at import time in fork-visible modules.
 
-Invariant encoded: the launcher forks client processes; any module imported
+Invariant encoded: the client spawner forks client processes; any module imported
 before the fork is duplicated into the child, so a lock, queue, thread or shm
 handle created at module scope (or as a shared class attribute) is silently
 cloned — a lock forked while held stays held forever in the child, a
