@@ -33,7 +33,12 @@ class SimulationFailure(ReproError):
 
 
 class SupportsIterSteps(Protocol):
-    """Protocol of the solver objects a client can drive."""
+    """Protocol of the solver objects a client can drive.
+
+    A study builds one solver and every client drives it, on threads or in
+    forked processes: a solver is read-only after construction and keeps all
+    run state in ``iter_steps`` locals.
+    """
 
     def iter_steps(self, params) -> Iterator[Tuple[int, float, Array]]:  # pragma: no cover
         ...

@@ -70,7 +70,7 @@ class HeatSurrogateCase:
         return self.spec.parameter_space.dimension + 1
 
     def solver_factory(self) -> HeatEquationSolver:
-        """A fresh sequential solver instance (one per client)."""
+        """A fresh sequential solver; a study builds one and shares it with every client."""
         return HeatEquationSolver(self.spec.solver)
 
     def model_factory(self) -> Sequential:

@@ -105,12 +105,16 @@ class OnlineStudy:
                         shard_ring: Optional[HashRing] = None) -> Launcher:
         cfg = self.config
         solver_steps = self.case.solver_config.num_steps
+        # The members differ only in their parameters, never in the operator:
+        # one solver serves the study, shared by thread clients and inherited
+        # by the spawner and its forked clients.
+        solver = self.case.solver_factory()
 
         def client_factory(spec: ClientSpec) -> SimulationClient:
             return SimulationClient(
                 client_id=spec.client_id,
                 parameters=tuple(float(p) for p in np.asarray(spec.parameters).ravel()),
-                solver=self.case.solver_factory(),
+                solver=solver,
                 router=router,
                 num_time_steps=solver_steps,
                 step_delay=cfg.client_step_delay,

@@ -2,7 +2,8 @@
 
 The launcher forks it once, from the thread that starts the launcher, before
 the server starts a thread: it is single-threaded and holds only the case,
-the client specs and the transport.  Per request (client id, attempt state,
+the client specs, the transport and the study's one solver, which every
+client it forks inherits.  Per request (client id, attempt state,
 the lease slot the server chose) it installs the lease, builds the client
 with the launcher's ``client_factory``, forks it as a ``fork``-context
 ``multiprocessing.Process`` (whose exit flushes the ``mp`` backend's queue

@@ -19,6 +19,11 @@ little, so the start is already close to ``u^{n+1}`` and far fewer
 iterations are needed than from zero.  Accuracy does not depend on the
 start: CG stops only once the residual is below ``cg_tol`` times ``||rhs||``,
 the same test whatever the first iterate, and fails loudly otherwise.
+
+The ensemble members share one solver: the parameters enter only the
+right-hand side, so the system matrix and its LU factors are built once.
+A solver is read-only after construction; each run's state lives in
+``iter_steps`` locals, so concurrent runs on one instance are independent.
 """
 
 from __future__ import annotations
@@ -116,6 +121,9 @@ class HeatEquationSolver:
     * :meth:`iter_steps` — generator yielding ``(step, time, field)`` one step
       at a time; this is what the online client uses to stream each time step
       to the server *as soon as it is computed*.
+
+    The operator and its factorisation are built in ``__init__`` and never
+    written again: one instance serves every client of a study.
     """
 
     def __init__(self, config: HeatEquationConfig) -> None:

@@ -1,11 +1,16 @@
 """End-to-end integration tests of the online and offline studies."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.core.config import OfflineStudyConfig
+from repro.core.config import OfflineStudyConfig, OnlineStudyConfig, SurrogateArchitecture
+from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.core.study import OfflineStudy, OnlineStudy
 from repro.experiments.common import build_validation, online_config, run_offline_baseline, run_online_with_buffer
+from repro.launcher.launcher import Launcher
+from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver
 
 
 @pytest.mark.parametrize("buffer_kind", ["fifo", "firo", "reservoir"])
@@ -101,3 +106,40 @@ def test_online_study_table_row_fields(tiny_scale, tiny_case):
     assert row["setting"] == "online"
     assert row["unique_samples"] == result.unique_samples
     assert row["dataset_gb"] == pytest.approx(result.dataset_gigabytes)
+
+
+@pytest.mark.parametrize("backend, num_clients", [("inproc", 8), ("shm", 4)])
+def test_a_study_builds_one_solver_before_its_clients_start(tmp_path, monkeypatch,
+                                                            backend, num_clients):
+    """Every ensemble member drives the same operator: the study builds one
+    solver before ``Launcher.start()``, and no process builds another after
+    it — not the server, the spawner or a forked client."""
+    events = tmp_path / "events.txt"
+
+    def record(event):
+        with open(events, "a") as out:  # forked processes append to the same file
+            out.write(f"{event} {os.getpid()}\n")
+
+    build, start = HeatEquationSolver.__init__, Launcher.start
+
+    def counting_build(self, config):
+        record("build")
+        build(self, config)
+
+    def marked_start(self):
+        record("start")
+        return start(self)
+
+    monkeypatch.setattr(HeatEquationSolver, "__init__", counting_build)
+    monkeypatch.setattr(Launcher, "start", marked_start)
+    case = HeatSurrogateCase(HeatSurrogateSpec(
+        solver=HeatEquationConfig(nx=10, ny=10, num_steps=8),
+        architecture=SurrogateArchitecture(hidden_sizes=(16, 16)), seed=3))
+    config = OnlineStudyConfig(num_simulations=num_clients, max_concurrent_clients=2,
+                               buffer_capacity=32, buffer_threshold=8, batch_size=4,
+                               transport=backend, seed=3)
+    result = OnlineStudy(case, config).run()
+    assert (result.launcher.clients_completed, result.launcher.clients_failed) == (num_clients, 0)
+    server = str(os.getpid())
+    assert [line.split() for line in events.read_text().splitlines()] == [
+        ["build", server], ["start", server]]

@@ -132,6 +132,26 @@ class TestForkSite:
         assert not [f for f in run(project, CHECKERS).findings if f.rule == "fork-site"]
 
 
+# ---------------------------------------------------------------- solver state
+class TestSolverState:
+    def test_bad_fixture_flags_every_store_outside_init(self):
+        report = lint("bad_solver_state.py")
+        findings = [f for f in report.findings if f.rule == "solver-state"]
+        assert sorted(f.line for f in findings) == [18, 22, 23, 27, 28, 29]
+        messages = " ".join(f.message for f in findings)
+        assert "CachingSolver.iter_steps stores to self.calls" in messages
+        assert "CachingSolver.iter_steps stores to self.last_field" in messages
+        assert "CachingSolver.reset stores to self.last_field" in messages  # del
+
+    def test_good_fixture_is_clean(self):
+        assert lint("good_solver_state.py").clean
+
+    def test_only_src_is_checked_when_the_project_has_src(self):
+        project = load_project([REPO_ROOT / "src" / "repro" / "solvers",
+                                FIXTURES / "bad_solver_state.py"], root=REPO_ROOT)
+        assert not [f for f in run(project, CHECKERS).findings if f.rule == "solver-state"]
+
+
 # ------------------------------------------------------------------ wire layout
 class TestWireLayout:
     def test_bad_fixture_flags_every_drift_shape(self):

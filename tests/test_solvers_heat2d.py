@@ -1,5 +1,8 @@
 """Tests for the sequential heat-equation solver."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -230,3 +233,40 @@ def test_steady_state_harmonic_mean_value():
 def test_field_size_property():
     config = HeatEquationConfig(nx=16, ny=12, num_steps=2)
     assert HeatEquationSolver(config).field_size == 16 * 12
+
+
+def _stream(solver, runs, barrier=None):
+    """Every field ``solver`` yields for ``runs`` in turn, optionally in lockstep."""
+    fields = []
+    for params in runs:
+        for _, _, field in solver.iter_steps(params):
+            fields.append(field.copy())
+            if barrier is not None:
+                barrier.wait(timeout=30)
+    return fields
+
+
+@pytest.mark.parametrize("config", [
+    HeatEquationConfig(nx=32, ny=32, num_steps=10, linear_solver="lu"),
+    HeatEquationConfig(nx=12, ny=12, num_steps=10, linear_solver="cg"),
+], ids=["lu-32x32", "cg-12x12"])
+def test_one_solver_shared_by_two_threads_matches_fresh_solvers(config):
+    """A study's clients share one solver: two threads streaming different
+    parameters through it, step for step and switching mid-step, yield
+    exactly what a fresh solver yields for each parameter set alone."""
+    rng = np.random.default_rng(7)
+    runs = [[HeatParameters(*rng.uniform(100.0, 500.0, 5)) for _ in range(4)] * 3
+            for _ in range(2)]
+    expected = [_stream(HeatEquationSolver(config), run) for run in runs]
+    shared = HeatEquationSolver(config)
+    barrier = threading.Barrier(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            streamed = list(pool.map(lambda run: _stream(shared, run, barrier), runs))
+    finally:
+        sys.setswitchinterval(interval)
+    for fresh, threaded in zip(expected, streamed):
+        assert len(threaded) == len(fresh) == 12 * config.num_steps
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, threaded))

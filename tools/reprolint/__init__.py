@@ -1,8 +1,9 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
-Six checkers encode the concurrency, process and wire-format invariants the
-code review process kept re-discovering by hand, and a seventh the ``ruff`` rule
-that would otherwise run only in CI (see ``docs/static_analysis.md``):
+Seven checkers encode the concurrency, process, solver and wire-format
+invariants the code review process kept re-discovering by hand, and an eighth
+the ``ruff`` rule that would otherwise run only in CI (see
+``docs/static_analysis.md``):
 
 - ``lock-discipline``   : attributes mutated under a lock anywhere must never
                           be mutated outside one.
@@ -13,6 +14,9 @@ that would otherwise run only in CI (see ``docs/static_analysis.md``):
                           handles created at import time in modules reachable
                           from forked client code.
 - ``fork-site``         : in ``src/``, only the client spawner's module forks.
+- ``solver-state``      : in ``src/``, a class defining ``iter_steps`` stores
+                          to ``self`` only in ``__init__`` (one solver serves
+                          every client of a study).
 - ``wire-layout``       : ``struct.Struct`` formats, declared ``*_BYTES`` size
                           constants and packed-header offset families must
                           agree.
@@ -30,6 +34,7 @@ from tools.reprolint import (
     check_fork_site,
     check_lock_discipline,
     check_lock_order,
+    check_solver_state,
     check_unused_imports,
     check_wire_layout,
 )
@@ -43,6 +48,7 @@ CHECKERS = (
     check_blocking,
     check_fork_safety,
     check_fork_site,
+    check_solver_state,
     check_wire_layout,
     check_unused_imports,
 )
