@@ -32,8 +32,12 @@ Array = np.ndarray
 class HeatSurrogateSpec:
     """Scaled experiment description (grid size, steps, architecture)."""
 
-    solver: HeatEquationConfig = field(default_factory=lambda: HeatEquationConfig(nx=16, ny=16, num_steps=20))
-    architecture: SurrogateArchitecture = field(default_factory=lambda: SurrogateArchitecture(hidden_sizes=(64, 64)))
+    solver: HeatEquationConfig = field(
+        default_factory=lambda: HeatEquationConfig(nx=16, ny=16, num_steps=20)
+    )
+    architecture: SurrogateArchitecture = field(
+        default_factory=lambda: SurrogateArchitecture(hidden_sizes=(64, 64))
+    )
     parameter_space: ParameterSpace = field(default_factory=lambda: HEAT_PARAMETER_SPACE)
     sampler: str = "monte_carlo"
     seed: int = 0
@@ -52,7 +56,9 @@ class HeatSurrogateCase:
 
     def __init__(self, spec: HeatSurrogateSpec | None = None) -> None:
         self.spec = spec or HeatSurrogateSpec()
-        self._sampler = get_sampler(self.spec.sampler, self.spec.parameter_space, seed=self.spec.seed)
+        self._sampler = get_sampler(
+            self.spec.sampler, self.spec.parameter_space, seed=self.spec.seed
+        )
 
     # ------------------------------------------------------------- factories
     @property
@@ -96,25 +102,31 @@ class HeatSurrogateCase:
     # --------------------------------------------------------------- datasets
     def run_simulation(self, parameters: Array) -> Tuple[Array, Array]:
         """Run one simulation; returns (times, stacked flattened fields)."""
-        solver = self.solver_factory()
+        return self._simulate(self.solver_factory(), parameters)
+
+    def _simulate(self, solver: HeatEquationSolver, parameters: Array) -> Tuple[Array, Array]:
         series = solver.run(self.parameters_to_solver(parameters))
         fields = series.stack().reshape(len(series), -1).astype(np.float32)
         return series.times, fields
 
-    def generate_validation_set(self, num_simulations: int = 10, seed_offset: int = 10_000) -> ValidationSet:
+    def generate_validation_set(
+        self, num_simulations: int = 10, seed_offset: int = 10_000
+    ) -> ValidationSet:
         """Generate held-out simulations never seen during training.
 
         The validation design uses a sampler stream shifted by ``seed_offset``
-        so its parameters cannot collide with the training ensemble's.
+        so its parameters cannot collide with the training ensemble's.  One
+        solver (so one LU factorisation) serves every simulation.
         """
         sampler = get_sampler(
             self.spec.sampler, self.spec.parameter_space, seed=self.spec.seed + seed_offset
         )
         parameter_vectors = sampler.sample(num_simulations)
+        solver = self.solver_factory()
         times: List[Array] = []
         fields: List[Array] = []
         for row in parameter_vectors:
-            sim_times, sim_fields = self.run_simulation(row)
+            sim_times, sim_fields = self._simulate(solver, row)
             times.append(sim_times)
             fields.append(sim_fields)
         return ValidationSet.from_simulations(list(parameter_vectors), times, fields)
@@ -130,16 +142,17 @@ class HeatSurrogateCase:
 
         The generation is parallelised over a thread pool, standing in for the
         paper's observation that the framework's client parallelism is also
-        useful to produce offline datasets quickly.
+        useful to produce offline datasets quickly, with one shared solver.
         """
         store = SimulationStore(directory)
         if parameter_vectors is None:
             parameter_vectors = self.sample_parameters(num_simulations)
         parameter_vectors = [np.asarray(row) for row in parameter_vectors][:num_simulations]
+        solver = self.solver_factory()
 
         def produce(item: Tuple[int, Array]) -> Tuple[int, Array, Array, Array]:
             index, row = item
-            times, fields = self.run_simulation(row)
+            times, fields = self._simulate(solver, row)
             return index, row, times, fields
 
         if workers <= 1:

@@ -9,9 +9,9 @@ The PDE is Equation (2) of the paper::
 
 discretised with second-order central differences in space and an implicit
 (backward) Euler scheme in time, exactly as the paper's Fortran solver.  The
-implicit system ``(I - dt * alpha * L) u^{n+1} = u^n + dt * alpha * b`` is
-solved either with a pre-computed sparse LU factorisation (the system matrix
-is constant) or with conjugate gradients on the CSR matrix.
+implicit system ``(I - dt * alpha * L) u^{n+1} = u^n + dt * alpha * b`` (five
+diagonals, in DIA) is solved by LU or by :func:`conjugate_gradient`, scipy's
+unpreconditioned CG: same arithmetic, byte-identical fields.
 
 CG starts every step from the previous step's interior ``u^n`` (step 1 from
 the uniform initial condition): one implicit step moves the field only a
@@ -23,7 +23,8 @@ the same test whatever the first iterate, and fails loudly otherwise.
 The ensemble members share one solver: the parameters enter only the
 right-hand side, so the system matrix and its LU factors are built once.
 A solver is read-only after construction; each run's state lives in
-``iter_steps`` locals, so concurrent runs on one instance are independent.
+``iter_steps`` locals and CG's work vectors in :func:`conjugate_gradient`'s,
+so concurrent runs on one instance are independent.
 """
 
 from __future__ import annotations
@@ -74,10 +75,14 @@ class HeatParameters:
     def from_array(values: Array) -> "HeatParameters":
         values = np.asarray(values, dtype=float).ravel()
         if values.size != 5:
-            raise ValueError(f"expected 5 parameters (T_IC, T_x1, T_y1, T_x2, T_y2), got {values.size}")
+            raise ValueError(
+                f"expected 5 parameters (T_IC, T_x1, T_y1, T_x2, T_y2), got {values.size}"
+            )
         return HeatParameters(*values.tolist())
 
-    def validate_range(self, low: float = PARAMETER_RANGE[0], high: float = PARAMETER_RANGE[1]) -> None:
+    def validate_range(
+        self, low: float = PARAMETER_RANGE[0], high: float = PARAMETER_RANGE[1]
+    ) -> None:
         """Raise if any temperature falls outside the sampling range."""
         values = self.as_array()
         if np.any(values < low) or np.any(values > high):
@@ -122,16 +127,18 @@ class HeatEquationSolver:
       at a time; this is what the online client uses to stream each time step
       to the server *as soon as it is computed*.
 
-    The operator and its factorisation are built in ``__init__`` and never
-    written again: one instance serves every client of a study.
+    The five-diagonal operator ``I - dt * alpha * L`` (DIA) and its LU factors
+    are built in ``__init__`` and never written again: one instance serves
+    every client of a study.  Run state lives in ``iter_steps`` locals.
     """
 
     def __init__(self, config: HeatEquationConfig) -> None:
         self.config = config
         cfg = config
-        self._laplacian = build_laplacian(cfg.ny, cfg.nx, cfg.dx, cfg.dy)
-        identity = sp.identity(cfg.num_interior, format="csr")
-        self._system = identity - cfg.dt * cfg.alpha * self._laplacian
+        laplacian = build_laplacian(cfg.ny, cfg.nx, cfg.dx, cfg.dy)
+        diagonals = -cfg.dt * cfg.alpha * laplacian.data  # I - dt*alpha*L, diagonal by diagonal
+        diagonals[laplacian.offsets == 0] += 1.0
+        self._system = sp.dia_matrix((diagonals, laplacian.offsets), shape=laplacian.shape)
         self._lu: spla.SuperLU | None = None
         if cfg.linear_solver == "lu":
             self._lu = spla.splu(self._system.tocsc())
@@ -154,16 +161,7 @@ class HeatEquationSolver:
         if self._lu is not None:
             return self._lu.solve(rhs)
         cfg = self.config
-        solution, info = spla.cg(
-            self._system,
-            rhs,
-            x0=guess,
-            rtol=cfg.cg_tol,
-            maxiter=cfg.cg_max_iter,
-        )
-        if info != 0:
-            raise RuntimeError(f"CG failed to converge (info={info})")
-        return solution
+        return conjugate_gradient(self._system, rhs, guess, cfg.cg_tol, cfg.cg_max_iter)[0]
 
     def iter_steps(self, params: HeatParameters) -> Iterator[Tuple[int, float, Array]]:
         """Yield ``(step_index, time, full_field)`` for each produced time step.
@@ -200,12 +198,13 @@ class HeatEquationSolver:
     # -------------------------------------------------------------- utilities
     def steady_state(self, params: HeatParameters) -> Array:
         """Solve the stationary problem ``laplacian(T) = 0`` with the same BCs."""
-        boundary = self._boundary_vector(params)
-        interior = spla.spsolve(self._laplacian.tocsc(), -boundary)
+        cfg = self.config
+        laplacian = build_laplacian(cfg.ny, cfg.nx, cfg.dx, cfg.dy)
+        interior = spla.spsolve(laplacian.tocsc(), -self._boundary_vector(params))
         return embed_interior(
             interior,
-            self.config.ny,
-            self.config.nx,
+            cfg.ny,
+            cfg.nx,
             west=params.t_x1,
             east=params.t_x2,
             south=params.t_y1,
@@ -216,6 +215,37 @@ class HeatEquationSolver:
     def field_size(self) -> int:
         """Number of scalars per produced field (the surrogate's output size)."""
         return self.config.num_points
+
+
+def conjugate_gradient(
+    system: sp.spmatrix, rhs: Array, x0: Array, rtol: float, maxiter: int
+) -> Tuple[Array, int]:
+    """Solve ``system @ x = rhs`` by CG from ``x0``; return ``(x, iterations)``.
+
+    The arithmetic, in order, of scipy's unpreconditioned ``cg(..., rtol=,
+    maxiter=)``, so the same solution bytes and iterations, minus its operator
+    dispatch, separate norm and temporaries.  Work vectors are locals; raises
+    ``RuntimeError`` when ``maxiter`` iterations do not converge.
+    """
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0:
+        return rhs, 0
+    x = np.array(x0, dtype=float)
+    residual = rhs - system @ x if x.any() else rhs.copy()
+    direction, scratch = residual.copy(), np.empty_like(residual)
+    for iteration in range(maxiter):
+        rho = residual.dot(residual)
+        if np.sqrt(rho) < rtol * rhs_norm:
+            return x, iteration
+        if iteration > 0:
+            direction *= rho / rho_prev
+            direction += residual
+        product = system @ direction
+        step = rho / direction.dot(product)
+        x += np.multiply(direction, step, out=scratch)
+        residual -= np.multiply(product, step, out=scratch)
+        rho_prev = rho
+    raise RuntimeError(f"CG failed to converge within {maxiter} iterations")
 
 
 class ExplicitHeatSolver:

@@ -2,7 +2,7 @@
 
 The unknowns are the interior nodes of an ``ny`` x ``nx`` grid (boundary nodes
 carry Dirichlet values).  :func:`build_laplacian` assembles the standard
-5-point Laplacian over the interior in CSR format, and
+5-point Laplacian over the interior from its five diagonals, and
 :func:`boundary_contribution` builds the right-hand-side vector holding the
 Dirichlet boundary terms that the stencil reaches.
 """
@@ -17,31 +17,33 @@ import scipy.sparse as sp
 Array = np.ndarray
 
 
-def build_laplacian(ny: int, nx: int, dx: float, dy: float) -> sp.csr_matrix:
+def build_laplacian(ny: int, nx: int, dx: float, dy: float) -> sp.dia_matrix:
     """Assemble the 5-point Laplacian over the ``(ny-2) x (nx-2)`` interior nodes.
 
     The operator maps the flattened interior field (row-major, y first) to its
     discrete Laplacian, assuming homogeneous Dirichlet data (the inhomogeneous
-    part is added separately by :func:`boundary_contribution`).
+    part is added separately by :func:`boundary_contribution`).  Its five
+    diagonals (DIA) sit at offsets ``-nix, -1, 0, +1, +nix``, zero where ``±1``
+    wraps a grid row: a mat-vec adds each row's terms in sorted-CSR order.
     """
     if ny < 3 or nx < 3:
         raise ValueError("need at least one interior point in each direction")
-    niy, nix = ny - 2, nx - 2
+    nix = nx - 2
+    size = (ny - 2) * nix
     inv_dx2 = 1.0 / dx**2
     inv_dy2 = 1.0 / dy**2
-
-    # 1-D second-difference operators with Dirichlet boundaries.
-    def second_difference(n: int, inv_h2: float) -> sp.csr_matrix:
-        main = np.full(n, -2.0 * inv_h2)
-        off = np.full(n - 1, inv_h2)
-        return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-
-    laplacian = sp.kronsum(
-        second_difference(nix, inv_dx2),
-        second_difference(niy, inv_dy2),
-        format="csr",
-    )
-    return laplacian.tocsr()
+    column = np.arange(size) % nix
+    diagonals = np.array([
+        np.full(size, inv_dy2),
+        np.where(column == nix - 1, 0.0, inv_dx2),
+        np.full(size, -2.0 * inv_dx2 - 2.0 * inv_dy2),
+        np.where(column == 0, 0.0, inv_dx2),
+        np.full(size, inv_dy2),
+    ])
+    offsets = np.array([-nix, -1, 0, 1, nix])
+    if nix == 1:  # the ±1 diagonals are all wrap zeros and share offsets with ±nix
+        diagonals, offsets = diagonals[::2], offsets[::2]
+    return sp.dia_matrix((diagonals, offsets), shape=(size, size))
 
 
 def boundary_contribution(

@@ -1,5 +1,8 @@
 """Tests for the heat-equation use case wiring (factories, datasets, validation)."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,43 @@ def test_generate_validation_set_independent_of_training_design(case):
     # coincide with the first training parameters.
     training = case.sample_parameters(2)
     assert not np.allclose(validation.inputs[:1, :5], training[0])
+
+
+@pytest.fixture
+def solver_builds(case, monkeypatch):
+    """Count the case's ``solver_factory`` calls."""
+    builds = []
+    factory = case.solver_factory
+
+    def counting_factory():
+        builds.append(1)
+        return factory()
+
+    monkeypatch.setattr(case, "solver_factory", counting_factory)
+    return builds
+
+
+def test_validation_set_builds_one_solver_and_keeps_its_bytes(case, solver_builds):
+    validation = case.generate_validation_set(3)
+    assert len(solver_builds) == 1
+    # Recorded when every validation simulation built its own solver.
+    digest = hashlib.sha256(validation.inputs.tobytes() + validation.targets.tobytes())
+    assert digest.hexdigest() == "c0d80cce2b3be67d65cdefadcdc42f3adf7df2ee2c4f9792f04ded4a1da797a2"
+
+
+def test_store_threads_share_one_solver(case, solver_builds, tmp_path):
+    params = case.sample_parameters(6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        store = case.generate_store(tmp_path / "store", num_simulations=6,
+                                    parameter_vectors=list(params), workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(solver_builds) == 1
+    for row, stored in zip(params, store.simulations, strict=True):
+        _, fields = case.run_simulation(row)
+        assert np.array_equal(store.load_fields(stored, mmap=False), fields)
 
 
 def test_generate_store_roundtrip(case, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the sequential heat-equation solver."""
 
+import hashlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -26,21 +27,30 @@ from repro.solvers.stencil import boundary_contribution, build_laplacian
 def cg_calls(monkeypatch):
     """Record every CG solve of the solver: ``x0``, iterations and solution."""
     calls = []
-    cg = spla.cg
+    kernel = heat2d.conjugate_gradient
 
-    def recording_cg(A, b, **kwargs):
-        call = {"x0": np.array(kwargs.get("x0"), copy=True), "iterations": 0}
-
-        def count(_x):
-            call["iterations"] += 1
-
-        solution, info = cg(A, b, callback=count, **kwargs)
+    def recording_cg(system, rhs, x0, rtol, maxiter):
+        call = {"x0": np.array(x0, copy=True)}
+        solution, call["iterations"] = kernel(system, rhs, x0, rtol, maxiter)
         call["solution"] = solution.copy()
         calls.append(call)
-        return solution, info
+        return solution, call["iterations"]
 
-    monkeypatch.setattr(heat2d.spla, "cg", recording_cg)
+    monkeypatch.setattr(heat2d, "conjugate_gradient", recording_cg)
     return calls
+
+
+def scipy_cg(system, rhs, x0, rtol, maxiter):
+    """``scipy.sparse.linalg.cg`` with the kernel's signature and return value."""
+    iterations = 0
+
+    def count(_x):
+        nonlocal iterations
+        iterations += 1
+
+    solution, info = spla.cg(system, rhs, x0=x0, rtol=rtol, maxiter=maxiter, callback=count)
+    assert info == 0
+    return solution, iterations
 
 
 def test_config_validation():
@@ -173,12 +183,108 @@ def test_warm_started_cg_needs_at_most_half_the_cold_start_iterations(heat_param
         north=heat_params.t_y2,
     )
     interior = np.full(config.num_interior, heat_params.t_ic)
+    zero = np.zeros(config.num_interior)
     for _ in range(config.num_steps):
         rhs = interior + config.dt * config.alpha * boundary
-        interior, info = heat2d.spla.cg(system, rhs, rtol=config.cg_tol, maxiter=config.cg_max_iter)
-        assert info == 0
+        # The kernel raises unless it converges.
+        interior, _ = heat2d.conjugate_gradient(
+            system, rhs, zero, config.cg_tol, config.cg_max_iter
+        )
     cold = sum(call["iterations"] for call in cg_calls)
     assert 0 < warm <= 0.5 * cold
+
+
+@pytest.mark.parametrize("shape, warm", [((96, 96), True), ((14, 12), False)],
+                         ids=["96x96-warm", "12x14-zero-start"])
+def test_conjugate_gradient_matches_scipy_cg_bit_for_bit(heat_params, shape, warm):
+    """The kernel is scipy's CG step for step: the same solution bytes and the
+    same iteration count, warm-started along a run or started from zero."""
+    ny, nx = shape
+    config = HeatEquationConfig(nx=nx, ny=ny, num_steps=30, linear_solver="cg")
+    solver = HeatEquationSolver(config)
+    boundary = solver._boundary_vector(heat_params)
+    interior = np.full(config.num_interior, heat_params.t_ic)
+    total = 0
+    for _ in range(config.num_steps):
+        rhs = interior + config.dt * config.alpha * boundary
+        x0 = interior if warm else np.zeros_like(interior)
+        before = x0.copy()
+        args = (solver._system, rhs, x0, config.cg_tol, config.cg_max_iter)
+        ours, iterations = heat2d.conjugate_gradient(*args)
+        assert np.array_equal(x0, before)  # the kernel does not write x0
+        reference, reference_iterations = scipy_cg(*args)
+        assert ours.tobytes() == reference.tobytes()
+        assert iterations == reference_iterations > 0
+        total += iterations
+        interior = ours
+    if warm:
+        assert total == 2290  # scipy's count on the CSR operator before the DIA one
+
+
+def test_conjugate_gradient_zero_rhs_returns_it_at_once():
+    system = HeatEquationSolver(HeatEquationConfig(nx=6, ny=6, linear_solver="cg"))._system
+    rhs = np.zeros(16)
+    solution, iterations = heat2d.conjugate_gradient(system, rhs, np.ones(16), 1e-10, 5)
+    assert iterations == 0 and solution is rhs
+
+
+def test_cg_that_does_not_converge_fails_loudly(heat_params):
+    config = HeatEquationConfig(nx=12, ny=12, num_steps=3, linear_solver="cg", cg_max_iter=1)
+    with pytest.raises(RuntimeError, match="CG failed to converge"):
+        HeatEquationSolver(config).run(heat_params)
+
+
+def _field_digest(config, seed):
+    params = HeatParameters(*np.random.default_rng(seed).uniform(100.0, 500.0, 5))
+    digest = hashlib.sha256()
+    for _, _, field in HeatEquationSolver(config).iter_steps(params):
+        digest.update(field.tobytes())
+    return digest.hexdigest()
+
+
+_CG_96 = HeatEquationConfig(nx=96, ny=96, num_steps=30, linear_solver="cg")
+_LU_32 = HeatEquationConfig(nx=32, ny=32, num_steps=100, linear_solver="lu")
+
+
+@pytest.mark.parametrize("config, seed, digest", [
+    (_CG_96, 1, "bbec41849c263d425adb2271198c87923dde03b21c8ddd1d276b79eb2ef1c788"),
+    (_CG_96, 2, "7ebafdb22c2d7e27d9287a8843314d8066537e3d1d092d38ef74689ebf6f7b49"),
+    (_CG_96, 3, "217ce803dff5ea804d44af02e0df76790c255799659d9640d4c882e007c59633"),
+    (_LU_32, 1, "56f69dc3923a7f4855d962781fe6195fd8a11299346890f4bf25239fc2b226c7"),
+    (_LU_32, 2, "8885f77906db604849c1210c09a60c339693dd7550bbbe894e68fec720ade335"),
+    (_LU_32, 3, "34c580ec7a919b9c25d93f47c42901b0b4607c330a6f7390439d3bfcded56f1d"),
+], ids=["cg-96x96-1", "cg-96x96-2", "cg-96x96-3", "lu-32x32-1", "lu-32x32-2", "lu-32x32-3"])
+def test_fields_are_byte_identical_to_the_csr_operator_with_scipy_cg(config, seed, digest):
+    """Digests of every yielded field, recorded with the CSR operator
+    (``kronsum``, ``identity - dt*alpha*L``) and ``scipy.sparse.linalg.cg``:
+    the five-diagonal operator and the CG kernel change no byte."""
+    assert _field_digest(config, seed) == digest
+
+
+@pytest.mark.parametrize("ny, nx, dx, dy", [
+    (12, 12, 0.1, 0.1), (32, 32, 1 / 31, 1 / 31), (48, 48, 1 / 47, 1 / 47),
+    (12, 14, 0.1, 0.07), (3, 7, 0.5, 0.2), (9, 3, 0.1, 0.3),
+])
+def test_system_equals_the_csr_assembly_entry_for_entry(ny, nx, dx, dy):
+    """``I - dt*alpha*L`` from its diagonals equals the CSR sparse arithmetic;
+    its CSC copy has the same nonzeros, and the LU solves agree to the byte."""
+    config = HeatEquationConfig(nx=nx, ny=ny, length_x=dx * (nx - 1),
+                                length_y=dy * (ny - 1), num_steps=1)
+    system = HeatEquationSolver(config)._system
+    assert isinstance(system, sp.dia_matrix)
+    csr_laplacian = sp.kronsum(
+        sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nx - 2, nx - 2)) / config.dx**2,
+        sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny - 2, ny - 2)) / config.dy**2,
+        format="csr",
+    )
+    identity = sp.identity(config.num_interior, format="csr")
+    reference = identity - config.dt * config.alpha * csr_laplacian
+    assert np.array_equal(system.toarray(), reference.toarray())
+    assert system.tocsc().nnz == reference.tocsc().nnz
+    rhs = np.random.default_rng(0).uniform(100.0, 500.0, config.num_interior)
+    assert (system @ rhs).tobytes() == (reference @ rhs).tobytes()
+    lu = spla.splu(system.tocsc()).solve(rhs)
+    assert lu.tobytes() == spla.splu(reference.tocsc()).solve(rhs).tobytes()
 
 
 def test_explicit_solver_requires_stable_dt(heat_params):

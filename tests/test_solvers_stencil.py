@@ -62,7 +62,8 @@ def test_laplacian_of_quadratic_field():
 
 def test_boundary_contribution_only_touches_edges():
     ny, nx = 8, 8
-    contribution = boundary_contribution(ny, nx, 0.1, 0.1, 1.0, 2.0, 3.0, 4.0).reshape(ny - 2, nx - 2)
+    contribution = boundary_contribution(ny, nx, 0.1, 0.1, 1.0, 2.0, 3.0, 4.0)
+    contribution = contribution.reshape(ny - 2, nx - 2)
     assert np.all(contribution[1:-1, 1:-1] == 0.0)
     assert np.all(contribution[:, 0] != 0.0)
     assert np.all(contribution[0, :] != 0.0)
