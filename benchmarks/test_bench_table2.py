@@ -58,8 +58,8 @@ def test_table2_extrapolated_full_scale(benchmark):
     ]
     print()
     print(format_rows(rows, title="Table 2 (extrapolated to the paper's full scale)"))
-    print(f"8 TB storage cost if done offline: {extrapolation.offline_8tb_storage_cost_euros:.0f} EUR "
-        "(paper: 480 EUR)")
+    cost = extrapolation.offline_8tb_storage_cost_euros
+    print(f"8 TB storage cost if done offline: {cost:.0f} EUR (paper: 480 EUR)")
 
     # Paper-shape assertions: who wins and by roughly what factor.
     assert extrapolation.online_throughput > 3 * extrapolation.offline_throughput

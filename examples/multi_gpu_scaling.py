@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.common import build_case, build_validation, default_scale, run_online_with_buffer
+from repro.experiments.common import (
+    build_case,
+    build_validation,
+    default_scale,
+    run_online_with_buffer,
+)
 from repro.experiments.reporting import format_rows
 
 

@@ -45,18 +45,13 @@ class OnlineStudyConfig:
     #: ``"tcp"``) or a full :class:`repro.parallel.transport.TransportConfig`
     #: carrying the backend-specific options (shm ring geometry, tcp
     #: address).  After construction this is always the backend
-    #: *name*; the normalised object lives in :attr:`transport_config`.
+    #: *name*; the normalised object lives in :attr:`transport_config`.  The
+    #: sharded serving tier is ``TransportConfig.shard`` (see
+    #: ``docs/scaling.md``).
     transport: Union[str, TransportConfig] = "inproc"
-    #: Sharded serving tier: run this many independent server shards with
-    #: clients routed by consistent hashing on client id (see
-    #: ``docs/scaling.md``).  A convenience alias of
-    #: ``TransportConfig.shard.num_shards`` — not deprecated; ``None``
-    #: inherits from :attr:`transport`.  After construction it holds the
-    #: resolved shard count.
-    num_shards: Optional[int] = None
     #: The normalised transport configuration — the single object the study
     #: driver hands to ``make_transport`` and the launcher.  Derived in
-    #: ``__post_init__`` from :attr:`transport` and :attr:`num_shards`.
+    #: ``__post_init__`` from :attr:`transport`.
     transport_config: TransportConfig = field(init=False, repr=False, compare=False)
 
     # Misc.
@@ -82,16 +77,15 @@ class OnlineStudyConfig:
         self._normalize_transport()
 
     def _normalize_transport(self) -> None:
-        """Fold :attr:`transport` and :attr:`num_shards` into one config.
+        """Normalise :attr:`transport` into :attr:`transport_config`.
 
-        ``TransportConfig.resolve`` is the single normalization point (it
-        also validates every transport field); :attr:`transport` is
+        ``TransportConfig.resolve`` is the single normalization point (the
+        config validates every transport field); :attr:`transport` is
         collapsed to the backend name for summaries and backend dispatch.
         """
-        resolved = TransportConfig.resolve(self.transport, num_shards=self.num_shards)
+        resolved = TransportConfig.resolve(self.transport)
         self.transport_config = resolved
         self.transport = resolved.backend
-        self.num_shards = resolved.shard.num_shards
 
     @property
     def lr_step_batches(self) -> int:

@@ -86,14 +86,12 @@ def online_config(
     use_series: bool = True,
     max_batches: Optional[int] = None,
     transport: Union[str, TransportConfig] = "inproc",
-    num_shards: Optional[int] = None,
 ) -> OnlineStudyConfig:
     """Online study configuration for one buffer policy and GPU count.
 
     ``transport`` takes a backend name or a full
     :class:`~repro.parallel.transport.TransportConfig` (batching, ring
-    geometry, watchdog timeouts); ``num_shards`` switches the study onto the
-    sharded serving tier.
+    geometry, watchdog timeouts, and ``shard`` for the sharded serving tier).
     """
     return OnlineStudyConfig(
         num_simulations=scale.num_simulations,
@@ -112,7 +110,6 @@ def online_config(
         batch_compute_delay=scale.batch_compute_delay,
         seed=scale.seed,
         transport=transport,
-        num_shards=num_shards,
     )
 
 
@@ -126,13 +123,12 @@ def run_online_with_buffer(
     max_batches: Optional[int] = None,
     num_simulations: Optional[int] = None,
     transport: Union[str, TransportConfig] = "inproc",
-    num_shards: Optional[int] = None,
 ) -> OnlineStudyResult:
     """Run one online study with the given buffer policy and rank count."""
     scale = scale or default_scale()
     case = case or build_case(scale)
     config = online_config(scale, buffer_kind, num_ranks, use_series, max_batches,
-        transport=transport, num_shards=num_shards)
+        transport=transport)
     if num_simulations is not None:
         config.num_simulations = num_simulations
         config.series_sizes = None

@@ -53,7 +53,9 @@ class Fig4Result:
     def generalization_gap(self, setting: str) -> float:
         """Validation minus training loss at end of run (overfitting indicator)."""
         curve = self.curves[setting]
-        return float(curve.val_losses[-1] - curve.train_losses[-1]) if curve.val_losses.size else float("nan")
+        if not curve.val_losses.size:
+            return float("nan")
+        return float(curve.val_losses[-1] - curve.train_losses[-1])
 
     def summary_rows(self) -> list[dict]:
         return [

@@ -62,7 +62,8 @@ class Fig5Result:
 
     def summary_rows(self) -> list[dict]:
         rows = []
-        for (buffer_kind, num_gpus), curve in sorted(self.curves.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        by_gpus = sorted(self.curves.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        for (buffer_kind, num_gpus), curve in by_gpus:
             rows.append(
                 {
                     "buffer": buffer_kind,

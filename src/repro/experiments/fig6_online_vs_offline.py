@@ -106,7 +106,9 @@ def run_fig6_online_vs_offline(
         offline_epochs=offline_epochs,
         online_unique_samples=online.unique_samples,
         offline_unique_samples=offline.unique_samples,
-        improvement_pct=improvement_percent(offline.best_validation_loss, online.best_validation_loss),
+        improvement_pct=improvement_percent(
+            offline.best_validation_loss, online.best_validation_loss
+        ),
         offline_overfit_gap=offline_gap,
         online_overfit_gap=online_gap,
     )

@@ -35,7 +35,8 @@ def format_rows(rows: Sequence[Dict[str, object]], title: str | None = None) -> 
     lines.append(header)
     lines.append("-+-".join("-" * width for width in widths))
     for line in rendered:
-        lines.append(" | ".join(cell.ljust(width) for cell, width in zip(line, widths, strict=True)))
+        cells = (cell.ljust(width) for cell, width in zip(line, widths, strict=True))
+        lines.append(" | ".join(cells))
     return "\n".join(lines)
 
 

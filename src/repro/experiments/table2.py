@@ -153,7 +153,9 @@ class Table2Extrapolation:
 
     @property
     def throughput_ratio(self) -> float:
-        return self.online_throughput / self.offline_throughput if self.offline_throughput else float("nan")
+        if not self.offline_throughput:
+            return float("nan")
+        return self.online_throughput / self.offline_throughput
 
 
 def extrapolate_table2() -> Table2Extrapolation:

@@ -155,7 +155,8 @@ class Module:
             value = np.asarray(state[name])
             if value.shape != param.data.shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} vs model {param.data.shape}"
+                    f"shape mismatch for {name}: checkpoint {value.shape} "
+                    f"vs model {param.data.shape}"
                 )
             param.data[...] = value.astype(param.data.dtype, copy=False)
 

@@ -18,8 +18,8 @@ network) this package provides:
   with one ordered ring per client and rank (:class:`ShmRingTransport`),
   a TCP backend streaming length-prefixed frames to the server's asyncio
   front door (:class:`TcpTransport`), and the packed batch wire format
-  (:func:`pack_many` / :func:`unpack_many`).  Backends are selected through
-  the :func:`make_transport` registry with a :class:`TransportConfig`.
+  (:func:`pack_many` / :func:`unpack_many`).  :func:`make_transport` builds
+  one of the four backends by name from a :class:`TransportConfig`.
 """
 
 from repro.parallel.collectives import ring_allreduce, tree_broadcast
@@ -46,9 +46,7 @@ from repro.parallel.transport import (
     Transport,
     TransportConfig,
     TransportStats,
-    available_backends,
     make_transport,
-    register_backend,
 )
 
 __all__ = [
@@ -74,8 +72,6 @@ __all__ = [
     "TransportConfig",
     "ShmOptions",
     "TcpOptions",
-    "available_backends",
-    "register_backend",
     "make_transport",
     "pack_many",
     "unpack_many",

@@ -5,8 +5,9 @@ between threads by reference, this backend crosses real OS-process
 boundaries: clients forked by the client spawner serialise their messages with
 :func:`repro.parallel.messages.pack_many` and put **one buffer per batch**
 on a bounded ``multiprocessing.Queue`` per server rank; the server-side
-aggregator drains buffers and decodes whole batches into columnar chunks in
-:meth:`MultiprocessTransport.poll_batches`.
+aggregator drains them through the shared
+:meth:`~repro.parallel.transport.PackedDrainMixin.poll_batches`, and this
+backend's ``_get_batch`` decodes each whole batch into columnar chunks.
 
 Statistics live in shared memory (``multiprocessing.RawValue``/``RawArray``
 under one shared lock) so pushes performed inside client processes are

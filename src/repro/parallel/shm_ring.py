@@ -84,7 +84,7 @@ import queue
 import struct
 import threading
 import time
-from itertools import groupby
+from itertools import chain, groupby
 from multiprocessing import shared_memory
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional
@@ -132,7 +132,8 @@ SLOT_HEADER_BYTES = 16
 _U64 = struct.Struct("<Q")
 _MAGIC_WORD = struct.Struct("<IHH")
 
-#: Busy-wait budget before parking on the condition / sleeping (seconds).
+#: Busy-wait budget (seconds) before a reader parks on its rank's semaphore
+#: and before a writer facing a full ring sleep-polls.
 DEFAULT_SPIN_WAIT = 2e-4
 
 #: Spinning is only productive when the writer can run *while* the reader
@@ -452,6 +453,12 @@ class ShmRingTransport(PackedDrainMixin, Transport):
     process and inherited by the forked clients, so there is nothing to
     name, attach or clean up per client.
 
+    The server drains through the shared
+    :meth:`~repro.parallel.transport.PackedDrainMixin.poll_batches`; this
+    backend's part is :meth:`_get_batch`, which sweeps the rank's rings
+    from a per-rank cursor and, when all are empty, waits for a writer's
+    post (spin for :data:`DEFAULT_SPIN_WAIT`, then park).
+
     Parameters
     ----------
     num_server_ranks:
@@ -473,7 +480,6 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         max_concurrent_clients: int = 8,
         ring_slots: int = DEFAULT_RING_SLOTS,
         ring_slot_bytes: int = DEFAULT_RING_SLOT_BYTES,
-        spin_wait: float = DEFAULT_SPIN_WAIT,
     ) -> None:
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
@@ -487,7 +493,6 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         self.max_concurrent_clients = int(max_concurrent_clients)
         self.ring_slots = int(ring_slots)
         self.ring_slot_bytes = int(-(-ring_slot_bytes // 8) * 8)  # 8-byte aligned slots
-        self.spin_wait = float(spin_wait)
 
         ring_bytes = ShmRing.layout_bytes(self.ring_slots, self.ring_slot_bytes)
         total = self.num_server_ranks * self.max_concurrent_clients * ring_bytes
@@ -520,6 +525,8 @@ class ShmRingTransport(PackedDrainMixin, Transport):
                 row.append(ShmRing(view, self.ring_slots, self.ring_slot_bytes, create=True))
             self._rings.append(row)
         self._init_leftovers(self.num_server_ranks)
+        #: Per rank, the ring its reader sweeps first (one past the last read).
+        self._cursor = [0] * self.num_server_ranks
         self._closed = _SharedFlag()
         # Ring-slot lease table, server-process state: a forked client reads
         # the copy it inherited and never writes it, so a thread lock (never
@@ -691,90 +698,76 @@ class ShmRingTransport(PackedDrainMixin, Transport):
             self._unresponsive_kills += 1
 
     # ----------------------------------------------------------------- server
-    def poll_batches(self, rank: int, max_messages: int = 64,
-        timeout: float | None = 0.05) -> list:
-        """Ring batches decode in place: a step batch straight into one
-        :class:`ColumnBatch` chunk (one structured header parse plus the
-        payload-block adoption copy, no per-message objects), control
-        messages as objects, each client's stream in its send order.
+    def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
+        """Pop and decode the next batch of the rank's rings, taking them in turn.
+
+        A sweep starts at the ring after the one last read (a per-rank
+        cursor), so successive calls take one batch per ring in turn and no
+        client starves behind a busy one.  The batch decodes in place: a step
+        batch straight into one :class:`ColumnBatch` chunk (one structured
+        header parse plus the payload-block adoption copy, no per-message
+        objects), control messages as objects, each client's stream in its
+        send order.  With ``timeout=None`` one non-blocking sweep is all;
+        otherwise an empty sweep waits in :meth:`_wait` and sweeps again
+        until a batch arrives or ``timeout`` ends.
         """
-        if max_messages <= 0:
-            raise ValueError("max_messages must be positive")
-        self._check_rank(rank)
-        items: list = []
-        count = self._take_leftover(rank, items, max_messages)
-        self._drain_rings(rank, items, count, max_messages)
-        if items or timeout is None:
-            return items
-        deadline = time.monotonic() + timeout
+        rings = self._rings[rank]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            start = self._cursor[rank]
+            for index in chain(range(start, len(rings)), range(start)):
+                ring = rings[index]
+                view = ring.try_read_view()  # None doubles as the empty probe
+                if view is None:
+                    continue
+                self._cursor[rank] = index + 1
+                try:
+                    # The one payload-block copy transfers ownership to the
+                    # chunk, so the slot can be recycled immediately.
+                    return self._decode_packed(view, rank)
+                finally:
+                    view.release()
+                    ring.finish_read()
+            if deadline is None or not self._wait(rank, deadline):
+                return None
+
+    def _wait(self, rank: int, deadline: float) -> bool:
+        """Wait until a ring of ``rank`` may hold a batch: spin for
+        :data:`DEFAULT_SPIN_WAIT`, then park on the rank's semaphore (nap on
+        one core).  ``False`` once ``deadline`` has passed."""
+        now = time.monotonic()
+        if now >= deadline:
+            return False
+        if _MULTI_CORE:
+            spin_until = min(deadline, now + DEFAULT_SPIN_WAIT)
+            while time.monotonic() < spin_until:  # busy-wait: data is near
+                if self._ready(rank):
+                    return True
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        if not _MULTI_CORE:
+            # Timed nap (no semaphore, no writer-side posts): the writer
+            # keeps its timeslice and batches accumulate.
+            time.sleep(min(remaining, _SINGLE_CORE_PARK))
+            return True
         wakeup = self._wakeups[rank]
         waiting = self._reader_waiting[rank]
-        while True:
-            now = time.monotonic()
-            if now >= deadline:
-                return items
-            parked = True
-            if _MULTI_CORE:
-                spin_until = min(deadline, now + self.spin_wait)
-                while time.monotonic() < spin_until:  # busy-wait: data is near
-                    if self._ready(rank):
-                        parked = False
-                        break
-            if parked:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return items
-                if not _MULTI_CORE:
-                    # Timed nap (no semaphore, no writer-side posts): the
-                    # writer keeps its timeslice and batches accumulate.
-                    time.sleep(min(remaining, _SINGLE_CORE_PARK))
-                else:
-                    waiting.value = 1
-                    try:
-                        while wakeup.acquire(False):
-                            pass  # drop stale posts before parking
-                        if not self._ready(rank):
-                            # Bounded: the waiting-flag/cursor handshake has no
-                            # fence, so a post can be missed; cap its cost.
-                            wakeup.acquire(True, min(remaining, 0.05))
-                    finally:
-                        waiting.value = 0
-            self._drain_rings(rank, items, 0, max_messages)
-            if items:
-                return items
+        waiting.value = 1
+        try:
+            while wakeup.acquire(False):
+                pass  # drop stale posts before parking
+            if not self._ready(rank):
+                # Bounded: the waiting-flag/cursor handshake has no fence, so
+                # a post can be missed; cap its cost.
+                wakeup.acquire(True, min(remaining, 0.05))
+        finally:
+            waiting.value = 0
+        return True
 
     def _ready(self, rank: int) -> bool:
         """Anything deliverable right now? (cheap, lock-free probe)"""
         return any(ring.depth for ring in self._rings[rank])
-
-    def _drain_rings(self, rank: int, out: list, count: int,
-                     max_messages: int) -> int:
-        """One non-blocking round-robin sweep over the rank's rings.
-
-        ``count`` is the running message tally of ``out`` (columnar chunks
-        count their sample length); the updated tally is returned.
-        """
-        rings = self._rings[rank]
-        progressed = True
-        while progressed and count < max_messages:
-            progressed = False
-            for ring in rings:
-                if count >= max_messages:
-                    return count
-                view = ring.try_read_view()  # None doubles as the empty probe
-                if view is None:
-                    continue
-                progressed = True
-                try:
-                    # In-place decode of the borrowed slot; the one
-                    # payload-block copy transfers ownership to the chunk, so
-                    # the slot can be recycled immediately.
-                    batch = self._decode_packed(view, rank)
-                finally:
-                    view.release()
-                    ring.finish_read()
-                count = self._absorb(rank, out, batch, max_messages, count)
-        return count
 
     def pending(self, rank: int) -> int:
         """Leftovers plus ring batches (a packed batch counts once, leftover

@@ -57,7 +57,9 @@ class SPMDExecutor:
                 results[comm.rank] = value
 
         threads = [
-            threading.Thread(target=runner, args=(comm,), name=f"spmd-rank-{comm.rank}", daemon=True)
+            threading.Thread(
+                target=runner, args=(comm,), name=f"spmd-rank-{comm.rank}", daemon=True
+            )
             for comm in communicators
         ]
         for thread in threads:

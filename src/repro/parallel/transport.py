@@ -1,4 +1,4 @@
-"""Pluggable transport layer connecting clients to server ranks.
+"""Transport layer connecting clients to server ranks.
 
 This is the ZeroMQ substitute.  A :class:`Transport` owns one bounded channel
 per server rank; clients obtain a :class:`Connection`, whose time steps enter
@@ -23,11 +23,12 @@ plain objects.  Four backends implement the interface:
   the same packed batches over TCP sockets into an asyncio front door
   (:class:`repro.server.serving.AsyncFrontDoor`).
 
-Backend selection is a registry: :func:`make_transport` builds a backend
-from a study-config string or a typed :class:`TransportConfig`, and
-:func:`register_backend` plugs in new backends without touching call sites.
-All backends keep aggregate statistics (messages/bytes routed, drops) used
-by the throughput experiments.
+Every backend drains through one implementation,
+:meth:`PackedDrainMixin.poll_batches`: a backend only pops (and decodes) one
+batch from a rank channel in ``_get_batch``.  :func:`make_transport` builds
+one of the four backends by name from a :class:`TransportConfig`; the set is
+closed.  All backends keep aggregate statistics (messages/bytes routed,
+drops) used by the throughput experiments.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import struct
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import (
@@ -215,22 +216,25 @@ class Transport:
 
 
 class PackedDrainMixin:
-    """Server-side drain machinery shared by every backend.
+    """The one server-side drain, shared by every backend.
 
     A channel slot holds a whole batch — a packed buffer on the wire
     backends (mp, shm, tcp), a step block on ``inproc`` — so a poll budget
     rarely lines up with batch boundaries.  This mixin implements the
     budgeted drain — block for the first batch only, then drain without
-    blocking, park the overshoot in a per-rank leftover deque — plus the
-    shared packed-buffer decode (columnar chunk straight from the buffer,
-    mixed batches regrouped, corrupt buffers dropped and counted).
+    blocking, park the overshoot in a per-rank leftover deque, join the
+    by-reference step blocks of the drained run — plus the shared
+    packed-buffer decode (columnar chunk straight from the buffer, mixed
+    batches regrouped, corrupt buffers dropped and counted).  No backend
+    overrides :meth:`poll_batches`.
 
     A concrete backend provides:
 
     * ``self._leftover`` — one ``deque`` per rank, created via
       :meth:`_init_leftovers` in ``__init__`` (each rank has exactly one
       aggregator thread, so the deques need no lock);
-    * :meth:`_get_batch` — pop and decode one batch from the rank channel;
+    * :meth:`_get_batch` — pop and decode one batch from the rank channel,
+      waiting for it up to ``timeout`` (its own wait) or not at all;
     * ``_record_dropped``/``_check_rank`` from :class:`Transport`.
     """
 
@@ -258,6 +262,10 @@ class PackedDrainMixin:
             if batch is None:
                 break
             count = self._absorb(rank, items, batch, max_messages, count)
+        if StepBlock in map(type, items):
+            # Blocks handed over by reference (inproc): the drained run is
+            # joined into chunks once, not once per block.
+            return self._columnize(rank, items)
         return items
 
     def _take_leftover(self, rank: int, out: list, max_messages: int) -> int:
@@ -273,8 +281,9 @@ class PackedDrainMixin:
     def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         """Pop and decode one batch from the rank channel.
 
-        Returns ``None`` when nothing is queued within ``timeout`` and ``[]``
-        for a batch that was dropped as corrupt (so the drain keeps going).
+        ``timeout=None`` never blocks.  Returns ``None`` when nothing is
+        queued within ``timeout`` and ``[]`` for a batch that was dropped as
+        corrupt (so the drain keeps going).
         """
         raise NotImplementedError
 
@@ -394,14 +403,8 @@ class MessageRouter(PackedDrainMixin, Transport):
                 self._stats.dropped_messages += count
 
     # ----------------------------------------------------------------- server
-    def poll_batches(self, rank: int, max_messages: int = 64,
-        timeout: float | None = 0.05) -> list:
-        """The budgeted drain over by-reference parts; each drained run of
-        step blocks is then joined into one chunk (the by-reference
-        counterpart of the wire backends' packed decode)."""
-        return self._columnize(rank, super().poll_batches(rank, max_messages, timeout))
-
     def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
+        """Pop one part as it was pushed; the drain joins runs of blocks."""
         try:
             q = self._queues[rank]
             return [q.get_nowait() if timeout is None else q.get(timeout=timeout)]
@@ -495,6 +498,10 @@ class Connection:
 
 
 # --------------------------------------------------------------------- config
+#: The transport backends :func:`make_transport` builds.
+BACKENDS = ("inproc", "mp", "shm", "tcp")
+
+
 @dataclass(frozen=True)
 class ShmOptions:
     """Geometry of the ``"shm"`` backend's per-(client, rank) SPSC rings.
@@ -535,22 +542,6 @@ class TcpOptions:
             raise ConfigurationError("tcp connect_timeout must be positive")
 
 
-def parse_endpoint(value: str) -> Tuple[str, int]:
-    """Split a ``"host:port"`` shard endpoint, validating both parts."""
-    host, sep, port_text = str(value).rpartition(":")
-    if not sep or not host:
-        raise ConfigurationError(f"shard endpoint {value!r} is not of the form 'host:port'")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"shard endpoint {value!r} has a non-integer port"
-        ) from None
-    if not 0 <= port <= 65_535:
-        raise ConfigurationError(f"shard endpoint {value!r} port must be in [0, 65535]")
-    return host, port
-
-
 @dataclass(frozen=True)
 class ShardOptions:
     """Sharded serving tier: how many shards and how clients map onto them.
@@ -560,29 +551,18 @@ class ShardOptions:
     buffer and training workers — and routes every client to exactly one
     shard through a consistent-hash ring over its client id
     (``hash_replicas`` virtual nodes per shard, see
-    :class:`repro.server.sharding.HashRing`).  ``endpoints`` optionally pins
-    each ``tcp`` shard to a ``"host:port"`` address so shards can live on
-    different hosts; within one host the ``shm`` backend needs no addresses
-    and ``endpoints`` stays empty.
+    :class:`repro.server.sharding.HashRing`).  This is the study's one shard
+    count.
     """
 
     num_shards: int = 1
     hash_replicas: int = DEFAULT_HASH_RING_REPLICAS
-    endpoints: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
         if self.hash_replicas <= 0:
             raise ConfigurationError("hash_replicas must be positive")
-        object.__setattr__(self, "endpoints", tuple(self.endpoints))
-        if self.endpoints and len(self.endpoints) != self.num_shards:
-            raise ConfigurationError(
-                f"shard_endpoints names {len(self.endpoints)} addresses "
-                f"for {self.num_shards} shards"
-            )
-        for endpoint in self.endpoints:
-            parse_endpoint(endpoint)
 
 
 @dataclass(frozen=True)
@@ -592,6 +572,7 @@ class TransportConfig:
     The one place a study's transport knobs live:
     :class:`repro.core.config.OnlineStudyConfig` takes a backend name or an
     instance of this class and normalises either through :meth:`resolve`.
+    ``backend`` is one of :data:`BACKENDS`.
     """
 
     backend: str = "inproc"
@@ -612,10 +593,10 @@ class TransportConfig:
     shard: ShardOptions = field(default_factory=ShardOptions)
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown transport backend {self.backend!r} "
-                f"(registered: {', '.join(sorted(_BACKENDS))})"
+                f"(one of: {', '.join(BACKENDS)})"
             )
         if self.batch_size <= 0:
             raise ConfigurationError("transport batch_size must be positive")
@@ -625,141 +606,37 @@ class TransportConfig:
             raise ConfigurationError("process_timeout must be positive or None")
         if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
             raise ConfigurationError("heartbeat_timeout must be positive or None")
-        if self.shard.endpoints and self.backend != "tcp":
+        if self.backend == "tcp" and self.tcp.port and self.shard.num_shards > 1:
             raise ConfigurationError(
-                "shard_endpoints only apply to the 'tcp' backend "
-                f"(got backend {self.backend!r})"
+                f"tcp port {self.tcp.port} cannot serve {self.shard.num_shards} shards: "
+                "every shard binds its own front door, so leave tcp.port at 0"
             )
 
     @property
     def client_mode(self) -> str:
-        """Launcher client mode this backend needs (``"thread"``/``"process"``)."""
-        return _BACKENDS[self.backend].client_mode
+        """Launcher client mode this backend needs: ``"thread"`` for the
+        by-reference ``inproc`` backend, ``"process"`` for the backends that
+        survive a fork (``mp``, ``shm``, ``tcp``)."""
+        return "thread" if self.backend == "inproc" else "process"
 
     @classmethod
-    def resolve(
-        cls,
-        transport: Union[str, "TransportConfig"] = "inproc",
-        *,
-        num_shards: Optional[int] = None,
-        shard_endpoints: Optional[Sequence[str]] = None,
-        hash_replicas: Optional[int] = None,
-    ) -> "TransportConfig":
-        """Normalize a backend string or config plus the sharding overrides.
-
-        The single normalization point of the transport API: a ``None``
-        override keeps the base value, and validation runs once on the
-        result.
-        """
-        base = transport if isinstance(transport, TransportConfig) else cls(backend=transport)
-        shard_updates: dict = {}
-        if num_shards is not None:
-            shard_updates["num_shards"] = int(num_shards)
-        if shard_endpoints is not None:
-            shard_updates["endpoints"] = tuple(shard_endpoints)
-        if hash_replicas is not None:
-            shard_updates["hash_replicas"] = int(hash_replicas)
-        if not shard_updates:
-            return base
-        return replace(base, shard=replace(base.shard, **shard_updates))
+    def resolve(cls, transport: Union[str, "TransportConfig"] = "inproc") -> "TransportConfig":
+        """Normalize a backend string or config: a config is returned as it
+        is, a backend name becomes a config with every default."""
+        return transport if isinstance(transport, TransportConfig) else cls(backend=transport)
 
     def for_shard(self, index: int) -> "TransportConfig":
         """The single-shard transport config of shard ``index``.
 
         Each shard runs an ordinary single-endpoint transport, so the
-        sharding options are stripped from the result; when
-        ``shard.endpoints`` pins addresses, the tcp options are rebound to
-        this shard's ``host:port``.
+        shard count is stripped from the result.
         """
         shard = self.shard
         if not 0 <= index < shard.num_shards:
             raise ConfigurationError(
                 f"shard index {index} out of range for {shard.num_shards} shard(s)"
             )
-        updates: dict = {"shard": ShardOptions(hash_replicas=shard.hash_replicas)}
-        if shard.endpoints:
-            host, port = parse_endpoint(shard.endpoints[index])
-            updates["tcp"] = replace(self.tcp, host=host, port=port)
-        return replace(self, **updates)
-
-
-# ------------------------------------------------------------------- registry
-#: Factory signature of a registered backend: ``(config, num_server_ranks,
-#: max_concurrent_clients) -> Transport``.
-TransportFactory = Callable[[TransportConfig, int, int], Transport]
-
-
-@dataclass(frozen=True)
-class _BackendEntry:
-    factory: TransportFactory
-    client_mode: str
-
-
-_BACKENDS: Dict[str, _BackendEntry] = {}
-
-
-def register_backend(name: str, factory: TransportFactory,
-                     client_mode: str = "thread") -> None:
-    """Register a transport backend under a config string.
-
-    ``client_mode`` tells the study how the launcher must run clients against
-    this backend: ``"thread"`` for shared-memory-by-reference backends,
-    ``"process"`` for backends that survive a fork (the built-in ``mp``,
-    ``shm`` and ``tcp`` backends).  Re-registering a name replaces the
-    previous factory, which lets tests install instrumented backends.
-    """
-    if client_mode not in ("thread", "process"):
-        raise ValueError(f"client_mode must be 'thread' or 'process', got {client_mode!r}")
-    _BACKENDS[str(name)] = _BackendEntry(factory=factory, client_mode=client_mode)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the registered transport backends, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def _make_inproc(config: TransportConfig, num_server_ranks: int,
-                 max_concurrent_clients: int) -> Transport:
-    return MessageRouter(num_server_ranks, max_queue_size=config.queue_size)
-
-
-def _make_mp(config: TransportConfig, num_server_ranks: int,
-             max_concurrent_clients: int) -> Transport:
-    from repro.parallel.mp_transport import MultiprocessTransport
-
-    return MultiprocessTransport(num_server_ranks, max_queue_size=config.queue_size)
-
-
-def _make_shm(config: TransportConfig, num_server_ranks: int,
-              max_concurrent_clients: int) -> Transport:
-    from repro.parallel.shm_ring import ShmRingTransport
-
-    return ShmRingTransport(
-        num_server_ranks,
-        max_concurrent_clients=max_concurrent_clients,
-        ring_slots=config.shm.ring_slots,
-        ring_slot_bytes=config.shm.ring_slot_bytes,
-    )
-
-
-def _make_tcp(config: TransportConfig, num_server_ranks: int,
-              max_concurrent_clients: int) -> Transport:
-    from repro.parallel.tcp_transport import TcpTransport
-
-    options = config.tcp
-    return TcpTransport(
-        num_server_ranks,
-        max_queue_size=config.queue_size,
-        host=options.host,
-        port=options.port,
-        connect_timeout=options.connect_timeout,
-    )
-
-
-register_backend("inproc", _make_inproc, client_mode="thread")
-register_backend("mp", _make_mp, client_mode="process")
-register_backend("shm", _make_shm, client_mode="process")
-register_backend("tcp", _make_tcp, client_mode="process")
+        return replace(self, shard=ShardOptions(hash_replicas=shard.hash_replicas))
 
 
 def make_transport(
@@ -774,9 +651,33 @@ def make_transport(
     client one shared-memory SPSC ring per rank; ``"tcp"`` frames the packed
     batches over sockets into the asyncio front door.
     ``max_concurrent_clients`` sizes the shm slot-lease table (the grid
-    scales with the *concurrency*, not the ensemble size).  Backends
-    registered via :func:`register_backend` are constructed the same way.
+    scales with the *concurrency*, not the ensemble size).
     """
     config = TransportConfig.resolve(kind)
-    factory = _BACKENDS[config.backend].factory
-    return factory(config, int(num_server_ranks), int(max_concurrent_clients))
+    ranks = int(num_server_ranks)
+    match config.backend:
+        case "inproc":
+            return MessageRouter(ranks, max_queue_size=config.queue_size)
+        case "mp":
+            from repro.parallel.mp_transport import MultiprocessTransport
+
+            return MultiprocessTransport(ranks, max_queue_size=config.queue_size)
+        case "shm":
+            from repro.parallel.shm_ring import ShmRingTransport
+
+            return ShmRingTransport(
+                ranks,
+                max_concurrent_clients=int(max_concurrent_clients),
+                ring_slots=config.shm.ring_slots,
+                ring_slot_bytes=config.shm.ring_slot_bytes,
+            )
+        case "tcp":
+            from repro.parallel.tcp_transport import TcpTransport
+
+            return TcpTransport(
+                ranks,
+                max_queue_size=config.queue_size,
+                host=config.tcp.host,
+                port=config.tcp.port,
+                connect_timeout=config.tcp.connect_timeout,
+            )

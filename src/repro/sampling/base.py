@@ -55,7 +55,9 @@ class ParameterSpace:
         return np.all((points >= lower) & (points <= upper), axis=1)
 
     @staticmethod
-    def uniform_box(low: float, high: float, dimension: int, names: Sequence[str] = ()) -> "ParameterSpace":
+    def uniform_box(
+        low: float, high: float, dimension: int, names: Sequence[str] = ()
+    ) -> "ParameterSpace":
         """Box with identical bounds in every dimension."""
         return ParameterSpace(
             lower=tuple([float(low)] * dimension),

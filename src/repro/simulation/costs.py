@@ -82,7 +82,8 @@ class IOCostModel:
     def write_seconds(self, nbytes: int, num_files: int = 1) -> float:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        return nbytes / self.write_bandwidth_bytes_per_s + num_files * self.per_file_overhead_seconds
+        transfer = nbytes / self.write_bandwidth_bytes_per_s
+        return transfer + num_files * self.per_file_overhead_seconds
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,12 @@ import pytest
 from repro.core.config import OfflineStudyConfig, OnlineStudyConfig, SurrogateArchitecture
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.core.study import OfflineStudy, OnlineStudy
-from repro.experiments.common import build_validation, online_config, run_offline_baseline, run_online_with_buffer
+from repro.experiments.common import (
+    build_validation,
+    online_config,
+    run_offline_baseline,
+    run_online_with_buffer,
+)
 from repro.launcher.launcher import Launcher
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver
 

@@ -3,11 +3,12 @@
 The paper's protocol: the server watches for unresponsive clients and asks
 the launcher to properly kill and restart them.  Here the server side is the
 :class:`HeartbeatMonitor` fed by the aggregator (any received message counts
-as liveness, stamped on the server's clock) and the launcher side is the ``heartbeat_timeout`` watchdog in
-process client mode: a client that stops making progress *without dying* —
-the failure mode a runtime cap cannot catch promptly and process liveness
-cannot catch at all — is killed, counted in
-``TransportStats.unresponsive_kills``, restarted, and deduplicated.
+as liveness, stamped on the server's clock) and the launcher side is the
+``heartbeat_timeout`` watchdog in process client mode: a client that stops
+making progress *without dying* — the failure mode a runtime cap cannot
+catch promptly and process liveness cannot catch at all — is killed,
+counted in ``TransportStats.unresponsive_kills``, restarted, and
+deduplicated.
 """
 
 import time

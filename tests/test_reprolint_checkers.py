@@ -222,6 +222,27 @@ class TestUnusedImport:
         assert [f.path for f in report.findings] == ["tools/__init__.py"]
 
 
+# ------------------------------------------------------------------ line length
+class TestLineLength:
+    def test_bad_fixture_flags_every_long_line(self):
+        report = lint("bad_line_length.py")
+        findings = [f for f in report.findings if f.rule == "line-length"]
+        assert [f.line for f in findings] == [3, 8, 12]
+        assert "101 characters" in findings[0].message
+
+    def test_good_fixture_counts_characters_not_bytes(self):
+        assert lint("good_line_length.py").clean
+
+    def test_limit_is_ruffs_line_length(self):
+        import re
+
+        from tools.reprolint.check_line_length import MAX_LINE_LENGTH
+
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        ruff = re.search(r"^\[tool\.ruff\]\n(?:.*\n)*?line-length = (\d+)$", pyproject, re.M)
+        assert ruff is not None and int(ruff.group(1)) == MAX_LINE_LENGTH
+
+
 # --------------------------------------------------------------- pragma protocol
 class TestPragmas:
     def test_justified_pragmas_suppress_inline_and_own_line(self):

@@ -19,7 +19,7 @@ from repro.client.simulation_client import SimulationClient
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
 from repro.parallel.shm_ring import ShmRingTransport
-from repro.parallel.transport import ShmOptions, TransportConfig, TransportStats
+from repro.parallel.transport import ShardOptions, ShmOptions, TransportConfig, TransportStats
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import HeartbeatMonitor, MessageLog
 from repro.server.sharding import (
@@ -129,8 +129,8 @@ def test_sharded_shm_study_matches_single_server_inproc_exactly(shard_scale):
         transport=TransportConfig(
             backend="shm", batch_size=4,
             shm=ShmOptions(ring_slots=8, ring_slot_bytes=16_384),
+            shard=ShardOptions(num_shards=2),
         ),
-        num_shards=2,
     )
     single = run_online_with_buffer(
         "fifo", scale=shard_scale, case=case, use_series=False,

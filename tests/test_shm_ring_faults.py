@@ -277,6 +277,35 @@ def test_one_clients_stream_leaves_the_ring_in_send_order(transport):
     assert slot_of(transport, 0) is None
 
 
+def test_a_drain_takes_the_rings_in_turn(transport):
+    """Client A queues 4 batches, then client B queues 4: a poll whose budget
+    holds two batches returns rows of both clients (the sweep resumes after
+    the ring it read last), and each client's rows keep their send order."""
+    rows = 3
+    for client_id in (0, 1):
+        transport.lease_client(client_id)
+        for batch in range(4):
+            steps = [
+                TimeStepMessage(client_id=client_id, time_step=step, time_value=0.0,
+                                parameters=(1.0, 2.0), payload=FIELD, sequence_number=step)
+                for step in range(batch * rows, (batch + 1) * rows)
+            ]
+            transport.push_many(0, steps)
+
+    first = transport.poll_batches(0, max_messages=2 * rows, timeout=1.0)
+    assert {int(s) for chunk in first for s in chunk.source_ids} == {0, 1}
+
+    received = list(first)
+    deadline = time.monotonic() + DEADLINE
+    while transport.pending(0):
+        assert time.monotonic() < deadline, "the rings never drained"
+        received.extend(transport.poll_batches(0, max_messages=2 * rows, timeout=0.1))
+    merged = ColumnBatch.concat(received)
+    for client_id in (0, 1):
+        mine = merged.source_ids == client_id
+        assert merged.time_steps[mine].tolist() == list(range(4 * rows))
+
+
 def _hammer_control_messages(transport, client_id):
     """Victim body: hello broadcasts until killed."""
     api = ClientAPI(transport, client_id)

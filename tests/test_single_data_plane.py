@@ -19,7 +19,7 @@ from repro.buffers import make_buffer
 from repro.buffers.columns import ColumnBatch
 from repro.client.api import ClientAPI
 from repro.parallel.messages import ClientFinished, ClientHello, TimeStepMessage
-from repro.parallel.transport import TransportConfig, make_transport
+from repro.parallel.transport import PackedDrainMixin, TransportConfig, make_transport
 from repro.server.server import ServerConfig, TrainingServer
 from repro.server.sharding import HashRing, ShardedTransport
 
@@ -68,6 +68,12 @@ def drain(transport, expected, max_messages=64):
         assert sum(len(i) if isinstance(i, ColumnBatch) else 1 for i in polled) <= max_messages
         items.extend(polled)
     return items
+
+
+def test_every_backend_drains_through_the_one_drain(transport):
+    """No backend overrides the budgeted drain; each only pops a batch."""
+    for endpoint in getattr(transport, "shards", [transport]):
+        assert type(endpoint).poll_batches is PackedDrainMixin.poll_batches
 
 
 def test_poll_batches_yields_only_chunks_and_control_messages(transport):

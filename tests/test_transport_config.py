@@ -2,8 +2,8 @@
 
 Pins the configuration contract: ``OnlineStudyConfig`` carries exactly one
 typed ``TransportConfig`` (the flat ``transport_*``/``ring_*`` aliases are
-gone), the backend registry drives ``make_transport``, and the ring geometry
-defaults come from one place (``repro.utils.constants``).
+gone), ``make_transport`` builds exactly the four named backends, and the
+ring geometry defaults come from one place (``repro.utils.constants``).
 """
 
 import inspect
@@ -11,15 +11,17 @@ import inspect
 import pytest
 
 from repro.core.config import OnlineStudyConfig
+from repro.parallel.mp_transport import MultiprocessTransport
 from repro.parallel.shm_ring import ShmRingTransport
+from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import (
+    BACKENDS,
     MessageRouter,
+    ShardOptions,
     ShmOptions,
     TcpOptions,
     TransportConfig,
-    available_backends,
     make_transport,
-    register_backend,
 )
 from repro.utils.constants import DEFAULT_RING_SLOT_BYTES, DEFAULT_RING_SLOTS
 from repro.utils.exceptions import ConfigurationError
@@ -56,17 +58,10 @@ def test_plain_backend_string_uses_defaults():
     assert cfg.transport_config.heartbeat_timeout is None
 
 
-def test_shard_overrides_on_top_of_typed_config():
+def test_resolve_returns_a_typed_config_unchanged():
     cfg = TransportConfig(backend="tcp", batch_size=16, tcp=TcpOptions(connect_timeout=3.0))
-    resolved = TransportConfig.resolve(cfg, num_shards=2, hash_replicas=8)
-    assert resolved.backend == "tcp"
-    assert resolved.shard.num_shards == 2 and resolved.shard.hash_replicas == 8
-    assert resolved.batch_size == 16
-    assert resolved.tcp.connect_timeout == 3.0  # untouched nested options survive
-    # No overrides: resolve returns the config unchanged.
     assert TransportConfig.resolve(cfg) is cfg
-    study = OnlineStudyConfig(transport=cfg, num_shards=2)
-    assert study.num_shards == study.transport_config.shard.num_shards == 2
+    assert TransportConfig.resolve("tcp") == TransportConfig(backend="tcp")
 
 
 def test_client_mode_follows_backend():
@@ -79,6 +74,8 @@ def test_client_mode_follows_backend():
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError, match="unknown transport backend"):
         TransportConfig(backend="zmq")
+    with pytest.raises(ConfigurationError, match="one of: inproc, mp, shm, tcp"):
+        make_transport("test-loop", 1)
     with pytest.raises(ConfigurationError):
         OnlineStudyConfig(transport="zmq")
 
@@ -106,42 +103,33 @@ def test_invalid_nested_options_rejected():
         TcpOptions(port=70_000)
     with pytest.raises(ConfigurationError, match="host"):
         TcpOptions(host="")
+    # Shards share the tcp options, so a fixed port would be bound twice.
+    with pytest.raises(ConfigurationError, match="leave tcp.port at 0"):
+        TransportConfig(backend="tcp", tcp=TcpOptions(port=5601),
+                        shard=ShardOptions(num_shards=2))
 
 
-# ---------------------------------------------------------------- registry
-def test_registry_lists_builtin_backends():
-    assert set(available_backends()) >= {"inproc", "mp", "shm", "tcp"}
-
-
-def test_registered_backend_drives_make_transport():
-    calls = {}
-
-    def factory(config, num_server_ranks, max_concurrent_clients):
-        calls["config"] = config
-        calls["ranks"] = num_server_ranks
-        calls["clients"] = max_concurrent_clients
-        return MessageRouter(num_server_ranks, max_queue_size=config.queue_size)
-
-    register_backend("test-loop", factory, client_mode="thread")
+# ---------------------------------------------------------------- backends
+@pytest.mark.parametrize(
+    "backend, cls, client_mode",
+    [
+        ("inproc", MessageRouter, "thread"),
+        ("mp", MultiprocessTransport, "process"),
+        ("shm", ShmRingTransport, "process"),
+        ("tcp", TcpTransport, "process"),
+    ],
+    ids=BACKENDS,
+)
+def test_make_transport_builds_each_of_the_four_backends(backend, cls, client_mode):
+    assert backend in BACKENDS and len(BACKENDS) == 4
+    config = TransportConfig(backend=backend, queue_size=7)
+    assert config.client_mode == client_mode
+    transport = make_transport(config, 3, max_concurrent_clients=5)
     try:
-        transport = make_transport(
-            TransportConfig(backend="test-loop", queue_size=7), 3,
-            max_concurrent_clients=5,
-        )
-        assert isinstance(transport, MessageRouter)
-        assert calls["config"].queue_size == 7
-        assert (calls["ranks"], calls["clients"]) == (3, 5)
-        assert TransportConfig(backend="test-loop").client_mode == "thread"
-        transport.shutdown()
+        assert type(transport) is cls
+        assert transport.num_server_ranks == 3
     finally:
-        from repro.parallel.transport import _BACKENDS
-
-        _BACKENDS.pop("test-loop", None)
-
-
-def test_register_backend_rejects_bad_client_mode():
-    with pytest.raises(ValueError, match="client_mode"):
-        register_backend("bad", lambda *a: None, client_mode="fiber")
+        transport.shutdown()
 
 
 # ------------------------------------------------------ ring single source

@@ -1,8 +1,8 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
 Seven checkers encode the concurrency, process, solver and wire-format
-invariants the code review process kept re-discovering by hand, and an eighth
-the ``ruff`` rule that would otherwise run only in CI (see
+invariants the code review process kept re-discovering by hand, and two more
+hold ``ruff`` limits that would otherwise run only in CI, or not at all (see
 ``docs/static_analysis.md``):
 
 - ``lock-discipline``   : attributes mutated under a lock anywhere must never
@@ -22,6 +22,8 @@ the ``ruff`` rule that would otherwise run only in CI (see
                           agree.
 - ``unused-import``     : every import binds a name its module reads (ruff's
                           ``F401``, with the same exemptions).
+- ``line-length``       : no line is longer than ``[tool.ruff] line-length``
+                          (100 characters).
 
 Run with ``python -m tools.reprolint src/``.
 """
@@ -32,6 +34,7 @@ from tools.reprolint import (
     check_blocking,
     check_fork_safety,
     check_fork_site,
+    check_line_length,
     check_lock_discipline,
     check_lock_order,
     check_solver_state,
@@ -51,6 +54,7 @@ CHECKERS = (
     check_solver_state,
     check_wire_layout,
     check_unused_imports,
+    check_line_length,
 )
 
 ALL_RULES = tuple(checker.RULE for checker in CHECKERS)

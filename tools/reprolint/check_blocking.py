@@ -61,7 +61,8 @@ def _is_false(expr: Optional[ast.expr]) -> bool:
 
 
 def _is_zero(expr: Optional[ast.expr]) -> bool:
-    return isinstance(expr, ast.Constant) and isinstance(expr.value, (int, float)) and expr.value == 0
+    return (isinstance(expr, ast.Constant) and isinstance(expr.value, (int, float))
+            and expr.value == 0)
 
 
 def _receiver_is_held_lock(
