@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +105,18 @@ class HeatSurrogateCase:
         return self._simulate(self.solver_factory(), parameters)
 
     def _simulate(self, solver: HeatEquationSolver, parameters: Array) -> Tuple[Array, Array]:
-        series = solver.run(self.parameters_to_solver(parameters))
-        fields = series.stack().reshape(len(series), -1).astype(np.float32)
-        return series.times, fields
+        steps = self.spec.solver.num_steps
+        times = np.empty(steps)
+        fields = np.empty((steps, self.field_size), dtype=np.float32)
+        self._simulate_into(solver, parameters, times, fields)
+        return times, fields
+
+    def _simulate_into(self, solver: HeatEquationSolver, parameters: Array,
+                       times: Array, fields: Array) -> None:
+        """Run one simulation into caller-owned rows: step ``k`` goes to row ``k - 1``."""
+        for step, time_value, field in solver.iter_steps(self.parameters_to_solver(parameters)):
+            times[step - 1] = time_value
+            fields[step - 1] = field.reshape(-1)
 
     def generate_validation_set(
         self, num_simulations: int = 10, seed_offset: int = 10_000
@@ -116,20 +125,22 @@ class HeatSurrogateCase:
 
         The validation design uses a sampler stream shifted by ``seed_offset``
         so its parameters cannot collide with the training ensemble's.  One
-        solver (so one LU factorisation) serves every simulation.
+        solver (so one LU factorisation) serves every simulation, each run
+        straight into its rows of the two float32 blocks.
         """
         sampler = get_sampler(
             self.spec.sampler, self.spec.parameter_space, seed=self.spec.seed + seed_offset
         )
         parameter_vectors = sampler.sample(num_simulations)
+        steps = self.spec.solver.num_steps
+        inputs = np.empty((num_simulations * steps, self.input_size), dtype=np.float32)
+        targets = np.empty((num_simulations * steps, self.field_size), dtype=np.float32)
         solver = self.solver_factory()
-        times: List[Array] = []
-        fields: List[Array] = []
-        for row in parameter_vectors:
-            sim_times, sim_fields = self._simulate(solver, row)
-            times.append(sim_times)
-            fields.append(sim_fields)
-        return ValidationSet.from_simulations(list(parameter_vectors), times, fields)
+        for index, row in enumerate(parameter_vectors):
+            rows = slice(index * steps, (index + 1) * steps)
+            inputs[rows, :-1] = row
+            self._simulate_into(solver, row, inputs[rows, -1], targets[rows])
+        return ValidationSet(inputs=inputs, targets=targets)
 
     def generate_store(
         self,
@@ -149,20 +160,12 @@ class HeatSurrogateCase:
             parameter_vectors = self.sample_parameters(num_simulations)
         parameter_vectors = [np.asarray(row) for row in parameter_vectors][:num_simulations]
         solver = self.solver_factory()
-
-        def produce(item: Tuple[int, Array]) -> Tuple[int, Array, Array, Array]:
-            index, row = item
-            times, fields = self._simulate(solver, row)
-            return index, row, times, fields
-
-        if workers <= 1:
-            produced = [produce(item) for item in enumerate(parameter_vectors)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                produced = list(pool.map(produce, enumerate(parameter_vectors)))
-        # Store in deterministic order regardless of thread completion order.
-        for index, row, times, fields in sorted(produced, key=lambda item: item[0]):
-            store.add_simulation(index, row.tolist(), times.tolist(), fields)
+        # ``map`` yields in input order, whatever order the threads finish in.
+        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+            runs = pool.map(lambda row: self._simulate(solver, row), parameter_vectors)
+            for index, (times, fields) in enumerate(runs):
+                row = parameter_vectors[index].tolist()
+                store.add_simulation(index, row, times.tolist(), fields)
         return store
 
     # ------------------------------------------------------------ description

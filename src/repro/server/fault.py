@@ -14,16 +14,21 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 import numpy as np
 
 
+#: Largest time step the dedup log accepts: it bounds a client's byte map at
+#: 4 MiB (the paper's runs have 100 steps, the largest benchmark 10,000).
+MAX_TIME_STEP = 1 << 22
+
+
 class MessageLog:
-    """Per-client log of received (client_id, time_step) keys for deduplication."""
+    """Dedup log: one ``bytearray`` per client, indexed by time step (1 = received)."""
 
     def __init__(self) -> None:
-        self._received: Dict[int, Set[int]] = {}
+        self._received: Dict[int, bytearray] = {}
         self._duplicates = 0
         self._lock = threading.Lock()
 
@@ -34,43 +39,54 @@ class MessageLog:
         Returns ``None`` when every key is new (the caller keeps the whole
         batch: no mask allocation, no copy), else a boolean keep-mask aligned
         with the input vectors.  Each rejected key counts once as a
-        duplicate.
+        duplicate.  A step outside ``[0, MAX_TIME_STEP]`` raises
+        ``ValueError`` before any of its client's steps is logged.
 
         The check is made per *client*: the aggregator merges the chunks of
         one drain before dedup, so concurrent clients interleave in a batch,
-        and each client's rows are split off with one comparison and decided
-        by one set-disjointness probe.
+        and each client's rows are split off with one comparison.
         """
         with self._lock:
             clients = set(client_ids.tolist())
             if len(clients) == 1:
-                return self._register_steps_locked(clients.pop(), time_steps)
+                return self._register_steps_locked(clients.pop(), time_steps.tolist())
             keep = None
             for client_id in clients:
                 rows = client_ids == client_id
-                mask = self._register_steps_locked(client_id, time_steps[rows])
+                mask = self._register_steps_locked(client_id, time_steps[rows].tolist())
                 if mask is not None:
                     if keep is None:
                         keep = np.ones(len(client_ids), dtype=bool)
                     keep[rows] = mask
             return keep
 
-    def _register_steps_locked(self, client_id: int,
-                               time_steps: np.ndarray) -> Optional[np.ndarray]:
+    def _register_steps_locked(self, client_id: int, steps: List[int]) -> Optional[np.ndarray]:
         """Log one client's steps; ``None`` when all are new, else its keep-mask."""
-        steps = time_steps.tolist()
-        known = self._received.setdefault(client_id, set())
-        if len(set(steps)) == len(steps) and known.isdisjoint(steps):
-            known.update(steps)
+        first, last = steps[0], steps[-1]
+        # The normal chunk is the client's next run of consecutive steps: its
+        # ends bound it, and one slice store marks it if none is logged yet.
+        run = last - first + 1 == len(steps) and steps == list(range(first, last + 1))
+        low, high = (first, last) if run else (min(steps), max(steps))
+        if low < 0 or high > MAX_TIME_STEP:
+            raise ValueError(f"client {client_id} sent time step {low if low < 0 else high}, "
+                             f"outside [0, {MAX_TIME_STEP}]")
+        received = self._received.setdefault(client_id, bytearray())
+        if high >= len(received):
+            received.extend(bytes(high + 1 - len(received)))
+        if run and received.find(1, low, high + 1) < 0:
+            received[low:high + 1] = b"\x01" * len(steps)
             return None
         # A restarted client replaying (or a step repeated inside the chunk):
         # the rare path decides key by key, first occurrence wins.
-        keep = np.empty(len(steps), dtype=bool)
-        for index, step in enumerate(steps):
-            keep[index] = step not in known
-            known.add(step)
-        self._duplicates += len(steps) - int(keep.sum())
-        return keep
+        kept = []
+        for step in steps:
+            kept.append(not received[step])
+            received[step] = 1
+        duplicates = kept.count(False)
+        if not duplicates:
+            return None
+        self._duplicates += duplicates
+        return np.array(kept, dtype=bool)
 
     @property
     def duplicates_discarded(self) -> int:
@@ -80,12 +96,16 @@ class MessageLog:
     def state(self) -> Dict[int, List[int]]:
         """Serialisable snapshot (used by server checkpoints)."""
         with self._lock:
-            return {cid: sorted(steps) for cid, steps in self._received.items()}
+            return {cid: np.flatnonzero(np.frombuffer(bytes(received), np.uint8)).tolist()
+                    for cid, received in self._received.items()}
 
     def restore(self, state: Dict[int, List[int]]) -> None:
         """Restore a snapshot produced by :meth:`state`."""
         with self._lock:
-            self._received = {int(cid): set(steps) for cid, steps in state.items()}
+            self._received = {int(cid): bytearray() for cid in state}
+            for cid, steps in state.items():
+                if steps:
+                    self._register_steps_locked(int(cid), list(steps))
 
 
 @dataclass

@@ -8,7 +8,6 @@ therefore stalls batch consumption, a perturbation the experiments discuss).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,29 +38,6 @@ class ValidationSet:
     @property
     def num_samples(self) -> int:
         return int(self.inputs.shape[0])
-
-    @staticmethod
-    def from_simulations(
-        parameter_vectors: Sequence[Array],
-        times: Sequence[Array],
-        fields: Sequence[Array],
-    ) -> "ValidationSet":
-        """Build a validation set from per-simulation arrays.
-
-        ``parameter_vectors[i]`` is the 5-vector ``X`` of simulation ``i``;
-        ``times[i]`` the array of time values; ``fields[i]`` the stacked
-        flattened fields of shape ``(num_steps, field_size)``.
-        """
-        inputs = []
-        targets = []
-        for params, sim_times, sim_fields in zip(parameter_vectors, times, fields, strict=True):
-            params = np.asarray(params, dtype=np.float32).ravel()
-            sim_fields = np.asarray(sim_fields, dtype=np.float32)
-            sim_fields = sim_fields.reshape(sim_fields.shape[0], -1)
-            for time_value, field in zip(np.asarray(sim_times), sim_fields, strict=True):
-                inputs.append(np.concatenate([params, [np.float32(time_value)]]))
-                targets.append(field)
-        return ValidationSet(inputs=np.stack(inputs), targets=np.stack(targets))
 
 
 class Validator:

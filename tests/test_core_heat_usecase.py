@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core.config import SurrogateArchitecture
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.offline.dataset import SimulationDataset
+from repro.sampling import get_sampler
 from repro.solvers.heat2d import HeatEquationConfig, HeatParameters
 
 
@@ -132,3 +134,24 @@ def test_paper_scale_spec():
     assert spec.solver.nx == 1000 and spec.solver.ny == 1000
     assert spec.solver.num_steps == 100
     assert tuple(spec.architecture.hidden_sizes) == (256, 256)
+
+
+def test_validation_set_is_built_in_place():
+    """A 10,000-step validation set peaks at its own arrays: no per-step
+    series, float64 stack or per-row concatenation on the way."""
+    config = HeatEquationConfig(nx=6, ny=6, num_steps=10_000)
+    case = HeatSurrogateCase(HeatSurrogateSpec(solver=config))
+    tracemalloc.start()
+    try:
+        validation = case.generate_validation_set(num_simulations=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = validation.inputs.nbytes + validation.targets.nbytes
+    assert peak <= 1.5 * returned, (peak, returned)
+    row = get_sampler(case.spec.sampler, case.spec.parameter_space, seed=10_000).sample(1)[0]
+    params = case.parameters_to_solver(row)
+    for step, time_value, field in case.solver_factory().iter_steps(params):
+        if step in (1, 5_000, 10_000):
+            assert validation.inputs[step - 1, -1] == np.float32(time_value)
+            assert np.array_equal(validation.targets[step - 1], field.ravel().astype(np.float32))

@@ -175,10 +175,10 @@ def test_vote_raced_against_gradient_sync_fails_instead_of_returning(size):
 
 
 def test_validation_set_construction_and_validator():
-    params = [np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([5.0, 4.0, 3.0, 2.0, 1.0])]
-    times = [np.array([0.1, 0.2]), np.array([0.1, 0.2])]
-    fields = [np.ones((2, 9)), np.zeros((2, 9))]
-    dataset = ValidationSet.from_simulations(params, times, fields)
+    inputs = np.array([[1, 2, 3, 4, 5, 0.1], [1, 2, 3, 4, 5, 0.2],
+                       [5, 4, 3, 2, 1, 0.1], [5, 4, 3, 2, 1, 0.2]])
+    targets = np.concatenate([np.ones((2, 9)), np.zeros((2, 9))])
+    dataset = ValidationSet(inputs=inputs, targets=targets)
     assert dataset.num_samples == 4
     assert dataset.inputs.shape == (4, 6)
     assert dataset.targets.shape == (4, 9)

@@ -1,13 +1,16 @@
 """Tests for the fault-tolerance primitives (message log, liveness monitor, checkpointer)."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Adam, MLPConfig, build_mlp, state_dict_equal
 from repro.server.checkpointing import ServerCheckpointer
-from repro.server.fault import HeartbeatMonitor, MessageLog
+from repro.server.fault import MAX_TIME_STEP, HeartbeatMonitor, MessageLog
 from repro.utils.exceptions import CheckpointError
 
 
@@ -169,3 +172,117 @@ def test_message_log_checkpoint_format_is_sorted_step_lists():
     assert restored.duplicates_discarded == 0
     keep = restored.register_many(np.array([4, 4], np.int64), np.array([9, 10], np.int64))
     assert keep.tolist() == [False, True]
+
+
+# --------------------------------------------------- byte map vs a set model
+class SetLog:
+    """Reference model: the per-client set of steps the byte map replaced."""
+
+    def __init__(self):
+        self.received = {}
+        self.duplicates_discarded = 0
+
+    def register_many(self, client_ids, time_steps):
+        kept = []
+        for cid, step in zip(client_ids.tolist(), time_steps.tolist(), strict=True):
+            known = self.received.setdefault(cid, set())
+            kept.append(step not in known)
+            known.add(step)
+        self.duplicates_discarded += kept.count(False)
+        return np.array(kept, dtype=bool) if False in kept else None
+
+    def state(self):
+        return {cid: sorted(steps) for cid, steps in self.received.items()}
+
+    def restore(self, state):
+        self.received = {int(cid): set(steps) for cid, steps in state.items()}
+
+
+#: One call on both logs: a chunk of per-client runs, a client restart, or a
+#: restore (of the set model's checkpoint) in mid-stream.
+_runs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40), st.booleans()), max_size=4)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("chunk"), _runs, st.sampled_from(["runs", "interleave", "reverse"])),
+        st.tuples(st.just("restart"), st.integers(0, 3), st.integers(0, 5)),
+        st.tuples(st.just("restore"), st.none(), st.none()),
+    ),
+    max_size=25,
+)
+
+
+def _chunk(cursors, runs, order):
+    """Rows of one chunk: each run is its client's next ``length`` steps,
+    optionally with one step repeated inside the chunk."""
+    parts = []
+    for cid, length, repeat in runs:
+        steps = list(range(cursors.get(cid, 1), cursors.get(cid, 1) + length))
+        cursors[cid] = cursors.get(cid, 1) + length
+        if repeat and steps:
+            steps.insert(len(steps) // 2, steps[0])
+        parts.append([(cid, step) for step in steps])
+    if order == "interleave":
+        rows = [row for group in zip(*parts, strict=False) for row in group]
+        rows += [row for part in parts for row in part[min(map(len, parts)):]]
+    else:
+        rows = [row for part in parts for row in part]
+        if order == "reverse":
+            rows.reverse()
+    ids = np.array([cid for cid, _ in rows], dtype=np.int64)
+    return ids, np.array([step for _, step in rows], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops)
+def test_byte_map_log_agrees_with_a_set_model(ops):
+    log, model, cursors = MessageLog(), SetLog(), {}
+    for kind, first, second in ops:
+        if kind == "chunk":
+            ids, steps = _chunk(cursors, first, second)
+            keep, expected = log.register_many(ids, steps), model.register_many(ids, steps)
+            if expected is None:
+                assert keep is None
+            else:
+                assert keep.dtype == bool and keep.tolist() == expected.tolist()
+        elif kind == "restart":  # the client replays from step 1 (or a little later)
+            cursors[first] = 1 + second
+        else:
+            checkpoint = model.state()
+            log.restore(checkpoint)
+            model.restore(checkpoint)
+        assert log.duplicates_discarded == model.duplicates_discarded
+        assert log.state() == model.state()
+
+
+def test_log_of_an_ingest_bound_study_stays_small():
+    """16 clients x 10,000 steps in 32-row chunks: a byte per step, not a
+    set entry per step (~10 MiB of Python ints)."""
+    log = MessageLog()
+    ids = np.empty(32, np.int64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for cid in range(16):
+            ids[:] = cid
+            for first in range(1, 10_001, 32):
+                steps = np.arange(first, min(first + 32, 10_001), dtype=np.int64)
+                assert log.register_many(ids[:len(steps)], steps) is None
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 1 << 20, grown
+    assert log.state()[15] == list(range(1, 10_001))
+
+
+@pytest.mark.parametrize("bad", [-1, -(1 << 40), MAX_TIME_STEP + 1])
+def test_step_outside_the_log_is_refused(bad):
+    """A negative step would alias the end of a client's byte map: every
+    out-of-range step raises, on the run path and on the key-by-key one."""
+    log = MessageLog()
+    assert is_new(log, 3, MAX_TIME_STEP)
+    for steps in ([bad], [5, 6, bad], [bad, 7, 7]):
+        with pytest.raises(ValueError, match=f"time step {bad}"):
+            log.register_many(np.full(len(steps), 3, np.int64), np.array(steps, np.int64))
+    assert log.state() == {3: [MAX_TIME_STEP]}
+    with pytest.raises(ValueError, match="outside"):
+        MessageLog().restore({3: [bad]})

@@ -217,3 +217,27 @@ def test_aggregator_failure_ends_the_server_run_with_its_cause(tiny_surrogate_ca
     assert "do not match the buffer's columns" in str(failure.value.__cause__)
     assert server.aggregators[0].error is failure.value.__cause__
 
+
+
+def test_negative_time_step_fails_the_server_run_at_the_dedup_log(tiny_surrogate_case):
+    """A step the dedup log cannot hold (a negative one would alias the end
+    of the client's byte map) fails the aggregator, closes its buffer and
+    ends ``run`` with the ``ValueError`` as cause."""
+    case = tiny_surrogate_case
+    transport = make_transport(TransportConfig(), 1)
+    server = TrainingServer(
+        ServerConfig(buffer_kind="fifo", buffer_capacity=64, buffer_threshold=0,
+                     expected_clients=1),
+        model_factory=case.model_factory,
+        router=transport,
+    )
+    parameters = (300.0,) * (case.input_size - 1)
+    transport.push_many(0, make_steps(4, start=-2, field_len=case.field_size,
+                                      parameters=parameters))
+    with pytest.raises(RuntimeError, match="aggregator of server rank 0") as failure:
+        server.run()
+    assert isinstance(failure.value.__cause__, ValueError)
+    assert "time step -2" in str(failure.value.__cause__)
+    assert server.aggregators[0].error is failure.value.__cause__
+    assert server.buffers[0].closed
+    assert len(server.buffers[0]) == 0
