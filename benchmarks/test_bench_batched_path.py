@@ -20,9 +20,9 @@ def test_drain_draw_costs_at_most_twice_its_gather():
     """Bookkeeping <= data movement, at the ``ingest_bound.shm`` shape.
 
     A drain-mode ``get_batch_columns(100)`` from a 160 000 x 256 float32
-    Reservoir is one distinct-position draw, one boundary move and the gather
-    of the 100 rows; it must cost at most twice the bare ``ColumnStore.gather``
-    of 100 random rows of the same store.  The two are timed alternately on
+    Reservoir takes the tails of its shuffled regions and gathers the 100
+    rows; it must cost at most twice the bare ``ColumnStore.gather`` of 100
+    random rows of the same store.  The two are timed alternately on
     the same box, so its speed cancels (medians of 400 calls each).
     """
     capacity, width, batch = 160_000, 256, 100

@@ -1,8 +1,8 @@
 """Benchmark: the float32-resident flat train step vs the textbook step.
 
 One training batch is ``zero_grad`` → forward → MSE → backward → Adam.  The
-library runs it float32-resident (float64 wire parameters are cast once where
-they enter the first ``Linear``) with every parameter, gradient and Adam moment
+library runs it float32-resident (float64 inputs are cast once where they
+enter the first ``Linear``) with every parameter, gradient and Adam moment
 in flat vectors updated in place.  The reference below is the same batch
 written the textbook way, which is also how the library did it before: float64
 inputs promote every GEMM of the float32 network (each weight matrix is
@@ -120,7 +120,7 @@ def best_step_seconds(step, inputs, targets):
 def measure_shape(workload, batch, hidden, out):
     """Speedup of the library step over the textbook step at one shape."""
     rng = np.random.default_rng(0)
-    inputs = rng.random((batch, 6))  # float64: how ColumnBatch.inputs arrives
+    inputs = rng.random((batch, 6))  # float64, so the textbook GEMMs promote
     targets = rng.uniform(100.0, 500.0, (batch, out)).astype(np.float32)
 
     library, reference = build_pair(hidden, out)

@@ -48,13 +48,13 @@ class TrainingBuffer:
     once the buffer is exhausted.
 
     Storage is columnar: a :class:`ColumnStore` holds the samples as
-    ``(capacity, d_in)`` float64 inputs, ``(capacity, d_out)`` float32
+    ``(capacity, d_in)`` float32 inputs, ``(capacity, d_out)`` float32
     targets and int64 id/step vectors.  Policies implement two slot hooks:
 
     * :meth:`_take_slots_locked` — allocate row slots for a put (evicting
       per policy when full);
-    * :meth:`_draw_slots_locked` — pick a batch of slots with one vectorized
-      RNG call, consuming them per policy.
+    * :meth:`_draw_slots_locked` — pick a batch of slots with vectorized
+      RNG calls, consuming them per policy.
 
     A one-row put or draw is the ``want == 1`` case of the same hooks, so
     there is one bookkeeping path, pinned by the *distribution* of

@@ -2,15 +2,16 @@
 
 The wire format is already columnar — a packed batch carries one contiguous
 float64 params block and one float32 payload block — and the training loop
-consumes matrices, so the only reason per-message Python objects ever existed
-between the two was the buffer API.  This module removes that reason:
+consumes float32 matrices, so the only reason per-message Python objects
+ever existed between the two was the buffer API.  This module removes that reason:
 
 * :class:`ColumnBatch` is the unit that flows through the hot path: one
-  ``(n, d_in)`` float64 inputs matrix, one ``(n, d_out)`` float32 targets
+  ``(n, d_in)`` float32 inputs matrix, one ``(n, d_out)`` float32 targets
   matrix and int64 ``source_id``/``time_step`` vectors, all arrival-ordered.
   A drained wire chunk becomes a ``ColumnBatch`` with a single block copy
-  (the adoption copy), the buffer inserts it with fancy-indexed row writes,
-  and a gathered batch hands the forward pass its two matrices as-is.
+  (the adoption copy, which rounds the float64 wire parameters to float32
+  once), the buffer inserts it with fancy-indexed row writes, and a gathered
+  batch hands the forward pass its two matrices as-is.
 * :class:`ColumnStore` is the preallocated backing storage of one training
   buffer: dense column blocks addressed by row slot.  Buffer policies map
   logical order (FIFO ring, FIRO list, Reservoir seen/unseen) to slot
@@ -33,8 +34,9 @@ __all__ = ["ColumnBatch", "ColumnStore"]
 class ColumnBatch:
     """An arrival-ordered run of samples as parallel columns.
 
-    ``inputs`` is ``(n, d_in)`` float64 and ``targets`` ``(n, d_out)``
-    float32; every row of a batch has the same widths.
+    ``inputs`` is ``(n, d_in)`` and ``targets`` ``(n, d_out)``, both
+    float32 (the dtype of every model a study trains); every row of a batch
+    has the same widths.
     ``sequence_numbers`` is optional — the buffers do not store it, so
     batches gathered from a store carry ``None``.
 
@@ -118,12 +120,13 @@ class ColumnStore:
     lock acquisition, so a freed slot can never be overwritten before its
     row has been copied out.
 
-    The column blocks are allocated lazily on the first write (row widths
-    are only known then).  Writes copy the row data (cast to the column
-    dtypes); that is the single adoption copy of the put path.  A row whose
-    widths do not match the allocated columns is rejected with
-    :class:`ValueError` — one study trains one model, so every sample has
-    the same shape.
+    All four columns are allocated lazily on the first write (row widths
+    are only known then), so a buffer that holds no sample holds no column
+    memory, nor does any process forked before its first put.  Writes copy
+    the row data (cast to the column dtypes); that is the single adoption
+    copy of the put path.  A row whose widths do not match the allocated
+    columns is rejected with :class:`ValueError` — one study trains one
+    model, so every sample has the same shape.
     """
 
     __slots__ = ("capacity", "inputs", "targets", "source_ids", "time_steps")
@@ -132,8 +135,8 @@ class ColumnStore:
         self.capacity = int(capacity)
         self.inputs: Optional[Array] = None
         self.targets: Optional[Array] = None
-        self.source_ids = np.full(self.capacity, -1, dtype=np.int64)
-        self.time_steps = np.full(self.capacity, -1, dtype=np.int64)
+        self.source_ids: Optional[Array] = None
+        self.time_steps: Optional[Array] = None
 
     def ensure_columns(self, input_shape: Tuple[int, ...], target_shape: Tuple[int, ...]) -> None:
         """Allocate the columns for the first sample; reject other widths after.
@@ -147,8 +150,10 @@ class ColumnStore:
                     f"samples must be flat vectors, got inputs {input_shape} "
                     f"and target {target_shape}"
                 )
-            self.inputs = np.empty((self.capacity,) + input_shape, dtype=np.float64)
+            self.inputs = np.empty((self.capacity,) + input_shape, dtype=np.float32)
             self.targets = np.empty((self.capacity,) + target_shape, dtype=np.float32)
+            self.source_ids = np.empty(self.capacity, dtype=np.int64)
+            self.time_steps = np.empty(self.capacity, dtype=np.int64)
         elif input_shape != self.inputs.shape[1:] or target_shape != self.targets.shape[1:]:
             raise ValueError(
                 f"sample widths (inputs {input_shape}, target {target_shape}) do not "
@@ -170,16 +175,17 @@ class ColumnStore:
     def gather(self, slots: Array) -> ColumnBatch:
         """Rows at ``slots`` as a fresh :class:`ColumnBatch`.
 
-        Fancy indexing copies, so the returned batch owns its columns and
-        stays valid after the slots are recycled.
+        ``np.take`` copies, so the returned batch owns its columns and stays
+        valid after the slots are recycled (along axis 0 it gathers a few
+        microseconds faster than fancy indexing for a 100-row batch).
         """
-        ids = self.source_ids[slots]
-        steps = self.time_steps[slots]
-        if self.inputs is None:
-            return ColumnBatch(
-                np.empty((0, 0), dtype=np.float64),
-                np.empty((0, 0), dtype=np.float32),
-                ids,
-                steps,
-            )
-        return ColumnBatch(self.inputs[slots], self.targets[slots], ids, steps)
+        if self.inputs is None:  # nothing was ever written: ``slots`` is empty
+            empty = np.empty((0, 0), dtype=np.float32)
+            keys = np.empty(0, dtype=np.int64)
+            return ColumnBatch(empty, empty, keys, keys)
+        return ColumnBatch(
+            np.take(self.inputs, slots, axis=0),
+            np.take(self.targets, slots, axis=0),
+            self.source_ids[slots],
+            self.time_steps[slots],
+        )

@@ -21,11 +21,15 @@ by two integers into ``seen | unseen | free`` (positions ``[0, _seen)``,
 next to the unseen region; an eviction moves uniformly chosen seen slots to the
 end of the seen region and pulls the boundary back over them, which makes them
 the first unseen slots — the ones the put then writes; a first selection moves
-the slot the other way across the same boundary; a drain-mode draw moves its
-slots to the end of the unseen region, next to the free ones.  All of it is
+the slot the other way across the same boundary.  All of it is
 :func:`~repro.buffers.sampling.move_to_edge` on positions drawn with one
 vectorized RNG call, so the draw stream differs from a per-sample
 implementation's while the distribution (Algorithm 1) is the same.
+
+Drain mode keeps one shuffled order instead: the first drain draw (and the
+first after a put) shuffles each region in place, and every draw then takes
+a hypergeometric split of its batch off the two regions' tails, so a draw
+costs O(batch) whatever the population.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ class ReservoirBuffer(TrainingBuffer):
         self._seen = 0
         self._unseen = 0
         self._rng = derive_rng("reservoir-buffer", seed)
+        # True while both regions are in the uniformly random order a drain
+        # draw takes its tails from; every put clears it.
+        self._drain_shuffled = False
         # Counters used by the experiments.
         self.evicted_seen = 0
         self.repeated_reads = 0
@@ -86,6 +93,7 @@ class ReservoirBuffer(TrainingBuffer):
         # uniformly random *seen* sample; sequential uniform evictions from the
         # shrinking seen region are a uniform without-replacement set, so all
         # victims are picked with one vectorized RNG call (lines 24-26).
+        self._drain_shuffled = False
         count = min(want, self.capacity - self._unseen)
         end = self._seen + self._unseen
         evictions = count - (self.capacity - end)
@@ -111,19 +119,15 @@ class ReservoirBuffer(TrainingBuffer):
         return total > self.threshold
 
     def _draw_slots_locked(self, max_count: int) -> Array:
-        total = self._seen + self._unseen
         if self._reception_over:
-            # Drain mode: every draw removes its sample, so sequential uniform
-            # draws are a uniform without-replacement sample of the snapshot.
-            chosen = distinct_positions(self._rng, total, min(max_count, total))
-            return self._remove_locked(chosen)
+            return self._drain_locked(min(max_count, self._seen + self._unseen))
         # Reception ongoing: draws never shrink the population (unseen samples
         # merely move to the seen region), so the batch is iid uniform *with*
         # replacement over a fixed snapshot — one vectorized RNG call.  A
         # repeat of an unseen sample counts as a repeated read from its second
         # occurrence on.  The returned slot array may therefore contain
         # duplicates.
-        chosen = uniform_positions(self._rng, total, max_count)
+        chosen = uniform_positions(self._rng, self._seen + self._unseen, max_count)
         drawn = self._perm[chosen]
         self.repeated_reads += max_count - self._mark_seen_locked(chosen)
         return drawn
@@ -142,19 +146,39 @@ class ReservoirBuffer(TrainingBuffer):
         self._unseen -= count
         return count
 
-    def _remove_locked(self, chosen: Array) -> Array:
-        """Free the slots at the distinct ascending positions ``chosen`` (a
-        scratch array, overwritten) and return them."""
-        drawn = self._perm[chosen]
-        end = self._seen + self._unseen
-        if self._seen and chosen[0] < self._seen:
-            # As for an eviction: the chosen seen slots become the first
-            # unseen ones, then leave together with the chosen unseen slots.
-            count = int(chosen.searchsorted(self._seen))
-            self._seen -= count
-            move_to_edge(self._perm, chosen[:count], self._seen, self._seen + count)
-            self.repeated_reads += count
-            chosen[:count] = np.arange(self._seen, self._seen + count)
-        move_to_edge(self._perm, chosen, end - len(chosen), end)
-        self._unseen = end - len(chosen) - self._seen
+    def _drain_locked(self, count: int) -> Array:
+        """Remove ``count`` uniformly chosen live slots and return them, sorted.
+
+        Both regions are kept in a uniformly random order from the first
+        drain draw on, so the tail of each is a uniform pick from it: the
+        draw takes a hypergeometric number ``s`` of seen slots and
+        ``count - s`` unseen ones off the two tails — a uniform
+        ``count``-subset of the live slots, as sequential uniform draws of
+        one removed sample each would give.  Closing the gap rewrites at most
+        ``2 s`` entries of ``_perm``, a rearrangement fixed by the counts
+        alone, so every region's order stays uniformly random.
+        """
+        perm, seen, unseen = self._perm, self._seen, self._unseen
+        if not self._drain_shuffled:
+            # Once per drain, and again only after a put changed the regions.
+            self._rng.shuffle(perm[:seen])
+            self._rng.shuffle(perm[seen : seen + unseen])
+            self._drain_shuffled = True
+        if seen and unseen:
+            taken = int(self._rng.hypergeometric(seen, unseen, count))
+        else:
+            taken = min(seen, count)
+        end = seen + unseen
+        left = end - count + taken  # the unseen survivors are perm[seen:left]
+        drawn = np.concatenate((perm[seen - taken : seen], perm[left:end]))
+        # Close the gap the seen tail leaves: the last ``moved`` unseen
+        # survivors fill its head, and drawn seen slots take their place.
+        moved = min(taken, left - seen)
+        if moved:
+            perm[seen - taken : seen - taken + moved] = perm[left - moved : left]
+            perm[left - moved : left] = drawn[:moved]
+        drawn.sort()
+        self._seen = seen - taken
+        self._unseen = unseen - count + taken
+        self.repeated_reads += taken
         return drawn

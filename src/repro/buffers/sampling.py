@@ -12,7 +12,10 @@ samples in Python:
   shrinking population) over a region;
 * a *boundary move* — :func:`move_to_edge` gathers the drawn positions' slots
   at one end of their region so that shifting the boundary hands them to the
-  neighbouring region (eviction, unseen→seen migration, drain).
+  neighbouring region (eviction, unseen→seen migration, FIRO draw).
+
+The Reservoir's drain draws are the exception: they take the tails of
+regions it keeps shuffled (:meth:`ReservoirBuffer._drain_locked`).
 
 ``Generator.integers``/``Generator.choice`` carry several microseconds of
 call overhead each, so positions come from one ``Generator.random`` call

@@ -23,12 +23,14 @@ class OccurrenceTracker:
     training batches.
 
     Columnar like the batches it is fed: :meth:`record_columns` appends the
-    id and step columns to a growing int64 block, and the block is folded
-    into sorted unique keys with their counts — one ``lexsort`` and one
-    run-length pass, exact for any int64 pair — when the histogram is read or
-    the pending rows outnumber both :data:`_FOLD_AT` and the keys already
-    folded.  Recording therefore costs two slice copies per batch, and the
-    pending block stays within 16 bytes per row of that bound.
+    id and step columns to a growing int64 block.  The block is folded into
+    sorted unique keys with their counts when the histogram is read or the
+    pending rows outnumber both :data:`_FOLD_AT` and the keys already
+    folded: one ``lexsort`` that sorts the block in place and one
+    run-length pass, exact for any int64 pair, then one more of each to
+    merge with the keys folded before.  Recording therefore costs two slice
+    copies per batch, and the pending block stays within 16 bytes per row of
+    that bound.
     """
 
     _FOLD_AT = 1 << 18
@@ -57,16 +59,13 @@ class OccurrenceTracker:
         """Merge the pending rows into the sorted unique keys and counts."""
         if not self._num_pending:
             return
-        pending = self._pending[:, : self._num_pending]
-        keys = np.concatenate((self._keys, pending), axis=1)
-        counts = np.concatenate((self._counts, np.ones(self._num_pending, dtype=np.int64)))
-        order = np.lexsort((keys[1], keys[0]))
-        keys = keys[:, order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        self._keys = keys[:, first]
-        self._counts = np.add.reduceat(counts[order], np.flatnonzero(first))
+        keys, counts = _sorted_runs(self._pending[:, : self._num_pending])
         self._num_pending = 0
+        if self._counts.size:
+            keys, counts = _sorted_runs(
+                np.concatenate((self._keys, keys), axis=1), np.concatenate((self._counts, counts))
+            )
+        self._keys, self._counts = keys, counts
 
     def histogram(self) -> Dict[int, int]:
         """Mapping occurrence-count -> number of samples seen that many times.
@@ -76,6 +75,36 @@ class OccurrenceTracker:
         self._fold()
         values, samples = np.unique(self._counts, return_counts=True)
         return dict(zip(values.tolist(), samples.tolist()))
+
+
+def _sorted_runs(rows: np.ndarray, weights: np.ndarray | None = None):
+    """The unique ``(rows[0], rows[1])`` keys, lexicographically sorted, with
+    how often each occurs — or, given ``weights``, the sum of its weights.
+
+    ``rows`` (and ``weights``) are sorted in place through one scratch
+    vector, so beyond the result the pass allocates only the sort order and
+    the run boundaries.
+    """
+    size = rows.shape[1]
+    order = np.lexsort((rows[1], rows[0]))
+    scratch = np.empty(size, dtype=np.int64)
+    for column in (rows[0], rows[1]) if weights is None else (rows[0], rows[1], weights):
+        np.take(column, order, out=scratch)
+        column[:] = scratch
+    del order, scratch
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(rows[0, 1:], rows[0, :-1], out=first[1:])
+    first[1:] |= rows[1, 1:] != rows[1, :-1]
+    starts = np.flatnonzero(first)
+    del first
+    keys = rows[:, starts]
+    if weights is not None:
+        return keys, np.add.reduceat(weights, starts)
+    counts = np.empty(len(starts), dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = size - starts[-1]
+    return keys, counts
 
 
 def expected_residency_time(capacity: int) -> float:

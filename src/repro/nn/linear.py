@@ -63,10 +63,11 @@ class Linear(Module):
             )
         weight = self.weight.data
         if inputs.dtype != weight.dtype and inputs.dtype.kind == "f":
-            # The model boundary: float64 wire parameters enter a float32 model
-            # here, once, as a (batch, in_features) array.  Without the cast the
-            # GEMM would promote, re-casting the whole weight matrix on every
-            # forward and backward call and making every later layer float64.
+            # The data plane rounds the float64 wire parameters to float32 once,
+            # at the decode; this cast serves other callers (a float64 array fed
+            # to a float32 model).  Without it the GEMM would promote, re-casting
+            # the whole weight matrix on every forward and backward call and
+            # making every later layer float64.
             inputs = inputs.astype(weight.dtype)
         self._cached_input = inputs
         output = inputs @ weight

@@ -81,7 +81,7 @@ class DataLoader:
 
     def _collate(self, indices: Array) -> ColumnBatch:
         dataset = self.dataset
-        inputs = np.empty((len(indices), dataset.input_size), dtype=np.float64)
+        inputs = np.empty((len(indices), dataset.input_size), dtype=np.float32)
         targets = np.empty((len(indices), dataset.field_size), dtype=np.float32)
         source_ids = np.empty(len(indices), dtype=np.int64)
         time_steps = np.empty(len(indices), dtype=np.int64)

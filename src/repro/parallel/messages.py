@@ -527,12 +527,13 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
     The columnar fast path of the drain: a batch that is a homogeneous run
     of time-step messages with uniform parameter and payload lengths parses
     with **no per-message loop** — one structured ``np.frombuffer`` reads
-    every header, the f64 params block reshapes into the inputs matrix (the
-    time value lands in the last column, completing the ``(X, t)`` training
-    input per row), and the f32 payload block is copied once into the
-    targets matrix the returned batch owns.  That copy is the adoption copy
-    of ``unpack_many(copy_payloads=True)``: the caller's buffer (a ring
-    slot about to be recycled) can be released the moment this returns.
+    every header, the f64 params block is rounded once into the float32
+    inputs matrix (the time value lands in the last column, completing the
+    ``(X, t)`` training input per row), and the f32 payload block is copied
+    once into the targets matrix the returned batch owns.  That copy is the
+    adoption copy of ``unpack_many(copy_payloads=True)``: the caller's
+    buffer (a ring slot about to be recycled) can be released the moment
+    this returns.
 
     Returns ``None`` for mixed or ragged batches — callers regroup those
     with ``columnize(unpack_many(buffer))``, which rejects the ragged ones.
@@ -584,7 +585,7 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
             return None  # ragged run: columnize rejects it
     if total_params != count * width or total_payload != count * field_len:
         return None
-    inputs = np.empty((count, width + 1), dtype=np.float64)
+    inputs = np.empty((count, width + 1), dtype=np.float32)
     if width:
         inputs[:, :width] = np.frombuffer(
             buffer, dtype=np.float64, count=total_params, offset=params_offset
@@ -625,7 +626,7 @@ def join_blocks(blocks: Sequence[StepBlock]) -> ColumnBatch:
         return [value for block in blocks for value in getattr(block, column)]
 
     count = sum(len(block) for block in blocks)
-    inputs = np.empty((count, width + 1), dtype=np.float64)
+    inputs = np.empty((count, width + 1), dtype=np.float32)
     inputs[:, :width] = np.reshape(joined("params"), (count, width))
     inputs[:, width] = joined("time_values")
     targets = np.empty((count, field_len), dtype=np.float32)

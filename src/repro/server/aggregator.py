@@ -183,8 +183,9 @@ class DataAggregator:
         The per-sample bookkeeping is column arithmetic: client discovery is
         one ``np.unique`` over the id vector, liveness is one ``touch`` per
         distinct client, and deduplication is one
-        :meth:`MessageLog.register_many` call whose keep-mask (if any)
-        compresses the batch before it enters the buffer.
+        :meth:`MessageLog.register_many` call, handed the same distinct
+        clients, whose keep-mask (if any) compresses the batch before it
+        enters the buffer.
         """
         if not len(batch):
             return
@@ -194,7 +195,7 @@ class DataAggregator:
         if self.heartbeat_monitor is not None:
             for cid in clients:
                 self.heartbeat_monitor.touch(cid)
-        keep = self.message_log.register_many(ids, batch.time_steps)
+        keep = self.message_log.register_many(ids, batch.time_steps, clients)
         if keep is not None:
             kept = int(keep.sum())
             self.stats.duplicates_discarded += len(batch) - kept

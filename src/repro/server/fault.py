@@ -32,9 +32,13 @@ class MessageLog:
         self._duplicates = 0
         self._lock = threading.Lock()
 
-    def register_many(self, client_ids: np.ndarray,
-                      time_steps: np.ndarray) -> Optional[np.ndarray]:
+    def register_many(self, client_ids: np.ndarray, time_steps: np.ndarray,
+                      clients: List[int]) -> Optional[np.ndarray]:
         """Record a columnar batch of ``(client_id, time_step)`` keys at once.
+
+        ``clients`` lists the distinct values of ``client_ids`` — the caller
+        has already found them (the aggregator, for liveness), so the log
+        does not search the ids again.
 
         Returns ``None`` when every key is new (the caller keeps the whole
         batch: no mask allocation, no copy), else a boolean keep-mask aligned
@@ -47,9 +51,8 @@ class MessageLog:
         and each client's rows are split off with one comparison.
         """
         with self._lock:
-            clients = set(client_ids.tolist())
             if len(clients) == 1:
-                return self._register_steps_locked(clients.pop(), time_steps.tolist())
+                return self._register_steps_locked(clients[0], time_steps.tolist())
             keep = None
             for client_id in clients:
                 rows = client_ids == client_id

@@ -11,11 +11,13 @@ import pytest
 
 from repro.buffers import FIFOBuffer
 from repro.buffers.columns import ColumnBatch
+from repro.nn import MLPConfig, build_mlp
 from repro.parallel.messages import (
     ClientFinished,
     ClientHello,
     TimeStepMessage,
     WireFormatError,
+    batch_parts,
     columnize,
     pack_many,
     unpack_columns,
@@ -61,7 +63,7 @@ def test_unpack_columns_owns_its_memory():
     wire_bytes = np.frombuffer(wire, dtype=np.uint8)
     for column in (chunk.inputs, chunk.targets, chunk.source_ids, chunk.time_steps):
         assert not np.shares_memory(column, wire_bytes)
-    assert chunk.inputs.dtype == np.float64
+    assert chunk.inputs.dtype == np.float32
     assert chunk.targets.dtype == np.float32
 
 
@@ -145,3 +147,52 @@ def test_gathered_batches_survive_slot_recycling():
     buffer.put_many(unpack_columns(pack_many(make_steps(4, start=50))))
     buffer.get_batch_columns(4, timeout=1.0)
     np.testing.assert_array_equal(first.targets, snapshot)
+
+
+# ------------------------------------------------------------ the sample dtype
+def wire_inputs(messages):
+    """The float64 ``(X, t)`` rows the wire carries for ``messages``."""
+    return np.array([[*m.parameters, m.time_value] for m in messages], dtype=np.float64)
+
+
+def test_sample_inputs_are_the_wire_parameters_rounded_once_to_float32():
+    """Every door a sample enters by yields float32 inputs equal to the
+    float64 wire values rounded once: the wire decode, the by-reference join
+    of blocks, the join of a mixed batch's decoded messages, and a gather
+    from the store.  A float32 model
+    then computes the bits its own cast of the float64 rows would give."""
+    steps = make_steps(7, client_id=4)
+    for message in steps:  # values float32 cannot hold exactly
+        message.parameters = (0.1 * message.time_step + 1 / 3, 1e-9 + 2.0**30)
+        message.time_value = 0.01 * message.time_step + 1e-12
+    expected = wire_inputs(steps).astype(np.float32)
+    assert not np.array_equal(expected, wire_inputs(steps))  # rounding happened
+
+    (joined_blocks,) = columnize(batch_parts(steps))
+    (decoded_messages,) = columnize(unpack_many(pack_many(steps)))
+    buffer = FIFOBuffer(capacity=16)
+    buffer.put_many(unpack_columns(pack_many(steps)))
+    gathered = buffer.get_batch_columns(7, timeout=1.0)
+    for batch in (unpack_columns(pack_many(steps)), joined_blocks, decoded_messages, gathered):
+        assert batch.inputs.dtype == np.float32
+        np.testing.assert_array_equal(batch.inputs, expected)
+    assert buffer._store.inputs.dtype == np.float32
+
+    model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=4,
+                                dtype=np.float32))
+    assert np.array_equal(model.forward(gathered.inputs), model.forward(wire_inputs(steps)))
+
+
+def test_store_allocates_every_column_with_the_first_sample():
+    """An empty store holds no column memory, key columns included; a gather
+    from it is an empty float32 batch, and the first put allocates all four."""
+    buffer = FIFOBuffer(capacity=1000)
+    store = buffer._store
+    assert (store.inputs, store.targets, store.source_ids, store.time_steps) == (None,) * 4
+    buffer.signal_reception_over()
+    empty = buffer.get_batch_columns(10, timeout=0)
+    assert len(empty) == 0 and empty.inputs.dtype == np.float32
+    assert empty.source_ids.dtype == empty.time_steps.dtype == np.int64
+    buffer.put_many(unpack_columns(pack_many(make_steps(3))))
+    assert store.source_ids.shape == store.time_steps.shape == (1000,)
+    assert store.inputs.shape == (1000, 3) and store.targets.shape == (1000, FIELD_LEN)

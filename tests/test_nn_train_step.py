@@ -53,7 +53,7 @@ def test_float32_model_fed_float64_stays_float32_everywhere():
     rng = np.random.default_rng(0)
     model = surrogate(64, hidden_sizes=(32, 32))
     loss = MSELoss()
-    inputs = rng.random((10, 6))  # float64, as ColumnBatch.inputs arrives
+    inputs = rng.random((10, 6))  # float64: the first Linear casts it once
     targets = rng.random((10, 64)).astype(np.float32)
 
     model.zero_grad()

@@ -98,7 +98,7 @@ def test_dataloader_covers_dataset_once_per_epoch(store):
     assert [len(b) for b in batches] == [5, 5, 5, 5, 4]  # ceil(24 / 5), remainder last
     for batch in batches:
         assert batch.inputs.shape[1] == 6 and batch.targets.shape[1] == 9
-        assert batch.inputs.dtype == np.float64 and batch.targets.dtype == np.float32
+        assert batch.inputs.dtype == np.float32 and batch.targets.dtype == np.float32
     assert sorted(identities(batches)) == [(sim, step) for sim in range(4) for step in range(6)]
 
 
@@ -111,6 +111,18 @@ def test_dataloader_rows_are_the_dataset_samples(store):
         assert dataset.sample_identity(index) == (sim_id, step)
         assert np.array_equal(batch.inputs[row], inputs)
         assert np.array_equal(batch.targets[row], target)
+
+
+def test_dataloader_inputs_are_the_stored_parameters_rounded_once(store):
+    """The loader yields the online path's sample dtype: float32 inputs equal
+    to the float64 parameters and times of the store rounded once."""
+    batch = DataLoader(SimulationDataset(store), seed=2).get_batch_columns(24)
+    assert batch.inputs.dtype == np.float32
+    by_id = {simulation.simulation_id: simulation for simulation in store}
+    for row, (sim_id, step) in enumerate(identities([batch])):
+        simulation = by_id[sim_id]
+        wire = np.array([*simulation.parameters, simulation.times[step]], dtype=np.float64)
+        np.testing.assert_array_equal(batch.inputs[row], wire.astype(np.float32))
 
 
 def test_dataloader_shuffles_differently_each_epoch(store):

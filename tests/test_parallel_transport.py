@@ -27,11 +27,11 @@ def make_message(client_id=0, step=1, seq=0, size=4):
 
 
 def test_time_step_message_sample_input_appends_time():
-    """The training input of a step is ``(X, t)`` in float64, as the data
+    """The training input of a step is ``(X, t)`` in float32, as the data
     plane builds it."""
     (sample,) = columnize([make_message(step=3)])
     assert sample.inputs.shape == (1, 6)
-    assert sample.inputs.dtype == np.float64
+    assert sample.inputs.dtype == np.float32
     np.testing.assert_array_equal(sample.inputs[0, :5], [100.0, 200.0, 300.0, 400.0, 500.0])
     assert sample.inputs[0, -1] == pytest.approx(0.03)
 

@@ -14,10 +14,14 @@ from repro.server.fault import MAX_TIME_STEP, HeartbeatMonitor, MessageLog
 from repro.utils.exceptions import CheckpointError
 
 
+def register(log, client_ids, time_steps):
+    """``register_many`` handed the distinct clients, as the aggregator does."""
+    return log.register_many(client_ids, time_steps, np.unique(client_ids).tolist())
+
+
 def is_new(log, client_id, time_step):
     """Register one key through the one way in: a 1-row ``register_many``."""
-    return log.register_many(np.array([client_id], np.int64),
-                             np.array([time_step], np.int64)) is None
+    return register(log, np.array([client_id], np.int64), np.array([time_step], np.int64)) is None
 
 
 def test_message_log_deduplicates():
@@ -126,20 +130,20 @@ def test_register_many_interleaved_clients_all_new_returns_none():
     log = MessageLog()
     ids = np.array([3, 5, 3, 3, 5, 5, 3, 5], dtype=np.int64)
     steps = np.array([0, 0, 1, 2, 1, 2, 3, 3], dtype=np.int64)
-    assert log.register_many(ids, steps) is None
+    assert register(log, ids, steps) is None
     assert log.duplicates_discarded == 0
     assert log.state() == {3: [0, 1, 2, 3], 5: [0, 1, 2, 3]}
-    assert log.register_many(np.empty(0, np.int64), np.empty(0, np.int64)) is None
+    assert register(log, np.empty(0, np.int64), np.empty(0, np.int64)) is None
 
 
 def test_register_many_mixed_chunk_masks_only_the_replayed_client():
     """A restarted client's replay inside a mixed chunk: its already-logged
     steps are masked and counted once each, the other client's rows kept."""
     log = MessageLog()
-    assert log.register_many(np.full(4, 1, np.int64), np.arange(4, dtype=np.int64)) is None
+    assert register(log, np.full(4, 1, np.int64), np.arange(4, dtype=np.int64)) is None
     ids = np.array([2, 1, 1, 2, 1, 2, 1], dtype=np.int64)  # client 1 replays 2,3 then 4,5
     steps = np.array([0, 2, 3, 1, 4, 2, 5], dtype=np.int64)
-    keep = log.register_many(ids, steps)
+    keep = register(log, ids, steps)
     assert keep.tolist() == [True, False, False, True, True, True, True]
     assert log.duplicates_discarded == 2
     assert log.state() == {1: [0, 1, 2, 3, 4, 5], 2: [0, 1, 2]}
@@ -149,12 +153,12 @@ def test_register_many_in_chunk_duplicates_count_once_each():
     """A key repeated inside one chunk is new at its first row only, on the
     single-client path and on the mixed one."""
     log = MessageLog()
-    keep = log.register_many(np.full(5, 9, np.int64), np.array([4, 7, 4, 4, 8], np.int64))
+    keep = register(log, np.full(5, 9, np.int64), np.array([4, 7, 4, 4, 8], np.int64))
     assert keep.tolist() == [True, True, False, False, True]
     assert log.duplicates_discarded == 2
     ids = np.array([1, 2, 1, 2, 1], dtype=np.int64)
     steps = np.array([0, 0, 0, 1, 1], dtype=np.int64)
-    assert log.register_many(ids, steps).tolist() == [True, True, False, True, True]
+    assert register(log, ids, steps).tolist() == [True, True, False, True, True]
     assert log.duplicates_discarded == 3
     # A 1-row chunk reads and writes the same log.
     assert not is_new(log, 9, 7) and is_new(log, 9, 5000) and not is_new(log, 9, 4)
@@ -164,13 +168,13 @@ def test_register_many_in_chunk_duplicates_count_once_each():
 
 def test_message_log_checkpoint_format_is_sorted_step_lists():
     log = MessageLog()
-    log.register_many(np.array([4, 2, 4], np.int64), np.array([9, 1, 3], np.int64))
+    register(log, np.array([4, 2, 4], np.int64), np.array([9, 1, 3], np.int64))
     assert log.state() == {4: [3, 9], 2: [1]}
     restored = MessageLog()
     restored.restore({4: [3, 9], 2: []})
     assert restored.state() == {4: [3, 9], 2: []}
     assert restored.duplicates_discarded == 0
-    keep = restored.register_many(np.array([4, 4], np.int64), np.array([9, 10], np.int64))
+    keep = register(restored, np.array([4, 4], np.int64), np.array([9, 10], np.int64))
     assert keep.tolist() == [False, True]
 
 
@@ -239,7 +243,7 @@ def test_byte_map_log_agrees_with_a_set_model(ops):
     for kind, first, second in ops:
         if kind == "chunk":
             ids, steps = _chunk(cursors, first, second)
-            keep, expected = log.register_many(ids, steps), model.register_many(ids, steps)
+            keep, expected = register(log, ids, steps), model.register_many(ids, steps)
             if expected is None:
                 assert keep is None
             else:
@@ -266,7 +270,7 @@ def test_log_of_an_ingest_bound_study_stays_small():
             ids[:] = cid
             for first in range(1, 10_001, 32):
                 steps = np.arange(first, min(first + 32, 10_001), dtype=np.int64)
-                assert log.register_many(ids[:len(steps)], steps) is None
+                assert register(log, ids[:len(steps)], steps) is None
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -282,7 +286,7 @@ def test_step_outside_the_log_is_refused(bad):
     assert is_new(log, 3, MAX_TIME_STEP)
     for steps in ([bad], [5, 6, bad], [bad, 7, 7]):
         with pytest.raises(ValueError, match=f"time step {bad}"):
-            log.register_many(np.full(len(steps), 3, np.int64), np.array(steps, np.int64))
+            register(log, np.full(len(steps), 3, np.int64), np.array(steps, np.int64))
     assert log.state() == {3: [MAX_TIME_STEP]}
     with pytest.raises(ValueError, match="outside"):
         MessageLog().restore({3: [bad]})

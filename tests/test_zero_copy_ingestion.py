@@ -69,7 +69,10 @@ def test_adopted_chunk_flows_to_the_store_with_one_copy():
         np.testing.assert_array_equal(
             batch.targets[index], np.arange(FIELD_LEN, dtype=np.float32) + index
         )
-        np.testing.assert_array_equal(batch.inputs[index], [1.0, 2.0, 3.0, index * 0.1])
+        # The float64 wire parameters, rounded once to the float32 sample dtype.
+        np.testing.assert_array_equal(
+            batch.inputs[index], np.array([1.0, 2.0, 3.0, index * 0.1], dtype=np.float32)
+        )
 
 
 def test_dedup_and_control_bookkeeping_survive_the_columnar_path():
