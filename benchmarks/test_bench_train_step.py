@@ -1,13 +1,14 @@
 """Benchmark: the float32-resident flat train step vs the textbook step.
 
 One training batch is ``zero_grad`` → forward → MSE → backward → Adam.  The
-library runs it float32-resident (float64 inputs are cast once where they
-enter the first ``Linear``) with every parameter, gradient and Adam moment
-in flat vectors updated in place.  The reference below is the same batch
-written the textbook way, which is also how the library did it before: float64
-inputs promote every GEMM of the float32 network (each weight matrix is
-re-cast on every call), and Adam walks the parameters allocating ``m_hat`` /
-``v_hat`` / update temporaries for each.
+library runs it float32-resident on float32 inputs, as a study's batches
+arrive (inputs are rounded to float32 once, at the decode), with every
+parameter, gradient and Adam moment in flat vectors updated in place.  The
+reference below is the same batch written the textbook way, which is also how
+the library did it before: it gets the same input values as float64, which
+promote every GEMM of the float32 network (each weight matrix is re-cast on
+every call), and Adam walks the parameters allocating ``m_hat`` / ``v_hat`` /
+update temporaries for each.
 
 Timed at the end-to-end benchmark's three MLP shapes (`benchmarks/e2e`:
 ``train_bound.inproc``, ``serving.tcp_2shard``, ``ingest_bound.shm``); both
@@ -120,22 +121,23 @@ def best_step_seconds(step, inputs, targets):
 def measure_shape(workload, batch, hidden, out):
     """Speedup of the library step over the textbook step at one shape."""
     rng = np.random.default_rng(0)
-    inputs = rng.random((batch, 6))  # float64, so the textbook GEMMs promote
+    inputs = rng.random((batch, 6)).astype(np.float32)  # what a study's batches carry
+    reference_inputs = inputs.astype(np.float64)  # equal values; the textbook GEMMs promote
     targets = rng.uniform(100.0, 500.0, (batch, out)).astype(np.float32)
 
     library, reference = build_pair(hidden, out)
     for _ in range(20):  # warm-up, and the parity check that makes the timing meaningful
         library_loss = library(inputs, targets)
-        reference_loss = reference(inputs, targets)
+        reference_loss = reference(reference_inputs, targets)
     assert library_loss == pytest.approx(reference_loss, rel=1e-4)
     for param, expected in zip(library.model.parameters(), reference.params, strict=True):
         assert param.data.dtype == np.float32
         np.testing.assert_allclose(param.data, expected, rtol=1e-3, atol=1e-4)
 
     # Interleave the two sides so host drift hits both.
-    reference_s = best_step_seconds(reference, inputs, targets)
+    reference_s = best_step_seconds(reference, reference_inputs, targets)
     library_s = best_step_seconds(library, inputs, targets)
-    reference_s = min(reference_s, best_step_seconds(reference, inputs, targets))
+    reference_s = min(reference_s, best_step_seconds(reference, reference_inputs, targets))
     library_s = min(library_s, best_step_seconds(library, inputs, targets))
     print(
         f"\n[{workload}: batch {batch}, 6->{'->'.join(map(str, hidden))}->{out}] "

@@ -18,9 +18,12 @@ straight into the scratch behind a reserved frame header, and the whole
 frame leaves with one ``sendall`` — no intermediate copy.
 
 Server side: the front door enqueues received frames on per-rank
-``queue.Queue`` channels; the aggregator threads drain them through the
-shared :class:`repro.parallel.transport.PackedDrainMixin` machinery, where
-the frame body is decoded into columnar chunks and control messages.
+channels bounded in frames (``queue_size``) and in body bytes
+(:data:`CHANNEL_BYTES`).  A reader refused by a full channel parks, and
+the aggregator's drain that frees room wakes it (:class:`_RankChannel`).
+The aggregator threads drain the channels through the shared
+:class:`repro.parallel.transport.PackedDrainMixin` machinery, where the
+frame body is decoded into columnar chunks and control messages.
 Traffic statistics are recorded at decode time in the server process;
 drops that happen inside a forked client process (send timeout,
 connection loss) are counted in that process's copy of the stats and
@@ -33,7 +36,8 @@ import os
 import queue
 import socket
 import threading
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
@@ -50,6 +54,13 @@ from repro.utils.logging import get_logger
 logger = get_logger("parallel.tcp_transport")
 
 _SCRATCH_BYTES = 64 * 1024
+
+#: Bound on the frame bodies one rank channel queues, in bytes: 32 of
+#: ``serving.tcp_2shard``'s 128 KiB frames.  The backlog lives in the server's
+#: heap, so a bound in frames alone (256 frames there, 33.5 MB) sets its RSS.
+#: Bounds of 2 MiB and below starved the aggregator: ingest fell.  An empty
+#: channel admits any frame, so a frame up to the 64 MiB frame cap still moves.
+CHANNEL_BYTES = 4 * 1024 * 1024
 
 
 class _ClientWriter:
@@ -115,6 +126,29 @@ class _ClientWriter:
                 pass
 
 
+class _RankChannel:
+    """One rank's queued frames, their body bytes and the parked wake-ups.
+
+    The condition's lock guards all of them.  A refused
+    :meth:`TcpTransport.try_enqueue` registers its wake-up in the same
+    critical section as the refusal; a drain pops a frame, subtracts its
+    bytes and takes every registered wake-up in one critical section, and
+    calls them after releasing the lock.  The two are serialised by that
+    lock, so a drain either comes before the refusal (which then sees the
+    room it freed) or after the registration (which it then wakes): no
+    wake-up is lost, and none needs a timer to recover one.
+    """
+
+    __slots__ = ("ready", "frames", "nbytes", "parked", "deepest")
+
+    def __init__(self) -> None:
+        self.ready = threading.Condition(threading.Lock())
+        self.frames: Deque[tuple] = deque()
+        self.nbytes = 0
+        self.parked: List[Callable[[], None]] = []
+        self.deepest = 0
+
+
 class TcpTransport(PackedDrainMixin, Transport):
     """Transport whose rank channels are TCP streams into an asyncio front door.
 
@@ -126,8 +160,10 @@ class TcpTransport(PackedDrainMixin, Transport):
     max_queue_size:
         Bound of each server-side rank channel **in frames**; with
         client-side batching a frame holds up to ``Connection.batch_size``
-        messages.  A full channel stalls that client's reader task, which
-        backs the pressure up the TCP window into the client's ``sendall``.
+        messages.  The channel is also bounded to :data:`CHANNEL_BYTES` of
+        frame bodies.  A full channel parks that client's reader task until
+        a drain frees room, which backs the pressure up the TCP window into
+        the client's ``sendall``.
     host, port:
         Bind address of the front door; ``port=0`` binds an ephemeral port,
         resolved in :attr:`address` before any client connects.
@@ -150,9 +186,7 @@ class TcpTransport(PackedDrainMixin, Transport):
         self.num_server_ranks = int(num_server_ranks)
         self.max_queue_size = int(max_queue_size)
         self.connect_timeout = float(connect_timeout)
-        self._queues: List[queue.Queue] = [
-            queue.Queue(maxsize=max_queue_size) for _ in range(num_server_ranks)
-        ]
+        self._channels = [_RankChannel() for _ in range(num_server_ranks)]
         self._init_leftovers(num_server_ranks)
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
@@ -242,12 +276,27 @@ class TcpTransport(PackedDrainMixin, Transport):
     # ----------------------------------------------- front-door sink interface
     # Called from the event-loop thread; everything here must stay lock-light
     # and non-blocking.
-    def try_enqueue(self, rank: int, entry: tuple) -> bool:
-        """Enqueue one received frame; ``False`` leaves back-pressure to the caller."""
-        try:
-            self._queues[rank].put_nowait(entry)
-        except queue.Full:
-            return False
+    def try_enqueue(self, rank: int, entry: tuple,
+                    on_space: Callable[[], None]) -> bool:
+        """Enqueue one received ``(body, wire_nbytes)`` frame.
+
+        The channel admits the frame below ``queue_size`` frames, and when
+        it is empty or the body fits within :data:`CHANNEL_BYTES`.  A
+        refused frame registers ``on_space``, called once (from the
+        draining thread, or at :meth:`close`) after room was freed.
+        """
+        channel = self._channels[rank]
+        size = len(entry[0])
+        with channel.ready:
+            frames = channel.frames
+            if len(frames) >= self.max_queue_size or (
+                    frames and channel.nbytes + size > CHANNEL_BYTES):
+                channel.parked.append(on_space)
+                return False
+            frames.append(entry)
+            channel.nbytes += size
+            channel.deepest = max(channel.deepest, len(frames))
+            channel.ready.notify()
         return True
 
     def register_client(self, client_id: int, epoch: int, peer) -> None:
@@ -283,13 +332,18 @@ class TcpTransport(PackedDrainMixin, Transport):
         An undecodable body counts as one dropped batch and is skipped
         (``_decode_packed``), like a corrupt mp queue buffer.
         """
-        try:
-            if timeout is None:
-                entry = self._queues[rank].get_nowait()
-            else:
-                entry = self._queues[rank].get(timeout=timeout)
-        except queue.Empty:
-            return None
+        channel = self._channels[rank]
+        with channel.ready:
+            frames = channel.frames
+            if not frames and timeout is not None:
+                channel.ready.wait_for(lambda: frames, timeout)
+            if not frames:
+                return None
+            entry = frames.popleft()
+            channel.nbytes -= len(entry[0])
+            parked, channel.parked = channel.parked, []
+        for wake in parked:
+            wake()
         body, wire_nbytes = entry
         batch = self._decode_packed(body, rank)
         delivered = sum(
@@ -304,11 +358,21 @@ class TcpTransport(PackedDrainMixin, Transport):
         """Decoded leftovers plus queued frames (a frame counts once, like a
         packed mp batch; leftover columnar chunks by their sample count)."""
         self._check_rank(rank)
-        return self._leftover_count(rank) + self._queues[rank].qsize()
+        return self._leftover_count(rank) + len(self._channels[rank].frames)
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
+        """Close, and wake every parked reader so it sees ``closed``.
+
+        ``closed`` is set before the wake-ups are taken, so a reader refused
+        after the take reads it on its own and never waits.
+        """
         self._closed.set()
+        for channel in self._channels:
+            with channel.ready:
+                parked, channel.parked = channel.parked, []
+            for wake in parked:
+                wake()
 
     def shutdown(self) -> None:
         """Close, stop the front door and release the queued frames."""
@@ -318,12 +382,11 @@ class TcpTransport(PackedDrainMixin, Transport):
         if writer is not None:
             writer.reset()
             self._local.writer = None
-        for rank, q in enumerate(self._queues):
-            try:
-                while True:
-                    q.get_nowait()
-            except queue.Empty:
-                pass
+        for rank, channel in enumerate(self._channels):
+            with channel.ready:
+                channel.frames.clear()
+                channel.nbytes = 0
+                channel.parked.clear()  # close() woke every earlier one
             self._leftover[rank].clear()
 
     @property
@@ -332,4 +395,9 @@ class TcpTransport(PackedDrainMixin, Transport):
 
     @property
     def stats(self) -> TransportStats:
+        """The traffic counters, with each channel's deepest backlog in frames."""
+        with self._stats_lock:
+            for rank, channel in enumerate(self._channels):
+                if channel.deepest:
+                    self._stats.ring_depth_high_water[rank] = channel.deepest
         return self._stats

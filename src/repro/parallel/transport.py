@@ -73,10 +73,12 @@ class TransportStats:
 
     ``dropped_messages`` counts every message that failed to enter a rank
     channel: pushes that timed out on a full queue and pushes rejected
-    because the transport was already closed.  The ring-buffer backend adds
-    ``torn_batches`` (batches lost to a writer killed mid-write) and
-    ``ring_depth_high_water`` (deepest observed backlog per rank, in
-    batches); both stay at their defaults on the other backends.
+    because the transport was already closed.  ``torn_batches`` counts
+    batches lost to a writer killed mid-write (a shm ring writer killed
+    mid-commit, a tcp connection ended mid-frame), and
+    ``ring_depth_high_water`` the deepest observed backlog per rank (shm
+    ring batches, tcp channel frames); both stay at their defaults on the
+    ``inproc`` and ``mp`` backends.
     ``unresponsive_kills`` counts client processes the launcher terminated
     for missing their heartbeat deadline (process client mode only).
     """
@@ -579,8 +581,10 @@ class TransportConfig:
     #: Client-side batching width (messages per packed buffer / frame).
     batch_size: int = 1
     #: Bound of each per-rank channel of the ``inproc`` (pushes), ``mp``
-    #: (batches) and ``tcp`` (frames) backends; ``shm`` has no rank channel —
-    #: each client's ring is bounded by ``shm.ring_slots``.
+    #: (batches) and ``tcp`` (frames) backends; a ``tcp`` channel is also
+    #: bounded in bytes (``tcp_transport.CHANNEL_BYTES``, 4 MiB of frame
+    #: bodies).  ``shm`` has no rank channel — each client's ring is bounded
+    #: by ``shm.ring_slots``.
     queue_size: int = 100_000
     #: Kill a client process that has not finished after this many seconds
     #: and restart it (``None`` waits forever); process client mode only.

@@ -11,8 +11,9 @@ task that
    the normal ``poll_batches``/columnar decode path.
 
 Back-pressure is per connection: when a rank channel is full the reader task
-simply stops reading that socket (an async sleep-retry loop), the kernel's
-TCP window fills, and the remote client's ``sendall`` blocks — the socket
+stops reading that socket and awaits the channel's wake-up, which the
+aggregator's drain sends once it has freed room; meanwhile the kernel's TCP
+window fills and the remote client's ``sendall`` blocks — the socket
 equivalent of the ZMQ high-water-mark contract the other backends model with
 bounded queues.  Other connections keep streaming meanwhile.
 
@@ -25,10 +26,12 @@ running.
 
 The sink is duck-typed (in practice
 :class:`repro.parallel.tcp_transport.TcpTransport`) and must provide
-``num_server_ranks``, ``closed``, ``try_enqueue(rank, entry)``,
+``num_server_ranks``, ``closed``, ``try_enqueue(rank, entry, on_space)``,
 ``register_client(client_id, epoch, peer)``, ``record_torn_frame()`` and
 ``record_rejected_frame()``; every one of those calls must be safe to make
-from the event-loop thread.
+from the event-loop thread.  ``try_enqueue`` returns ``False`` for a full
+channel and then calls ``on_space`` exactly once, from whichever thread
+freed room or closed the sink (``closed`` already reads true by then).
 """
 
 from __future__ import annotations
@@ -42,11 +45,6 @@ from repro.utils.exceptions import ReproError
 from repro.utils.logging import get_logger
 
 logger = get_logger("server.serving")
-
-#: How often a reader task re-probes a full rank channel.  Short enough that
-#: drained channels resume the socket promptly, long enough that a stalled
-#: aggregator does not spin the event loop.
-_BACKPRESSURE_POLL = 0.005
 
 #: Bound on waiting for the accept loop to come up or tear down.
 _LIFECYCLE_TIMEOUT = 30.0
@@ -189,6 +187,15 @@ class AsyncFrontDoor:
         client_id, epoch = framing.decode_hello(body)
         self._sink.register_client(client_id, epoch, peer)
         logger.debug("connection %s: client %d (epoch %d) connected", peer, client_id, epoch)
+        loop = asyncio.get_running_loop()
+        space = asyncio.Event()
+
+        def on_space() -> None:  # called from the thread that drained or closed
+            try:
+                loop.call_soon_threadsafe(space.set)
+            except RuntimeError:
+                pass  # loop closed: the reader it would wake is gone
+
         while True:
             frame = await self._read_frame(reader)
             if frame is None:
@@ -198,7 +205,7 @@ class AsyncFrontDoor:
                 raise framing.FrameError(f"unexpected frame kind {kind} after handshake")
             if not 0 <= rank < self._sink.num_server_ranks:
                 raise framing.FrameError(f"frame rank {rank} out of range")
-            await self._enqueue(rank, (body, wire_nbytes))
+            await self._enqueue(rank, (body, wire_nbytes), space, on_space)
 
     async def _read_frame(self, reader: asyncio.StreamReader):
         """Read one frame; ``None`` on a clean EOF at a frame boundary."""
@@ -216,13 +223,15 @@ class AsyncFrontDoor:
         body = await reader.readexactly(body_len) if body_len else b""
         return kind, rank, body, framing.FRAME_HEADER_BYTES + body_len
 
-    async def _enqueue(self, rank: int, entry) -> None:
-        """Hand one frame to the sink, applying per-connection back-pressure."""
-        while not self._sink.try_enqueue(rank, entry):
+    async def _enqueue(self, rank: int, entry, space: asyncio.Event, on_space) -> None:
+        """Hand one frame to the sink, parking this connection while the
+        channel is full until ``on_space`` (registered by the refusal) fires."""
+        while not self._sink.try_enqueue(rank, entry, on_space):
             if self._sink.closed or (self._stop_event is not None
                                      and self._stop_event.is_set()):
                 # Tearing down: account the undeliverable frame as dropped
-                # instead of spinning against a channel nobody drains.
+                # instead of waiting on a channel nobody drains.
                 self._sink.record_rejected_frame()
                 return
-            await asyncio.sleep(_BACKPRESSURE_POLL)
+            await space.wait()
+            space.clear()

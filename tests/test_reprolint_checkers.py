@@ -152,6 +152,26 @@ class TestSolverState:
         assert not [f for f in run(project, CHECKERS).findings if f.rule == "solver-state"]
 
 
+# ------------------------------------------------------------------ sleep poll
+class TestSleepPoll:
+    def test_bad_fixture_flags_every_sleep_awaited_in_a_loop(self):
+        report = lint("bad_sleep_poll.py")
+        findings = [f for f in report.findings if f.rule == "sleep-poll"]
+        assert sorted(f.line for f in findings) == [14, 19, 25, 29]
+        messages = " ".join(f.message for f in findings)
+        assert "asyncio.sleep()" in messages
+        assert "nap()" in messages  # ``from asyncio import sleep as nap``
+        assert "aio.sleep()" in messages  # ``import asyncio as aio``
+
+    def test_good_fixture_is_clean(self):
+        assert lint("good_sleep_poll.py").clean
+
+    def test_only_src_is_checked_when_the_project_has_src(self):
+        project = load_project([REPO_ROOT / "src" / "repro" / "server" / "serving.py",
+                                FIXTURES / "bad_sleep_poll.py"], root=REPO_ROOT)
+        assert not [f for f in run(project, CHECKERS).findings if f.rule == "sleep-poll"]
+
+
 # ------------------------------------------------------------------ wire layout
 class TestWireLayout:
     def test_bad_fixture_flags_every_drift_shape(self):

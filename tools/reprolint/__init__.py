@@ -1,6 +1,6 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
-Seven checkers encode the concurrency, process, solver and wire-format
+Eight checkers encode the concurrency, process, solver, wait and wire-format
 invariants the code review process kept re-discovering by hand, and two more
 hold ``ruff`` limits that would otherwise run only in CI, or not at all (see
 ``docs/static_analysis.md``):
@@ -17,6 +17,9 @@ hold ``ruff`` limits that would otherwise run only in CI, or not at all (see
 - ``solver-state``      : in ``src/``, a class defining ``iter_steps`` stores
                           to ``self`` only in ``__init__`` (one solver serves
                           every client of a study).
+- ``sleep-poll``        : in ``src/``, no coroutine awaits ``asyncio.sleep``
+                          inside a loop (it awaits the event that satisfies
+                          the wait).
 - ``wire-layout``       : ``struct.Struct`` formats, declared ``*_BYTES`` size
                           constants and packed-header offset families must
                           agree.
@@ -37,6 +40,7 @@ from tools.reprolint import (
     check_line_length,
     check_lock_discipline,
     check_lock_order,
+    check_sleep_poll,
     check_solver_state,
     check_unused_imports,
     check_wire_layout,
@@ -52,6 +56,7 @@ CHECKERS = (
     check_fork_safety,
     check_fork_site,
     check_solver_state,
+    check_sleep_poll,
     check_wire_layout,
     check_unused_imports,
     check_line_length,
