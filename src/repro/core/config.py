@@ -57,8 +57,6 @@ class OnlineStudyConfig:
     # Misc.
     batch_compute_delay: float = 0.0
     seed: int = 0
-    checkpoint_dir: Optional[Path] = None
-    checkpoint_interval: int = 0
     track_occurrences: bool = True
 
     def __post_init__(self) -> None:

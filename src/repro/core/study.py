@@ -77,8 +77,6 @@ class OnlineStudy:
             lr_gamma=cfg.lr_gamma,
             lr_min=cfg.lr_min,
             seed=cfg.seed,
-            checkpoint_dir=cfg.checkpoint_dir,
-            checkpoint_interval=cfg.checkpoint_interval,
         )
 
     def _build_server(self, router: Transport) -> TrainingServer:

@@ -4,8 +4,8 @@ The paper trains its surrogates with PyTorch/TensorFlow; this package provides
 exactly what the paper's experiments train — one fully connected ReLU network
 (:func:`build_mlp`) fitted with Adam on an MSE objective under a step
 learning-rate schedule — plus the flat parameter arena that data-parallel
-gradient averaging works on, checkpointing, and a finite-difference gradient
-check, all implemented from scratch on NumPy with explicit backpropagation.
+gradient averaging works on, and a finite-difference gradient check, all
+implemented from scratch on NumPy with explicit backpropagation.
 """
 
 from repro.nn.activations import ReLU
@@ -17,7 +17,6 @@ from repro.nn.mlp import MLPConfig, build_mlp
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.schedulers import LRScheduler, StepLR
-from repro.nn.serialization import load_checkpoint, save_checkpoint, state_dict_equal
 
 __all__ = [
     "Parameter",
@@ -33,8 +32,5 @@ __all__ = [
     "StepLR",
     "MLPConfig",
     "build_mlp",
-    "save_checkpoint",
-    "load_checkpoint",
-    "state_dict_equal",
     "gradient_check",
 ]

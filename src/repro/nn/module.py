@@ -142,24 +142,6 @@ class Module:
         """Mapping of qualified parameter name to a copy of its value."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, Array]) -> None:
-        """Load parameter values from :meth:`state_dict` output."""
-        own = dict(self.named_parameters())
-        missing = sorted(set(own) - set(state))
-        unexpected = sorted(set(state) - set(own))
-        if missing or unexpected:
-            raise KeyError(
-                f"state dict mismatch: missing={missing}, unexpected={unexpected}"
-            )
-        for name, param in own.items():
-            value = np.asarray(state[name])
-            if value.shape != param.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: checkpoint {value.shape} "
-                    f"vs model {param.data.shape}"
-                )
-            param.data[...] = value.astype(param.data.dtype, copy=False)
-
     # ------------------------------------------------------------------ cache
     def clear_cache(self) -> None:
         """Forget what the last ``forward`` cached for ``backward``, recursively.

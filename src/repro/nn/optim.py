@@ -5,14 +5,12 @@ An optimizer works on the flat vectors of a
 in an arena (sharing the model's when there is one), the per-slot state
 (the two moments) is flat too, and ``step`` is a fixed sequence of in-place
 ufuncs over those vectors — no per-parameter loop and no parameter-sized
-temporary.  ``state_dict``/``load_state_dict`` keep the per-parameter list
-format so that server checkpointing (:mod:`repro.server.checkpointing`) and
-checkpoints written before the arena existed load unchanged.
+temporary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -108,31 +106,6 @@ class Optimizer:
         self._follow_parameters()
         self._grad.fill(0.0)
 
-    # ------------------------------------------------------------------ state
-    def _split(self, vector: Array) -> List[Array]:
-        """Copy a flat state vector out as one array per parameter (checkpoint format)."""
-        arrays, start = [], 0
-        for param in self.parameters:
-            arrays.append(vector[start : start + param.size].reshape(param.shape).copy())
-            start += param.size
-        return arrays
-
-    def _join(self, vector: Array, saved: Sequence[Array]) -> None:
-        """Load a per-parameter list written by :meth:`_split` into a flat state vector."""
-        start = 0
-        for param, array in zip(self.parameters, saved, strict=True):
-            vector[start : start + param.size].reshape(param.shape)[...] = array
-            start += param.size
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable optimizer state (hyper-parameters + per-slot buffers)."""
-        return {"lr": self.lr, "step_count": self.step_count}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore optimizer state saved by :meth:`state_dict`."""
-        self.lr = float(state["lr"])
-        self.step_count = int(state["step_count"])
-
 
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba) with bias-corrected moment estimates."""
@@ -176,22 +149,3 @@ class Adam(Optimizer):
             np.divide(m, update, out=update)
             update *= step_size
             data -= update
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state.update(
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            m=self._split(self._m),
-            v=self._split(self._v),
-        )
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-        self._join(self._m, state["m"])
-        self._join(self._v, state["v"])

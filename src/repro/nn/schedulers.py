@@ -7,8 +7,6 @@ floor of 2.5e-4.  :class:`StepLR` with ``min_lr`` reproduces exactly that.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.nn.optim import Optimizer
 
 
@@ -29,14 +27,6 @@ class LRScheduler:
         self.last_step += 1
         self.optimizer.lr = self.get_lr()
         return self.optimizer.lr
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"base_lr": self.base_lr, "last_step": self.last_step}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.base_lr = float(state["base_lr"])
-        self.last_step = int(state["last_step"])
-        self.optimizer.lr = self.get_lr() if self.last_step > 0 else self.base_lr
 
 
 class StepLR(LRScheduler):
@@ -65,14 +55,3 @@ class StepLR(LRScheduler):
     def get_lr(self) -> float:
         decays = self.last_step // self.step_size
         return max(self.base_lr * self.gamma**decays, self.min_lr)
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state.update(step_size=self.step_size, gamma=self.gamma, min_lr=self.min_lr)
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.step_size = int(state["step_size"])
-        self.gamma = float(state["gamma"])
-        self.min_lr = float(state["min_lr"])
-        super().load_state_dict(state)

@@ -27,6 +27,14 @@ class _Mailbox:
     def __init__(self) -> None:
         self._lock = threading.Condition()
         self._messages: Dict[Tuple[int, int], List[Any]] = {}
+        #: Why the group was aborted; once set, every ``get`` raises it.
+        self._abort_reason: Optional[str] = None
+
+    def abort(self, reason: str) -> None:
+        with self._lock:
+            if self._abort_reason is None:
+                self._abort_reason = reason
+            self._lock.notify_all()
 
     def put(self, source: int, tag: int, payload: Any) -> None:
         with self._lock:
@@ -38,13 +46,15 @@ class _Mailbox:
         with self._lock:
             key = (source, tag)
 
-            def available() -> bool:
-                return bool(self._messages.get(key))
+            def ready() -> bool:
+                return self._abort_reason is not None or bool(self._messages.get(key))
 
-            if not self._lock.wait_for(available, timeout=deadline):
+            if not self._lock.wait_for(ready, timeout=deadline):
                 raise CommunicatorError(
                     f"timed out waiting for message from rank {source} with tag {tag}"
                 )
+            if self._abort_reason is not None:
+                raise CommunicatorError(self._abort_reason)
             return self._messages[key].pop(0)
 
 
@@ -59,6 +69,9 @@ class _Barrier:
             self._barrier.wait(timeout=timeout)
         except threading.BrokenBarrierError as exc:
             raise CommunicatorError("barrier broken (a rank failed or timed out)") from exc
+
+    def abort(self) -> None:
+        self._barrier.abort()
 
 
 class CommunicatorGroup:
@@ -75,6 +88,13 @@ class CommunicatorGroup:
     def rank_communicators(self) -> List["ThreadCommunicator"]:
         """One communicator handle per rank."""
         return [ThreadCommunicator(self, rank) for rank in range(self.size)]
+
+    def abort(self, rank: int) -> None:
+        """Rank ``rank`` failed: every blocked and later ``recv`` of any rank
+        raises :class:`CommunicatorError` naming it, and the barrier breaks."""
+        for mailbox in self._mailboxes:
+            mailbox.abort(f"rank {rank} failed")
+        self._barrier.abort()
 
 
 class ThreadCommunicator:

@@ -4,7 +4,9 @@ This is the substitute for ``mpiexec -n <size>``: the callable receives a
 :class:`repro.parallel.communicator.ThreadCommunicator` for its rank plus any
 user arguments, and the executor returns the per-rank results (ordered by
 rank).  Exceptions raised by any rank are collected and re-raised as a single
-:class:`SPMDFailure` so that tests can assert on failure behaviour.
+:class:`SPMDFailure` so that tests can assert on failure behaviour.  A rank
+that raises aborts the communicator group, so a peer blocked on it in a
+collective fails at once instead of waiting for a message never sent.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class SPMDExecutor:
             except BaseException as exc:  # noqa: BLE001 - propagated via SPMDFailure
                 with lock:
                     errors[comm.rank] = exc
+                group.abort(comm.rank)
             else:
                 results[comm.rank] = value
 

@@ -34,7 +34,6 @@ _EXPORTS = {
     "ServerResult": "repro.server.server",
     "Validator": "repro.server.validation",
     "ValidationSet": "repro.server.validation",
-    "ServerCheckpointer": "repro.server.checkpointing",
     "sync_gradients": "repro.server.ddp",
     "broadcast_parameters": "repro.server.ddp",
     "AsyncFrontDoor": "repro.server.serving",

@@ -4,9 +4,9 @@ The paper uses PyTorch Distributed: every server process holds an identical
 copy of the network, trains it on different data and all-reduces the gradient
 after every batch.  The functions here implement exactly that over the
 thread communicator: :func:`broadcast_parameters` makes the replicas identical
-at start-up (and after a checkpoint restore), :func:`sync_gradients` averages
-the gradients with a ring all-reduce, and :func:`all_ranks_have_data` is the
-per-batch vote on whether training continues.
+at start-up, :func:`sync_gradients` averages the gradients with a ring
+all-reduce, and :func:`all_ranks_have_data` is the per-batch vote on whether
+training continues.
 """
 
 from __future__ import annotations

@@ -97,18 +97,10 @@ class MessageLog:
             return self._duplicates
 
     def state(self) -> Dict[int, List[int]]:
-        """Serialisable snapshot (used by server checkpoints)."""
+        """The logged steps of every client seen, each list sorted."""
         with self._lock:
             return {cid: np.flatnonzero(np.frombuffer(bytes(received), np.uint8)).tolist()
                     for cid, received in self._received.items()}
-
-    def restore(self, state: Dict[int, List[int]]) -> None:
-        """Restore a snapshot produced by :meth:`state`."""
-        with self._lock:
-            self._received = {int(cid): bytearray() for cid in state}
-            for cid, steps in state.items():
-                if steps:
-                    self._register_steps_locked(int(cid), list(steps))
 
 
 @dataclass

@@ -10,7 +10,6 @@ and every recorded metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.buffers import make_buffer
@@ -53,8 +52,6 @@ class ServerConfig:
         Floor of the learning-rate schedule (paper: 2.5e-4).
     seed:
         Seed shared by every replica so their initial weights are identical.
-    checkpoint_dir / checkpoint_interval:
-        Enable periodic server checkpointing when set.
     """
 
     num_ranks: int = 1
@@ -69,8 +66,6 @@ class ServerConfig:
     lr_min: float = 2.5e-4
     seed: int = 0
     poll_timeout: float = 0.02
-    checkpoint_dir: Optional[Path] = None
-    checkpoint_interval: int = 0
 
     def __post_init__(self) -> None:
         if self.num_ranks <= 0:
@@ -170,8 +165,6 @@ class TrainingServer:
                 lr_gamma=config.lr_gamma,
                 lr_min=config.lr_min,
                 validation=self.validation,
-                checkpoint_dir=config.checkpoint_dir,
-                checkpoint_interval=config.checkpoint_interval,
             )
             workers[comm.rank] = worker
             return worker.run()

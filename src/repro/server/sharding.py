@@ -30,7 +30,6 @@ import bisect
 import hashlib
 import threading
 from dataclasses import replace
-from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.metrics import merge_worker_metrics
@@ -273,8 +272,8 @@ class ShardManager:
     The manager builds one transport and one
     :class:`~repro.server.server.TrainingServer` per shard from the shared
     base configuration (each shard's ``expected_clients`` comes from the
-    ring assignment; buffer seeds and checkpoint directories are offset per
-    shard so shards never alias), exposes the client-facing
+    ring assignment; buffer seeds are offset per shard so shards never draw
+    alike), exposes the client-facing
     :class:`ShardedTransport` as :attr:`router` and the launcher-facing
     :class:`ShardedHeartbeatMonitor` as :attr:`heartbeat_monitor`, and
     merges the per-shard :class:`~repro.server.server.ServerResult` values
@@ -327,18 +326,13 @@ class ShardManager:
         """Specialise the base server config for shard ``index``.
 
         The buffer seed is offset by ``index * num_ranks`` so no two shards
-        draw identical reservoir/batch sequences, and per-shard checkpoint
-        directories keep rank files from colliding across shards.
+        draw identical reservoir/batch sequences.
         """
         base = self.server_config
-        checkpoint_dir = base.checkpoint_dir
-        if checkpoint_dir is not None:
-            checkpoint_dir = Path(checkpoint_dir) / f"shard-{index}"
         return replace(
             base,
             expected_clients=len(self.assignments[index]),
             seed=base.seed + index * base.num_ranks,
-            checkpoint_dir=checkpoint_dir,
         )
 
     # -------------------------------------------------------------------- run
@@ -349,6 +343,12 @@ class ShardManager:
             logger.exception("shard %d failed", index)
             with self._state_lock:
                 self._errors[index] = exc
+            # End every other shard too, as a failed aggregator ends its rank:
+            # a survivor would otherwise wait out its trainer's get timeout
+            # for clients that hold launcher slots on this shard's full rings.
+            for server in self.servers:
+                for buffer in server.buffers:
+                    buffer.close()
         else:
             with self._state_lock:
                 self.per_shard_results[index] = result

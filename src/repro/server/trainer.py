@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ from repro.nn.module import Module
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.schedulers import LRScheduler, StepLR
 from repro.parallel.communicator import ThreadCommunicator
-from repro.server.checkpointing import ServerCheckpointer
 from repro.server.ddp import all_ranks_have_data, broadcast_parameters, sync_gradients
 from repro.server.validation import ValidationSet, Validator
 from repro.utils.timing import WallClock
@@ -84,7 +82,6 @@ class TrainingWorker:
         scheduler: Optional[LRScheduler] = None,
         validator: Optional[Validator] = None,
         comm: Optional[ThreadCommunicator] = None,
-        checkpointer: Optional[ServerCheckpointer] = None,
     ) -> None:
         self.rank = int(rank)
         self.model = model
@@ -95,7 +92,6 @@ class TrainingWorker:
         self.scheduler = scheduler
         self.validator = validator
         self.comm = comm
-        self.checkpointer = checkpointer
         self.metrics = TrainingMetrics(rank=self.rank)
         self.occurrences = OccurrenceTracker()
         self._clock = WallClock()
@@ -189,17 +185,6 @@ class TrainingWorker:
                     batch_index, self._global_samples(batch_index), val_loss
                 )
 
-            if (
-                self.checkpointer is not None
-                and self.checkpointer.should_checkpoint(batch_index)
-            ):
-                self.checkpointer.save(
-                    self.model,
-                    self.optimizer,
-                    batches_trained=batch_index,
-                    samples_trained=self.metrics.samples_trained,
-                )
-
             if not keep_going:
                 break
 
@@ -234,29 +219,20 @@ def build_worker(
     lr_gamma: float,
     lr_min: float,
     validation: Optional[ValidationSet] = None,
-    checkpoint_dir: Optional[Path] = None,
-    checkpoint_interval: int = 0,
 ) -> TrainingWorker:
     """Set up the rank ``comm.rank`` of an online server or an offline study.
 
     A fresh model replica (the factory's seed makes replicas identical, and
     :meth:`TrainingWorker.run` broadcasts rank 0's weights anyway), Adam,
-    StepLR when ``lr_step_batches > 0``, a validator when a validation set is
-    given (only rank 0 evaluates) and a checkpointer when both checkpoint
-    settings are.  The gradient collective is used only with several ranks.
+    StepLR when ``lr_step_batches > 0`` and a validator when a validation set
+    is given (only rank 0 evaluates).  The gradient collective is used only
+    with several ranks.
     """
     model = model_factory()
     optimizer = Adam(model.parameters(), lr=learning_rate)
     scheduler = None
     if lr_step_batches > 0:
         scheduler = StepLR(optimizer, step_size=lr_step_batches, gamma=lr_gamma, min_lr=lr_min)
-    checkpointer = None
-    if checkpoint_dir is not None and checkpoint_interval > 0:
-        checkpointer = ServerCheckpointer(
-            directory=Path(checkpoint_dir),
-            interval_batches=checkpoint_interval,
-            rank=comm.rank,
-        )
     return TrainingWorker(
         rank=comm.rank,
         model=model,
@@ -266,5 +242,4 @@ def build_worker(
         scheduler=scheduler,
         validator=Validator(validation) if validation is not None else None,
         comm=comm if comm.size > 1 else None,
-        checkpointer=checkpointer,
     )

@@ -14,8 +14,5 @@ class BufferClosedError(ReproError):
 
 
 class CommunicatorError(ReproError):
-    """Raised on invalid use of the SPMD communicator (bad rank, closed, ...)."""
-
-
-class CheckpointError(ReproError):
-    """Raised when saving or restoring a checkpoint fails."""
+    """Raised on invalid use of the SPMD communicator (bad rank, timeout, ...)
+    and on every receive after a peer rank failed."""

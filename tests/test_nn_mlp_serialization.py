@@ -1,23 +1,12 @@
-"""Tests for the MLP builder, its initialisation and checkpoint serialization."""
+"""Tests for the MLP builder and its initialisation."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import SurrogateArchitecture
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
-from repro.nn import (
-    Adam,
-    Linear,
-    MLPConfig,
-    MSELoss,
-    ReLU,
-    build_mlp,
-    load_checkpoint,
-    save_checkpoint,
-    state_dict_equal,
-)
+from repro.nn import Linear, MLPConfig, ReLU, build_mlp
 from repro.solvers.heat2d import HeatEquationConfig
-from repro.utils.exceptions import CheckpointError
 from repro.utils.seeding import derive_rng
 
 
@@ -39,8 +28,9 @@ def test_build_mlp_reproducible_by_seed():
     a = build_mlp(MLPConfig(in_features=4, hidden_sizes=(8,), out_features=3, seed=5))
     b = build_mlp(MLPConfig(in_features=4, hidden_sizes=(8,), out_features=3, seed=5))
     c = build_mlp(MLPConfig(in_features=4, hidden_sizes=(8,), out_features=3, seed=6))
-    assert state_dict_equal(a.state_dict(), b.state_dict())
-    assert not state_dict_equal(a.state_dict(), c.state_dict())
+    assert all(np.array_equal(p.data, q.data)
+               for p, q in zip(a.parameters(), b.parameters(), strict=True))
+    assert not np.array_equal(a.layers[0].weight.data, c.layers[0].weight.data)
 
 
 def test_surrogate_mlp_matches_paper_architecture():
@@ -89,60 +79,3 @@ def test_paper_scale_parameter_count():
     assert expected == 257_067_584
     assert 2.5e8 < expected < 5.2e8
     assert expected * 2 == pytest.approx(5.14e8, rel=0.01)
-
-
-def test_checkpoint_roundtrip_model_only(tmp_path):
-    model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=2, seed=0))
-    path = save_checkpoint(tmp_path / "ckpt", model, metadata={"batches": 12})
-    fresh = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=2, seed=99))
-    metadata = load_checkpoint(path, fresh)
-    assert metadata["batches"] == 12
-    assert state_dict_equal(model.state_dict(), fresh.state_dict())
-
-
-def test_checkpoint_roundtrip_with_optimizer(tmp_path):
-    rng = np.random.default_rng(0)
-    model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=2, seed=0))
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    loss = MSELoss()
-    x, y = rng.random((16, 3)), rng.random((16, 2))
-    for _ in range(5):
-        model.zero_grad()
-        loss.forward(model.forward(x), y)
-        model.backward(loss.backward())
-        optimizer.step()
-    path = save_checkpoint(tmp_path / "ckpt", model, optimizer)
-
-    fresh_model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=2, seed=7))
-    fresh_optimizer = Adam(fresh_model.parameters(), lr=1e-3)
-    load_checkpoint(path, fresh_model, fresh_optimizer)
-    assert fresh_optimizer.step_count == optimizer.step_count
-
-    # Continuing training from the checkpoint matches continuing the original.
-    for mdl, opt in ((model, optimizer), (fresh_model, fresh_optimizer)):
-        mdl.zero_grad()
-        loss.forward(mdl.forward(x), y)
-        mdl.backward(loss.backward())
-        opt.step()
-    assert state_dict_equal(model.state_dict(), fresh_model.state_dict(), atol=1e-12)
-
-
-def test_load_checkpoint_missing_file(tmp_path):
-    model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(4,), out_features=2))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path / "missing.npz", model)
-
-
-def test_load_checkpoint_without_optimizer_state(tmp_path):
-    model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(4,), out_features=2))
-    path = save_checkpoint(tmp_path / "model-only", model)
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, model, optimizer)
-
-
-def test_state_dict_equal_detects_differences():
-    a = build_mlp(MLPConfig(in_features=3, hidden_sizes=(4,), out_features=2, seed=0))
-    b = build_mlp(MLPConfig(in_features=3, hidden_sizes=(4,), out_features=2, seed=1))
-    assert not state_dict_equal(a.state_dict(), b.state_dict())
-    assert state_dict_equal(a.state_dict(), a.state_dict())

@@ -34,31 +34,6 @@ def test_named_parameters_and_count():
     assert net.num_parameters() == 4 * 8 + 8 + 8 * 3 + 3
 
 
-def test_state_dict_roundtrip():
-    net = build_net(seed=1)
-    other = build_net(seed=2)
-    assert not np.allclose(net.layers[0].weight.data, other.layers[0].weight.data)
-    other.load_state_dict(net.state_dict())
-    for (_, a), (_, b) in zip(net.named_parameters(), other.named_parameters(), strict=True):
-        assert np.array_equal(a.data, b.data)
-
-
-def test_load_state_dict_rejects_missing_keys():
-    net = build_net()
-    state = net.state_dict()
-    state.pop("layers.0.bias")
-    with pytest.raises(KeyError):
-        net.load_state_dict(state)
-
-
-def test_load_state_dict_rejects_bad_shape():
-    net = build_net()
-    state = net.state_dict()
-    state["layers.0.weight"] = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        net.load_state_dict(state)
-
-
 def test_flat_gradients_roundtrip():
     net = build_net()
     x = np.random.default_rng(0).random((5, 4))

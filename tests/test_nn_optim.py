@@ -52,25 +52,6 @@ def test_zero_grad_via_optimizer():
     assert np.all(param.grad == 0)
 
 
-def test_adam_state_dict_roundtrip():
-    param, _, compute_grad = quadratic_problem()
-    optimizer = Adam([param], lr=0.1)
-    for _ in range(5):
-        compute_grad()
-        optimizer.step()
-    state = optimizer.state_dict()
-
-    fresh_param = Parameter(param.data.copy())
-    fresh = Adam([fresh_param], lr=0.1)
-    fresh.load_state_dict(state)
-    assert fresh.step_count == optimizer.step_count
-    # One more identical step produces identical parameters.
-    for opt, prm in ((optimizer, param), (fresh, fresh_param)):
-        prm.grad[...] = 2.0 * (prm.data - np.array([1.0, -2.0, 3.0]))
-        opt.step()
-    assert np.allclose(param.data, fresh_param.data)
-
-
 def test_training_reduces_loss_end_to_end():
     rng = np.random.default_rng(0)
     model = Sequential(Linear(3, 16, rng=rng), Linear(16, 1, rng=rng))

@@ -37,17 +37,3 @@ def test_step_lr_validation(optimizer):
         StepLR(optimizer, step_size=0)
     with pytest.raises(ValueError):
         StepLR(optimizer, step_size=10, gamma=1.5)
-
-
-def test_scheduler_state_dict_roundtrip(optimizer):
-    scheduler = StepLR(optimizer, step_size=5, gamma=0.5, min_lr=1e-5)
-    for _ in range(12):
-        scheduler.step()
-    state = scheduler.state_dict()
-
-    fresh_optimizer = Adam([Parameter(np.zeros(3))], lr=1e-3)
-    fresh = StepLR(fresh_optimizer, step_size=99, gamma=0.9)
-    fresh.load_state_dict(state)
-    assert fresh.step_size == 5
-    assert fresh.last_step == 12
-    assert fresh_optimizer.lr == pytest.approx(optimizer.lr)

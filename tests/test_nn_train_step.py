@@ -5,8 +5,6 @@ here is the textbook per-parameter formula, written out with temporaries, and
 stays the specification the flat code is held to.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from repro.nn import (
     Sequential,
     build_mlp,
     gradient_check,
-    load_checkpoint,
 )
 from repro.nn.arena import ParameterArena
 from repro.nn.module import Parameter
@@ -167,64 +164,7 @@ def test_gradients_accumulate_across_micro_batches_without_zero_grad():
     np.testing.assert_allclose(model.flat_gradients(), separate[0] + separate[1], rtol=1e-12)
 
 
-# ------------------------------------ (d) checkpoints from before the arena
-def write_legacy_checkpoint(path, model_state, optimizer_scalars, m, v):
-    """The ``.npz`` layout ``save_checkpoint`` wrote when ``m``/``v`` were per-parameter lists."""
-    arrays = {f"model/{name}": value for name, value in model_state.items()}
-    for key, buffers in (("m", m), ("v", v)):
-        for index, buffer in enumerate(buffers):
-            arrays[f"__optimizer__/{key}/{index}"] = buffer
-    scalars = dict(optimizer_scalars, __len__m=len(m), __len__v=len(v))
-    arrays["__optimizer__/__scalars__"] = np.frombuffer(
-        json.dumps(scalars).encode("utf-8"), dtype=np.uint8
-    ).copy()
-    arrays["__checkpoint_meta__"] = np.frombuffer(
-        json.dumps({"has_optimizer": True}).encode("utf-8"), dtype=np.uint8
-    ).copy()
-    np.savez_compressed(path, **arrays)
-
-
-def test_checkpoint_in_per_parameter_list_format_restores_into_arena_adam(tmp_path):
-    rng = np.random.default_rng(5)
-    hp = {"lr": 1e-2}
-    template = small_mlp(np.float64, seed=3)
-    names = [name for name, _ in template.named_parameters()]
-    reference = [param.data.copy() for param in template.parameters()]
-    state = {}
-    for t in range(1, 6):  # five textbook steps produce the saved moments
-        grads = [rng.standard_normal(p.shape) for p in reference]
-        reference_step(hp, reference, grads, state, t)
-    path = tmp_path / "legacy.npz"
-    write_legacy_checkpoint(
-        path,
-        dict(zip(names, reference, strict=True)),
-        # Checkpoints of that age also record a zero ``weight_decay``; it is ignored.
-        {"lr": 1e-2, "step_count": 5, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-         "weight_decay": 0.0},
-        [state[i][0] for i in range(len(reference))],
-        [state[i][1] for i in range(len(reference))],
-    )
-
-    model = small_mlp(np.float64, seed=9)  # different weights until restored
-    optimizer = Adam(model.parameters(), lr=0.5)
-    load_checkpoint(path, model, optimizer)
-    assert optimizer.step_count == 5 and optimizer.lr == 1e-2
-    assert all(param.data.base is optimizer._arena.data for param in model.parameters())
-    for t in range(6, 11):
-        grads = [rng.standard_normal(p.shape) for p in reference]
-        for param, grad in zip(model.parameters(), grads, strict=True):
-            param.grad[...] = grad
-        optimizer.step()
-        reference_step(hp, reference, grads, state, t)
-    for param, expected in zip(model.parameters(), reference, strict=True):
-        np.testing.assert_allclose(param.data, expected, rtol=1e-12)
-    # and what the arena optimizer writes is the same list format again
-    saved = optimizer.state_dict()
-    assert [m.shape for m in saved["m"]] == [p.shape for p in model.parameters()]
-    np.testing.assert_allclose(saved["v"][0], state[0][1], rtol=1e-12)
-
-
-# -------------------------------------------------- (e) the arena's layout
+# -------------------------------------------------- (d) the arena's layout
 def test_parameters_and_gradients_are_views_of_two_flat_buffers():
     model = small_mlp(np.float32)
     optimizer = Adam(model.parameters())

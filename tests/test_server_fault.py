@@ -1,4 +1,4 @@
-"""Tests for the fault-tolerance primitives (message log, liveness monitor, checkpointer)."""
+"""Tests for the fault-tolerance primitives (message log, liveness monitor)."""
 
 import time
 import tracemalloc
@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Adam, MLPConfig, build_mlp, state_dict_equal
-from repro.server.checkpointing import ServerCheckpointer
 from repro.server.fault import MAX_TIME_STEP, HeartbeatMonitor, MessageLog
-from repro.utils.exceptions import CheckpointError
 
 
 def register(log, client_ids, time_steps):
@@ -32,17 +29,6 @@ def test_message_log_deduplicates():
     assert is_new(log, 2, 1)      # other client, same step index: not a duplicate
     assert log.duplicates_discarded == 1
     assert log.state() == {1: [1, 2], 2: [1]}
-
-
-def test_message_log_state_roundtrip():
-    log = MessageLog()
-    for step in range(5):
-        assert is_new(log, 7, step)
-    state = log.state()
-    restored = MessageLog()
-    restored.restore(state)
-    assert restored.state() == {7: [0, 1, 2, 3, 4]}
-    assert not is_new(restored, 7, 3)
 
 
 def test_heartbeat_monitor_detects_silent_clients():
@@ -71,56 +57,6 @@ def test_heartbeat_monitor_stamps_arrival_with_the_server_clock():
     monitor.touch(3)
     assert 0.0 <= monitor.silence(3) <= time.monotonic() - before
     assert monitor.silence(3, now=before + 60.0) <= first
-
-
-def _model():
-    return build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=4, seed=0))
-
-
-def test_server_checkpointer_save_restore(tmp_path):
-    model = _model()
-    optimizer = Adam(model.parameters(), lr=1e-3)
-    log = MessageLog()
-    assert is_new(log, 0, 1)
-    checkpointer = ServerCheckpointer(directory=tmp_path, interval_batches=10, rank=0)
-    assert not checkpointer.should_checkpoint(5)
-    assert checkpointer.should_checkpoint(10)
-    checkpointer.save(model, optimizer, batches_trained=10, samples_trained=100, message_log=log)
-
-    fresh_model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=4, seed=9))
-    fresh_optimizer = Adam(fresh_model.parameters(), lr=1e-3)
-    fresh_log = MessageLog()
-    metadata = ServerCheckpointer(directory=tmp_path, rank=0).restore(
-        fresh_model, fresh_optimizer, fresh_log
-    )
-    assert metadata["batches_trained"] == 10
-    assert state_dict_equal(model.state_dict(), fresh_model.state_dict())
-    assert fresh_log.state() == {0: [1]}
-    assert not is_new(fresh_log, 0, 1)  # dedup state survived the restart
-
-
-def test_server_checkpointer_prunes_old_generations(tmp_path):
-    model = _model()
-    checkpointer = ServerCheckpointer(directory=tmp_path, interval_batches=1, rank=0, keep_last=2)
-    for generation in range(4):
-        checkpointer.save(model, None, batches_trained=generation, samples_trained=0)
-    archives = list(tmp_path.glob("*.npz"))
-    assert len(archives) == 2
-
-
-def test_server_checkpointer_restore_without_checkpoint(tmp_path):
-    with pytest.raises(CheckpointError):
-        ServerCheckpointer(directory=tmp_path, rank=0).restore(_model())
-
-
-def test_server_checkpointer_per_rank_namespacing(tmp_path):
-    model = _model()
-    ServerCheckpointer(directory=tmp_path, rank=0).save(model, None, 1, 10)
-    ServerCheckpointer(directory=tmp_path, rank=1).save(model, None, 2, 20)
-    meta0 = ServerCheckpointer(directory=tmp_path, rank=0).restore(_model())
-    meta1 = ServerCheckpointer(directory=tmp_path, rank=1).restore(_model())
-    assert meta0["batches_trained"] == 1
-    assert meta1["batches_trained"] == 2
 
 
 # ------------------------------------------------------- columnar dedup
@@ -166,16 +102,16 @@ def test_register_many_in_chunk_duplicates_count_once_each():
     assert log.state()[9] == [4, 7, 8, 5000]
 
 
-def test_message_log_checkpoint_format_is_sorted_step_lists():
+def test_message_log_state_is_sorted_step_lists():
+    """An unsorted mixed chunk reads back as each client's sorted steps, and
+    a replay of a logged step is masked while a new one is kept."""
     log = MessageLog()
     register(log, np.array([4, 2, 4], np.int64), np.array([9, 1, 3], np.int64))
     assert log.state() == {4: [3, 9], 2: [1]}
-    restored = MessageLog()
-    restored.restore({4: [3, 9], 2: []})
-    assert restored.state() == {4: [3, 9], 2: []}
-    assert restored.duplicates_discarded == 0
-    keep = register(restored, np.array([4, 4], np.int64), np.array([9, 10], np.int64))
+    keep = register(log, np.array([4, 4], np.int64), np.array([9, 10], np.int64))
     assert keep.tolist() == [False, True]
+    assert log.duplicates_discarded == 1
+    assert log.state() == {4: [3, 9, 10], 2: [1]}
 
 
 # --------------------------------------------------- byte map vs a set model
@@ -198,18 +134,13 @@ class SetLog:
     def state(self):
         return {cid: sorted(steps) for cid, steps in self.received.items()}
 
-    def restore(self, state):
-        self.received = {int(cid): set(steps) for cid, steps in state.items()}
 
-
-#: One call on both logs: a chunk of per-client runs, a client restart, or a
-#: restore (of the set model's checkpoint) in mid-stream.
+#: One call on both logs: a chunk of per-client runs or a client restart.
 _runs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40), st.booleans()), max_size=4)
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("chunk"), _runs, st.sampled_from(["runs", "interleave", "reverse"])),
         st.tuples(st.just("restart"), st.integers(0, 3), st.integers(0, 5)),
-        st.tuples(st.just("restore"), st.none(), st.none()),
     ),
     max_size=25,
 )
@@ -248,12 +179,8 @@ def test_byte_map_log_agrees_with_a_set_model(ops):
                 assert keep is None
             else:
                 assert keep.dtype == bool and keep.tolist() == expected.tolist()
-        elif kind == "restart":  # the client replays from step 1 (or a little later)
+        else:  # a restart: the client replays from step 1 (or a little later)
             cursors[first] = 1 + second
-        else:
-            checkpoint = model.state()
-            log.restore(checkpoint)
-            model.restore(checkpoint)
         assert log.duplicates_discarded == model.duplicates_discarded
         assert log.state() == model.state()
 
@@ -288,5 +215,3 @@ def test_step_outside_the_log_is_refused(bad):
         with pytest.raises(ValueError, match=f"time step {bad}"):
             register(log, np.full(len(steps), 3, np.int64), np.array(steps, np.int64))
     assert log.state() == {3: [MAX_TIME_STEP]}
-    with pytest.raises(ValueError, match="outside"):
-        MessageLog().restore({3: [bad]})
