@@ -246,11 +246,6 @@ class TrainingBuffer:
         """True when reception is over and no further sample can be produced."""
         return self._reception_over and not self._can_get_locked()
 
-    @property
-    def exhausted(self) -> bool:
-        with self._lock:
-            return self._exhausted_locked()
-
     def signal_reception_over(self) -> None:
         """Notify the buffer that no new data will ever arrive."""
         with self._lock:

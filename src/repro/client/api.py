@@ -121,8 +121,3 @@ class ClientAPI:
         connection = self._require_connection()
         connection.broadcast(ClientFinished(client_id=self.client_id, total_sent=self._sequence))
         self._finalized = True
-
-    @property
-    def messages_sent(self) -> int:
-        """Number of time-step messages sent so far."""
-        return self._sequence

@@ -42,14 +42,6 @@ class HeatSurrogateSpec:
     sampler: str = "monte_carlo"
     seed: int = 0
 
-    @staticmethod
-    def paper_scale() -> "HeatSurrogateSpec":
-        """The configuration actually used in the paper (too large for tests)."""
-        return HeatSurrogateSpec(
-            solver=HeatEquationConfig(nx=1000, ny=1000, num_steps=100),
-            architecture=SurrogateArchitecture(hidden_sizes=(256, 256)),
-        )
-
 
 class HeatSurrogateCase:
     """Factories and data generation for the heat-equation surrogate study."""
@@ -100,10 +92,6 @@ class HeatSurrogateCase:
         return HeatParameters.from_array(np.asarray(parameters))
 
     # --------------------------------------------------------------- datasets
-    def run_simulation(self, parameters: Array) -> Tuple[Array, Array]:
-        """Run one simulation; returns (times, stacked flattened fields)."""
-        return self._simulate(self.solver_factory(), parameters)
-
     def _simulate(self, solver: HeatEquationSolver, parameters: Array) -> Tuple[Array, Array]:
         steps = self.spec.solver.num_steps
         times = np.empty(steps)

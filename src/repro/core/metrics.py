@@ -130,14 +130,6 @@ class LossHistory:
     def final_training_loss(self) -> float:
         return float(self.train_losses[-1]) if self.train_losses else float("nan")
 
-    def smoothed_train_losses(self, window: int = 20) -> np.ndarray:
-        """Moving average of the training loss (for plotting/regression checks)."""
-        losses = np.asarray(self.train_losses, dtype=float)
-        if losses.size == 0 or window <= 1:
-            return losses
-        kernel = np.ones(min(window, losses.size)) / min(window, losses.size)
-        return np.convolve(losses, kernel, mode="valid")
-
 
 @dataclass
 class BufferPopulationSeries:
@@ -154,9 +146,6 @@ class BufferPopulationSeries:
 
     def max_population(self) -> int:
         return max(self.sizes, default=0)
-
-    def mean_population(self) -> float:
-        return float(np.mean(self.sizes)) if self.sizes else 0.0
 
 
 @dataclass

@@ -177,6 +177,8 @@ class OnlineStudy:
             elapsed = time.monotonic() - start
         finally:
             router.shutdown()
+            if launcher.running:  # the server failed: the closed router stops the launcher
+                launcher.join()
 
         unique_samples = cfg.num_simulations * self.case.solver_config.num_steps
         dataset_bytes = unique_samples * self.case.field_size * 4

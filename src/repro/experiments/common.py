@@ -9,7 +9,7 @@ with a given buffer policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.core.config import OfflineStudyConfig, OnlineStudyConfig, SurrogateArchitecture
@@ -167,8 +167,3 @@ def run_offline_baseline(
     )
     study = OfflineStudy(case, config, validation=validation, store=store)
     return study.run()
-
-
-def smaller(scale: ExperimentScale, **overrides) -> ExperimentScale:
-    """Return a modified copy of a scale (convenience for tests)."""
-    return replace(scale, **overrides)

@@ -30,10 +30,6 @@ class Fig3Result:
     mean_occurrences: Dict[int, float] = field(default_factory=dict)
     max_occurrences: Dict[int, int] = field(default_factory=dict)
 
-    def repetition_rate(self, num_gpus: int) -> float:
-        """Average number of times a selected sample was used for ``num_gpus``."""
-        return self.mean_occurrences[num_gpus]
-
     def summary_rows(self) -> list[dict]:
         return [
             {

@@ -25,6 +25,11 @@ deadlines runs a series: a client past a deadline is killed by pid, a failed
 or killed one is restarted from step zero (the server deduplicates the
 resend), and if the spawner dies every unfinished client fails.
 
+A closed transport stops the launcher: a study shuts its transport once its
+server returned or raised, and a failed server leaves clients unfinished.  No
+client starts or restarts on a closed transport, the clients a process-mode
+series still runs are killed, and every unfinished client fails.
+
 The launcher holds each client's channel lease: ``Transport.lease_client``
 before the first attempt, ``release_client`` once the last one was reaped.
 At most ``max_concurrent_clients`` clients run at once, the bound that sizes
@@ -47,6 +52,7 @@ import numpy as np
 
 from repro.client.simulation_client import SimulationClient, SimulationFailure
 from repro.launcher.spawner import ClientSpawner
+from repro.parallel.transport import RouterClosed
 from repro.utils.logging import get_logger
 
 logger = get_logger("launcher")
@@ -212,6 +218,13 @@ class Launcher:
             client.fail_at_step = spec.fail_at_step
         return client
 
+    @staticmethod
+    def _check_open(client: SimulationClient) -> None:
+        """Raise :class:`RouterClosed` once ``client``'s transport is closed:
+        nothing it sent would be read, so it must not start or restart."""
+        if client.router.closed:
+            raise RouterClosed(f"transport closed: client {client.client_id} is not started")
+
     def _finish(self, spec: ClientSpec, steps: Optional[int]) -> None:
         """Count one client that completed (``steps`` sent) or failed for good."""
         if steps is None:
@@ -234,6 +247,7 @@ class Launcher:
         failures = 0
         try:
             while True:
+                self._check_open(client)
                 try:
                     return client.run(solver_params=spec.solver_params).steps_sent, failures
                 except SimulationFailure as exc:
@@ -252,14 +266,20 @@ class Launcher:
             thread_name_prefix=f"client-series-{index}",
         ) as pool:
             futures = {pool.submit(self._run_client_in_thread, spec): spec for spec in group}
+            closed: Optional[RouterClosed] = None
             for future in as_completed(futures):
                 steps, failures = None, 0
                 try:
                     steps, failures = future.result()
+                except RouterClosed as exc:  # left unfinished: run() counts it
+                    closed = exc
+                    continue
                 except Exception:  # noqa: BLE001 - a crashed client failed for good
                     pass
                 self.report.restarts += failures
                 self._finish(futures[future], steps)
+        if closed is not None:
+            raise closed
 
     # ----------------------------------------------------------- process mode
     def _run_series_in_processes(self, group: Sequence[ClientSpec]) -> None:
@@ -273,9 +293,12 @@ class Launcher:
             poll = min(poll, self.config.heartbeat_timeout / 4)
         try:
             while waiting or running:
+                for tracked in running.values():
+                    self._check_open(tracked.client)
                 while waiting and len(running) < self.config.max_concurrent_clients:
                     spec = waiting.pop()
                     client = self._make_client(spec)
+                    self._check_open(client)
                     if spec.hang_at_step is not None:
                         client.hang_at_step = spec.hang_at_step
                     slot = client.router.lease_client(spec.client_id)
@@ -306,6 +329,7 @@ class Launcher:
             logger.warning("client %d process %s (exit code %s), restart %d",
                            client_id, status, exitcode, tracked.failures)
             if tracked.failures <= self.config.max_restarts:
+                self._check_open(tracked.client)
                 tracked.client.prepare_restart()
                 self._spawner.spawn(tracked.client, tracked.slot)
                 return
@@ -363,7 +387,7 @@ class Launcher:
                     self._run_series_in_threads(index, group)
                 else:
                     self._run_series_in_processes(group)
-        except ChildProcessError as exc:  # the spawner died
+        except (ChildProcessError, RouterClosed) as exc:  # the spawner died, the server stopped
             unfinished = (len(self.specs) - self.report.clients_completed
                           - self.report.clients_failed)
             logger.error("%s: %d unfinished clients failed", exc, unfinished)

@@ -4,13 +4,12 @@ The paper trains its surrogates with PyTorch/TensorFlow; this package provides
 exactly what the paper's experiments train — one fully connected ReLU network
 (:func:`build_mlp`) fitted with Adam on an MSE objective under a step
 learning-rate schedule — plus the flat parameter arena that data-parallel
-gradient averaging works on, and a finite-difference gradient check, all
-implemented from scratch on NumPy with explicit backpropagation.
+gradient averaging works on, all implemented from scratch on NumPy with
+explicit backpropagation.
 """
 
 from repro.nn.activations import ReLU
 from repro.nn.containers import Sequential
-from repro.nn.gradcheck import gradient_check
 from repro.nn.linear import Linear
 from repro.nn.losses import Loss, MSELoss
 from repro.nn.mlp import MLPConfig, build_mlp
@@ -32,5 +31,4 @@ __all__ = [
     "StepLR",
     "MLPConfig",
     "build_mlp",
-    "gradient_check",
 ]

@@ -9,7 +9,7 @@ with respect to the module input.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,14 +73,6 @@ class Parameter:
         self.grad = self.grad.astype(dtype)
         self.arena = None
 
-    def copy_(self, other: "Parameter") -> None:
-        """Copy the values of ``other`` into this parameter."""
-        if other.data.shape != self.data.shape:
-            raise ValueError(
-                f"shape mismatch copying parameter: {other.data.shape} -> {self.data.shape}"
-            )
-        self.data[...] = other.data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Parameter(name={self.name!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -137,11 +129,6 @@ class Module:
         """Total number of scalar trainable parameters."""
         return sum(param.size for param in self.parameters())
 
-    # ------------------------------------------------------------------ state
-    def state_dict(self) -> Dict[str, Array]:
-        """Mapping of qualified parameter name to a copy of its value."""
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
     # ------------------------------------------------------------------ cache
     def clear_cache(self) -> None:
         """Forget what the last ``forward`` cached for ``backward``, recursively.
@@ -189,16 +176,6 @@ class Module:
         """Every gradient as one 1-D vector: a writable view, not a copy."""
         arena, start, stop = self._flat_span()
         return arena.grad[start:stop]
-
-    def set_flat_gradients(self, flat: Array) -> None:
-        """Overwrite every gradient from a flat vector (one copy into the view)."""
-        flat = np.asarray(flat)
-        own = self.flat_gradients()
-        if flat.shape != own.shape:
-            raise ValueError(
-                f"flat gradient has {flat.size} entries but model needs {own.size}"
-            )
-        own[...] = flat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         children = ", ".join(name for name, _ in self.named_children())

@@ -62,13 +62,3 @@ class SimulationDataset:
         """(simulation_id, time_step index) of a global sample (for bookkeeping)."""
         simulation, step_index = self._index[index]
         return simulation.simulation_id, step_index
-
-    def as_arrays(self) -> Tuple[Array, Array]:
-        """Materialise the whole dataset as dense arrays (validation sets only)."""
-        inputs = np.empty((len(self), self.input_size), dtype=np.float32)
-        targets = np.empty((len(self), self.field_size), dtype=np.float32)
-        for index in range(len(self)):
-            sample_inputs, sample_target = self[index]
-            inputs[index] = sample_inputs
-            targets[index] = sample_target
-        return inputs, targets

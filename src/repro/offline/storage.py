@@ -126,11 +126,6 @@ class SimulationStore:
         path = self.directory / simulation.path
         return np.load(path, mmap_mode="r" if mmap else None)
 
-    def load_step(self, simulation: StoredSimulation, step_index: int) -> Array:
-        """Load a single time step without reading the whole file."""
-        fields = self.load_fields(simulation, mmap=True)
-        return np.asarray(fields[step_index])
-
     # ------------------------------------------------------------- statistics
     @property
     def total_samples(self) -> int:
@@ -141,6 +136,3 @@ class SimulationStore:
     def total_bytes(self) -> int:
         """Raw size of the stored field data."""
         return sum(sim.nbytes for sim in self._simulations)
-
-    def size_gigabytes(self) -> float:
-        return self.total_bytes / 1e9

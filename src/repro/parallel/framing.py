@@ -77,24 +77,6 @@ def encode_frame(payload: Buffer, rank: int = 0, kind: int = KIND_BATCH) -> byte
     return pack_header(kind, rank, len(payload)) + bytes(payload)
 
 
-def decode_frame(frame: Buffer) -> Tuple[int, int, bytes]:
-    """Decode one whole frame; returns (kind, rank, body bytes).
-
-    The inverse of :func:`encode_frame` for exactly one complete frame —
-    test and tooling convenience, the server reads header and body in two
-    stream reads instead.
-    """
-    view = memoryview(frame)
-    if len(view) < FRAME_HEADER_BYTES:
-        raise FrameError(f"frame of {len(view)} bytes is shorter than a header")
-    kind, rank, body_len = parse_header(view[:FRAME_HEADER_BYTES])
-    if len(view) != FRAME_HEADER_BYTES + body_len:
-        raise FrameError(
-            f"frame of {len(view)} bytes does not match its declared body of {body_len}"
-        )
-    return kind, rank, bytes(view[FRAME_HEADER_BYTES:])
-
-
 def encode_hello(client_id: int, epoch: int) -> bytes:
     """Encode the connection handshake frame."""
     return encode_frame(_HELLO_BODY.pack(client_id, epoch), kind=KIND_HELLO)

@@ -37,7 +37,7 @@ import queue
 import socket
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
@@ -206,11 +206,6 @@ class TcpTransport(PackedDrainMixin, Transport):
         self._front_door = AsyncFrontDoor(self, host=host, port=int(port))
         self.host, self.port = self._front_door.start()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The front door's bound (host, port) — what remote clients dial."""
-        return (self.host, self.port)
-
     # ----------------------------------------------------------------- client
     def connect(self, client_id: int, batch_size: int = 1) -> Connection:
         connection = super().connect(client_id, batch_size)
@@ -308,11 +303,6 @@ class TcpTransport(PackedDrainMixin, Transport):
             logger.info("client %d reconnected from %s with epoch %d (was %d): "
                         "expecting a resend, the message log dedups",
                         client_id, peer, epoch, previous)
-
-    def client_epochs(self) -> Dict[int, int]:
-        """Snapshot of the announced dedup epochs (diagnostics/tests)."""
-        with self._stats_lock:
-            return dict(self._client_epochs)
 
     def record_torn_frame(self) -> None:
         """Count a connection that died mid-frame (client killed mid-send)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -46,13 +46,6 @@ class ParameterSpace:
         lower = np.asarray(self.lower)
         upper = np.asarray(self.upper)
         return lower + unit_samples * (upper - lower)
-
-    def contains(self, points: Array) -> np.ndarray:
-        """Boolean mask of points lying inside the box (inclusive)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        lower = np.asarray(self.lower)
-        upper = np.asarray(self.upper)
-        return np.all((points >= lower) & (points <= upper), axis=1)
 
     @staticmethod
     def uniform_box(
@@ -105,18 +98,3 @@ class Sampler:
     def num_drawn(self) -> int:
         """How many points have been drawn so far."""
         return self._drawn
-
-
-def discrepancy_proxy(points: Array, bins: int = 4) -> float:
-    """Cheap uniformity proxy: max deviation of per-cell counts from uniform.
-
-    Used by tests to verify that Latin hypercube / Halton cover the space more
-    evenly than plain Monte Carlo for small sample counts.
-    """
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    counts: List[float] = []
-    for dim in range(d):
-        hist, _ = np.histogram(points[:, dim], bins=bins, range=(0.0, 1.0))
-        counts.append(np.abs(hist / n - 1.0 / bins).max())
-    return float(np.mean(counts))

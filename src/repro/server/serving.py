@@ -74,11 +74,6 @@ class AsyncFrontDoor:
         self._tasks: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------- lifecycle
-    @property
-    def address(self) -> Optional[Tuple[str, int]]:
-        """The bound (host, port) once started (resolves ``port=0`` binds)."""
-        return self._address
-
     def start(self) -> Tuple[str, int]:
         """Bind and serve; returns the resolved (host, port)."""
         if self._thread is not None:

@@ -35,10 +35,6 @@ class ValidationSet:
         if self.inputs.shape[0] == 0:
             raise ValueError("validation set is empty")
 
-    @property
-    def num_samples(self) -> int:
-        return int(self.inputs.shape[0])
-
 
 class Validator:
     """Evaluate a model on a validation set in mini-batches."""

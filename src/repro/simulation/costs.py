@@ -73,12 +73,6 @@ class IOCostModel:
     per_file_overhead_seconds: float = 5e-3
     streams: int = 8
 
-    def read_seconds(self, nbytes: int, num_files: int = 1) -> float:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        bandwidth = self.read_bandwidth_bytes_per_s * max(self.streams, 1)
-        return nbytes / bandwidth + num_files * self.per_file_overhead_seconds
-
     def write_seconds(self, nbytes: int, num_files: int = 1) -> float:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")

@@ -64,11 +64,6 @@ class SolverConfig:
         return self.nx * self.ny
 
     @property
-    def interior_shape(self) -> Tuple[int, int]:
-        """Shape of the interior (unknown) nodes."""
-        return (self.ny - 2, self.nx - 2)
-
-    @property
     def num_interior(self) -> int:
         return (self.ny - 2) * (self.nx - 2)
 

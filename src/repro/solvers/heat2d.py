@@ -38,16 +38,12 @@ import scipy.sparse.linalg as spla
 
 from repro.solvers.base import SolverConfig, TimeSeries
 from repro.solvers.stencil import (
-    apply_laplacian_field,
     boundary_contribution,
     build_laplacian,
     embed_interior,
 )
 
 Array = np.ndarray
-
-#: Parameter sampling range used by the paper: temperatures in [100, 500] K.
-PARAMETER_RANGE: Tuple[float, float] = (100.0, 500.0)
 
 
 @dataclass(frozen=True)
@@ -64,10 +60,6 @@ class HeatParameters:
     t_x2: float
     t_y2: float
 
-    def as_array(self) -> Array:
-        """Parameters in the paper's canonical order."""
-        return np.asarray([self.t_ic, self.t_x1, self.t_y1, self.t_x2, self.t_y2])
-
     def as_tuple(self) -> Tuple[float, float, float, float, float]:
         return (self.t_ic, self.t_x1, self.t_y1, self.t_x2, self.t_y2)
 
@@ -79,16 +71,6 @@ class HeatParameters:
                 f"expected 5 parameters (T_IC, T_x1, T_y1, T_x2, T_y2), got {values.size}"
             )
         return HeatParameters(*values.tolist())
-
-    def validate_range(
-        self, low: float = PARAMETER_RANGE[0], high: float = PARAMETER_RANGE[1]
-    ) -> None:
-        """Raise if any temperature falls outside the sampling range."""
-        values = self.as_array()
-        if np.any(values < low) or np.any(values > high):
-            raise ValueError(
-                f"parameters {values} outside the allowed range [{low}, {high}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,11 +92,6 @@ class HeatEquationConfig(SolverConfig):
             raise ValueError("cg_tol must be positive")
         if self.cg_max_iter <= 0:
             raise ValueError("cg_max_iter must be positive")
-
-    @staticmethod
-    def paper_scale() -> "HeatEquationConfig":
-        """The full-scale configuration used in the paper (1000x1000 grid)."""
-        return HeatEquationConfig(nx=1000, ny=1000, dt=0.01, num_steps=100, alpha=1.0)
 
 
 class HeatEquationSolver:
@@ -195,22 +172,6 @@ class HeatEquationSolver:
             series.append(time, field)
         return series
 
-    # -------------------------------------------------------------- utilities
-    def steady_state(self, params: HeatParameters) -> Array:
-        """Solve the stationary problem ``laplacian(T) = 0`` with the same BCs."""
-        cfg = self.config
-        laplacian = build_laplacian(cfg.ny, cfg.nx, cfg.dx, cfg.dy)
-        interior = spla.spsolve(laplacian.tocsc(), -self._boundary_vector(params))
-        return embed_interior(
-            interior,
-            cfg.ny,
-            cfg.nx,
-            west=params.t_x1,
-            east=params.t_x2,
-            south=params.t_y1,
-            north=params.t_y2,
-        )
-
     @property
     def field_size(self) -> int:
         """Number of scalars per produced field (the surrogate's output size)."""
@@ -246,43 +207,3 @@ def conjugate_gradient(
         residual -= np.multiply(product, step, out=scratch)
         rho_prev = rho
     raise RuntimeError(f"CG failed to converge within {maxiter} iterations")
-
-
-class ExplicitHeatSolver:
-    """Forward-Euler variant, used to cross-check the implicit solver.
-
-    Only stable when ``dt <= dx^2 dy^2 / (2 alpha (dx^2 + dy^2))``.
-    """
-
-    def __init__(self, config: HeatEquationConfig) -> None:
-        self.config = config
-        stable = explicit_step_stable_dt(config)
-        if config.dt > stable:
-            raise ValueError(
-                f"explicit solver unstable: dt={config.dt} exceeds the stability limit {stable:.3e}"
-            )
-
-    def iter_steps(self, params: HeatParameters) -> Iterator[Tuple[int, float, Array]]:
-        cfg = self.config
-        field = np.full(cfg.grid_shape, float(params.t_ic))
-        field[:, 0] = params.t_x1
-        field[:, -1] = params.t_x2
-        field[0, :] = params.t_y1
-        field[-1, :] = params.t_y2
-        for step in range(1, cfg.num_steps + 1):
-            lap = apply_laplacian_field(field, cfg.dx, cfg.dy)
-            field = field.copy()
-            field[1:-1, 1:-1] += cfg.dt * cfg.alpha * lap
-            yield step, step * cfg.dt, field
-
-    def run(self, params: HeatParameters) -> TimeSeries:
-        series = TimeSeries()
-        for _, time, field in self.iter_steps(params):
-            series.append(time, field)
-        return series
-
-
-def explicit_step_stable_dt(config: HeatEquationConfig) -> float:
-    """Largest stable forward-Euler time step for the given discretisation."""
-    dx2, dy2 = config.dx**2, config.dy**2
-    return dx2 * dy2 / (2.0 * config.alpha * (dx2 + dy2))

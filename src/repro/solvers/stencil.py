@@ -9,8 +9,6 @@ Dirichlet boundary terms that the stencil reaches.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -73,22 +71,6 @@ def boundary_contribution(
     return contribution.ravel()
 
 
-def apply_laplacian_field(field: Array, dx: float, dy: float) -> Array:
-    """Apply the 5-point Laplacian to the interior of a full field (with boundaries).
-
-    ``field`` has shape (ny, nx) including boundary nodes; the result has shape
-    (ny-2, nx-2).  Used by the explicit solver and by tests as an independent
-    check of the assembled sparse operator.
-    """
-    field = np.asarray(field)
-    interior = field[1:-1, 1:-1]
-    lap = (
-        (field[1:-1, :-2] - 2.0 * interior + field[1:-1, 2:]) / dx**2
-        + (field[:-2, 1:-1] - 2.0 * interior + field[2:, 1:-1]) / dy**2
-    )
-    return lap
-
-
 def embed_interior(
     interior: Array,
     ny: int,
@@ -114,8 +96,3 @@ def embed_interior(
     field[-1, 0] = 0.5 * (west + north)
     field[-1, -1] = 0.5 * (east + north)
     return field
-
-
-def interior_shape(ny: int, nx: int) -> Tuple[int, int]:
-    """Shape of the interior node grid."""
-    return ny - 2, nx - 2

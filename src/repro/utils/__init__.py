@@ -7,7 +7,7 @@ from repro.utils.exceptions import (
     ReproError,
 )
 from repro.utils.seeding import derive_rng
-from repro.utils.timing import VirtualClock, WallClock
+from repro.utils.timing import WallClock
 
 __all__ = [
     "ReproError",
@@ -16,5 +16,4 @@ __all__ = [
     "CommunicatorError",
     "derive_rng",
     "WallClock",
-    "VirtualClock",
 ]

@@ -23,8 +23,3 @@ def get_logger(name: str, level: int = logging.WARNING) -> logging.Logger:
     logger = logging.getLogger(f"repro.{name}")
     logger.setLevel(level)
     return logger
-
-
-def set_verbosity(level: int) -> None:
-    """Set the verbosity of every repro logger at once."""
-    logging.getLogger("repro").setLevel(level)

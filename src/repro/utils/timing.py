@@ -1,9 +1,7 @@
-"""Wall-clock and virtual clocks.
+"""The wall clock the trainer times its runs with.
 
-Online-training experiments measure throughput against wall-clock time, while
-the discrete-event performance model (:mod:`repro.simulation`) advances a
-virtual clock.  Both expose the same ``now()`` interface so the metrics code
-does not care which one it is given.
+Anything with the same ``now()`` can stand in for it: ``ThroughputMeter``
+takes such a clock, and tests hand it one that ticks on every read.
 """
 
 from __future__ import annotations
@@ -22,31 +20,3 @@ class WallClock:
         """Sleep for ``seconds`` of real time."""
         if seconds > 0:
             time.sleep(seconds)
-
-
-class VirtualClock:
-    """Manually advanced clock used by the discrete-event simulator."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    def advance(self, seconds: float) -> float:
-        """Advance the clock by ``seconds`` and return the new time."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        self._now += float(seconds)
-        return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to ``timestamp`` (no-op if already past it)."""
-        self._now = max(self._now, float(timestamp))
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """Virtual sleep simply advances the clock."""
-        self.advance(seconds)
-

@@ -1,4 +1,4 @@
-"""Finite-difference gradient checking for modules and losses."""
+"""Finite-difference gradient check: the reference the backprop tests compare against."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn.losses import Loss
-from repro.nn.module import Module
+from repro.nn import Loss, Module
 
 Array = np.ndarray
 

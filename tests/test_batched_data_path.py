@@ -65,7 +65,7 @@ def test_drain_mode_yields_every_sample_exactly_once(kind, path, rows):
         drawn.extend(batch)
     assert sorted(drawn) == list(range(67))
     assert len(buffer) == 0
-    assert buffer.exhausted
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
     assert buffer.total_got == 67
     # The last batch is the short remainder, identically on both paths.
     assert len(drawn) % 10 == 7
@@ -213,7 +213,7 @@ def test_non_blocking_draw_raises_below_threshold_and_is_empty_once_exhausted(ki
     assert buffer.snapshot() == before
     buffer.signal_reception_over()
     assert len(buffer.get_batch_columns(8, timeout=0)) == buffer.threshold
-    assert buffer.exhausted
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
     assert len(buffer.get_batch_columns(2, timeout=0)) == 0
 
 

@@ -209,7 +209,8 @@ def test_small_reservoir_trains_every_sample_and_never_evicts_unseen(door, rows)
         remaining.extend(drawn)
     # Drain mode yields each remaining sample exactly once ...
     assert len(remaining) == len(set(remaining)) == buffer.capacity
-    assert len(buffer) == 0 and buffer.exhausted
+    assert len(buffer) == 0
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
     # ... and with it every sample ever put has been trained at least once.
     assert trained | set(remaining) == set(range(next_index))
     assert buffer.total_put == next_index
@@ -233,7 +234,8 @@ def test_drain_mode_yields_each_remaining_sample_exactly_once(kind, door, rows):
             break
         drained.extend(drawn)
     assert sorted(drained) == sorted(expected)
-    assert len(buffer) == 0 and buffer.exhausted
+    assert len(buffer) == 0
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
 
 
 # ------------------------------------------- distribution against Algorithm 1

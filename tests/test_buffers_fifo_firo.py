@@ -47,7 +47,7 @@ def test_fifo_each_sample_seen_once(rows):
     buffer.signal_reception_over()
     seen = drain_one_by_one(buffer)
     assert sorted(seen) == list(range(30))
-    assert buffer.exhausted
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
 
 
 def test_fifo_try_put_respects_capacity(rows):
@@ -139,7 +139,7 @@ def test_firo_threshold_released_at_end_of_reception(rows):
         buffer.put_many(rows([i]))
     buffer.signal_reception_over()
     assert sorted(drain_one_by_one(buffer)) == [0, 1, 2]
-    assert buffer.exhausted
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
 
 
 def test_firo_yields_each_sample_exactly_once(rows):

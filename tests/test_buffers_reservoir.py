@@ -80,7 +80,7 @@ def test_reservoir_threshold_lifted_after_reception_over(rows):
     buffer.signal_reception_over()
     assert draw_one(buffer, timeout=1.0) == 0
     assert draw_one(buffer, timeout=0.5) is None  # drained
-    assert buffer.exhausted
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
 
 
 def test_reservoir_drains_after_reception_over(rows):

@@ -48,7 +48,7 @@ def test_client_api_lifecycle_and_messages():
         assert chunk.source_ids.tolist() == [3] * len(chunk)
         assert chunk.targets.dtype == np.float32 and chunk.targets.shape[1] == 16
         np.testing.assert_array_equal(chunk.targets[:, 0], chunk.time_steps)
-    assert api.messages_sent == 3
+    assert all(m.total_sent == 3 for m in all_messages if isinstance(m, ClientFinished))
 
 
 def test_client_api_round_robin_starts_at_client_id():
@@ -102,7 +102,7 @@ def test_ragged_row_is_refused_at_the_source_and_leaves_the_block():
     after = [(b.time_steps, b.time_values, b.sequence_numbers, b.params, len(b.payloads))
              for b in api._connection.pending()]
     assert after == before
-    assert api.messages_sent == 3
+    assert api.undelivered_steps() == [1, 2, 3]
     # Nothing moved on: the next well-formed step takes rank 1, as it would have.
     assert api.send(4, 0.4, (1.0, 2.0), np.zeros(4)) == 1
     assert api.undelivered_steps() == [1, 2, 3, 4]

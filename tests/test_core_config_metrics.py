@@ -13,7 +13,6 @@ from repro.core.metrics import (
 )
 from repro.core.results import improvement_percent
 from repro.utils.exceptions import ConfigurationError
-from repro.utils.timing import VirtualClock
 
 
 def test_online_config_validation():
@@ -59,12 +58,12 @@ def test_surrogate_architecture_validation():
 
 
 def test_throughput_meter_windows_with_virtual_clock():
-    clock = VirtualClock()
-
     class TickingClock:
+        ticks = 0
+
         def now(self):
-            clock.advance(0.1)
-            return clock.now()
+            self.ticks += 1
+            return 0.1 * self.ticks
 
     meter = ThroughputMeter(window=5, clock=TickingClock())
     for _ in range(10):
@@ -94,9 +93,6 @@ def test_loss_history_best_and_final():
     assert history.best_validation_loss == 2.5
     assert history.final_validation_loss == 2.8
     assert history.final_training_loss == 3.0
-    smoothed = history.smoothed_train_losses(window=2)
-    assert smoothed.size == 1
-    assert smoothed[0] == pytest.approx(4.0)
 
 
 def test_loss_history_empty_is_nan():
@@ -110,7 +106,7 @@ def test_buffer_population_series():
     series.record(0.0, 10, unseen=4)
     series.record(1.0, 30)
     assert series.max_population() == 30
-    assert series.mean_population() == pytest.approx(20.0)
+    assert series.sizes == [10, 30]
     assert series.unseen == [4, 30]
 
 

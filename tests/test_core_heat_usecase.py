@@ -11,7 +11,7 @@ from repro.core.config import SurrogateArchitecture
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.offline.dataset import SimulationDataset
 from repro.sampling import get_sampler
-from repro.solvers.heat2d import HeatEquationConfig, HeatParameters
+from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 
 
 @pytest.fixture
@@ -49,9 +49,12 @@ def test_sample_parameters_within_paper_range(case):
     assert isinstance(params, HeatParameters)
 
 
-def test_run_simulation_shapes(case):
-    times, fields = case.run_simulation(np.array([300.0, 300.0, 300.0, 300.0, 300.0]))
-    assert times.shape == (4,)
+def test_run_simulation_shapes(case, tmp_path):
+    store = case.generate_store(tmp_path / "store", num_simulations=1,
+                                parameter_vectors=[np.full(5, 300.0)], workers=1)
+    stored = store.simulations[0]
+    fields = store.load_fields(stored, mmap=False)
+    assert len(stored.times) == 4
     assert fields.shape == (4, 64)
     assert fields.dtype == np.float32
     assert np.allclose(fields, 300.0, atol=1e-3)
@@ -59,8 +62,7 @@ def test_run_simulation_shapes(case):
 
 def test_generate_validation_set_independent_of_training_design(case):
     validation = case.generate_validation_set(num_simulations=2)
-    assert validation.num_samples == 2 * 4
-    assert validation.inputs.shape == (8, 6)
+    assert validation.inputs.shape == (2 * 4, 6)
     assert validation.targets.shape == (8, 64)
     # Validation parameters come from a shifted sampler stream: they must not
     # coincide with the first training parameters.
@@ -100,9 +102,12 @@ def test_store_threads_share_one_solver(case, solver_builds, tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert len(solver_builds) == 1
+    solver = HeatEquationSolver(case.spec.solver)
     for row, stored in zip(params, store.simulations, strict=True):
-        _, fields = case.run_simulation(row)
-        assert np.array_equal(store.load_fields(stored, mmap=False), fields)
+        fields = [field.reshape(-1)
+                  for _, _, field in solver.iter_steps(case.parameters_to_solver(row))]
+        assert np.array_equal(store.load_fields(stored, mmap=False),
+                              np.asarray(fields, dtype=np.float32))
 
 
 def test_generate_store_roundtrip(case, tmp_path):
@@ -127,13 +132,6 @@ def test_describe_contains_key_fields(case):
     assert description["grid"] == "8x8"
     assert description["field_size"] == 64
     assert description["sampler"] == "halton"
-
-
-def test_paper_scale_spec():
-    spec = HeatSurrogateSpec.paper_scale()
-    assert spec.solver.nx == 1000 and spec.solver.ny == 1000
-    assert spec.solver.num_steps == 100
-    assert tuple(spec.architecture.hidden_sizes) == (256, 256)
 
 
 def test_validation_set_is_built_in_place():

@@ -3,7 +3,9 @@
 Each study runs in a fresh interpreter under a hard timeout, so a study that
 wedges fails this test instead of wedging the suite.  The trainer is patched
 to raise on the fifth batch it trains (counted over every rank and shard);
-the child prints how long the study took to raise and what it raised.
+the child prints how long the study took to raise and what it raised, and
+then stays alive for a while, as a longer-lived program would, so that a
+launcher still starting clients after the failure shows up as late forks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: How long the child stays alive after the study raised.
+LINGER_S = 0.5
+
 #: ``sys.argv[1:]`` = backend, ranks per shard, shards, pid file.  Every
-#: forked process appends its pid to the pid file.
+#: forked process appends its pid and its fork time to the pid file.
 STUDY = r"""
 import json, os, sys, threading, time
 backend, num_ranks, num_shards = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -28,7 +33,7 @@ pid_file = sys.argv[4]
 
 def after_fork_in_child():
     with open(pid_file, "a") as out:
-        out.write(f"{os.getpid()}\n")
+        out.write(f"{os.getpid()} {time.monotonic()}\n")
 
 os.register_at_fork(after_in_child=after_fork_in_child)
 
@@ -69,7 +74,9 @@ try:
     errors = []
 except SPMDFailure as failure:
     errors = [type(error).__name__ for error in failure.errors.values()]
-print(json.dumps({"elapsed": time.monotonic() - began, "errors": errors}))
+raised = time.monotonic()
+print(json.dumps({"elapsed": raised - began, "raised": raised, "errors": errors}), flush=True)
+time.sleep(float(sys.argv[5]))
 """
 
 
@@ -79,12 +86,15 @@ def run_failing_study(tmp_path, backend, num_ranks, num_shards, timeout=30.0):
     pid_file = tmp_path / "forked-pids.txt"
     pid_file.touch()
     completed = subprocess.run(
-        [sys.executable, "-c", STUDY, backend, str(num_ranks), str(num_shards), str(pid_file)],
+        [sys.executable, "-c", STUDY, backend, str(num_ranks), str(num_shards), str(pid_file),
+         str(LINGER_S)],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert completed.returncode == 0, completed.stderr
     doc = json.loads(completed.stdout.strip().splitlines()[-1])
-    doc["forked"] = [int(line) for line in pid_file.read_text().split()]
+    forks = [line.split() for line in pid_file.read_text().splitlines()]
+    doc["forked"] = [int(pid) for pid, _ in forks]
+    doc["forked_late"] = [int(pid) for pid, at in forks if float(at) > doc["raised"]]
     return doc
 
 
@@ -100,6 +110,8 @@ def is_running(pid):
 def assert_failed_promptly(doc):
     assert doc["elapsed"] < 10.0, doc
     assert "InjectedFault" in doc["errors"], doc
+    # A study that raised has stopped its launcher: no client starts after it.
+    assert doc["forked_late"] == [], doc
     # The spawner kills its clients once the server process is gone.
     deadline = time.monotonic() + 5.0
     while any(is_running(pid) for pid in doc["forked"]) and time.monotonic() < deadline:

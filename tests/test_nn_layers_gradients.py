@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear, MSELoss, ReLU, Sequential, gradient_check
-from repro.nn.gradcheck import numerical_gradient
+from nn_reference import gradient_check, numerical_gradient
+from repro.nn import Linear, MSELoss, ReLU, Sequential
 
 
 @pytest.fixture

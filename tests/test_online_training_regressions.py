@@ -23,7 +23,6 @@ from repro.parallel.messages import TimeStepMessage
 from repro.parallel.transport import MessageRouter
 from repro.server.aggregator import DataAggregator
 from repro.server.trainer import TrainerConfig, TrainingWorker
-from repro.utils.timing import VirtualClock
 
 
 def make_samples(count, input_size=3, target_size=5, seed=0):
@@ -136,12 +135,12 @@ class TickingClock:
     """Clock advancing a fixed interval on every observation."""
 
     def __init__(self, interval=0.1):
-        self._clock = VirtualClock()
         self.interval = interval
+        self.ticks = 0
 
     def now(self):
-        self._clock.advance(self.interval)
-        return self._clock.now()
+        self.ticks += 1
+        return self.ticks * self.interval
 
 
 def test_throughput_first_window_counts_all_intervals_when_started():

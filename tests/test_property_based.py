@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.buffers import FIFOBuffer, FIROBuffer, ReservoirBuffer
-from repro.nn import Linear, MSELoss, ReLU, Sequential, gradient_check
+from nn_reference import gradient_check
+from repro.nn import Linear, MSELoss, ReLU, Sequential
 from repro.sampling import HaltonSampler, LatinHypercubeSampler, MonteCarloSampler, ParameterSpace
 from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatParameters
 from repro.utils.seeding import derive_rng
@@ -52,7 +53,7 @@ def test_reservoir_drains_every_remaining_sample(capacity, num_samples, reads_pe
         drained += 1
     assert drained == population
     assert len(buffer) == 0
-    assert buffer.exhausted
+    assert len(buffer.get_batch_columns(1, timeout=0)) == 0  # exhausted
 
 
 @settings(max_examples=25, deadline=None)
@@ -98,7 +99,7 @@ def test_samplers_stay_inside_box(low, width, dimension, count, kind, seed):
     }[kind](space, seed=seed)
     samples = sampler.sample(count)
     assert samples.shape == (count, dimension)
-    assert space.contains(samples).all()
+    assert np.all((samples >= space.lower) & (samples <= space.upper))
 
 
 # ----------------------------------------------------------------------- solver

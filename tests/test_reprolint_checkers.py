@@ -263,6 +263,53 @@ class TestLineLength:
         assert ruff is not None and int(ruff.group(1)) == MAX_LINE_LENGTH
 
 
+# -------------------------------------------------------------------- test only
+class TestTestOnly:
+    PROJECT = FIXTURES / "test_only_project"
+
+    def findings(self, *paths, root=None):
+        project = load_project(paths or [self.PROJECT], root=root or self.PROJECT)
+        return [f for f in run(project, CHECKERS).findings if f.rule == "test-only"]
+
+    def test_bad_fixture_flags_what_only_tests_reach(self):
+        findings = self.findings()
+        assert {f.path for f in findings} == {"src/pkg/bad.py"}
+        assert [f.message.split()[0] for f in findings] == [
+            "only_tested",
+            "reexported_only",  # an __init__.py import alone keeps nothing alive
+            "listed_only",  # nor does an __all__ entry
+            "recursive",  # nor a call from its own body
+            "Helper",  # nor a docstring
+            "Helper.tested_method",
+        ]
+        assert [f.line for f in findings] == [4, 8, 12, 16, 21, 24]
+
+    def test_good_fixture_is_clean(self):
+        # A factory-table entry, a string target in benchmarks/, a getattr
+        # string, a method reached by attribute and a dunder method.
+        assert not [f for f in self.findings() if f.path != "src/pkg/bad.py"]
+
+    def test_the_verdict_does_not_depend_on_the_paths_given(self):
+        whole = self.findings()
+        assert self.findings(self.PROJECT / "src") == whole
+        bad = self.PROJECT / "src" / "pkg" / "bad.py"
+        assert self.findings(bad) == whole
+
+    def test_only_src_is_checked_when_the_project_has_src(self):
+        helper = REPO_ROOT / "src" / "repro" / "utils" / "seeding.py"
+        assert self.findings(helper, FIXTURES / "bad_solver_state.py", root=REPO_ROOT) == []
+
+    def test_a_project_without_src_is_checked_whole(self, tmp_path):
+        (tmp_path / "lib.py").write_text(
+            "def used():\n    pass\n\n\ndef only_tested():\n    pass\n", encoding="utf-8")
+        (tmp_path / "app.py").write_text("from lib import used\n\nused()\n", encoding="utf-8")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "check_lib.py").write_text(
+            "from lib import only_tested, used\n\nonly_tested()\nused()\n", encoding="utf-8")
+        findings = self.findings(tmp_path, root=tmp_path)
+        assert [(f.path, f.message.split()[0]) for f in findings] == [("lib.py", "only_tested")]
+
+
 # --------------------------------------------------------------- pragma protocol
 class TestPragmas:
     def test_justified_pragmas_suppress_inline_and_own_line(self):

@@ -9,6 +9,7 @@ to fix findings rather than accumulate exemptions.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,27 @@ def test_repo_is_reprolint_clean(tmp_path):
         "fix findings instead of suppressing them\n"
         + "\n".join(s["path"] + ":" + str(s["line"]) for s in payload["suppressed"])
     )
+
+
+def reprolint_findings(tmp_path, *args):
+    report_path = tmp_path / "reprolint.json"
+    subprocess.run(
+        [sys.executable, "-m", "tools.reprolint", *args, "--json", str(report_path), "-q"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    return json.loads(report_path.read_text(encoding="utf-8"))["findings"]
+
+
+def test_ci_lints_the_same_paths():
+    """The CI step and this gate lint the same directories: test-only reads
+    its consumers from them, so a directory dropped from one would not be
+    dropped from the other."""
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    step = re.search(r"^\s*python -m tools\.reprolint ([\w/ ]+)$", workflow, re.M)
+    assert step is not None
+    assert tuple(step.group(1).split()) == LINT_PATHS
+
+
+def test_test_only_verdict_does_not_depend_on_the_paths_given(tmp_path):
+    full = reprolint_findings(tmp_path, *LINT_PATHS, "--rules", "test-only")
+    assert reprolint_findings(tmp_path, "src", "--rules", "test-only") == full

@@ -487,14 +487,14 @@ def test_tcp_client_killed_mid_stream_then_restart_dedup(tcp_transport):
     assert transport.stats.torn_batches <= 1
     assert transport.stats.dropped_messages == 0
     # Both connections announced client 0's epoch through the handshake.
-    assert 0 in transport.client_epochs()
+    assert 0 in transport._client_epochs
 
 
 def test_tcp_torn_frame_counted_not_fatal(tcp_transport):
     """A connection that dies inside a frame counts one torn batch; the front
     door and every later connection keep working."""
     transport = tcp_transport
-    raw = socket.create_connection(transport.address, timeout=5.0)
+    raw = socket.create_connection((transport.host, transport.port), timeout=5.0)
     try:
         raw.sendall(framing.encode_hello(client_id=9, epoch=0))
         # Declare a 100-byte batch body but send only a fragment of it.
@@ -523,7 +523,7 @@ def test_tcp_protocol_violation_drops_connection(tcp_transport):
     """Garbage where a frame header should be counts one rejected frame and
     closes only the offending connection."""
     transport = tcp_transport
-    raw = socket.create_connection(transport.address, timeout=5.0)
+    raw = socket.create_connection((transport.host, transport.port), timeout=5.0)
     try:
         raw.sendall(b"GET / HTTP/1.1\r\n\r\n")  # wrong magic, full header's worth
         raw.sendall(b"\x00" * framing.FRAME_HEADER_BYTES)
@@ -563,9 +563,9 @@ def test_tcp_round_trip_is_byte_identical():
 
 
 def test_tcp_frame_codec_round_trip_exact_bytes():
-    """framing.encode/decode invert each other bit-exactly; the 16-byte
-    header keeps the body 8-aligned, and a frame of another version is
-    rejected."""
+    """The server's header parse inverts framing.encode_frame bit-exactly;
+    the 16-byte header keeps the body 8-aligned, and a frame of another
+    version is rejected."""
     payload = pack_many(
         [TimeStepMessage(client_id=3, time_step=step,
                          payload=np.zeros(512, dtype=np.float32))
@@ -574,10 +574,10 @@ def test_tcp_frame_codec_round_trip_exact_bytes():
     frame = framing.encode_frame(payload, rank=2)
     assert framing.FRAME_HEADER_BYTES == 16
     assert len(frame) == framing.FRAME_HEADER_BYTES + len(payload)
-    kind, rank, decoded = framing.decode_frame(frame)
-    assert (kind, rank) == (framing.KIND_BATCH, 2)
-    assert decoded == payload
-    old_version = bytearray(frame)
+    header = frame[:framing.FRAME_HEADER_BYTES]
+    assert framing.parse_header(header) == (framing.KIND_BATCH, 2, len(payload))
+    assert frame[framing.FRAME_HEADER_BYTES:] == payload
+    old_version = bytearray(header)
     old_version[4] = framing.FRAME_VERSION - 1
     with pytest.raises(framing.FrameError, match="version"):
-        framing.decode_frame(old_version)
+        framing.parse_header(old_version)

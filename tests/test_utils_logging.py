@@ -2,7 +2,7 @@
 
 import logging
 
-from repro.utils.logging import get_logger, set_verbosity
+from repro.utils.logging import get_logger
 
 
 def test_get_logger_namespaced_and_handler_installed():
@@ -13,11 +13,3 @@ def test_get_logger_namespaced_and_handler_installed():
     # A second call must not add another handler.
     get_logger("unit-test-2")
     assert len(root.handlers) == 1
-
-
-def test_set_verbosity_changes_root_level():
-    set_verbosity(logging.DEBUG)
-    assert logging.getLogger("repro").level == logging.DEBUG
-    set_verbosity(logging.WARNING)
-    assert logging.getLogger("repro").level == logging.WARNING
-

@@ -1,8 +1,9 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
 Eight checkers encode the concurrency, process, solver, wait and wire-format
-invariants the code review process kept re-discovering by hand, and two more
-hold ``ruff`` limits that would otherwise run only in CI, or not at all (see
+invariants the code review process kept re-discovering by hand, one counts
+the program code only the tests reach, and two more hold ``ruff`` limits
+that would otherwise run only in CI, or not at all (see
 ``docs/static_analysis.md``):
 
 - ``lock-discipline``   : attributes mutated under a lock anywhere must never
@@ -23,6 +24,9 @@ hold ``ruff`` limits that would otherwise run only in CI, or not at all (see
 - ``wire-layout``       : ``struct.Struct`` formats, declared ``*_BYTES`` size
                           constants and packed-header offset families must
                           agree.
+- ``test-only``         : in ``src/``, every module-level function and class
+                          and every method is referenced from outside
+                          ``tests/`` (no path only a test walks).
 - ``unused-import``     : every import binds a name its module reads (ruff's
                           ``F401``, with the same exemptions).
 - ``line-length``       : no line is longer than ``[tool.ruff] line-length``
@@ -42,6 +46,7 @@ from tools.reprolint import (
     check_lock_order,
     check_sleep_poll,
     check_solver_state,
+    check_test_only,
     check_unused_imports,
     check_wire_layout,
 )
@@ -58,6 +63,7 @@ CHECKERS = (
     check_solver_state,
     check_sleep_poll,
     check_wire_layout,
+    check_test_only,
     check_unused_imports,
     check_line_length,
 )
