@@ -166,7 +166,7 @@ class TcpTransport(PackedDrainMixin, Transport):
         the client's ``sendall``.
     host, port:
         Bind address of the front door; ``port=0`` binds an ephemeral port,
-        resolved in :attr:`address` before any client connects.
+        resolved into ``host``/``port`` before any client connects.
     connect_timeout:
         Client-side bound on establishing a connection.
     """

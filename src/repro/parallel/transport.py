@@ -8,7 +8,7 @@ channel with :meth:`Transport.poll_batches` — samples leave every backend as
 :class:`~repro.buffers.columns.ColumnBatch` chunks, control messages as
 plain objects.  Four backends implement the interface:
 
-* :class:`MessageRouter` — the in-process backend: one ``queue.Queue`` per
+* :class:`MessageRouter` — the in-process backend: one bounded deque per
   rank, blocks handed over by reference (no serialisation).
 * :class:`repro.parallel.mp_transport.MultiprocessTransport` — real OS-process
   isolation: one ``multiprocessing.Queue`` per rank carrying *packed batches*
@@ -369,9 +369,7 @@ class MessageRouter(PackedDrainMixin, Transport):
             raise ValueError("num_server_ranks must be positive")
         self.num_server_ranks = int(num_server_ranks)
         self.max_queue_size = int(max_queue_size)
-        self._queues: List[queue.Queue] = [
-            queue.Queue(maxsize=max_queue_size) for _ in range(num_server_ranks)
-        ]
+        self._channels = [_PartChannel() for _ in range(num_server_ranks)]
         self._init_leftovers(num_server_ranks)
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
@@ -387,15 +385,21 @@ class MessageRouter(PackedDrainMixin, Transport):
         blocking while the queue is full."""
         self._check_rank(rank)
         parts = batch_parts(batch)
+        channel = self._channels[rank]
         for index, part in enumerate(parts):
-            if self._closed.is_set():
+            with channel.lock:
+                room = channel.not_full.wait_for(
+                    lambda: self._closed.is_set() or len(channel.parts) < self.max_queue_size,
+                    timeout)
+                closed = self._closed.is_set()
+                if room and not closed:
+                    channel.parts.append(part)
+                    channel.not_empty.notify()
+            if closed or not room:
                 self._record_dropped(message_count(parts[index:]))
-                raise RouterClosed("router is closed")
-            try:
-                self._queues[rank].put(part, timeout=timeout)
-            except queue.Full:
-                self._record_dropped(message_count(parts[index:]))
-                raise
+                if closed:
+                    raise RouterClosed("router is closed")
+                raise queue.Full
             with self._stats_lock:
                 self._stats.record_batch(rank, message_count([part]), part.nbytes())
 
@@ -407,19 +411,29 @@ class MessageRouter(PackedDrainMixin, Transport):
     # ----------------------------------------------------------------- server
     def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         """Pop one part as it was pushed; the drain joins runs of blocks."""
-        try:
-            q = self._queues[rank]
-            return [q.get_nowait() if timeout is None else q.get(timeout=timeout)]
-        except queue.Empty:
-            return None
+        channel = self._channels[rank]
+        with channel.lock:
+            if not channel.parts and (
+                    timeout is None
+                    or not channel.not_empty.wait_for(lambda: channel.parts, timeout)):
+                return None
+            part = channel.parts.popleft()
+            channel.not_full.notify()
+        return [part]
 
     def pending(self, rank: int) -> int:
         """Leftover rows plus queued parts (a queued block counts once)."""
-        return self._leftover_count(rank) + self._queues[rank].qsize()
+        return self._leftover_count(rank) + len(self._channels[rank].parts)
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
+        """Close the router and wake every client parked on a full queue:
+        its push raises :class:`RouterClosed` instead of waiting for a drain
+        that a failed server never does.  Queued parts stay drainable."""
         self._closed.set()
+        for channel in self._channels:
+            with channel.lock:
+                channel.not_full.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -428,6 +442,20 @@ class MessageRouter(PackedDrainMixin, Transport):
     @property
     def stats(self) -> TransportStats:
         return self._stats
+
+
+class _PartChannel:
+    """One rank's queued parts and the two conditions on its lock: pushers
+    wait on ``not_full``, the drain on ``not_empty``, and closing the router
+    wakes every pusher."""
+
+    __slots__ = ("lock", "not_empty", "not_full", "parts")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.not_empty = threading.Condition(self.lock)
+        self.not_full = threading.Condition(self.lock)
+        self.parts: Deque = deque()
 
 
 @dataclass

@@ -15,8 +15,3 @@ class WallClock:
     def now(self) -> float:
         """Current time in seconds (monotonic)."""
         return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        """Sleep for ``seconds`` of real time."""
-        if seconds > 0:
-            time.sleep(seconds)

@@ -2,10 +2,13 @@
 
 Each study runs in a fresh interpreter under a hard timeout, so a study that
 wedges fails this test instead of wedging the suite.  The trainer is patched
-to raise on the fifth batch it trains (counted over every rank and shard);
+to take 50 ms a batch, so that the clients outrun it and back up into the
+transport as they do behind a slow server, and to raise on the fifth batch it
+trains (counted over every rank and shard);
 the child prints how long the study took to raise and what it raised, and
 then stays alive for a while, as a longer-lived program would, so that a
-launcher still starting clients after the failure shows up as late forks.
+launcher still starting clients after the study closed its transport shows
+up as late forks.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: How long the child stays alive after the study raised.
 LINGER_S = 0.5
 
-#: ``sys.argv[1:]`` = backend, ranks per shard, shards, pid file.  Every
-#: forked process appends its pid and its fork time to the pid file.
-STUDY = r"""
+#: The study's ``max_concurrent_clients``: at most this many starts can be
+#: requested from the spawner, their checks passed, when the transport closes.
+MAX_CONCURRENT_CLIENTS = 2
+
+#: ``sys.argv[1:]`` = backend, ranks per shard, shards, queue size, pid file,
+#: linger.  Every forked process appends its pid and its fork time to the pid
+#: file; the study records when its first transport closed.
+STUDY = f"MAX_CONCURRENT_CLIENTS = {MAX_CONCURRENT_CLIENTS}\n" + r"""
 import json, os, sys, threading, time
 backend, num_ranks, num_shards = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-pid_file = sys.argv[4]
+queue_size, pid_file = int(sys.argv[4]), sys.argv[5]
 
 def after_fork_in_child():
     with open(pid_file, "a") as out:
@@ -41,7 +49,8 @@ from repro.core.config import OnlineStudyConfig, SurrogateArchitecture
 from repro.core.heat_usecase import HeatSurrogateCase, HeatSurrogateSpec
 from repro.core.study import OnlineStudy
 from repro.parallel.spmd import SPMDFailure
-from repro.parallel.transport import ShardOptions, TransportConfig
+from repro.parallel.shm_ring import ShmRingTransport
+from repro.parallel.transport import MessageRouter, ShardOptions, TransportConfig
 from repro.server.trainer import TrainingWorker
 from repro.solvers.heat2d import HeatEquationConfig
 
@@ -52,6 +61,7 @@ lock, calls = threading.Lock(), [0]
 train_batch = TrainingWorker._train_batch
 
 def failing_train_batch(self, batch, sync=True):
+    time.sleep(0.05)
     with lock:
         calls[0] += 1
         fail = calls[0] == 5
@@ -61,13 +71,25 @@ def failing_train_batch(self, batch, sync=True):
 
 TrainingWorker._train_batch = failing_train_batch
 
+closed_at = []
+
+def record_close(close):
+    def close_and_record(self):
+        closed_at.append(time.monotonic())
+        close(self)
+    return close_and_record
+
+for transport_class in (MessageRouter, ShmRingTransport):
+    transport_class.close = record_close(transport_class.close)
+
 case = HeatSurrogateCase(HeatSurrogateSpec(
     solver=HeatEquationConfig(nx=32, ny=32, num_steps=20),
     architecture=SurrogateArchitecture(hidden_sizes=(32, 32)), seed=1))
 config = OnlineStudyConfig(
-    num_simulations=8, max_concurrent_clients=2, num_ranks=num_ranks,
-    buffer_capacity=200, buffer_threshold=20, batch_size=10, seed=1,
-    transport=TransportConfig(backend=backend, shard=ShardOptions(num_shards=num_shards)))
+    num_simulations=40, max_concurrent_clients=MAX_CONCURRENT_CLIENTS, num_ranks=num_ranks,
+    buffer_capacity=40, buffer_threshold=20, batch_size=10, seed=1,
+    transport=TransportConfig(backend=backend, queue_size=queue_size,
+                              shard=ShardOptions(num_shards=num_shards)))
 began = time.monotonic()
 try:
     OnlineStudy(case, config).run()
@@ -75,26 +97,28 @@ try:
 except SPMDFailure as failure:
     errors = [type(error).__name__ for error in failure.errors.values()]
 raised = time.monotonic()
-print(json.dumps({"elapsed": raised - began, "raised": raised, "errors": errors}), flush=True)
-time.sleep(float(sys.argv[5]))
+print(json.dumps({"elapsed": raised - began, "closed": min(closed_at), "errors": errors}),
+      flush=True)
+time.sleep(float(sys.argv[6]))
 """
 
 
-def run_failing_study(tmp_path, backend, num_ranks, num_shards, timeout=30.0):
+def run_failing_study(tmp_path, backend, num_ranks, num_shards, queue_size=100_000,
+                      timeout=30.0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     pid_file = tmp_path / "forked-pids.txt"
     pid_file.touch()
     completed = subprocess.run(
-        [sys.executable, "-c", STUDY, backend, str(num_ranks), str(num_shards), str(pid_file),
-         str(LINGER_S)],
+        [sys.executable, "-c", STUDY, backend, str(num_ranks), str(num_shards),
+         str(queue_size), str(pid_file), str(LINGER_S)],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert completed.returncode == 0, completed.stderr
     doc = json.loads(completed.stdout.strip().splitlines()[-1])
     forks = [line.split() for line in pid_file.read_text().splitlines()]
     doc["forked"] = [int(pid) for pid, _ in forks]
-    doc["forked_late"] = [int(pid) for pid, at in forks if float(at) > doc["raised"]]
+    doc["forked_late"] = [int(pid) for pid, at in forks if float(at) > doc["closed"]]
     return doc
 
 
@@ -110,8 +134,10 @@ def is_running(pid):
 def assert_failed_promptly(doc):
     assert doc["elapsed"] < 10.0, doc
     assert "InjectedFault" in doc["errors"], doc
-    # A study that raised has stopped its launcher: no client starts after it.
-    assert doc["forked_late"] == [], doc
+    # A closed transport stops the launcher: of the 40 clients, none starts
+    # or restarts after the close beyond those already requested from the
+    # spawner (a launcher that ignores the close forks about 30 more).
+    assert len(doc["forked_late"]) <= MAX_CONCURRENT_CLIENTS, doc
     # The spawner kills its clients once the server process is gone.
     deadline = time.monotonic() + 5.0
     while any(is_running(pid) for pid in doc["forked"]) and time.monotonic() < deadline:
@@ -126,6 +152,15 @@ def test_a_failed_rank_fails_a_two_rank_study_at_once(tmp_path, backend):
     doc = run_failing_study(tmp_path, backend, num_ranks=2, num_shards=1)
     assert_failed_promptly(doc)
     assert "CommunicatorError" in doc["errors"], doc
+
+
+def test_a_failed_rank_wakes_inproc_clients_parked_on_a_full_queue(tmp_path):
+    """With a queue of four parts the client threads are parked in their
+    push when the trainer raises; closing the router wakes them, so the
+    launcher's pool drains and the study raises instead of waiting for a
+    drain that never comes."""
+    doc = run_failing_study(tmp_path, "inproc", num_ranks=2, num_shards=1, queue_size=4)
+    assert_failed_promptly(doc)
 
 
 def test_a_failed_shard_fails_a_two_shard_shm_study_at_once(tmp_path):

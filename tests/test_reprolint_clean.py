@@ -53,12 +53,15 @@ def test_repo_is_reprolint_clean(tmp_path):
     )
 
 
-def reprolint_findings(tmp_path, *args):
-    report_path = tmp_path / "reprolint.json"
-    subprocess.run(
+def reprolint_findings(report_path, *args):
+    """Run reprolint writing its report to ``report_path`` (which must not
+    exist yet) and return the findings; it must exit 0 or 1 (findings)."""
+    assert not report_path.exists()
+    result = subprocess.run(
         [sys.executable, "-m", "tools.reprolint", *args, "--json", str(report_path), "-q"],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
     )
+    assert result.returncode in (0, 1), result.stdout + result.stderr
     return json.loads(report_path.read_text(encoding="utf-8"))["findings"]
 
 
@@ -73,5 +76,6 @@ def test_ci_lints_the_same_paths():
 
 
 def test_test_only_verdict_does_not_depend_on_the_paths_given(tmp_path):
-    full = reprolint_findings(tmp_path, *LINT_PATHS, "--rules", "test-only")
-    assert reprolint_findings(tmp_path, "src", "--rules", "test-only") == full
+    full = reprolint_findings(tmp_path / "all.json", *LINT_PATHS, "--rules", "test-only")
+    src_only = reprolint_findings(tmp_path / "src.json", "src", "--rules", "test-only")
+    assert src_only == full
