@@ -51,7 +51,6 @@ class ClientRunResult:
     client_id: int
     steps_sent: int
     elapsed: float
-    restarted_from_step: int = 0
     failed_at_step: Optional[int] = None
 
     @property
@@ -162,7 +161,6 @@ class SimulationClient:
             client_id=self.client_id,
             steps_sent=steps_sent,
             elapsed=elapsed,
-            restarted_from_step=resume_from,
             failed_at_step=None,
         )
 

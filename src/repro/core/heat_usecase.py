@@ -155,17 +155,3 @@ class HeatSurrogateCase:
                 row = parameter_vectors[index].tolist()
                 store.add_simulation(index, row, times.tolist(), fields)
         return store
-
-    # ------------------------------------------------------------ description
-    def describe(self) -> dict:
-        """Human-readable summary used by the experiment reports."""
-        solver = self.spec.solver
-        return {
-            "grid": f"{solver.ny}x{solver.nx}",
-            "num_steps": solver.num_steps,
-            "field_size": self.field_size,
-            "hidden_sizes": tuple(self.spec.architecture.hidden_sizes),
-            "parameter_space": [self.spec.parameter_space.lower, self.spec.parameter_space.upper],
-            "sampler": self.spec.sampler,
-            "seed": self.spec.seed,
-        }

@@ -98,23 +98,19 @@ class ThroughputMeter:
 
 @dataclass
 class LossHistory:
-    """Training and validation loss curves indexed by batch count and samples seen."""
+    """Training and validation loss curves indexed by batch count."""
 
     train_batches: List[int] = field(default_factory=list)
-    train_samples: List[int] = field(default_factory=list)
     train_losses: List[float] = field(default_factory=list)
     val_batches: List[int] = field(default_factory=list)
-    val_samples: List[int] = field(default_factory=list)
     val_losses: List[float] = field(default_factory=list)
 
-    def record_train(self, batch_index: int, samples_seen: int, loss: float) -> None:
+    def record_train(self, batch_index: int, loss: float) -> None:
         self.train_batches.append(int(batch_index))
-        self.train_samples.append(int(samples_seen))
         self.train_losses.append(float(loss))
 
-    def record_validation(self, batch_index: int, samples_seen: int, loss: float) -> None:
+    def record_validation(self, batch_index: int, loss: float) -> None:
         self.val_batches.append(int(batch_index))
-        self.val_samples.append(int(samples_seen))
         self.val_losses.append(float(loss))
 
     @property
@@ -133,16 +129,14 @@ class LossHistory:
 
 @dataclass
 class BufferPopulationSeries:
-    """Time series of a buffer's population (and unseen count for the Reservoir)."""
+    """Time series of a buffer's population."""
 
     times: List[float] = field(default_factory=list)
     sizes: List[int] = field(default_factory=list)
-    unseen: List[int] = field(default_factory=list)
 
-    def record(self, timestamp: float, size: int, unseen: int | None = None) -> None:
+    def record(self, timestamp: float, size: int) -> None:
         self.times.append(float(timestamp))
         self.sizes.append(int(size))
-        self.unseen.append(int(unseen if unseen is not None else size))
 
     def max_population(self) -> int:
         return max(self.sizes, default=0)
@@ -160,19 +154,6 @@ class TrainingMetrics:
     batches_trained: int = 0
     samples_trained: int = 0
     wall_time: float = 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Scalar summary used by the experiment tables."""
-        return {
-            "rank": self.rank,
-            "batches_trained": self.batches_trained,
-            "samples_trained": self.samples_trained,
-            "mean_throughput": self.throughput.mean_throughput(),
-            "best_val_mse": self.losses.best_validation_loss,
-            "final_val_mse": self.losses.final_validation_loss,
-            "final_train_loss": self.losses.final_training_loss,
-            "wall_time": self.wall_time,
-        }
 
 
 def throughput_from_summary(summary: Dict[str, float]) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ class OnlineStudyResult:
     total_elapsed: float
     unique_samples: int
     dataset_bytes: int
-    config_summary: Dict[str, object] = field(default_factory=dict)
 
     @property
     def metrics(self) -> TrainingMetrics:
@@ -74,7 +73,6 @@ class OfflineStudyResult:
     unique_samples: int
     dataset_bytes: int
     store_dir: Optional[str] = None
-    config_summary: Dict[str, object] = field(default_factory=dict)
 
     @property
     def metrics(self) -> TrainingMetrics:

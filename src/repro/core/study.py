@@ -31,7 +31,7 @@ from repro.parallel.communicator import ThreadCommunicator
 from repro.parallel.spmd import SPMDExecutor
 from repro.parallel.transport import Transport, make_transport
 from repro.server.server import ServerConfig, TrainingServer
-from repro.server.sharding import HashRing, ShardManager
+from repro.server.sharding import ShardManager
 from repro.server.trainer import TrainingWorker, build_worker
 from repro.server.validation import ValidationSet
 
@@ -99,8 +99,7 @@ class OnlineStudy:
         )
 
     def _build_launcher(self, router: Transport, specs: Sequence[ClientSpec],
-                        heartbeat_monitor: object,
-                        shard_ring: Optional[HashRing] = None) -> Launcher:
+                        heartbeat_monitor: object) -> Launcher:
         cfg = self.config
         solver_steps = self.case.solver_config.num_steps
         # The members differ only in their parameters, never in the operator:
@@ -133,8 +132,7 @@ class OnlineStudy:
         # sharded study the monitor and the clients' transport both route by
         # the hash ring, so the same protocol spans every shard.
         return Launcher(client_factory, specs, launcher_config,
-                        heartbeat_monitor=heartbeat_monitor,
-                        shard_ring=shard_ring)
+                        heartbeat_monitor=heartbeat_monitor)
 
     # -------------------------------------------------------------------- run
     def run(self) -> OnlineStudyResult:
@@ -147,7 +145,6 @@ class OnlineStudy:
         # after the client's last process was reaped.
         num_shards = cfg.transport_config.shard.num_shards
         specs = self._build_specs()
-        shard_ring = None
         if num_shards > 1:
             # Sharded tier: one transport endpoint + server per shard, the
             # hash ring routing each client at connect; the manager merges
@@ -156,7 +153,6 @@ class OnlineStudy:
             router: Transport = manager.router
             runner = manager
             heartbeat_monitor = manager.heartbeat_monitor
-            shard_ring = manager.ring
         else:
             router = make_transport(
                 cfg.transport_config,
@@ -166,8 +162,7 @@ class OnlineStudy:
             server = self._build_server(router)
             runner = server
             heartbeat_monitor = server.heartbeat_monitor
-        launcher = self._build_launcher(router, specs, heartbeat_monitor,
-                                        shard_ring=shard_ring)
+        launcher = self._build_launcher(router, specs, heartbeat_monitor)
 
         start = time.monotonic()
         try:
@@ -188,15 +183,6 @@ class OnlineStudy:
             total_elapsed=elapsed,
             unique_samples=unique_samples,
             dataset_bytes=dataset_bytes,
-            config_summary={
-                "buffer_kind": cfg.buffer_kind,
-                "num_ranks": cfg.num_ranks,
-                "num_shards": num_shards,
-                "num_simulations": cfg.num_simulations,
-                "batch_size": cfg.batch_size,
-                "transport": cfg.transport,
-                **self.case.describe(),
-            },
         )
 
 
@@ -280,11 +266,4 @@ class OfflineStudy:
             unique_samples=len(dataset),
             dataset_bytes=store.total_bytes,
             store_dir=str(store.directory),
-            config_summary={
-                "num_epochs": cfg.num_epochs,
-                "num_ranks": cfg.num_ranks,
-                "num_simulations": cfg.num_simulations,
-                "batch_size": cfg.batch_size,
-                **self.case.describe(),
-            },
         )

@@ -44,7 +44,6 @@ class Fig2Result:
     """All series of Figure 2 plus the headline comparisons."""
 
     series: Dict[str, BufferRunSeries] = field(default_factory=dict)
-    results: Dict[str, OnlineStudyResult] = field(default_factory=dict)
 
     def mean_throughput(self, buffer_kind: str) -> float:
         return self.series[buffer_kind].mean_throughput
@@ -98,6 +97,5 @@ def run_fig2_throughput(
         case = build_case(scale)  # fresh sampler so every run sees the same design
         result = run_online_with_buffer(kind, scale=scale, num_ranks=1, case=case,
                                         validation=None, use_series=True)
-        outcome.results[kind] = result
         outcome.series[kind] = _series_from_result(kind, result)
     return outcome

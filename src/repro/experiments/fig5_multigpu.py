@@ -19,7 +19,6 @@ from repro.experiments.common import (
     build_case,
     build_validation,
     default_scale,
-    run_offline_baseline,
     run_online_with_buffer,
 )
 
@@ -28,11 +27,10 @@ BUFFER_KINDS = ("fifo", "firo", "reservoir")
 
 @dataclass
 class ScalingCurve:
-    """Validation loss vs samples seen for one (buffer, gpu count) setting."""
+    """Validation losses and throughput of one (buffer, gpu count) setting."""
 
     buffer_kind: str
     num_gpus: int
-    samples_seen: np.ndarray
     val_losses: np.ndarray
     best_val_loss: float
     mean_throughput: float
@@ -44,7 +42,6 @@ class Fig5Result:
     """All scaling curves, keyed by (buffer, num_gpus)."""
 
     curves: Dict[Tuple[str, int], ScalingCurve] = field(default_factory=dict)
-    offline_reference: Dict[int, float] = field(default_factory=dict)
 
     def throughput(self, buffer_kind: str, num_gpus: int) -> float:
         return self.curves[(buffer_kind, num_gpus)].mean_throughput
@@ -80,7 +77,6 @@ def run_fig5_multigpu(
     scale: Optional[ExperimentScale] = None,
     gpu_counts: Sequence[int] = (1, 2, 4),
     buffer_kinds: Sequence[str] = BUFFER_KINDS,
-    include_offline: bool = False,
 ) -> Fig5Result:
     """Run every (buffer, gpu count) combination on the same ensemble design."""
     scale = scale or default_scale()
@@ -97,16 +93,9 @@ def run_fig5_multigpu(
             outcome.curves[(buffer_kind, num_gpus)] = ScalingCurve(
                 buffer_kind=buffer_kind,
                 num_gpus=num_gpus,
-                samples_seen=np.asarray(losses.val_samples),
                 val_losses=np.asarray(losses.val_losses),
                 best_val_loss=losses.best_validation_loss,
                 mean_throughput=result.total_throughput,
                 total_batches=result.total_batches,
             )
-        if include_offline:
-            offline = run_offline_baseline(
-                scale=scale, num_epochs=1, num_ranks=num_gpus,
-                case=build_case(scale), validation=validation,
-            )
-            outcome.offline_reference[num_gpus] = offline.best_validation_loss
     return outcome

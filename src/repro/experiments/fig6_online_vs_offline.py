@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core.results import improvement_percent
 from repro.experiments.common import (
     ExperimentScale,
@@ -27,16 +25,8 @@ from repro.experiments.common import (
 
 @dataclass
 class Fig6Result:
-    """Curves and headline numbers of the online-vs-offline comparison."""
+    """Headline numbers of the online-vs-offline comparison."""
 
-    offline_train_samples: np.ndarray
-    offline_train_losses: np.ndarray
-    offline_val_samples: np.ndarray
-    offline_val_losses: np.ndarray
-    online_train_samples: np.ndarray
-    online_train_losses: np.ndarray
-    online_val_samples: np.ndarray
-    online_val_losses: np.ndarray
     offline_best_val: float
     online_best_val: float
     offline_epochs: int
@@ -93,14 +83,6 @@ def run_fig6_online_vs_offline(
         if on_losses.val_losses else float("nan")
     )
     return Fig6Result(
-        offline_train_samples=np.asarray(off_losses.train_samples),
-        offline_train_losses=np.asarray(off_losses.train_losses),
-        offline_val_samples=np.asarray(off_losses.val_samples),
-        offline_val_losses=np.asarray(off_losses.val_losses),
-        online_train_samples=np.asarray(on_losses.train_samples),
-        online_train_losses=np.asarray(on_losses.train_losses),
-        online_val_samples=np.asarray(on_losses.val_samples),
-        online_val_losses=np.asarray(on_losses.val_losses),
         offline_best_val=offline.best_validation_loss,
         online_best_val=online.best_validation_loss,
         offline_epochs=offline_epochs,

@@ -138,13 +138,8 @@ class LauncherReport:
     clients_failed: int = 0
     restarts: int = 0
     unresponsive_kills: int = 0
-    series_boundaries: List[float] = field(default_factory=list)
     elapsed: float = 0.0
     per_client_steps: Dict[int, int] = field(default_factory=dict)
-    #: Cluster-level breakdown of a sharded study: steps and completed
-    #: clients per shard, keyed by shard index (empty when unsharded).
-    per_shard_steps: Dict[int, int] = field(default_factory=dict)
-    per_shard_clients: Dict[int, int] = field(default_factory=dict)
 
     @property
     def total_steps_sent(self) -> int:
@@ -178,7 +173,6 @@ class Launcher:
         specs: Sequence[ClientSpec],
         config: LauncherConfig | None = None,
         heartbeat_monitor: object | None = None,
-        shard_ring: object | None = None,
     ) -> None:
         self.client_factory = client_factory
         self.specs = list(specs)
@@ -186,10 +180,6 @@ class Launcher:
         #: Liveness tracker shared with the server (fed by its aggregators);
         #: required for the heartbeat watchdog in process client mode.
         self.heartbeat_monitor = heartbeat_monitor
-        #: Hash ring of a sharded study (``shard_for(client_id)``); when
-        #: present, the report also aggregates per-shard totals so the
-        #: cluster-level breakdown ships with the ensemble outcome.
-        self.shard_ring = shard_ring
         #: Written by the thread that runs :meth:`run` only.
         self.report = LauncherReport()
         self._spawner: Optional[ClientSpawner] = None
@@ -382,7 +372,6 @@ class Launcher:
             for index, group in enumerate(self._split_series()):
                 if index > 0 and self.config.inter_series_delay > 0:
                     time.sleep(self.config.inter_series_delay)
-                self.report.series_boundaries.append(time.monotonic() - start)
                 if self._spawner is None:
                     self._run_series_in_threads(index, group)
                 else:
@@ -396,22 +385,8 @@ class Launcher:
             if self._spawner is not None:
                 self._spawner.close()
                 self._spawner = None
-        self._aggregate_shard_totals()
         self.report.elapsed = time.monotonic() - start
         return self.report
-
-    def _aggregate_shard_totals(self) -> None:
-        """Fold per-client steps into per-shard totals (sharded studies only)."""
-        if self.shard_ring is None:
-            return
-        per_shard_steps: Dict[int, int] = {}
-        per_shard_clients: Dict[int, int] = {}
-        for client_id, steps in self.report.per_client_steps.items():
-            shard = int(self.shard_ring.shard_for(client_id))
-            per_shard_steps[shard] = per_shard_steps.get(shard, 0) + int(steps)
-            per_shard_clients[shard] = per_shard_clients.get(shard, 0) + 1
-        self.report.per_shard_steps = per_shard_steps
-        self.report.per_shard_clients = per_shard_clients
 
     # ---------------------------------------------------------- async control
     def start(self) -> None:

@@ -479,7 +479,6 @@ class Connection:
     batch_size: int = 1
     _next_rank: int = field(init=False)
     _pending: Dict[int, StepBlock] = field(init=False, default_factory=dict)
-    sent_messages: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -509,7 +508,6 @@ class Connection:
         self.flush(timeout=timeout)
         for rank in range(self.transport.num_server_ranks):
             self.transport.push(rank, message, timeout=timeout)
-        self.sent_messages += self.transport.num_server_ranks
 
     def flush(self, timeout: float | None = None) -> None:
         """Push every pending per-rank block."""
@@ -520,7 +518,6 @@ class Connection:
         block = self._pending.pop(rank, None)
         if block is not None:
             self.transport.push_many(rank, block, timeout=timeout)
-            self.sent_messages += len(block)
 
     def pending(self) -> List[StepBlock]:
         """The blocks not pushed yet, at most one per rank."""

@@ -21,11 +21,9 @@ class LatinHypercubeSampler(Sampler):
     def __init__(self, space, seed: int = 0) -> None:
         super().__init__(space, seed=seed)
         self._rng = derive_rng("latin-hypercube-sampler", seed)
-        self._call_index = 0
 
     def _unit_samples(self, count: int) -> Array:
         dimension = self.space.dimension
-        self._call_index += 1
         samples = np.empty((count, dimension))
         for dim in range(dimension):
             # One point per stratum, shuffled across rows.

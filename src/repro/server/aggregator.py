@@ -32,12 +32,10 @@ class AggregatorStats:
     """Counters maintained by one aggregator thread."""
 
     samples_received: int = 0
-    bytes_received: int = 0
     duplicates_discarded: int = 0
     #: Samples drained from the transport but abandoned because the
     #: aggregator was stopped while waiting for buffer space.
     samples_dropped: int = 0
-    clients_seen: Set[int] = field(default_factory=set)
     clients_finished: Set[int] = field(default_factory=set)
 
 
@@ -180,8 +178,8 @@ class DataAggregator:
     def _ingest_columns(self, batch: ColumnBatch) -> None:
         """Dedup, liveness-track and buffer one columnar chunk, vectorised.
 
-        The per-sample bookkeeping is column arithmetic: client discovery is
-        one ``np.unique`` over the id vector, liveness is one ``touch`` per
+        The per-sample bookkeeping is column arithmetic: the distinct clients
+        are one ``np.unique`` over the id vector, liveness is one ``touch`` per
         distinct client, and deduplication is one
         :meth:`MessageLog.register_many` call, handed the same distinct
         clients, whose keep-mask (if any) compresses the batch before it
@@ -191,7 +189,6 @@ class DataAggregator:
             return
         ids = batch.source_ids
         clients = np.unique(ids).tolist()
-        self.stats.clients_seen.update(clients)
         if self.heartbeat_monitor is not None:
             for cid in clients:
                 self.heartbeat_monitor.touch(cid)
@@ -202,12 +199,9 @@ class DataAggregator:
             if not kept:
                 return
             batch = batch.compress(keep)
-        # Wire-equivalent size of one row, mirroring TimeStepMessage.nbytes():
-        # f32 payload + f64 parameters (inputs minus the time column) + header.
-        row_nbytes = 4 * batch.targets.shape[1] + 8 * (batch.inputs.shape[1] - 1) + 32
-        self._flush(batch, row_nbytes)
+        self._flush(batch)
 
-    def _flush(self, batch: ColumnBatch, row_nbytes: int) -> None:
+    def _flush(self, batch: ColumnBatch) -> None:
         """Insert ``batch`` into the buffer, staying responsive to stop().
 
         Each wait for buffer space is bounded by ``put_retry_timeout``; when a
@@ -231,12 +225,10 @@ class DataAggregator:
                 self.stats.samples_dropped += total - offset
                 raise
             self.stats.samples_received += inserted
-            self.stats.bytes_received += row_nbytes * inserted
             offset += inserted
 
     def _handle_control(self, message: Message) -> None:
         if isinstance(message, ClientHello):
-            self.stats.clients_seen.add(message.client_id)
             if self.heartbeat_monitor is not None:
                 self.heartbeat_monitor.touch(message.client_id)
         elif isinstance(message, ClientFinished):

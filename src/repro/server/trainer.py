@@ -159,19 +159,14 @@ class TrainingWorker:
             batch_index += 1
             self.metrics.batches_trained = batch_index
             self.metrics.samples_trained += len(batch)
-            self.metrics.losses.record_train(
-                batch_index, self._global_samples(batch_index), loss_value
-            )
+            self.metrics.losses.record_train(batch_index, loss_value)
             self.metrics.throughput.record_batch(len(batch))
 
             if self.config.track_occurrences:
                 self.occurrences.record_columns(batch.source_ids, batch.time_steps)
             if self.config.record_population:
-                snapshot = self.buffer.snapshot()
                 self.metrics.buffer_population.record(
-                    self._clock.now() - start,
-                    snapshot["size"],
-                    snapshot.get("num_unseen"),
+                    self._clock.now() - start, self.buffer.snapshot()["size"]
                 )
 
             if (
@@ -181,9 +176,7 @@ class TrainingWorker:
                 and self.rank == 0
             ):
                 val_loss = self.validator.evaluate(self.model)
-                self.metrics.losses.record_validation(
-                    batch_index, self._global_samples(batch_index), val_loss
-                )
+                self.metrics.losses.record_validation(batch_index, val_loss)
 
             if not keep_going:
                 break
@@ -191,21 +184,11 @@ class TrainingWorker:
         # Final validation so every run reports an end-of-training MSE.
         if self.validator is not None and self.rank == 0:
             val_loss = self.validator.evaluate(self.model)
-            self.metrics.losses.record_validation(
-                batch_index, self._global_samples(batch_index), val_loss
-            )
+            self.metrics.losses.record_validation(batch_index, val_loss)
 
         self.metrics.occurrence_histogram = self.occurrences.histogram()
         self.metrics.wall_time = self._clock.now() - start
         return self.metrics
-
-    def _global_samples(self, batch_index: int) -> int:
-        """Simulation time steps seen across all ranks after ``batch_index`` batches.
-
-        Matches the paper's x-axis of Figure 5: ``n_s = n_b * b * n_GPU``.
-        """
-        world = self.comm.size if self.comm is not None else 1
-        return batch_index * self.config.batch_size * world
 
 
 def build_worker(

@@ -31,13 +31,9 @@ class OnlinePipelineEstimate:
     """Result of one online pipeline simulation."""
 
     total_seconds: float
-    samples_produced: int
-    samples_consumed: int
     batches_trained: int
     mean_throughput: float
-    gpu_busy_fraction: float
     times: np.ndarray
-    throughput_series: np.ndarray
     buffer_population: np.ndarray
 
     @property
@@ -51,7 +47,6 @@ class OfflinePipelineEstimate:
 
     generation_seconds: float
     training_seconds: float
-    io_limited: bool
     samples_per_second: float
     dataset_bytes: int
 
@@ -123,10 +118,8 @@ class PipelineSimulator:
 
         clock = 0.0
         produced = 0.0
-        consumed_unique = 0.0
         consumed_total = 0.0
         batches = 0.0
-        gpu_busy = 0.0
 
         # Buffer state: unseen samples (never consumed) and, for the Reservoir,
         # seen samples retained for re-reads.
@@ -137,7 +130,6 @@ class PipelineSimulator:
         series_remaining = series[0] * self.steps_per_simulation
         series_delay_left = 0.0
         times: List[float] = []
-        throughput_series: List[float] = []
         population: List[float] = []
 
         reservoir = self.buffer_kind.lower() == "reservoir"
@@ -192,18 +184,14 @@ class PipelineSimulator:
                         # Drain mode: consumed samples leave the buffer.
                         drained = min(seen, consumed_now)
                         seen -= drained
-                    consumed_unique += fresh
                 else:
                     # FIFO/FIRO: each sample is consumed exactly once.
                     consumed_now = min(gpu_capacity, unseen)
                     unseen -= consumed_now
-                    consumed_unique += consumed_now
                 consumed_total += consumed_now
                 batches += consumed_now / self.batch_size
-                gpu_busy += tick * min(1.0, consumed_now / max(gpu_capacity, 1e-12))
 
             times.append(clock)
-            throughput_series.append(consumed_now / tick)
             population.append(unseen + seen)
 
             clock += tick
@@ -216,13 +204,9 @@ class PipelineSimulator:
         mean_throughput = consumed_total / clock if clock > 0 else 0.0
         return OnlinePipelineEstimate(
             total_seconds=clock,
-            samples_produced=int(round(produced)),
-            samples_consumed=int(round(consumed_total)),
             batches_trained=int(round(batches)),
             mean_throughput=mean_throughput,
-            gpu_busy_fraction=gpu_busy / clock if clock > 0 else 0.0,
             times=np.asarray(times),
-            throughput_series=np.asarray(throughput_series),
             buffer_population=np.asarray(population),
         )
 
@@ -273,7 +257,6 @@ def simulate_offline_pipeline(
     return OfflinePipelineEstimate(
         generation_seconds=generation_seconds,
         training_seconds=training_seconds,
-        io_limited=read_rate < gpu_rate,
         samples_per_second=effective_rate,
         dataset_bytes=dataset_bytes,
     )

@@ -2,6 +2,8 @@
 
 from pkg import listed_only, reexported_only
 from pkg.bad import Helper, only_tested, recursive
+from pkg.clock import Clock
+from pkg.fields import FixtureError, Stats, Tracker
 
 
 def check():
@@ -10,3 +12,12 @@ def check():
     assert Helper().tested_method() == 2
     reexported_only()
     listed_only()
+    stats = Stats()
+    Tracker().note(stats, 1)
+    assert stats.tested_only == 0 and stats.counted == 1
+    assert stats.appended == [1] and stats.keyed == {1: 1}
+    Clock().sleep(0)
+    try:
+        Tracker().note(stats, -1)
+    except FixtureError as error:
+        assert error.errors == [-1]

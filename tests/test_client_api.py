@@ -139,13 +139,13 @@ def test_simulation_client_fault_injection_and_checkpointed_restart():
     client, params = make_client(router, num_steps=6, fail_at_step=3)
     with pytest.raises(SimulationFailure):
         client.run(solver_params=params)
+    assert sorted(time_steps_of(drain(router, 0))) == [1, 2, 3]
     # Restart: with checkpointing the client resumes after step 3.
     client.prepare_restart()
     result = client.run(solver_params=params)
     assert result.completed
-    assert result.restarted_from_step == 3
     assert result.steps_sent == 3  # only steps 4..6 are re-sent
-    assert sorted(time_steps_of(drain(router, 0))) == [1, 2, 3, 4, 5, 6]
+    assert sorted(time_steps_of(drain(router, 0))) == [4, 5, 6]
     assert client.restart_count == 1
 
 

@@ -85,11 +85,11 @@ def test_throughput_meter_empty():
 
 def test_loss_history_best_and_final():
     history = LossHistory()
-    history.record_train(1, 10, 5.0)
-    history.record_train(2, 20, 3.0)
-    history.record_validation(1, 10, 4.0)
-    history.record_validation(2, 20, 2.5)
-    history.record_validation(3, 30, 2.8)
+    history.record_train(1, 5.0)
+    history.record_train(2, 3.0)
+    history.record_validation(1, 4.0)
+    history.record_validation(2, 2.5)
+    history.record_validation(3, 2.8)
     assert history.best_validation_loss == 2.5
     assert history.final_validation_loss == 2.8
     assert history.final_training_loss == 3.0
@@ -103,11 +103,10 @@ def test_loss_history_empty_is_nan():
 
 def test_buffer_population_series():
     series = BufferPopulationSeries()
-    series.record(0.0, 10, unseen=4)
+    series.record(0.0, 10)
     series.record(1.0, 30)
     assert series.max_population() == 30
     assert series.sizes == [10, 30]
-    assert series.unseen == [4, 30]
 
 
 def test_merge_worker_metrics_sums_throughput():
@@ -118,7 +117,7 @@ def test_merge_worker_metrics_sums_throughput():
         metrics.throughput.start_time = 0.0
         metrics.throughput.end_time = 10.0
         metrics.throughput.total_samples = int(throughput * 10)
-        metrics.losses.record_validation(batches, batches * 10, 1.0 + rank)
+        metrics.losses.record_validation(batches, 1.0 + rank)
         metrics.wall_time = 10.0
         return metrics
 
@@ -128,12 +127,6 @@ def test_merge_worker_metrics_sums_throughput():
     assert merged["total_throughput"] == pytest.approx(180.0)
     assert merged["best_val_mse"] == 1.0  # rank-0 losses
     assert merge_worker_metrics([]) == {}
-
-
-def test_training_metrics_summary_keys():
-    metrics = TrainingMetrics(rank=1)
-    summary = metrics.summary()
-    assert {"rank", "batches_trained", "mean_throughput", "best_val_mse"} <= set(summary)
 
 
 def test_improvement_percent():

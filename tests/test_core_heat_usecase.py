@@ -127,13 +127,6 @@ def test_generate_store_roundtrip(case, tmp_path):
     assert np.allclose(stored[1].parameters, params[1])
 
 
-def test_describe_contains_key_fields(case):
-    description = case.describe()
-    assert description["grid"] == "8x8"
-    assert description["field_size"] == 64
-    assert description["sampler"] == "halton"
-
-
 def test_validation_set_is_built_in_place():
     """A 10,000-step validation set peaks at its own arrays: no per-step
     series, float64 stack or per-row concatenation on the way."""

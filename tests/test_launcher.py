@@ -1,7 +1,6 @@
 """Tests for the launcher (series submission, concurrency, restarts)."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -77,21 +76,18 @@ def test_launcher_runs_all_clients():
     assert len(finished) == 5
 
 
-def test_launcher_series_execute_sequentially():
-    """Series i+1 only starts after series i completed (throughput-stall cause)."""
-    router = MessageRouter(1)
-    specs = build_specs(6)
-    order = []
+def recording_factory(router, events, num_steps):
+    """A client factory whose clients log ``("start" | "end", client_id)``."""
     lock = threading.Lock()
-    config = HeatEquationConfig(nx=8, ny=8, num_steps=2)
+    config = HeatEquationConfig(nx=8, ny=8, num_steps=num_steps)
 
     class RecordingClient(SimulationClient):
         def run(self, solver_params=None):
             with lock:
-                order.append(("start", self.client_id, time.monotonic()))
+                events.append(("start", self.client_id))
             result = super().run(solver_params=solver_params)
             with lock:
-                order.append(("end", self.client_id, time.monotonic()))
+                events.append(("end", self.client_id))
             return result
 
     def factory(spec: ClientSpec) -> SimulationClient:
@@ -100,29 +96,43 @@ def test_launcher_series_execute_sequentially():
             parameters=tuple(float(p) for p in spec.parameters),
             solver=HeatEquationSolver(config),
             router=router,
-            num_time_steps=2,
+            num_time_steps=num_steps,
         )
 
+    return factory
+
+
+def assert_series(events, series):
+    """Every client ran once, and each series started after the one before ended."""
+    assert sorted(events) == sorted((kind, cid) for group in series for cid in group
+                                    for kind in ("start", "end"))
+    position = {event: index for index, event in enumerate(events)}
+    for earlier, later in zip(series, series[1:]):
+        assert (max(position["end", cid] for cid in earlier)
+                < min(position["start", cid] for cid in later))
+
+
+def test_launcher_series_execute_sequentially():
+    """Series i+1 only starts after series i completed (throughput-stall cause)."""
+    router = MessageRouter(1)
+    events = []
     launcher = Launcher(
-        factory, specs,
+        recording_factory(router, events, num_steps=2), build_specs(6),
         LauncherConfig(series_sizes=(3, 3), max_concurrent_clients=3, inter_series_delay=0.05),
     )
     report = launcher.run()
     assert report.clients_completed == 6
-    assert len(report.series_boundaries) == 2
-    first_series_ends = max(t for kind, cid, t in order if kind == "end" and cid < 3)
-    second_series_starts = min(t for kind, cid, t in order if kind == "start" and cid >= 3)
-    assert second_series_starts >= first_series_ends
+    assert_series(events, [[0, 1, 2], [3, 4, 5]])
 
 
 def test_launcher_extra_clients_form_final_series():
     router = MessageRouter(1)
-    specs = build_specs(5)
-    launcher = Launcher(make_factory(router, num_steps=1), specs,
+    events = []
+    launcher = Launcher(recording_factory(router, events, num_steps=1), build_specs(5),
                         LauncherConfig(series_sizes=(2, 2), max_concurrent_clients=2))
     report = launcher.run()
     assert report.clients_completed == 5
-    assert len(report.series_boundaries) == 3  # 2 + 2 + remainder
+    assert_series(events, [[0, 1], [2, 3], [4]])  # 2 + 2 + remainder
 
 
 def test_launcher_restarts_failed_clients_and_server_side_dedup_possible():

@@ -271,29 +271,70 @@ class TestTestOnly:
         project = load_project(paths or [self.PROJECT], root=root or self.PROJECT)
         return [f for f in run(project, CHECKERS).findings if f.rule == "test-only"]
 
+    def flagged(self, findings, path):
+        return [(f.message.split()[0], f.line) for f in findings if f.path == path]
+
     def test_bad_fixture_flags_what_only_tests_reach(self):
-        findings = self.findings()
-        assert {f.path for f in findings} == {"src/pkg/bad.py"}
-        assert [f.message.split()[0] for f in findings] == [
-            "only_tested",
-            "reexported_only",  # an __init__.py import alone keeps nothing alive
-            "listed_only",  # nor does an __all__ entry
-            "recursive",  # nor a call from its own body
-            "Helper",  # nor a docstring
-            "Helper.tested_method",
+        assert self.flagged(self.findings(), "src/pkg/bad.py") == [
+            ("only_tested", 4),  # a string under tools/ keeps nothing alive
+            ("reexported_only", 8),  # an __init__.py import alone keeps nothing alive
+            ("listed_only", 12),  # nor does an __all__ entry
+            ("recursive", 16),  # nor a call from its own body
+            ("Helper", 21),  # nor a docstring
+            ("Helper.tested_method", 24),
         ]
-        assert [f.line for f in findings] == [4, 8, 12, 16, 21, 24]
+
+    def test_fields_only_tests_read_or_only_written_are_flagged(self):
+        assert self.flagged(self.findings(), "src/pkg/fields.py") == [
+            ("Stats.tested_only", 9),  # read by tests/ alone
+            ("Stats.counted", 10),  # only ``+=``
+            ("Stats.appended", 11),  # only ``.append(...)`` as a statement
+            ("Stats.keyed", 12),  # only ``x.keyed[k] = v``
+            ("Tracker._seen", 18),  # a ``self`` attribute, only ``.add(...)``-ed
+        ]
+
+    def test_an_external_api_name_keeps_no_method_alive(self):
+        # ``time.sleep`` in benchmarks/ and ``"sleep"`` in a tools/ table both
+        # name something outside src/: neither keeps ``Clock.sleep`` alive.
+        assert self.flagged(self.findings(), "src/pkg/clock.py") == [("Clock.sleep", 10)]
 
     def test_good_fixture_is_clean(self):
         # A factory-table entry, a string target in benchmarks/, a getattr
-        # string, a method reached by attribute and a dunder method.
-        assert not [f for f in self.findings() if f.path != "src/pkg/bad.py"]
+        # string, a method reached by attribute and a dunder method; a field
+        # read in benchmarks/, one named in a string, a self attribute read in
+        # its class, an exception's payload.
+        flagged = {f.path for f in self.findings()}
+        assert flagged == {"src/pkg/bad.py", "src/pkg/fields.py", "src/pkg/clock.py"}
+        assert self.flagged(self.findings(), "src/pkg/good.py") == []
+
+    def field_findings(self, root, lib, app):
+        root.mkdir()
+        (root / "lib.py").write_text(lib, encoding="utf-8")
+        (root / "app.py").write_text(app, encoding="utf-8")
+        return [f.message.split()[0] for f in self.findings(root, root=root)]
+
+    def test_a_field_named_in_a_string_is_kept(self, tmp_path):
+        lib = ("from dataclasses import dataclass\n\n\n"
+               "@dataclass\nclass Row:\n    traced: int = 0\n")
+        app = "import lib\n\nrow = lib.Row()\n"
+        assert self.field_findings(tmp_path / "unnamed", lib, app) == ["Row.traced"]
+        named = app + 'value = getattr(row, "traced")\n'
+        assert self.field_findings(tmp_path / "named", lib, named) == []
+
+    def test_an_exception_attribute_is_kept(self, tmp_path):
+        lib = ("class {base}:\n    pass\n\n\nclass Failure({base}):\n"
+               "    def __init__(self, errors):\n        self.errors = errors\n")
+        app = "import lib\n\nraise lib.Failure([])\n"
+        plain = lib.format(base="Base")
+        assert self.field_findings(tmp_path / "plain", plain, app) == ["Failure.errors"]
+        error = lib.format(base="BaseError")  # exempt through its project base class
+        assert self.field_findings(tmp_path / "error", error, app) == []
 
     def test_the_verdict_does_not_depend_on_the_paths_given(self):
         whole = self.findings()
         assert self.findings(self.PROJECT / "src") == whole
         bad = self.PROJECT / "src" / "pkg" / "bad.py"
-        assert self.findings(bad) == whole
+        assert self.findings(bad) == [f for f in whole if f.path == "src/pkg/bad.py"]
 
     def test_only_src_is_checked_when_the_project_has_src(self):
         helper = REPO_ROOT / "src" / "repro" / "utils" / "seeding.py"

@@ -1,5 +1,6 @@
 """Tests for the discrete-event performance model."""
 
+import numpy as np
 import pytest
 
 from repro.simulation.costs import ClusterCostModel, IOCostModel, SolverCostModel, TrainingCostModel
@@ -62,16 +63,15 @@ def _simulator(buffer_kind, **overrides):
 def test_pipeline_fifo_consumes_each_sample_once():
     estimate = _simulator("fifo").run()
     total = 100 * 50
-    assert estimate.samples_produced == total
-    assert estimate.samples_consumed == pytest.approx(total, rel=0.01)
+    assert estimate.batches_trained * 10 == pytest.approx(total, rel=0.01)
+    assert estimate.mean_throughput * estimate.total_seconds == pytest.approx(total, rel=0.01)
 
 
 def test_pipeline_reservoir_throughput_at_least_fifo():
     fifo = _simulator("fifo").run()
     reservoir = _simulator("reservoir").run()
     assert reservoir.mean_throughput >= fifo.mean_throughput * 0.99
-    assert reservoir.samples_consumed >= fifo.samples_consumed
-    assert reservoir.gpu_busy_fraction >= fifo.gpu_busy_fraction * 0.99
+    assert reservoir.batches_trained >= fifo.batches_trained
 
 
 def test_pipeline_reservoir_scales_with_gpus_fifo_does_not():
@@ -94,9 +94,11 @@ def test_pipeline_series_transitions_produce_throughput_dips():
         concurrent_clients=10,
         inter_series_delay=60.0,
     ).run()
-    values = estimate.throughput_series
-    assert values.min() == 0.0  # stalled during the series transition
-    assert values.max() > 0.0
+    population = estimate.buffer_population
+    empty = np.flatnonzero(population == 0.0)
+    # The buffer runs dry during the series transition (nothing to train on)
+    # and refills once the second series produces.
+    assert empty.size and population[empty[0]:].max() > 0.0
 
 
 def test_offline_pipeline_io_bound_at_paper_scale():
@@ -110,7 +112,9 @@ def test_offline_pipeline_io_bound_at_paper_scale():
         model_parameters=514_000_000,
         num_epochs=100,
     )
-    assert estimate.io_limited
+    io = IOCostModel()
+    read_rate = io.read_bandwidth_bytes_per_s * io.streams * 4 / (1000 * 1000 * 4)
+    assert estimate.samples_per_second == pytest.approx(read_rate)  # I/O-bound
     assert estimate.dataset_bytes == pytest.approx(100e9, rel=0.01)
     # The paper reports ~38 samples/s and ~24.5 h; the model should land in the
     # same order of magnitude.

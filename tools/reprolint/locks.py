@@ -242,7 +242,7 @@ class _RegionWalker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self.events.calls.append(CallSite(node, tuple(self.held)))
         if isinstance(node.func, ast.Attribute):
-            # ``self.stats.clients_seen.add(...)`` mutates ``self.stats``.
+            # ``self.stats.clients_finished.add(...)`` mutates ``self.stats``.
             if node.func.attr in MUTATOR_METHODS:
                 path = self_attr_path(node.func.value)
                 if path is not None:
