@@ -142,7 +142,9 @@ class ColumnStore:
         """Allocate the columns for the first sample; reject other widths after.
 
         The owning buffer calls this before it takes slots for a write, so a
-        rejected sample leaves the policy state untouched.
+        rejected sample leaves the policy state untouched.  The allocation is
+        all or nothing: a failed ``np.empty`` (``MemoryError``) leaves every
+        column unallocated, so the next write retries it.
         """
         if self.inputs is None:
             if len(input_shape) != 1 or len(target_shape) != 1:
@@ -150,10 +152,12 @@ class ColumnStore:
                     f"samples must be flat vectors, got inputs {input_shape} "
                     f"and target {target_shape}"
                 )
-            self.inputs = np.empty((self.capacity,) + input_shape, dtype=np.float32)
-            self.targets = np.empty((self.capacity,) + target_shape, dtype=np.float32)
-            self.source_ids = np.empty(self.capacity, dtype=np.int64)
-            self.time_steps = np.empty(self.capacity, dtype=np.int64)
+            inputs = np.empty((self.capacity,) + input_shape, dtype=np.float32)
+            targets = np.empty((self.capacity,) + target_shape, dtype=np.float32)
+            source_ids = np.empty(self.capacity, dtype=np.int64)
+            time_steps = np.empty(self.capacity, dtype=np.int64)
+            self.inputs, self.targets = inputs, targets
+            self.source_ids, self.time_steps = source_ids, time_steps
         elif input_shape != self.inputs.shape[1:] or target_shape != self.targets.shape[1:]:
             raise ValueError(
                 f"sample widths (inputs {input_shape}, target {target_shape}) do not "

@@ -96,11 +96,6 @@ class SimulationClient:
     step_delay: float = 0.0
     send_batch_size: int = 1
     fail_at_step: Optional[int] = None
-    #: Fault injection: after sending this many steps, stop making progress
-    #: without exiting (an infinite sleep loop) — the unresponsive-client
-    #: shape the launcher's heartbeat watchdog must kill.  Fires once: the
-    #: injected hang is cleared on restart, like ``fail_at_step``.
-    hang_at_step: Optional[int] = None
     checkpoint_enabled: bool = True
     restart_count: int = field(default=0, init=False)
     _checkpoint_step: int = field(default=0, init=False)
@@ -132,9 +127,6 @@ class SimulationClient:
                     raise SimulationFailure(
                         f"client {self.client_id} injected failure after step {self.fail_at_step}"
                     )
-                if self.hang_at_step is not None and step > self.hang_at_step:
-                    while True:  # unresponsive, not dead: only a kill ends this
-                        time.sleep(0.05)
                 if step <= resume_from:
                     # Checkpointed restart: this step was already delivered.
                     continue
@@ -168,7 +160,6 @@ class SimulationClient:
         """Bookkeeping before re-running a failed client (called by the launcher)."""
         self.restart_count += 1
         self.fail_at_step = None  # the injected fault fires only once
-        self.hang_at_step = None
         if not self.checkpoint_enabled:
             self._checkpoint_step = 0
 

@@ -38,16 +38,13 @@ class OnlineStudyConfig:
     max_batches: Optional[int] = None
     learning_rate: float = 1e-3
     lr_step_samples: int = 10_000
-    lr_gamma: float = 0.5
-    lr_min: float = 2.5e-4
 
     #: Transport: a backend name (``"inproc"``, ``"mp"``, ``"shm"``,
     #: ``"tcp"``) or a full :class:`repro.parallel.transport.TransportConfig`
-    #: carrying the backend-specific options (shm ring geometry, tcp
-    #: address).  After construction this is always the backend
-    #: *name*; the normalised object lives in :attr:`transport_config`.  The
-    #: sharded serving tier is ``TransportConfig.shard`` (see
-    #: ``docs/scaling.md``).
+    #: carrying the backend-specific options (tcp address, shard count).
+    #: After construction this is always the backend *name*; the normalised
+    #: object lives in :attr:`transport_config`.  The sharded serving tier is
+    #: ``TransportConfig.shard`` (see ``docs/scaling.md``).
     transport: Union[str, TransportConfig] = "inproc"
     #: The normalised transport configuration — the single object the study
     #: driver hands to ``make_transport`` and the launcher.  Derived in
@@ -57,7 +54,6 @@ class OnlineStudyConfig:
     # Misc.
     batch_compute_delay: float = 0.0
     seed: int = 0
-    track_occurrences: bool = True
 
     def __post_init__(self) -> None:
         if self.num_simulations <= 0:
@@ -102,7 +98,6 @@ class OnlineStudyConfig:
             batch_size=self.batch_size,
             validation_interval=self.validation_interval,
             max_batches=self.max_batches,
-            track_occurrences=self.track_occurrences,
             batch_compute_delay=self.batch_compute_delay,
         )
 
@@ -115,13 +110,9 @@ class OfflineStudyConfig:
     num_epochs: int = 1
     num_ranks: int = 1
     batch_size: int = 10
-    learning_rate: float = 1e-3
     lr_step_samples: int = 10_000
-    lr_gamma: float = 0.5
-    lr_min: float = 2.5e-4
     validation_interval: int = 100
     max_batches: Optional[int] = None
-    generation_workers: int = 4
     io_delay_per_sample: float = 0.0
     batch_compute_delay: float = 0.0
     seed: int = 0

@@ -27,6 +27,9 @@ from repro.solvers.heat2d import HeatEquationConfig, HeatEquationSolver, HeatPar
 
 Array = np.ndarray
 
+#: Threads that generate an offline dataset, sharing one solver.
+GENERATION_WORKERS = 4
+
 
 @dataclass
 class HeatSurrogateSpec:
@@ -135,7 +138,6 @@ class HeatSurrogateCase:
         directory: str | Path,
         num_simulations: int,
         parameter_vectors: Sequence[Array] | None = None,
-        workers: int = 4,
     ) -> SimulationStore:
         """Generate an offline dataset on disk (the paper's offline baseline data).
 
@@ -149,7 +151,7 @@ class HeatSurrogateCase:
         parameter_vectors = [np.asarray(row) for row in parameter_vectors][:num_simulations]
         solver = self.solver_factory()
         # ``map`` yields in input order, whatever order the threads finish in.
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        with ThreadPoolExecutor(max_workers=GENERATION_WORKERS) as pool:
             runs = pool.map(lambda row: self._simulate(solver, row), parameter_vectors)
             for index, (times, fields) in enumerate(runs):
                 row = parameter_vectors[index].tolist()

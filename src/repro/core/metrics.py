@@ -98,19 +98,15 @@ class ThroughputMeter:
 
 @dataclass
 class LossHistory:
-    """Training and validation loss curves indexed by batch count."""
+    """Training and validation loss curves, in the order they were recorded."""
 
-    train_batches: List[int] = field(default_factory=list)
     train_losses: List[float] = field(default_factory=list)
-    val_batches: List[int] = field(default_factory=list)
     val_losses: List[float] = field(default_factory=list)
 
-    def record_train(self, batch_index: int, loss: float) -> None:
-        self.train_batches.append(int(batch_index))
+    def record_train(self, loss: float) -> None:
         self.train_losses.append(float(loss))
 
-    def record_validation(self, batch_index: int, loss: float) -> None:
-        self.val_batches.append(int(batch_index))
+    def record_validation(self, loss: float) -> None:
         self.val_losses.append(float(loss))
 
     @property

@@ -37,6 +37,9 @@ from repro.server.validation import ValidationSet
 
 Array = np.ndarray
 
+#: Adam's initial learning rate in the offline baseline (the paper's 1e-3).
+OFFLINE_LEARNING_RATE = 1e-3
+
 
 class OnlineStudy:
     """Online (streaming) surrogate-training study for a use case."""
@@ -74,8 +77,6 @@ class OnlineStudy:
             trainer=cfg.trainer_config(),
             learning_rate=cfg.learning_rate,
             lr_step_batches=cfg.lr_step_batches,
-            lr_gamma=cfg.lr_gamma,
-            lr_min=cfg.lr_min,
             seed=cfg.seed,
         )
 
@@ -207,11 +208,7 @@ class OfflineStudy:
             return self._store, 0.0
         directory = self.config.store_dir or Path(tempfile.mkdtemp(prefix="repro-offline-"))
         start = time.monotonic()
-        store = self.case.generate_store(
-            directory,
-            self.config.num_simulations,
-            workers=self.config.generation_workers,
-        )
+        store = self.case.generate_store(directory, self.config.num_simulations)
         elapsed = time.monotonic() - start
         self._store = store
         return store, elapsed
@@ -243,10 +240,8 @@ class OfflineStudy:
                 self.case.model_factory,
                 loader,
                 trainer_config,
-                learning_rate=cfg.learning_rate,
+                learning_rate=OFFLINE_LEARNING_RATE,
                 lr_step_batches=cfg.lr_step_batches,
-                lr_gamma=cfg.lr_gamma,
-                lr_min=cfg.lr_min,
                 validation=self.validation,
             )
             workers[comm.rank] = worker

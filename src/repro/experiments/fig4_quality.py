@@ -31,9 +31,7 @@ class LossCurves:
     """Train/validation loss curves of one setting."""
 
     setting: str
-    train_batches: np.ndarray
     train_losses: np.ndarray
-    val_batches: np.ndarray
     val_losses: np.ndarray
     best_val_loss: float
     final_train_loss: float
@@ -74,9 +72,7 @@ def _curves_from_online(setting: str, result: OnlineStudyResult) -> LossCurves:
     losses = result.metrics.losses
     return LossCurves(
         setting=setting,
-        train_batches=np.asarray(losses.train_batches),
         train_losses=np.asarray(losses.train_losses),
-        val_batches=np.asarray(losses.val_batches),
         val_losses=np.asarray(losses.val_losses),
         best_val_loss=losses.best_validation_loss,
         final_train_loss=losses.final_training_loss,
@@ -89,9 +85,7 @@ def _curves_from_offline(result: OfflineStudyResult) -> LossCurves:
     losses = result.metrics.losses
     return LossCurves(
         setting="offline",
-        train_batches=np.asarray(losses.train_batches),
         train_losses=np.asarray(losses.train_losses),
-        val_batches=np.asarray(losses.val_batches),
         val_losses=np.asarray(losses.val_losses),
         best_val_loss=losses.best_validation_loss,
         final_train_loss=losses.final_training_loss,

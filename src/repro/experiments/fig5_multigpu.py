@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.experiments.common import (
     ExperimentScale,
     build_case,
@@ -27,11 +25,10 @@ BUFFER_KINDS = ("fifo", "firo", "reservoir")
 
 @dataclass
 class ScalingCurve:
-    """Validation losses and throughput of one (buffer, gpu count) setting."""
+    """Best validation loss and throughput of one (buffer, gpu count) setting."""
 
     buffer_kind: str
     num_gpus: int
-    val_losses: np.ndarray
     best_val_loss: float
     mean_throughput: float
     total_batches: int
@@ -93,7 +90,6 @@ def run_fig5_multigpu(
             outcome.curves[(buffer_kind, num_gpus)] = ScalingCurve(
                 buffer_kind=buffer_kind,
                 num_gpus=num_gpus,
-                val_losses=np.asarray(losses.val_losses),
                 best_val_loss=losses.best_validation_loss,
                 mean_throughput=result.total_throughput,
                 total_batches=result.total_batches,

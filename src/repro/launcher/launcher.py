@@ -68,9 +68,6 @@ class ClientSpec:
     parameters: Array
     solver_params: object | None = None
     fail_at_step: Optional[int] = None
-    #: Fault injection: hang (stop sending, stay alive) after this many
-    #: steps — the failure mode the heartbeat watchdog exists to catch.
-    hang_at_step: Optional[int] = None
 
 
 @dataclass
@@ -289,8 +286,6 @@ class Launcher:
                     spec = waiting.pop()
                     client = self._make_client(spec)
                     self._check_open(client)
-                    if spec.hang_at_step is not None:
-                        client.hang_at_step = spec.hang_at_step
                     slot = client.router.lease_client(spec.client_id)
                     running[spec.client_id] = _ProcessClient(spec, client, slot)
                     self._spawner.spawn(client, slot)

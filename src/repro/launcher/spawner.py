@@ -62,11 +62,11 @@ def _serve(context, specs: Dict[int, object], client_factory: Callable, conn) ->
                     process.kill()
                     process.join()
                 return
-            client_id, restart_count, fail_at_step, hang_at_step, slot = request
+            client_id, restart_count, fail_at_step, slot = request
             spec = specs[client_id]
             client = client_factory(spec)
             client.restart_count = restart_count
-            client.fail_at_step, client.hang_at_step = fail_at_step, hang_at_step
+            client.fail_at_step = fail_at_step
             client.router.adopt_lease(client_id, slot)
             results, child_end = context.Pipe(duplex=False)
             process = context.Process(target=_client_main, name=f"client-{client_id}",
@@ -100,8 +100,7 @@ class ClientSpawner:
 
     def spawn(self, client: SimulationClient, slot: int) -> None:
         """Ask for one attempt of ``client`` in its current attempt state, on lease ``slot``."""
-        self._conn.send((client.client_id, client.restart_count, client.fail_at_step,
-                         client.hang_at_step, slot))
+        self._conn.send((client.client_id, client.restart_count, client.fail_at_step, slot))
 
     def receive(self, timeout: float) -> Optional[tuple]:
         """The next ``(client_id, pid, outcome)`` report, or ``None`` after ``timeout``.

@@ -27,8 +27,8 @@ class Parameter:
         Initial value.  Stored as ``float64`` by default for numerically robust
         gradient checks; training at scale typically converts to ``float32``
         via :meth:`Module.astype`.
-    name:
-        Optional human-readable name, filled by :meth:`Module.named_parameters`.
+
+    ``name`` is a human-readable label, filled by :meth:`Module.named_parameters`.
 
     Once an optimizer or a flat-vector operation of :class:`Module` has placed
     the parameter in a :class:`~repro.nn.arena.ParameterArena`, ``data`` and
@@ -38,10 +38,10 @@ class Parameter:
 
     __slots__ = ("data", "grad", "name", "arena")
 
-    def __init__(self, data: Array, name: str = "") -> None:
+    def __init__(self, data: Array) -> None:
         self.data = np.asarray(data)
         self.grad = np.zeros_like(self.data)
-        self.name = name
+        self.name = ""
         self.arena: Optional[ParameterArena] = None
 
     @property

@@ -25,6 +25,11 @@ Array = np.ndarray
 #: hits cache instead of streaming the whole model from memory each time.
 _BLOCK = 65_536
 
+#: Adam's decay rates of the first and second moment estimates.
+BETAS = (0.9, 0.999)
+#: Adam's denominator floor.
+EPS = 1e-8
+
 
 class Optimizer:
     """Base optimizer over a list of parameters.
@@ -110,32 +115,20 @@ class Optimizer:
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba) with bias-corrected moment estimates."""
 
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3) -> None:
         super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._m = self._state_vector()
         self._v = self._state_vector()
         self._bind_blocks(self._m, self._v)
 
     def step(self) -> None:
         self._begin_step()
-        beta1, beta2 = self.beta1, self.beta2
+        beta1, beta2 = BETAS
         # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps), with both bias
         # corrections folded into two scalars so the block needs no m_hat/v_hat.
         root_bias2 = (1.0 - beta2**self.step_count) ** 0.5
         step_size = self.lr * root_bias2 / (1.0 - beta1**self.step_count)
-        eps = self.eps * root_bias2
+        eps = EPS * root_bias2
         for data, grad, m, v, update in self._blocks:
             m *= beta1
             np.multiply(grad, 1.0 - beta1, out=update)

@@ -2,12 +2,17 @@
 
 The paper halves the learning rate every 1 000 batches (scaled to the number
 of GPUs so that the schedule tracks the number of *samples* seen) down to a
-floor of 2.5e-4.  :class:`StepLR` with ``min_lr`` reproduces exactly that.
+floor of 2.5e-4.  :class:`StepLR` reproduces exactly that.
 """
 
 from __future__ import annotations
 
 from repro.nn.optim import Optimizer
+
+#: Factor applied to the learning rate once per period (the paper halves it).
+GAMMA = 0.5
+#: Floor of the decayed learning rate (paper: 2.5e-4).
+MIN_LR = 2.5e-4
 
 
 class LRScheduler:
@@ -30,28 +35,16 @@ class LRScheduler:
 
 
 class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` steps.
-
-    ``min_lr`` clips the decayed value; the paper uses ``gamma=0.5`` every
-    1 000 batches with a floor of 2.5e-4.
+    """Multiply the learning rate by :data:`GAMMA` every ``step_size`` steps,
+    down to :data:`MIN_LR` (the paper: halved every 1 000 batches, floor 2.5e-4).
     """
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        step_size: int,
-        gamma: float = 0.5,
-        min_lr: float = 0.0,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, step_size: int) -> None:
         super().__init__(optimizer)
         if step_size <= 0:
             raise ValueError("step_size must be positive")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
         self.step_size = int(step_size)
-        self.gamma = float(gamma)
-        self.min_lr = float(min_lr)
 
     def get_lr(self) -> float:
         decays = self.last_step // self.step_size
-        return max(self.base_lr * self.gamma**decays, self.min_lr)
+        return max(self.base_lr * GAMMA**decays, MIN_LR)

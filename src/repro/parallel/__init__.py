@@ -41,7 +41,6 @@ from repro.parallel.transport import (
     Connection,
     MessageRouter,
     RouterClosed,
-    ShmOptions,
     TcpOptions,
     Transport,
     TransportConfig,
@@ -70,7 +69,6 @@ __all__ = [
     "Transport",
     "TransportStats",
     "TransportConfig",
-    "ShmOptions",
     "TcpOptions",
     "make_transport",
     "pack_many",

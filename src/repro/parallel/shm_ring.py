@@ -99,7 +99,6 @@ from repro.parallel.transport import (
     Transport,
     TransportStats,
 )
-from repro.utils.constants import DEFAULT_RING_SLOT_BYTES, DEFAULT_RING_SLOTS
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.shm_ring")
@@ -131,6 +130,11 @@ SLOT_HEADER_BYTES = 16
 
 _U64 = struct.Struct("<Q")
 _MAGIC_WORD = struct.Struct("<IHH")
+
+#: Default geometry of every ring: ``DEFAULT_RING_SLOTS`` packed batches of at
+#: most ``DEFAULT_RING_SLOT_BYTES`` bytes each.
+DEFAULT_RING_SLOTS = 16
+DEFAULT_RING_SLOT_BYTES = 64 * 1024
 
 #: Busy-wait budget (seconds) before a reader parks on its rank's semaphore
 #: and before a writer facing a full ring sleep-polls.
@@ -654,8 +658,8 @@ class ShmRingTransport(PackedDrainMixin, Transport):
         else:
             raise WireFormatError(
                 f"one packed message of {plan.nbytes} bytes exceeds the "
-                f"{ring.slot_bytes}-byte ring slot; raise "
-                "TransportConfig.shm.ring_slot_bytes"
+                f"{ring.slot_bytes}-byte ring slot; raise ring_slot_bytes "
+                "(a study's rings use shm_ring.DEFAULT_RING_SLOT_BYTES)"
             )
         return self._ring_chunks(ring, halves[0]) + self._ring_chunks(ring, halves[1])
 

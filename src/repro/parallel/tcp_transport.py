@@ -62,6 +62,9 @@ _SCRATCH_BYTES = 64 * 1024
 #: channel admits any frame, so a frame up to the 64 MiB frame cap still moves.
 CHANNEL_BYTES = 4 * 1024 * 1024
 
+#: Client-side bound (seconds) on establishing a connection to the front door.
+CONNECT_TIMEOUT = 10.0
+
 
 class _ClientWriter:
     """One pushing thread's socket to the front door, created lazily post-fork.
@@ -71,14 +74,11 @@ class _ClientWriter:
     connection (and sends its own handshake) at its first push.
     """
 
-    __slots__ = ("host", "port", "connect_timeout",
-                 "client_id", "epoch", "pid", "_sock", "_scratch")
+    __slots__ = ("host", "port", "client_id", "epoch", "pid", "_sock", "_scratch")
 
-    def __init__(self, host: str, port: int, connect_timeout: float,
-                 client_id: int) -> None:
+    def __init__(self, host: str, port: int, client_id: int) -> None:
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout
         self.client_id = int(client_id)
         self.epoch = 0
         self.pid = os.getpid()
@@ -88,8 +88,7 @@ class _ClientWriter:
     def _ensure_connected(self) -> socket.socket:
         if self._sock is not None:
             return self._sock
-        sock = socket.create_connection((self.host, self.port),
-                                        timeout=self.connect_timeout)
+        sock = socket.create_connection((self.host, self.port), timeout=CONNECT_TIMEOUT)
         # One small frame per control message must not sit in Nagle's buffer
         # waiting for a payload that may be seconds away.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -167,8 +166,6 @@ class TcpTransport(PackedDrainMixin, Transport):
     host, port:
         Bind address of the front door; ``port=0`` binds an ephemeral port,
         resolved into ``host``/``port`` before any client connects.
-    connect_timeout:
-        Client-side bound on establishing a connection.
     """
 
     def __init__(
@@ -177,7 +174,6 @@ class TcpTransport(PackedDrainMixin, Transport):
         max_queue_size: int = 10_000,
         host: str = "127.0.0.1",
         port: int = 0,
-        connect_timeout: float = 10.0,
     ) -> None:
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
@@ -185,7 +181,6 @@ class TcpTransport(PackedDrainMixin, Transport):
             raise ValueError("tcp transport routes with a u8 rank field (max 255 ranks)")
         self.num_server_ranks = int(num_server_ranks)
         self.max_queue_size = int(max_queue_size)
-        self.connect_timeout = float(connect_timeout)
         self._channels = [_RankChannel() for _ in range(num_server_ranks)]
         self._init_leftovers(num_server_ranks)
         self._closed = threading.Event()
@@ -223,8 +218,7 @@ class TcpTransport(PackedDrainMixin, Transport):
         writer = getattr(local, "writer", None)
         if writer is None or writer.pid != os.getpid():
             writer = _ClientWriter(
-                self.host, self.port, self.connect_timeout,
-                client_id=int(getattr(local, "client_id", -1)),
+                self.host, self.port, client_id=int(getattr(local, "client_id", -1))
             )
             local.writer = writer
         return writer

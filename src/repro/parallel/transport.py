@@ -52,11 +52,7 @@ from repro.parallel.messages import (
     unpack_columns,
     unpack_many,
 )
-from repro.utils.constants import (
-    DEFAULT_HASH_RING_REPLICAS,
-    DEFAULT_RING_SLOT_BYTES,
-    DEFAULT_RING_SLOTS,
-)
+from repro.utils.constants import DEFAULT_HASH_RING_REPLICAS
 from repro.utils.exceptions import ConfigurationError, ReproError
 from repro.utils.logging import get_logger
 
@@ -530,25 +526,6 @@ BACKENDS = ("inproc", "mp", "shm", "tcp")
 
 
 @dataclass(frozen=True)
-class ShmOptions:
-    """Geometry of the ``"shm"`` backend's per-(client, rank) SPSC rings.
-
-    Each ring holds ``ring_slots`` packed batches of at most
-    ``ring_slot_bytes`` bytes; oversized batches are split automatically and
-    a single message that cannot fit raises, naming the knob.
-    """
-
-    ring_slots: int = DEFAULT_RING_SLOTS
-    ring_slot_bytes: int = DEFAULT_RING_SLOT_BYTES
-
-    def __post_init__(self) -> None:
-        if self.ring_slots <= 0:
-            raise ConfigurationError("ring_slots must be positive")
-        if self.ring_slot_bytes <= 0:
-            raise ConfigurationError("ring_slot_bytes must be positive")
-
-
-@dataclass(frozen=True)
 class TcpOptions:
     """Address options of the ``"tcp"`` backend.
 
@@ -558,15 +535,12 @@ class TcpOptions:
 
     host: str = "127.0.0.1"
     port: int = 0
-    connect_timeout: float = 10.0
 
     def __post_init__(self) -> None:
         if not self.host:
             raise ConfigurationError("tcp host must be non-empty")
         if not 0 <= self.port <= 65_535:
             raise ConfigurationError("tcp port must be in [0, 65535]")
-        if self.connect_timeout <= 0:
-            raise ConfigurationError("tcp connect_timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -609,7 +583,7 @@ class TransportConfig:
     #: (batches) and ``tcp`` (frames) backends; a ``tcp`` channel is also
     #: bounded in bytes (``tcp_transport.CHANNEL_BYTES``, 4 MiB of frame
     #: bodies).  ``shm`` has no rank channel — each client's ring is bounded
-    #: by ``shm.ring_slots``.
+    #: by ``shm_ring.DEFAULT_RING_SLOTS``.
     queue_size: int = 100_000
     #: Kill a client process that has not finished after this many seconds
     #: and restart it (``None`` waits forever); process client mode only.
@@ -617,7 +591,6 @@ class TransportConfig:
     #: Kill-and-restart a client whose last server-observed activity is
     #: older than this many seconds (``None`` disables the watchdog).
     heartbeat_timeout: Optional[float] = None
-    shm: ShmOptions = field(default_factory=ShmOptions)
     tcp: TcpOptions = field(default_factory=TcpOptions)
     shard: ShardOptions = field(default_factory=ShardOptions)
 
@@ -694,12 +667,7 @@ def make_transport(
         case "shm":
             from repro.parallel.shm_ring import ShmRingTransport
 
-            return ShmRingTransport(
-                ranks,
-                max_concurrent_clients=int(max_concurrent_clients),
-                ring_slots=config.shm.ring_slots,
-                ring_slot_bytes=config.shm.ring_slot_bytes,
-            )
+            return ShmRingTransport(ranks, max_concurrent_clients=int(max_concurrent_clients))
         case "tcp":
             from repro.parallel.tcp_transport import TcpTransport
 
@@ -708,5 +676,4 @@ def make_transport(
                 max_queue_size=config.queue_size,
                 host=config.tcp.host,
                 port=config.tcp.port,
-                connect_timeout=config.tcp.connect_timeout,
             )

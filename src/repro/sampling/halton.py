@@ -41,21 +41,17 @@ def halton_sequence(start: int, count: int, dimension: int) -> Array:
 
 
 class HaltonSampler(Sampler):
-    """Deterministic Halton sequence, optionally scrambled by a random shift.
+    """Deterministic Halton sequence, scrambled by a seeded random shift.
 
     The random shift (Cranley-Patterson rotation) keeps the low-discrepancy
     structure while making different seeds produce different designs, matching
     the framework requirement that the sampler be seeded.
     """
 
-    def __init__(self, space, seed: int = 0, scramble: bool = True) -> None:
+    def __init__(self, space, seed: int = 0) -> None:
         super().__init__(space, seed=seed)
-        self.scramble = bool(scramble)
-        rng = derive_rng("halton-sampler", seed)
-        self._shift = rng.random(space.dimension) if scramble else np.zeros(space.dimension)
+        self._shift = derive_rng("halton-sampler", seed).random(space.dimension)
 
     def _unit_samples(self, count: int) -> Array:
         raw = halton_sequence(self.num_drawn, count, self.space.dimension)
-        if self.scramble:
-            raw = (raw + self._shift) % 1.0
-        return raw
+        return (raw + self._shift) % 1.0

@@ -26,6 +26,15 @@ logger = get_logger("server.aggregator")
 
 Array = np.ndarray
 
+#: Seconds one poll of the transport waits for data.
+POLL_TIMEOUT = 0.02
+#: Most transport messages drained per loop iteration; the compatible chunks
+#: of one drain go into the buffer with a single ``put_many``.
+MAX_DRAIN = 64
+#: Bound on each wait for buffer space, so a full buffer never keeps the
+#: thread from noticing a stop request.
+PUT_RETRY_TIMEOUT = 0.2
+
 
 @dataclass
 class AggregatorStats:
@@ -54,18 +63,9 @@ class DataAggregator:
         Total number of ensemble members the study will run; the aggregator
         signals end-of-reception to the buffer once a ``ClientFinished`` was
         seen from each of them.
-    poll_timeout:
-        Polling timeout of the transport queue in seconds.
     heartbeat_monitor:
         Optional liveness tracker shared with the launcher's watchdog: every
         hello and every chunk stamps its clients' arrival on the server's clock.
-    max_drain:
-        Maximum number of transport messages drained per loop iteration; the
-        compatible chunks of one drain are inserted into the buffer with a
-        single :meth:`TrainingBuffer.put_many` call.
-    put_retry_timeout:
-        Bound on each wait for buffer space, so a full buffer never keeps the
-        thread from noticing a stop request.
     """
 
     def __init__(
@@ -74,21 +74,15 @@ class DataAggregator:
         router: Transport,
         buffer: TrainingBuffer,
         expected_clients: int,
-        poll_timeout: float = 0.02,
         heartbeat_monitor: Optional[HeartbeatMonitor] = None,
         message_log: Optional[MessageLog] = None,
-        max_drain: int = 64,
-        put_retry_timeout: float = 0.2,
     ) -> None:
         self.rank = int(rank)
         self.router = router
         self.buffer = buffer
         self.expected_clients = int(expected_clients)
-        self.poll_timeout = float(poll_timeout)
         self.heartbeat_monitor = heartbeat_monitor
         self.message_log = message_log or MessageLog()
-        self.max_drain = int(max_drain)
-        self.put_retry_timeout = float(put_retry_timeout)
         self.stats = AggregatorStats()
         #: The exception that ended the receive loop, if any; the buffer is
         #: closed with it so the training thread stops instead of waiting.
@@ -130,7 +124,7 @@ class DataAggregator:
         try:
             while not self._stop.is_set():
                 items = self.router.poll_batches(
-                    self.rank, max_messages=self.max_drain, timeout=self.poll_timeout
+                    self.rank, max_messages=MAX_DRAIN, timeout=POLL_TIMEOUT
                 )
                 if items:
                     self._handle_items(items)
@@ -204,7 +198,7 @@ class DataAggregator:
     def _flush(self, batch: ColumnBatch) -> None:
         """Insert ``batch`` into the buffer, staying responsive to stop().
 
-        Each wait for buffer space is bounded by ``put_retry_timeout``; when a
+        Each wait for buffer space is bounded by :data:`PUT_RETRY_TIMEOUT`; when a
         stop is requested while the buffer is full, the remaining samples are
         dropped (counted in ``stats.samples_dropped``) instead of blocking
         shutdown forever.
@@ -217,7 +211,7 @@ class DataAggregator:
                 return
             try:
                 inserted = self.buffer.put_many(
-                    batch[offset:], timeout=self.put_retry_timeout
+                    batch[offset:], timeout=PUT_RETRY_TIMEOUT
                 )
             except BufferClosedError:
                 # Abort path: the remainder can never be inserted — account

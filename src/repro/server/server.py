@@ -47,9 +47,7 @@ class ServerConfig:
     lr_step_batches:
         Halve the learning rate every that many *batches per rank*; the paper
         scales this with the number of GPUs so the schedule follows the number
-        of samples seen.
-    lr_min:
-        Floor of the learning-rate schedule (paper: 2.5e-4).
+        of samples seen (:class:`repro.nn.schedulers.StepLR`).
     seed:
         Seed shared by every replica so their initial weights are identical.
     """
@@ -62,10 +60,7 @@ class ServerConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     learning_rate: float = 1e-3
     lr_step_batches: int = 1_000
-    lr_gamma: float = 0.5
-    lr_min: float = 2.5e-4
     seed: int = 0
-    poll_timeout: float = 0.02
 
     def __post_init__(self) -> None:
         if self.num_ranks <= 0:
@@ -138,7 +133,6 @@ class TrainingServer:
                 router=router,
                 buffer=self.buffers[rank],
                 expected_clients=config.expected_clients,
-                poll_timeout=config.poll_timeout,
                 heartbeat_monitor=self.heartbeat_monitor,
                 message_log=self.message_logs[rank],
             )
@@ -162,8 +156,6 @@ class TrainingServer:
                 config.trainer,
                 learning_rate=config.learning_rate,
                 lr_step_batches=config.lr_step_batches,
-                lr_gamma=config.lr_gamma,
-                lr_min=config.lr_min,
                 validation=self.validation,
             )
             workers[comm.rank] = worker

@@ -58,12 +58,10 @@ class AsyncFrontDoor:
         sink,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = framing.MAX_FRAME_BYTES,
     ) -> None:
         self._sink = sink
         self._host = host
         self._port = int(port)
-        self._max_frame_bytes = int(max_frame_bytes)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -210,11 +208,7 @@ class AsyncFrontDoor:
             if exc.partial:
                 raise  # torn: some header bytes arrived, the rest never will
             return None
-        kind, rank, body_len = framing.parse_header(header)
-        if body_len > self._max_frame_bytes:
-            raise framing.FrameError(
-                f"frame body of {body_len} bytes exceeds this front door's cap"
-            )
+        kind, rank, body_len = framing.parse_header(header)  # enforces the frame cap
         body = await reader.readexactly(body_len) if body_len else b""
         return kind, rank, body, framing.FRAME_HEADER_BYTES + body_len
 

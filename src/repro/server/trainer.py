@@ -39,6 +39,9 @@ if TYPE_CHECKING:
 
 Array = np.ndarray
 
+#: Seconds a rank waits for one batch before it gives up on its source.
+GET_TIMEOUT = 60.0
+
 
 @dataclass
 class TrainerConfig:
@@ -55,9 +58,7 @@ class TrainerConfig:
     batch_size: int = 10
     validation_interval: int = 100
     max_batches: Optional[int] = None
-    get_timeout: float = 60.0
     record_population: bool = True
-    track_occurrences: bool = True
     #: Optional sleep per batch emulating the GPU compute cost of the paper's
     #: 514M-parameter surrogate (the scaled-down model trains much faster than
     #: the real one, which would distort the production/consumption balance).
@@ -137,9 +138,7 @@ class TrainingWorker:
                 # Still participate in one last collective so peers don't hang.
                 self._collective_continue(False)
                 break
-            batch = self.buffer.get_batch_columns(
-                self.config.batch_size, timeout=self.config.get_timeout
-            )
+            batch = self.buffer.get_batch_columns(self.config.batch_size, timeout=GET_TIMEOUT)
             # Open the throughput window once data is available but before the
             # first batch is trained: the first measurement then covers
             # `window` full batch intervals, excluding the initial buffer
@@ -159,11 +158,10 @@ class TrainingWorker:
             batch_index += 1
             self.metrics.batches_trained = batch_index
             self.metrics.samples_trained += len(batch)
-            self.metrics.losses.record_train(batch_index, loss_value)
+            self.metrics.losses.record_train(loss_value)
             self.metrics.throughput.record_batch(len(batch))
 
-            if self.config.track_occurrences:
-                self.occurrences.record_columns(batch.source_ids, batch.time_steps)
+            self.occurrences.record_columns(batch.source_ids, batch.time_steps)
             if self.config.record_population:
                 self.metrics.buffer_population.record(
                     self._clock.now() - start, self.buffer.snapshot()["size"]
@@ -176,7 +174,7 @@ class TrainingWorker:
                 and self.rank == 0
             ):
                 val_loss = self.validator.evaluate(self.model)
-                self.metrics.losses.record_validation(batch_index, val_loss)
+                self.metrics.losses.record_validation(val_loss)
 
             if not keep_going:
                 break
@@ -184,7 +182,7 @@ class TrainingWorker:
         # Final validation so every run reports an end-of-training MSE.
         if self.validator is not None and self.rank == 0:
             val_loss = self.validator.evaluate(self.model)
-            self.metrics.losses.record_validation(batch_index, val_loss)
+            self.metrics.losses.record_validation(val_loss)
 
         self.metrics.occurrence_histogram = self.occurrences.histogram()
         self.metrics.wall_time = self._clock.now() - start
@@ -199,15 +197,13 @@ def build_worker(
     *,
     learning_rate: float,
     lr_step_batches: int,
-    lr_gamma: float,
-    lr_min: float,
     validation: Optional[ValidationSet] = None,
 ) -> TrainingWorker:
     """Set up the rank ``comm.rank`` of an online server or an offline study.
 
     A fresh model replica (the factory's seed makes replicas identical, and
     :meth:`TrainingWorker.run` broadcasts rank 0's weights anyway), Adam,
-    StepLR when ``lr_step_batches > 0`` and a validator when a validation set
+    the paper's StepLR schedule when ``lr_step_batches > 0`` and a validator when a validation set
     is given (only rank 0 evaluates).  The gradient collective is used only
     with several ranks.
     """
@@ -215,7 +211,7 @@ def build_worker(
     optimizer = Adam(model.parameters(), lr=learning_rate)
     scheduler = None
     if lr_step_batches > 0:
-        scheduler = StepLR(optimizer, step_size=lr_step_batches, gamma=lr_gamma, min_lr=lr_min)
+        scheduler = StepLR(optimizer, step_size=lr_step_batches)
     return TrainingWorker(
         rank=comm.rank,
         model=model,

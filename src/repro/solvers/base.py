@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import ClassVar, Iterator, List, Tuple
 
 import numpy as np
 
@@ -18,18 +18,18 @@ class SolverConfig:
     ----------
     nx, ny:
         Number of grid points along x and y (including boundary nodes).
-    length_x, length_y:
-        Physical extent of the rectangular domain in metres.
     dt:
         Time-step size in seconds (the paper uses 0.01 s).
     num_steps:
         Number of time steps produced per run (the paper uses 100).
     """
 
+    #: Physical extent of the rectangular domain in metres (the unit square).
+    length_x: ClassVar[float] = 1.0
+    length_y: ClassVar[float] = 1.0
+
     nx: int = 64
     ny: int = 64
-    length_x: float = 1.0
-    length_y: float = 1.0
     dt: float = 0.01
     num_steps: int = 100
 
@@ -40,8 +40,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.num_steps <= 0:
             raise ValueError("num_steps must be positive")
-        if self.length_x <= 0 or self.length_y <= 0:
-            raise ValueError("domain lengths must be positive")
 
     @property
     def dx(self) -> float:

@@ -17,7 +17,7 @@ CG starts every step from the previous step's interior ``u^n`` (step 1 from
 the uniform initial condition): one implicit step moves the field only a
 little, so the start is already close to ``u^{n+1}`` and far fewer
 iterations are needed than from zero.  Accuracy does not depend on the
-start: CG stops only once the residual is below ``cg_tol`` times ``||rhs||``,
+start: CG stops only once the residual is below ``CG_TOL`` times ``||rhs||``,
 the same test whatever the first iterate, and fails loudly otherwise.
 
 The ensemble members share one solver: the parameters enter only the
@@ -44,6 +44,11 @@ from repro.solvers.stencil import (
 )
 
 Array = np.ndarray
+
+#: CG stops once the residual is below ``CG_TOL`` times ``||rhs||`` ...
+CG_TOL = 1e-10
+#: ... and fails loudly after ``CG_MAX_ITER`` iterations without converging.
+CG_MAX_ITER = 2_000
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,6 @@ class HeatEquationConfig(SolverConfig):
 
     alpha: float = 1.0
     linear_solver: Literal["lu", "cg"] = "lu"
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 2_000
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -88,10 +91,6 @@ class HeatEquationConfig(SolverConfig):
             raise ValueError("thermal diffusivity alpha must be positive")
         if self.linear_solver not in ("lu", "cg"):
             raise ValueError(f"linear_solver must be 'lu' or 'cg', got {self.linear_solver!r}")
-        if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be positive")
-        if self.cg_max_iter <= 0:
-            raise ValueError("cg_max_iter must be positive")
 
 
 class HeatEquationSolver:
@@ -137,8 +136,7 @@ class HeatEquationSolver:
     def _solve(self, rhs: Array, guess: Array) -> Array:
         if self._lu is not None:
             return self._lu.solve(rhs)
-        cfg = self.config
-        return conjugate_gradient(self._system, rhs, guess, cfg.cg_tol, cfg.cg_max_iter)[0]
+        return conjugate_gradient(self._system, rhs, guess, CG_TOL, CG_MAX_ITER)[0]
 
     def iter_steps(self, params: HeatParameters) -> Iterator[Tuple[int, float, Array]]:
         """Yield ``(step_index, time, full_field)`` for each produced time step.

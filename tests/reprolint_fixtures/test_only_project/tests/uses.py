@@ -4,6 +4,7 @@ from pkg import listed_only, reexported_only
 from pkg.bad import Helper, only_tested, recursive
 from pkg.clock import Clock
 from pkg.fields import FixtureError, Stats, Tracker
+from pkg.settings import Engine, RunConfig
 
 
 def check():
@@ -21,3 +22,5 @@ def check():
         Tracker().note(stats, -1)
     except FixtureError as error:
         assert error.errors == [-1]
+    engine = Engine(RunConfig(retry_timeout=0.1), spin=0)
+    assert engine.config.retry_timeout == 0.1 and engine.spin == 0

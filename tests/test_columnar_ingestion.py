@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.buffers import FIFOBuffer
-from repro.buffers.columns import ColumnBatch
+from repro.buffers import columns
+from repro.buffers.columns import ColumnBatch, ColumnStore
 from repro.nn import MLPConfig, build_mlp
 from repro.parallel.messages import (
     ClientFinished,
@@ -147,6 +148,29 @@ def test_gathered_batches_survive_slot_recycling():
     buffer.put_many(unpack_columns(pack_many(make_steps(4, start=50))))
     buffer.get_batch_columns(4, timeout=1.0)
     np.testing.assert_array_equal(first.targets, snapshot)
+
+
+def test_a_failed_column_allocation_leaves_the_store_unallocated(monkeypatch):
+    """A ``MemoryError`` on the second column leaves no column half-built:
+    the retry allocates all four, instead of a later ``gather`` failing on
+    a ``None`` column with an unrelated ``TypeError``."""
+    store = ColumnStore(capacity=8)
+    allocate = np.empty
+    calls = []
+
+    def failing_second_empty(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("injected")
+        return allocate(*args, **kwargs)
+
+    monkeypatch.setattr(columns.np, "empty", failing_second_empty)
+    with pytest.raises(MemoryError, match="injected"):
+        store.ensure_columns((3,), (5,))
+    assert (store.inputs, store.targets, store.source_ids, store.time_steps) == (None,) * 4
+    store.ensure_columns((3,), (5,))
+    assert store.inputs.shape == (8, 3) and store.targets.shape == (8, 5)
+    assert store.source_ids.shape == store.time_steps.shape == (8,)
 
 
 # ------------------------------------------------------------ the sample dtype

@@ -85,11 +85,11 @@ def test_throughput_meter_empty():
 
 def test_loss_history_best_and_final():
     history = LossHistory()
-    history.record_train(1, 5.0)
-    history.record_train(2, 3.0)
-    history.record_validation(1, 4.0)
-    history.record_validation(2, 2.5)
-    history.record_validation(3, 2.8)
+    history.record_train(5.0)
+    history.record_train(3.0)
+    history.record_validation(4.0)
+    history.record_validation(2.5)
+    history.record_validation(2.8)
     assert history.best_validation_loss == 2.5
     assert history.final_validation_loss == 2.8
     assert history.final_training_loss == 3.0
@@ -117,7 +117,7 @@ def test_merge_worker_metrics_sums_throughput():
         metrics.throughput.start_time = 0.0
         metrics.throughput.end_time = 10.0
         metrics.throughput.total_samples = int(throughput * 10)
-        metrics.losses.record_validation(batches, 1.0 + rank)
+        metrics.losses.record_validation(1.0 + rank)
         metrics.wall_time = 10.0
         return metrics
 

@@ -51,7 +51,7 @@ def test_sample_parameters_within_paper_range(case):
 
 def test_run_simulation_shapes(case, tmp_path):
     store = case.generate_store(tmp_path / "store", num_simulations=1,
-                                parameter_vectors=[np.full(5, 300.0)], workers=1)
+                                parameter_vectors=[np.full(5, 300.0)])
     stored = store.simulations[0]
     fields = store.load_fields(stored, mmap=False)
     assert len(stored.times) == 4
@@ -98,7 +98,7 @@ def test_store_threads_share_one_solver(case, solver_builds, tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         store = case.generate_store(tmp_path / "store", num_simulations=6,
-                                    parameter_vectors=list(params), workers=3)
+                                    parameter_vectors=list(params))
     finally:
         sys.setswitchinterval(interval)
     assert len(solver_builds) == 1
@@ -111,7 +111,7 @@ def test_store_threads_share_one_solver(case, solver_builds, tmp_path):
 
 
 def test_generate_store_roundtrip(case, tmp_path):
-    store = case.generate_store(tmp_path / "store", num_simulations=3, workers=2)
+    store = case.generate_store(tmp_path / "store", num_simulations=3)
     assert len(store) == 3
     dataset = SimulationDataset(store)
     assert len(dataset) == 12
@@ -121,7 +121,7 @@ def test_generate_store_roundtrip(case, tmp_path):
     # Regeneration with explicit parameter vectors honours the given order.
     params = case.sample_parameters(2)
     store2 = case.generate_store(tmp_path / "store2", num_simulations=2,
-        parameter_vectors=list(params), workers=1)
+        parameter_vectors=list(params))
     stored = store2.simulations
     assert np.allclose(stored[0].parameters, params[0])
     assert np.allclose(stored[1].parameters, params[1])

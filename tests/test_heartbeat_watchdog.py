@@ -16,6 +16,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
+from fault_clients import HangingClient
 from repro.buffers import FIFOBuffer
 from repro.client.simulation_client import SimulationClient
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
@@ -41,7 +42,7 @@ class TinySolver:
             yield step, step * 0.1, field
 
 
-def make_harness(heartbeat_timeout, solver_delay=0.01, hang_at_step=None, max_restarts=2):
+def make_harness(heartbeat_timeout, solver_delay=0.01, hang=False, max_restarts=2):
     """Transport + aggregator + single-client process launcher, wired up."""
     transport = ShmRingTransport(
         num_server_ranks=1, max_concurrent_clients=2, ring_slots=16, ring_slot_bytes=8192
@@ -55,11 +56,11 @@ def make_harness(heartbeat_timeout, solver_delay=0.01, hang_at_step=None, max_re
         expected_clients=1,
         message_log=MessageLog(),
         heartbeat_monitor=monitor,
-        poll_timeout=0.02,
     )
 
     def client_factory(spec: ClientSpec) -> SimulationClient:
-        return SimulationClient(
+        kind = HangingClient if hang else SimulationClient
+        return kind(
             client_id=spec.client_id,
             parameters=(1.0, 2.0),
             solver=TinySolver(step_delay=solver_delay),
@@ -67,7 +68,7 @@ def make_harness(heartbeat_timeout, solver_delay=0.01, hang_at_step=None, max_re
             num_time_steps=NUM_STEPS,
         )
 
-    spec = ClientSpec(client_id=0, parameters=np.asarray([1.0, 2.0]), hang_at_step=hang_at_step)
+    spec = ClientSpec(client_id=0, parameters=np.asarray([1.0, 2.0]))
     launcher = Launcher(
         client_factory,
         [spec],
@@ -95,7 +96,7 @@ def run_to_completion(transport, aggregator, launcher):
 
 
 def test_hanging_client_is_killed_restarted_and_deduplicated():
-    transport, aggregator, launcher = make_harness(heartbeat_timeout=0.5, hang_at_step=3)
+    transport, aggregator, launcher = make_harness(heartbeat_timeout=0.5, hang=True)
     report = run_to_completion(transport, aggregator, launcher)
 
     # The hang was detected and the client killed exactly once, then the

@@ -13,7 +13,7 @@ def optimizer():
 
 
 def test_step_lr_halves_every_period(optimizer):
-    scheduler = StepLR(optimizer, step_size=100, gamma=0.5)
+    scheduler = StepLR(optimizer, step_size=100)
     for _ in range(99):
         scheduler.step()
     assert optimizer.lr == pytest.approx(1e-3)
@@ -26,7 +26,7 @@ def test_step_lr_halves_every_period(optimizer):
 
 def test_step_lr_respects_floor(optimizer):
     """The paper's schedule stops at 2.5e-4."""
-    scheduler = StepLR(optimizer, step_size=10, gamma=0.5, min_lr=2.5e-4)
+    scheduler = StepLR(optimizer, step_size=10)
     for _ in range(1000):
         scheduler.step()
     assert optimizer.lr == pytest.approx(2.5e-4)
@@ -35,5 +35,3 @@ def test_step_lr_respects_floor(optimizer):
 def test_step_lr_validation(optimizer):
     with pytest.raises(ValueError):
         StepLR(optimizer, step_size=0)
-    with pytest.raises(ValueError):
-        StepLR(optimizer, step_size=10, gamma=1.5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nn_reference import gradient_check
-from repro.nn import Adam, Linear, MLPConfig, MSELoss, Sequential, build_mlp
+from repro.nn import Adam, Linear, MLPConfig, MSELoss, Sequential, build_mlp, optim
 from repro.nn.arena import ParameterArena
 from repro.nn.module import Parameter
 from repro.server.validation import ValidationSet, Validator
@@ -99,11 +99,13 @@ OPTIMIZER_CASES = [
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind,cls,hp", OPTIMIZER_CASES)
-def test_flat_optimizers_match_textbook_reference(kind, cls, hp, dtype):
+def test_flat_optimizers_match_textbook_reference(kind, cls, hp, dtype, monkeypatch):
     rng = np.random.default_rng(7)
     model = small_mlp(dtype)
     reference = [param.data.copy() for param in model.parameters()]
-    optimizer = cls(model.parameters(), **hp)
+    monkeypatch.setattr(optim, "BETAS", hp.get("betas", optim.BETAS))
+    monkeypatch.setattr(optim, "EPS", hp.get("eps", optim.EPS))
+    optimizer = cls(model.parameters(), lr=hp["lr"])
     state = {}
     for t in range(1, 51):
         grads = [rng.standard_normal(p.shape).astype(dtype) for p in reference]

@@ -21,6 +21,7 @@ from repro.core.metrics import ThroughputMeter, TrainingMetrics, merge_worker_me
 from repro.nn import Adam, MLPConfig, build_mlp
 from repro.parallel.messages import TimeStepMessage
 from repro.parallel.transport import MessageRouter
+from repro.server import trainer
 from repro.server.aggregator import DataAggregator
 from repro.server.trainer import TrainerConfig, TrainingWorker
 
@@ -35,6 +36,12 @@ def make_samples(count, input_size=3, target_size=5, seed=0):
         np.zeros(count, dtype=np.int64),
         np.arange(count, dtype=np.int64),
     )
+
+
+@pytest.fixture(autouse=True)
+def short_get_timeout(monkeypatch):
+    """A trainer that finds no data fails these tests in 5 s, not 60."""
+    monkeypatch.setattr(trainer, "GET_TIMEOUT", 5.0)
 
 
 def time_step(client_id, step, size=6):
@@ -69,7 +76,7 @@ def test_ddp_rank_trains_final_partial_batch_instead_of_discarding(run_spmd):
             model=model,
             optimizer=Adam(model.parameters(), lr=1e-3),
             buffer=buffer,
-            config=TrainerConfig(batch_size=4, get_timeout=5.0, validation_interval=0),
+            config=TrainerConfig(batch_size=4, validation_interval=0),
             comm=comm,
         )
         metrics = worker.run()
@@ -102,7 +109,7 @@ def test_ddp_ranks_with_unequal_samples_stop_at_the_same_batch(per_rank_counts, 
             model=model,
             optimizer=Adam(model.parameters(), lr=1e-3),
             buffer=buffer,
-            config=TrainerConfig(batch_size=4, get_timeout=5.0, validation_interval=0),
+            config=TrainerConfig(batch_size=4, validation_interval=0),
             comm=comm,
         )
         metrics = worker.run()
@@ -123,7 +130,7 @@ def test_single_rank_trains_partial_final_batch():
         model=model,
         optimizer=Adam(model.parameters(), lr=1e-3),
         buffer=buffer,
-        config=TrainerConfig(batch_size=5, get_timeout=5.0, validation_interval=0),
+        config=TrainerConfig(batch_size=5, validation_interval=0),
     )
     metrics = worker.run()
     assert metrics.batches_trained == 2
@@ -176,7 +183,7 @@ def test_training_worker_starts_throughput_meter_before_first_batch():
         model=model,
         optimizer=Adam(model.parameters(), lr=1e-3),
         buffer=buffer,
-        config=TrainerConfig(batch_size=4, get_timeout=5.0, validation_interval=0),
+        config=TrainerConfig(batch_size=4, validation_interval=0),
     )
     metrics = worker.run()
     # start() stamped the clock before the first batch completed.
@@ -200,7 +207,6 @@ def test_aggregator_stop_returns_promptly_when_buffer_full():
     buffer = FIFOBuffer(capacity=2)
     aggregator = DataAggregator(
         rank=0, router=router, buffer=buffer, expected_clients=1,
-        poll_timeout=0.01, put_retry_timeout=0.05,
     )
     aggregator.start()
     for step in range(1, 11):

@@ -304,8 +304,51 @@ class TestTestOnly:
         # read in benchmarks/, one named in a string, a self attribute read in
         # its class, an exception's payload.
         flagged = {f.path for f in self.findings()}
-        assert flagged == {"src/pkg/bad.py", "src/pkg/fields.py", "src/pkg/clock.py"}
+        assert flagged == {
+            "src/pkg/bad.py", "src/pkg/fields.py", "src/pkg/clock.py", "src/pkg/settings.py"
+        }
         assert self.flagged(self.findings(), "src/pkg/good.py") == []
+
+    def test_settings_only_tests_pass_are_flagged(self):
+        # Kept: a field passed in its position, one passed to ``replace``, a
+        # parameter a ``**`` splat passes, one a subclass passes to
+        # ``super().__init__``, ``host``/``port`` and a ``None`` default.
+        assert self.flagged(self.findings(), "src/pkg/settings.py") == [
+            ("RunConfig.retry_timeout", 10),  # only ``tests/uses.py`` passes it
+            ("Engine(spin=)", 19),  # no call passes it
+        ]
+
+    def test_the_report_counts_the_settable_values(self):
+        project = load_project([self.PROJECT], root=self.PROJECT)
+        # RunConfig's six fields (its ClassVar is no field), Engine(spin=),
+        # Pool(workers=) and Buffer(threshold=); carve-outs count too.
+        assert run(project, CHECKERS, rules=["test-only"]).measures == {"settable_values": 9}
+        assert run(project, CHECKERS, rules=["line-length"]).measures == {}
+
+    def settings_findings(self, root, lib, app):
+        root.mkdir()
+        (root / "lib.py").write_text(lib, encoding="utf-8")
+        (root / "app.py").write_text(app, encoding="utf-8")
+        return [f.message.split()[0] for f in self.findings(root, root=root)
+                if "passed by nothing" in f.message]
+
+    def test_a_class_in_a_factory_table_is_passed_its_keywords(self, tmp_path):
+        lib = ("class Sampler:\n    def __init__(self, seed=0):\n        self.seed = seed\n\n"
+               "    def draw(self):\n        return self.seed\n")
+        direct = "import lib\n\nlib.Sampler().draw()\n"
+        assert self.settings_findings(tmp_path / "direct", lib, direct) == ["Sampler(seed=)"]
+        table = ("import lib\n\n\ndef make(name, seed):\n"
+                 "    return {'s': lib.Sampler}[name](seed=seed)\n\n\n"
+                 "make('s', 1).draw()\n")
+        assert self.settings_findings(tmp_path / "table", lib, table) == []
+
+    def test_forwarding_kwargs_passes_nothing_new(self, tmp_path):
+        lib = ("class Sampler:\n    def __init__(self, seed=0):\n        self.seed = seed\n\n"
+               "    def draw(self):\n        return self.seed\n")
+        app = ("import lib\n\n\ndef traced(fn):\n    def call(*args, **kwargs):\n"
+               "        return fn(*args, **kwargs)\n    return call\n\n\n"
+               "{'s': lib.Sampler}['s']().draw()\n")
+        assert self.settings_findings(tmp_path / "forward", lib, app) == ["Sampler(seed=)"]
 
     def field_findings(self, root, lib, app):
         root.mkdir()
@@ -385,6 +428,7 @@ class TestCli:
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload["checked_files"] == 1
         assert len(payload["findings"]) == 4
+        assert payload["measures"] == {"settable_values": 0}  # no src/ module given
 
     def test_rules_filter_and_unknown_rule(self, tmp_path):
         from tools.reprolint.__main__ import main
@@ -400,3 +444,4 @@ class TestCli:
         text = summary.read_text(encoding="utf-8")
         assert "## reprolint" in text
         assert "wire-layout" in text
+        assert "| settable_values | 0 |" in text

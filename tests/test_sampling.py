@@ -120,10 +120,13 @@ def test_halton_sequence_dimension_limit():
         halton_sequence(0, 4, 40)
 
 
-def test_halton_unscrambled_is_deterministic(unit_space):
-    a = HaltonSampler(unit_space, seed=1, scramble=False).sample(10)
-    b = HaltonSampler(unit_space, seed=99, scramble=False).sample(10)
-    assert np.array_equal(a, b)
+def test_halton_seed_only_shifts_the_deterministic_sequence(unit_space):
+    a = HaltonSampler(unit_space, seed=1).sample(10)
+    b = HaltonSampler(unit_space, seed=99).sample(10)
+    assert not np.array_equal(a, b)
+    # One Cranley-Patterson rotation per seed: the same shift on every row.
+    shift = (a - b) % 1.0
+    assert np.allclose(((shift - shift[0]) + 0.5) % 1.0 - 0.5, 0.0)
 
 
 def test_low_discrepancy_beats_monte_carlo():

@@ -35,8 +35,7 @@ def wait_until(predicate, timeout=5.0):
 def test_aggregator_fills_buffer_and_signals_end():
     router = MessageRouter(1)
     buffer = FIFOBuffer(capacity=100)
-    aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=2,
-                                poll_timeout=0.01)
+    aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=2)
     aggregator.start()
 
     for client_id in range(2):
@@ -62,7 +61,7 @@ def test_aggregator_deduplicates_restarted_client_messages():
     buffer = FIFOBuffer(capacity=100)
     log = MessageLog()
     aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=1,
-                                message_log=log, poll_timeout=0.01)
+                                message_log=log)
     aggregator.start()
 
     # Original messages, then a restart resends steps 1-2 before continuing.
@@ -85,7 +84,7 @@ def test_aggregator_updates_heartbeat_monitor():
     buffer = ReservoirBuffer(capacity=10, threshold=0)
     monitor = HeartbeatMonitor()
     aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=2,
-                                heartbeat_monitor=monitor, poll_timeout=0.01)
+                                heartbeat_monitor=monitor)
     aggregator.start()
     try:
         before = time.monotonic()
@@ -105,8 +104,7 @@ def test_aggregator_updates_heartbeat_monitor():
 def test_aggregator_stop_terminates_thread():
     router = MessageRouter(1)
     buffer = FIFOBuffer(capacity=10)
-    aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=5,
-                                poll_timeout=0.01)
+    aggregator = DataAggregator(rank=0, router=router, buffer=buffer, expected_clients=5)
     aggregator.start()
     assert aggregator.running
     aggregator.stop()

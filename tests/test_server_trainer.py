@@ -1,10 +1,12 @@
 """Tests for the training worker (single rank, buffer-driven loop)."""
 
 import numpy as np
+import pytest
 
 from repro.buffers import FIFOBuffer, ReservoirBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.nn import Adam, MLPConfig, StepLR, build_mlp
+from repro.server import trainer
 from repro.server.trainer import TrainerConfig, TrainingWorker
 from repro.server.validation import ValidationSet, Validator
 
@@ -21,18 +23,23 @@ def make_samples(count, input_size=3, target_size=5, seed=0):
     )
 
 
+@pytest.fixture(autouse=True)
+def short_get_timeout(monkeypatch):
+    """A trainer that finds no data fails these tests in 5 s, not 60."""
+    monkeypatch.setattr(trainer, "GET_TIMEOUT", 5.0)
+
+
 def make_worker(buffer, max_batches=None, validator=None, batch_size=4,
                 validation_interval=5, scheduler_steps=None):
     model = build_mlp(MLPConfig(in_features=3, hidden_sizes=(8,), out_features=5, seed=0))
     optimizer = Adam(model.parameters(), lr=1e-3)
     scheduler = None
     if scheduler_steps is not None:
-        scheduler = StepLR(optimizer, step_size=scheduler_steps, gamma=0.5)
+        scheduler = StepLR(optimizer, step_size=scheduler_steps)
     config = TrainerConfig(
         batch_size=batch_size,
         validation_interval=validation_interval,
         max_batches=max_batches,
-        get_timeout=5.0,
     )
     return TrainingWorker(
         rank=0,

@@ -14,12 +14,13 @@ from typing import Iterator, Tuple
 import numpy as np
 import pytest
 
+from fault_clients import HangingClient
 from repro.buffers import FIFOBuffer
 from repro.client.simulation_client import SimulationClient
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
 from repro.launcher.launcher import ClientSpec, Launcher, LauncherConfig
 from repro.parallel.shm_ring import ShmRingTransport
-from repro.parallel.transport import ShardOptions, ShmOptions, TransportConfig, TransportStats
+from repro.parallel.transport import ShardOptions, TransportConfig, TransportStats
 from repro.server.aggregator import DataAggregator
 from repro.server.fault import HeartbeatMonitor, MessageLog
 from repro.server.sharding import (
@@ -128,7 +129,6 @@ def test_sharded_shm_study_matches_single_server_inproc_exactly(shard_scale):
         "fifo", scale=shard_scale, case=case, use_series=False,
         transport=TransportConfig(
             backend="shm", batch_size=4,
-            shm=ShmOptions(ring_slots=8, ring_slot_bytes=16_384),
             shard=ShardOptions(num_shards=2),
         ),
     )
@@ -218,13 +218,13 @@ def test_killed_client_reconnects_to_its_own_shard_and_is_deduplicated():
                 expected_clients=len(assignment[shard]),
                 message_log=MessageLog(),
                 heartbeat_monitor=monitors[shard],
-                poll_timeout=0.02,
             )
         )
     sharded_monitor = ShardedHeartbeatMonitor(ring, monitors)
 
     def client_factory(spec: ClientSpec) -> SimulationClient:
-        return SimulationClient(
+        kind = HangingClient if spec.client_id == hang_id else SimulationClient
+        return kind(
             client_id=spec.client_id,
             parameters=(1.0, 2.0),
             solver=TinySolver(),
@@ -232,14 +232,8 @@ def test_killed_client_reconnects_to_its_own_shard_and_is_deduplicated():
             num_time_steps=NUM_STEPS,
         )
 
-    specs = [
-        ClientSpec(
-            client_id=client_id,
-            parameters=np.asarray([1.0, 2.0]),
-            hang_at_step=3 if client_id == hang_id else None,
-        )
-        for client_id in client_ids
-    ]
+    specs = [ClientSpec(client_id=client_id, parameters=np.asarray([1.0, 2.0]))
+             for client_id in client_ids]
     launcher = Launcher(
         client_factory,
         specs,

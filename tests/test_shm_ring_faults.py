@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from fault_clients import HangingClient
 from repro.buffers import FIFOBuffer
 from repro.buffers.columns import ColumnBatch
 from repro.client.api import ClientAPI
@@ -151,8 +152,7 @@ def test_client_process_killed_mid_stream_then_restart_dedup(transport):
     log dedups.  No locks to orphan means no wedge to tolerate."""
     buffer = FIFOBuffer(capacity=10 * NUM_STEPS)
     aggregator = DataAggregator(rank=0, router=transport, buffer=buffer,
-                                expected_clients=1, message_log=MessageLog(),
-                                poll_timeout=0.02)
+                                expected_clients=1, message_log=MessageLog())
     transport.lease_client(0)  # the parent leases, as the launcher does
     aggregator.start()
     try:
@@ -680,16 +680,17 @@ def run_launched_study(transport, client_mode, events):
     monitor = HeartbeatMonitor()
     aggregator = DataAggregator(rank=0, router=transport, buffer=FIFOBuffer(capacity=100),
                                 expected_clients=6, message_log=MessageLog(),
-                                heartbeat_monitor=monitor, poll_timeout=0.02)
+                                heartbeat_monitor=monitor)
 
     def factory(spec):
         kind = AlwaysFailingClient if spec.client_id == FAILING else SimulationClient
+        if spec.client_id == HANGING and client_mode == "process":
+            kind = HangingClient
         return kind(client_id=spec.client_id, parameters=(1.0, 2.0), solver=StepSolver(),
                     router=transport, num_time_steps=LAUNCHED_STEPS)
 
     specs = [ClientSpec(client_id=cid, parameters=np.array([1.0, 2.0]),
-                        fail_at_step=2 if cid == FAILING else None,
-                        hang_at_step=3 if cid == HANGING else None)
+                        fail_at_step=2 if cid == FAILING else None)
              for cid in range(6)]
     launcher = RecordingLauncher(
         factory, specs,

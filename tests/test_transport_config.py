@@ -3,27 +3,24 @@
 Pins the configuration contract: ``OnlineStudyConfig`` carries exactly one
 typed ``TransportConfig`` (the flat ``transport_*``/``ring_*`` aliases are
 gone), ``make_transport`` builds exactly the four named backends, and the
-ring geometry defaults come from one place (``repro.utils.constants``).
+ring geometry comes from one place (``repro.parallel.shm_ring``).
 """
-
-import inspect
 
 import pytest
 
 from repro.core.config import OnlineStudyConfig
 from repro.parallel.mp_transport import MultiprocessTransport
+from repro.parallel import shm_ring
 from repro.parallel.shm_ring import ShmRingTransport
 from repro.parallel.tcp_transport import TcpTransport
 from repro.parallel.transport import (
     BACKENDS,
     MessageRouter,
     ShardOptions,
-    ShmOptions,
     TcpOptions,
     TransportConfig,
     make_transport,
 )
-from repro.utils.constants import DEFAULT_RING_SLOT_BYTES, DEFAULT_RING_SLOTS
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -35,7 +32,6 @@ def test_study_config_carries_one_typed_transport_config():
         queue_size=512,
         process_timeout=30.0,
         heartbeat_timeout=5.0,
-        shm=ShmOptions(ring_slots=8, ring_slot_bytes=4096),
     )
     cfg = OnlineStudyConfig(transport=typed)
     # ``transport`` collapses to the backend name; the knobs live on the
@@ -59,7 +55,7 @@ def test_plain_backend_string_uses_defaults():
 
 
 def test_resolve_returns_a_typed_config_unchanged():
-    cfg = TransportConfig(backend="tcp", batch_size=16, tcp=TcpOptions(connect_timeout=3.0))
+    cfg = TransportConfig(backend="tcp", batch_size=16, tcp=TcpOptions(port=5601))
     assert TransportConfig.resolve(cfg) is cfg
     assert TransportConfig.resolve("tcp") == TransportConfig(backend="tcp")
 
@@ -95,10 +91,6 @@ def test_invalid_transport_config_fields_rejected(kwargs):
 
 
 def test_invalid_nested_options_rejected():
-    with pytest.raises(ConfigurationError, match="ring_slots"):
-        ShmOptions(ring_slots=0)
-    with pytest.raises(ConfigurationError, match="ring_slot_bytes"):
-        ShmOptions(ring_slot_bytes=-1)
     with pytest.raises(ConfigurationError, match="port"):
         TcpOptions(port=70_000)
     with pytest.raises(ConfigurationError, match="host"):
@@ -134,11 +126,10 @@ def test_make_transport_builds_each_of_the_four_backends(backend, cls, client_mo
 
 # ------------------------------------------------------ ring single source
 def test_ring_geometry_defaults_have_one_source():
-    ring_defaults = inspect.signature(ShmRingTransport).parameters
-    assert ring_defaults["ring_slots"].default == DEFAULT_RING_SLOTS
-    assert ring_defaults["ring_slot_bytes"].default == DEFAULT_RING_SLOT_BYTES
-    options = ShmOptions()
-    assert options.ring_slots == DEFAULT_RING_SLOTS
-    assert options.ring_slot_bytes == DEFAULT_RING_SLOT_BYTES
-    cfg = OnlineStudyConfig()
-    assert cfg.transport_config.shm == options
+    # A study's shm transport is built with the backend module's geometry.
+    transport = make_transport(TransportConfig(backend="shm"), 1, max_concurrent_clients=1)
+    try:
+        assert transport.ring_slots == shm_ring.DEFAULT_RING_SLOTS
+        assert transport.ring_slot_bytes == shm_ring.DEFAULT_RING_SLOT_BYTES
+    finally:
+        transport.shutdown()

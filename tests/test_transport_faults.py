@@ -92,7 +92,6 @@ def make_aggregator(transport, expected_clients=1):
         buffer=buffer,
         expected_clients=expected_clients,
         message_log=MessageLog(),
-        poll_timeout=0.02,
     )
     return aggregator, buffer
 
@@ -281,8 +280,7 @@ def test_checkpointed_restart_rewinds_below_client_buffered_steps():
     for rank in range(2):
         buffer = FIFOBuffer(capacity=10 * NUM_STEPS)
         aggregators.append(DataAggregator(rank=rank, router=transport, buffer=buffer,
-                expected_clients=1, message_log=MessageLog(),
-                poll_timeout=0.02))
+                expected_clients=1, message_log=MessageLog()))
     for aggregator in aggregators:
         aggregator.start()
     try:

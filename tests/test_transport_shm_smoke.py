@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import ExperimentScale, build_case, run_online_with_buffer
-from repro.parallel.transport import ShmOptions, TransportConfig
+from repro.parallel.transport import TransportConfig
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,6 @@ def test_shm_study_trains_and_matches_inproc_sample_counts(smoke_scale):
         "fifo", scale=smoke_scale, case=case, use_series=False,
         transport=TransportConfig(
             backend="shm", batch_size=4,
-            shm=ShmOptions(ring_slots=8, ring_slot_bytes=16_384),
         ),
     )
     inproc_result = run_online_with_buffer(
@@ -86,7 +85,6 @@ def test_shm_study_with_more_simulations_than_ring_slots(smoke_scale):
         "fifo", scale=scale, case=case, use_series=False,
         transport=TransportConfig(
             backend="shm", batch_size=4,
-            shm=ShmOptions(ring_slots=8, ring_slot_bytes=16_384),
         ),
     )
     inproc_result = run_online_with_buffer(

@@ -25,9 +25,11 @@ that would otherwise run only in CI, or not at all (see
                           constants and packed-header offset families must
                           agree.
 - ``test-only``         : in ``src/``, every module-level function and class
-                          and every method is referenced, and every
-                          dataclass field and ``self`` attribute is read,
-                          from outside ``tests/`` (no path only a test walks).
+                          and every method is referenced, every dataclass
+                          field and ``self`` attribute is read, and every
+                          config field and ``__init__`` default is passed,
+                          from outside ``tests/`` (no path only a test walks,
+                          no option only a test sets).
 - ``unused-import``     : every import binds a name its module reads (ruff's
                           ``F401``, with the same exemptions).
 - ``line-length``       : no line is longer than ``[tool.ruff] line-length``

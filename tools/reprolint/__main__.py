@@ -22,6 +22,9 @@ def _render_summary(report: Report) -> str:
         f"Checked **{report.checked_files}** files: **{status}**, "
         f"{len(report.suppressed)} suppressed by pragma."
     )
+    if report.measures:
+        lines += ["", "| measure | value |", "| --- | --- |"]
+        lines += [f"| {name} | {value} |" for name, value in sorted(report.measures.items())]
     if report.findings:
         lines += ["", "| location | rule | message |", "| --- | --- | --- |"]
         for finding in report.findings:
@@ -91,6 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"reprolint: {report.checked_files} files, "
         f"{len(report.findings)} finding(s), {len(report.suppressed)} suppressed"
     )
+    tail += "".join(f", {name} {value}" for name, value in sorted(report.measures.items()))
     print(tail, file=sys.stderr)
     return 1 if report.findings else 0
 

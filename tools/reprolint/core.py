@@ -102,6 +102,8 @@ class Report:
     findings: List[Finding]
     suppressed: List[Finding]
     checked_files: int
+    #: Counts the rules that ran report besides their findings.
+    measures: Dict[str, int] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -111,6 +113,7 @@ class Report:
         return {
             "checked_files": self.checked_files,
             "findings": [f.to_dict() for f in self.findings],
+            "measures": dict(self.measures),
             "suppressed": [f.to_dict() for f in self.suppressed],
         }
 
@@ -256,13 +259,19 @@ def apply_pragmas(project: Project, raw: List[Finding]) -> Tuple[List[Finding], 
 def run(project: Project, checkers: Sequence[object], rules: Sequence[str] | None = None) -> Report:
     """Run ``checkers`` over ``project`` and fold in the pragma protocol."""
     raw: List[Finding] = list(project.parse_errors)
+    measures: Dict[str, int] = {}
     for checker in checkers:
         if rules is not None and checker.RULE not in rules:
             continue
         raw.extend(checker.check(project))
+        if hasattr(checker, "measures"):
+            measures.update(checker.measures(project))
     surviving, suppressed = apply_pragmas(project, raw)
     surviving.sort(key=Finding.sort_key)
     suppressed.sort(key=Finding.sort_key)
     return Report(
-        findings=surviving, suppressed=suppressed, checked_files=len(project.modules)
+        findings=surviving,
+        suppressed=suppressed,
+        checked_files=len(project.modules),
+        measures=measures,
     )
