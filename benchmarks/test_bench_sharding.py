@@ -41,8 +41,10 @@ STREAMS = {
 
 
 def _producer(router, client_id):
+    # A study client pushes to the shard transport its connection is bound to.
+    transport = router.transport_for(client_id)
     for batch in STREAMS[client_id]:
-        router.push_many(0, batch)
+        transport.push_many(0, batch)
 
 
 def _build_router(num_shards: int) -> ShardedTransport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -133,12 +133,7 @@ class HeatSurrogateCase:
             self._simulate_into(solver, row, inputs[rows, -1], targets[rows])
         return ValidationSet(inputs=inputs, targets=targets)
 
-    def generate_store(
-        self,
-        directory: str | Path,
-        num_simulations: int,
-        parameter_vectors: Sequence[Array] | None = None,
-    ) -> SimulationStore:
+    def generate_store(self, directory: str | Path, num_simulations: int) -> SimulationStore:
         """Generate an offline dataset on disk (the paper's offline baseline data).
 
         The generation is parallelised over a thread pool, standing in for the
@@ -146,9 +141,7 @@ class HeatSurrogateCase:
         useful to produce offline datasets quickly, with one shared solver.
         """
         store = SimulationStore(directory)
-        if parameter_vectors is None:
-            parameter_vectors = self.sample_parameters(num_simulations)
-        parameter_vectors = [np.asarray(row) for row in parameter_vectors][:num_simulations]
+        parameter_vectors = self.sample_parameters(num_simulations)
         solver = self.solver_factory()
         # ``map`` yields in input order, whatever order the threads finish in.
         with ThreadPoolExecutor(max_workers=GENERATION_WORKERS) as pool:

@@ -126,8 +126,7 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
         self.num_server_ranks = int(num_server_ranks)
-        self.max_queue_size = int(max_queue_size)
-        self._queues = [mp.Queue(maxsize=max_queue_size) for _ in range(num_server_ranks)]
+        self._queues = [mp.Queue(maxsize=int(max_queue_size)) for _ in range(num_server_ranks)]
         # Per-rank overflow of decoded items: control messages and/or
         # columnar chunks.
         self._init_leftovers(num_server_ranks)

@@ -17,11 +17,14 @@ restart count).  Batches are packed with ``plan_many``/``write_into``
 straight into the scratch behind a reserved frame header, and the whole
 frame leaves with one ``sendall`` — no intermediate copy.
 
-Server side: the front door enqueues received frames on per-rank
-channels bounded in frames (``queue_size``) and in body bytes
-(:data:`CHANNEL_BYTES`).  A reader refused by a full channel parks, and
-the aggregator's drain that frees room wakes it (:class:`_RankChannel`).
-The aggregator threads drain the channels through the shared
+Server side: :class:`TcpTransport` is a
+:class:`repro.parallel.transport.MessageRouter` whose producer is the
+front door.  It offers each received frame to the rank's
+:class:`~repro.parallel.transport.RankChannel` — the one the inproc
+clients ``put`` into — bounded in frames (``queue_size``) and in body
+bytes (:data:`CHANNEL_BYTES`).  A reader refused by a full channel parks,
+and the aggregator's drain that frees room wakes it.  The aggregator
+threads drain the channels through the shared
 :class:`repro.parallel.transport.PackedDrainMixin` machinery, where the
 frame body is decoded into columnar chunks and control messages.
 Traffic statistics are recorded at decode time in the server process;
@@ -36,19 +39,12 @@ import os
 import queue
 import socket
 import threading
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.buffers.columns import ColumnBatch
 from repro.parallel import framing
 from repro.parallel.messages import ClientHello, batch_parts, message_count, plan_many
-from repro.parallel.transport import (
-    Connection,
-    PackedDrainMixin,
-    RouterClosed,
-    Transport,
-    TransportStats,
-)
+from repro.parallel.transport import Connection, MessageRouter, RouterClosed
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.tcp_transport")
@@ -125,31 +121,13 @@ class _ClientWriter:
                 pass
 
 
-class _RankChannel:
-    """One rank's queued frames, their body bytes and the parked wake-ups.
+class TcpTransport(MessageRouter):
+    """A :class:`MessageRouter` whose rank channels are fed over TCP.
 
-    The condition's lock guards all of them.  A refused
-    :meth:`TcpTransport.try_enqueue` registers its wake-up in the same
-    critical section as the refusal; a drain pops a frame, subtracts its
-    bytes and takes every registered wake-up in one critical section, and
-    calls them after releasing the lock.  The two are serialised by that
-    lock, so a drain either comes before the refusal (which then sees the
-    room it freed) or after the registration (which it then wakes): no
-    wake-up is lost, and none needs a timer to recover one.
-    """
-
-    __slots__ = ("ready", "frames", "nbytes", "parked", "deepest")
-
-    def __init__(self) -> None:
-        self.ready = threading.Condition(threading.Lock())
-        self.frames: Deque[tuple] = deque()
-        self.nbytes = 0
-        self.parked: List[Callable[[], None]] = []
-        self.deepest = 0
-
-
-class TcpTransport(PackedDrainMixin, Transport):
-    """Transport whose rank channels are TCP streams into an asyncio front door.
+    Clients stream frames into an asyncio front door, which hands each
+    received frame to its rank's :class:`RankChannel` with the non-blocking
+    :meth:`try_enqueue`; the router's close, stats and drop counting are
+    inherited.
 
     Parameters
     ----------
@@ -175,25 +153,12 @@ class TcpTransport(PackedDrainMixin, Transport):
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        if num_server_ranks <= 0:
-            raise ValueError("num_server_ranks must be positive")
         if num_server_ranks > 255:
             raise ValueError("tcp transport routes with a u8 rank field (max 255 ranks)")
-        self.num_server_ranks = int(num_server_ranks)
-        self.max_queue_size = int(max_queue_size)
-        self._channels = [_RankChannel() for _ in range(num_server_ranks)]
-        self._init_leftovers(num_server_ranks)
-        self._closed = threading.Event()
-        self._stats_lock = threading.Lock()
-        self._stats = TransportStats()
+        super().__init__(num_server_ranks, max_queue_size)
         #: client id -> last announced dedup epoch, from connection handshakes.
         self._client_epochs: Dict[int, int] = {}
         self._local = threading.local()
-        # Stats live in the server process only (nothing is fork-shared); a
-        # forked client that records a drop writes its own copy.  The pid
-        # guard keeps such writes from touching a lock that may have been
-        # forked while held by a server thread.
-        self._origin_pid = os.getpid()
         # The serving tier sits above parallel/ in the layering; imported
         # lazily so the parallel package stays importable on its own.
         from repro.server.serving import AsyncFrontDoor
@@ -252,41 +217,19 @@ class TcpTransport(PackedDrainMixin, Transport):
                 f"tcp connection to {self.host}:{self.port} lost: {exc}"
             ) from exc
 
-    def _record_dropped(self, count: int) -> None:
-        if count and os.getpid() == self._origin_pid:
-            with self._stats_lock:
-                self._stats.dropped_messages += count
-
-    def record_unresponsive_kill(self) -> None:
-        """Count one launcher-side kill of an unresponsive client process."""
-        with self._stats_lock:
-            self._stats.unresponsive_kills += 1
-
     # ----------------------------------------------- front-door sink interface
     # Called from the event-loop thread; everything here must stay lock-light
     # and non-blocking.
     def try_enqueue(self, rank: int, entry: tuple,
                     on_space: Callable[[], None]) -> bool:
-        """Enqueue one received ``(body, wire_nbytes)`` frame.
+        """Offer one received ``(body, wire_nbytes)`` frame to its channel.
 
         The channel admits the frame below ``queue_size`` frames, and when
-        it is empty or the body fits within :data:`CHANNEL_BYTES`.  A
-        refused frame registers ``on_space``, called once (from the
-        draining thread, or at :meth:`close`) after room was freed.
+        it is empty or the body fits within :data:`CHANNEL_BYTES` (read at
+        each call).  A refused frame registers ``on_space``, called once
+        (from the draining thread, or at :meth:`close`) after room was freed.
         """
-        channel = self._channels[rank]
-        size = len(entry[0])
-        with channel.ready:
-            frames = channel.frames
-            if len(frames) >= self.max_queue_size or (
-                    frames and channel.nbytes + size > CHANNEL_BYTES):
-                channel.parked.append(on_space)
-                return False
-            frames.append(entry)
-            channel.nbytes += size
-            channel.deepest = max(channel.deepest, len(frames))
-            channel.ready.notify()
-        return True
+        return self._channels[rank].offer(entry, len(entry[0]), CHANNEL_BYTES, on_space)
 
     def register_client(self, client_id: int, epoch: int, peer) -> None:
         """Record a connection handshake (client id + dedup epoch)."""
@@ -316,18 +259,9 @@ class TcpTransport(PackedDrainMixin, Transport):
         An undecodable body counts as one dropped batch and is skipped
         (``_decode_packed``), like a corrupt mp queue buffer.
         """
-        channel = self._channels[rank]
-        with channel.ready:
-            frames = channel.frames
-            if not frames and timeout is not None:
-                channel.ready.wait_for(lambda: frames, timeout)
-            if not frames:
-                return None
-            entry = frames.popleft()
-            channel.nbytes -= len(entry[0])
-            parked, channel.parked = channel.parked, []
-        for wake in parked:
-            wake()
+        entry = self._channels[rank].take(timeout)
+        if entry is None:
+            return None
         body, wire_nbytes = entry
         batch = self._decode_packed(body, rank)
         delivered = sum(
@@ -338,26 +272,7 @@ class TcpTransport(PackedDrainMixin, Transport):
                 self._stats.record_batch(rank, delivered, wire_nbytes)
         return batch
 
-    def pending(self, rank: int) -> int:
-        """Decoded leftovers plus queued frames (a frame counts once, like a
-        packed mp batch; leftover columnar chunks by their sample count)."""
-        self._check_rank(rank)
-        return self._leftover_count(rank) + len(self._channels[rank].frames)
-
     # --------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Close, and wake every parked reader so it sees ``closed``.
-
-        ``closed`` is set before the wake-ups are taken, so a reader refused
-        after the take reads it on its own and never waits.
-        """
-        self._closed.set()
-        for channel in self._channels:
-            with channel.ready:
-                parked, channel.parked = channel.parked, []
-            for wake in parked:
-                wake()
-
     def shutdown(self) -> None:
         """Close, stop the front door and release the queued frames."""
         self.close()
@@ -367,21 +282,8 @@ class TcpTransport(PackedDrainMixin, Transport):
             writer.reset()
             self._local.writer = None
         for rank, channel in enumerate(self._channels):
-            with channel.ready:
-                channel.frames.clear()
+            with channel.not_empty:
+                channel.items.clear()
                 channel.nbytes = 0
                 channel.parked.clear()  # close() woke every earlier one
             self._leftover[rank].clear()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
-    @property
-    def stats(self) -> TransportStats:
-        """The traffic counters, with each channel's deepest backlog in frames."""
-        with self._stats_lock:
-            for rank, channel in enumerate(self._channels):
-                if channel.deepest:
-                    self._stats.ring_depth_high_water[rank] = channel.deepest
-        return self._stats

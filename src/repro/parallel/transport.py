@@ -8,8 +8,9 @@ channel with :meth:`Transport.poll_batches` — samples leave every backend as
 :class:`~repro.buffers.columns.ColumnBatch` chunks, control messages as
 plain objects.  Four backends implement the interface:
 
-* :class:`MessageRouter` — the in-process backend: one bounded deque per
-  rank, blocks handed over by reference (no serialisation).
+* :class:`MessageRouter` — the in-process backend: one bounded
+  :class:`RankChannel` per rank, blocks handed over by reference (no
+  serialisation).
 * :class:`repro.parallel.mp_transport.MultiprocessTransport` — real OS-process
   isolation: one ``multiprocessing.Queue`` per rank carrying *packed batches*
   (:func:`repro.parallel.messages.pack_many`), with shared-memory statistics
@@ -21,7 +22,9 @@ plain objects.  Four backends implement the interface:
 * :class:`repro.parallel.tcp_transport.TcpTransport` — the first backend
   where client and server share no memory: length-prefixed frames carrying
   the same packed batches over TCP sockets into an asyncio front door
-  (:class:`repro.server.serving.AsyncFrontDoor`).
+  (:class:`repro.server.serving.AsyncFrontDoor`).  It is a
+  :class:`MessageRouter` whose producer is that front door: received
+  frames enter the same rank channels.
 
 Every backend drains through one implementation,
 :meth:`PackedDrainMixin.poll_batches`: a backend only pops (and decodes) one
@@ -33,12 +36,13 @@ drops) used by the throughput experiments.
 
 from __future__ import annotations
 
+import os
 import queue
 import struct
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.buffers.columns import ColumnBatch
 from repro.parallel.messages import (
@@ -52,7 +56,6 @@ from repro.parallel.messages import (
     unpack_columns,
     unpack_many,
 )
-from repro.utils.constants import DEFAULT_HASH_RING_REPLICAS
 from repro.utils.exceptions import ConfigurationError, ReproError
 from repro.utils.logging import get_logger
 
@@ -73,8 +76,9 @@ class TransportStats:
     batches lost to a writer killed mid-write (a shm ring writer killed
     mid-commit, a tcp connection ended mid-frame), and
     ``ring_depth_high_water`` the deepest observed backlog per rank (shm
-    ring batches, tcp channel frames); both stay at their defaults on the
-    ``inproc`` and ``mp`` backends.
+    ring batches, inproc channel blocks, tcp channel frames).  Both stay at
+    their defaults on the ``mp`` backend, and ``torn_batches`` on
+    ``inproc``.
     ``unresponsive_kills`` counts client processes the launcher terminated
     for missing their heartbeat deadline (process client mode only).
     """
@@ -348,6 +352,9 @@ class PackedDrainMixin:
 class MessageRouter(PackedDrainMixin, Transport):
     """In-process transport: routes client blocks to per-server-rank queues.
 
+    Each rank's queue is a :class:`RankChannel`, which client threads
+    ``put`` into; the tcp subclass's front door offers frames to it.
+
     Parameters
     ----------
     num_server_ranks:
@@ -364,12 +371,16 @@ class MessageRouter(PackedDrainMixin, Transport):
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")
         self.num_server_ranks = int(num_server_ranks)
-        self.max_queue_size = int(max_queue_size)
-        self._channels = [_PartChannel() for _ in range(num_server_ranks)]
+        self._channels = [RankChannel(int(max_queue_size)) for _ in range(num_server_ranks)]
         self._init_leftovers(num_server_ranks)
         self._closed = threading.Event()
         self._stats_lock = threading.Lock()
         self._stats = TransportStats()
+        # Stats live in the server process only (nothing is fork-shared); a
+        # forked client that records a drop writes its own copy.  The pid
+        # guard keeps such writes from touching a lock that may have been
+        # forked while held by a server thread.
+        self._origin_pid = os.getpid()
 
     def record_unresponsive_kill(self) -> None:
         with self._stats_lock:
@@ -383,53 +394,41 @@ class MessageRouter(PackedDrainMixin, Transport):
         parts = batch_parts(batch)
         channel = self._channels[rank]
         for index, part in enumerate(parts):
-            with channel.lock:
-                room = channel.not_full.wait_for(
-                    lambda: self._closed.is_set() or len(channel.parts) < self.max_queue_size,
-                    timeout)
-                closed = self._closed.is_set()
-                if room and not closed:
-                    channel.parts.append(part)
-                    channel.not_empty.notify()
-            if closed or not room:
+            if not channel.put(part, timeout):
                 self._record_dropped(message_count(parts[index:]))
-                if closed:
+                if self._closed.is_set():
                     raise RouterClosed("router is closed")
                 raise queue.Full
             with self._stats_lock:
                 self._stats.record_batch(rank, message_count([part]), part.nbytes())
 
     def _record_dropped(self, count: int) -> None:
-        if count:
+        if count and os.getpid() == self._origin_pid:
             with self._stats_lock:
                 self._stats.dropped_messages += count
 
     # ----------------------------------------------------------------- server
     def _get_batch(self, rank: int, timeout: float | None) -> Optional[list]:
         """Pop one part as it was pushed; the drain joins runs of blocks."""
-        channel = self._channels[rank]
-        with channel.lock:
-            if not channel.parts and (
-                    timeout is None
-                    or not channel.not_empty.wait_for(lambda: channel.parts, timeout)):
-                return None
-            part = channel.parts.popleft()
-            channel.not_full.notify()
-        return [part]
+        part = self._channels[rank].take(timeout)
+        return None if part is None else [part]
 
     def pending(self, rank: int) -> int:
-        """Leftover rows plus queued parts (a queued block counts once)."""
-        return self._leftover_count(rank) + len(self._channels[rank].parts)
+        """Leftover rows plus queued items (a queued block or frame counts
+        once, leftover chunks and blocks by their sample count)."""
+        self._check_rank(rank)
+        return self._leftover_count(rank) + len(self._channels[rank].items)
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Close the router and wake every client parked on a full queue:
-        its push raises :class:`RouterClosed` instead of waiting for a drain
-        that a failed server never does.  Queued parts stay drainable."""
+        """Close the router and wake every producer parked on a full queue:
+        a client's push raises :class:`RouterClosed` instead of waiting for a
+        drain that a failed server never does, and a parked front-door reader
+        sees ``closed`` (set before the wake-ups, so a reader refused after
+        them never waits).  Queued items stay drainable."""
         self._closed.set()
         for channel in self._channels:
-            with channel.lock:
-                channel.not_full.notify_all()
+            channel.wake_all()
 
     @property
     def closed(self) -> bool:
@@ -437,21 +436,104 @@ class MessageRouter(PackedDrainMixin, Transport):
 
     @property
     def stats(self) -> TransportStats:
+        """The traffic counters, with each channel's deepest backlog in items."""
+        with self._stats_lock:
+            for rank, channel in enumerate(self._channels):
+                if channel.deepest:
+                    self._stats.ring_depth_high_water[rank] = channel.deepest
         return self._stats
 
 
-class _PartChannel:
-    """One rank's queued parts and the two conditions on its lock: pushers
-    wait on ``not_full``, the drain on ``not_empty``, and closing the router
-    wakes every pusher."""
+class RankChannel:
+    """One rank's queue, bounded in items, with two kinds of producer.
 
-    __slots__ = ("lock", "not_empty", "not_full", "parts")
+    Client threads :meth:`put`, blocking on ``not_full``.  The tcp front
+    door, which must not block, calls :meth:`offer`: a refusal (the item
+    bound, or a byte bound the caller passes) registers a wake-up in the same
+    critical section.  :meth:`take` frees room, notifies one blocked put and
+    takes every registered wake-up in one critical section, then calls them
+    after the lock.  So a take either precedes a refusal (which sees the
+    room) or follows its registration (and wakes it): no wake-up is lost,
+    and none needs a timer.
+    """
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.not_empty = threading.Condition(self.lock)
-        self.not_full = threading.Condition(self.lock)
-        self.parts: Deque = deque()
+    __slots__ = ("max_items", "not_empty", "not_full", "items", "nbytes",
+                 "parked", "deepest", "closed")
+
+    def __init__(self, max_items: int) -> None:
+        lock = threading.Lock()
+        self.max_items = max_items
+        self.not_empty = threading.Condition(lock)
+        self.not_full = threading.Condition(lock)
+        #: ``(item, size)`` pairs in arrival order; ``nbytes`` sums the sizes.
+        self.items: Deque[tuple] = deque()
+        self.nbytes = 0
+        self.parked: List[Callable[[], None]] = []
+        #: Deepest backlog seen, in items.
+        self.deepest = 0
+        self.closed = False
+
+    def put(self, item, timeout: float | None) -> bool:
+        """Append ``item``, waiting up to ``timeout`` (``None``: forever)
+        for room; ``False`` when the wait timed out or the channel closed."""
+        with self.not_full:
+            items = self.items
+            if not self.not_full.wait_for(
+                    lambda: self.closed or len(items) < self.max_items, timeout) or self.closed:
+                return False
+            items.append((item, 0))
+            self.deepest = max(self.deepest, len(items))
+            self.not_empty.notify()
+        return True
+
+    def offer(self, item, size: int, max_bytes: int,
+              on_space: Callable[[], None]) -> bool:
+        """Append ``item`` of ``size`` bytes without waiting.
+
+        Admitted below ``max_items`` items, and when the channel is empty or
+        the queued sizes stay within ``max_bytes``.  A refused item
+        registers ``on_space``, called once (by the take that frees room,
+        or by :meth:`wake_all`) after the lock is released.
+        """
+        with self.not_empty:
+            items = self.items
+            if len(items) >= self.max_items or (items and self.nbytes + size > max_bytes):
+                self.parked.append(on_space)
+                return False
+            items.append((item, size))
+            self.nbytes += size
+            self.deepest = max(self.deepest, len(items))
+            self.not_empty.notify()
+        return True
+
+    def take(self, timeout: float | None):
+        """Pop the oldest item, waiting up to ``timeout`` for one (``None``:
+        not at all); ``None`` when there is none."""
+        with self.not_empty:
+            items = self.items
+            if not items and (timeout is None
+                              or not self.not_empty.wait_for(lambda: items, timeout)):
+                return None
+            item, size = items.popleft()
+            self.nbytes -= size
+            self.not_full.notify()
+            parked = ()
+            if self.parked:
+                parked, self.parked = self.parked, []
+        for wake in parked:
+            wake()
+        return item
+
+    def wake_all(self) -> None:
+        """Close the channel to :meth:`put` and wake every waiting producer:
+        each blocked put returns ``False`` and each parked wake-up fires.
+        Queued items stay."""
+        with self.not_full:
+            self.closed = True
+            self.not_full.notify_all()
+            parked, self.parked = self.parked, []
+        for wake in parked:
+            wake()
 
 
 @dataclass
@@ -550,20 +632,16 @@ class ShardOptions:
     With ``num_shards > 1`` the study runs that many independent server
     shards — each with its own transport endpoint, aggregator threads,
     buffer and training workers — and routes every client to exactly one
-    shard through a consistent-hash ring over its client id
-    (``hash_replicas`` virtual nodes per shard, see
+    shard through a consistent-hash ring over its client id (see
     :class:`repro.server.sharding.HashRing`).  This is the study's one shard
     count.
     """
 
     num_shards: int = 1
-    hash_replicas: int = DEFAULT_HASH_RING_REPLICAS
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
-        if self.hash_replicas <= 0:
-            raise ConfigurationError("hash_replicas must be positive")
 
 
 @dataclass(frozen=True)
@@ -638,7 +716,7 @@ class TransportConfig:
             raise ConfigurationError(
                 f"shard index {index} out of range for {shard.num_shards} shard(s)"
             )
-        return replace(self, shard=ShardOptions(hash_replicas=shard.hash_replicas))
+        return replace(self, shard=ShardOptions())
 
 
 def make_transport(

@@ -29,9 +29,12 @@ The sink is duck-typed (in practice
 ``num_server_ranks``, ``closed``, ``try_enqueue(rank, entry, on_space)``,
 ``register_client(client_id, epoch, peer)``, ``record_torn_frame()`` and
 ``record_rejected_frame()``; every one of those calls must be safe to make
-from the event-loop thread.  ``try_enqueue`` returns ``False`` for a full
-channel and then calls ``on_space`` exactly once, from whichever thread
-freed room or closed the sink (``closed`` already reads true by then).
+from the event-loop thread.  ``try_enqueue`` never blocks: it returns
+``False`` for a full channel and then calls ``on_space`` exactly once, from
+whichever thread freed room or closed the sink (``closed`` already reads
+true by then) — on ``TcpTransport`` it is one
+:meth:`repro.parallel.transport.RankChannel.offer`, whose ``take`` and
+``wake_all`` fire the wake-up.
 """
 
 from __future__ import annotations

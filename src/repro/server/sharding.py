@@ -9,10 +9,10 @@ transport endpoint, aggregator threads, buffer and training workers, and a
 :class:`HashRing` routes every client to exactly one shard at ``connect()``:
 
 * **Routing is consistent and deterministic.**  The ring hashes each shard
-  into ``hash_replicas`` virtual points; a client id hashes to the first
-  point clockwise.  A killed client that the launcher restarts hashes to the
-  *same* shard, so the per-shard message log deduplicates its resend and the
-  shm slot-lease table re-leases its ring unchanged — the PR 5 elastic
+  into :data:`HASH_RING_REPLICAS` virtual points; a client id hashes to the
+  first point clockwise.  A killed client that the launcher restarts hashes
+  to the *same* shard, so the per-shard message log deduplicates its resend
+  and the shm slot-lease table re-leases its ring unchanged — the elastic
   join/leave protocol works per shard without modification.
 * **Placement stays bounded on join/leave.**  Adding or removing a shard
   only remaps the clients whose arc the change touches (about ``1/N`` of
@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro.core.metrics import merge_worker_metrics
 from repro.nn.module import Module
-from repro.parallel.messages import batch_parts
 from repro.parallel.transport import (
     Connection,
     Transport,
@@ -44,11 +43,16 @@ from repro.parallel.transport import (
 )
 from repro.server.server import ServerConfig, ServerResult, TrainingServer
 from repro.server.validation import ValidationSet
-from repro.utils.constants import DEFAULT_HASH_RING_REPLICAS
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.logging import get_logger
 
 logger = get_logger("server.sharding")
+
+#: Virtual nodes per shard on the consistent-hash ring.  More replicas
+#: smooth the load spread across shards at the cost of a larger (still tiny)
+#: ring; 64 keeps the max/min client load ratio within ~2x for paper-scale
+#: ensembles.
+HASH_RING_REPLICAS = 64
 
 
 # ------------------------------------------------------------------ hash ring
@@ -60,16 +64,15 @@ def _hash64(key: str) -> int:
 class HashRing:
     """Consistent-hash ring mapping client ids onto shard ids.
 
-    Each shard contributes ``replicas`` virtual points; a client id is owned
-    by the first point at or clockwise after its own hash.  Placement is a
-    pure function of ``(shard ids, replicas, client id)``: every process of
-    a study — launcher, forked clients, server shards — computes the same
-    assignment without coordination, and a restarted client always returns
-    to the shard that holds its dedup log and slot lease.
+    Each shard contributes :data:`HASH_RING_REPLICAS` virtual points; a
+    client id is owned by the first point at or clockwise after its own
+    hash.  Placement is a pure function of ``(shard ids, client id)``: every
+    process of a study — launcher, forked clients, server shards — computes
+    the same assignment without coordination, and a restarted client always
+    returns to the shard that holds its dedup log and slot lease.
     """
 
-    def __init__(self, shards: Union[int, Iterable[int]],
-                 replicas: int = DEFAULT_HASH_RING_REPLICAS) -> None:
+    def __init__(self, shards: Union[int, Iterable[int]]) -> None:
         if isinstance(shards, int):
             shard_ids: Tuple[int, ...] = tuple(range(shards))
         else:
@@ -79,14 +82,11 @@ class HashRing:
             shard_ids = tuple(sorted(shard_ids))
         if not shard_ids:
             raise ConfigurationError("a hash ring needs at least one shard")
-        if replicas <= 0:
-            raise ConfigurationError("hash ring replicas must be positive")
         self.shards = shard_ids
-        self.replicas = int(replicas)
         points = [
             (_hash64(f"shard-{shard}/{replica}"), shard)
             for shard in shard_ids
-            for replica in range(self.replicas)
+            for replica in range(HASH_RING_REPLICAS)
         ]
         points.sort()
         self._points = points
@@ -144,10 +144,6 @@ class ShardedTransport(Transport):
         self._unresponsive_kills = 0
 
     # ----------------------------------------------------------------- routing
-    def shard_for(self, client_id: int) -> int:
-        """Ring lookup: the shard index owning ``client_id``."""
-        return self.ring.shard_for(client_id)
-
     def transport_for(self, client_id: int) -> Transport:
         """The shard transport owning ``client_id``."""
         return self.shards[self.ring.shard_for(client_id)]
@@ -155,13 +151,6 @@ class ShardedTransport(Transport):
     # ------------------------------------------------------------------ client
     def connect(self, client_id: int, batch_size: int = 1) -> Connection:
         return self.transport_for(client_id).connect(client_id, batch_size=batch_size)
-
-    def push_many(self, rank: int, batch, timeout: float | None = None) -> None:
-        # Routed part by part: a mixed-client batch may span shards.  Study
-        # traffic never takes this path (clients push through the
-        # connection returned by ``connect``, already bound to one shard).
-        for part in batch_parts(batch):
-            self.transport_for(part.client_id).push_many(rank, [part], timeout=timeout)
 
     def lease_client(self, client_id: int) -> int:
         return self.transport_for(client_id).lease_client(client_id)
@@ -180,10 +169,6 @@ class ShardedTransport(Transport):
     def unresponsive_kills_recorded(self) -> int:
         with self._kill_lock:
             return self._unresponsive_kills
-
-    # ------------------------------------------------------------------ server
-    def pending(self, rank: int) -> int:
-        return sum(transport.pending(rank) for transport in self.shards)
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -294,7 +279,7 @@ class ShardManager:
         self.num_shards = transport_config.shard.num_shards
         self.server_config = server_config
         self.transport_config = transport_config
-        self.ring = HashRing(self.num_shards, replicas=transport_config.shard.hash_replicas)
+        self.ring = HashRing(self.num_shards)
         self.assignments = self.ring.partition(client_ids)
         self.transports: List[Transport] = [
             make_transport(

@@ -2,8 +2,8 @@
 
 Three invariants carry the sharded serving tier:
 
-* **Determinism** — placement is a pure function of (shard ids, replicas,
-  client id), so every process of a study computes the same assignment and
+* **Determinism** — placement is a pure function of (shard ids, replica
+  count, client id), so every process of a study computes the same assignment and
   a restarted client returns to the shard holding its dedup log and lease.
 * **Balance** — with the default replica count, client load spreads across
   shards within a bounded max/min ratio (no shard is starved or doubled-up
@@ -13,13 +13,15 @@ Three invariants carry the sharded serving tier:
   shard, which is what makes elastic join/leave cheap.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from repro.server import sharding
 from repro.server.sharding import HashRing
-from repro.utils.constants import DEFAULT_HASH_RING_REPLICAS
 from repro.utils.exceptions import ConfigurationError
 
 #: Enough sequential ids to exercise the spread (studies number clients 0..N-1).
@@ -39,8 +41,9 @@ MAX_LOAD_RATIO = 2.5
     client_id=st.integers(min_value=0, max_value=2**31),
 )
 def test_placement_is_deterministic_across_ring_instances(num_shards, replicas, client_id):
-    first = HashRing(num_shards, replicas=replicas)
-    second = HashRing(num_shards, replicas=replicas)
+    with mock.patch.object(sharding, "HASH_RING_REPLICAS", replicas):
+        first = HashRing(num_shards)
+        second = HashRing(num_shards)
     assert first.shard_for(client_id) == second.shard_for(client_id)
     assert first.shard_for(client_id) in first.shards
 
@@ -61,7 +64,7 @@ def test_partition_agrees_with_shard_for(num_shards):
 @settings(max_examples=15, deadline=None)
 @given(num_shards=st.integers(min_value=2, max_value=8))
 def test_load_spread_is_bounded_at_default_replicas(num_shards):
-    ring = HashRing(num_shards, replicas=DEFAULT_HASH_RING_REPLICAS)
+    ring = HashRing(num_shards)
     loads = [len(clients) for clients in ring.partition(CLIENT_IDS).values()]
     assert min(loads) > 0, "a shard received no clients at all"
     assert max(loads) / min(loads) <= MAX_LOAD_RATIO, loads
@@ -69,7 +72,8 @@ def test_load_spread_is_bounded_at_default_replicas(num_shards):
 
 def test_more_replicas_keep_the_spread_bounded():
     for replicas in (64, 128, 256):
-        ring = HashRing(4, replicas=replicas)
+        with mock.patch.object(sharding, "HASH_RING_REPLICAS", replicas):
+            ring = HashRing(4)
         loads = [len(clients) for clients in ring.partition(CLIENT_IDS).values()]
         assert max(loads) / min(loads) <= MAX_LOAD_RATIO, (replicas, loads)
 
@@ -123,8 +127,6 @@ def test_join_then_leave_round_trips_every_placement():
 def test_ring_rejects_bad_geometry():
     with pytest.raises(ConfigurationError):
         HashRing(0)
-    with pytest.raises(ConfigurationError):
-        HashRing(2, replicas=0)
     with pytest.raises(ConfigurationError):
         HashRing([1, 1])
     with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Tests for the client/server transport layer and message types."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.parallel.messages import (
     TimeStepMessage,
     columnize,
 )
-from repro.parallel.transport import MessageRouter, RouterClosed
+from repro.parallel.transport import MessageRouter, RankChannel, RouterClosed
 
 PARAMETERS = (100.0, 200.0, 300.0, 400.0, 500.0)
 
@@ -137,3 +139,53 @@ def test_bounded_queue_blocks_then_raises_on_timeout():
 
     with pytest.raises(_queue.Full):
         router.push(0, make_message(step=2), timeout=0.05)
+
+
+def test_inproc_reports_its_deepest_backlog():
+    router = MessageRouter(2)
+    for step in range(5):
+        router.push(0, make_message(step=step))
+    assert router.stats.ring_depth_high_water == {0: 5}
+    router.poll_batches(0, timeout=None)
+    assert router.stats.ring_depth_high_water == {0: 5}
+
+
+def blocked_put(channel, item):
+    """Start a thread whose ``put`` blocks on the full ``channel``; returns
+    the thread and the list its result lands in."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(channel.put(item, timeout=20.0)),
+                              daemon=True)
+    thread.start()
+    thread.join(0.1)
+    assert thread.is_alive() and not result, "put did not block on a full channel"
+    return thread, result
+
+
+def test_one_take_releases_a_blocked_put_and_a_refused_offer():
+    """Both producers of one channel: a take notifies the blocked put and
+    fires the refused offer's wake-up exactly once; ``wake_all`` fails the
+    blocked put and fires the still-parked wake-up once."""
+    channel = RankChannel(max_items=1)
+    wakes = []
+    assert channel.put("a", timeout=None)
+    thread, result = blocked_put(channel, "b")
+    assert not channel.offer("c", 1, 1 << 20, lambda: wakes.append("c"))
+    assert channel.take(None) == "a"
+    thread.join(20.0)
+    assert not thread.is_alive() and result == [True]
+    assert wakes == ["c"]
+    assert channel.take(None) == "b"
+    assert wakes == ["c"]  # a wake-up fires once, not at every take
+
+    assert channel.put("d", timeout=None)
+    thread, result = blocked_put(channel, "e")
+    assert not channel.offer("f", 1, 1 << 20, lambda: wakes.append("f"))
+    channel.wake_all()
+    thread.join(20.0)
+    assert not thread.is_alive() and result == [False]
+    assert wakes == ["c", "f"]
+    assert channel.take(None) == "d"  # queued items stay drainable
+    assert wakes == ["c", "f"]
+    assert channel.take(None) is None
+    assert not channel.put("g", timeout=None)
