@@ -137,7 +137,8 @@ class OnlineStudy:
 
     # -------------------------------------------------------------------- run
     def run(self) -> OnlineStudyResult:
-        """Run the full online study (blocking) and return its result."""
+        """Run the full online study (blocking) and return its result.
+        Raises the server's exception, else the transport's failure."""
         cfg = self.config
         # ``transport_config`` is the already-normalised TransportConfig.  Only
         # the launcher concurrency bound travels separately: the shm ring grid is
@@ -175,6 +176,8 @@ class OnlineStudy:
             router.shutdown()
             if launcher.running:  # the server failed: the closed router stops the launcher
                 launcher.join()
+        if router.failure is not None:
+            raise router.failure
 
         unique_samples = cfg.num_simulations * self.case.solver_config.num_steps
         dataset_bytes = unique_samples * self.case.field_size * 4

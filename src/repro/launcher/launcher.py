@@ -28,7 +28,9 @@ resend), and if the spawner dies every unfinished client fails.
 A closed transport stops the launcher: a study shuts its transport once its
 server returned or raised, and a failed server leaves clients unfinished.  No
 client starts or restarts on a closed transport, the clients a process-mode
-series still runs are killed, and every unfinished client fails.
+series still runs are killed, and every unfinished client fails.  Any other
+exception fails the study through the transport (:meth:`Transport.fail`), as
+do clients that failed for good once a run :meth:`start` began has ended.
 
 The launcher holds each client's channel lease: ``Transport.lease_client``
 before the first attempt, ``release_client`` once the last one was reaped.
@@ -179,9 +181,9 @@ class Launcher:
         self.heartbeat_monitor = heartbeat_monitor
         #: Written by the thread that runs :meth:`run` only.
         self.report = LauncherReport()
+        self._last_failure: Optional[BaseException] = None  # of a client failed for good
         self._spawner: Optional[ClientSpawner] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = False
 
     # ----------------------------------------------------------------- series
     def _split_series(self) -> List[List[ClientSpec]]:
@@ -212,59 +214,61 @@ class Launcher:
         if client.router.closed:
             raise RouterClosed(f"transport closed: client {client.client_id} is not started")
 
-    def _finish(self, spec: ClientSpec, steps: Optional[int]) -> None:
-        """Count one client that completed (``steps`` sent) or failed for good."""
-        if steps is None:
+    def _finish(self, spec: ClientSpec, steps: int, error: Optional[BaseException]) -> None:
+        """Count one client that completed (``steps`` sent) or failed for good
+        with ``error``."""
+        if error is not None:
             self.report.clients_failed += 1
-            logger.error("client %d permanently failed", spec.client_id)
+            self._last_failure = error
+            logger.error("client %d permanently failed: %s", spec.client_id, error)
         else:
             self.report.clients_completed += 1
             self.report.per_client_steps[spec.client_id] = steps
 
     # ------------------------------------------------------------ thread mode
-    def _run_client_in_thread(self, spec: ClientSpec) -> Tuple[Optional[int], int]:
-        """Run one client on this pool thread, restarting it on failure.
+    def _run_client_in_thread(self, spec: ClientSpec, client: SimulationClient
+                              ) -> Tuple[int, int, Optional[SimulationFailure]]:
+        """A pool thread: run one client, restarting it on failure.
 
-        Returns the steps sent (``None`` once it exhausted its restarts) and
-        the number of failed attempts.  The lease spans every attempt.
+        Returns the steps sent, the number of failed attempts and the last
+        failure once it exhausted its restarts.  The lease spans every attempt.
         """
-        client = self._make_client(spec)
-        router = client.router
-        router.lease_client(spec.client_id)
-        failures = 0
         try:
+            client.router.lease_client(client.client_id)
+            failures = 0
             while True:
                 self._check_open(client)
                 try:
-                    return client.run(solver_params=spec.solver_params).steps_sent, failures
+                    return client.run(solver_params=spec.solver_params).steps_sent, failures, None
                 except SimulationFailure as exc:
                     failures += 1
                     logger.warning("client %d failed (%s), restart %d",
-                                   spec.client_id, exc, failures)
+                                   client.client_id, exc, failures)
                     if failures > self.config.max_restarts:
-                        return None, failures
+                        return 0, failures, exc
                     client.prepare_restart()
+        except BaseException as exc:  # noqa: BLE001 - thread boundary
+            client.router.fail(exc)
+            raise
         finally:
-            router.release_client(spec.client_id)
+            client.router.release_client(client.client_id)
 
     def _run_series_in_threads(self, index: int, group: Sequence[ClientSpec]) -> None:
         with ThreadPoolExecutor(
             max_workers=self.config.max_concurrent_clients,
             thread_name_prefix=f"client-series-{index}",
         ) as pool:
-            futures = {pool.submit(self._run_client_in_thread, spec): spec for spec in group}
+            futures = {pool.submit(self._run_client_in_thread, spec, self._make_client(spec)): spec
+                       for spec in group}
             closed: Optional[RouterClosed] = None
             for future in as_completed(futures):
-                steps, failures = None, 0
                 try:
-                    steps, failures = future.result()
+                    steps, failures, error = future.result()
                 except RouterClosed as exc:  # left unfinished: run() counts it
                     closed = exc
                     continue
-                except Exception:  # noqa: BLE001 - a crashed client failed for good
-                    pass
                 self.report.restarts += failures
-                self._finish(futures[future], steps)
+                self._finish(futures[future], steps, error)
         if closed is not None:
             raise closed
 
@@ -318,11 +322,10 @@ class Launcher:
                 tracked.client.prepare_restart()
                 self._spawner.spawn(tracked.client, tracked.slot)
                 return
-        elif status == "error":
-            logger.error("client %d process crashed (exit code %s)", client_id, exitcode)
         del running[client_id]
         tracked.client.router.release_client(client_id)
-        self._finish(tracked.spec, steps if status == "ok" else None)
+        self._finish(tracked.spec, steps, None if status == "ok" else SimulationFailure(
+            f"client {client_id} process {status} (exit code {exitcode})"))
 
     def _enforce_deadlines(self, running: Dict[int, _ProcessClient]) -> None:
         """Kill every client past its runtime cap or its heartbeat deadline.
@@ -376,6 +379,8 @@ class Launcher:
                           - self.report.clients_failed)
             logger.error("%s: %d unfinished clients failed", exc, unfinished)
             self.report.clients_failed += unfinished
+            if unfinished:
+                self._last_failure = exc
         finally:
             if self._spawner is not None:
                 self._spawner.close()
@@ -384,15 +389,28 @@ class Launcher:
         return self.report
 
     # ---------------------------------------------------------- async control
+    def _main(self) -> None:
+        """The launcher thread: :meth:`run`, failing the study if it raised or
+        a client failed for good."""
+        try:
+            report = self.run()
+            if report.clients_failed:
+                raise RuntimeError(
+                    f"{report.clients_failed} of {len(self.specs)} clients failed for good"
+                ) from self._last_failure
+        except BaseException as exc:  # noqa: BLE001 - thread boundary
+            self._transport.fail(exc)
+
     def start(self) -> None:
         """Run the ensemble on a background thread (non-blocking); in process
         mode, first fork the client spawner from the calling thread."""
-        if self._started:
+        if self._thread is not None:
             raise RuntimeError("launcher already started")
-        self._started = True
         if self.config.client_mode == "process":
             self._spawner = ClientSpawner(self.specs, self.client_factory)
-        self._thread = threading.Thread(target=self.run, name="launcher", daemon=True)
+        # Every client streams into one transport: the launcher thread's latch.
+        self._transport = self.client_factory(self.specs[0]).router
+        self._thread = threading.Thread(target=self._main, name="launcher", daemon=True)
         self._thread.start()
 
     def join(self, timeout: Optional[float] = None) -> LauncherReport:

@@ -84,14 +84,17 @@ class CommunicatorGroup:
         self.timeout = timeout
         self._mailboxes = [_Mailbox() for _ in range(size)]
         self._barrier = _Barrier(size)
+        self.errors: Dict[int, BaseException] = {}  # rank -> what it failed with
 
     def rank_communicators(self) -> List["ThreadCommunicator"]:
         """One communicator handle per rank."""
         return [ThreadCommunicator(self, rank) for rank in range(self.size)]
 
-    def abort(self, rank: int) -> None:
-        """Rank ``rank`` failed: every blocked and later ``recv`` of any rank
-        raises :class:`CommunicatorError` naming it, and the barrier breaks."""
+    def fail(self, rank: int, exc: BaseException) -> None:
+        """Rank ``rank`` failed with ``exc``: record it, and every blocked and
+        later ``recv`` of any rank raises :class:`CommunicatorError` naming
+        the rank, and the barrier breaks."""
+        self.errors[rank] = exc
         for mailbox in self._mailboxes:
             mailbox.abort(f"rank {rank} failed")
         self._barrier.abort()

@@ -3,10 +3,11 @@
 This is the substitute for ``mpiexec -n <size>``: the callable receives a
 :class:`repro.parallel.communicator.ThreadCommunicator` for its rank plus any
 user arguments, and the executor returns the per-rank results (ordered by
-rank).  Exceptions raised by any rank are collected and re-raised as a single
-:class:`SPMDFailure` so that tests can assert on failure behaviour.  A rank
-that raises aborts the communicator group, so a peer blocked on it in a
-collective fails at once instead of waiting for a message never sent.
+rank).  A rank that raises hands its exception to the communicator group
+(:meth:`~repro.parallel.communicator.CommunicatorGroup.fail`), so a peer
+blocked on it in a collective fails at once instead of waiting for a message
+never sent; :meth:`SPMDExecutor.run` raises the group's errors as one
+:class:`SPMDFailure`.
 """
 
 from __future__ import annotations
@@ -46,18 +47,12 @@ class SPMDExecutor:
         group = CommunicatorGroup(self.size, timeout=self.timeout)
         communicators = group.rank_communicators()
         results: List[Any] = [None] * self.size
-        errors: Dict[int, BaseException] = {}
-        lock = threading.Lock()
 
         def runner(comm: ThreadCommunicator) -> None:
             try:
-                value = target(comm, *args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - propagated via SPMDFailure
-                with lock:
-                    errors[comm.rank] = exc
-                group.abort(comm.rank)
-            else:
-                results[comm.rank] = value
+                results[comm.rank] = target(comm, *args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - raised by run() in SPMDFailure
+                group.fail(comm.rank, exc)
 
         threads = [
             threading.Thread(
@@ -74,8 +69,8 @@ class SPMDExecutor:
         if alive:
             hung = ", ".join(t.name for t in alive)
             raise SPMDFailure(
-                {**errors, -1: TimeoutError(f"ranks still running after timeout: {hung}")}
+                {**group.errors, -1: TimeoutError(f"ranks still running after timeout: {hung}")}
             )
-        if errors:
-            raise SPMDFailure(errors)
+        if group.errors:
+            raise SPMDFailure(dict(group.errors))
         return results

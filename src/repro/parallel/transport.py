@@ -31,7 +31,8 @@ Every backend drains through one implementation,
 batch from a rank channel in ``_get_batch``.  :func:`make_transport` builds
 one of the four backends by name from a :class:`TransportConfig`; the set is
 closed.  All backends keep aggregate statistics (messages/bytes routed,
-drops) used by the throughput experiments.
+drops) used by the throughput experiments, and each is its study's failure
+latch (:meth:`Transport.fail`).
 """
 
 from __future__ import annotations
@@ -110,6 +111,8 @@ class Transport:
     """
 
     num_server_ranks: int
+    #: The first exception handed to :meth:`fail`, in the server process.
+    failure: Optional[BaseException] = None
 
     # ----------------------------------------------------------------- client
     def connect(self, client_id: int, batch_size: int = 1) -> "Connection":
@@ -198,6 +201,17 @@ class Transport:
     def close(self) -> None:
         """Close the transport; subsequent pushes raise :class:`RouterClosed`."""
         raise NotImplementedError
+
+    def fail(self, exc: BaseException) -> None:
+        """Fail the study: every server thread hands the exception that ends
+        it here.  The first one is kept as :attr:`failure` before the close
+        (which stops clients, launcher and aggregators), later ones logged.
+        """
+        # One atomic ``setdefault`` keeps the first of any racing threads.
+        first = vars(self).setdefault("failure", exc)
+        if exc is not first:
+            logger.warning("after the study failed with %r, also: %r", first, exc)
+        self.close()
 
     def shutdown(self) -> None:
         """Close and release backend resources (queues, feeder threads)."""

@@ -84,9 +84,6 @@ class DataAggregator:
         self.heartbeat_monitor = heartbeat_monitor
         self.message_log = message_log or MessageLog()
         self.stats = AggregatorStats()
-        #: The exception that ended the receive loop, if any; the buffer is
-        #: closed with it so the training thread stops instead of waiting.
-        self.error: Optional[BaseException] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -106,10 +103,6 @@ class DataAggregator:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
 
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
@@ -121,24 +114,26 @@ class DataAggregator:
 
     # ------------------------------------------------------------------ logic
     def _run(self) -> None:
+        """Drain the rank's channel; a closed transport closes the buffer,
+        which stops the rank's trainer."""
         try:
             while not self._stop.is_set():
+                if self.router.closed:
+                    self.buffer.close()
+                    return
                 items = self.router.poll_batches(
                     self.rank, max_messages=MAX_DRAIN, timeout=POLL_TIMEOUT
                 )
                 if items:
                     self._handle_items(items)
                 elif self.reception_complete:
-                    break
+                    self.buffer.signal_reception_over()  # also with no client expected
+                    return
         except BufferClosedError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - thread boundary: report, never die silently
-            logger.exception("rank %d aggregator failed", self.rank)
-            self.error = exc
+            pass  # the server closed the buffer: training is over
+        except BaseException as exc:  # noqa: BLE001 - thread boundary
+            self.router.fail(exc)
             self.buffer.close()
-        # Whatever the exit reason, make sure the training thread is unblocked.
-        if self.reception_complete:
-            self.buffer.signal_reception_over()
 
     def _handle_items(self, items: List[object]) -> None:
         """Process one drain: :class:`ColumnBatch` chunks and control messages,

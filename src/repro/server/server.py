@@ -141,7 +141,8 @@ class TrainingServer:
 
     # -------------------------------------------------------------------- run
     def run(self) -> ServerResult:
-        """Start aggregators and training workers; block until training ends."""
+        """Start aggregators and training workers; block until training ends.
+        Raises a rank's :class:`SPMDFailure`, else the transport's failure."""
         for aggregator in self.aggregators:
             aggregator.start()
 
@@ -149,17 +150,21 @@ class TrainingServer:
         workers: List[Optional[TrainingWorker]] = [None] * config.num_ranks
 
         def rank_main(comm: ThreadCommunicator) -> TrainingMetrics:
-            worker = build_worker(
-                comm,
-                self.model_factory,
-                self.buffers[comm.rank],
-                config.trainer,
-                learning_rate=config.learning_rate,
-                lr_step_batches=config.lr_step_batches,
-                validation=self.validation,
-            )
-            workers[comm.rank] = worker
-            return worker.run()
+            try:
+                worker = build_worker(
+                    comm,
+                    self.model_factory,
+                    self.buffers[comm.rank],
+                    config.trainer,
+                    learning_rate=config.learning_rate,
+                    lr_step_batches=config.lr_step_batches,
+                    validation=self.validation,
+                )
+                workers[comm.rank] = worker
+                return worker.run()
+            except BaseException as exc:  # noqa: BLE001 - thread boundary
+                self.router.fail(exc)
+                raise
 
         try:
             executor = SPMDExecutor(self.config.num_ranks, timeout=None)
@@ -169,13 +174,8 @@ class TrainingServer:
                 buffer.close()
             for aggregator in self.aggregators:
                 aggregator.stop()
-        for aggregator in self.aggregators:
-            if aggregator.error is not None:
-                # The failed aggregator closed its buffer, which ended the
-                # training loop early: report the cause, not a partial result.
-                raise RuntimeError(
-                    f"data aggregator of server rank {aggregator.rank} failed"
-                ) from aggregator.error
+        if self.router.failure is not None:
+            raise self.router.failure
 
         rank0_worker = workers[0]
         assert rank0_worker is not None

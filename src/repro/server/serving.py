@@ -69,7 +69,6 @@ class AsyncFrontDoor:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._started = threading.Event()
-        self._error: Optional[BaseException] = None
         self._address: Optional[Tuple[str, int]] = None
         # Reader-task bookkeeping, touched only from the event-loop thread.
         self._tasks: Set[asyncio.Task] = set()
@@ -84,10 +83,9 @@ class AsyncFrontDoor:
         )
         self._thread.start()
         self._started.wait(_LIFECYCLE_TIMEOUT)
-        if self._error is not None:
-            raise self._error
         if self._address is None:
-            raise ReproError("tcp front door failed to start within the lifecycle timeout")
+            raise self._sink.failure or ReproError(
+                "tcp front door failed to start within the lifecycle timeout")
         return self._address
 
     def stop(self, timeout: float = _LIFECYCLE_TIMEOUT) -> None:
@@ -110,16 +108,15 @@ class AsyncFrontDoor:
             self._stop_event.set()
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
+        """The event loop until :meth:`stop`; :meth:`start` raises a failed bind."""
         try:
-            loop.run_until_complete(self._main())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to start()/logs
-            self._error = exc
-            logger.warning("tcp front door terminated: %s", exc, exc_info=True)
+            self._loop = asyncio.new_event_loop()
+            self._loop.run_until_complete(self._main())
+        except BaseException as exc:  # noqa: BLE001 - thread boundary
+            self._sink.fail(exc)
         finally:
+            self._loop.close()
             self._loop = None
-            loop.close()
             self._started.set()  # unblock a start() waiting on a failed bind
 
     async def _main(self) -> None:
@@ -164,6 +161,8 @@ class AsyncFrontDoor:
         except (ConnectionError, OSError) as exc:
             self._sink.record_torn_frame()
             logger.warning("connection %s: reset mid-stream: %s", peer, exc)
+        except Exception as exc:  # noqa: BLE001 - a server fault, not the client's
+            self._sink.fail(exc)
         finally:
             if task is not None:
                 self._tasks.discard(task)

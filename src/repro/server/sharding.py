@@ -44,9 +44,6 @@ from repro.parallel.transport import (
 from repro.server.server import ServerConfig, ServerResult, TrainingServer
 from repro.server.validation import ValidationSet
 from repro.utils.exceptions import ConfigurationError
-from repro.utils.logging import get_logger
-
-logger = get_logger("server.sharding")
 
 #: Virtual nodes per shard on the consistent-hash ring.  More replicas
 #: smooth the load spread across shards at the cost of a larger (still tiny)
@@ -302,10 +299,6 @@ class ShardManager:
         self.heartbeat_monitor = ShardedHeartbeatMonitor(
             self.ring, [server.heartbeat_monitor for server in self.servers]
         )
-        self.per_shard_results: List[Optional[ServerResult]] = [None] * self.num_shards
-        self._threads: List[threading.Thread] = []
-        self._state_lock = threading.Lock()
-        self._errors: List[Optional[BaseException]] = [None] * self.num_shards
 
     def _shard_server_config(self, index: int) -> ServerConfig:
         """Specialise the base server config for shard ``index``.
@@ -321,53 +314,29 @@ class ShardManager:
         )
 
     # -------------------------------------------------------------------- run
-    def _run_shard(self, index: int) -> None:
-        try:
-            result = self.servers[index].run()
-        except BaseException as exc:  # noqa: BLE001 - reported from join()
-            logger.exception("shard %d failed", index)
-            with self._state_lock:
-                self._errors[index] = exc
-            # End every other shard too, as a failed aggregator ends its rank:
-            # a survivor would otherwise wait out its trainer's get timeout
-            # for clients that hold launcher slots on this shard's full rings.
-            for server in self.servers:
-                for buffer in server.buffers:
-                    buffer.close()
-        else:
-            with self._state_lock:
-                self.per_shard_results[index] = result
-
-    def start(self) -> None:
-        """Start every shard's server on its own thread (non-blocking)."""
-        if self._threads:
-            raise RuntimeError("shard manager already started")
-        for index in range(self.num_shards):
-            thread = threading.Thread(
-                target=self._run_shard, args=(index,), name=f"shard-{index}", daemon=True
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def join(self, timeout: Optional[float] = None) -> ServerResult:
-        """Wait for every shard and return the merged cluster result."""
-        if not self._threads:
-            raise RuntimeError("shard manager was not started")
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-        with self._state_lock:
-            errors = [error for error in self._errors if error is not None]
-            results = list(self.per_shard_results)
-        if errors:
-            raise errors[0]
-        if any(result is None for result in results):
-            raise RuntimeError("a shard did not complete within the join timeout")
-        return self._merge(results)
-
     def run(self) -> ServerResult:
-        """Run every shard to completion (blocking); returns the merged result."""
-        self.start()
-        return self.join()
+        """Run every shard's server on its own thread; the merged result."""
+        results: List[Optional[ServerResult]] = [None] * self.num_shards
+
+        def run_shard(index: int) -> None:
+            # A failed shard fails every shard: a survivor would otherwise
+            # wait for clients that hold launcher slots on the dead one.
+            try:
+                results[index] = self.servers[index].run()
+            except BaseException as exc:  # noqa: BLE001 - thread boundary
+                self.router.fail(exc)
+
+        threads = [
+            threading.Thread(target=run_shard, args=(index,), name=f"shard-{index}", daemon=True)
+            for index in range(self.num_shards)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if self.router.failure is not None:
+            raise self.router.failure
+        return self._merge(results)
 
     # ------------------------------------------------------------------ merge
     def _merge(self, results: Sequence[ServerResult]) -> ServerResult:

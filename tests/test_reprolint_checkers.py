@@ -172,6 +172,36 @@ class TestSleepPoll:
         assert not [f for f in run(project, CHECKERS).findings if f.rule == "sleep-poll"]
 
 
+# ------------------------------------------------------------ thread boundary
+class TestThreadBoundary:
+    PROJECT = FIXTURES / "thread_boundary_project"
+
+    def lint(self, name):
+        """Run this rule on one fixture, as ``src/<name>`` of its own project
+        (whose ``src/`` is all tests, so ``test-only`` is not run)."""
+        checkers = [checker for checker in CHECKERS if checker.RULE == "thread-boundary"]
+        return run(load_project([self.PROJECT / "src" / name], root=self.PROJECT), checkers)
+
+    def test_bad_fixture_flags_every_way_out_of_the_failure_path(self):
+        report = self.lint("bad_thread_boundary.py")
+        findings = [f for f in report.findings if f.rule == "thread-boundary"]
+        assert sorted(f.line for f in findings) == [16, 18, 25, 33, 39, 53]
+        messages = " ".join(f.message for f in findings)
+        assert "`lambda: self.step()` is not a function or method" in messages
+        assert "`_prepare_then_run` runs statements outside one try" in messages
+        assert "`_run_then_report` runs statements outside one try" in messages
+        assert "`_catch_exceptions_only` has no `except BaseException`" in messages
+        assert "`_log_only` has no `except BaseException`" in messages
+        assert "`work` runs statements outside one try" in messages  # a pool.submit target
+
+    def test_good_fixture_is_clean(self):
+        assert self.lint("good_thread_boundary.py").clean
+
+    def test_only_src_is_checked(self):
+        report = lint("thread_boundary_project/src/bad_thread_boundary.py")
+        assert not [f for f in report.findings if f.rule == "thread-boundary"]
+
+
 # ------------------------------------------------------------------ wire layout
 class TestWireLayout:
     def test_bad_fixture_flags_every_drift_shape(self):

@@ -45,7 +45,7 @@ def test_aggregator_fills_buffer_and_signals_end():
         router.push(0, ClientFinished(client_id=client_id, total_sent=3))
 
     assert wait_until(lambda: buffer.reception_over)
-    aggregator.join(timeout=5.0)
+    assert wait_until(lambda: not aggregator.running)
     assert aggregator.stats.samples_received == 6
     assert aggregator.stats.clients_finished == {0, 1}
     assert aggregator.reception_complete
@@ -72,7 +72,7 @@ def test_aggregator_deduplicates_restarted_client_messages():
     router.push(0, ClientFinished(client_id=0, total_sent=5))
 
     assert wait_until(lambda: buffer.reception_over)
-    aggregator.join(timeout=5.0)
+    assert wait_until(lambda: not aggregator.running)
     assert aggregator.stats.samples_received == 3
     assert aggregator.stats.duplicates_discarded == 2
     assert log.duplicates_discarded == 2

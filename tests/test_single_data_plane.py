@@ -191,8 +191,9 @@ def test_width_mismatched_put_is_refused_before_anything_is_inserted(kind):
 
 
 def test_aggregator_failure_ends_the_server_run_with_its_cause(tiny_surrogate_case):
-    """A chunk the buffer refuses kills the aggregator; ``run`` must raise
-    the original error promptly instead of timing out on an empty buffer."""
+    """A chunk the buffer refuses kills the aggregator, which fails the
+    transport; ``run`` must raise the original error promptly instead of
+    timing out on an empty buffer."""
     case = tiny_surrogate_case
     transport = make_transport(TransportConfig(), 1)
     server = TrainingServer(
@@ -210,19 +211,17 @@ def test_aggregator_failure_ends_the_server_run_with_its_cause(tiny_surrogate_ca
         *make_steps(2, client_id=1, field_len=case.field_size + 1, parameters=parameters),
     ])
     began = time.monotonic()
-    with pytest.raises(RuntimeError, match="aggregator of server rank 0") as failure:
+    with pytest.raises(ValueError, match="do not match the buffer's columns") as failure:
         server.run()
     assert time.monotonic() - began < 5.0
-    assert isinstance(failure.value.__cause__, ValueError)
-    assert "do not match the buffer's columns" in str(failure.value.__cause__)
-    assert server.aggregators[0].error is failure.value.__cause__
+    assert transport.failure is failure.value
 
 
 
 def test_negative_time_step_fails_the_server_run_at_the_dedup_log(tiny_surrogate_case):
     """A step the dedup log cannot hold (a negative one would alias the end
     of the client's byte map) fails the aggregator, closes its buffer and
-    ends ``run`` with the ``ValueError`` as cause."""
+    ends ``run`` with the ``ValueError``."""
     case = tiny_surrogate_case
     transport = make_transport(TransportConfig(), 1)
     server = TrainingServer(
@@ -234,10 +233,8 @@ def test_negative_time_step_fails_the_server_run_at_the_dedup_log(tiny_surrogate
     parameters = (300.0,) * (case.input_size - 1)
     transport.push_many(0, make_steps(4, start=-2, field_len=case.field_size,
                                       parameters=parameters))
-    with pytest.raises(RuntimeError, match="aggregator of server rank 0") as failure:
+    with pytest.raises(ValueError, match="time step -2") as failure:
         server.run()
-    assert isinstance(failure.value.__cause__, ValueError)
-    assert "time step -2" in str(failure.value.__cause__)
-    assert server.aggregators[0].error is failure.value.__cause__
+    assert transport.failure is failure.value
     assert server.buffers[0].closed
     assert len(server.buffers[0]) == 0

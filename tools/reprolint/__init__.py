@@ -1,9 +1,9 @@
 """reprolint — repo-specific AST static analysis for the repro data path.
 
-Eight checkers encode the concurrency, process, solver, wait and wire-format
-invariants the code review process kept re-discovering by hand, one counts
-the program code only the tests reach, and two more hold ``ruff`` limits
-that would otherwise run only in CI, or not at all (see
+Nine checkers encode the concurrency, process, solver, wait, failure and
+wire-format invariants the code review process kept re-discovering by hand,
+one counts the program code only the tests reach, and two more hold
+``ruff`` limits that would otherwise run only in CI, or not at all (see
 ``docs/static_analysis.md``):
 
 - ``lock-discipline``   : attributes mutated under a lock anywhere must never
@@ -21,6 +21,9 @@ that would otherwise run only in CI, or not at all (see
 - ``sleep-poll``        : in ``src/``, no coroutine awaits ``asyncio.sleep``
                           inside a loop (it awaits the event that satisfies
                           the wait).
+- ``thread-boundary``   : in ``src/``, every ``Thread``/``submit`` target is one
+                          ``try`` whose ``except BaseException`` handler calls
+                          ``.fail(...)`` (one failure path).
 - ``wire-layout``       : ``struct.Struct`` formats, declared ``*_BYTES`` size
                           constants and packed-header offset families must
                           agree.
@@ -50,6 +53,7 @@ from tools.reprolint import (
     check_sleep_poll,
     check_solver_state,
     check_test_only,
+    check_thread_boundary,
     check_unused_imports,
     check_wire_layout,
 )
@@ -65,6 +69,7 @@ CHECKERS = (
     check_fork_site,
     check_solver_state,
     check_sleep_poll,
+    check_thread_boundary,
     check_wire_layout,
     check_test_only,
     check_unused_imports,
